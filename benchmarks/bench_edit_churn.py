@@ -21,8 +21,7 @@ but not part of the headline speedup.
 
 Exactness is asserted, not sampled: every edited version's
 ``result_digest`` must be byte-identical across the scratch path and
-the incremental path in all three ``incremental_edits`` modes
-(``on``/``off``/``validate``); any divergence fails the run.  One
+the incremental path; any divergence fails the run.  One
 incremental chain pass runs under the profiler so the report carries
 the ``session``/``session/diff``/``session/patch`` phase breakdown next
 to the pipeline phases it displaces.
@@ -149,12 +148,11 @@ def time_scratch(versions, allocator, regs, repeats):
     return best, digests
 
 
-def run_chain(base_ir, versions, allocator, regs, mode,
-              timed: bool = False):
+def run_chain(base_ir, versions, allocator, regs):
     """One edit chain through the delta path; returns per-edit times,
     digests, and the store/paths bookkeeping of the final pass."""
     store = SessionStore(capacity=8)
-    options = AllocationOptions(verify=False, incremental_edits=mode)
+    options = AllocationOptions(verify=False)
     warm = execute_delta_request(
         request_for("base", base_ir, allocator, regs, base=""),
         store, options)
@@ -190,21 +188,15 @@ def run(bench: str, regs: int, edits: int, struct_edits: int,
     incr_best = [float("inf")] * len(versions)
     final = None
     for _ in range(repeats):
-        final = run_chain(base_ir, versions, allocator, regs, "on")
+        final = run_chain(base_ir, versions, allocator, regs)
         incr_best = [min(a, b) for a, b in zip(incr_best, final["times"])]
     assert final["digests"] == scratch_digests, \
         "incremental result digests diverge from the scratch path"
 
-    # Exactness across the other modes (untimed single passes).
-    for mode in ("off", "validate"):
-        chain = run_chain(base_ir, versions, allocator, regs, mode)
-        assert chain["digests"] == scratch_digests, \
-            f"mode {mode!r} digests diverge from the scratch path"
-
     # One profiled pass for the phase breakdown (session/diff/patch
     # next to parse/prepare/allocate).
     with profiled() as prof:
-        run_chain(base_ir, versions, allocator, regs, "on")
+        run_chain(base_ir, versions, allocator, regs)
 
     value_idx = [n for n, v in enumerate(versions) if v["kind"] == "value"]
     value_scratch = [scratch_best[n] for n in value_idx]
@@ -237,7 +229,6 @@ def run(bench: str, regs: int, edits: int, struct_edits: int,
         },
         "speedup": speedup,
         "fingerprints_identical": True,  # asserted above
-        "modes_identical": True,         # asserted above
         "phases": prof.snapshot(digits=4),
     }
     if struct_edits:

@@ -1,23 +1,15 @@
-"""Scaling curve of the simplify/select decision loops: index vs scan.
+"""Scaling curve of the simplify/select decision loops.
 
-PR 5 replaced the allocator's full-scan decision loops (low-degree
-rescans in ``simplify``, all-active rescans in
-``choose_spill_candidate``, linear ready-queue scans in the preference
-selector) with incrementally maintained priority indexes
-(``repro.regalloc.worklist``).  This bench measures what that buys as
-functions grow: synthetic programs from ~100 to ~3000 virtual registers
-are allocated at several register-pressure levels with the indexed
-engines (``REPRO_SELECT_INDEX=1``) and the retained scan oracles
-(``REPRO_SELECT_INDEX=0``), and the per-phase profiler attributes the
-difference to ``simplify``/``select`` (plus the ``select/choose``,
-``select/color`` and ``simplify/spill_pick`` sub-phases).
-
-Every workload is also run once under ``REPRO_SELECT_INDEX=validate``,
-which asserts pick-for-pick identity between the engines and raises on
-the first divergence; on top of that the bench itself compares the two
-runs' allocation fingerprints (stats + a digest of the full assignment)
-and exits nonzero on any mismatch — a speedup can never silently come
-from changed results.
+The allocator's decision loops run on incrementally maintained priority
+indexes (``repro.regalloc.worklist``).  This bench measures how they
+scale as functions grow: synthetic programs from ~100 to ~3000 virtual
+registers are allocated at several register-pressure levels, and the
+per-phase profiler attributes the time to ``simplify``/``select`` (plus
+the ``select/choose``, ``select/color`` and ``simplify/spill_pick``
+sub-phases).  Each workload records its allocation fingerprint (stats
++ a digest of the full assignment).  Pick-for-pick identity with the
+scan oracles is a test (``tests/test_properties.py``), not a bench
+mode.
 
 Run as a script to emit the machine-readable report::
 
@@ -36,7 +28,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import socket
 import subprocess
 import sys
@@ -127,9 +118,8 @@ def phase_total(snapshot: dict, leaf: str) -> float:
     ), 4)
 
 
-def timed_run(func, machine, allocator_factory, mode: str, repeats: int):
-    """Best-of-``repeats`` allocation under ``REPRO_SELECT_INDEX=mode``."""
-    os.environ["REPRO_SELECT_INDEX"] = mode
+def timed_run(func, machine, allocator_factory, repeats: int):
+    """Best-of-``repeats`` allocation: seconds, profile, result."""
     best = None
     result = None
     snapshot = None
@@ -155,52 +145,30 @@ def run_workload(size: int, k: int, repeats: int) -> dict:
         "k": k,
     }
 
-    chaitin_best, _, _ = timed_run(func, machine, ChaitinAllocator, "1",
+    chaitin_best, _, _ = timed_run(func, machine, ChaitinAllocator,
                                    repeats)
     entry["chaitin_best_s"] = round(chaitin_best, 4)
 
-    engines = {}
-    fingerprints = {}
-    for label, mode in (("scan", "0"), ("indexed", "1")):
-        best, snapshot, result = timed_run(
-            func, machine, PreferenceDirectedAllocator, mode, repeats
-        )
-        select_s = phase_total(snapshot, "select")
-        simplify_s = phase_total(snapshot, "simplify")
-        engines[label] = {
-            "total_s": round(best, 4),
-            "select_s": select_s,
-            "simplify_s": simplify_s,
-            "select_simplify_s": round(select_s + simplify_s, 4),
-            "phases": {
-                leaf: phase_total(snapshot, leaf)
-                for leaf in ("choose", "color", "spill_pick")
-            },
-        }
-        fingerprints[label] = fingerprint(result)
-    entry.update(engines)
-
-    if fingerprints["scan"] != fingerprints["indexed"]:
-        raise SystemExit(
-            f"{entry['name']}: engines disagree: {fingerprints}"
-        )
-    entry["fingerprint"] = fingerprints["indexed"]
-
-    # Pick-for-pick cross-check: raises AllocationError on divergence.
-    _, _, vresult = timed_run(func, machine, PreferenceDirectedAllocator,
-                              "validate", 1)
-    if fingerprint(vresult) != fingerprints["indexed"]:
-        raise SystemExit(f"{entry['name']}: validate run diverged")
-    entry["validate_ok"] = True
-
-    entry["speedup_select_simplify"] = round(
-        engines["scan"]["select_simplify_s"]
-        / max(engines["indexed"]["select_simplify_s"], 1e-9), 2
+    best, snapshot, result = timed_run(
+        func, machine, PreferenceDirectedAllocator, repeats
     )
-    # The chaitin-normalized gate metric: indexed decision-loop seconds
-    # per second of chaitin over the same function on the same machine.
+    select_s = phase_total(snapshot, "select")
+    simplify_s = phase_total(snapshot, "simplify")
+    entry["indexed"] = {
+        "total_s": round(best, 4),
+        "select_s": select_s,
+        "simplify_s": simplify_s,
+        "select_simplify_s": round(select_s + simplify_s, 4),
+        "phases": {
+            leaf: phase_total(snapshot, leaf)
+            for leaf in ("choose", "color", "spill_pick")
+        },
+    }
+    entry["fingerprint"] = fingerprint(result)
+    # The chaitin-normalized gate metric: decision-loop seconds per
+    # second of chaitin over the same function on the same machine.
     entry["select_ratio_vs_chaitin"] = round(
-        engines["indexed"]["select_simplify_s"] / chaitin_best, 3
+        entry["indexed"]["select_simplify_s"] / chaitin_best, 3
     )
     return entry
 
@@ -238,7 +206,6 @@ def main(argv=None) -> None:
         if k < 2:
             parser.error("--pressures entries must be >= 2")
 
-    prior_mode = os.environ.get("REPRO_SELECT_INDEX")
     report = {
         "bench": "selector_scaling",
         "seed": SEED,
@@ -252,28 +219,19 @@ def main(argv=None) -> None:
         "hostname": socket.gethostname(),
         "workloads": [],
     }
-    try:
-        for size in args.sizes:
-            for k in args.pressures:
-                entry = run_workload(size, k, args.repeats)
-                report["workloads"].append(entry)
-                print(f"{entry['name']:>10} ({entry['vregs']} vregs): "
-                      f"scan {entry['scan']['select_simplify_s']:.3f}s -> "
-                      f"indexed {entry['indexed']['select_simplify_s']:.3f}s "
-                      f"({entry['speedup_select_simplify']}x, validate ok)")
-    finally:
-        if prior_mode is None:
-            os.environ.pop("REPRO_SELECT_INDEX", None)
-        else:
-            os.environ["REPRO_SELECT_INDEX"] = prior_mode
+    for size in args.sizes:
+        for k in args.pressures:
+            entry = run_workload(size, k, args.repeats)
+            report["workloads"].append(entry)
+            print(f"{entry['name']:>10} ({entry['vregs']} vregs): "
+                  f"select+simplify "
+                  f"{entry['indexed']['select_simplify_s']:.3f}s "
+                  f"({entry['select_ratio_vs_chaitin']}x chaitin)")
 
     largest = max(report["workloads"], key=lambda w: (w["vregs"], -w["k"]))
     report["largest_workload"] = largest["name"]
-    report["largest_speedup_select_simplify"] = \
-        largest["speedup_select_simplify"]
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.out} (largest workload {largest['name']}: "
-          f"{largest['speedup_select_simplify']}x)")
+    print(f"wrote {args.out} (largest workload {largest['name']})")
 
 
 if __name__ == "__main__":

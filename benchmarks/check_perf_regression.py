@@ -20,20 +20,15 @@ are a separate CI step; this gate is about time only.
 reports: per workload, the *chaitin-normalized* indexed select+simplify
 time (``select_ratio_vs_chaitin`` — decision-loop seconds per second of
 chaitin over the same function) must stay within tolerance of the
-committed baseline, and every fresh workload must carry
-``validate_ok`` (the pick-for-pick identity cross-check ran).  A
-regression here means the priority indexes degraded back toward the
-scan oracles' scaling curve.
+committed baseline.  A regression here means the priority indexes
+degraded back toward a rescan's scaling curve.
 
 ``--dataflow`` gates the analysis kernels instead: per allocator, the
 chaitin-normalized combined dataflow time — every profiled phase whose
 leaf is ``liveness``, ``interference`` or ``CPG`` (parents are
 inclusive of their sub-phases, so ``solve``/``rows``/``closure``
 children are not double-counted) — must stay within tolerance of the
-committed report.  Reports from different dataflow backends are
-refused outright (the ``backend`` field each report carries): an int
-report sneaking in as the fresh side would otherwise read as a 2x
-"regression" of the numpy kernels, and vice versa as a free pass.
+committed report.
 
 ``--edit`` gates ``BENCH_edit_churn.json`` reports.  Scratch and
 incremental latencies come from the same run on the same machine, so
@@ -41,22 +36,9 @@ the ``speedup`` figure is already runner-independent and is checked two
 ways: against an absolute floor (2.0x — the edit path's reason to
 exist) scaled by the tolerance for noisy smoke runs, and against the
 committed report's speedup within tolerance.  Every fresh report must
-also carry ``fingerprints_identical`` and ``modes_identical`` — the
-bench asserts per-edit result digests match the scratch path in all
-``incremental_edits`` modes, and those flags prove the assertions ran.
-
-``--dispatch`` gates ``BENCH_dispatch_overhead.json`` reports.  The
-pool-pickle and pool-codec times come from the same run on the same
-machine, so the ``speedup`` figure is runner-independent and is checked
-like the edit gate: against the absolute 1.5x floor (scaled by the
-tolerance for noisy smoke runs) and against the committed report's
-speedup within tolerance.  Every fresh report must carry
-``digests_identical`` — the bench asserts the sweep results are
-byte-identical across serial and all three ``REPRO_WIRE`` modes, and
-that flag proves the assertion ran — and the codec run must show the
-cross-batch encode memo fielding hits (the dedup actually engaged)
-through real shared-memory segments unless the runner forced the
-inline fallback.
+also carry ``fingerprints_identical`` — the bench asserts per-edit
+result digests match the scratch path, and the flag proves the
+assertion ran.
 
 ``--policy`` gates ``BENCH_policy_tuning.json`` reports.  The tuner's
 measurements are *simulated* cycle totals — deterministic, so unlike
@@ -118,9 +100,6 @@ def check_selector(fresh: dict, committed: dict,
                 f"{name}: select+simplify at {got:.3f}x chaitin vs "
                 f"committed {want:.3f}x (+{margin:.0%} > +{tolerance:.0%})"
             )
-    for name, entry in sorted(fresh_w.items()):
-        if not entry.get("validate_ok"):
-            failures.append(f"{name}: validate_ok missing from fresh report")
     return failures
 
 
@@ -140,18 +119,6 @@ def dataflow_seconds(entry: dict) -> float:
 def check_dataflow(fresh: dict, committed: dict,
                    tolerance: float) -> list[str]:
     """Gate the chaitin-normalized dataflow phase time per allocator."""
-    for side, report in (("fresh", fresh), ("committed", committed)):
-        if not report.get("backend"):
-            raise SystemExit(
-                f"{side} report carries no dataflow 'backend' field; "
-                "regenerate it with bench_allocator_speed.py"
-            )
-    if fresh["backend"] != committed["backend"]:
-        raise SystemExit(
-            "refusing to compare dataflow phases across backends: "
-            f"fresh is {fresh['backend']!r}, committed is "
-            f"{committed['backend']!r}"
-        )
     base_fresh = fresh["allocators"]["chaitin"]["best_s"]
     base_committed = committed["allocators"]["chaitin"]["best_s"]
     if base_fresh <= 0 or base_committed <= 0:
@@ -192,10 +159,9 @@ def check_edit(fresh: dict, committed: dict, tolerance: float) -> list[str]:
                 "regenerate it with bench_edit_churn.py"
             )
     failures = []
-    for flag in ("fingerprints_identical", "modes_identical"):
-        if not fresh.get(flag):
-            failures.append(f"fresh report lacks {flag} — the bench's "
-                            "exactness assertions did not run clean")
+    if not fresh.get("fingerprints_identical"):
+        failures.append("fresh report lacks fingerprints_identical — the "
+                        "bench's exactness assertions did not run clean")
     got, want = fresh["speedup"], committed["speedup"]
     floor = EDIT_SPEEDUP_FLOOR * (1 - tolerance)
     margin = got / want - 1.0
@@ -215,52 +181,6 @@ def check_edit(fresh: dict, committed: dict, tolerance: float) -> list[str]:
     if hit_ratio <= 0:
         failures.append("session store fielded no hits — every edit "
                         "rebuilt from scratch")
-    return failures
-
-
-#: absolute pool-pickle over pool-codec speedup floor for the
-#: small-function dispatch workload
-DISPATCH_SPEEDUP_FLOOR = 1.5
-
-
-def check_dispatch(fresh: dict, committed: dict,
-                   tolerance: float) -> list[str]:
-    """Gate a dispatch-overhead report: speedup floor + exactness."""
-    for side, report in (("fresh", fresh), ("committed", committed)):
-        if report.get("kind") != "dispatch_overhead":
-            raise SystemExit(
-                f"{side} report is not a dispatch_overhead report; "
-                "regenerate it with bench_dispatch_overhead.py"
-            )
-    failures = []
-    if not fresh.get("digests_identical"):
-        failures.append("fresh report lacks digests_identical — the "
-                        "bench's cross-mode exactness assertion did "
-                        "not run clean")
-    got, want = fresh["speedup"], committed["speedup"]
-    floor = DISPATCH_SPEEDUP_FLOOR * (1 - tolerance)
-    margin = got / want - 1.0
-    flag = " REGRESSION" if (-margin > tolerance or got < floor) else ""
-    print(f"{'dispatch speedup':>16} {want:>10.2f} {got:>10.2f} "
-          f"{margin:>+7.0%}{flag}  (floor {floor:.2f})")
-    if got < floor:
-        failures.append(
-            f"codec dispatch speedup {got:.2f}x below the "
-            f"{DISPATCH_SPEEDUP_FLOOR:.1f}x floor (tolerance-scaled "
-            f"{floor:.2f})")
-    if -margin > tolerance:
-        failures.append(
-            f"speedup {got:.2f}x vs committed {want:.2f}x "
-            f"(-{-margin:.0%} worse than -{tolerance:.0%} allowed)")
-    stats = fresh.get("pool_codec", {}).get("wire", {})
-    if stats.get("encode_memo_hits", 0) <= 0:
-        failures.append(
-            "codec wire encode memo fielded no hits — the cross-batch "
-            "digest dedup did not engage")
-    if (stats.get("shm_segments", 0) <= 0
-            and stats.get("inline_batches", 0) <= 0):
-        failures.append("codec wire recorded neither shared-memory "
-                        "segments nor inline batches")
     return failures
 
 
@@ -381,7 +301,7 @@ def main(argv=None) -> int:
     parser.add_argument("--dataflow", action="store_true",
                         help="gate the chaitin-normalized combined "
                              "liveness+interference+CPG phase time per "
-                             "allocator (same-backend reports only)")
+                             "allocator")
     parser.add_argument("--cluster", action="store_true",
                         help="gate BENCH_cluster_throughput.json reports "
                              "on single-shard-normalized throughput "
@@ -395,16 +315,11 @@ def main(argv=None) -> int:
                         help="gate BENCH_policy_tuning.json reports on "
                              "exact measurement reproduction, the "
                              "no-regression rule, and the preset digest")
-    parser.add_argument("--dispatch", action="store_true",
-                        help="gate BENCH_dispatch_overhead.json reports "
-                             "on the pool-pickle over pool-codec "
-                             "speedup floor, the committed speedup, "
-                             "and the cross-mode exactness flag")
     args = parser.parse_args(argv)
     if sum((args.selector, args.dataflow, args.cluster, args.edit,
-            args.policy, args.dispatch)) > 1:
-        parser.error("--selector, --dataflow, --cluster, --edit, "
-                     "--policy and --dispatch are mutually exclusive")
+            args.policy)) > 1:
+        parser.error("--selector, --dataflow, --cluster, --edit and "
+                     "--policy are mutually exclusive")
 
     fresh = json.loads(args.fresh.read_text())
     committed = json.loads(args.committed.read_text())
@@ -417,17 +332,6 @@ def main(argv=None) -> int:
                 print(f"  - {line}", file=sys.stderr)
             return 1
         print("\npolicy tuning gate passed (exact reproduction)")
-        return 0
-
-    if args.dispatch:
-        failures = check_dispatch(fresh, committed, args.tolerance)
-        if failures:
-            print("\ndispatch overhead gate FAILED:", file=sys.stderr)
-            for line in failures:
-                print(f"  - {line}", file=sys.stderr)
-            return 1
-        print("\ndispatch overhead gate passed "
-              f"(tolerance {args.tolerance:.0%})")
         return 0
 
     if args.edit:

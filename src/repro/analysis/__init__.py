@@ -6,7 +6,6 @@ from repro.analysis.liveness import (
     compute_liveness,
     instruction_liveness,
 )
-from repro.analysis.matrix import dataflow_mode, have_numpy, parse_dataflow
 from repro.analysis.renumber import RenumberResult, Web, renumber
 
 __all__ = [
@@ -15,9 +14,6 @@ __all__ = [
     "Liveness",
     "compute_liveness",
     "instruction_liveness",
-    "dataflow_mode",
-    "have_numpy",
-    "parse_dataflow",
     "RenumberResult",
     "Web",
     "renumber",

@@ -13,14 +13,14 @@ patch analyses the same way spill rounds do:
 * **CFG and loop nest** are reused outright while the delta leaves the
   edge set alone, and rebuilt (they are cheap) when it does not;
 * **liveness** re-derives gen/kill summaries only for touched blocks
-  and re-solves a worklist over masks translated through the delta's
-  register rename;
+  and re-solves the fixed point from masks translated through the
+  delta's register rename in one batched column permute;
 * **interference** re-scans only touched blocks; untouched blocks'
   one-sided row contributions are translated and re-merged;
 * **spill costs** re-scan only touched blocks; untouched contributions
   are renamed and re-summed.
 
-Why translation + a monotone worklist is exact: the rename maps every
+Why translation + monotone sweeps are exact: the rename maps every
 surviving live range bijectively, and a register that occurs in any
 untouched block has — by per-register separability of liveness (the
 bits of ``v`` depend only on ``v``'s own occurrences and the CFG) —
@@ -29,14 +29,11 @@ whose occurrences may have changed (they occur in a touched or removed
 base block) must not be re-iterated from the stale solution, because a
 stale "live" bit can sustain itself around a cycle; their bits are
 dropped from every translated seed, leaving a start point *below* the
-new fixed point, and the worklist monotonically re-adds exactly what
-the re-scanned blocks expose.  The fixed point of the (monotone,
+new fixed point, and the sweeps monotonically re-add exactly what the
+re-scanned blocks expose.  The fixed point of the (monotone,
 finite) system is unique, so the patched solution equals the
 from-scratch one bit for bit.  Spill rounds are the special case where
-only the spilled ranges are unstable and they vanish entirely, so
-seeding the worklist from the touched blocks alone suffices; source
-edits re-enqueue every block (one cheap sweep over translated masks)
-because an unstable register may also occur in untouched blocks.
+only the spilled ranges are unstable and they vanish entirely.
 Untouched interference rows additionally require the block's live-out
 set to survive the edit unchanged — checked per block with one mask
 compare (spill insertion cannot change a survivor's liveness, so the
@@ -49,31 +46,23 @@ per-block state, an inconsistent delta, or a delta touching more than
 ``None`` and the caller falls back to a from-scratch
 :func:`~repro.regalloc.base.compute_round_analyses`.
 
-The escape hatches: ``REPRO_INCREMENTAL_ROUNDS`` governs spill rounds
-and ``REPRO_INCREMENTAL_EDITS`` the session layer; both accept
-``0``/``off``/``false`` (disable) and ``validate`` (run both paths,
-raise on any divergence — the property suites run under it).
+Patching is always on; that bail-out is its only fallback.  The
+from-scratch rebuild doubles as the test oracle: ``tests/oracles.py``
+compares every patched round against it (``compare_analyses``).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
 from repro.analysis import matrix
 from repro.analysis.indexing import index_function
-from repro.analysis.interference import (
-    InterferenceGraph,
-    finish_interference,
-    scan_block_rows,
-)
+from repro.analysis.interference import InterferenceGraph, scan_block_rows
 from repro.analysis.liveness import LazySetsLiveness, Liveness, _block_masks
 from repro.analysis.renumber import RenumberResult
 from repro.cfg.analysis import CFG, build_cfg
 from repro.cfg.loops import LoopInfo, compute_loops
-from repro.config import knob_env
-from repro.errors import AllocationError
 from repro.ir.diff import FunctionDelta
 from repro.ir.function import Function
 from repro.ir.instructions import Move
@@ -86,10 +75,6 @@ __all__ = [
     "PatchedAnalyses",
     "apply_spill_delta",
     "apply_function_delta",
-    "incremental_mode",
-    "incremental_edits_mode",
-    "parse_incremental",
-    "compare_analyses",
     "EDIT_TOUCHED_BAILOUT",
 ]
 
@@ -98,38 +83,6 @@ __all__ = [
 #: re-scan would approach the cost of a from-scratch analysis, so the
 #: patcher bails out conservatively.
 EDIT_TOUCHED_BAILOUT = 0.5
-
-
-def parse_incremental(raw: str) -> str:
-    """Normalize an incremental-mode setting to on/off/validate."""
-    raw = str(raw).strip().lower()
-    if raw in {"0", "off", "false", "no"}:
-        return "off"
-    if raw == "validate":
-        return "validate"
-    return "on"
-
-
-def incremental_mode() -> str:
-    """``"on"`` (default), ``"off"``, or ``"validate"``.
-
-    Controlled by the ``REPRO_INCREMENTAL_ROUNDS`` environment variable;
-    any of ``0``/``off``/``false``/``no`` disables the incremental path.
-    This is only the *environment default* — an explicit
-    ``AllocationOptions.incremental`` always wins (the options loader
-    :meth:`repro.regalloc.base.AllocationOptions.from_env` reads the
-    same variable).
-    """
-    return parse_incremental(knob_env("REPRO_INCREMENTAL_ROUNDS", "1"))
-
-
-def incremental_edits_mode() -> str:
-    """The ``REPRO_INCREMENTAL_EDITS`` default for the session layer.
-
-    Same grammar as :func:`incremental_mode`; an explicit
-    ``AllocationOptions.incremental_edits`` always wins.
-    """
-    return parse_incremental(knob_env("REPRO_INCREMENTAL_EDITS", "1"))
 
 
 @dataclass(eq=False)
@@ -155,9 +108,8 @@ class _PatchPlan:
     """How one delta maps onto the shared patch core.
 
     The spill plan and the edit plan differ only in flags: the spill
-    path seeds its worklist from touched blocks alone and skips the
-    reuse gates (its invariants make them vacuous), the edit path
-    re-enqueues every block and gates row/cost reuse.
+    path skips the reuse gates (its invariants make them vacuous), the
+    edit path gates row/cost reuse.
     """
 
     touched: set[str]
@@ -171,8 +123,6 @@ class _PatchPlan:
     #: ignore the old solution entirely (the edge set changed, so stale
     #: bits need not sit below the new fixed point)
     seed_zero: bool = False
-    #: enqueue every block, not just touched ones
-    worklist_all: bool = False
     #: *base-side* labels whose registers' seed bits are unsafe
     stale_labels: frozenset = frozenset()
     #: compare each untouched block's live-out before reusing its rows
@@ -193,31 +143,22 @@ def apply_spill_delta(
     ``func`` has already been rewritten by spill insertion *and*
     renumbered; ``renumbering`` is that renumber's result.  Returns
     ``None`` whenever an assumption the patch relies on does not hold,
-    in which case the caller recomputes from scratch.
-
-    The ``REPRO_DATAFLOW`` backend applies here too: the numpy variant
-    translates every untouched mask through one batched column permute
-    and re-solves with matrix sweeps, the int variant keeps the
-    chunk-memoized scalar translation and worklist, and ``validate``
-    runs both and raises on any divergence — so PR-3's byte-identical
-    guarantee is enforced across backends, not just across rounds.
+    in which case the caller recomputes from scratch.  Every untouched
+    mask is translated through one batched column permute and the
+    liveness fixed point is re-solved with matrix sweeps.
     """
     # A split web means renaming is not a bijection on survivors.
     if any(count != 1 for count in renumbering.split_counts.values()):
         return None
     fdelta = FunctionDelta.from_spill(delta, renumbering)
-
-    def run(use_matrix: bool) -> PatchedAnalyses | None:
-        plan = _PatchPlan(
-            touched=set(fdelta.touched_blocks),
-            rename=fdelta.rename,
-            dropped=fdelta.deleted_vregs,
-            cfg=prev.cfg,
-            loops=prev.loops,
-        )
-        return _apply_delta(func, prev, plan, use_matrix)
-
-    return _run_backends(run, "spill-delta")
+    plan = _PatchPlan(
+        touched=set(fdelta.touched_blocks),
+        rename=fdelta.rename,
+        dropped=fdelta.deleted_vregs,
+        cfg=prev.cfg,
+        loops=prev.loops,
+    )
+    return _apply_delta(func, prev, plan)
 
 
 def apply_function_delta(
@@ -247,54 +188,26 @@ def apply_function_delta(
         else:
             cfg, loops = prev.cfg, prev.loops
 
-        def run(use_matrix: bool) -> PatchedAnalyses | None:
-            plan = _PatchPlan(
-                touched=set(fdelta.touched_blocks) | set(fdelta.added_blocks),
-                rename=fdelta.rename,
-                dropped=fdelta.deleted_vregs,
-                cfg=cfg,
-                loops=loops,
-                strict=False,
-                seed_zero=fdelta.changed_edges,
-                worklist_all=True,
-                stale_labels=frozenset(fdelta.touched_blocks)
-                | frozenset(fdelta.removed_blocks),
-                gate_rows=True,
-                gate_costs=fdelta.changed_edges,
-            )
-            return _apply_delta(func, prev, plan, use_matrix)
-
-        return _run_backends(run, "edit-delta")
-
-
-def _run_backends(run, what: str) -> PatchedAnalyses | None:
-    """Dispatch a patch body over the selected dataflow backend(s)."""
-    mode = matrix.dataflow_mode()
-    if mode == "int":
-        return run(False)
-    if mode == "numpy":
-        return run(True)
-    got = run(True)
-    want = run(False)
-    if (got is None) != (want is None):
-        raise AllocationError(
-            f"dataflow backends disagree on {what} preconditions"
+        plan = _PatchPlan(
+            touched=set(fdelta.touched_blocks) | set(fdelta.added_blocks),
+            rename=fdelta.rename,
+            dropped=fdelta.deleted_vregs,
+            cfg=cfg,
+            loops=loops,
+            strict=False,
+            seed_zero=fdelta.changed_edges,
+            stale_labels=frozenset(fdelta.touched_blocks)
+            | frozenset(fdelta.removed_blocks),
+            gate_rows=True,
+            gate_costs=fdelta.changed_edges,
         )
-    if got is not None:
-        problems = compare_analyses(got, want)
-        if problems:
-            raise AllocationError(
-                f"dataflow backends diverged in {what} patch: "
-                + "; ".join(problems)
-            )
-    return got
+        return _apply_delta(func, prev, plan)
 
 
 def _apply_delta(
     func: Function,
     prev,
     plan: _PatchPlan,
-    use_matrix: bool,
 ) -> PatchedAnalyses | None:
     old_liv: Liveness = prev.liveness
     old_index = old_liv.index
@@ -313,15 +226,12 @@ def _apply_delta(
     dropped = set(plan.dropped)
     rename = plan.rename
 
-    # --- old dense id -> new dense bit (0 drops the register) ----------
+    # --- old dense id -> new dense id (-1 drops the register) ----------
     # The canonical index of the rewritten function: building it fresh
     # (one linear walk) is what makes every downstream mask, adjacency
     # insertion order, and node order byte-identical to from-scratch.
     index = index_function(func)
     new_ids = index.ids
-    trans = [0] * len(old_index)
-    #: old dense id -> new dense id (-1 drops), the batched-translation
-    #: twin of ``trans``
     trans_pos = [-1] * len(old_index)
     for old_id, reg in enumerate(old_index.regs):
         if isinstance(reg, PReg):
@@ -339,39 +249,7 @@ def _apply_delta(
             if plan.strict:
                 return None
             continue  # no longer occurs anywhere in the new version
-        trans[old_id] = 1 << new_id
         trans_pos[old_id] = new_id
-
-    # Masks within one function repeat heavily — live-through sets and
-    # interference rows of neighboring blocks share almost all their
-    # bits — so translation is memoized on 32-bit chunks: each distinct
-    # (offset, chunk) pair is expanded bit-by-bit once and every later
-    # occurrence is a single dict hit.  This turns the dominant cost of
-    # the patch (a full pass over all untouched masks) from
-    # O(total set bits) into roughly O(distinct chunks).
-    chunk_cache: dict[int, int] = {}
-    chunk_get = chunk_cache.get
-
-    def translate(mask: int) -> int:
-        out = 0
-        base = 0
-        while mask:
-            chunk = mask & 0xFFFFFFFF
-            if chunk:
-                key = (base << 32) | chunk
-                val = chunk_get(key)
-                if val is None:
-                    val = 0
-                    c = chunk
-                    while c:
-                        low = c & -c
-                        val |= trans[base + low.bit_length() - 1]
-                        c ^= low
-                    chunk_cache[key] = val
-                out |= val
-            mask >>= 32
-            base += 32
-        return out
 
     old_gen = old_liv.use_mask
     old_kill = old_liv.defs_mask
@@ -381,145 +259,75 @@ def _apply_delta(
     # Seed bits of registers occurring in re-scanned base blocks are
     # unsafe: the edit may have removed the occurrence sustaining them,
     # and a stale bit can keep itself alive around a CFG cycle.  Drop
-    # them before translation; the worklist re-adds the true bits.
+    # them before translation; the sweeps re-add the true bits.
     stale = 0
     for label in plan.stale_labels:
         stale |= old_gen.get(label, 0) | old_kill.get(label, 0)
 
-    # --- liveness: reuse untouched summaries, re-solve the worklist ----
+    # --- liveness: reuse untouched summaries, re-solve the fixed point -
     with phase("liveness"):
         gen: dict[str, int] = {}
         kill: dict[str, int] = {}
-        live_in: dict[str, int] = {}
-        live_out: dict[str, int] = {}
+        # One batched column permute translates every untouched
+        # summary, gate mask, and the whole seed solution at once.
+        to_translate: list[int] = []
+        untouched_labels: list[str] = []
+        for blk in func.blocks:
+            label = blk.label
+            if label not in touched:
+                g_old = old_gen.get(label)
+                if g_old is None:
+                    return None
+                untouched_labels.append(label)
+                to_translate.append(g_old)
+                to_translate.append(old_kill[label])
+                to_translate.append(old_out[label])
+        seed_base = len(to_translate)
+        if not plan.seed_zero:
+            for blk in func.blocks:
+                label = blk.label
+                to_translate.append(old_in.get(label, 0) & ~stale)
+        translated = matrix.translate_masks(
+            to_translate, trans_pos, len(old_index), len(index)
+        )
+        summaries = {
+            label: (translated[3 * i], translated[3 * i + 1])
+            for i, label in enumerate(untouched_labels)
+        }
         #: untouched label -> faithful translation of its old live-out
         #: (the row-reuse gate; unmasked, unlike the seeds)
-        gate_out: dict[str, int] = {}
-        if use_matrix:
-            # One batched column permute translates every untouched
-            # summary, gate mask, and the whole seed solution at once.
-            to_translate: list[int] = []
-            untouched_labels: list[str] = []
-            for blk in func.blocks:
-                label = blk.label
-                if label not in touched:
-                    g_old = old_gen.get(label)
-                    if g_old is None:
-                        return None
-                    untouched_labels.append(label)
-                    to_translate.append(g_old)
-                    to_translate.append(old_kill[label])
-                    to_translate.append(old_out[label])
-            seed_base = len(to_translate)
-            if not plan.seed_zero:
-                for blk in func.blocks:
-                    label = blk.label
-                    to_translate.append(old_in.get(label, 0) & ~stale)
-                    to_translate.append(old_out.get(label, 0) & ~stale)
-            translated = matrix.translate_masks(
-                to_translate, trans_pos, len(old_index), len(index)
-            )
-            summaries = {
-                label: (translated[3 * i], translated[3 * i + 1])
-                for i, label in enumerate(untouched_labels)
-            }
-            gate_out = {
-                label: translated[3 * i + 2]
-                for i, label in enumerate(untouched_labels)
-            }
-            for blk in func.blocks:
-                label = blk.label
-                if label in touched:
-                    g, k, phi_defs = _block_masks(blk, index)
-                    if phi_defs:
-                        return None  # allocation-time funcs are phi-free
-                    gen[label], kill[label] = g, k
-                else:
-                    gen[label], kill[label] = summaries[label]
-            for j, blk in enumerate(func.blocks):
-                if plan.seed_zero:
-                    live_in[blk.label] = 0
-                    live_out[blk.label] = 0
-                else:
-                    live_in[blk.label] = translated[seed_base + 2 * j]
-                    live_out[blk.label] = translated[seed_base + 2 * j + 1]
-        else:
-            for blk in func.blocks:
-                label = blk.label
-                if label in touched:
-                    g, k, phi_defs = _block_masks(blk, index)
-                    if phi_defs:
-                        return None  # allocation-time funcs are phi-free
-                    gen[label], kill[label] = g, k
-                else:
-                    g_old = old_gen.get(label)
-                    if g_old is None:
-                        return None
-                    gen[label] = translate(g_old)
-                    kill[label] = translate(old_kill[label])
-                    if plan.gate_rows:
-                        gate_out[label] = translate(old_out[label])
-            for blk in func.blocks:
-                label = blk.label
-                if plan.seed_zero:
-                    live_in[label] = 0
-                    live_out[label] = 0
-                else:
-                    live_in[label] = translate(old_in.get(label, 0) & ~stale)
-                    live_out[label] = translate(old_out.get(label, 0) & ~stale)
+        gate_out = {
+            label: translated[3 * i + 2]
+            for i, label in enumerate(untouched_labels)
+        }
+        for blk in func.blocks:
+            label = blk.label
+            if label in touched:
+                g, k, phi_defs = _block_masks(blk, index)
+                if phi_defs:
+                    return None  # allocation-time funcs are phi-free
+                gen[label], kill[label] = g, k
+            else:
+                gen[label], kill[label] = summaries[label]
+        seed_in = {
+            blk.label: 0 if plan.seed_zero else translated[seed_base + j]
+            for j, blk in enumerate(func.blocks)
+        }
 
         with phase("solve"):
-            if use_matrix:
-                # The translated seed sits below the new fixed point
-                # (unstable bits dropped, survivors renamed), so matrix
-                # sweeps converge to — and certify — the same unique
-                # fixed point the scalar worklist reaches.
-                live_in, live_out = matrix.sweep_liveness(
-                    gen, kill, live_in, cfg.succs, len(index)
-                )
-            else:
-                succs = cfg.succs
-                preds = cfg.preds
-                if plan.worklist_all:
-                    pending = deque(cfg.postorder())
-                else:
-                    pending = deque(
-                        lbl for lbl in cfg.postorder() if lbl in touched
-                    )
-                queued = set(pending)
-                while pending:
-                    label = pending.popleft()
-                    queued.discard(label)
-                    out = 0
-                    for succ in succs[label]:
-                        out |= live_in[succ]
-                    new_in = gen[label] | (out & ~kill[label])
-                    live_out[label] = out
-                    if new_in != live_in[label]:
-                        live_in[label] = new_in
-                        for pred in preds[label]:
-                            if pred not in queued:
-                                queued.add(pred)
-                                pending.append(pred)
+            # The translated seed sits below the new fixed point
+            # (unstable bits dropped, survivors renamed), so the sweeps
+            # converge to — and certify — the unique fixed point.
+            live_in, live_out = matrix.sweep_liveness(
+                gen, kill, seed_in, cfg.succs, len(index)
+            )
 
-        if use_matrix:
-            # Set views materialize lazily — the spill-round loop only
-            # reads the mask tables.
-            liveness = LazySetsLiveness(index=index, live_in_mask=live_in,
-                                        live_out_mask=live_out,
-                                        use_mask=gen, defs_mask=kill)
-            liveness.mark_pending()
-        else:
-            liveness = Liveness(index=index, live_in_mask=live_in,
-                                live_out_mask=live_out, use_mask=gen,
-                                defs_mask=kill)
-            set_of = index.set_of
-            for blk in func.blocks:
-                label = blk.label
-                liveness.live_in[label] = set_of(live_in[label])
-                liveness.live_out[label] = set_of(live_out[label])
-                liveness.use[label] = set_of(gen[label])
-                liveness.defs[label] = set_of(kill[label])
+        # Set views materialize lazily — the spill-round loop only
+        # reads the mask tables.
+        liveness = LazySetsLiveness(index=index, live_in_mask=live_in,
+                                    live_out_mask=live_out,
+                                    use_mask=gen, defs_mask=kill)
+        liveness.mark_pending()
 
     # An untouched block's row contributions replay its backward scan,
     # which starts from its live-out: reuse is exact only if that
@@ -539,31 +347,28 @@ def _apply_delta(
         rows: dict[int, int] = {}
         block_rows: dict[str, dict[int, int]] = {}
         with phase("rows"):
-            translated_rows: list[int] = []
+            # Gather every untouched row first so one batched permute
+            # translates them all.
+            row_masks: list[int] = []
             pending_rows: dict[str, list[tuple[int, int]]] = {}
-            if use_matrix:
-                # Gather every untouched row first so one batched
-                # permute translates them all.
-                row_masks: list[int] = []
-                for blk in func.blocks:
-                    label = blk.label
-                    if label in rescan_rows:
-                        continue
-                    old_rows = prev.block_rows.get(label)
-                    if old_rows is None:
-                        return None
-                    placed: list[tuple[int, int]] = []
-                    for i, row in old_rows.items():
-                        bit = trans[i]
-                        if not bit:
-                            continue  # a deleted register's row vanishes
-                        placed.append((bit.bit_length() - 1,
-                                       len(row_masks)))
-                        row_masks.append(row)
-                    pending_rows[label] = placed
-                translated_rows = matrix.translate_masks(
-                    row_masks, trans_pos, len(old_index), len(index)
-                )
+            for blk in func.blocks:
+                label = blk.label
+                if label in rescan_rows:
+                    continue
+                old_rows = prev.block_rows.get(label)
+                if old_rows is None:
+                    return None
+                placed: list[tuple[int, int]] = []
+                for i, row in old_rows.items():
+                    new_id = trans_pos[i]
+                    if new_id < 0:
+                        continue  # a deleted register's row vanishes
+                    placed.append((new_id, len(row_masks)))
+                    row_masks.append(row)
+                pending_rows[label] = placed
+            translated_rows = matrix.translate_masks(
+                row_masks, trans_pos, len(old_index), len(index)
+            )
             for blk in func.blocks:
                 label = blk.label
                 local: dict[int, int] = {}
@@ -571,19 +376,8 @@ def _apply_delta(
                     scan_block_rows(blk, index, live_out[label], local,
                                     moves)
                 else:
-                    if use_matrix:
-                        for new_id, mi in pending_rows[label]:
-                            local[new_id] = translated_rows[mi]
-                    else:
-                        old_rows = prev.block_rows.get(label)
-                        if old_rows is None:
-                            return None
-                        for i, row in old_rows.items():
-                            bit = trans[i]
-                            if not bit:
-                                # a deleted register's own row vanishes
-                                continue
-                            local[bit.bit_length() - 1] = translate(row)
+                    for new_id, mi in pending_rows[label]:
+                        local[new_id] = translated_rows[mi]
                     # Renumber rewrites instructions in place, so the
                     # block's Move objects persist; collect them in
                     # builder order.
@@ -593,14 +387,11 @@ def _apply_delta(
                 block_rows[label] = local
                 for i, row in local.items():
                     rows[i] = rows.get(i, 0) | row
-        if use_matrix:
-            sym = matrix.symmetrize_matrix(
-                matrix.rows_matrix(rows, len(index)), len(index)
-            )
-            ig = InterferenceGraph(moves=moves, index=index,
-                                   rows=matrix.MatrixRows(sym))
-        else:
-            ig = finish_interference(index, rows, moves)
+        sym = matrix.symmetrize_matrix(
+            matrix.rows_matrix(rows, len(index)), len(index)
+        )
+        ig = InterferenceGraph(moves=moves, index=index,
+                               rows=matrix.MatrixRows(sym))
         ig.block_rows = block_rows
 
     # --- spill costs: rename untouched contributions, re-scan touched --
@@ -642,100 +433,3 @@ def _apply_delta(
     return PatchedAnalyses(liveness=liveness, ig=ig, spill_costs=costs,
                            block_rows=block_rows, block_costs=block_costs,
                            cfg=cfg, loops=loops)
-
-
-def _mask_divergence(p_mask: dict, f_mask: dict, index) -> str:
-    """Locate the first block/register where two mask tables differ."""
-    for label in f_mask:
-        p = p_mask.get(label)
-        if p != f_mask[label]:
-            if p is None:
-                return f" at block {label!r} (missing)"
-            diff = p ^ f_mask[label]
-            bit = (diff & -diff).bit_length() - 1
-            reg = (index.regs[bit] if index is not None
-                   and bit < len(index.regs) else f"bit {bit}")
-            return f" at block {label!r}, first at {reg}"
-    extra = sorted(set(p_mask) - set(f_mask))
-    return f" (extra block {extra[0]!r})" if extra else ""
-
-
-def _set_divergence(p_sets: dict, f_sets: dict) -> str:
-    for label in f_sets:
-        p = p_sets.get(label, set())
-        if p != f_sets[label]:
-            delta = sorted(p ^ f_sets[label], key=str)
-            return f" at block {label!r}, first at {delta[0]}"
-    return ""
-
-
-def compare_analyses(patched, fresh) -> list[str]:
-    """Differences between a patched and a from-scratch round analysis.
-
-    Empty list means value-identical (including the node insertion order
-    the allocators' tie-breaks depend on).  Each problem names the first
-    divergent block/register so validate-mode failures are actionable.
-    Used by validate mode and the property suite.
-    """
-    problems: list[str] = []
-    p_liv, f_liv = patched.liveness, fresh.liveness
-    index = getattr(f_liv, "index", None)
-    for name in ("live_in_mask", "live_out_mask", "use_mask", "defs_mask"):
-        p, f = getattr(p_liv, name), getattr(f_liv, name)
-        if p != f:
-            problems.append(
-                f"liveness.{name} differs{_mask_divergence(p, f, index)}"
-            )
-    for name in ("live_in", "live_out", "use", "defs"):
-        p, f = getattr(p_liv, name), getattr(f_liv, name)
-        if p != f:
-            problems.append(
-                f"liveness.{name} differs{_set_divergence(p, f)}"
-            )
-    p_ig, f_ig = patched.ig, fresh.ig
-    if list(p_ig.adjacency) != list(f_ig.adjacency):
-        p_nodes, f_nodes = list(p_ig.adjacency), list(f_ig.adjacency)
-        at = next(
-            (i for i, (a, b) in enumerate(zip(p_nodes, f_nodes)) if a != b),
-            min(len(p_nodes), len(f_nodes)),
-        )
-        where = (f" at position {at} ({p_nodes[at] if at < len(p_nodes) else '<end>'}"
-                 f" vs {f_nodes[at] if at < len(f_nodes) else '<end>'})")
-        problems.append(f"interference node order differs{where}")
-    if p_ig.adjacency != f_ig.adjacency:
-        detail = ""
-        for node, f_row in f_ig.adjacency.items():
-            p_row = p_ig.adjacency.get(node, set())
-            if p_row != f_row:
-                delta = sorted(p_row ^ f_row, key=str)
-                detail = f" at {node}, first at {delta[0]}"
-                break
-        problems.append(f"interference adjacency differs{detail}")
-    if [(m.dst, m.src) for m in p_ig.moves] != \
-            [(m.dst, m.src) for m in f_ig.moves]:
-        problems.append("move lists differ")
-    if patched.spill_costs != fresh.spill_costs:
-        detail = ""
-        for v in sorted(set(patched.spill_costs) | set(fresh.spill_costs),
-                        key=str):
-            if patched.spill_costs.get(v) != fresh.spill_costs.get(v):
-                detail = (f" at {v} ({patched.spill_costs.get(v)} vs "
-                          f"{fresh.spill_costs.get(v)})")
-                break
-        problems.append(f"spill costs differ{detail}")
-    if fresh.block_rows is not None and patched.block_rows != fresh.block_rows:
-        detail = next(
-            (f" at block {lbl!r}" for lbl in fresh.block_rows
-             if patched.block_rows.get(lbl) != fresh.block_rows[lbl]),
-            "",
-        )
-        problems.append(f"per-block interference rows differ{detail}")
-    if (fresh.block_costs is not None
-            and patched.block_costs != fresh.block_costs):
-        detail = next(
-            (f" at block {lbl!r}" for lbl in fresh.block_costs
-             if patched.block_costs.get(lbl) != fresh.block_costs[lbl]),
-            "",
-        )
-        problems.append(f"per-block cost tables differ{detail}")
-    return problems

@@ -12,18 +12,21 @@ Chaitin's definition with the standard refinements:
 * physical–physical edges are implicit and not stored.
 
 The builder accumulates adjacency as *bitmasks* over the dense register
-index that liveness computed: one backward scan per block keeps the live
-set as an int, and each definition point ORs the whole live mask into
-the definer's adjacency row in one operation.  Rows are symmetrized at
-the end but the public dict-of-sets ``adjacency`` stays *lazy*: the
+index that liveness computed: one backward scan per block (over the
+pre-packed per-instruction masks of liveness's
+:class:`~repro.analysis.matrix.FunctionPack`) keeps the live set as an
+int, and each definition point ORs the whole live mask into the
+definer's adjacency row in one operation.  Rows are symmetrized at the
+end by one numpy bit-transpose, but the public dict-of-sets
+``adjacency`` stays *lazy*: the
 per-class coloring graphs (:func:`~repro.regalloc.igraph.build_alloc_graph`)
 read the symmetrized rows directly, so the Register-object sets are
 built exactly once — in the coloring graph — instead of once here and
 again per class per round.  Anything that does ask for ``adjacency``
 (the verifier, the visualizer, the reference comparisons) materializes
 it on first access and caches it.
-:func:`build_interference_reference` retains the direct set-based
-builder as the property-test oracle.
+The direct set-based builder is the property-test oracle in
+``tests/oracles.py``.
 
 The result also collects the function's move instructions — the
 coalescing worklist every allocator variant starts from.
@@ -34,7 +37,6 @@ from __future__ import annotations
 from repro.analysis import matrix
 from repro.analysis.liveness import Liveness, compute_liveness
 from repro.cfg.analysis import CFG, build_cfg
-from repro.errors import AllocationError
 from repro.ir.function import Function
 from repro.ir.instructions import Move, Phi
 from repro.ir.values import PReg, RegClass, Register, VReg
@@ -43,10 +45,7 @@ from repro.profiling import phase
 __all__ = [
     "InterferenceGraph",
     "build_interference",
-    "build_interference_reference",
     "scan_block_rows",
-    "symmetrize_rows",
-    "finish_interference",
 ]
 
 
@@ -56,7 +55,8 @@ class InterferenceGraph:
     Two backing representations coexist: the classic dict-of-sets
     ``adjacency`` (always available, built eagerly by the reference
     builder and by tests) and the dense bitmask form ``index`` + ``rows``
-    (symmetrized full rows keyed by dense id) the fast builder produces.
+    (a :class:`~repro.analysis.matrix.MatrixRows` of symmetrized full
+    rows keyed by dense id) the builder produces.
     In the bitmask form ``adjacency`` is materialized lazily on first
     access, so the common allocation path — which projects per-class
     coloring graphs straight off the rows — never pays for the
@@ -69,7 +69,7 @@ class InterferenceGraph:
         moves: list[Move] | None = None,
         block_rows: dict[str, dict[int, int]] | None = None,
         index=None,
-        rows: dict[int, int] | None = None,
+        rows: matrix.MatrixRows | None = None,
     ):
         if adjacency is None and rows is None:
             adjacency = {}
@@ -152,30 +152,20 @@ class InterferenceGraph:
 
         Returns None when the graph has no bitmask form.  Unlike
         :meth:`neighbors` this never materializes the full adjacency;
-        the caller owns the returned set.  Matrix-backed rows decode
-        every row in one vectorized batch on the first call (per-class
-        projection touches them all anyway); each call still hands out
-        a fresh copy.
+        the caller owns the returned set.  Every row is decoded in one
+        vectorized batch on the first call (per-class projection touches
+        them all anyway); each call still hands out a fresh copy.
         """
         rows = self.rows
         if rows is None:
             return None
-        if isinstance(rows, matrix.MatrixRows):
-            sets = getattr(self, "_row_sets", None)
-            if sets is None:
-                sets = self._row_sets = matrix.sets_of_masks(
-                    self.index, rows.masks()
-                )
-            i = self.index.ids[node]
-            return set(sets[i]) if i < len(sets) else set()
-        regs = self.index.regs
-        row = rows.get(self.index.ids[node], 0)
-        neighbors = set()
-        while row:
-            low = row & -row
-            neighbors.add(regs[low.bit_length() - 1])
-            row ^= low
-        return neighbors
+        sets = getattr(self, "_row_sets", None)
+        if sets is None:
+            sets = self._row_sets = matrix.sets_of_masks(
+                self.index, rows.masks()
+            )
+        i = self.index.ids[node]
+        return set(sets[i]) if i < len(sets) else set()
 
     def ensure(self, node: Register) -> None:
         self.adjacency.setdefault(node, set())
@@ -246,31 +236,6 @@ def scan_block_rows(
             live |= bit_of(u)
 
 
-def symmetrize_rows(rows: dict[int, int]) -> None:
-    """Mirror one-sided ``rows`` in place: j in rows[i] => i in rows[j]."""
-    get = rows.get
-    for i, row in list(rows.items()):
-        bit = 1 << i
-        while row:
-            low = row & -row
-            j = low.bit_length() - 1
-            rows[j] = get(j, 0) | bit
-            row ^= low
-
-
-def finish_interference(
-    index, rows: dict[int, int], moves: list[Move]
-) -> InterferenceGraph:
-    """Symmetrize one-sided ``rows`` and wrap them as a (lazy) graph.
-
-    Mutates ``rows`` (the symmetrization is in place).  The returned
-    graph keeps the bitmask form; the dict-of-sets adjacency is only
-    materialized if someone asks for it.
-    """
-    symmetrize_rows(rows)
-    return InterferenceGraph(moves=moves, index=index, rows=rows)
-
-
 def build_interference(
     func: Function,
     cfg: CFG | None = None,
@@ -279,94 +244,22 @@ def build_interference(
 ) -> InterferenceGraph:
     """Build the interference graph of a phi-free, lowered function.
 
-    ``collect_block_rows=True`` additionally records each block's
-    one-sided row contributions on the result's ``block_rows`` — the
-    state incremental spill-round re-analysis patches from.
+    A pack-driven scan produces the same one-sided rows as
+    :func:`scan_block_rows` (mask-for-mask), then one bit-transpose
+    symmetrizes them.  The graph's ``rows`` is a
+    :class:`~repro.analysis.matrix.MatrixRows` view, rows decoded
+    lazily.  ``collect_block_rows=True`` additionally records each
+    block's one-sided row contributions on the result's
+    ``block_rows`` — the state incremental spill-round re-analysis
+    patches from.
     """
     if cfg is None:
         cfg = build_cfg(func)
     if liveness is None:
         liveness = compute_liveness(func, cfg)
-    if liveness.index is None:
-        return build_interference_reference(func, cfg, liveness)
-    mode = matrix.dataflow_mode()
-    if mode == "int":
-        return _build_interference_int(func, liveness, collect_block_rows)
-    if mode == "numpy":
-        return _build_interference_numpy(func, liveness, collect_block_rows)
-    got = _build_interference_numpy(func, liveness, collect_block_rows)
-    want = _build_interference_int(func, liveness, collect_block_rows)
-    problems = _compare_interference(got, want)
-    if problems:
-        raise AllocationError(
-            "dataflow backends diverged in interference: "
-            + "; ".join(problems)
-        )
-    return got
-
-
-def _compare_interference(got: InterferenceGraph,
-                          want: InterferenceGraph) -> list[str]:
-    """Row-by-row divergence report between two bitmask-form graphs."""
-    problems = []
-    if got.index.regs != want.index.regs:
-        problems.append("register index order differs")
-    for i in range(len(want.index)):
-        if got.rows.get(i, 0) != want.rows.get(i, 0):
-            problems.append(f"adjacency row {i} differs")
-            break
-    if ([(m.dst, m.src) for m in got.moves]
-            != [(m.dst, m.src) for m in want.moves]):
-        problems.append("move list differs")
-    if got.block_rows != want.block_rows:
-        problems.append("block rows differ")
-    return problems
-
-
-def _build_interference_int(
-    func: Function, liveness: Liveness, collect_block_rows: bool
-) -> InterferenceGraph:
-    index = liveness.index
-    out_mask = liveness.live_out_mask
-
-    moves: list[Move] = []
-    #: dense id -> adjacency mask (one-sided; symmetrized at the end)
-    rows: dict[int, int] = {}
-    block_rows: dict[str, dict[int, int]] | None = (
-        {} if collect_block_rows else None
-    )
-
-    with phase("rows"):
-        for blk in func.blocks:
-            if block_rows is None:
-                scan_block_rows(blk, index, out_mask[blk.label], rows, moves)
-            else:
-                local: dict[int, int] = {}
-                scan_block_rows(blk, index, out_mask[blk.label], local, moves)
-                block_rows[blk.label] = local
-                for i, row in local.items():
-                    rows[i] = rows.get(i, 0) | row
-
-    graph = finish_interference(index, rows, moves)
-    graph.block_rows = block_rows
-    return graph
-
-
-def _build_interference_numpy(
-    func: Function, liveness: Liveness, collect_block_rows: bool
-) -> InterferenceGraph:
-    """Pack-driven scan + one matrix symmetrization.
-
-    Produces the same one-sided rows as the int scan (mask-for-mask,
-    including per-block ``block_rows``), then symmetrizes them with one
-    bit-transpose instead of the per-bit mirroring loop.  The graph's
-    ``rows`` is a :class:`~repro.analysis.matrix.MatrixRows` view —
-    same ``.get`` contract, rows decoded lazily.
-    """
     pack = liveness.pack
     if pack is None:
-        # Liveness came from the int backend (e.g. the mode changed
-        # between phases); one extra walk rebuilds the packed form.
+        # Patched liveness carries no pack; one walk rebuilds it.
         pack = matrix.build_pack(func)
     index = liveness.index
     out_mask = liveness.live_out_mask
@@ -405,43 +298,4 @@ def _build_interference_numpy(
     graph = InterferenceGraph(moves=moves, index=index,
                               rows=matrix.MatrixRows(sym))
     graph.block_rows = block_rows
-    return graph
-
-
-def build_interference_reference(
-    func: Function,
-    cfg: CFG | None = None,
-    liveness: Liveness | None = None,
-) -> InterferenceGraph:
-    """The direct set-based builder (oracle for the bitset kernel)."""
-    if cfg is None:
-        cfg = build_cfg(func)
-    if liveness is None:
-        liveness = compute_liveness(func, cfg)
-
-    graph = InterferenceGraph()
-    for param in func.params:
-        graph.ensure(param)
-
-    for blk in func.blocks:
-        live: set[Register] = set(liveness.live_out[blk.label])
-        for instr in reversed(blk.instrs):
-            if isinstance(instr, Phi):
-                raise ValueError("interference runs after out-of-SSA")
-            defs = [d for d in instr.defs() if isinstance(d, (VReg, PReg))]
-            uses = [u for u in instr.uses() if isinstance(u, (VReg, PReg))]
-            for reg in defs + uses:
-                graph.ensure(reg)
-
-            if isinstance(instr, Move):
-                graph.moves.append(instr)
-                live.discard(instr.src)
-
-            for d in defs:
-                for other in live:
-                    graph.add_edge(d, other)
-                for d2 in defs:
-                    graph.add_edge(d, d2)
-            live -= set(defs)
-            live |= set(uses)
     return graph

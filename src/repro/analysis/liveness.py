@@ -8,24 +8,23 @@ virtual ones — their live ranges (argument setup before calls, the return
 register, ...) create the dedicated-register interference the allocators
 must respect.
 
-The fixed point runs as a *worklist algorithm over int bitmasks*: every
-register gets a dense id (:mod:`repro.analysis.indexing`), each block is
-summarized once into gen (upward-exposed use) / kill (def) masks, and one
-transfer step is a handful of word-wide ``&``/``|`` operations instead of
-per-register set algebra.  :func:`compute_liveness_reference` retains the
-direct set-based formulation; the property suite asserts the two agree
+The fixed point runs over *bitmasks*: one walk of the function
+(:func:`repro.analysis.matrix.build_pack`) gives every register a dense
+id and summarizes each block into gen (upward-exposed use) / kill (def)
+masks, and :func:`repro.analysis.matrix.solve_liveness` drives them to
+the fixed point (numpy row sweeps, or a plain int worklist on small
+functions).  The direct set-based formulation is the test oracle in
+``tests/oracles.py``; the property suite asserts the two agree
 set-for-set on randomized CFGs.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.analysis import matrix
-from repro.analysis.indexing import RegisterIndex, index_function
+from repro.analysis.indexing import RegisterIndex
 from repro.cfg.analysis import CFG, build_cfg
-from repro.errors import AllocationError
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import Phi
 from repro.ir.values import PReg, Register, VReg
@@ -34,7 +33,6 @@ from repro.profiling import phase
 __all__ = [
     "Liveness",
     "compute_liveness",
-    "compute_liveness_reference",
     "instruction_liveness",
     "instruction_liveness_masks",
 ]
@@ -66,8 +64,8 @@ class Liveness:
     use_mask: dict[str, int] = field(default_factory=dict)
     defs_mask: dict[str, int] = field(default_factory=dict)
     #: the :class:`~repro.analysis.matrix.FunctionPack` this liveness was
-    #: computed from (numpy backend only; None on the int backend).  The
-    #: interference builder reuses it to skip re-walking the function.
+    #: computed from (None for patched liveness).  The interference
+    #: builder reuses it to skip re-walking the function.
     pack: object | None = field(default=None, repr=False)
 
     def live_across_instr(self, block: BasicBlock, index: int) -> set[Register]:
@@ -83,29 +81,6 @@ class Liveness:
                 continue
             live |= _regs(instr.uses())
         return live
-
-
-def block_uses_defs(block: BasicBlock) -> tuple[set[Register], set[Register]]:
-    """Upward-exposed uses and defs of one block (phi arms excluded)."""
-    uses: set[Register] = set()
-    defs: set[Register] = set()
-    for instr in block.instrs:
-        if not isinstance(instr, Phi):
-            for u in _regs(instr.uses()):
-                if u not in defs:
-                    uses.add(u)
-        defs |= _regs(instr.defs())
-    return uses, defs
-
-
-def phi_uses_on_edge(succ_block: BasicBlock, pred_label: str) -> set[Register]:
-    """Registers consumed by ``succ_block``'s phis along edge from ``pred``."""
-    out: set[Register] = set()
-    for phi in succ_block.phis():
-        value = phi.incoming.get(pred_label)
-        if isinstance(value, (VReg, PReg)):
-            out.add(value)
-    return out
 
 
 def _block_masks(
@@ -148,8 +123,8 @@ class LazySetsLiveness(Liveness):
     """Liveness whose Register-set views materialize on first access.
 
     The allocation loop consumes only the mask tables; the set dicts
-    serve SSA construction, the reference oracles, and tests.  The
-    numpy backend therefore defers their (batched, vectorized)
+    serve SSA construction, the reference oracles, and tests, so their
+    (batched, vectorized)
     materialization until something actually reads one — any access
     fills all four dicts, after which they behave exactly like the
     eagerly-built ones (same contents, same block insertion order).
@@ -187,45 +162,9 @@ class LazySetsLiveness(Liveness):
 
 
 def compute_liveness(func: Function, cfg: CFG | None = None) -> Liveness:
-    """Block liveness via the selected dataflow backend.
-
-    ``REPRO_DATAFLOW`` picks the engine: the int worklist kernel, the
-    numpy bit-matrix sweeps (:mod:`repro.analysis.matrix`), or
-    ``validate`` which runs both and raises
-    :class:`~repro.errors.AllocationError` on any mask divergence.  All
-    modes produce identical results — the fixed point is unique.
-    """
+    """Block liveness: one pack walk plus the bit-matrix fixed point."""
     if cfg is None:
         cfg = build_cfg(func)
-    mode = matrix.dataflow_mode()
-    if mode == "int":
-        return _compute_liveness_int(func, cfg)
-    if mode == "numpy":
-        return _compute_liveness_numpy(func, cfg)
-    result = _compute_liveness_numpy(func, cfg)
-    expect = _compute_liveness_int(func, cfg)
-    problems = _compare_liveness(result, expect)
-    if problems:
-        raise AllocationError(
-            "dataflow backends diverged in liveness: " + "; ".join(problems)
-        )
-    return result
-
-
-def _compare_liveness(got: Liveness, want: Liveness) -> list[str]:
-    """Field-by-field divergence report between two Liveness results."""
-    problems = []
-    if got.index.regs != want.index.regs:
-        problems.append("register index order differs")
-    for name in ("live_in_mask", "live_out_mask", "use_mask", "defs_mask",
-                 "live_in", "live_out", "use", "defs"):
-        if getattr(got, name) != getattr(want, name):
-            problems.append(f"{name} differs")
-    return problems
-
-
-def _compute_liveness_numpy(func: Function, cfg: CFG) -> Liveness:
-    """The numpy bit-matrix backend: one pack walk + row sweeps."""
     pack = matrix.build_pack(func)
     with phase("solve"):
         live_in, live_out = matrix.solve_liveness(pack, cfg)
@@ -233,102 +172,6 @@ def _compute_liveness_numpy(func: Function, cfg: CFG) -> Liveness:
                               live_out_mask=live_out, use_mask=pack.gen,
                               defs_mask=pack.kill, pack=pack)
     result.mark_pending()
-    return result
-
-
-def _compute_liveness_int(func: Function, cfg: CFG) -> Liveness:
-    """Worklist bitmask dataflow to a fixed point (int backend)."""
-    index = index_function(func)
-    blocks = func.block_map()
-
-    gen: dict[str, int] = {}
-    kill: dict[str, int] = {}
-    phi_defs: dict[str, int] = {}
-    #: per-edge phi-arm uses: (pred, succ) -> mask
-    edge_use: dict[tuple[str, str], int] = {}
-    for label, blk in blocks.items():
-        gen[label], kill[label], phi_defs[label] = _block_masks(blk, index)
-        for phi in blk.phis():
-            for pred, value in phi.incoming.items():
-                if isinstance(value, (VReg, PReg)):
-                    key = (pred, label)
-                    edge_use[key] = edge_use.get(key, 0) | index.bit_of(value)
-
-    live_in: dict[str, int] = {label: 0 for label in blocks}
-    live_out: dict[str, int] = {label: 0 for label in blocks}
-
-    # Postorder seeding converges a backward problem fastest; blocks are
-    # re-queued only when a successor's live-in actually changes.
-    order = cfg.postorder()
-    preds = cfg.preds
-    succs = cfg.succs
-    with phase("solve"):
-        pending = deque(order)
-        queued = set(order)
-        while pending:
-            label = pending.popleft()
-            queued.discard(label)
-            out = 0
-            for succ in succs[label]:
-                out |= live_in[succ] & ~phi_defs[succ]
-                out |= edge_use.get((label, succ), 0)
-            new_in = (gen[label] | (out & ~kill[label])) & ~phi_defs[label]
-            live_out[label] = out
-            if new_in != live_in[label]:
-                live_in[label] = new_in
-                for pred in preds[label]:
-                    if pred not in queued:
-                        queued.add(pred)
-                        pending.append(pred)
-
-    result = Liveness(index=index, live_in_mask=live_in,
-                      live_out_mask=live_out, use_mask=gen, defs_mask=kill)
-    set_of = index.set_of
-    for label, blk in blocks.items():
-        result.live_in[label] = set_of(live_in[label])
-        result.live_out[label] = set_of(live_out[label])
-        result.use[label] = set_of(gen[label])
-        result.defs[label] = set_of(kill[label])
-    return result
-
-
-def compute_liveness_reference(
-    func: Function, cfg: CFG | None = None
-) -> Liveness:
-    """The direct set-based fixed point (oracle for the bitset kernel)."""
-    if cfg is None:
-        cfg = build_cfg(func)
-    blocks = func.block_map()
-    result = Liveness()
-    for label, blk in blocks.items():
-        uses, defs = block_uses_defs(blk)
-        result.use[label] = uses
-        result.defs[label] = defs
-        result.live_in[label] = set()
-        result.live_out[label] = set()
-
-    # Iterate in postorder for fast convergence of a backward problem.
-    order = cfg.postorder()
-    # Unreachable blocks still get (empty) entries but aren't iterated.
-    changed = True
-    while changed:
-        changed = False
-        for label in order:
-            blk = blocks[label]
-            out: set[Register] = set()
-            for succ in cfg.succs[label]:
-                sblk = blocks[succ]
-                phi_defs = _regs(p.dst for p in sblk.phis())
-                out |= result.live_in[succ] - phi_defs
-                out |= phi_uses_on_edge(sblk, label)
-            new_in = result.use[label] | (out - result.defs[label])
-            # Phi destinations are defined at the very top of the block, so
-            # they are not live-in even if used later in the same block.
-            new_in -= _regs(p.dst for p in blk.phis())
-            if out != result.live_out[label] or new_in != result.live_in[label]:
-                result.live_out[label] = out
-                result.live_in[label] = new_in
-                changed = True
     return result
 
 
@@ -368,18 +211,6 @@ def instruction_liveness(
     the cycle evaluator's call-crossing accounting.  Identical masks
     share one materialized set (consumers treat the sets as read-only).
     """
-    if liveness.index is None:
-        # Hand-built Liveness (tests): fall back to the set formulation.
-        after_sets: dict[int, set[Register]] = {}
-        for blk in func.blocks:
-            live = set(liveness.live_out[blk.label])
-            for instr in reversed(blk.instrs):
-                after_sets[id(instr)] = set(live)
-                live -= _regs(instr.defs())
-                if not isinstance(instr, Phi):
-                    live |= _regs(instr.uses())
-        return after_sets
-
     index, after = instruction_liveness_masks(func, liveness)
     set_of = index.set_of
     cache: dict[int, set[Register]] = {}

@@ -16,41 +16,32 @@ the whole-function phases as ``uint64`` bit-matrix operations (shape
   masks and symmetrized by one bit-transpose
   (:func:`symmetrize_matrix`), with :class:`MatrixRows` handing the
   result to :class:`~repro.analysis.interference.InterferenceGraph`
-  through the same lazy ``rows`` mapping contract the int backend uses;
+  through a lazy ``rows`` mapping;
 * the incremental spill-round mask translation becomes one batched
   unpack / column-permute / repack (:func:`translate_masks`);
 * popcounts go through ``np.bitwise_count`` when available
   (:func:`popcount_rows`), falling back to an unpackbits sum.
 
-Backend choice follows the ``REPRO_SELECT_INDEX`` escape-hatch pattern:
-``REPRO_DATAFLOW=int`` (or ``0``/``off``/``false``/``no``) keeps the
-retained int kernels, ``numpy`` selects this module, ``validate`` runs
-both and raises on the first divergent mask, and the default is numpy
-whenever it imports (silently falling back to int when it does not —
-numpy is only the optional ``[perf]`` extra).  The knob is strategy-only
-— every mode produces byte-identical analyses — so it deliberately
-stays out of ``AllocationOptions`` and the service cache fingerprint.
-``REPRO_NO_NUMPY=1`` makes the interpreter behave as if numpy were not
-installed (the CI no-numpy leg runs under it).
+This is the one production dataflow path.  numpy is a required
+dependency, imported lazily on the first kernel call so that importing
+the pipeline stays cheap.  Size classes are dispatched inside the
+kernels: below :data:`MATRIX_MIN_CELLS` the liveness sweeps drain a
+plain int worklist over the same masks (same unique fixed point).  The
+set-based references the kernels are checked against live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 
-from repro.config import knob_env
 from repro.ir.instructions import Move, Phi
 from repro.ir.values import PReg, VReg
 
 from repro.analysis.indexing import RegisterIndex
 
 __all__ = [
-    "parse_dataflow",
-    "dataflow_mode",
-    "have_numpy",
     "numpy_version",
-    "active_backend",
     "FunctionPack",
     "build_pack",
     "scan_packed_block",
@@ -77,83 +68,23 @@ MATRIX_MIN_CELLS = 512
 
 
 # ----------------------------------------------------------------------
-# backend selection
+# the (lazily imported) numpy module
 
 _np = None
-_np_checked = False
-_warned_missing = False
 
 
 def _numpy():
-    """The numpy module, or None when absent (or suppressed for tests)."""
-    global _np, _np_checked
-    suppressed = knob_env("REPRO_NO_NUMPY")
-    if suppressed is not None and suppressed.strip().lower() in {
-        "1", "on", "true", "yes"
-    }:
-        return None
-    if not _np_checked:
-        _np_checked = True
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - numpy-less environments
-            numpy = None
+    """The numpy module, imported on first use."""
+    global _np
+    if _np is None:
+        import numpy
+
         _np = numpy
     return _np
 
 
-def have_numpy() -> bool:
-    return _numpy() is not None
-
-
-def numpy_version() -> str | None:
-    np = _numpy()
-    return None if np is None else np.__version__
-
-
-def parse_dataflow(raw: str) -> str:
-    """Normalize a dataflow-backend setting to int/numpy/validate."""
-    raw = str(raw).strip().lower()
-    if raw in {"0", "off", "false", "no", "int"}:
-        return "int"
-    if raw == "validate":
-        return "validate"
-    return "numpy"
-
-
-def dataflow_mode() -> str:
-    """``"numpy"`` (default when importable), ``"int"``, or ``"validate"``.
-
-    Controlled by the ``REPRO_DATAFLOW`` environment variable.  An
-    unset variable picks numpy when it imports and silently falls back
-    to int otherwise; an *explicit* ``numpy``/``validate`` request
-    without numpy warns once (``RuntimeWarning``) and falls back.
-    """
-    global _warned_missing
-    raw = knob_env("REPRO_DATAFLOW")
-    if raw is None:
-        return "numpy" if have_numpy() else "int"
-    mode = parse_dataflow(raw)
-    if mode != "int" and not have_numpy():
-        if not _warned_missing:
-            _warned_missing = True
-            warnings.warn(
-                f"REPRO_DATAFLOW={raw!r} requested but numpy is not "
-                f"available; falling back to the int dataflow backend",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return "int"
-    return mode
-
-
-def active_backend() -> str:
-    """``"int"`` or ``"numpy"`` — what the current mode computes with.
-
-    Validate mode reports ``"numpy"``: it runs both backends but
-    returns the numpy results.
-    """
-    return "int" if dataflow_mode() == "int" else "numpy"
+def numpy_version() -> str:
+    return _numpy().__version__
 
 
 # ----------------------------------------------------------------------
@@ -230,7 +161,8 @@ class FunctionPack:
     :func:`~repro.analysis.indexing.index_function` order (parameters,
     then per instruction defs before uses / phi-incoming values), so the
     resulting :attr:`index` — and every mask built on it — is
-    interchangeable with the int backend's.
+    interchangeable with one built by ``index_function`` (the
+    incremental patchers re-index that way).
     """
 
     __slots__ = ("index", "gen", "kill", "phi_defs", "edge_use",
@@ -251,7 +183,7 @@ class FunctionPack:
         #: and operand-free instructions are dropped outright.
         self.block_entries: dict[str, tuple] = {}
         #: labels still containing phis (their entries must not be
-        #: interference-scanned; the builder raises like the int scan)
+        #: interference-scanned; the builder raises on them)
         self.has_phi: set[str] = set()
         self.words: int = 1
         self._row_and: list[int] | None = None
@@ -413,9 +345,8 @@ def solve_liveness(pack: FunctionPack, cfg) -> tuple[dict, dict]:
     successor OR, a row-wise ``gen | (out & ~kill)`` transfer, and one
     vectorized changed-row test — then drive it to (and certify) the
     fixed point.  The fixed point is unique, so the result is
-    mask-identical to the int worklist's regardless of schedule.
-    Unreachable blocks keep zero masks, exactly like the int worklist
-    (which never queues them).
+    mask-identical to any worklist schedule's.  Unreachable blocks keep
+    zero masks (a worklist never queues them).
 
     Below :data:`MATRIX_MIN_CELLS` cells the sweeps stay on a plain int
     worklist — same unique fixed point, none of the per-call numpy
@@ -609,7 +540,7 @@ def symmetrize_matrix(matrix, n_bits: int):
 class MatrixRows:
     """The ``rows`` mapping of a bit-matrix interference graph.
 
-    Duck-types the ``dict[int, int]`` rows the int backend stores on
+    Duck-types a ``dict[int, int]`` of rows on
     :class:`~repro.analysis.interference.InterferenceGraph` — consumers
     only ever call ``.get(dense_id, default)`` — while keeping the
     symmetrized adjacency as one numpy matrix.  The first ``get``
@@ -654,8 +585,7 @@ def translate_masks(masks, trans_pos, old_n: int, new_n: int) -> list[int]:
     ``trans_pos[old_id]`` is the new dense id, or -1 when the register
     was deleted.  The mapping is injective on survivors (renumbering is
     a bijection on surviving webs), so the column permute below never
-    collides.  Equivalent to the int backend's chunk-memoized
-    ``translate`` applied to each mask.
+    collides.
     """
     np = _numpy()
     masks = list(masks)

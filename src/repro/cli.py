@@ -162,9 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="fetch a running server's metrics")
     stats.add_argument("--host", default="127.0.0.1")
     stats.add_argument("--port", type=int, default=7421)
-    stats.add_argument("--knobs", action="store_true",
-                       help="print this process's strategy-knob settings "
-                            "(no server contacted)")
 
     sub.add_parser("example", help="replay the paper's Figure 7")
     sub.add_parser("targets", help="describe the register-usage models")
@@ -439,11 +436,6 @@ def _cmd_submit(args, out) -> int:
 
 
 def _cmd_stats(args, out) -> None:
-    if getattr(args, "knobs", False):
-        from repro.config import runtime_knobs
-
-        print(canonical_json(runtime_knobs()), file=out)
-        return
     client = ServiceClient(args.host, args.port)
     print(canonical_json(client.stats()), file=out)
 

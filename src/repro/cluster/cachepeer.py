@@ -20,7 +20,9 @@ Wire format: LDJSON, one op per line, one reply line per op::
 
 Entries cross the wire in the response's canonical wire form and are
 validated on the way in (protocol version, ``ok``) just like the disk
-layer, so a stale or torn entry is a miss, never a crash.  The client
+layer, so a stale or torn entry is a miss, never a crash; a shard also
+re-seals every entry it is served and checks it was filed under the
+key it asked for (:func:`~repro.service.cache.entry_is_intact`).  The client
 side degrades the same way: any socket or decode error is a miss, and a
 short breaker (bounded consecutive failures -> cooldown with
 exponential backoff, the same idiom as the worker pool's retry policy)
@@ -36,7 +38,7 @@ import threading
 import time
 
 from repro.reporting import canonical_json
-from repro.service.cache import CacheBackend, ResultCache
+from repro.service.cache import CacheBackend, ResultCache, entry_is_intact
 from repro.service.protocol import PROTOCOL_VERSION, AllocationResponse
 
 __all__ = ["CachePeerServer", "PeerCacheBackend", "parse_hostport"]
@@ -208,6 +210,7 @@ class PeerCacheBackend(CacheBackend):
         self.hits = 0
         self.puts = 0
         self.errors = 0
+        self.integrity_failures = 0
         self.trips = 0
         self._consecutive = 0
         self._open_until = 0.0
@@ -274,6 +277,9 @@ class PeerCacheBackend(CacheBackend):
             return None
         if entry.protocol != PROTOCOL_VERSION or not entry.ok:
             return None
+        if not entry_is_intact(key, entry):
+            self.integrity_failures += 1
+            return None
         self.hits += 1
         return entry
 
@@ -292,6 +298,7 @@ class PeerCacheBackend(CacheBackend):
             "hits": self.hits,
             "puts": self.puts,
             "errors": self.errors,
+            "integrity_failures": self.integrity_failures,
             "trips": self.trips,
             "tripped": tripped,
         }

@@ -58,6 +58,7 @@ from repro.service.protocol import (
 )
 from repro.service.scheduler import degrade_for, resolve_module
 from repro.service.schema import allocation_payload, cluster_stats_payload
+from repro.service.server import LINE_LIMIT, read_request_line
 
 __all__ = ["ClusterMetrics", "ClusterRouter", "ClusterServer",
            "ClusterServerThread"]
@@ -477,7 +478,7 @@ class ClusterServer:
 
     async def start(self) -> tuple:
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
+            self._handle_connection, self.host, self.port, limit=LINE_LIMIT)
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
         self.router.start_supervision()
@@ -504,8 +505,8 @@ class ClusterServer:
             self._conn_tasks.add(task)
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await read_request_line(reader, writer)
+                if line is None:
                     break
                 reply = await self._handle_line(line)
                 writer.write((canonical_json(reply) + "\n").encode())

@@ -1,90 +1,44 @@
-"""Single reader for the strategy-only environment knobs.
+"""Runtime facts about how this process computes allocations.
 
-The repo grew seven result-neutral environment variables — each picks
-*how* results are computed, never *what*:
+Every hot step has exactly one production path: numpy bit-matrix
+dataflow (with its own size-class dispatch inside
+:mod:`repro.analysis.matrix` and :mod:`repro.core.cpg`), the indexed
+simplify/select engines, the codec dispatch wire, and delta patching
+for spill rounds and edits (with a from-scratch rebuild only as the
+patchers' bail-out).  Each is checked against an independent oracle in
+``tests/oracles.py``: the set-based liveness and interference
+references, the scalar CPG replay, the scan simplify/select engines,
+from-scratch re-analysis, and the shipped function for the wire.
 
-* ``REPRO_SELECT_INDEX``       — indexed vs. scanned decision loops
-* ``REPRO_DATAFLOW``           — numpy vs. pure-int dataflow kernels
-* ``REPRO_INCREMENTAL_ROUNDS`` — spill-round re-analysis patching
-* ``REPRO_INCREMENTAL_EDITS``  — edit-delta session patching
-* ``REPRO_NO_NUMPY``           — suppress the numpy import entirely
-* ``REPRO_WIRE``               — pool dispatch wire (pickle vs. codec)
-* ``REPRO_ROUND0_CACHE``       — worker round-0 analysis LRU bound
+No implementation strategy is configurable.  The only environment
+variable the library consults is ``REPRO_CACHE_DIR``, a deployment
+path folded in by
+:meth:`repro.regalloc.base.AllocationOptions.from_env`.  Result-relevant
+configuration lives in ``AllocationOptions`` and
+:class:`repro.policy.Policy`.
 
-Historically each consumer read ``os.environ`` itself; this module is
-now the one place those variables are consulted (``knob_env``), and
-:func:`runtime_knobs` is the introspection payload — what every knob
-*resolves to* right now — surfaced by ``repro stats --knobs`` and
-stamped into the benchmark JSON reports so a perf number can always be
-traced back to the strategy configuration that produced it.
-
-Result-*relevant* configuration lives elsewhere by design:
-``AllocationOptions`` (and its ``from_env``) for execution options and
-:class:`repro.policy.Policy` for heuristic constants.  Keeping this
-module a leaf (stdlib-only imports at module scope) lets every layer
-use it without cycles.
+:func:`runtime_knobs` reports backend facts for benchmark records;
+:func:`knob_env_snapshot` is kept for callers that refuse to run with
+strategy variables set, and is always empty.
 """
 
 from __future__ import annotations
 
-import os
-
-__all__ = ["KNOB_ENV_VARS", "knob_env", "knob_env_snapshot",
-           "runtime_knobs"]
-
-#: Every strategy-only environment variable, in canonical order.  The
-#: worker pool snapshots exactly this set into spawned workers so a
-#: pool behaves like its parent regardless of start method.
-KNOB_ENV_VARS = (
-    "REPRO_SELECT_INDEX",
-    "REPRO_DATAFLOW",
-    "REPRO_INCREMENTAL_ROUNDS",
-    "REPRO_INCREMENTAL_EDITS",
-    "REPRO_NO_NUMPY",
-    "REPRO_WIRE",
-    "REPRO_ROUND0_CACHE",
-)
-
-
-def knob_env(name: str, default: str | None = None,
-             environ=None) -> str | None:
-    """The single point where strategy env vars are read."""
-    if name not in KNOB_ENV_VARS:
-        raise ValueError(f"unknown strategy knob {name!r}")
-    env = os.environ if environ is None else environ
-    return env.get(name, default)
+__all__ = ["knob_env_snapshot", "runtime_knobs"]
 
 
 def knob_env_snapshot(environ=None) -> dict[str, str]:
-    """The raw (unresolved) knob settings that are actually set."""
-    env = os.environ if environ is None else environ
-    return {name: env[name] for name in KNOB_ENV_VARS if name in env}
+    """Strategy variables in effect: none, since no strategy is
+    selectable from the environment."""
+    return {}
 
 
 def runtime_knobs() -> dict:
-    """What every strategy knob resolves to in this process.
+    """JSON-safe backend facts of this process (the numpy version).
 
-    The payload is JSON-safe and intentionally small; it is shown by
-    ``repro stats --knobs`` and stamped into bench reports.  Resolution
-    is delegated to the owning modules (imported lazily to keep this a
-    leaf module).
+    Reads no environment variable; imports numpy (a required
+    dependency) only when called.
     """
-    from repro.analysis import matrix
-    from repro.analysis.incremental import (
-        incremental_edits_mode,
-        incremental_mode,
-    )
-    from repro.exec.alloctask import round0_cache_max
-    from repro.exec.wire import wire_mode
-    from repro.regalloc.worklist import select_index_mode
+    from repro.analysis.matrix import numpy_version
 
-    return {
-        "select_index": select_index_mode(),
-        "dataflow": matrix.dataflow_mode(),
-        "incremental_rounds": incremental_mode(),
-        "incremental_edits": incremental_edits_mode(),
-        "numpy": matrix.numpy_version(),
-        "wire": wire_mode(),
-        "round0_cache": round0_cache_max(),
-        "env": knob_env_snapshot(),
-    }
+    return {"numpy": numpy_version()}

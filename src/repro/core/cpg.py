@@ -41,10 +41,10 @@ from repro.regalloc.simplify import SimplifyResult
 
 __all__ = ["ColoringPrecedenceGraph", "build_cpg"]
 
-#: Below this many WIG nodes the matrix-backend replay keeps its
-#: reachability rows as scalar Python ints — per-call numpy overhead
-#: beats word-parallelism on masks this small.  Tests force 0 to drive
-#: the batched branch on small graphs.
+#: Below this many WIG nodes the replay keeps its reachability rows as
+#: scalar Python ints — per-call numpy overhead beats word-parallelism
+#: on masks this small.  Tests force 0 to drive the batched branch on
+#: small graphs.
 MATRIX_MIN_NODES = 192
 
 TOP = "top"
@@ -174,55 +174,6 @@ def _order_key(node) -> tuple:
     return (1, node.id, node.name or "")
 
 
-def build_cpg(
-    graph: AllocGraph,
-    wig_adjacency: dict[VReg, set[VReg]],
-    simplification: SimplifyResult,
-) -> ColoringPrecedenceGraph:
-    """Run the Section 5.2 algorithm.
-
-    ``wig_adjacency`` is the vreg-only adjacency of the interference
-    graph *before* simplification removed anything (the WIG); ``graph``
-    supplies K and the fixed physical-register degree offsets.
-
-    ``REPRO_DATAFLOW`` picks the replay engine — the int-bitmask closure
-    below, or the matrix variant (batched degree popcounts and row-OR
-    reachability propagation) — and ``validate`` runs both and raises on
-    any difference, including node/edge *insertion order*, which the
-    selector's dict iteration observes.  Both engines build the CPG
-    edge-for-edge identically.
-    """
-    mode = matrix.dataflow_mode()
-    if mode == "int":
-        return _build_cpg_int(graph, wig_adjacency, simplification)
-    if mode == "numpy":
-        return _build_cpg_matrix(graph, wig_adjacency, simplification)
-    got = _build_cpg_matrix(graph, wig_adjacency, simplification)
-    want = _build_cpg_int(graph, wig_adjacency, simplification)
-    problems = _compare_cpgs(got, want)
-    if problems:
-        raise AllocationError(
-            "dataflow backends diverged in CPG: " + "; ".join(problems)
-        )
-    return got
-
-
-def _compare_cpgs(got: ColoringPrecedenceGraph,
-                  want: ColoringPrecedenceGraph) -> list[str]:
-    problems = []
-    if list(got.succs) != list(want.succs):
-        problems.append("succs insertion order differs")
-    if list(got.preds) != list(want.preds):
-        problems.append("preds insertion order differs")
-    if got.succs != want.succs:
-        problems.append("successor sets differ")
-    if got.preds != want.preds:
-        problems.append("predecessor sets differ")
-    if got._version != want._version:
-        problems.append("edge version counters differ")
-    return problems
-
-
 def _wig_rows(graph: AllocGraph, wig_adjacency: dict[VReg, set[VReg]]):
     """Dense-id node list, int adjacency rows, and preg-degree offsets."""
     # Dense ids in ascending-vreg-id order, mirroring the step-4 walk.
@@ -256,7 +207,6 @@ def _wig_rows_usable(graph: AllocGraph, wig_adjacency) -> bool:
         graph.source_rows is not None
         and graph.adj_pristine
         and len(wig_adjacency) == graph.initial_vregs > 0
-        and matrix.have_numpy()
     )
 
 
@@ -285,117 +235,32 @@ def _wig_rows_matrix(graph: AllocGraph, wig_adjacency):
     return nodes, idx, adj, preg_deg
 
 
-def _build_cpg_int(
+def build_cpg(
     graph: AllocGraph,
     wig_adjacency: dict[VReg, set[VReg]],
     simplification: SimplifyResult,
 ) -> ColoringPrecedenceGraph:
-    """The int-bitmask replay: one int row per node, scalar closure.
+    """Run the Section 5.2 algorithm.
 
-    The step-7 transitivity test is a single ``&`` against an
-    incrementally-maintained reachability closure.  The closure stays
-    exact because a node's out-edges are complete before any in-edge is
-    added to it — in-edges to ``X`` appear only at ``X``'s own pop, after
-    which ``X`` (removed from the WIG) never gains another successor.
-    """
-    from repro.analysis.indexing import iter_bits
+    ``wig_adjacency`` is the vreg-only adjacency of the interference
+    graph *before* simplification removed anything (the WIG); ``graph``
+    supplies K and the fixed physical-register degree offsets.
 
-    k = graph.k
-    nodes, idx, adj, preg_deg = _wig_rows(graph, wig_adjacency)
-    n = len(nodes)
-    bottom_bit = 1 << n
-
-    cpg = ColoringPrecedenceGraph()
-    cpg.ensure(TOP)
-    cpg.ensure(BOTTOM)
-    alive = (1 << n) - 1
-    ready = 0
-    created = 0
-    #: per-node mask of CPG-reachable nodes (dense ids plus the bottom bit)
-    reach = [0] * n
-
-    # Step 4: initial low-degree nodes point at bottom and are ready;
-    # potential-spill nodes point at bottom but are not ready.
-    optimistic = simplification.optimistic
-    for i, node in enumerate(nodes):
-        if (adj[i] & alive).bit_count() + preg_deg[i] < k:
-            cpg.add_edge(node, BOTTOM)
-            reach[i] |= bottom_bit
-            created |= 1 << i
-            ready |= 1 << i
-        elif node in optimistic:
-            cpg.add_edge(node, BOTTOM)
-            reach[i] |= bottom_bit
-            created |= 1 << i
-
-    # Steps 5-9: replay removals in simplification order.
-    with phase("closure"):
-        for popped in simplification.stack:
-            pi = idx.get(popped)
-            if pi is None or not (alive >> pi) & 1:
-                raise AllocationError(
-                    f"stack node {popped} missing from WIG"
-                )
-            if not (created >> pi) & 1:
-                raise AllocationError(
-                    f"CPG invariant broken: {popped} popped before being "
-                    f"created (neither low-degree, optimistic, nor a "
-                    f"neighbor of an earlier pop)"
-                )
-            popped_bit = 1 << pi
-            alive &= ~popped_bit
-            neighbors = adj[pi] & alive
-            created |= neighbors
-            for wi in iter_bits(neighbors):
-                cpg.ensure(nodes[wi])
-
-            non_ready = neighbors & ~ready
-            if non_ready:
-                popped_reach = reach[pi] | popped_bit
-                popped_to_bottom = reach[pi] & bottom_bit
-                # Bit order is ascending vreg id — the step-7 edge order.
-                for wi in iter_bits(non_ready):
-                    # Step 7: skip (and never create) transitive edges.
-                    if not reach[wi] & popped_bit:
-                        w = nodes[wi]
-                        cpg.add_edge(w, popped)
-                        reach[wi] |= popped_reach
-                        # A pre-existing w -> bottom edge is now
-                        # transitive whenever `popped` itself reaches
-                        # bottom.
-                        if popped_to_bottom and BOTTOM in cpg.succs.get(
-                            w, ()
-                        ):
-                            cpg.remove_edge(w, BOTTOM)
-            else:
-                cpg.add_edge(TOP, popped)
-
-            # Step 8: removal may have made neighbors low-degree.
-            for wi in iter_bits(non_ready):
-                if (adj[wi] & alive).bit_count() + preg_deg[wi] < k:
-                    ready |= 1 << wi
-
-    return cpg
-
-
-def _build_cpg_matrix(
-    graph: AllocGraph,
-    wig_adjacency: dict[VReg, set[VReg]],
-    simplification: SimplifyResult,
-) -> ColoringPrecedenceGraph:
-    """The matrix-backend replay: batched popcounts, row-OR closure.
-
-    Produces a CPG identical to :func:`_build_cpg_int` down to dict
-    insertion order and the edge version counter.  Structural work is
-    deduplicated with a created-node bitmask (the int replay re-ensures
-    every neighbor at every pop) and edges go in with direct set
-    operations, with the version counter settled once at the end.  At
-    :data:`MATRIX_MIN_NODES` and above, reachability rows live in one
-    numpy ``uint64`` matrix: the step-7 transitivity tests of a pop
+    The replay keeps one int adjacency row per node and a
+    reachability closure, so the step-7 transitivity test is a single
+    ``&``.  The closure stays exact because a node's out-edges are
+    complete before any in-edge is added to it — in-edges to ``X``
+    appear only at ``X``'s own pop, after which ``X`` (removed from the
+    WIG) never gains another successor.  Structural work is
+    deduplicated with a created-node bitmask and edges go in with
+    direct set operations, with the edge version counter settled once
+    at the end.  At :data:`MATRIX_MIN_NODES` and above, reachability
+    rows live in one numpy ``uint64`` matrix: the step-7 tests of a pop
     become one gathered column read, the closure update one batched
     row-OR (``R[sel] |= R[pi]``), and the step-4/step-8 degree counts
     batched popcounts; below the threshold the same loop keeps scalar
-    int rows, where small-mask numpy call overhead would dominate.
+    int rows.  The scalar replay the tests check this against lives in
+    ``tests/oracles.py``.
     """
     k = graph.k
     if _wig_rows_usable(graph, wig_adjacency):
@@ -421,7 +286,7 @@ def _build_cpg_matrix(
     edge_ops = 0
     optimistic = simplification.optimistic
 
-    use_np = n >= MATRIX_MIN_NODES and matrix.have_numpy()
+    use_np = n >= MATRIX_MIN_NODES
     if use_np:
         np = matrix._numpy()
         words = matrix.words_for(n + 1)

@@ -31,9 +31,8 @@ spill_cost, -id)``: ``_after_decision``'s invalidation set — which is
 exactly the set of nodes whose key an event can change — pushes
 refreshed generation-stamped entries instead of merely dropping the
 cached differential, so each pick is O(log n) amortized instead of a
-linear queue scan.  The scan-based ``_choose_node`` is retained as the
-reference oracle behind ``REPRO_SELECT_INDEX=0``; ``validate`` runs
-both and raises on the first divergent pick.
+linear queue scan.  The linear scan it replaced is the pick-by-pick
+oracle in ``tests/oracles.py``.
 
 Interpretation notes (the paper leaves these open — see DESIGN.md):
 a single honorable preference yields a differential equal to its own
@@ -60,7 +59,7 @@ from repro.policy import DEFAULT_POLICY, Policy
 from repro.regalloc.igraph import AllocGraph
 from repro.profiling import phase
 from repro.regalloc.select import order_colors_cached
-from repro.regalloc.worklist import LazyMaxHeap, select_index_mode
+from repro.regalloc.worklist import LazyMaxHeap
 from repro.target.machine import RegisterFile, TargetMachine
 
 __all__ = ["PreferenceSelector", "SelectionTrace"]
@@ -114,9 +113,6 @@ class PreferenceSelector:
     assignment: dict[VReg, PReg] = field(default_factory=dict)
     spilled: set[VReg] = field(default_factory=set)
     honored_prefs: int = 0
-    #: ready-queue engine override: ``"on"``/``"off"``/``"validate"``;
-    #: ``None`` reads the ``REPRO_SELECT_INDEX`` environment setting
-    index_mode: str | None = None
     #: heuristic knobs; only the ``select_*_weight`` fields matter here.
     #: The all-1.0 default takes the historical unweighted key path,
     #: keeping pick order (and heap entries) byte-identical.
@@ -156,10 +152,8 @@ class PreferenceSelector:
         #: cached differentials, invalidated by affecting events only
         self._diff_cache: dict[VReg, float] = {}
         self._group_masks: dict[RegGroup, int] = {}
-        if self.index_mode is None:
-            self.index_mode = select_index_mode()
-        #: lazy max-heap ready queue (None when running the scan oracle)
-        self._ready: LazyMaxHeap | None = None
+        #: lazy max-heap ready queue, keyed by :meth:`_pick_key`
+        self._ready = LazyMaxHeap()
 
     # ------------------------------------------------------------------
 
@@ -169,19 +163,15 @@ class PreferenceSelector:
             for node, preds in self.cpg.preds.items()
             if isinstance(node, VReg)
         }
-        queue: set[VReg] = {n for n, d in indegree.items() if d == 0}
-        mode = self.index_mode
-        ready: LazyMaxHeap | None = None
-        if mode != "off":
-            ready = self._ready = LazyMaxHeap()
-            for node in queue:
+        ready = self._ready
+        for node, degree in indegree.items():
+            if degree == 0:
                 ready.push(node, self._pick_key(node))
 
         with phase("select"):
-            while queue:
+            while ready:
                 with phase("choose"):
-                    node = self._next_node(queue, ready, mode)
-                queue.discard(node)
+                    node = self._next_node()
                 with phase("color"):
                     self._color_node(node)
                 for succ in self.cpg.succs.get(node, ()):
@@ -189,33 +179,18 @@ class PreferenceSelector:
                         continue
                     indegree[succ] -= 1
                     if indegree[succ] == 0:
-                        queue.add(succ)
-                        if ready is not None:
-                            ready.push(succ, self._pick_key(succ))
+                        ready.push(succ, self._pick_key(succ))
 
     # ------------------------------------------------------------------
     # step 2-3: node choice
 
-    def _next_node(self, queue: set[VReg], ready: LazyMaxHeap | None,
-                   mode: str) -> VReg:
-        if mode == "off":
-            return self._choose_node(queue)
-        assert ready is not None
-        node = ready.pop()
-        if mode == "validate":
-            oracle = self._choose_node(queue)
-            # Value equality: the pipeline can legitimately hold
-            # equal-but-distinct VReg instances (unpickled or cached
-            # analyses), and every index keys by eq/hash.
-            if node != oracle:
-                raise AllocationError(
-                    f"select-index validation failed: ready heap picked "
-                    f"{node}, scan oracle {oracle}"
-                )
-        return node
+    def _next_node(self) -> VReg:
+        """The ready node with the largest :meth:`_pick_key`."""
+        return self._ready.pop()
 
     def _pick_key(self, node: VReg) -> tuple:
-        """The ready-queue ordering key (identical to ``_choose_node``)."""
+        """The ready-queue ordering key: differential, then spill cost,
+        then lowest id (``-id``), optionally policy-weighted."""
         differential = self._diff_cache.get(node)
         if differential is None:
             differential = self._diff_cache[node] = self._differential(node)
@@ -225,33 +200,6 @@ class PreferenceSelector:
         wd, ws, wi = weights
         return (wd * differential, ws * self.costs.spill_cost(node),
                 wi * -node.id)
-
-    def _choose_node(self, queue: set[VReg]) -> VReg:
-        diff_cache = self._diff_cache
-        spill_cost = self.costs.spill_cost
-        weights = self._key_weights
-        best: VReg | None = None
-        best_key: tuple | None = None
-        for node in queue:
-            differential = diff_cache.get(node)
-            if differential is None:
-                differential = diff_cache[node] = self._differential(node)
-            if weights is None:
-                key = (
-                    differential,
-                    spill_cost(node),
-                    -node.id,
-                )
-            else:
-                key = (
-                    weights[0] * differential,
-                    weights[1] * spill_cost(node),
-                    weights[2] * -node.id,
-                )
-            if best_key is None or key > best_key:
-                best, best_key = node, key
-        assert best is not None
-        return best
 
     def _differential(self, node: VReg) -> float:
         honorable = [
@@ -433,11 +381,11 @@ class PreferenceSelector:
 
         Neighbors lose ``color`` from their free mask; the nodes whose
         differential the event can change — interference neighbors and
-        RPG partners on either side — drop out of the cache.  With the
-        indexed ready queue, the same (exact) invalidation set is then
-        re-keyed: queued members get a refreshed heap entry, superseding
-        their stale one, so the heap's newest entry per node always
-        carries the key the scan oracle would compute at pick time.
+        RPG partners on either side — drop out of the cache.  The same
+        (exact) invalidation set is then re-keyed: queued members get a
+        refreshed heap entry, superseding their stale one, so the heap's
+        newest entry per node always carries the key a rescan of the
+        ready set would compute at pick time.
         """
         diff_cache = self._diff_cache
         diff_cache.pop(node, None)
@@ -458,10 +406,9 @@ class PreferenceSelector:
                 diff_cache.pop(target, None)
                 affected.append(target)
         ready = self._ready
-        if ready is not None:
-            for n in affected:
-                if n in ready:
-                    ready.push(n, self._pick_key(n))
+        for n in affected:
+            if n in ready:
+                ready.push(n, self._pick_key(n))
 
     def _prefers_memory(self, node: VReg, free: int,
                         pref_strengths: list[float]) -> bool:

@@ -15,18 +15,16 @@ same argument that backs :func:`repro.pipeline.round0_analyses`).  The
 content key is the codec digest (``sha256`` of
 :func:`repro.ir.codec.encode_function`) plus the machine's register
 model — on the codec wire path both digests arrive *with* the job, so
-keying the cache costs nothing; the pickle path computes the same
-digests locally (replacing the historical print-then-hash key).  A
+keying the cache costs nothing; payloads the wire passes through
+untouched compute the same digests locally.  A
 service sweeping eight allocators over one module therefore analyzes
 each function once per worker, not once per job — and the results
 remain byte-identical to a cold serial run.
 
-The cache bound is the ``REPRO_ROUND0_CACHE`` strategy knob (default
-64 entries), surfaced by ``repro stats --knobs`` like every knob;
-options travel *in the payload*, never through worker environment
-variables: a persistent worker forked long ago must honor the caller's
-current ``incremental`` mode, not whatever ``os.environ`` said at spawn
-time.
+The cache holds at most :data:`ROUND0_CACHE_MAX` entries.  Options
+travel *in the payload*, never through worker environment variables: a
+persistent worker forked long ago must honor the caller's current
+options, not whatever ``os.environ`` said at spawn time.
 """
 
 from __future__ import annotations
@@ -34,29 +32,17 @@ from __future__ import annotations
 from collections import OrderedDict
 
 __all__ = ["run_alloc_job", "round0_cache_info", "clear_round0_cache",
-           "round0_cache_max"]
+           "ROUND0_CACHE_MAX"]
 
 #: content key -> RoundAnalyses (per worker process, bounded LRU)
 _ROUND0_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
-_ROUND0_CACHE_DEFAULT_MAX = 64
+#: the round-0 LRU bound (entries per worker process)
+ROUND0_CACHE_MAX = 64
 _hits = 0
 _misses = 0
 
 
-def round0_cache_max() -> int:
-    """The round-0 LRU bound: ``REPRO_ROUND0_CACHE`` (default 64)."""
-    from repro.config import knob_env
-
-    raw = knob_env("REPRO_ROUND0_CACHE")
-    if raw is None or not str(raw).strip():
-        return _ROUND0_CACHE_DEFAULT_MAX
-    try:
-        return max(1, int(str(raw).strip()))
-    except ValueError:
-        return _ROUND0_CACHE_DEFAULT_MAX
-
-
-def _content_key(func, machine, collect: bool, policy,
+def _content_key(func, machine, policy,
                  func_digest: str | None = None,
                  machine_digest: str | None = None) -> tuple:
     from repro.exec.wire import machine_content_digest
@@ -69,14 +55,13 @@ def _content_key(func, machine, collect: bool, policy,
     return (
         func_digest,
         machine_digest,
-        collect,
         # Default policy adds nothing: keys (and so warm entries) are
         # unchanged for all pre-policy traffic.
         None if policy.is_default() else policy.digest(),
     )
 
 
-def _warm_round0(func, machine, collect: bool, policy,
+def _warm_round0(func, machine, policy,
                  func_digest: str | None = None,
                  machine_digest: str | None = None):
     global _hits, _misses
@@ -84,8 +69,8 @@ def _warm_round0(func, machine, collect: bool, policy,
     from repro.ir.clone import clone_function
     from repro.regalloc.base import compute_round_analyses
 
-    key = _content_key(func, machine, collect, policy,
-                       func_digest, machine_digest)
+    key = _content_key(func, machine, policy, func_digest,
+                       machine_digest)
     cached = _ROUND0_CACHE.get(key)
     if cached is not None:
         _ROUND0_CACHE.move_to_end(key)
@@ -94,11 +79,10 @@ def _warm_round0(func, machine, collect: bool, policy,
     _misses += 1
     ref = clone_function(func)
     renumber(ref)
-    analyses = compute_round_analyses(ref, collect_deltas=collect,
+    analyses = compute_round_analyses(ref, collect_deltas=True,
                                       policy=policy)
     _ROUND0_CACHE[key] = analyses
-    limit = round0_cache_max()
-    while len(_ROUND0_CACHE) > limit:
+    while len(_ROUND0_CACHE) > ROUND0_CACHE_MAX:
         _ROUND0_CACHE.popitem(last=False)
     return analyses
 
@@ -119,7 +103,6 @@ def run_alloc_job(payload):
     round0 = None
     if options.reuse_analyses:
         round0 = _warm_round0(func, machine,
-                              collect=options.incremental != "off",
                               policy=options.policy,
                               func_digest=func_digest,
                               machine_digest=machine_digest)

@@ -55,7 +55,6 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.config import KNOB_ENV_VARS, knob_env_snapshot
 from repro.errors import ReproError
 from repro.exec.faults import FaultPlan
 
@@ -82,20 +81,6 @@ _IDLE_WAIT_MAX = 0.005
 
 #: The allocation task; resolved inside the worker on first use.
 DEFAULT_TASK = "repro.exec.alloctask:run_alloc_job"
-
-#: Result-neutral strategy knobs snapshotted from the parent at spawn
-#: time and applied in the worker before any job runs, so a pool behaves
-#: like the parent process regardless of multiprocessing start method.
-#: All of these only pick *how* results are computed, never *what* —
-#: a worker spawned before the parent changed one simply keeps the old
-#: strategy until it is respawned, which cannot change any result.
-#: The canonical list lives in :mod:`repro.config`.
-STRATEGY_ENV_VARS = KNOB_ENV_VARS
-
-
-def _strategy_env_snapshot() -> dict[str, str]:
-    return knob_env_snapshot()
-
 
 class WorkerPoolError(ReproError):
     """Base class for worker-pool failures."""
@@ -124,16 +109,13 @@ def resolve_task(spec):
 
 
 def _worker_main(slot: int, inbox, outbox, beats, task_spec,
-                 fault_plan: FaultPlan | None, heartbeat_s: float,
-                 strategy_env: dict[str, str] | None = None) -> None:
+                 fault_plan: FaultPlan | None, heartbeat_s: float) -> None:
     """Worker loop: heartbeat, pull a job, run it, push the result.
 
     Messages are pre-pickled here so a value the task produced that
     cannot cross the process boundary turns into an ``err`` message
     instead of silently wedging the queue's feeder thread.
     """
-    if strategy_env:
-        os.environ.update(strategy_env)
     task = resolve_task(task_spec)
     beats[slot] = time.time()
     while True:
@@ -324,8 +306,7 @@ class WorkerPool:
         slot.process = self._ctx.Process(
             target=_worker_main,
             args=(slot.index, slot.inbox, slot.outbox, self._beats,
-                  self.task, self.fault_plan, self.heartbeat_s,
-                  _strategy_env_snapshot()),
+                  self.task, self.fault_plan, self.heartbeat_s),
             name=f"repro-worker-{slot.index}",
             daemon=True,
         )
@@ -388,8 +369,8 @@ class WorkerPool:
             self.counters["batches"] += 1
             shipment = None
             if self.task == DEFAULT_TASK:
-                # Alloc-task payloads may travel digest-deduped through
-                # shared memory (REPRO_WIRE); the segment belongs to
+                # Alloc-task payloads travel digest-deduped through
+                # shared memory (repro.exec.wire); the segment belongs to
                 # this batch — retries re-read it — and is released
                 # only once every job resolved.
                 from repro.exec import wire

@@ -1,10 +1,10 @@
 """Digest-deduped wire encoding for worker-pool dispatch.
 
-The pickle wire path serializes one ``(func, machine, allocator,
-options)`` tuple per job, so an eight-allocator sweep over a module
-pickles every function eight times and every worker unpickles a fresh
-object graph per job.  This module replaces the per-job payload with a
-tiny control tuple of **content digests**; the bytes behind them — the
+Pickling one ``(func, machine, allocator, options)`` tuple per job
+would pickle every function of an eight-allocator sweep eight times and
+make every worker unpickle a fresh object graph per job.  This module
+replaces the per-job payload with a tiny control tuple of **content
+digests**; the bytes behind them — the
 function's :mod:`repro.ir.codec` blob plus the pickled machine,
 allocator, and options — ship **once per batch per distinct digest**
 through one ``multiprocessing.shared_memory`` segment.  Workers decode
@@ -15,19 +15,10 @@ place), which is byte-identical to an unpickled copy because the codec
 round-trips ``print_function`` text exactly.  Machines, allocators, and
 options are read-only across jobs (the serial path already shares one
 instance for a whole module sweep), so workers cache them by digest and
-unpickle once per batch.
-
-Mode selection follows the strategy-knob idiom (``REPRO_WIRE``, read
-through :func:`repro.config.knob_env`, result-neutral and therefore
-outside the cache fingerprint):
-
-* ``codec`` (default) — digest-deduped shared-memory dispatch;
-* ``pickle`` — the historical per-job pickle path, byte-identical
-  results, kept as the oracle;
-* ``validate`` — ship *both*; the worker decodes the blob, asserts its
-  ``print_function`` text is byte-identical to the pickled function's,
-  and then uses the decoded copy, so a codec divergence fails loudly
-  instead of silently changing results.
+unpickle once per batch.  This is the only dispatch path; payload
+shapes the codec does not cover pass through unchanged (pickled by the
+pool), and the tests check decoded functions against the shipped
+originals.
 
 Segment layout and lifecycle: the parent writes ``u32 index length +
 pickled {digest: (offset, length)} index + concatenated blobs``,
@@ -49,15 +40,11 @@ import struct
 import weakref
 from collections import OrderedDict
 
-from repro.config import knob_env
 from repro.errors import CodecError
 from repro.profiling import phase
 
 __all__ = [
-    "WIRE_MODES",
     "WIRE_TAG",
-    "parse_wire",
-    "wire_mode",
     "Shipment",
     "pack_batch",
     "is_wire_job",
@@ -69,34 +56,11 @@ __all__ = [
     "clear_decode_cache",
 ]
 
-WIRE_MODES = ("pickle", "codec", "validate")
-
 #: First element of every codec-wire control tuple; versioned so a
 #: worker from a future wire format rejects instead of misparsing.
-WIRE_TAG = "repro-wire-v1"
+WIRE_TAG = "repro-wire-v2"
 
 _INDEX_LEN = struct.Struct(">I")
-
-
-def parse_wire(raw: str) -> str:
-    """Normalize a wire setting to pickle/codec/validate."""
-    raw = str(raw).strip().lower()
-    if raw in {"0", "off", "false", "no", "pickle"}:
-        return "pickle"
-    if raw == "validate":
-        return "validate"
-    return "codec"
-
-
-def wire_mode() -> str:
-    """``"codec"`` (default), ``"pickle"``, or ``"validate"``.
-
-    Controlled by the ``REPRO_WIRE`` environment variable, read through
-    :func:`repro.config.knob_env` like every strategy knob.  The knob
-    picks *how* payloads travel, never *what* a job computes, so it is
-    deliberately outside :func:`~repro.service.cache.request_fingerprint`.
-    """
-    return parse_wire(knob_env("REPRO_WIRE", "codec"))
 
 
 class Shipment:
@@ -162,7 +126,7 @@ def _encoded(func) -> tuple[str, bytes]:
 
 def machine_content_digest(machine) -> str:
     """Digest of the machine's register model — the machine half of
-    every content key, identical across wire modes and processes."""
+    every content key, identical across processes."""
     return _machine_entry(machine)[0]
 
 
@@ -207,15 +171,14 @@ def _eligible(payloads) -> bool:
 
 
 def pack_batch(payloads) -> tuple[list, Shipment | None]:
-    """Transform alloc-task payloads for the wire; identity in pickle
-    mode or for payload shapes the codec path does not recognize.
+    """Transform alloc-task payloads for the wire; identity for payload
+    shapes the codec path does not recognize.
 
     Returns the control payloads plus the :class:`Shipment` the caller
     must ``cleanup()`` after the batch fully resolves (retried jobs
     re-read the same segment).
     """
-    mode = wire_mode()
-    if mode == "pickle" or not _eligible(payloads):
+    if not _eligible(payloads):
         return list(payloads), None
     with phase("dispatch"):
         with phase("encode"):
@@ -231,19 +194,12 @@ def pack_batch(payloads) -> tuple[list, Shipment | None]:
                 blobs.setdefault(alloc_digest, alloc_blob)
                 blobs.setdefault(options_digest, options_blob)
                 refs.append((func_digest, machine_digest, alloc_digest,
-                             options_digest, func))
+                             options_digest))
         with phase("shm"):
             shipment = _ship(blobs)
         inline = None if shipment.shm is not None else dict(blobs)
         shm_name = shipment.shm.name if shipment.shm is not None else None
-        jobs = []
-        for (func_digest, machine_digest, alloc_digest, options_digest,
-             func) in refs:
-            expect = None
-            if mode == "validate":
-                expect = pickle.dumps(func, pickle.HIGHEST_PROTOCOL)
-            jobs.append((WIRE_TAG, shm_name, func_digest, machine_digest,
-                         alloc_digest, options_digest, inline, expect))
+        jobs = [(WIRE_TAG, shm_name, *digests, inline) for digests in refs]
     _STATS["batches_packed"] += 1
     _STATS["jobs_packed"] += len(jobs)
     _STATS["blobs_shipped"] += len(blobs)
@@ -278,7 +234,7 @@ def _ship(blobs: "OrderedDict[str, bytes]") -> Shipment:
 
 
 def is_wire_job(payload) -> bool:
-    return (isinstance(payload, tuple) and len(payload) == 8
+    return (isinstance(payload, tuple) and len(payload) == 7
             and payload[0] == WIRE_TAG)
 
 
@@ -403,12 +359,12 @@ def _fetch(shm_name, digest: str, inline) -> bytes:
     return bytes(shm.buf[base + offset:base + offset + length])
 
 
-def _decoded_function(shm_name, digest: str, inline, expect):
+def _decoded_function(shm_name, digest: str, inline):
     global _decode_hits, _decode_misses
     from repro.ir.clone import clone_function
 
     pristine = _DECODE_CACHE.get(digest)
-    if pristine is not None and expect is None:
+    if pristine is not None:
         _DECODE_CACHE.move_to_end(digest)
         _decode_hits += 1
         return clone_function(pristine)
@@ -418,15 +374,6 @@ def _decoded_function(shm_name, digest: str, inline, expect):
     with phase("dispatch"):
         with phase("decode"):
             decoded = decode_function(_fetch(shm_name, digest, inline))
-    if expect is not None:
-        from repro.ir.printer import print_function
-
-        shipped = pickle.loads(expect)
-        if print_function(decoded) != print_function(shipped):
-            raise CodecError(
-                f"wire validate: decoded function {decoded.name!r} "
-                f"diverges from the pickled oracle "
-                f"(digest {digest[:16]})")
     _DECODE_CACHE[digest] = decoded
     while len(_DECODE_CACHE) > _DECODE_CACHE_MAX:
         _DECODE_CACHE.popitem(last=False)
@@ -449,8 +396,8 @@ def resolve_job(payload):
     """A wire control tuple back into ``(func, machine, allocator,
     options)`` plus the content digests the round-0 cache keys on."""
     (_tag, shm_name, func_digest, machine_digest, alloc_digest,
-     options_digest, inline, expect) = payload
-    func = _decoded_function(shm_name, func_digest, inline, expect)
+     options_digest, inline) = payload
+    func = _decoded_function(shm_name, func_digest, inline)
     machine = _object_for(shm_name, machine_digest, inline)
     allocator = _object_for(shm_name, alloc_digest, inline)
     options = _object_for(shm_name, options_digest, inline)

@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass, field
 from weakref import WeakKeyDictionary
 
-from repro.analysis.incremental import incremental_mode
 from repro.analysis.renumber import renumber
 from repro.exec import WorkerPoolUnavailable, get_default_pool
 from repro.ir.clone import clone_function, clone_module
@@ -100,32 +99,21 @@ _round0_cache: "WeakKeyDictionary[Function, dict[str, RoundAnalyses]]" = (
 
 
 def round0_analyses(prepared_func: Function,
-                    incremental: str | None = None,
                     policy: Policy = DEFAULT_POLICY) -> RoundAnalyses:
     """Memoized first-round analyses of one prepared function.
 
     Computed on a renumbered *reference clone* so the cached structures
     are never touched by an allocator's in-place rewrite; every clone of
     ``prepared_func`` renumbers to the same names (renumbering is
-    deterministic), so the analyses transfer to any round 0.
-
-    ``incremental`` is the caller's
-    :attr:`~repro.regalloc.base.AllocationOptions.incremental` mode
-    (``None`` falls back to the environment default).
+    deterministic), so the analyses transfer to any round 0.  The
+    per-block summaries are collected so round 1 can patch them.
     """
-    # Collect the per-block summaries whenever incremental spill rounds
-    # are enabled, so a cached round 0 can be patched by round 1.  A
-    # cache entry built in the other mode is rebuilt rather than reused
-    # (apply_delta would just fall back every round otherwise).
-    if incremental is None:
-        incremental = incremental_mode()
-    collect = incremental != "off"
     per_policy = _round0_cache.setdefault(prepared_func, {})
     cached = per_policy.get(policy.digest())
-    if cached is None or (collect and cached.block_rows is None):
+    if cached is None:
         ref = clone_function(prepared_func)
         renumber(ref)
-        cached = compute_round_analyses(ref, collect_deltas=collect,
+        cached = compute_round_analyses(ref, collect_deltas=True,
                                         policy=policy)
         per_policy[policy.digest()] = cached
     return cached
@@ -141,8 +129,7 @@ def _allocate_one(
     func = clone_function(prepared_func)
     round0 = None
     if options.reuse_analyses:
-        round0 = round0_analyses(prepared_func, options.incremental,
-                                 options.policy)
+        round0 = round0_analyses(prepared_func, options.policy)
     result = allocate_function(func, machine, allocator, options=options,
                                round0=round0)
     if options.verify:

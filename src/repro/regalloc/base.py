@@ -15,18 +15,12 @@ import abc
 import os
 from dataclasses import dataclass, field, replace
 
-from repro.analysis.incremental import (
-    apply_function_delta,
-    apply_spill_delta,
-    compare_analyses,
-    parse_incremental,
-)
+from repro.analysis.incremental import apply_function_delta, apply_spill_delta
 from repro.analysis.interference import InterferenceGraph, build_interference
 from repro.analysis.liveness import Liveness, compute_liveness
 from repro.analysis.renumber import RenumberResult, renumber
 from repro.cfg.analysis import CFG, build_cfg
 from repro.cfg.loops import LoopInfo, compute_loops
-from repro.config import knob_env
 from repro.errors import AllocationError
 from repro.ir.function import Function
 from repro.ir.instructions import Move, SpillLoad, SpillStore
@@ -53,9 +47,6 @@ __all__ = [
     "compute_round_analyses",
 ]
 
-_INCREMENTAL_MODES = ("on", "off", "validate")
-
-
 @dataclass(frozen=True)
 class AllocationOptions:
     """Every knob that shapes one allocation, in one immutable value.
@@ -70,10 +61,11 @@ class AllocationOptions:
 
     Fields that change *results* (``max_rounds``, ``rematerialize``,
     ``verify``, ``policy``) are part of the service cache fingerprint;
-    the rest (``jobs``, ``reuse_analyses``, ``incremental``,
-    ``deadline_ms``) are result-neutral execution policy — any
-    combination of them yields byte-identical allocations.  A default
-    ``policy`` is byte-identical to the historical constants and is
+    the rest (``jobs``, ``reuse_analyses``, ``deadline_ms``) are
+    result-neutral execution policy — any combination of them yields
+    byte-identical allocations.  No field picks an implementation
+    strategy: spill rounds and edits are always patched incrementally.
+    A default ``policy`` is byte-identical to the historical constants and is
     *omitted* from both the wire form and the fingerprint, so existing
     traffic keeps its fingerprints (see :mod:`repro.policy`).
 
@@ -89,16 +81,6 @@ class AllocationOptions:
     verify: bool = True
     jobs: int = 1
     reuse_analyses: bool = True
-    #: spill-round re-analysis: "on" patches through the spill delta,
-    #: "off" rebuilds from scratch, "validate" runs both and raises on
-    #: divergence.
-    incremental: str = "on"
-    #: edit-driven re-allocation (the session layer,
-    #: :mod:`repro.service.session`): "on" patches retained analyses
-    #: through the edit delta, "off" rebuilds every session from
-    #: scratch, "validate" runs both paths and raises unless the
-    #: results are byte-identical.
-    incremental_edits: str = "on"
     deadline_ms: float | None = None
     #: service disk-cache directory (None = ~/.cache/repro); carried
     #: here so ``$REPRO_CACHE_DIR`` has exactly one reader, but not
@@ -118,16 +100,6 @@ class AllocationOptions:
             raise ValueError("max_rounds must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.incremental not in _INCREMENTAL_MODES:
-            raise ValueError(
-                f"incremental must be one of {_INCREMENTAL_MODES}, "
-                f"got {self.incremental!r}"
-            )
-        if self.incremental_edits not in _INCREMENTAL_MODES:
-            raise ValueError(
-                f"incremental_edits must be one of {_INCREMENTAL_MODES}, "
-                f"got {self.incremental_edits!r}"
-            )
         if self.deadline_ms is not None:
             if not isinstance(self.deadline_ms, (int, float)) or isinstance(
                 self.deadline_ms, bool
@@ -138,23 +110,13 @@ class AllocationOptions:
 
     @classmethod
     def from_env(cls, environ=None, **overrides) -> "AllocationOptions":
-        """Defaults with the documented environment variables folded
-        in: ``REPRO_INCREMENTAL_ROUNDS`` -> ``incremental``,
-        ``REPRO_INCREMENTAL_EDITS`` -> ``incremental_edits``, and
-        ``REPRO_CACHE_DIR`` -> ``cache_dir``.  Explicit ``overrides``
-        win over all.  This is the *only* place the library reads
-        those variables.
+        """Defaults with the one documented environment variable folded
+        in: ``REPRO_CACHE_DIR`` -> ``cache_dir``.  Explicit
+        ``overrides`` win.  This is the *only* place the library reads
+        the environment.
         """
         env = os.environ if environ is None else environ
-        values = {
-            "incremental": parse_incremental(
-                knob_env("REPRO_INCREMENTAL_ROUNDS", "1", environ=env)
-            ),
-            "incremental_edits": parse_incremental(
-                knob_env("REPRO_INCREMENTAL_EDITS", "1", environ=env)
-            ),
-            "cache_dir": env.get("REPRO_CACHE_DIR") or None,
-        }
+        values = {"cache_dir": env.get("REPRO_CACHE_DIR") or None}
         values.update(overrides)
         return cls(**values)
 
@@ -165,8 +127,10 @@ class AllocationOptions:
     #: a *default* policy is omitted so pre-policy clients and servers
     #: interoperate unchanged).
     WIRE_FIELDS = ("max_rounds", "rematerialize", "verify", "jobs",
-                   "reuse_analyses", "incremental", "incremental_edits",
-                   "deadline_ms", "policy")
+                   "reuse_analyses", "deadline_ms", "policy")
+    #: retired strategy fields older clients still send; accepted and
+    #: ignored (every strategy now has one production path)
+    RETIRED_WIRE_FIELDS = ("incremental", "incremental_edits")
 
     def to_dict(self) -> dict:
         """JSON-safe wire form (``deadline_ms: None`` and the default
@@ -184,10 +148,12 @@ class AllocationOptions:
     def from_dict(cls, wire: dict) -> "AllocationOptions":
         if not isinstance(wire, dict):
             raise ValueError(f"options must be an object, got {wire!r}")
-        unknown = set(wire) - set(cls.WIRE_FIELDS)
+        unknown = (set(wire) - set(cls.WIRE_FIELDS)
+                   - set(cls.RETIRED_WIRE_FIELDS))
         if unknown:
             raise ValueError(f"unknown option field(s) {sorted(unknown)}")
-        values = dict(wire)
+        values = {name: value for name, value in wire.items()
+                  if name in cls.WIRE_FIELDS}
         if "policy" in values:
             values["policy"] = Policy.from_dict(values["policy"])
         return cls(**values)
@@ -293,8 +259,8 @@ class RoundAnalyses:
     ig: InterferenceGraph
     spill_costs: dict[VReg, float]
     #: per-block one-sided interference rows / cost contributions, kept
-    #: when incremental spill rounds are enabled so the next round can
-    #: patch instead of rebuild (None when computed without collection)
+    #: so the next spill round can patch instead of rebuild (None when
+    #: computed without collection)
     block_rows: dict[str, dict[int, int]] | None = None
     block_costs: dict[str, dict[VReg, float]] | None = None
     #: the policy the spill costs were computed under; cached analyses
@@ -521,8 +487,7 @@ def allocate_function(
     prepared function).  Spill rounds patch the previous round's
     analyses through the spill delta when possible
     (:meth:`RoundAnalyses.apply_delta`), falling back to a from-scratch
-    re-analysis; ``options.incremental="off"`` forces the fallback and
-    ``"validate"`` runs both paths, raising on any divergence.
+    re-analysis only when a patch precondition fails.
 
     ``assume_renumbered=True`` skips the round-0 renumber: the caller
     vouches that ``func`` is already in renumbered form (a clone of —
@@ -547,8 +512,6 @@ def allocate_function(
         func, loops_for_count, stats
     )
 
-    inc_mode = options.incremental
-    collect = inc_mode != "off"
     outcome: RoundOutcome | None = None
     ctx: RoundContext | None = None
     prev_analyses: RoundAnalyses | None = None
@@ -581,26 +544,13 @@ def allocate_function(
                     block_costs=round0.block_costs,
                     policy=round0.policy,
                 )
-        if (analyses is None and delta is not None
-                and prev_analyses is not None and inc_mode != "off"):
+        if analyses is None and delta is not None:
             with phase("reanalyze"):
                 analyses = prev_analyses.apply_delta(func, delta, ren)
-            if inc_mode == "validate":
-                fresh = compute_round_analyses(func, collect_deltas=True,
-                                               policy=policy)
-                if analyses is not None:
-                    problems = compare_analyses(analyses, fresh)
-                    if problems:
-                        raise AllocationError(
-                            "incremental round analyses diverged: "
-                            + "; ".join(problems)
-                        )
-                else:
-                    analyses = fresh
         if analyses is None:
             with phase("analyze" if round_index == 0 else "reanalyze"):
                 analyses = compute_round_analyses(
-                    func, collect_deltas=collect, policy=policy
+                    func, collect_deltas=True, policy=policy
                 )
         ctx = RoundContext(
             func=func,

@@ -14,20 +14,12 @@ The spill candidate is chosen by minimum ``spill_cost / degree``, the
 standard Chaitin metric, with the cost supplied by the caller (the paper
 uses its Section 5.1 metric "for all algorithms").
 
-Two engines produce the identical stack (same batches, same tie-break
-keys, same spill picks):
-
-* the **indexed** engine (default) drives a
-  :class:`~repro.regalloc.worklist.DegreeWorklist` off the graph's
-  degree-change hook, so each low-degree candidate is discovered in O(1)
-  and each spill pick costs O(log n);
-* the **scan** engine — the original implementation — rescans
-  ``graph.active`` per batch and per pressure event, and is retained as
-  the reference oracle.
-
-``REPRO_SELECT_INDEX=0`` selects the scan engine; ``validate`` runs the
-indexed engine while asserting every batch and every spill pick against
-the oracle (see :func:`repro.regalloc.worklist.select_index_mode`).
+The engine drives a :class:`~repro.regalloc.worklist.DegreeWorklist`
+off the graph's degree-change hook, so each low-degree candidate is
+discovered in O(1) and each spill pick costs O(log n).  The original
+rescan-per-batch engine is the oracle in ``tests/oracles.py``; the
+tests assert the two produce the identical stack (same batches, same
+tie-break keys, same spill picks).
 """
 
 from __future__ import annotations
@@ -39,7 +31,7 @@ from repro.ir.values import VReg
 from repro.policy import DEFAULT_POLICY, Policy
 from repro.profiling import phase
 from repro.regalloc.igraph import AllocGraph
-from repro.regalloc.worklist import DegreeWorklist, select_index_mode
+from repro.regalloc.worklist import DegreeWorklist
 
 __all__ = ["SimplifyResult", "simplify", "choose_spill_candidate",
            "spill_metric_fn", "tie_break_fn"]
@@ -108,7 +100,7 @@ class SimplifyResult:
 
 def choose_spill_candidate(graph: AllocGraph, nodes,
                            policy: Policy = DEFAULT_POLICY) -> VReg:
-    """Minimum-metric node among ``nodes`` (the scan oracle).
+    """Minimum-metric node among ``nodes`` (a linear scan).
 
     The metric is Chaitin's ``spill_cost / degree`` under the default
     policy, generalized to policy exponents otherwise; ties break by
@@ -144,7 +136,6 @@ def _tie_break(node: VReg) -> tuple:
 
 
 def simplify(graph: AllocGraph, optimistic: bool = True,
-             index_mode: str | None = None,
              policy: Policy = DEFAULT_POLICY) -> SimplifyResult:
     """Run simplification over the active nodes of ``graph``.
 
@@ -153,108 +144,41 @@ def simplify(graph: AllocGraph, optimistic: bool = True,
     have coalesced before this phase; George–Appel iterated coalescing
     interleaves its own simplify loop and does not call this one).
 
-    ``index_mode`` overrides the ``REPRO_SELECT_INDEX`` environment
-    setting (``"on"``/``"off"``/``"validate"``); every mode produces the
-    byte-identical stack.  ``policy`` parameterizes the spill metric and
-    tie-break; the default reproduces the historical pick sequence
-    exactly.
+    ``policy`` parameterizes the spill metric and tie-break; the
+    default reproduces the historical pick sequence exactly.
     """
-    mode = select_index_mode() if index_mode is None else index_mode
     result = SimplifyResult()
     with phase("simplify"):
-        if mode == "off":
-            _simplify_scan(graph, optimistic, result, policy)
-        else:
-            _simplify_indexed(graph, optimistic, result,
-                              validate=(mode == "validate"),
-                              policy=policy)
+        _simplify_indexed(graph, optimistic, result, policy)
     return result
 
 
-def _simplify_scan(graph: AllocGraph, optimistic: bool,
-                   result: SimplifyResult,
-                   policy: Policy = DEFAULT_POLICY) -> None:
-    """The original rescan-per-batch engine (reference oracle)."""
-    tie_break = tie_break_fn(policy)
-    while graph.active:
-        low = [n for n in graph.active if not graph.significant(n)]
-        if low:
-            # Remove all currently-low-degree nodes in a deterministic
-            # order; removing one can only lower other degrees, so
-            # batch removal stays valid and is much faster than
-            # re-scanning.
-            for node in sorted(low, key=tie_break):
-                if node in graph.active and not graph.significant(node):
-                    graph.remove(node)
-                    result.stack.append(node)
-            continue
-        with phase("spill_pick"):
-            candidate = choose_spill_candidate(graph, graph.active, policy)
-        graph.remove(candidate)
-        if optimistic:
-            result.stack.append(candidate)
-            result.optimistic.add(candidate)
-        else:
-            result.spilled.add(candidate)
-
-
 def _simplify_indexed(graph: AllocGraph, optimistic: bool,
-                      result: SimplifyResult, validate: bool,
+                      result: SimplifyResult,
                       policy: Policy = DEFAULT_POLICY) -> None:
     """Worklist engine: low-degree buckets + lazy spill heap.
 
-    Batch semantics match the scan engine exactly: a batch is "every
-    active low-degree node, tie-break sorted", and nodes crossing below
-    K *during* a batch are parked in the worklist's pending bucket for
-    the next batch — which is precisely what the oracle's re-scan at the
-    top of its loop observes, because a batch always removes all of its
-    own members (degrees only fall, so no member can turn significant
-    mid-batch).
+    A batch is "every active low-degree node, tie-break sorted", and
+    nodes crossing below K *during* a batch are parked in the
+    worklist's pending bucket for the next batch — which is precisely
+    what a rescan at the top of the loop would observe, because a batch
+    always removes all of its own members (degrees only fall, so no
+    member can turn significant mid-batch).
     """
     with DegreeWorklist(graph, tie_break_fn(policy),
                         metric=spill_metric_fn(policy)) as worklist:
         while graph.active:
             batch = worklist.take_batch()
-            if validate:
-                _check_batch(graph, batch, policy)
             if batch:
                 for node in batch:
                     graph.remove(node)
                     result.stack.append(node)
                 continue
             with phase("spill_pick"):
-                if validate:
-                    oracle = choose_spill_candidate(graph, graph.active,
-                                                    policy)
-                    candidate = worklist.pop_spill()
-                    # Value equality, not identity: equal-but-distinct
-                    # VReg instances occur under cached/unpickled
-                    # analyses, and every index keys by eq/hash.
-                    if candidate != oracle:
-                        raise AllocationError(
-                            f"select-index validation failed: spill heap "
-                            f"picked {candidate}, scan oracle {oracle}"
-                        )
-                else:
-                    candidate = worklist.pop_spill()
+                candidate = worklist.pop_spill()
             graph.remove(candidate)
             if optimistic:
                 result.stack.append(candidate)
                 result.optimistic.add(candidate)
             else:
                 result.spilled.add(candidate)
-
-
-def _check_batch(graph: AllocGraph, batch: list[VReg],
-                 policy: Policy = DEFAULT_POLICY) -> None:
-    """Validate-mode assertion: batch == the oracle's sorted low scan."""
-    oracle = sorted(
-        (n for n in graph.active if not graph.significant(n)),
-        key=tie_break_fn(policy),
-    )
-    if batch != oracle:
-        raise AllocationError(
-            f"select-index validation failed: low-degree batch "
-            f"{[str(n) for n in batch]} != scan oracle "
-            f"{[str(n) for n in oracle]}"
-        )

@@ -18,54 +18,23 @@ Both are *lazy* structures: stale entries are left in the heap and
 skipped at pop time.  Laziness cannot change any pick because every
 entry carries the full deterministic tie-break key and a per-node
 generation stamp — only the newest stamp for a node is ever accepted,
-and the newest stamp's key equals the key the retained scan oracles
-would compute at pick time (see DESIGN.md §5f for the invariant
-argument).
-
-The escape hatch mirrors the PR-3 incremental-rounds contract:
-``REPRO_SELECT_INDEX=0`` (or ``off``/``false``/``no``) falls back to the
-retained scan implementations, and ``REPRO_SELECT_INDEX=validate`` runs
-both engines decision-by-decision, raising :class:`AllocationError` on
-the first divergent pick.  The knob is strategy-only — outputs are
-byte-identical in every mode — so it deliberately stays out of
-``AllocationOptions`` and the service cache fingerprint.
+and the newest stamp's key equals the key a rescan would compute at
+pick time (see DESIGN.md §5f for the invariant argument).  These are
+the only engines; the scan implementations they replaced are the
+pick-by-pick oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
 
-from repro.config import knob_env
 from repro.errors import AllocationError
 from repro.ir.values import VReg
 
 __all__ = [
     "DegreeWorklist",
     "LazyMaxHeap",
-    "parse_select_index",
-    "select_index_mode",
 ]
-
-
-def parse_select_index(raw: str) -> str:
-    """Normalize a select-index setting to on/off/validate."""
-    raw = str(raw).strip().lower()
-    if raw in {"0", "off", "false", "no"}:
-        return "off"
-    if raw == "validate":
-        return "validate"
-    return "on"
-
-
-def select_index_mode() -> str:
-    """``"on"`` (default), ``"off"``, or ``"validate"``.
-
-    Controlled by the ``REPRO_SELECT_INDEX`` environment variable; any
-    of ``0``/``off``/``false``/``no`` selects the scan oracles and
-    ``validate`` runs both engines with pick-for-pick assertions.
-    Read through :func:`repro.config.knob_env` like every strategy knob.
-    """
-    return parse_select_index(knob_env("REPRO_SELECT_INDEX", "1"))
 
 
 class DegreeWorklist:

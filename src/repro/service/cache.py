@@ -22,7 +22,9 @@ memory miss and written through on every store.  Two backends ship:
   shared cache-peer server, so the shards of a cluster share hits.
 
 All backend I/O failures degrade to cache misses — the cache must never
-take the service down.
+take the service down — and so does a backend entry that fails its
+integrity check (:func:`entry_is_intact`), counted as
+``integrity_failures`` in ``repro stats``.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ __all__ = [
     "DiskCacheBackend",
     "request_fingerprint",
     "default_cache_dir",
+    "entry_is_intact",
 ]
 
 
@@ -62,7 +65,7 @@ def request_fingerprint(normalized_ir: str, machine: TargetMachine,
     Only *result-relevant* options enter the key: ``max_rounds``,
     ``rematerialize``, and a non-default heuristic ``policy`` change the
     allocation, so they are hashed; execution policy (``jobs``,
-    ``incremental``, deadlines) is result-neutral by construction and
+    ``reuse_analyses``, deadlines) is result-neutral by construction and
     deliberately excluded — a cached entry must be valid whatever
     machinery computed it.
 
@@ -112,6 +115,19 @@ def default_cache_dir(options: AllocationOptions | None = None) -> Path:
     return Path("~/.cache/repro").expanduser()
 
 
+def entry_is_intact(key: str, entry: AllocationResponse) -> bool:
+    """Whether a backend entry is what it claims to be.
+
+    A well-formed entry can still be wrong: a bit flip inside ``code``
+    or a file copied under another key parses fine.  Re-sealing a copy
+    must reproduce the stored ``result_digest``, and a non-empty stored
+    ``fingerprint`` must equal the key it was found under.
+    """
+    if entry.fingerprint and entry.fingerprint != key:
+        return False
+    return replace(entry).seal().result_digest == entry.result_digest
+
+
 class CacheBackend:
     """Second cache tier behind the in-memory LRU.
 
@@ -119,7 +135,8 @@ class CacheBackend:
     thread and must *never raise* out of ``get``/``put`` — a broken
     backend is a cache miss, not a service outage.  Entries cross the
     backend boundary as :class:`AllocationResponse` objects with
-    per-request metadata already stripped.
+    per-request metadata already stripped; reads verify each entry with
+    :func:`entry_is_intact` and count rejects in ``integrity_failures``.
     """
 
     name = "none"
@@ -147,6 +164,7 @@ class DiskCacheBackend(CacheBackend):
         self.hits = 0
         self.puts = 0
         self.errors = 0
+        self.integrity_failures = 0
 
     def path_for(self, key: str) -> Path:
         # Shard by prefix so a long-lived cache dir stays listable.
@@ -160,6 +178,9 @@ class DiskCacheBackend(CacheBackend):
             wire = json.loads(path.read_text())
             entry = AllocationResponse.from_wire(wire)
             if entry.protocol != PROTOCOL_VERSION or not entry.ok:
+                return None
+            if not entry_is_intact(key, entry):
+                self.integrity_failures += 1
                 return None
             self.hits += 1
             return entry
@@ -198,6 +219,7 @@ class DiskCacheBackend(CacheBackend):
             "hits": self.hits,
             "puts": self.puts,
             "errors": self.errors,
+            "integrity_failures": self.integrity_failures,
         }
 
 
@@ -305,6 +327,8 @@ class ResultCache:
             "hit_ratio": round(self.hit_ratio, 4),
             "disk_hits": self.disk_hits,
             "disk_errors": self.disk_errors,
+            "integrity_failures": getattr(self.backend,
+                                          "integrity_failures", 0),
             "evictions": self.evictions,
             "disk_dir": str(self.disk_dir) if self.disk_dir else None,
             "backend": (self.backend.snapshot()

@@ -84,18 +84,12 @@ def _tagged(payload: dict) -> dict:
 def dataflow_backend_fields() -> dict:
     """The dataflow-backend stamp benchmark reports carry.
 
-    ``backend`` is what the kernels compute with (``validate`` mode
-    computes with — and returns — the numpy results, so it stamps
-    ``numpy``); ``numpy_version`` is ``None`` when numpy is absent.
-    Perf trajectories are only comparable within one backend, so the
-    regression gates refuse to compare reports whose backends differ.
+    There is one dataflow backend (numpy bit-matrix kernels); the stamp
+    records it and the numpy version the numbers were measured with.
     """
-    from repro.analysis.matrix import active_backend, numpy_version
+    from repro.analysis.matrix import numpy_version
 
-    return {
-        "backend": active_backend(),
-        "numpy_version": numpy_version(),
-    }
+    return {"backend": "numpy", "numpy_version": numpy_version()}
 
 
 def allocation_payload(response: AllocationResponse) -> dict:

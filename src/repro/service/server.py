@@ -26,6 +26,7 @@ in-process harness the tests and the throughput bench drive.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import threading
 from typing import IO
@@ -39,7 +40,14 @@ from repro.service.protocol import (
 from repro.service.schema import allocation_payload, stats_payload
 from repro.service.scheduler import Scheduler
 
-__all__ = ["AllocationServer", "ServerThread", "serve_stdio"]
+__all__ = ["AllocationServer", "ServerThread", "serve_stdio",
+           "LINE_LIMIT", "read_request_line"]
+
+#: Longest request line the TCP front ends accept (the asyncio stream
+#: buffer limit, passed explicitly so the error message is exact).
+LINE_LIMIT = 2 ** 16
+#: how long a rejected connection's unread input is drained before close
+_DISCARD_S = 2.0
 
 
 def _dispatch_control(message: dict, scheduler: Scheduler) -> dict | None:
@@ -65,6 +73,38 @@ def _error_line(message: str, request_id: str = "") -> dict:
         AllocationResponse.error_response(request_id, message))
 
 
+async def read_request_line(reader: asyncio.StreamReader,
+                            writer: asyncio.StreamWriter) -> bytes | None:
+    """The next request line, or None when the connection must close.
+
+    A line longer than :data:`LINE_LIMIT` makes ``readline`` raise
+    ``ValueError``; its tail is still unread, so the stream cannot be
+    resynchronized.  The client gets one error line naming the limit and
+    the connection is closed — the server keeps serving everyone else.
+    """
+    try:
+        line = await reader.readline()
+    except ValueError:
+        reply = _error_line(f"request line exceeds the {LINE_LIMIT}-byte "
+                            f"line limit; closing the connection")
+        writer.write((canonical_json(reply) + "\n").encode())
+        await writer.drain()
+        # Closing with the line's tail still unread would reset the
+        # connection and could discard the reply in flight: end our side
+        # after the reply, then swallow the tail (briefly) first.
+        if writer.can_write_eof():
+            writer.write_eof()
+        with contextlib.suppress(asyncio.TimeoutError, ConnectionError):
+            await asyncio.wait_for(_discard_input(reader), _DISCARD_S)
+        return None
+    return line or None
+
+
+async def _discard_input(reader: asyncio.StreamReader) -> None:
+    while await reader.read(LINE_LIMIT):
+        pass
+
+
 class AllocationServer:
     """Asyncio TCP front end over one scheduler."""
 
@@ -80,7 +120,7 @@ class AllocationServer:
     async def start(self) -> tuple[str, int]:
         """Bind and start accepting; returns the bound (host, port)."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=LINE_LIMIT
         )
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
@@ -108,8 +148,8 @@ class AllocationServer:
             self._conn_tasks.add(task)
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await read_request_line(reader, writer)
+                if line is None:
                     break
                 reply = await self._handle_line(line)
                 writer.write((canonical_json(reply) + "\n").encode())

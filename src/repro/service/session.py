@@ -28,12 +28,10 @@ path down a three-rung ladder:
 
 Whatever the rung, allocation itself runs on a clone of the reference
 with ``assume_renumbered=True``, so the result is byte-identical to a
-from-scratch run (renumbering is deterministic).  The
-``REPRO_INCREMENTAL_EDITS`` guard (``AllocationOptions
-.incremental_edits``) selects ``off`` (always rebuild), ``on``, or
-``validate`` — the latter recomputes everything from scratch and raises
-:class:`~repro.errors.AllocationError` on any divergence, in analyses,
-rendered code, stats, or cycle estimates.
+from-scratch run (renumbering is deterministic).  The ladder is
+always on; the from-scratch path is the oracle the tests compare every
+rung against (``tests/oracles.py``: analyses, rendered code, stats, and
+cycle estimates).
 
 :class:`SessionStore` holds :class:`ModuleSession` objects keyed by the
 *base digest* — the same module+machine content fingerprint the
@@ -47,9 +45,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.analysis.incremental import compare_analyses
 from repro.analysis.renumber import renumber
-from repro.errors import AllocationError
 from repro.ir.clone import clone_function
 from repro.ir.diff import diff_functions
 from repro.ir.function import Function
@@ -228,48 +224,6 @@ def _allocate_on(session: FunctionSession, machine: TargetMachine,
     return result, estimate_cycles(func, machine)
 
 
-def _validate_session(session: FunctionSession, parsed: Function,
-                      machine: TargetMachine, allocator: Allocator,
-                      options: AllocationOptions,
-                      result: AllocationResult,
-                      cycles: CycleReport) -> None:
-    """Recompute ``parsed`` from scratch; raise on any divergence."""
-    from repro.pipeline import prepare_function
-
-    prepared = prepare_function(clone_function(parsed), machine)
-    ref = clone_function(prepared)
-    renumber(ref)
-    fresh = compute_round_analyses(ref, collect_deltas=True,
-                                   policy=options.policy)
-    problems = compare_analyses(session.analyses, fresh)
-    if problems:
-        raise AllocationError(
-            f"incremental edit analyses diverged for {session.name!r}: "
-            + "; ".join(problems)
-        )
-    func = clone_function(prepared)
-    scratch = allocate_function(func, machine, allocator, options=options,
-                                round0=fresh)
-    if options.verify:
-        verify_allocation(func, machine)
-    if print_function(result.func) != print_function(func):
-        raise AllocationError(
-            f"incremental edit allocation diverged from scratch "
-            f"for {session.name!r}"
-        )
-    if stats_to_dict(result.stats) != stats_to_dict(scratch.stats):
-        raise AllocationError(
-            f"incremental edit stats diverged from scratch "
-            f"for {session.name!r}"
-        )
-    if cycles_to_dict(cycles) != cycles_to_dict(
-            estimate_cycles(func, machine)):
-        raise AllocationError(
-            f"incremental edit cycle estimate diverged from scratch "
-            f"for {session.name!r}"
-        )
-
-
 def allocate_function_incremental(
     session: FunctionSession | None,
     func: Function,
@@ -284,22 +238,18 @@ def allocate_function_incremental(
     ``func`` is its new raw (parsed, un-prepared) body.  The returned
     :class:`IncrementalAllocation` carries the allocation, the cycle
     estimate, the *new* session to retain for the next edit, and the
-    ladder rung taken.  ``options.incremental_edits`` selects the mode:
-    ``off`` always rebuilds, ``validate`` additionally recomputes from
-    scratch and raises :class:`AllocationError` on divergence.  The
-    result is byte-identical to a from-scratch
-    :func:`~repro.regalloc.base.allocate_function` run in every mode.
+    ladder rung taken.  The result is byte-identical to a from-scratch
+    :func:`~repro.regalloc.base.allocate_function` run.
     """
     if options is None:
         options = AllocationOptions.from_env()
-    mode = options.incremental_edits
     with phase("session"):
         # A session built under a different policy carries analyses
         # (spill costs and everything derived from them) that are not
         # this request's; retained state is only sound policy-for-policy.
         stale_policy = (session is not None
                         and session.analyses.policy != options.policy)
-        if session is None or mode == "off" or stale_policy:
+        if session is None or stale_policy:
             fresh = FunctionSession.build(func, machine, options.policy)
             path = "new" if session is None else "rebuild"
         else:
@@ -312,9 +262,6 @@ def allocate_function_incremental(
     else:
         result, cycles = _allocate_on(fresh, machine, allocator, options)
         fresh.memo[memo_key] = (result, cycles)
-    if mode == "validate" and session is not None:
-        _validate_session(fresh, func, machine, allocator, options,
-                          result, cycles)
     return IncrementalAllocation(result=result, cycles=cycles,
                                  session=fresh, path=path)
 

@@ -54,14 +54,13 @@ class TestValidation:
         assert opts.verify is True
         assert opts.jobs == 1
         assert opts.reuse_analyses is True
-        assert opts.incremental == "on"
         assert opts.deadline_ms is None
         assert opts.cache_dir is None
 
     @pytest.mark.parametrize("bad", [
         dict(max_rounds=0),
         dict(jobs=0),
-        dict(incremental="sometimes"),
+        dict(policy="tuned_v1"),
         dict(deadline_ms=-1),
         dict(deadline_ms=True),
         dict(deadline_ms="soon"),
@@ -113,34 +112,35 @@ class TestCacheDirResolution:
 
 
 class TestFromEnv:
+    """``from_env`` folds in ``REPRO_CACHE_DIR`` and nothing else; the
+    retired strategy variables it used to read are ignored."""
+
     def test_reads_both_documented_variables(self):
         env = {"REPRO_INCREMENTAL_ROUNDS": "off",
+               "REPRO_INCREMENTAL_EDITS": "off",
                "REPRO_CACHE_DIR": "/tmp/repro-cache"}
         opts = AllocationOptions.from_env(env)
-        assert opts.incremental == "off"
-        assert opts.cache_dir == "/tmp/repro-cache"
+        assert opts == AllocationOptions(cache_dir="/tmp/repro-cache")
 
     def test_validate_mode_and_empty_env(self):
         assert AllocationOptions.from_env(
             {"REPRO_INCREMENTAL_ROUNDS": "validate"}
-        ).incremental == "validate"
+        ) == AllocationOptions()
         opts = AllocationOptions.from_env({})
-        assert opts.incremental == "on" and opts.cache_dir is None
+        assert opts == AllocationOptions() and opts.cache_dir is None
 
     def test_overrides_beat_the_environment(self):
-        env = {"REPRO_INCREMENTAL_ROUNDS": "off",
-               "REPRO_CACHE_DIR": "/tmp/ignored"}
-        opts = AllocationOptions.from_env(env, incremental="validate",
-                                          cache_dir="/tmp/won", jobs=3)
-        assert opts.incremental == "validate"
+        env = {"REPRO_CACHE_DIR": "/tmp/ignored"}
+        opts = AllocationOptions.from_env(env, cache_dir="/tmp/won",
+                                          jobs=3)
         assert opts.cache_dir == "/tmp/won"
         assert opts.jobs == 3
 
     def test_rereads_environment_per_call(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INCREMENTAL_ROUNDS", "off")
-        assert AllocationOptions.from_env().incremental == "off"
-        monkeypatch.setenv("REPRO_INCREMENTAL_ROUNDS", "1")
-        assert AllocationOptions.from_env().incremental == "on"
+        monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/first")
+        assert AllocationOptions.from_env().cache_dir == "/tmp/first"
+        monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/second")
+        assert AllocationOptions.from_env().cache_dir == "/tmp/second"
 
 
 class TestWireForm:
@@ -157,6 +157,16 @@ class TestWireForm:
     def test_cache_dir_never_crosses_the_wire(self):
         wire = AllocationOptions(cache_dir="/secret/server/path").to_dict()
         assert "cache_dir" not in wire
+
+    def test_retired_strategy_fields_accepted_and_ignored(self):
+        # Clients built before the strategy fields were retired still
+        # send them; servers accept and drop them.
+        wire = {"jobs": 2, "incremental": "validate",
+                "incremental_edits": "off"}
+        assert AllocationOptions.from_dict(wire) == AllocationOptions(jobs=2)
+        sent = AllocationOptions().to_dict()
+        assert "incremental" not in sent
+        assert "incremental_edits" not in sent
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown option"):
@@ -316,7 +326,6 @@ class TestFingerprint:
                                    options=AllocationOptions())
         for neutral in (AllocationOptions(jobs=8),
                         AllocationOptions(reuse_analyses=False),
-                        AllocationOptions(incremental="off"),
                         AllocationOptions(deadline_ms=50.0),
                         AllocationOptions(cache_dir="/elsewhere")):
             assert base == request_fingerprint(IR, machine, "full",

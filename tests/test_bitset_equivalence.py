@@ -1,8 +1,9 @@
-"""Bitset dataflow kernels vs. their retained set-based references.
+"""Bitset dataflow kernels vs. their set-based references.
 
-The liveness and interference builders were rewritten over dense integer
-bitmasks (:mod:`repro.analysis.indexing`); the original set formulations
-are kept as ``*_reference`` oracles.  These properties pin the two
+The liveness and interference builders run over dense integer bitmasks
+(:mod:`repro.analysis.indexing`, :mod:`repro.analysis.matrix`); the
+original set formulations are the ``*_reference`` oracles in
+``tests/oracles.py``.  These properties pin the two
 implementations together set-for-set on randomly generated CFGs, check
 the :class:`~repro.regalloc.igraph.AllocGraph` incremental-degree
 bookkeeping against a recount, and assert the pipeline's throughput
@@ -16,15 +17,13 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.interference import (
-    build_interference,
+from oracles import (
     build_interference_reference,
-)
-from repro.analysis.liveness import (
-    compute_liveness,
     compute_liveness_reference,
-    instruction_liveness,
+    instruction_liveness_reference,
 )
+from repro.analysis.interference import build_interference
+from repro.analysis.liveness import compute_liveness, instruction_liveness
 from repro.cfg.analysis import build_cfg
 from repro.core import PreferenceDirectedAllocator
 from repro.ir.clone import clone_function
@@ -94,9 +93,8 @@ class TestLivenessEquivalence:
     def test_instruction_liveness_matches_reference(self, profile, seed):
         func, _ = _prepared(profile, seed)
         fast = instruction_liveness(func, compute_liveness(func))
-        # A reference Liveness has no index, so instruction_liveness
-        # takes its direct set-scanning path.
-        slow = instruction_liveness(func, compute_liveness_reference(func))
+        slow = instruction_liveness_reference(
+            func, compute_liveness_reference(func))
         assert fast.keys() == slow.keys()
         for key in fast:
             assert fast[key] == slow[key]

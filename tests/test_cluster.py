@@ -10,6 +10,7 @@ import json
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -181,6 +182,22 @@ class TestCachePeer:
         backend.put("k", sealed_entry())
         assert backend.get("k") is not None
 
+    def test_tampered_peer_reply_is_a_counted_miss(self, peer):
+        entry = sealed_entry()
+        entry.fingerprint = "k-tamper"
+        # The peer serves the entry with a flipped byte in ``code`` — a
+        # well-formed reply whose digest no longer matches.
+        peer.store.put("k-tamper", replace(entry, code="func g() {}"))
+        # ...and a well-formed entry filed under another key.
+        peer.store.put("k-misfiled", entry)
+        backend = PeerCacheBackend(peer.host, peer.port)
+        assert backend.get("k-tamper") is None
+        assert backend.get("k-misfiled") is None
+        assert backend.hits == 0 and backend.errors == 0
+        assert backend.snapshot()["integrity_failures"] == 2
+        peer.store.put("k-tamper", entry)
+        assert backend.get("k-tamper") is not None
+
     def test_breaker_trips_after_consecutive_failures(self):
         # grab a port with nothing listening on it
         probe = socket.socket()
@@ -330,6 +347,27 @@ class TestClusterRouting:
         assert client.request({"type": "ping"})["type"] == "pong"
         reply = client.request({"type": "frobnicate"})
         assert "unknown message type" in reply["error"]
+
+    def test_oversized_line_gets_an_error_then_close(self, cluster):
+        from repro.service.server import LINE_LIMIT
+
+        router = cluster["router"]
+        thread = ClusterServerThread(router, "127.0.0.1", 0)
+        host, port = thread.start()
+        try:
+            with socket.create_connection((host, port), timeout=30) as sock:
+                sock.sendall(b'{"type": "allocate", "ir": "'
+                             + b"x" * (2 * LINE_LIMIT) + b'"}\n')
+                stream = sock.makefile("rb")
+                reply = json.loads(stream.readline())
+                assert stream.readline() == b""  # connection closed
+            assert reply["ok"] is False
+            assert f"{LINE_LIMIT}-byte line limit" in reply["error"]
+            # The router keeps serving the next connection.
+            assert ServiceClient(host, port).request(
+                {"type": "ping"})["type"] == "pong"
+        finally:
+            thread.stop()
 
     def test_bad_request_is_an_error_response(self, cluster):
         reply = cluster["client"].request(

@@ -3,6 +3,7 @@ deferred filtering, memory preference."""
 
 import pytest
 
+from oracles import choose_node_scan
 from repro.analysis.interference import build_interference
 from repro.analysis.renumber import renumber
 from repro.core.costs import CostModel
@@ -123,7 +124,10 @@ class TestOrdering:
         machine = figure7_machine()
         sel = make_selector(figure7_function(), machine)
         queue = set(sel.cpg.initial_queue())
-        chosen = sel._choose_node(queue)
+        for node in queue:
+            sel._ready.push(node, sel._pick_key(node))
+        chosen = sel._next_node()
+        assert chosen == choose_node_scan(sel, queue)
         # v3's dedicated arg0 edge gives it the largest differential
         assert chosen.name.split(".")[0] == "v4"  # builder name for v3
 

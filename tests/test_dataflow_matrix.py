@@ -1,25 +1,40 @@
-"""The numpy bit-matrix dataflow backend vs the retained int oracles.
+"""The numpy bit-matrix dataflow kernels vs the oracles.
 
-``REPRO_DATAFLOW`` selects the engine behind liveness, interference and
-the CPG replay (:mod:`repro.analysis.matrix`); the int-mask kernels are
-kept as reference oracles.  These tests pin the two backends together
-mask-for-mask on random programs (fresh analyses and SpillDelta-patched
-spill rounds), force the genuinely vectorized branches that small
-functions normally stay below, prove validate mode detects an injected
-divergence in each of the three kernels, and check the whole-allocation
-decision sequence is backend-independent.
+Liveness, interference and the CPG replay each have one production
+path (:mod:`repro.analysis.matrix`, :mod:`repro.core.cpg`) with a
+size-class dispatch inside.  These tests pin them to the oracles in
+``tests/oracles.py`` — the set-based liveness and interference
+references and the scalar CPG replay — on random programs, force the
+vectorized branches that small functions normally stay below, prove
+the validate harness detects an injected divergence in each of the
+three kernels, and check whole allocations are identical across size
+classes and under the harness.  numpy itself is imported lazily.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+import subprocess
+import sys
+from contextlib import ExitStack, contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import (
+    OracleMismatch,
+    build_cpg_int,
+    build_interference_reference,
+    compare_cpgs,
+    compare_interference,
+    compare_liveness,
+    compute_liveness_reference,
+    forced_matrix_branches,
+    validate_dataflow,
+    validate_rounds,
+)
 from repro.analysis import matrix
-from repro.analysis.interference import build_interference
+from repro.analysis.interference import build_interference, scan_block_rows
 from repro.analysis.liveness import compute_liveness
 from repro.cfg.analysis import build_cfg
 from repro.core import PreferenceDirectedAllocator
@@ -57,36 +72,6 @@ profiles = st.builds(
     max_call_args=st.integers(1, 2),
 )
 
-needs_numpy = pytest.mark.skipif(
-    not matrix.have_numpy(), reason="numpy not available"
-)
-
-
-@contextmanager
-def dataflow(mode: str):
-    prior = os.environ.get("REPRO_DATAFLOW")
-    os.environ["REPRO_DATAFLOW"] = mode
-    try:
-        yield
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_DATAFLOW", None)
-        else:
-            os.environ["REPRO_DATAFLOW"] = prior
-
-
-@contextmanager
-def forced_matrix_branches():
-    """Drop both size thresholds so the vectorized paths always engage."""
-    cells, nodes = matrix.MATRIX_MIN_CELLS, cpg_mod.MATRIX_MIN_NODES
-    matrix.MATRIX_MIN_CELLS = 0
-    cpg_mod.MATRIX_MIN_NODES = 0
-    try:
-        yield
-    finally:
-        matrix.MATRIX_MIN_CELLS = cells
-        cpg_mod.MATRIX_MIN_NODES = nodes
-
 
 def _prepared(profile, seed, k=8):
     machine = make_machine(k)
@@ -95,78 +80,57 @@ def _prepared(profile, seed, k=8):
     return func, machine
 
 
-def _liveness_pair(func):
+def _assert_liveness_matches_reference(func):
     cfg = build_cfg(func)
-    with dataflow("numpy"):
-        fast = compute_liveness(func, cfg)
-    with dataflow("int"):
-        ref = compute_liveness(func, cfg)
-    return fast, ref
+    fast = compute_liveness(func, cfg)
+    assert compare_liveness(fast, compute_liveness_reference(func, cfg)) \
+        == []
 
 
-def _assert_liveness_equal(fast, ref):
-    assert fast.index.regs == ref.index.regs
-    for name in ("live_in_mask", "live_out_mask", "use_mask", "defs_mask"):
-        assert getattr(fast, name) == getattr(ref, name), name
-    # Set materialization (lazy on the numpy side) decodes to the same
-    # dicts in the same insertion order — downstream iteration order is
-    # observable.
-    for name in ("live_in", "live_out", "use", "defs"):
-        got, want = getattr(fast, name), getattr(ref, name)
-        assert list(got) == list(want), name
-        assert got == want, name
-
-
-@needs_numpy
 class TestLivenessBackends:
     @SLOW
     @given(profile=profiles, seed=st.integers(0, 10_000))
-    def test_masks_and_lazy_sets_match_int(self, profile, seed):
+    def test_masks_and_lazy_sets_match_reference(self, profile, seed):
         func, _ = _prepared(profile, seed)
-        fast, ref = _liveness_pair(func)
-        _assert_liveness_equal(fast, ref)
+        _assert_liveness_matches_reference(func)
 
     @SLOW
     @given(profile=profiles, seed=st.integers(0, 10_000))
-    def test_forced_matrix_sweeps_match_int(self, profile, seed):
-        # Below MATRIX_MIN_CELLS the numpy backend normally keeps the
-        # int worklist schedule; force the row-sweep branch so it is the
-        # thing being compared.
+    def test_forced_matrix_sweeps_match_reference(self, profile, seed):
+        # Below MATRIX_MIN_CELLS the kernel keeps the int worklist
+        # schedule; force the row-sweep branch so it is the thing being
+        # compared.
         func, _ = _prepared(profile, seed)
         with forced_matrix_branches():
-            fast, ref = _liveness_pair(func)
-        _assert_liveness_equal(fast, ref)
+            _assert_liveness_matches_reference(func)
 
 
-@needs_numpy
 class TestInterferenceBackends:
     @SLOW
     @given(profile=profiles, seed=st.integers(0, 10_000))
-    def test_rows_moves_and_block_rows_match_int(self, profile, seed):
+    def test_rows_moves_and_block_rows_match_reference(self, profile,
+                                                       seed):
         func, _ = _prepared(profile, seed)
-        with dataflow("numpy"):
-            fast = build_interference(func, collect_block_rows=True)
-        with dataflow("int"):
-            ref = build_interference(func, collect_block_rows=True)
-        assert [(m.dst, m.src) for m in fast.moves] \
-            == [(m.dst, m.src) for m in ref.moves]
-        assert fast.block_rows == ref.block_rows
-        # row_set (batch-decoded off the matrix) against the int rows.
-        for node in ref.index.regs:
-            assert fast.row_set(node) == ref.row_set(node), node
-        # Lazy materialization produces the same adjacency dict, same
-        # node insertion order.
-        assert list(fast.adjacency) == list(ref.adjacency)
-        assert fast.adjacency == ref.adjacency
+        fast = build_interference(func, collect_block_rows=True)
+        assert compare_interference(
+            fast, build_interference_reference(func)) == []
+        # Per-block rows equal the scalar per-instruction scan the
+        # incremental patchers re-scan touched blocks with.
+        liveness = compute_liveness(func)
+        for blk in func.blocks:
+            local: dict[int, int] = {}
+            scan_block_rows(blk, liveness.index,
+                            liveness.live_out_mask[blk.label], local, [])
+            assert fast.block_rows[blk.label] == local, blk.label
+        # Lazy materialization inserts nodes in dense-id order.
+        assert list(fast.adjacency) == list(fast.index.regs)
 
 
-@needs_numpy
 class TestCPGBackends:
     def _graph_inputs(self, func, machine):
         from repro.regalloc.simplify import simplify
 
-        with dataflow("numpy"):
-            ig = build_interference(func)
+        ig = build_interference(func)
         rclasses = {v.rclass for v in ig.vregs()}
         out = []
         for rclass in rclasses:
@@ -212,23 +176,32 @@ class TestCPGBackends:
         for seed in range(6):
             func, machine = _prepared(profile, seed)
             for graph, wig, simp in self._graph_inputs(func, machine):
+                want = build_cpg_int(graph, wig, simp)
+                assert compare_cpgs(cpg_mod.build_cpg(graph, wig, simp),
+                                    want) == []
                 with forced_matrix_branches():
-                    got = cpg_mod._build_cpg_matrix(graph, wig, simp)
-                want = cpg_mod._build_cpg_int(graph, wig, simp)
-                assert not cpg_mod._compare_cpgs(got, want)
+                    got = cpg_mod.build_cpg(graph, wig, simp)
+                assert compare_cpgs(got, want) == []
 
 
-@needs_numpy
 class TestValidateDetectsDivergence:
-    """validate mode raises on the first injected backend divergence."""
+    """The validate harness raises on the first injected divergence."""
 
     def _func(self):
         profile = BenchmarkProfile(name="matrix", stmts=12, int_pool=6,
                                    max_params=2, max_call_args=2)
         return _prepared(profile, 3)
 
+    def _allocate(self, func, machine):
+        with validate_dataflow():
+            allocate_function(clone_function(func), machine,
+                              PreferenceDirectedAllocator())
+
+    def test_honest_kernels_pass(self):
+        self._allocate(*self._func())
+
     def test_corrupted_liveness_mask(self, monkeypatch):
-        func, _ = self._func()
+        func, machine = self._func()
         real = matrix.solve_liveness
 
         def corrupted(pack, cfg):
@@ -238,12 +211,11 @@ class TestValidateDetectsDivergence:
             return live_in, live_out
 
         monkeypatch.setattr(matrix, "solve_liveness", corrupted)
-        with dataflow("validate"):
-            with pytest.raises(AllocationError, match="liveness"):
-                compute_liveness(func)
+        with pytest.raises(OracleMismatch, match="liveness"):
+            self._allocate(func, machine)
 
     def test_corrupted_interference_matrix(self, monkeypatch):
-        func, _ = self._func()
+        func, machine = self._func()
         real = matrix.symmetrize_matrix
 
         def corrupted(m, n_bits):
@@ -253,9 +225,8 @@ class TestValidateDetectsDivergence:
             return sym
 
         monkeypatch.setattr(matrix, "symmetrize_matrix", corrupted)
-        with dataflow("validate"):
-            with pytest.raises(AllocationError, match="interference"):
-                build_interference(func)
+        with pytest.raises(OracleMismatch, match="interference"):
+            self._allocate(func, machine)
 
     def test_corrupted_cpg_reachability(self, monkeypatch):
         func, machine = self._func()
@@ -270,13 +241,27 @@ class TestValidateDetectsDivergence:
             return nodes, idx, [0] * len(adj), preg_deg
 
         monkeypatch.setattr(cpg_mod, "_wig_rows_matrix", corrupted)
-        with dataflow("validate"):
-            with pytest.raises(AllocationError, match="CPG"):
-                allocate_function(func, machine,
-                                  PreferenceDirectedAllocator())
+        with pytest.raises(OracleMismatch, match="CPG"):
+            self._allocate(func, machine)
 
 
-@needs_numpy
+@contextmanager
+def dataflow(mode: str):
+    """``default`` production, ``forced`` with the vectorized size class
+    everywhere, ``validate`` with every kernel call and every patched
+    spill round checked against its oracle."""
+    with ExitStack() as stack:
+        if mode == "forced":
+            stack.enter_context(forced_matrix_branches())
+        elif mode == "validate":
+            stack.enter_context(validate_dataflow())
+            stack.enter_context(validate_rounds())
+        yield
+
+
+MODES = ("default", "forced", "validate")
+
+
 class TestAllocationIdentity:
     def _fingerprint(self, func, machine, allocator_factory):
         alloc = allocator_factory()
@@ -296,24 +281,24 @@ class TestAllocationIdentity:
         for seed in (0, 5):
             func, machine = _prepared(profile, seed, k=16)
             runs = {}
-            for mode in ("int", "numpy", "validate"):
+            for mode in MODES:
                 with dataflow(mode):
                     runs[mode] = self._fingerprint(
                         func, machine, PreferenceDirectedAllocator
                     )
-            assert runs["int"] == runs["numpy"] == runs["validate"]
+            assert runs["default"] == runs["forced"] == runs["validate"]
 
     def test_spill_rounds_identical_across_modes(self):
-        # k=4 forces multi-round allocations: the numpy backend's rows
-        # travel through SpillDelta translation/patching and must stay
-        # byte-identical to the int backend's.
+        # k=4 forces multi-round allocations: the rows travel through
+        # SpillDelta translation/patching in both size classes and must
+        # match the from-scratch analyses.
         profile = BenchmarkProfile(name="matrix", stmts=24, int_pool=10,
                                    max_params=2, max_call_args=2)
         saw_spill = False
         for seed in (1, 4, 9):
             func, machine = _prepared(profile, seed, k=4)
             runs = {}
-            for mode in ("int", "numpy", "validate"):
+            for mode in MODES:
                 with dataflow(mode):
                     try:
                         runs[mode] = self._fingerprint(
@@ -323,36 +308,41 @@ class TestAllocationIdentity:
                         if "pressure cannot be met" not in str(err):
                             raise
                         runs[mode] = ("pressure-error", str(err))
-            assert runs["int"] == runs["numpy"] == runs["validate"]
-            if isinstance(runs["int"], tuple) \
-                    and runs["int"][0] != "pressure-error" \
-                    and runs["int"][1][4] > 1:
+            assert runs["default"] == runs["forced"] == runs["validate"]
+            if runs["default"][0] != "pressure-error" \
+                    and runs["default"][1][4] > 1:
                 saw_spill = True
         assert saw_spill, "no workload actually spilled"
 
 
-class TestNumpyFallback:
-    def test_missing_numpy_warns_once_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        monkeypatch.setenv("REPRO_DATAFLOW", "numpy")
-        monkeypatch.setattr(matrix, "_warned_missing", False)
-        assert not matrix.have_numpy()
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert matrix.dataflow_mode() == "int"
-        # Only the first resolution warns; the fallback itself sticks.
-        import warnings as _warnings
+class TestNumpyImport:
+    def _run(self, code: str) -> str:
+        env = {**os.environ, "PYTHONPATH": _src_path()}
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env=env)
+        return out.stdout.strip()
 
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            assert matrix.dataflow_mode() == "int"
-            assert matrix.active_backend() == "int"
+    def test_pipeline_import_leaves_numpy_unloaded(self):
+        # Cold start stays lean: numpy is imported on the first kernel
+        # call, not when the pipeline is imported.
+        assert self._run(
+            "import sys\n"
+            "import repro.pipeline, repro.core, repro.regalloc, "
+            "repro.target.presets\n"
+            "print('numpy' in sys.modules)") == "False"
 
-    def test_no_numpy_still_allocates(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        monkeypatch.delenv("REPRO_DATAFLOW", raising=False)
-        profile = BenchmarkProfile(name="matrix", stmts=12, int_pool=6,
-                                   max_params=2, max_call_args=2)
-        func, machine = _prepared(profile, 2)
-        result = allocate_function(clone_function(func), machine,
-                                   PreferenceDirectedAllocator())
-        assert result.assignment
+    def test_first_kernel_call_imports_numpy(self):
+        assert self._run(
+            "import sys\n"
+            "from repro.analysis import matrix\n"
+            "matrix.popcount_rows(matrix.pack_masks([3], 1))\n"
+            "print('numpy' in sys.modules)") == "True"
+
+
+def _src_path() -> str:
+    from pathlib import Path
+
+    import repro
+
+    return str(Path(repro.__file__).resolve().parents[1])

@@ -2,13 +2,12 @@
 
 The load-bearing property is *exactness*: every path through the
 session ladder (value-patch, struct-patch, rebuild) must produce
-byte-identical allocations to a from-scratch run.  Validate mode
-(``incremental_edits="validate"``) checks this internally — it rebuilds
-every analysis from scratch, compares phase by phase
-(:func:`repro.analysis.incremental.compare_analyses`), re-allocates,
-and raises :class:`~repro.errors.AllocationError` on any divergence —
-so the property tests below only need to drive random edit chains
-through it and let the machinery self-check.
+byte-identical allocations to a from-scratch run.  The validate
+harness (``tests/oracles.py``: :func:`validated_incremental`) checks
+this after every edit — it rebuilds every analysis from scratch,
+compares phase by phase (:func:`compare_analyses`), re-allocates, and
+raises on any divergence — so the property tests below only need to
+drive random edit chains through it and let the oracle check.
 """
 
 from __future__ import annotations
@@ -18,6 +17,11 @@ import random
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from oracles import (
+    forced_matrix_branches,
+    scratch_incremental,
+    validated_incremental,
+)
 from repro.errors import AllocationError
 from repro.ir.clone import clone_function
 from repro.ir.function import BasicBlock
@@ -167,14 +171,24 @@ EDIT_OPS = [
 ]
 
 
+#: ``on`` the production session ladder, ``off`` the from-scratch
+#: oracle for every version, ``validate`` production checked against
+#: the oracle after every edit
+CHAIN_MODES = {
+    "on": allocate_function_incremental,
+    "off": scratch_incremental,
+    "validate": validated_incremental,
+}
+
+
 def run_chain(versions, machine, mode, allocator=None):
     """Allocate each version through one session; returns the outputs."""
     allocator = allocator or ChaitinAllocator()
-    options = AllocationOptions(incremental_edits=mode)
+    options = AllocationOptions()
+    step = CHAIN_MODES[mode]
     session, outs = None, []
     for func in versions:
-        out = allocate_function_incremental(
-            session, func, machine, allocator, options=options)
+        out = step(session, func, machine, allocator, options)
         session = out.session
         outs.append(out)
     return outs
@@ -240,7 +254,7 @@ class TestRandomEditScripts:
 
 
 class TestModeAndBackendIdentity:
-    """One deterministic chain, every mode x dataflow backend."""
+    """One deterministic chain, every mode x dataflow size class."""
 
     def versions(self):
         profile = BenchmarkProfile(name="edit", stmts=24, int_pool=6,
@@ -258,25 +272,24 @@ class TestModeAndBackendIdentity:
             versions.append(nxt)
         return versions
 
-    def test_identical_across_modes_and_backends(self, monkeypatch):
-        from repro.analysis.matrix import have_numpy
+    def test_identical_across_modes_and_backends(self):
+        from contextlib import nullcontext
 
-        backends = ["int"] + (["numpy"] if have_numpy() else [])
         machine = make_machine(12)
         versions = self.versions()
         runs = {}
-        for backend in backends:
-            monkeypatch.setenv("REPRO_DATAFLOW", backend)
-            for mode in ("off", "on", "validate"):
-                outs = run_chain(versions, machine, mode)
-                runs[(backend, mode)] = [
-                    print_function(o.result.func) for o in outs]
-        want = runs[(backends[0], "off")]
+        for size_class, kernels in (("default", nullcontext),
+                                    ("forced", forced_matrix_branches)):
+            with kernels():
+                for mode in ("off", "on", "validate"):
+                    outs = run_chain(versions, machine, mode)
+                    runs[(size_class, mode)] = [
+                        print_function(o.result.func) for o in outs]
+        want = runs[("default", "off")]
         for key, got in runs.items():
-            assert got == want, f"{key} diverged from (int, off)"
+            assert got == want, f"{key} diverged from (default, off)"
 
-    def test_paths_taken(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DATAFLOW", "int")
+    def test_paths_taken(self):
         outs = run_chain(self.versions(), make_machine(12), "on")
         # const edit -> value patch; dead insert / split / redefine ->
         # structural; final const edit -> value patch again.

@@ -4,20 +4,18 @@ The contract under test (see ``repro.analysis.incremental``): for every
 spill round, patching the previous round's analyses through the
 ``SpillDelta`` yields *value-identical* liveness, interference (including
 node insertion order), spill costs, and per-block summaries to a
-from-scratch :func:`compute_round_analyses` — and therefore the whole
-allocation (stats, assignment, cycle estimate) is byte-identical whether
-``REPRO_INCREMENTAL_ROUNDS`` is on or off.
+from-scratch :func:`compute_round_analyses` (the oracle,
+``tests/oracles.py``) — and therefore the whole allocation (stats,
+assignment, cycle estimate) is byte-identical to one that re-analyzes
+every round from scratch.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.incremental import (
-    apply_spill_delta,
-    compare_analyses,
-    incremental_mode,
-)
+from oracles import compare_analyses, scratch_rounds, validate_rounds
+from repro.analysis.incremental import apply_spill_delta
 from repro.analysis.renumber import renumber
 from repro.ir.function import Module
 from repro.pipeline import allocate_module, prepare_module
@@ -117,18 +115,12 @@ class TestPatchEqualsRebuild:
 class TestEndToEndIdentity:
     @pytest.mark.parametrize("allocator_cls",
                              [ChaitinAllocator, CallCostAllocator])
-    def test_stats_assignment_cycles_identical(
-            self, allocator_cls, monkeypatch):
+    def test_stats_assignment_cycles_identical(self, allocator_cls):
         machine = make_machine(8)
         prepared = prepare_module(small_stress_module(2), machine)
-
-        def run(mode):
-            # No explicit options: from_env() re-reads the variable on
-            # every call, so the monkeypatched mode takes effect.
-            monkeypatch.setenv("REPRO_INCREMENTAL_ROUNDS", mode)
-            return allocate_module(prepared, machine, allocator_cls())
-
-        on, off = run("1"), run("0")
+        on = allocate_module(prepared, machine, allocator_cls())
+        with scratch_rounds():
+            off = allocate_module(prepared, machine, allocator_cls())
         assert on.stats.rounds >= 3
         assert vars(on.stats) == vars(off.stats)
         for a, b in zip(on.results, off.results):
@@ -136,14 +128,35 @@ class TestEndToEndIdentity:
         cyc = lambda c: {f: getattr(c, f) for f in c.__dataclass_fields__}
         assert cyc(on.cycles) == cyc(off.cycles)
 
-    def test_validate_mode_runs_clean(self, monkeypatch):
-        # validate recomputes from scratch every round and raises
-        # AllocationError on any divergence from the patched analyses.
-        monkeypatch.setenv("REPRO_INCREMENTAL_ROUNDS", "validate")
+    def test_validate_mode_runs_clean(self):
+        # The validate harness recomputes every patched round from
+        # scratch and raises on any divergence from the patch.
         machine = make_machine(8)
         prepared = prepare_module(small_stress_module(), machine)
-        result = allocate_module(prepared, machine, ChaitinAllocator())
+        with validate_rounds():
+            result = allocate_module(prepared, machine, ChaitinAllocator())
         assert result.stats.rounds >= 3
+
+
+    def test_validate_harness_catches_corrupted_patch(self, monkeypatch):
+        from oracles import OracleMismatch
+        from repro.regalloc import base as regalloc_base
+
+        real = regalloc_base.apply_spill_delta
+
+        def corrupted(func, prev, delta, renumbering):
+            patched = real(func, prev, delta, renumbering)
+            if patched is not None and patched.spill_costs:
+                victim = next(iter(patched.spill_costs))
+                patched.spill_costs[victim] += 1.0
+            return patched
+
+        monkeypatch.setattr(regalloc_base, "apply_spill_delta", corrupted)
+        machine = make_machine(8)
+        prepared = prepare_module(small_stress_module(), machine)
+        with validate_rounds():
+            with pytest.raises(OracleMismatch, match="spill costs differ"):
+                allocate_module(prepared, machine, ChaitinAllocator())
 
 
 class TestFallbacks:
@@ -156,18 +169,6 @@ class TestFallbacks:
         assert prev.block_rows is None
         patched = apply_spill_delta(func, prev, SpillDelta(), ren)
         assert patched is None
-
-    def test_mode_parsing(self, monkeypatch):
-        for raw in ("0", "off", "false", "no", " OFF "):
-            monkeypatch.setenv("REPRO_INCREMENTAL_ROUNDS", raw)
-            assert incremental_mode() == "off"
-        monkeypatch.setenv("REPRO_INCREMENTAL_ROUNDS", "validate")
-        assert incremental_mode() == "validate"
-        for raw in ("1", "on", "anything"):
-            monkeypatch.setenv("REPRO_INCREMENTAL_ROUNDS", raw)
-            assert incremental_mode() == "on"
-        monkeypatch.delenv("REPRO_INCREMENTAL_ROUNDS")
-        assert incremental_mode() == "on"
 
 
 class TestWorkloadShape:

