@@ -21,7 +21,10 @@ reports: per workload, the *chaitin-normalized* indexed select+simplify
 time (``select_ratio_vs_chaitin`` — decision-loop seconds per second of
 chaitin over the same function) must stay within tolerance of the
 committed baseline.  A regression here means the priority indexes
-degraded back toward a rescan's scaling curve.
+degraded back toward a rescan's scaling curve.  The gate also fails
+when a workload present in both reports has a different allocation
+``fingerprint``: a faster engine that picks differently is a behavior
+change, not a speedup.
 
 ``--dataflow`` gates the analysis kernels instead: per allocator, the
 chaitin-normalized combined dataflow time — every profiled phase whose
@@ -94,11 +97,20 @@ def check_selector(fresh: dict, committed: dict,
         got = got_entry["select_ratio_vs_chaitin"]
         margin = got / want - 1.0
         flag = " REGRESSION" if margin > tolerance else ""
+        same = got_entry.get("fingerprint") == want_entry.get("fingerprint")
+        if not same:
+            flag += " FINGERPRINT"
         print(f"{name:>12} {want:>10.3f} {got:>10.3f} {margin:>+7.0%}{flag}")
         if margin > tolerance:
             failures.append(
                 f"{name}: select+simplify at {got:.3f}x chaitin vs "
                 f"committed {want:.3f}x (+{margin:.0%} > +{tolerance:.0%})"
+            )
+        if not same:
+            failures.append(
+                f"{name}: allocation fingerprint "
+                f"{got_entry.get('fingerprint')} differs from committed "
+                f"{want_entry.get('fingerprint')}"
             )
     return failures
 

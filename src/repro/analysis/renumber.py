@@ -9,6 +9,13 @@ defs belong to the same web when some use is reached by both.  We compute
 block-level reaching definitions with integer bitsets, walk each block to
 attach reaching defs to uses, and union-find the defs.  Physical registers
 are never renumbered.
+
+Bitset operations aside, every pass is linear in the size of
+the function: gen/kill come from per-block def lists, a use looks up
+its reaching defs on demand (the block's reach-in ANDed with the
+variable's def mask, unless the block already redefined it), and def
+points are found through a ``(block, index, register)`` dict.  The
+quadratic scans this replaced are the reference in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -68,13 +75,20 @@ def renumber(func: Function, cfg: CFG | None = None) -> RenumberResult:
     # --- enumerate definition points ------------------------------------
     # A def point is (block, instr index, vreg); parameters and
     # never-defined uses get synthetic entry defs.
-    defs: list[tuple[str, int, VReg]] = []
     def_ids_of: dict[VReg, list[int]] = {}
+    # def ids per block label, in enumeration order
+    block_defs: dict[str, list[tuple[int, VReg]]] = {}
+    # (label, instr index, vreg) -> def id (the first, if repeated)
+    def_id_at: dict[tuple[str, int, VReg], int] = {}
+    n_defs = 0
 
     def add_def(label: str, index: int, var: VReg) -> int:
-        def_id = len(defs)
-        defs.append((label, index, var))
+        nonlocal n_defs
+        def_id = n_defs
+        n_defs += 1
         def_ids_of.setdefault(var, []).append(def_id)
+        block_defs.setdefault(label, []).append((def_id, var))
+        def_id_at.setdefault((label, index, var), def_id)
         return def_id
 
     entry_label = func.entry.label
@@ -93,7 +107,6 @@ def renumber(func: Function, cfg: CFG | None = None) -> RenumberResult:
                 if isinstance(u, VReg) and u not in def_ids_of:
                     synthetic[u] = add_def(entry_label, -1, u)
 
-    n = len(defs)
     masks_of: dict[VReg, int] = {}
     for var, ids in def_ids_of.items():
         mask = 0
@@ -105,21 +118,16 @@ def renumber(func: Function, cfg: CFG | None = None) -> RenumberResult:
     gen: dict[str, int] = {}
     kill: dict[str, int] = {}
     for blk in func.blocks:
-        g = 0
-        killed_vars: set[VReg] = set()
         current: dict[VReg, int] = {}
-        for def_id, (label, idx, var) in enumerate(defs):
-            if label == blk.label:
-                current[var] = def_id  # later defs overwrite: last wins
-                killed_vars.add(var)
+        for def_id, var in block_defs.get(blk.label, ()):
+            current[var] = def_id  # later defs overwrite: last wins
+        g = 0
+        k = 0
         for var, def_id in current.items():
             g |= 1 << def_id
-        k = 0
-        for var in killed_vars:
             k |= masks_of[var]
-        k &= ~g
         gen[blk.label] = g
-        kill[blk.label] = k
+        kill[blk.label] = k & ~g
 
     reach_in: dict[str, int] = {blk.label: 0 for blk in func.blocks}
     reach_out: dict[str, int] = {
@@ -140,24 +148,24 @@ def renumber(func: Function, cfg: CFG | None = None) -> RenumberResult:
                 changed = True
 
     # --- attach reaching defs to uses; union defs sharing a use ---------
-    uf = _UnionFind(n)
+    uf = _UnionFind(n_defs)
     blocks = func.block_map()
     use_class: dict[tuple[int, VReg], int] = {}  # (id(instr), var) -> def class
     for label in order:
         blk = blocks[label]
-        current_def: dict[VReg, int] = {}
+        # Defs made earlier in this block; any other variable's reaching
+        # defs are looked up from the block's reach-in on use.
+        local_def: dict[VReg, int] = {}
         rin = reach_in[label]
-        for var, mask in masks_of.items():
-            live_defs = rin & mask
-            if live_defs:
-                current_def[var] = live_defs
-        for var, def_id in synthetic.items():
-            current_def.setdefault(var, 1 << def_id)
         for idx, instr in enumerate(blk.instrs):
             for u in instr.uses():
                 if not isinstance(u, VReg):
                     continue
-                mask = current_def.get(u, 0)
+                mask = local_def.get(u)
+                if mask is None:
+                    mask = rin & masks_of.get(u, 0)
+                    if not mask and u in synthetic:
+                        mask = 1 << synthetic[u]
                 if mask == 0:
                     mask = 1 << synthetic.setdefault(
                         u, add_def(entry_label, -1, u)
@@ -173,9 +181,7 @@ def renumber(func: Function, cfg: CFG | None = None) -> RenumberResult:
                 use_class[(id(instr), u)] = first
             for d in instr.defs():
                 if isinstance(d, VReg):
-                    # locate this def's id (same label+idx+var)
-                    current_def[d] = 1 << _def_id_at(def_ids_of, defs, label,
-                                                     idx, d)
+                    local_def[d] = 1 << def_id_at[(label, idx, d)]
 
     # --- build webs and rewrite -----------------------------------------
     web_of_class: dict[int, Web] = {}
@@ -210,7 +216,7 @@ def renumber(func: Function, cfg: CFG | None = None) -> RenumberResult:
             def_map = {}
             for d in instr.defs():
                 if isinstance(d, VReg):
-                    def_id = _def_id_at(def_ids_of, defs, blk.label, idx, d)
+                    def_id = def_id_at[(blk.label, idx, d)]
                     web = web_for(def_id, d)
                     web.n_defs += 1
                     def_map[d] = web.reg
@@ -228,11 +234,3 @@ def renumber(func: Function, cfg: CFG | None = None) -> RenumberResult:
 
 def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
-
-
-def _def_id_at(def_ids_of, defs, label: str, idx: int, var: VReg) -> int:
-    for def_id in def_ids_of[var]:
-        d_label, d_idx, _ = defs[def_id]
-        if d_label == label and d_idx == idx:
-            return def_id
-    raise AssertionError(f"no def record for {var} at {label}:{idx}")

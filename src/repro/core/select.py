@@ -21,18 +21,28 @@ the Lueh–Gross objection to optimistic coloring (Section 5.4).
 Register sets are bitmasks over the class's color list: each node keeps
 an incrementally-maintained mask of colors its neighbors have claimed,
 so availability is one ``&`` instead of a neighbor scan, and preference
-screening intersects masks.  Differentials are cached and recomputed
-only for the nodes a coloring/spill event can affect (its interference
-neighbors and RPG partners) — the dominant cost of the naive selector
-was re-deriving every queued node's differential at every pick.
+screening intersects masks.
 
-The ready queue itself is a lazy max-heap keyed on ``(differential,
-spill_cost, -id)``: ``_after_decision``'s invalidation set — which is
-exactly the set of nodes whose key an event can change — pushes
-refreshed generation-stamped entries instead of merely dropping the
-cached differential, so each pick is O(log n) amortized instead of a
-linear queue scan.  The linear scan it replaced is the pick-by-pick
-oracle in ``tests/oracles.py``.
+The ready queue is a lazy max-heap keyed on ``(differential,
+spill_cost, -id)``.  Each queued node caches its honorable asks as
+``(strength, mask)`` pairs and the differential they give; an event
+re-keys a queued node (pushes a refreshed generation-stamped entry)
+only when it can change that node's key:
+
+* a spill re-keys nothing — no free mask changes, and a spilled
+  partner resolves no ask, exactly as an uncolored one did not;
+* a coloring with register ``r`` always re-keys the node's RPG
+  partners (an ask appears), and re-keys an interference neighbor only
+  if ``r`` is the last volatile or the last non-volatile register of
+  one of its asks — an ask's strength depends only on whether its mask
+  meets each kind, and its honorability only on the mask being
+  non-empty.  Other neighbors just shrink their ask masks in place, and
+  neighbors that already lost ``r`` are untouched.
+
+So the heap's newest entry per node always carries the key a rescan of
+the ready set would compute at pick time, and each pick is O(log n)
+amortized.  The linear scan it replaced, recomputing every differential
+from the assignment, is the pick-by-pick oracle in ``tests/oracles.py``.
 
 Interpretation notes (the paper leaves these open — see DESIGN.md):
 a single honorable preference yields a differential equal to its own
@@ -67,13 +77,16 @@ __all__ = ["PreferenceSelector", "SelectionTrace"]
 NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class _Ask:
-    """One evaluable preference: a register mask and its realized strength."""
-
-    mask: int
-    strength: float
-    edge: PrefEdge
+def _spread(asks: list[tuple[float, int]]) -> float:
+    """Strength differential of a node's honorable ``(strength, mask)``
+    asks: strongest minus weakest, a lone ask's own strength, or
+    ``-inf`` when nothing is honorable."""
+    if not asks:
+        return NEG_INF
+    if len(asks) == 1:
+        return asks[0][0]
+    strengths = [strength for strength, _mask in asks]
+    return max(strengths) - min(strengths)
 
 
 @dataclass(eq=False)
@@ -149,7 +162,10 @@ class PreferenceSelector:
         #: per-node mask of colors claimed by neighbors (lazily seeded
         #: from the current assignment, then maintained incrementally)
         self._taken: dict[VReg, int] = {}
-        #: cached differentials, invalidated by affecting events only
+        #: per queued node: its honorable asks as ``(strength, mask)``,
+        #: masks kept current, and the differential they give; both are
+        #: dropped only by events that can change the differential
+        self._asks: dict[VReg, list[tuple[float, int]]] = {}
         self._diff_cache: dict[VReg, float] = {}
         self._group_masks: dict[RegGroup, int] = {}
         #: lazy max-heap ready queue, keyed by :meth:`_pick_key`
@@ -193,24 +209,15 @@ class PreferenceSelector:
         then lowest id (``-id``), optionally policy-weighted."""
         differential = self._diff_cache.get(node)
         if differential is None:
-            differential = self._diff_cache[node] = self._differential(node)
+            asks = self._asks[node] = self._usable_asks(
+                node, self._free_mask(node))
+            differential = self._diff_cache[node] = _spread(asks)
         weights = self._key_weights
         if weights is None:
             return (differential, self.costs.spill_cost(node), -node.id)
         wd, ws, wi = weights
         return (wd * differential, ws * self.costs.spill_cost(node),
                 wi * -node.id)
-
-    def _differential(self, node: VReg) -> float:
-        honorable = [
-            ask.strength
-            for ask in self._usable_asks(node, self._free_mask(node))
-        ]
-        if not honorable:
-            return NEG_INF
-        if len(honorable) == 1:
-            return honorable[0]
-        return max(honorable) - min(honorable)
 
     def _free_mask(self, node: VReg) -> int:
         """Mask of colors no (colored or physical) neighbor holds."""
@@ -219,7 +226,7 @@ class PreferenceSelector:
             taken = 0
             color_bit = self._color_bit
             assignment = self.assignment
-            for n in self.graph.all_neighbors(node):
+            for n in self.graph.adj.get(node, ()):
                 if isinstance(n, PReg):
                     taken |= color_bit.get(n, 0)
                 else:
@@ -243,8 +250,9 @@ class PreferenceSelector:
             self._group_masks[group] = mask
         return mask
 
-    def _usable_asks(self, node: VReg, avail_mask: int) -> list[_Ask]:
-        """Steps 2.1/2.2 as concrete *asks*: (register mask, strength).
+    def _usable_asks(self, node: VReg,
+                     avail_mask: int) -> list[tuple[float, int]]:
+        """Steps 2.1/2.2 as concrete *asks*: ``(strength, register mask)``.
 
         Outgoing edges whose target is colored (or physical / a group)
         ask directly.  Incoming live-range edges whose *source* is
@@ -252,7 +260,7 @@ class PreferenceSelector:
         pairing being resolved from the other end.  Unhonorable asks
         (empty intersection with the available mask) are eliminated.
         """
-        asks: list[_Ask] = []
+        asks: list[tuple[float, int]] = []
         for edge in self.rpg.edges_from(node):
             if self._unresolved(edge.target):
                 continue  # step 2.2: deferred, revisited in step 4.3
@@ -288,22 +296,22 @@ class PreferenceSelector:
         return strength
 
     def _ask_of_outgoing(self, edge: PrefEdge,
-                         avail_mask: int) -> "_Ask | None":
+                         avail_mask: int) -> tuple[float, int] | None:
         if isinstance(edge.target, RegGroup):
             mask = avail_mask & self._group_mask(edge.target)
             if not mask:
                 return None
-            return _Ask(mask, self._strength_for_mask(edge, mask), edge)
+            return (self._strength_for_mask(edge, mask), mask)
         wanted = self._resolve_target_register(edge.kind, edge.target)
         if wanted is None:
             return None
         bit = self._color_bit.get(wanted, 0)
         if not bit & avail_mask:
             return None
-        return _Ask(bit, self._strength_for_mask(edge, bit), edge)
+        return (self._strength_for_mask(edge, bit), bit)
 
     def _ask_of_incoming(self, edge: PrefEdge, source_color: PReg,
-                         avail_mask: int) -> "_Ask | None":
+                         avail_mask: int) -> tuple[float, int] | None:
         """What an already-colored source wants *this* node to take."""
         if edge.kind is PrefKind.COALESCE:
             wanted: PReg | None = source_color
@@ -321,7 +329,7 @@ class PreferenceSelector:
         if not bit & avail_mask:
             return None
         source_bit = self._color_bit.get(source_color, 0)
-        return _Ask(bit, self._strength_for_mask(edge, source_bit), edge)
+        return (self._strength_for_mask(edge, source_bit), bit)
 
     def _resolve_target_register(self, kind: PrefKind,
                                  target) -> PReg | None:
@@ -345,23 +353,23 @@ class PreferenceSelector:
 
     def _color_node(self, node: VReg) -> None:
         free = self._free_mask(node)
+        # The ready queue keyed ``node``, so its asks are cached, current.
+        asks = self._asks.pop(node)
+        del self._diff_cache[node]
         if not free:
             self._spill(node, reason="no register available")
-            self._after_decision(node, None)
             return
-        asks = self._usable_asks(node, free)
         if self.active_memory_spill and not node.no_spill \
                 and self._prefers_memory(
-                    node, free, [a.strength for a in asks]
+                    node, free, [strength for strength, _mask in asks]
                 ):
             # Section 5.4: strongest preference is memory.
             self._spill(node, reason="prefers memory")
-            self._after_decision(node, None)
             return
 
         candidates = free
-        for ask in sorted(asks, key=lambda a: -a.strength):
-            screened = candidates & ask.mask
+        for _strength, mask in sorted(asks, key=lambda a: -a[0]):
+            screened = candidates & mask
             if screened:
                 candidates = screened
                 self.honored_prefs += 1
@@ -376,37 +384,50 @@ class PreferenceSelector:
         if self.trace is not None:
             self.trace.note(f"{node} -> {color} (of {free.bit_count()} free)")
 
-    def _after_decision(self, node: VReg, color: PReg | None) -> None:
-        """Incremental bookkeeping after ``node`` was colored or spilled.
+    def _after_decision(self, node: VReg, color: PReg) -> None:
+        """Re-key the queued nodes whose key coloring ``node`` with
+        ``color`` can change (a spill changes none; see the module
+        docstring for the argument).
 
-        Neighbors lose ``color`` from their free mask; the nodes whose
-        differential the event can change — interference neighbors and
-        RPG partners on either side — drop out of the cache.  The same
-        (exact) invalidation set is then re-keyed: queued members get a
-        refreshed heap entry, superseding their stale one, so the heap's
-        newest entry per node always carries the key a rescan of the
-        ready set would compute at pick time.
+        Every neighbor with a seeded free mask loses ``color``.  A cached
+        neighbor's asks lose it too, in place, unless it was the last
+        register of its kind (volatile or not) in some ask: that can
+        change the ask's strength or honorability, so the node's cache
+        is dropped and rebuilt.  RPG partners on either side gain an
+        ask and are always rebuilt.  Each stale node is re-keyed once,
+        so the heap's newest entry per node always carries the key a
+        rescan of the ready set would compute at pick time.
         """
-        diff_cache = self._diff_cache
-        diff_cache.pop(node, None)
+        bit = self._color_bit[color]
+        kind = self._vol_mask if bit & self._vol_mask else self._nonvol_mask
         taken = self._taken
-        bit = self._color_bit[color] if color is not None else 0
-        affected: list[VReg] = []
-        for n in self.graph.all_neighbors(node):
-            if bit and n in taken:
-                taken[n] |= bit
-            diff_cache.pop(n, None)
-            affected.append(n)
+        asks_of = self._asks
+        stale: dict[VReg, None] = {}
+        for n in self.graph.adj.get(node, ()):
+            mask = taken.get(n)
+            if mask is None or mask & bit:
+                continue  # unseeded (and so uncached), or already lost it
+            taken[n] = mask | bit
+            asks = asks_of.get(n)
+            if asks is None:
+                continue
+            for i, (strength, ask_mask) in enumerate(asks):
+                if ask_mask & bit:
+                    ask_mask &= ~bit
+                    if not ask_mask & kind:
+                        stale[n] = None
+                        break
+                    asks[i] = (strength, ask_mask)
         for edge in self.rpg.edges_to(node):
-            diff_cache.pop(edge.src, None)
-            affected.append(edge.src)
+            stale[edge.src] = None
         for edge in self.rpg.edges_from(node):
-            target = edge.target
-            if isinstance(target, VReg):
-                diff_cache.pop(target, None)
-                affected.append(target)
+            if isinstance(edge.target, VReg):
+                stale[edge.target] = None
+        diff_cache = self._diff_cache
         ready = self._ready
-        for n in affected:
+        for n in stale:
+            diff_cache.pop(n, None)
+            asks_of.pop(n, None)
             if n in ready:
                 ready.push(n, self._pick_key(n))
 

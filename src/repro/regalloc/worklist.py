@@ -1,16 +1,17 @@
 """Priority indexes for the simplify -> CPG -> select decision loops.
 
-PRs 1-4 made the analyses and the execution layer fast, which left the
-allocator's own decision loops as the hot spot: ``simplify()`` rescanned
-every active node per batch, ``choose_spill_candidate()`` rescanned all
-actives on every pressure event, and the preference selector linearly
-scanned its whole ready queue per pick.  This module holds the
-incrementally maintained indexes that replace those scans:
+Naively, ``simplify()`` rescans every active node per batch,
+``choose_spill_candidate()`` rescans all actives on every pressure
+event, and the preference selector linearly scans its whole ready
+queue per pick.  This module holds the incrementally maintained
+indexes that replace those scans:
 
 * :class:`DegreeWorklist` — a bucketed low-degree worklist plus a lazy
   min-heap over the Chaitin ``spill_cost / degree`` metric, both fed by
   the :attr:`~repro.regalloc.igraph.AllocGraph.degree_listener` hook so
-  candidates surface in O(1)/O(log n) instead of O(n) rescans;
+  candidates surface in O(1)/O(log n) instead of O(n) rescans.  Only
+  significant nodes (degree >= K) get heap entries, since a spill is
+  picked only when no active node has low degree;
 * :class:`LazyMaxHeap` — a generation-stamped max-heap used by
   :class:`~repro.core.select.PreferenceSelector` for its ready queue.
 
@@ -47,9 +48,13 @@ class DegreeWorklist:
       (each node crosses at most once — degrees only fall during
       simplification — so each node is tie-break sorted exactly once,
       when its batch is taken);
-    * every change pushes a refreshed ``(cost/degree, tie_break)`` heap
-      entry under a new generation stamp, keeping the newest entry's
-      metric exactly current.
+    * every change that leaves a node significant (degree >= K) pushes
+      a refreshed ``(cost/degree, tie_break)`` heap entry under a new
+      generation stamp, keeping the newest entry's metric exactly
+      current.  Low-degree nodes get no entries: :meth:`pop_spill` is
+      only called once the pending bucket is empty, and then every
+      active node is significant, so an entry for a low-degree node
+      could never be accepted.
 
     :meth:`take_batch` reproduces the scan loop's batch semantics: the
     returned batch is precisely "all currently-low actives, tie-break
@@ -74,9 +79,10 @@ class DegreeWorklist:
         self._heap: list[tuple] = []
         self._gen: dict[VReg, int] = {}
         for node in graph.active:
-            if not graph.significant(node):
+            if graph.significant(node):
+                self._push(node)
+            else:
                 self._pending.append(node)
-            self._push(node)
 
     # ------------------------------------------------------------------
 
@@ -101,11 +107,13 @@ class DegreeWorklist:
 
     def on_degree(self, node: VReg, degree: int) -> None:
         """Degree-change hook (see ``AllocGraph.degree_listener``)."""
-        if degree == self.graph.k - 1:
+        k = self.graph.k
+        if degree >= k:
+            self._push(node)
+        elif degree == k - 1:
             # The one possible low-degree crossing: simplification only
             # ever decrements, one edge at a time.
             self._pending.append(node)
-        self._push(node)
 
     def _push(self, node: VReg) -> None:
         gen = self._gen.get(node, 0) + 1
@@ -128,7 +136,11 @@ class DegreeWorklist:
         return batch
 
     def pop_spill(self) -> VReg:
-        """Minimum ``cost/degree`` active node (ties by ``tie_break``)."""
+        """Minimum ``cost/degree`` active node (ties by ``tie_break``).
+
+        Only valid once :meth:`take_batch` has come back empty: the heap
+        holds entries for significant nodes only.
+        """
         heap = self._heap
         active = self.graph.active
         gen = self._gen

@@ -7,8 +7,11 @@ tests compare production against directly:
 * **dataflow** — the set-based liveness and interference builders,
   written straight from the definitions (closest to the paper), and
   the scalar int-row CPG replay;
+* **renumber** — the quadratic def-scanning web renumbering
+  (:func:`renumber_reference`, compared by :func:`compare_renumber`);
 * **simplify/select** — the rescan-per-batch simplify engine and the
-  linear ready-queue scan of the preference selector;
+  linear ready-queue scan of the preference selector, which recomputes
+  every differential from the assignment;
 * **spill rounds and edits** — the from-scratch re-analysis, compared
   phase by phase with :func:`compare_analyses`, and the from-scratch
   allocation of an edited function (:func:`check_session_against_scratch`);
@@ -36,6 +39,13 @@ from unittest import mock
 
 from repro.analysis.indexing import iter_bits
 from repro.analysis.liveness import Liveness
+from repro.analysis.renumber import (
+    RenumberResult,
+    Web,
+    _lowest_bit,
+    _UnionFind,
+    renumber,
+)
 from repro.cfg.analysis import build_cfg
 from repro.core import allocator as core_allocator
 from repro.core.cpg import BOTTOM, TOP, ColoringPrecedenceGraph, _wig_rows
@@ -329,6 +339,198 @@ def compare_cpgs(got, want) -> list[str]:
 
 
 # ----------------------------------------------------------------------
+# renumber: the quadratic scan the linear-time pass replaced
+
+def _def_id_at(def_ids_of, defs, label: str, idx: int, var: VReg) -> int:
+    for def_id in def_ids_of[var]:
+        d_label, d_idx, _ = defs[def_id]
+        if d_label == label and d_idx == idx:
+            return def_id
+    raise AssertionError(f"no def record for {var} at {label}:{idx}")
+
+
+def renumber_reference(func, cfg=None) -> RenumberResult:
+    """Web renumbering with per-block scans of every def (gen/kill), a
+    full per-block seeding of each variable's reaching defs, and a
+    linear def-id search.  Same result as ``repro.analysis.renumber``.
+    """
+    if any(isinstance(i, Phi) for b in func.blocks for i in b.instrs):
+        raise ValueError("renumber runs after out-of-SSA (phis present)")
+    if cfg is None:
+        cfg = build_cfg(func)
+
+    defs: list[tuple[str, int, VReg]] = []
+    def_ids_of: dict[VReg, list[int]] = {}
+
+    def add_def(label: str, index: int, var: VReg) -> int:
+        def_id = len(defs)
+        defs.append((label, index, var))
+        def_ids_of.setdefault(var, []).append(def_id)
+        return def_id
+
+    entry_label = func.entry.label
+    synthetic: dict[VReg, int] = {}
+    for param in func.params:
+        synthetic[param] = add_def(entry_label, -1, param)
+    for blk in func.blocks:
+        for idx, instr in enumerate(blk.instrs):
+            for d in instr.defs():
+                if isinstance(d, VReg):
+                    add_def(blk.label, idx, d)
+    for blk in func.blocks:
+        for instr in blk.instrs:
+            for u in instr.uses():
+                if isinstance(u, VReg) and u not in def_ids_of:
+                    synthetic[u] = add_def(entry_label, -1, u)
+
+    n = len(defs)
+    masks_of: dict[VReg, int] = {}
+    for var, ids in def_ids_of.items():
+        mask = 0
+        for i in ids:
+            mask |= 1 << i
+        masks_of[var] = mask
+
+    gen: dict[str, int] = {}
+    kill: dict[str, int] = {}
+    for blk in func.blocks:
+        g = 0
+        killed_vars: set[VReg] = set()
+        current: dict[VReg, int] = {}
+        for def_id, (label, idx, var) in enumerate(defs):
+            if label == blk.label:
+                current[var] = def_id
+                killed_vars.add(var)
+        for var, def_id in current.items():
+            g |= 1 << def_id
+        k = 0
+        for var in killed_vars:
+            k |= masks_of[var]
+        k &= ~g
+        gen[blk.label] = g
+        kill[blk.label] = k
+
+    reach_in: dict[str, int] = {blk.label: 0 for blk in func.blocks}
+    reach_out: dict[str, int] = {
+        blk.label: gen[blk.label] for blk in func.blocks
+    }
+    order = cfg.reverse_postorder()
+    changed = True
+    while changed:
+        changed = False
+        for label in order:
+            rin = 0
+            for pred in cfg.preds[label]:
+                rin |= reach_out[pred]
+            rout = gen[label] | (rin & ~kill[label])
+            if rin != reach_in[label] or rout != reach_out[label]:
+                reach_in[label] = rin
+                reach_out[label] = rout
+                changed = True
+
+    uf = _UnionFind(n)
+    blocks = func.block_map()
+    use_class: dict[tuple[int, VReg], int] = {}
+    for label in order:
+        blk = blocks[label]
+        current_def: dict[VReg, int] = {}
+        rin = reach_in[label]
+        for var, mask in masks_of.items():
+            live_defs = rin & mask
+            if live_defs:
+                current_def[var] = live_defs
+        for var, def_id in synthetic.items():
+            current_def.setdefault(var, 1 << def_id)
+        for idx, instr in enumerate(blk.instrs):
+            for u in instr.uses():
+                if not isinstance(u, VReg):
+                    continue
+                mask = current_def.get(u, 0)
+                if mask == 0:
+                    mask = 1 << synthetic.setdefault(
+                        u, add_def(entry_label, -1, u)
+                    )
+                first = _lowest_bit(mask)
+                rest = mask & (mask - 1)
+                while rest:
+                    bit = _lowest_bit(rest)
+                    uf.union(first, bit)
+                    rest &= rest - 1
+                use_class[(id(instr), u)] = first
+            for d in instr.defs():
+                if isinstance(d, VReg):
+                    current_def[d] = 1 << _def_id_at(def_ids_of, defs, label,
+                                                     idx, d)
+
+    web_of_class: dict[int, Web] = {}
+    result = RenumberResult()
+
+    def web_for(def_id: int, var: VReg) -> Web:
+        root = uf.find(def_id)
+        if root not in web_of_class:
+            count = result.split_counts.get(var, 0)
+            result.split_counts[var] = count + 1
+            name = var.name or f"{var.rclass.prefix()}{var.id}"
+            if count:
+                name = f"{name}.w{count}"
+            reg = func.new_vreg(var.rclass, name=name, no_spill=var.no_spill)
+            web = Web(reg=reg, original=var)
+            web_of_class[root] = web
+            result.webs.append(web)
+        return web_of_class[root]
+
+    reachable = set(order)
+    for blk in func.blocks:
+        if blk.label not in reachable:
+            continue
+        for idx, instr in enumerate(blk.instrs):
+            use_map = {}
+            for u in instr.uses():
+                if isinstance(u, VReg):
+                    web = web_for(use_class[(id(instr), u)], u)
+                    web.n_uses += 1
+                    use_map[u] = web.reg
+            def_map = {}
+            for d in instr.defs():
+                if isinstance(d, VReg):
+                    def_id = _def_id_at(def_ids_of, defs, blk.label, idx, d)
+                    web = web_for(def_id, d)
+                    web.n_defs += 1
+                    def_map[d] = web.reg
+            if use_map:
+                instr.replace_uses(use_map)
+            if def_map:
+                instr.replace_defs(def_map)
+
+    func.params = [
+        web_for(synthetic[p], p).reg if p in synthetic else p
+        for p in func.params
+    ]
+    return result
+
+
+def compare_renumber(func) -> list[str]:
+    """Renumber two clones of ``func`` (production and reference) and
+    list every difference: printed function, split counts, webs."""
+    got_func, want_func = clone_function(func), clone_function(func)
+    got = renumber(got_func)
+    want = renumber_reference(want_func)
+    problems = []
+    if print_function(got_func) != print_function(want_func):
+        problems.append("renumbered functions print differently")
+    if got.split_counts != want.split_counts:
+        problems.append("split_counts differ")
+
+    def webs(result):
+        return [(str(w.reg), str(w.original), w.n_defs, w.n_uses)
+                for w in result.webs]
+
+    if webs(got) != webs(want):
+        problems.append("web lists differ")
+    return problems
+
+
+# ----------------------------------------------------------------------
 # simplify / select: the scan engines
 
 def simplify_scan(graph, optimistic, result, policy) -> None:
@@ -358,17 +560,43 @@ def simplify_scan(graph, optimistic, result, policy) -> None:
             result.spilled.add(candidate)
 
 
+def free_mask_reference(selector: PreferenceSelector, node) -> int:
+    """Colors no colored or physical neighbor of ``node`` holds, from the
+    assignment and the adjacency alone."""
+    color_bit = selector._color_bit
+    taken = 0
+    for n in selector.graph.adj.get(node, ()):
+        color = n if isinstance(n, PReg) else selector.assignment.get(n)
+        if color is not None:
+            taken |= color_bit.get(color, 0)
+    return selector._all_mask & ~taken
+
+
+def differential_reference(selector: PreferenceSelector, node) -> float:
+    """Section 5.3's strength differential of ``node``, recomputed from
+    scratch: its honorable asks under :func:`free_mask_reference`,
+    strongest minus weakest (a lone ask's own strength, ``-inf`` for
+    none).  Reads none of the selector's incremental state."""
+    strengths = [strength for strength, _mask in selector._usable_asks(
+        node, free_mask_reference(selector, node))]
+    if not strengths:
+        return float("-inf")
+    if len(strengths) == 1:
+        return strengths[0]
+    return max(strengths) - min(strengths)
+
+
 def choose_node_scan(selector: PreferenceSelector, queue) -> VReg:
-    """Linear scan of the ready set for the largest pick key."""
-    diff_cache = selector._diff_cache
+    """Linear scan of the ready set for the largest pick key, every
+    differential recomputed by :func:`differential_reference` (the
+    selector's free-mask, ask and differential caches are not read, so
+    a stale one shows up as a different pick)."""
     spill_cost = selector.costs.spill_cost
     weights = selector._key_weights
     best = None
     best_key = None
     for node in queue:
-        differential = diff_cache.get(node)
-        if differential is None:
-            differential = diff_cache[node] = selector._differential(node)
+        differential = differential_reference(selector, node)
         if weights is None:
             key = (differential, spill_cost(node), -node.id)
         else:

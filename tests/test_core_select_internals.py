@@ -55,7 +55,7 @@ class TestDifferential:
                                   byte_loads=False)
         sel = make_selector(func, make_machine(8), config)
         node = sel.cpg.live_nodes()[0]
-        assert sel._differential(node) == NEG_INF
+        assert sel._pick_key(node)[0] == NEG_INF
 
     def test_single_preference_uses_own_strength(self):
         # One dedicated-coalesce edge only: differential = its strength.
@@ -68,7 +68,7 @@ class TestDifferential:
         sel = make_selector(func, machine, config)
         # the web that merges p0 has a coalesce edge to $r0 (entry move)
         node = web(sel, "p0")
-        diff = sel._differential(node)
+        diff = sel._pick_key(node)[0]
         assert diff not in (NEG_INF,)
         assert diff > 0
 
@@ -89,7 +89,7 @@ class TestDifferential:
         ]
         assert crossing
         for n in crossing:
-            diff = sel._differential(n)
+            diff = sel._pick_key(n)[0]
             assert diff >= abs(
                 3 * sel.costs.cross_freq(n) - 2
             ) - 1e-9

@@ -1,7 +1,9 @@
 """Renumbering into webs: splitting, preservation, statistics."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import compare_renumber
 from repro.analysis.renumber import renumber
 from repro.ir.builder import IRBuilder
 from repro.ir.clone import clone_function
@@ -9,8 +11,17 @@ from repro.ir.validate import validate_function
 from repro.ir.values import Const
 from repro.sim.interp import run_function
 from repro.sim.ops import Memory
+from repro.pipeline import prepare_function
+from repro.regalloc import ChaitinAllocator, allocate_function
+from repro.regalloc import base as regalloc_base
+from repro.ssa.construct import to_ssa
+from repro.ssa.destruct import from_ssa
+from repro.target.presets import high_pressure, make_machine
+from repro.workloads import BENCHMARK_NAMES, make_suite, spill_stress_module
+from repro.workloads.generator import generate_function
 
 from conftest import build_counted_loop, build_diamond, build_straightline
+from test_properties import profiles
 
 
 def build_two_webs():
@@ -100,3 +111,48 @@ class TestInterplayWithSpills:
         ref = run_function(before, [1, 2], memory=Memory())
         got = run_function(func, [1, 2], memory=Memory())
         assert ref.value == got.value
+
+
+class TestAgainstReference:
+    """The linear-time pass renames, counts and orders webs exactly like
+    the quadratic reference in ``tests/oracles.py``."""
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_suite_prepared(self, name):
+        machine = high_pressure()
+        for func in make_suite([name])[name].functions:
+            work = prepare_function(clone_function(func), machine)
+            assert compare_renumber(work) == []
+
+    def test_spill_stress(self):
+        machine = make_machine(24)
+        for func in spill_stress_module(1).functions:
+            work = prepare_function(clone_function(func), machine)
+            assert compare_renumber(work) == []
+
+    def test_every_spill_round(self, monkeypatch):
+        # Later rounds renumber spill-rewritten code: check each call.
+        real = regalloc_base.renumber
+        checked = []
+
+        def checked_renumber(func, cfg=None):
+            assert compare_renumber(func) == []
+            checked.append(func.name)
+            return real(func, cfg)
+
+        monkeypatch.setattr(regalloc_base, "renumber", checked_renumber)
+        machine = make_machine(8)
+        func = make_suite(["javac"])["javac"].functions[0]
+        work = prepare_function(clone_function(func), machine)
+        result = allocate_function(work, machine, ChaitinAllocator())
+        assert result.stats.rounds > 1
+        assert len(checked) == result.stats.rounds
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(profile=profiles, seed=st.integers(0, 10_000))
+    def test_random_programs(self, profile, seed):
+        work = generate_function("prop", profile, seed)
+        to_ssa(work)
+        from_ssa(work)
+        assert compare_renumber(work) == []

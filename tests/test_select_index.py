@@ -3,10 +3,12 @@
 Covers the index structures directly — the degree-change hook, the
 bucketed low-degree worklist, the lazy spill heap, the selector's lazy
 max-heap ready queue — plus the exact push order pinned on known
-graphs, agreement with the scan oracles in ``tests/oracles.py``, the
-inertness of the retired ``REPRO_SELECT_INDEX`` switch, and divergence
-detection by the validate harness.  The cross-engine decision-sequence
-identity over random programs lives in tests/test_properties.py.
+graphs, agreement with the scan oracles in ``tests/oracles.py`` (also
+on the benchmark's suite and spill-stress inputs), the inertness of
+the retired ``REPRO_SELECT_INDEX`` switch, and divergence detection by
+the validate harness, including a dropped selector re-key.  The
+cross-engine decision-sequence identity over random programs lives in
+tests/test_properties.py.
 """
 
 from contextlib import nullcontext
@@ -15,22 +17,25 @@ import pytest
 
 from oracles import (
     OracleMismatch,
+    differential_reference,
     scan_select,
     simplify_scan,
     validate_select,
 )
 
 from repro.core import PreferenceDirectedAllocator
+from repro.core.select import PreferenceSelector
 from repro.errors import AllocationError
 from repro.ir.clone import clone_function
 from repro.ir.values import RegClass, VReg
 from repro.pipeline import prepare_function
-from repro.regalloc import allocate_function
+from repro.regalloc import allocate_function, verify_allocation
 from repro.regalloc.igraph import AllocGraph
 from repro.policy import DEFAULT_POLICY
 from repro.regalloc.simplify import SimplifyResult, _tie_break, simplify
 from repro.regalloc.worklist import DegreeWorklist, LazyMaxHeap
-from repro.target.presets import make_machine
+from repro.target.presets import high_pressure, make_machine
+from repro.workloads import BENCHMARK_NAMES, make_suite, spill_stress_module
 from repro.workloads.generator import generate_function
 from repro.workloads.profiles import BenchmarkProfile
 
@@ -365,3 +370,75 @@ class TestSelectorReadyQueue:
             with pytest.raises(OracleMismatch, match="validation failed"):
                 allocate_function(work, machine,
                                   PreferenceDirectedAllocator())
+
+
+def drop_one_neighbor_rekey(monkeypatch) -> list:
+    """Make the selector skip one interference neighbor's re-key: the
+    first queued non-partner neighbor whose differential the coloring
+    changes keeps its stale asks, differential and heap entry (its free
+    mask stays correct).  Returns the list the dropped node lands in."""
+    real = PreferenceSelector._after_decision
+    dropped: list = []
+
+    def after_decision(self, node, color):
+        if not dropped:
+            partners = {e.src for e in self.rpg.edges_to(node)} | {
+                e.target for e in self.rpg.edges_from(node)}
+            for n in self.graph.adj.get(node, ()):
+                if (n in partners or n not in self._ready
+                        or self._diff_cache[n]
+                        == differential_reference(self, n)):
+                    continue
+                taken = self._taken.pop(n)
+                real(self, node, color)
+                self._taken[n] = taken | self._color_bit[color]
+                dropped.append(n)
+                return
+        real(self, node, color)
+
+    monkeypatch.setattr(PreferenceSelector, "_after_decision",
+                        after_decision)
+    return dropped
+
+
+class TestIndependentOracle:
+    """The scan oracle recomputes every differential from the
+    assignment, so a stale cache in production shows up as a pick the
+    oracle disagrees with."""
+
+    def test_catches_dropped_neighbor_rekey(self, monkeypatch):
+        func = generate_function("selq", TestSelectorReadyQueue.PROFILE, 29)
+        machine = make_machine(8)
+        dropped = drop_one_neighbor_rekey(monkeypatch)
+        work = prepare_function(clone_function(func), machine)
+        with validate_select():
+            with pytest.raises(OracleMismatch, match="validation failed"):
+                allocate_function(work, machine,
+                                  PreferenceDirectedAllocator())
+        assert len(dropped) == 1
+
+
+class TestCheckedBenchmarkInputs:
+    """The production selector and worklist checked pick by pick on the
+    inputs the repo benchmark allocates: suite functions at K=16 and the
+    spill-stress edit base at K=24, where group asks do lose their last
+    register of a kind."""
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_suite_slice_high_pressure(self, name):
+        machine = high_pressure()
+        for func in make_suite([name])[name].functions[:4]:
+            work = prepare_function(clone_function(func), machine)
+            with validate_select():
+                result = allocate_function(work, machine,
+                                           PreferenceDirectedAllocator())
+            verify_allocation(result.func, machine)
+
+    def test_spill_stress_k24(self):
+        machine = make_machine(24)
+        for func in spill_stress_module(1).functions:
+            work = prepare_function(clone_function(func), machine)
+            with validate_select():
+                result = allocate_function(work, machine,
+                                           PreferenceDirectedAllocator())
+            verify_allocation(result.func, machine)
