@@ -13,8 +13,10 @@ For every edited version the bench times
   ``allocate_delta`` wire path with a warm edit chain,
 
 and reports total and per-edit p50/p99 latency for both, their ratio
-(``speedup``), the session-store hit ratio, and the per-rung path
-counts (``value``/``struct``/``rebuild``).  Constant edits ride the
+(``speedup``), the session-store hit ratio, the per-rung path
+counts (``value``/``struct``/``rebuild``), and how many function
+allocations started from a retained round-0 coloring
+(``colorings_reused``; value edits should, struct edits cannot).  Constant edits ride the
 value rung; ``--struct-edits`` mixes in dead-constant insertions, which
 force re-prepare + analysis patching (the struct rung) and are reported
 but not part of the headline speedup.
@@ -34,7 +36,8 @@ Run as a script to emit the machine-readable report::
 
 ``check_perf_regression.py --edit`` gates the committed report: the
 speedup floor is absolute (scratch and incremental share a run, so
-runner speed divides out).
+runner speed divides out), and a report with value edits must show
+colorings reused.
 """
 
 import argparse
@@ -150,7 +153,7 @@ def time_scratch(versions, allocator, regs, repeats):
 
 def run_chain(base_ir, versions, allocator, regs):
     """One edit chain through the delta path; returns per-edit times,
-    digests, and the store/paths bookkeeping of the final pass."""
+    digests, and the store/paths/reuse bookkeeping of the pass."""
     store = SessionStore(capacity=8)
     options = AllocationOptions(verify=False)
     warm = execute_delta_request(
@@ -158,6 +161,7 @@ def run_chain(base_ir, versions, allocator, regs):
         store, options)
     token = warm.session_digest
     times, digests, paths = [], [], {}
+    reused = 0
     for n, version in enumerate(versions):
         req = request_for(f"e{n}", version["ir"], allocator, regs,
                           base=token)
@@ -170,8 +174,9 @@ def run_chain(base_ir, versions, allocator, regs):
         assert info["base_hit"]
         for path, count in info["paths"].items():
             paths[path] = paths.get(path, 0) + count
+        reused += info["colorings_reused"]
     return {"times": times, "digests": digests, "paths": paths,
-            "store": store.snapshot()}
+            "colorings_reused": reused, "store": store.snapshot()}
 
 
 def run(bench: str, regs: int, edits: int, struct_edits: int,
@@ -225,6 +230,7 @@ def run(bench: str, regs: int, edits: int, struct_edits: int,
         "incremental": {
             **latency_summary(value_incr),
             "paths": final["paths"],
+            "colorings_reused": final["colorings_reused"],
             "session_hit_ratio": round(hits / max(1, hits + misses), 4),
         },
         "speedup": speedup,
@@ -269,7 +275,8 @@ def main(argv=None) -> None:
           f"vs incremental {report['incremental']['total_s']}s "
           f"-> {report['speedup']}x "
           f"(hit ratio {report['incremental']['session_hit_ratio']}, "
-          f"paths {report['incremental']['paths']})")
+          f"paths {report['incremental']['paths']}, colorings reused "
+          f"{report['incremental']['colorings_reused']})")
     if "struct" in report:
         print(f"struct-edit churn: {report['struct']['speedup']}x")
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")

@@ -41,7 +41,9 @@ exist) scaled by the tolerance for noisy smoke runs, and against the
 committed report's speedup within tolerance.  Every fresh report must
 also carry ``fingerprints_identical`` — the bench asserts per-edit
 result digests match the scratch path, and the flag proves the
-assertion ran.
+assertion ran — and, when it has value edits, a nonzero
+``colorings_reused``: the speedup alone cannot tell a round-0 coloring
+carry that silently stopped firing from one that works.
 
 ``--policy`` gates ``BENCH_policy_tuning.json`` reports.  The tuner's
 measurements are *simulated* cycle totals — deterministic, so unlike
@@ -193,6 +195,10 @@ def check_edit(fresh: dict, committed: dict, tolerance: float) -> list[str]:
     if hit_ratio <= 0:
         failures.append("session store fielded no hits — every edit "
                         "rebuilt from scratch")
+    if fresh.get("edits", 0) > 0 \
+            and not fresh["incremental"].get("colorings_reused", 0):
+        failures.append("no value edit reused its round-0 coloring — "
+                        "the session's coloring carry stopped firing")
     return failures
 
 

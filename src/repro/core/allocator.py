@@ -49,6 +49,11 @@ class PreferenceDirectedAllocator(Allocator):
         self.post_coalesce = post_coalesce
         self.last_trace: SelectionTrace | None = None
 
+    def config_key(self) -> tuple:
+        # ``last_trace`` is per-run output, not configuration.
+        return (type(self).__qualname__, self.name, self.config,
+                self.keep_trace, self.use_cpg, self.post_coalesce)
+
     def allocate_round(self, ctx: RoundContext) -> RoundOutcome:
         outcome = RoundOutcome()
         with phase("build-RPG"):

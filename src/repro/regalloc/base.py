@@ -390,6 +390,16 @@ class Allocator(abc.ABC):
     def allocate_round(self, ctx: RoundContext) -> RoundOutcome:
         """Color the current function or nominate spills."""
 
+    def config_key(self) -> tuple:
+        """Hashable identity of everything that shapes this allocator's
+        decisions: allocators with equal keys color equal inputs
+        identically.  ``name`` alone is not enough — ablation switches
+        keep the default name — so the key carries every instance
+        attribute; subclasses holding per-run state override it.
+        """
+        return (type(self).__qualname__, self.name,
+                tuple(sorted(vars(self).items())))
+
 
 @dataclass(eq=False)
 class AllocationStats:
@@ -458,6 +468,10 @@ class AllocationResult:
     stats: AllocationStats
     #: final vreg -> preg mapping for the last round's names
     assignment: dict[VReg, PReg] = field(default_factory=dict)
+    #: the round-0 coloring this allocation started from (computed or
+    #: carried in); shared, never mutated — see ``round0_outcome`` of
+    #: :func:`allocate_function`
+    round0_outcome: RoundOutcome | None = field(default=None, repr=False)
 
 
 def allocate_function(
@@ -467,6 +481,7 @@ def allocate_function(
     options: AllocationOptions | None = None,
     *,
     round0: RoundAnalyses | None = None,
+    round0_outcome: RoundOutcome | None = None,
     assume_renumbered: bool = False,
     max_rounds: int | None = None,
     rematerialize: bool | None = None,
@@ -494,6 +509,14 @@ def allocate_function(
     or value-identical to — the function ``round0`` analyzed).  The
     session layer uses this to keep a patched clone's names aligned
     with its retained analyses; spill rounds still renumber normally.
+
+    ``round0_outcome`` is a round-0 coloring from an earlier run of an
+    allocator with the same :meth:`Allocator.config_key` on a function
+    round 0 cannot tell apart from ``func`` (same registers, instruction
+    classes, blocks and load offsets; see :mod:`repro.service.session`).
+    It replaces the round-0 ``allocate_round`` call; spill rounds after
+    it run as usual.  It is only read, never mutated, and the result's
+    ``round0_outcome`` hands back whichever round-0 coloring was used.
     """
     options = _resolve_options(
         options, max_rounds=max_rounds, rematerialize=rematerialize
@@ -513,6 +536,7 @@ def allocate_function(
     )
 
     outcome: RoundOutcome | None = None
+    first: RoundOutcome | None = None
     ctx: RoundContext | None = None
     prev_analyses: RoundAnalyses | None = None
     delta: SpillDelta | None = None
@@ -563,8 +587,13 @@ def allocate_function(
             round_index=round_index,
             policy=policy,
         )
-        with phase("color"):
-            outcome = allocator.allocate_round(ctx)
+        if round_index == 0 and round0_outcome is not None:
+            outcome = round0_outcome
+        else:
+            with phase("color"):
+                outcome = allocator.allocate_round(ctx)
+        if round_index == 0:
+            first = outcome
         stats.coalesced_count += outcome.coalesced_count
         stats.biased_hits += outcome.biased_hits
         if not outcome.spilled:
@@ -585,7 +614,8 @@ def allocate_function(
         assignment = _full_assignment(func, outcome)
         _rewrite(func, assignment, ctx.loops, machine, stats)
     return AllocationResult(
-        func=func, machine=machine, stats=stats, assignment=assignment
+        func=func, machine=machine, stats=stats, assignment=assignment,
+        round0_outcome=first,
     )
 
 

@@ -82,6 +82,9 @@ class ServiceMetrics:
             "session_patches_value": 0,
             "session_patches_struct": 0,
             "session_rebuilds": 0,
+            #: functions whose allocation started from a retained
+            #: round-0 coloring (value edits round 0 cannot see)
+            "session_colorings_reused": 0,
         }
         self.queue_depth = 0
         self.queue_depth_max = 0

@@ -477,6 +477,8 @@ class Scheduler:
                     _SESSION_RUNG_COUNTERS.get(rung, "session_rebuilds"),
                     by=count,
                 )
+            self.metrics.inc("session_colorings_reused",
+                             by=info.get("colorings_reused", 0))
             if response.degraded:
                 self.metrics.inc("degraded_total")
             self.metrics.inc("responses_ok")

@@ -47,7 +47,9 @@ __all__ = [
 #: v4: ``policy_tuning`` joins the registry (``benchmarks/
 #: tune_policy.py``'s report: per-family default/candidate measurements
 #: and the winning :class:`repro.policy.Policy`).
-SCHEMA_VERSION = 4
+#: v5: the counter contract gains ``session_colorings_reused`` (value
+#: edits whose allocation started from a retained round-0 coloring).
+SCHEMA_VERSION = 5
 
 #: Every ``type`` tag this module can emit.
 SCHEMA_TYPES = ("allocation", "comparison", "stats", "final_stats",
@@ -73,6 +75,7 @@ SERVICE_COUNTERS = (
     "session_patches_value",
     "session_patches_struct",
     "session_rebuilds",
+    "session_colorings_reused",
 )
 
 

@@ -1,11 +1,11 @@
 """Per-function allocation sessions for the edit-driven incremental path.
 
 A session retains what a from-scratch allocation throws away: the
-prepared+renumbered *reference* form of each function and its round-0
-analyses.  When the next edit of the same source arrives, the session
-diffs the new raw body against the retained raw body
-(:func:`repro.ir.diff.diff_functions`) and takes the cheapest sound
-path down a three-rung ladder:
+prepared+renumbered *reference* form of each function, its round-0
+analyses, and each allocator's round-0 coloring.  When the next edit of
+the same source arrives, the session diffs the new raw body against the
+retained raw body (:func:`repro.ir.diff.diff_functions`) and takes the
+cheapest sound path down a three-rung ladder:
 
 * **value** — the edit is *transparent* (constant values, opcodes,
   load/store offsets inside matched blocks): every prepare/renumber
@@ -17,6 +17,8 @@ path down a three-rung ladder:
   ``id()``-keyed scan of the prepared function recovers where each raw
   instruction landed (instructions dropped by DCE simply have no entry
   — deadness is value-independent, so skipping their edits is exact).
+  The round-0 colorings carry over too, so allocation starts at the
+  spill rounds (or the rewrite) instead of recoloring.
 * **struct** — the edit is structural but block-local: the new body is
   prepared and renumbered from scratch, diffed against the retained
   reference in register-pairing mode, and the retained analyses are
@@ -25,6 +27,21 @@ path down a three-rung ladder:
 * **rebuild** — the delta is inconsistent, touches too much of the
   function, or a patch precondition fails: full re-prepare and
   re-analysis, which is exactly the from-scratch path.
+
+Why a round-0 coloring survives a value edit: round 0 reads the
+function only through its register operands and instruction classes,
+its blocks and loop frequencies, the retained analyses (liveness,
+interference, spill costs — already shared by the value rung), and
+``Load.offset``, which :mod:`repro.core.pairs` turns into the
+``sequential±`` paired-load preferences.  No allocator reads an opcode,
+and ``ConstInst.value`` is read only by rematerialization during spill
+insertion, which runs after round 0 and is never carried.  So a value
+advance keeps every allocator's round-0 outcome — unless one of its
+edits changes an ``offset`` (:data:`ROUND0_VISIBLE_EDITS`), which can
+make or break a paired load; then the colorings are dropped.  An
+identical advance keeps the finished results as well; struct and
+rebuild rungs start with none.  The retained outcomes are shared and
+treated as read-only.
 
 Whatever the rung, allocation itself runs on a clone of the reference
 with ``assume_renumbered=True``, so the result is byte-identical to a
@@ -60,6 +77,7 @@ from repro.regalloc.base import (
     AllocationStats,
     Allocator,
     RoundAnalyses,
+    RoundOutcome,
     allocate_function,
     compute_round_analyses,
 )
@@ -84,6 +102,10 @@ __all__ = [
     "allocate_function_incremental",
     "execute_delta_request",
 ]
+
+#: value-edit attributes round 0 can see: a changed load offset can make
+#: or break a paired-load preference, so it voids the retained colorings
+ROUND0_VISIBLE_EDITS = frozenset({"offset"})
 
 
 def _prepare_ref(raw: Function, machine: TargetMachine):
@@ -120,6 +142,18 @@ def _prepare_ref(raw: Function, machine: TargetMachine):
 
 
 @dataclass(eq=False)
+class Retained:
+    """One allocator's retained work on a session body."""
+
+    #: the round-0 coloring; valid for every body reachable through
+    #: value edits round 0 cannot see (read-only, shared across versions)
+    outcome: RoundOutcome
+    #: ``(result, cycles)`` for *this exact body*; ``None`` once a value
+    #: edit changed it
+    finished: tuple[AllocationResult, CycleReport] | None = None
+
+
+@dataclass(eq=False)
 class FunctionSession:
     """Retained state of one function: raw body, reference, analyses."""
 
@@ -132,10 +166,10 @@ class FunctionSession:
     analyses: RoundAnalyses
     #: raw ``(label, index)`` -> reference ``(label, index)``
     posmap: dict
-    #: ``(allocator, result-shaping options)`` -> ``(result, cycles)``
-    #: for *this exact body*; shared across identical advances (an
-    #: unchanged function in a multi-function module skips allocation
-    #: outright), dropped on any edit
+    #: ``(allocator config, result-shaping options)`` -> :class:`Retained`;
+    #: shared whole across identical advances (an unchanged function in
+    #: a multi-function module skips allocation outright), outcomes only
+    #: across value advances, dropped on any other edit
     memo: dict = field(default_factory=dict)
 
     @classmethod
@@ -169,6 +203,11 @@ class FunctionSession:
                     posmap=self.posmap, memo=self.memo,
                 ), "value"
             ref = clone_function(self.ref)
+            memo = {}
+            if not any(edit.attr in ROUND0_VISIBLE_EDITS
+                       for edit in delta.value_edits):
+                memo = {key: Retained(kept.outcome)
+                        for key, kept in self.memo.items()}
             with phase("patch"):
                 blocks = {blk.label: blk for blk in ref.blocks}
                 for edit in delta.value_edits:
@@ -180,7 +219,7 @@ class FunctionSession:
                             edit.new)
             return FunctionSession(
                 name=self.name, raw=clone_function(parsed), ref=ref,
-                analyses=self.analyses, posmap=self.posmap,
+                analyses=self.analyses, posmap=self.posmap, memo=memo,
             ), "value"
         if not delta.consistent:
             return FunctionSession.build(parsed, machine,
@@ -210,17 +249,23 @@ class IncrementalAllocation:
     #: ladder rung taken: ``new`` (no base session), ``value``,
     #: ``struct``, or ``rebuild``
     path: str
+    #: allocation started from a retained round-0 coloring
+    coloring_reused: bool = False
 
 
 def _allocate_on(session: FunctionSession, machine: TargetMachine,
-                 allocator: Allocator, options: AllocationOptions):
+                 allocator: Allocator, options: AllocationOptions,
+                 outcome: RoundOutcome | None):
     """Allocate a clone of the session's reference; verify + cycles."""
-    func = clone_function(session.ref)
+    with phase("clone"):
+        func = clone_function(session.ref)
     result = allocate_function(func, machine, allocator, options=options,
                                round0=session.analyses,
+                               round0_outcome=outcome,
                                assume_renumbered=True)
     if options.verify:
-        verify_allocation(func, machine)
+        with phase("verify"):
+            verify_allocation(func, machine)
     return result, estimate_cycles(func, machine)
 
 
@@ -254,16 +299,22 @@ def allocate_function_incremental(
             path = "new" if session is None else "rebuild"
         else:
             fresh, path = session.advance(func, machine)
-    memo_key = (allocator.name, options.max_rounds, options.rematerialize,
-                options.verify, options.policy.digest())
-    hit = fresh.memo.get(memo_key)
-    if hit is not None:
-        result, cycles = hit
+    memo_key = (allocator.config_key(), options.max_rounds,
+                options.rematerialize, options.verify,
+                options.policy.digest())
+    kept = fresh.memo.get(memo_key)
+    carried = None
+    if kept is not None and kept.finished is not None:
+        result, cycles = kept.finished
     else:
-        result, cycles = _allocate_on(fresh, machine, allocator, options)
-        fresh.memo[memo_key] = (result, cycles)
+        carried = kept.outcome if kept is not None else None
+        result, cycles = _allocate_on(fresh, machine, allocator, options,
+                                      carried)
+        fresh.memo[memo_key] = Retained(result.round0_outcome,
+                                        (result, cycles))
     return IncrementalAllocation(result=result, cycles=cycles,
-                                 session=fresh, path=path)
+                                 session=fresh, path=path,
+                                 coloring_reused=carried is not None)
 
 
 @dataclass(eq=False)
@@ -356,8 +407,10 @@ def execute_delta_request(
     holding its session.  Correctness never depends on the lookup:
     whatever (or nothing) the token resolves to, the differ reconciles
     the retained state with the new body or rebuilds from scratch.
-    ``info``, when given, is filled with ``base_hit`` and the per-rung
-    ``paths`` counts for the caller's metrics.
+    ``info``, when given, is filled with ``base_hit``, the per-rung
+    ``paths`` counts and ``colorings_reused`` (functions whose
+    allocation started from a retained round-0 coloring) for the
+    caller's metrics.
     """
     # Deferred import: the scheduler imports this module for its store.
     from repro.service.scheduler import ALLOCATOR_FACTORIES
@@ -367,7 +420,8 @@ def execute_delta_request(
     if options is None:
         options = request.options
     machine = request.machine.build()
-    module = parse_module(request.ir)
+    with phase("parse"):
+        module = parse_module(request.ir)
     machine_key = canonical_json(machine_descriptor(machine))
     if not options.policy.is_default():
         # Retained sessions are policy-specific (see
@@ -384,6 +438,7 @@ def execute_delta_request(
     results: list[AllocationResult] = []
     sessions: dict[str, FunctionSession] = {}
     paths: dict[str, int] = {}
+    reused = 0
     for func in module.functions:
         prev = base.functions.get(func.name) if base is not None else None
         out = allocate_function_incremental(prev, func, machine, allocator,
@@ -393,6 +448,7 @@ def execute_delta_request(
         cycles.add(out.cycles)
         sessions[func.name] = out.session
         paths[out.path] = paths.get(out.path, 0) + 1
+        reused += out.coloring_reused
     digest = request.base_digest or session_digest(
         print_module(module), machine)
     store.put(digest, ModuleSession(digest=digest, machine_key=machine_key,
@@ -400,16 +456,17 @@ def execute_delta_request(
     if info is not None:
         info["base_hit"] = base is not None
         info["paths"] = paths
-    response = AllocationResponse(
-        id=request.id,
-        ok=True,
-        allocator=request.allocator,
-        effective_allocator=name,
-        degraded=name != request.allocator,
-        code="\n\n".join(print_function(r.func) for r in results),
-        stats=stats_to_dict(stats),
-        cycles=cycles_to_dict(cycles),
-    )
-    response = response.seal()
+        info["colorings_reused"] = reused
+    with phase("render"):
+        response = AllocationResponse(
+            id=request.id,
+            ok=True,
+            allocator=request.allocator,
+            effective_allocator=name,
+            degraded=name != request.allocator,
+            code="\n\n".join(print_function(r.func) for r in results),
+            stats=stats_to_dict(stats),
+            cycles=cycles_to_dict(cycles),
+        ).seal()
     response.session_digest = digest
     return response

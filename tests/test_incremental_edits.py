@@ -18,18 +18,38 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from oracles import (
+    OracleMismatch,
     forced_matrix_branches,
     scratch_incremental,
     validated_incremental,
 )
+import repro.service.session as session_module
+from repro.core.allocator import PreferenceDirectedAllocator
+from repro.core.pairs import WORD_SIZE, find_paired_loads
+from repro.core.prefs import PreferenceConfig
 from repro.errors import AllocationError
 from repro.ir.clone import clone_function
 from repro.ir.function import BasicBlock
-from repro.ir.instructions import BinOp, ConstInst, Jump, Store
+from repro.ir.instructions import (
+    COMPARE_OPS,
+    FLOAT_BINOPS,
+    INT_BINOPS,
+    BinOp,
+    ConstInst,
+    Jump,
+    Load,
+    Store,
+)
 from repro.ir.printer import print_function
 from repro.ir.validate import validate_function
 from repro.ir.values import Const, RegClass, VReg
-from repro.regalloc import AllocationOptions, ChaitinAllocator
+from repro.pipeline import prepare_function
+from repro.profiling import profiled
+from repro.regalloc import (
+    AllocationOptions,
+    ChaitinAllocator,
+    allocate_function,
+)
 from repro.service.session import (
     ModuleSession,
     SessionStore,
@@ -39,6 +59,7 @@ from repro.service.session import (
 from repro.target.presets import make_machine
 from repro.workloads.generator import generate_function
 from repro.workloads.profiles import BenchmarkProfile
+from repro.workloads.suite import make_benchmark
 
 SLOW = settings(
     max_examples=25,
@@ -88,6 +109,29 @@ def edit_modify_operand_const(func, rng) -> bool:
         return False
     blk, i = rng.choice(sites)
     blk.instrs[i].rhs = Const(blk.instrs[i].rhs.value + rng.randrange(1, 5))
+    return True
+
+
+def edit_swap_opcode(func, rng) -> bool:
+    groups = (INT_BINOPS, FLOAT_BINOPS, COMPARE_OPS)
+    sites = [(ins, group) for blk in func.blocks for ins in blk.instrs
+             if isinstance(ins, BinOp)
+             for group in groups if ins.op in group]
+    if not sites:
+        return False
+    ins, group = rng.choice(sites)
+    ins.op = rng.choice([op for op in group if op != ins.op])
+    return True
+
+
+def edit_shift_offset(func, rng) -> bool:
+    """Move a load/store by a word: can make or break a paired load."""
+    sites = [ins for blk in func.blocks for ins in blk.instrs
+             if isinstance(ins, (Load, Store))]
+    if not sites:
+        return False
+    ins = rng.choice(sites)
+    ins.offset += 4 if ins.offset < 4 else rng.choice((-4, 4))
     return True
 
 
@@ -160,9 +204,16 @@ def edit_merge_blocks(func, rng) -> bool:
     return True
 
 
-EDIT_OPS = [
+#: edits the value rung absorbs (the diff classifies them transparent)
+VALUE_EDIT_OPS = [
     edit_modify_const,
     edit_modify_operand_const,
+    edit_swap_opcode,
+    edit_shift_offset,
+]
+
+EDIT_OPS = [
+    *VALUE_EDIT_OPS,
     edit_insert_dead,
     edit_redefine,
     edit_delete_store,
@@ -297,6 +348,158 @@ class TestModeAndBackendIdentity:
             == ["new", "value", "struct", "struct", "struct", "value"]
 
 
+class TestColoringCarry:
+    """The value rung carries each allocator's round-0 coloring."""
+
+    def value_chain(self, seed: int, steps: int = 8):
+        """A base function plus ``steps`` value-edited versions, cycling
+        through every value-edit kind."""
+        profile = BenchmarkProfile(name="edit", stmts=20, int_pool=6,
+                                   float_pool=2, branch_prob=0.2,
+                                   loop_prob=0.2, load_prob=0.3,
+                                   store_prob=0.15, paired_prob=0.4,
+                                   max_params=2)
+        versions = [generate_function("edit", profile, seed)]
+        rng = random.Random(seed)
+        for step in range(steps):
+            nxt = clone_function(versions[-1])
+            VALUE_EDIT_OPS[(seed + step) % len(VALUE_EDIT_OPS)](nxt, rng)
+            validate_function(nxt)
+            versions.append(nxt)
+        return versions
+
+    @pytest.mark.parametrize("regs", [8, 24])
+    @pytest.mark.parametrize("make_allocator",
+                             [PreferenceDirectedAllocator, ChaitinAllocator],
+                             ids=["full", "chaitin"])
+    def test_validated_value_chains(self, make_allocator, regs):
+        """Every version of a value-edit chain matches a from-scratch run
+        (validate mode raises otherwise); at K=8 spill rounds run after
+        a carried round 0."""
+        machine = make_machine(regs)
+        assert machine.has_paired_loads
+        reused = spilling = 0
+        for seed in range(6):
+            outs = run_chain(self.value_chain(seed), machine, "validate",
+                             make_allocator())
+            assert [o.path for o in outs[1:]] == ["value"] * (len(outs) - 1)
+            for out in outs[1:]:
+                reused += out.coloring_reused
+                spilling += out.coloring_reused and out.result.stats.rounds > 1
+        assert reused
+        if regs == 8:
+            assert spilling
+
+    def paired_load_breaks(self):
+        """``(function, edited copy)`` for each jess function with a
+        paired load; the copy moves the pair's second load a word on."""
+        for func in make_benchmark("jess").functions:
+            pairs = find_paired_loads(func)
+            if not pairs:
+                continue
+            blk = pairs[0].block
+            index = blk.instrs.index(pairs[0].second)
+            edited = clone_function(func)
+            target = {b.label: b for b in edited.blocks}[blk.label]
+            target.instrs[index].offset += WORD_SIZE
+            yield func, edited
+
+    def test_offset_edit_drops_the_coloring(self):
+        machine = make_machine(16)
+        allocator = PreferenceDirectedAllocator()
+        options = AllocationOptions()
+        edits = 0
+        for func, edited in self.paired_load_breaks():
+            base = allocate_function_incremental(None, func, machine,
+                                                 allocator, options)
+            out = validated_incremental(base.session, edited, machine,
+                                        allocator, options)
+            assert out.path == "value" and not out.coloring_reused
+            edits += 1
+        assert edits
+
+    def test_offset_guard_bypassed_is_caught(self, monkeypatch):
+        """Carrying a coloring across a broken paired load is unsound;
+        the scratch oracle must notice."""
+        monkeypatch.setattr(session_module, "ROUND0_VISIBLE_EDITS",
+                            frozenset())
+        machine = make_machine(16)
+        allocator = PreferenceDirectedAllocator()
+        options = AllocationOptions()
+        diverged = 0
+        for func, edited in self.paired_load_breaks():
+            base = allocate_function_incremental(None, func, machine,
+                                                 allocator, options)
+            try:
+                out = validated_incremental(base.session, edited, machine,
+                                            allocator, options)
+            except OracleMismatch:
+                diverged += 1
+            else:
+                assert out.coloring_reused
+        assert diverged
+
+    def test_carried_outcome_is_never_mutated(self):
+        machine = make_machine(8)
+        prepared = prepare_function(
+            clone_function(make_benchmark("jess").functions[0]), machine)
+        allocator = PreferenceDirectedAllocator()
+        first = allocate_function(clone_function(prepared), machine,
+                                  allocator)
+        outcome = first.round0_outcome
+        assert first.stats.rounds > 1  # spill rounds follow round 0
+
+        def snapshot():
+            return (dict(outcome.assignment), dict(outcome.alias),
+                    set(outcome.spilled), outcome.coalesced_count,
+                    outcome.biased_hits)
+
+        before = snapshot()
+        with profiled() as prof:
+            again = allocate_function(clone_function(prepared), machine,
+                                      allocator, round0_outcome=outcome)
+        assert snapshot() == before
+        assert again.round0_outcome is outcome
+        # Round 0 is skipped; every spill round still colors.
+        assert prof.snapshot()["color"]["calls"] == again.stats.rounds - 1
+        assert print_function(again.func) == print_function(first.func)
+
+    def test_memo_key_separates_allocator_configs(self):
+        """``use_cpg=False`` keeps the default name; re-sending the same
+        body with it must not return the default allocator's result."""
+        func = make_benchmark("jess").functions[0]
+        machine = make_machine(8)
+        options = AllocationOptions()
+        first = allocate_function_incremental(
+            None, func, machine, PreferenceDirectedAllocator(), options)
+        ablated = PreferenceDirectedAllocator(use_cpg=False)
+        assert ablated.name == PreferenceDirectedAllocator().name
+        again = allocate_function_incremental(first.session, func, machine,
+                                              ablated, options)
+        scratch = allocate_function_incremental(
+            None, func, machine, PreferenceDirectedAllocator(use_cpg=False),
+            options)
+        assert print_function(again.result.func) \
+            == print_function(scratch.result.func)
+        assert print_function(again.result.func) \
+            != print_function(first.result.func)
+
+    def test_config_keys_tell_same_named_allocators_apart(self):
+        variants = [
+            PreferenceDirectedAllocator(),
+            PreferenceDirectedAllocator(use_cpg=False),
+            PreferenceDirectedAllocator(post_coalesce=True),
+            PreferenceDirectedAllocator(keep_trace=True),
+            PreferenceDirectedAllocator(PreferenceConfig(byte_loads=False)),
+        ]
+        assert len({a.name for a in variants}) == 1
+        assert len({a.config_key() for a in variants}) == len(variants)
+        assert ChaitinAllocator().config_key() \
+            == ChaitinAllocator().config_key()
+        assert ChaitinAllocator().config_key() \
+            != ChaitinAllocator(biased=True).config_key()
+
+
 class TestSessionStore:
     def put(self, store, digest):
         store.put(digest, ModuleSession(digest=digest, machine_key="mk",
@@ -406,6 +609,8 @@ class TestDeltaWirePath:
         assert counters["session_hits"] == 2
         assert counters["session_patches_value"] >= 1
         assert counters["session_patches_struct"] >= 1
+        # The value edit started from the retained coloring.
+        assert counters["session_colorings_reused"] == 1
         # Byte-identical to the full path, digest included.
         for r, ir in zip(prints, (ir1, ir2)):
             full = execute_request(full_request("f", ir))

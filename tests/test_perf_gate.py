@@ -1,6 +1,8 @@
-"""The selector-scaling perf gate (``benchmarks/check_perf_regression.py
---selector``) on the committed report: it passes against itself, and
-fails on a changed allocation fingerprint even when time is unchanged."""
+"""Perf gates (``benchmarks/check_perf_regression.py``) on the committed
+reports: each passes against itself.  The selector gate fails on a
+changed allocation fingerprint even when time is unchanged; the edit
+gate fails when value edits stop reusing their round-0 colorings even
+when the speedup holds."""
 
 import copy
 import importlib.util
@@ -19,8 +21,8 @@ def load_gate():
     return module
 
 
-def committed_report() -> dict:
-    return json.loads((ROOT / "BENCH_selector_scaling.json").read_text())
+def committed_report(name: str = "BENCH_selector_scaling.json") -> dict:
+    return json.loads((ROOT / name).read_text())
 
 
 class TestSelectorGate:
@@ -37,3 +39,30 @@ class TestSelectorGate:
         assert len(failures) == 1
         assert entry["name"] in failures[0]
         assert "fingerprint" in failures[0]
+
+
+class TestEditGate:
+    def report(self) -> dict:
+        return committed_report("BENCH_edit_churn.json")
+
+    def test_committed_report_passes_against_itself(self):
+        report = self.report()
+        assert report["incremental"]["colorings_reused"] > 0
+        assert load_gate().check_edit(report, report, 0.0) == []
+
+    def test_value_edits_without_reuse_fail(self):
+        committed = self.report()
+        fresh = copy.deepcopy(committed)
+        fresh["incremental"]["colorings_reused"] = 0
+        failures = load_gate().check_edit(fresh, committed, 0.0)
+        assert len(failures) == 1
+        assert "coloring" in failures[0]
+        del fresh["incremental"]["colorings_reused"]
+        assert load_gate().check_edit(fresh, committed, 0.0) == failures
+
+    def test_no_value_edits_need_no_reuse(self):
+        committed = self.report()
+        fresh = copy.deepcopy(committed)
+        fresh["edits"] = 0
+        fresh["incremental"]["colorings_reused"] = 0
+        assert load_gate().check_edit(fresh, committed, 0.0) == []
