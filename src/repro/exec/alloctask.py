@@ -5,7 +5,8 @@ allocator, options)`` — exactly what
 :func:`repro.pipeline._allocate_one` consumes — or, on the codec wire
 path, a digest-reference control tuple (see :mod:`repro.exec.wire`)
 that resolves to the same tuple plus precomputed content digests.  The return value is
-``(AllocationResult, CycleReport)`` either way.
+``(AllocationResult, CycleReport)`` either way, with the result's
+``round0_outcome`` cleared.
 
 The worker keeps a **warm round-0 analysis cache** keyed by *content*,
 not by object identity: every batch ships fresh ``Function`` copies
@@ -108,6 +109,9 @@ def run_alloc_job(payload):
                               machine_digest=machine_digest)
     result = allocate_function(func, machine, allocator,
                                options=options, round0=round0)
+    # The round-0 coloring is only ever carried by edit sessions, which
+    # never run through the pool; do not pickle it back to the parent.
+    result.round0_outcome = None
     if options.verify:
         verify_allocation(func, machine)
     return result, estimate_cycles(func, machine)

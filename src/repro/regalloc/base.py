@@ -513,10 +513,13 @@ def allocate_function(
     ``round0_outcome`` is a round-0 coloring from an earlier run of an
     allocator with the same :meth:`Allocator.config_key` on a function
     round 0 cannot tell apart from ``func`` (same registers, instruction
-    classes, blocks and load offsets; see :mod:`repro.service.session`).
-    It replaces the round-0 ``allocate_round`` call; spill rounds after
-    it run as usual.  It is only read, never mutated, and the result's
-    ``round0_outcome`` hands back whichever round-0 coloring was used.
+    classes, blocks, and load bases and offsets; see
+    :mod:`repro.service.session`).  It replaces the round-0
+    ``allocate_round`` call; spill rounds after it run as usual.  It is
+    only read, never mutated, and the result's ``round0_outcome`` hands
+    back whichever round-0 coloring was used.  Per-run side outputs of
+    ``allocate_round`` (``PreferenceDirectedAllocator.last_trace``) are
+    not refreshed for a carried round.
     """
     options = _resolve_options(
         options, max_rounds=max_rounds, rematerialize=rematerialize

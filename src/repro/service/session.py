@@ -32,16 +32,18 @@ Why a round-0 coloring survives a value edit: round 0 reads the
 function only through its register operands and instruction classes,
 its blocks and loop frequencies, the retained analyses (liveness,
 interference, spill costs — already shared by the value rung), and
-``Load.offset``, which :mod:`repro.core.pairs` turns into the
-``sequential±`` paired-load preferences.  No allocator reads an opcode,
-and ``ConstInst.value`` is read only by rematerialization during spill
-insertion, which runs after round 0 and is never carried.  So a value
-advance keeps every allocator's round-0 outcome — unless one of its
-edits changes an ``offset`` (:data:`ROUND0_VISIBLE_EDITS`), which can
-make or break a paired load; then the colorings are dropped.  An
-identical advance keeps the finished results as well; struct and
-rebuild rungs start with none.  The retained outcomes are shared and
-treated as read-only.
+``Load.base``/``Load.offset``, which :mod:`repro.core.pairs` compares to
+find the ``sequential±`` paired-load preferences (a base is a register
+or a constant address such as ``load [100+4]``; only the constant can
+change in a value edit).  No allocator reads an opcode or any other
+constant operand, and ``ConstInst.value`` is read only by
+rematerialization during spill insertion, which runs after round 0 and
+is never carried.  So a value advance keeps every allocator's round-0
+outcome — unless one of its edits changes a ``base`` or an ``offset``
+(:data:`ROUND0_VISIBLE_EDITS`), which can make or break a paired load;
+then the colorings are dropped.  An identical advance keeps the
+finished results as well; struct and rebuild rungs start with none.
+The retained outcomes are shared and treated as read-only.
 
 Whatever the rung, allocation itself runs on a clone of the reference
 with ``assume_renumbered=True``, so the result is byte-identical to a
@@ -103,9 +105,11 @@ __all__ = [
     "execute_delta_request",
 ]
 
-#: value-edit attributes round 0 can see: a changed load offset can make
-#: or break a paired-load preference, so it voids the retained colorings
-ROUND0_VISIBLE_EDITS = frozenset({"offset"})
+#: value-edit attributes round 0 can see: a changed constant load base or
+#: load offset can make or break a paired-load preference, so either
+#: voids the retained colorings (store edits share the names and are
+#: dropped too, conservatively)
+ROUND0_VISIBLE_EDITS = frozenset({"offset", "base"})
 
 
 def _prepare_ref(raw: Function, machine: TargetMachine):

@@ -40,6 +40,7 @@ from repro.ir.instructions import (
     Load,
     Store,
 )
+from repro.ir.parser import parse_module
 from repro.ir.printer import print_function
 from repro.ir.validate import validate_function
 from repro.ir.values import Const, RegClass, VReg
@@ -390,7 +391,7 @@ class TestColoringCarry:
         if regs == 8:
             assert spilling
 
-    def paired_load_breaks(self):
+    def offset_edits(self):
         """``(function, edited copy)`` for each jess function with a
         paired load; the copy moves the pair's second load a word on."""
         for func in make_benchmark("jess").functions:
@@ -404,12 +405,37 @@ class TestColoringCarry:
             target.instrs[index].offset += WORD_SIZE
             yield func, edited
 
-    def test_offset_edit_drops_the_coloring(self):
+    def base_edits(self):
+        """``(function, edited copy)`` pairs whose one edit moves a load
+        to another constant address, breaking then making a pair (the
+        generator only emits register bases)."""
+        def version(second_base):
+            ir = f"""func f(%p0, %p1) -> value {{
+entry:
+  %a = add %p0, %p1
+  %x = load [100+0]
+  %y = load [{second_base}+4]
+  %s = add %x, %y
+  %t = add %s, %a
+  %u = add %t, %p0
+  ret %u
+}}
+"""
+            return parse_module(ir).functions[0]
+
+        paired, apart = version(100), version(200)
+        assert len(find_paired_loads(paired)) == 1
+        assert not find_paired_loads(apart)
+        yield paired, apart
+        yield apart, paired
+
+    @pytest.mark.parametrize("attr", ["offset", "base"])
+    def test_visible_edit_drops_the_coloring(self, attr):
         machine = make_machine(16)
         allocator = PreferenceDirectedAllocator()
         options = AllocationOptions()
         edits = 0
-        for func, edited in self.paired_load_breaks():
+        for func, edited in getattr(self, f"{attr}_edits")():
             base = allocate_function_incremental(None, func, machine,
                                                  allocator, options)
             out = validated_incremental(base.session, edited, machine,
@@ -418,16 +444,17 @@ class TestColoringCarry:
             edits += 1
         assert edits
 
-    def test_offset_guard_bypassed_is_caught(self, monkeypatch):
-        """Carrying a coloring across a broken paired load is unsound;
-        the scratch oracle must notice."""
+    @pytest.mark.parametrize("attr", ["offset", "base"])
+    def test_visible_edit_guard_bypassed_is_caught(self, monkeypatch, attr):
+        """Carrying a coloring across a made or broken paired load is
+        unsound; the scratch oracle must notice."""
         monkeypatch.setattr(session_module, "ROUND0_VISIBLE_EDITS",
                             frozenset())
         machine = make_machine(16)
         allocator = PreferenceDirectedAllocator()
         options = AllocationOptions()
         diverged = 0
-        for func, edited in self.paired_load_breaks():
+        for func, edited in getattr(self, f"{attr}_edits")():
             base = allocate_function_incremental(None, func, machine,
                                                  allocator, options)
             try:

@@ -241,5 +241,9 @@ class TestPoolIdentity:
             assert print_function(direct[0].func) == \
                 print_function(via_wire[0].func)
             assert direct[1].total == via_wire[1].total
+            # Only edit sessions carry a round-0 coloring; a pooled
+            # result must not pickle one back to the parent.
+            assert direct[0].round0_outcome is None
+            assert via_wire[0].round0_outcome is None
         finally:
             shipment.cleanup()
