@@ -1,4 +1,4 @@
-"""Closed-loop load generator for the allocation service and cluster.
+"""Closed-loop load generator for the allocation service.
 
 Starts an in-process LDJSON TCP server, then drives it with ``--clients``
 concurrent closed-loop clients (each submits its next request as soon as
@@ -10,34 +10,15 @@ percentiles (p50/p99, measured exactly from the recorded samples, not
 histogram buckets), throughput, and the server's own cache/degradation
 counters.
 
-``--shards N [N ...]`` switches to the *cluster* bench: for each shard
-count it brings up a full local topology (cache peer + shard
-subprocesses + router), primes it with one untimed warmup pass over the
-unique (bench, allocator, regs) grid, then drives the router closed-loop
-with ``--laps`` timed repeats of the grid.  Only the steady-state window
-is timed — the cold allocator compute is identical work at every shard
-count, so the timed numbers isolate what the topology changes: router
-forwarding, per-shard L1 capacity (``--shard-cache-size`` is
-deliberately tiny, so a single shard thrashes over the full grid while
-a cluster's aggregate L1 holds its digest-owned slices), and shared
-peer-tier round trips.  ``shared_cache.hit_ratio`` (a delta over the
-timed window plus the forced-hedge drill) measures the cross-shard tier
-doing real work, and ``scaling_vs_single`` is each point's throughput
-relative to the 1-shard run *within the same report*, which cancels
-machine speed exactly like the allocator gates' chaitin normalization.
-
 Run the full bench or the CI smoke variant::
 
     PYTHONPATH=src python benchmarks/bench_service_throughput.py \
         --out BENCH_service_throughput.json
     PYTHONPATH=src python benchmarks/bench_service_throughput.py --smoke
-    PYTHONPATH=src python benchmarks/bench_service_throughput.py \
-        --shards 1 3 --out BENCH_cluster_throughput.json
 """
 
 import argparse
 import json
-import os
 import socket
 import subprocess
 import sys
@@ -161,207 +142,6 @@ def run(benches, allocators, requests, clients, regs, jobs) -> dict:
     }
 
 
-def build_unique_grid(benches, allocators, regs_values) -> list:
-    """One request per unique (bench, allocator, regs) combination."""
-    return [
-        AllocationRequest(
-            id=f"warm-{i}",
-            bench=bench,
-            allocator=allocator,
-            machine=MachineSpec(regs=regs),
-        )
-        for i, (bench, allocator, regs) in enumerate(
-            (b, a, r) for b in benches for a in allocators
-            for r in regs_values)
-    ]
-
-
-def build_cluster_schedule(grid, laps) -> list:
-    """The steady-state drive: the unique grid, ``laps`` times over.
-
-    Every request here is a repeat of an already-computed unique (the
-    warmup pass primes the cluster), so the timed window measures the
-    serving topology — router forwarding, shard L1 capacity, and the
-    shared peer tier — not the allocator compute, which is identical
-    work at every shard count.
-    """
-    schedule = []
-    for lap in range(laps):
-        for i, request in enumerate(grid):
-            schedule.append(AllocationRequest(
-                id=f"lap{lap}-{i}",
-                bench=request.bench,
-                allocator=request.allocator,
-                machine=request.machine,
-            ))
-    return schedule
-
-
-def hedge_drill(handles, schedule, requests=12) -> dict:
-    """Forced-hedge pass over warm repeats: a second router with an
-    immediate hedge deadline races every request against a fallback
-    shard.  Run *after* the throughput drive so the racing is between
-    cache hits — it measures who wins the race, not duplicated compute
-    (on a starved runner an in-band hedge would poison the throughput
-    numbers; the tests cover in-band hedging semantics)."""
-    from repro.cluster import ClusterRouter, ClusterServerThread
-
-    router = ClusterRouter(handles, hedge_s=0.0)
-    thread = ClusterServerThread(router, "127.0.0.1", 0)
-    errors = 0
-    try:
-        host, port = thread.start()
-        client = ServiceClient(host, port, timeout=120.0)
-        for request in schedule[:requests]:
-            if not client.allocate(request).ok:
-                errors += 1
-    finally:
-        thread.stop()
-    counters = router.metrics.snapshot()["counters"]
-    return {
-        "requests": min(requests, len(schedule)),
-        "started": counters["hedges_started"],
-        "wins_primary": counters["hedge_wins_primary"],
-        "wins_fallback": counters["hedge_wins_fallback"],
-        "win_rate": round(
-            counters["hedge_wins_fallback"] / counters["hedges_started"], 4)
-        if counters["hedges_started"] else 0.0,
-        "errors": errors,
-    }
-
-
-def run_cluster_point(grid, laps, clients, jobs, shards, hedge_ms,
-                      shard_cache_size) -> dict:
-    """One shard-count point: full local topology, driven closed-loop.
-
-    Two phases.  The untimed *warmup* submits every unique request once
-    (sequentially), priming each shard's L1 with its digest-owned slice
-    and publishing every result to the peer tier — the cold allocator
-    compute is the same work at every shard count, so timing it would
-    only bury the topology differences in compute noise.  The timed
-    *drive* then replays the grid ``--laps`` times with concurrent
-    clients: pure steady-state serving, where shard count actually
-    matters (aggregate L1 capacity vs peer-tier round trips).
-    """
-    from repro.cluster import (
-        ClusterRouter,
-        ClusterServerThread,
-        ClusterSupervisor,
-    )
-
-    schedule = build_cluster_schedule(grid, laps)
-    supervisor = ClusterSupervisor(shards=shards, jobs=jobs,
-                                   cache_size=shard_cache_size,
-                                   max_queue=max(64, len(schedule)),
-                                   disk_dir=None)
-    handles = supervisor.start()
-    router = ClusterRouter(handles, supervisor=supervisor,
-                           hedge_s=hedge_ms / 1000.0)
-    thread = ClusterServerThread(router, "127.0.0.1", 0)
-    try:
-        host, port = thread.start()
-        t0 = time.perf_counter()
-        warm_client = ServiceClient(host, port, timeout=300.0)
-        warm_errors = sum(
-            0 if warm_client.allocate(request).ok else 1
-            for request in grid)
-        warmup_s = time.perf_counter() - t0
-        # Shared-cache counters are reported as deltas over the timed
-        # window (+ hedge drill) so the warmup's cold misses/puts don't
-        # drown the steady-state signal.
-        peer_before = supervisor.peer.snapshot()["counters"]
-        latencies, errors, wall_s = drive(host, port, schedule, clients)
-        router_counters = router.metrics.snapshot()["counters"]
-        thread.stop()
-        drill = hedge_drill(handles, grid)
-        peer_after = supervisor.peer.snapshot()["counters"]
-    finally:
-        thread.stop()
-        supervisor.stop()
-    peer = {key: value - peer_before.get(key, 0)
-            for key, value in peer_after.items()}
-    gets = peer["gets"]
-    return {
-        "shards": shards,
-        "requests": len(schedule),
-        "clients": clients,
-        "warmup": {
-            "requests": len(grid),
-            "wall_s": round(warmup_s, 4),
-            "errors": warm_errors,
-        },
-        "wall_s": round(wall_s, 4),
-        "throughput_rps": round(len(latencies) / wall_s, 2) if wall_s else 0,
-        "latency": {
-            "mean_s": round(sum(latencies) / len(latencies), 6)
-            if latencies else 0.0,
-            "p50_s": round(percentile(latencies, 50), 6),
-            "p99_s": round(percentile(latencies, 99), 6),
-            "max_s": round(max(latencies), 6) if latencies else 0.0,
-        },
-        "shared_cache": {
-            "gets": gets,
-            "hits": peer["get_hits"],
-            "hit_ratio": round(peer["get_hits"] / gets, 4) if gets else 0.0,
-            "puts": peer["puts"],
-        },
-        "hedge": {
-            "started": router_counters["hedges_started"],
-            "wins_primary": router_counters["hedge_wins_primary"],
-            "wins_fallback": router_counters["hedge_wins_fallback"],
-            "win_rate": round(
-                router_counters["hedge_wins_fallback"]
-                / router_counters["hedges_started"], 4)
-            if router_counters["hedges_started"] else 0.0,
-        },
-        "hedge_drill": drill,
-        "reroutes": router_counters["reroutes_total"],
-        "degraded_total": router_counters["degraded_total"],
-        "rejected_total": router_counters["rejected_total"],
-        "errors": len(errors),
-        "error_samples": errors[:5],
-    }
-
-
-def run_cluster(benches, allocators, regs_values, laps, clients, jobs,
-                shard_counts, hedge_ms, shard_cache_size) -> dict:
-    points = []
-    for shards in shard_counts:
-        grid = build_unique_grid(benches, allocators, regs_values)
-        point = run_cluster_point(grid, laps, clients, jobs, shards,
-                                  hedge_ms, shard_cache_size)
-        points.append(point)
-        print(f"  {shards} shard(s): {point['throughput_rps']} req/s, "
-              f"p50 {point['latency']['p50_s'] * 1e3:.1f}ms, "
-              f"p99 {point['latency']['p99_s'] * 1e3:.1f}ms, "
-              f"shared-cache hit ratio "
-              f"{point['shared_cache']['hit_ratio']:.2f}, "
-              f"hedge drill {point['hedge_drill']['started']} started "
-              f"(win rate {point['hedge_drill']['win_rate']:.2f}), "
-              f"errors {point['errors']}")
-    single = next((p for p in points if p["shards"] == 1), None)
-    for point in points:
-        point["scaling_vs_single"] = (
-            round(point["throughput_rps"] / single["throughput_rps"], 4)
-            if single and single["throughput_rps"] else None)
-    return {
-        "kind": "cluster_throughput",
-        "benches": benches,
-        "allocators": allocators,
-        "regs_values": regs_values,
-        "laps": laps,
-        "clients": clients,
-        "jobs": jobs,
-        "hedge_ms": hedge_ms,
-        "shard_cache_size": shard_cache_size,
-        "python": sys.version.split()[0],
-        "cpus": os.cpu_count(),
-        "git_commit": git_commit(),
-        "hostname": socket.gethostname(),
-        "points": points,
-    }
-
-
 def git_commit() -> str:
     try:
         return subprocess.run(
@@ -384,51 +164,12 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--smoke", action="store_true",
                         help="small CI-sized run (24 requests, 2 clients)")
-    parser.add_argument("--out", default=None,
-                        help="report path (defaults per mode)")
-    parser.add_argument("--shards", nargs="*", type=int, default=None,
-                        metavar="N",
-                        help="cluster mode: shard counts to sweep "
-                             "(e.g. --shards 1 3)")
-    parser.add_argument("--laps", type=int, default=25,
-                        help="cluster mode: timed repeats of the unique "
-                             "grid after the untimed warmup pass")
-    parser.add_argument("--regs-values", nargs="*", type=int,
-                        default=[12, 16, 20],
-                        help="cluster mode: register-count axis of the "
-                             "unique-request grid")
-    parser.add_argument("--hedge-ms", type=float, default=5000.0,
-                        help="cluster mode: router hedge deadline during "
-                             "the throughput drive (high by default — on "
-                             "a starved runner in-band hedges duplicate "
-                             "compute and poison the scaling numbers; "
-                             "the forced-hedge drill measures hedging "
-                             "separately)")
-    parser.add_argument("--shard-cache-size", type=int, default=6,
-                        help="cluster mode: per-shard L1 entries (small, "
-                             "so one shard's L1 thrashes over the full "
-                             "grid while a cluster's aggregate L1 holds "
-                             "its digest-owned slice)")
+    parser.add_argument("--out", default="BENCH_service_throughput.json",
+                        help="report path")
     args = parser.parse_args(argv)
-
-    if args.shards is not None:
-        if not args.shards:
-            parser.error("--shards needs at least one count")
-        if args.smoke:
-            args.clients = 2
-            args.regs_values = args.regs_values[:2]
-        out = args.out or "BENCH_cluster_throughput.json"
-        report = run_cluster(args.benches, args.allocators,
-                             args.regs_values, args.laps, args.clients,
-                             args.jobs, args.shards, args.hedge_ms,
-                             args.shard_cache_size)
-        Path(out).write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {out}")
-        return 1 if any(p["errors"] for p in report["points"]) else 0
 
     if args.smoke:
         args.requests, args.clients = 24, 2
-    args.out = args.out or "BENCH_service_throughput.json"
     report = run(args.benches, args.allocators, args.requests,
                  args.clients, args.regs, args.jobs)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")

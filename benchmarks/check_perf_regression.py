@@ -54,15 +54,6 @@ provenance is stale), the tuned side must not regress cycles on any
 family, at least one family must strictly improve, and the fresh
 report's best-policy digest must match the committed one (proving the
 committed ``tuned_v1`` preset is the policy the report describes).
-
-``--cluster`` gates ``BENCH_cluster_throughput.json`` reports.  The
-comparable quantity is ``scaling_vs_single`` — each point's throughput
-relative to the 1-shard point *of the same run*, the cluster analog of
-chaitin normalization (runner speed divides out).  Per shard count
-present in both reports, fresh scaling must stay within tolerance of
-committed; additionally every fresh point must be error-free, and
-multi-lap multi-shard points must show a nonzero shared-cache hit
-ratio (the peer tier actually fielding cross-shard lookups).
 """
 
 from __future__ import annotations
@@ -249,62 +240,6 @@ def check_policy(fresh: dict, committed: dict) -> list[str]:
     return failures
 
 
-def check_cluster(fresh: dict, committed: dict,
-                  tolerance: float) -> list[str]:
-    """Gate a cluster-throughput report against the committed baseline."""
-    for side, report in (("fresh", fresh), ("committed", committed)):
-        if report.get("kind") != "cluster_throughput":
-            raise SystemExit(
-                f"{side} report is not a cluster_throughput report; "
-                "regenerate it with bench_service_throughput.py --shards"
-            )
-    failures = []
-    fresh_points = {p["shards"]: p for p in fresh["points"]}
-    committed_points = {p["shards"]: p for p in committed["points"]}
-
-    for shards, point in sorted(fresh_points.items()):
-        if point["errors"]:
-            failures.append(
-                f"{shards} shard(s): {point['errors']} failed requests "
-                f"(samples: {point['error_samples']})"
-            )
-        if point.get("warmup", {}).get("errors"):
-            failures.append(
-                f"{shards} shard(s): {point['warmup']['errors']} failed "
-                "warmup requests"
-            )
-        if (fresh.get("laps", 1) > 1 and shards > 1
-                and point["shared_cache"]["hit_ratio"] <= 0):
-            failures.append(
-                f"{shards} shard(s): shared-cache hit ratio is zero — "
-                "the peer tier fielded no cross-shard hits"
-            )
-
-    print(f"{'shards':>8} {'committed':>10} {'fresh':>10} {'margin':>8}")
-    for shards, want_point in sorted(committed_points.items()):
-        want = want_point.get("scaling_vs_single")
-        got_point = fresh_points.get(shards)
-        if got_point is None or want is None:
-            state = "absent" if got_point is None else "no-scaling"
-            print(f"{shards:>8} {want if want else '':>10} {state:>10}")
-            continue
-        got = got_point.get("scaling_vs_single")
-        if got is None:
-            failures.append(f"{shards} shard(s): fresh report carries no "
-                            "scaling_vs_single (no 1-shard point?)")
-            continue
-        margin = got / want - 1.0
-        flag = " REGRESSION" if -margin > tolerance else ""
-        print(f"{shards:>8} {want:>10.2f} {got:>10.2f} {margin:>+7.0%}{flag}")
-        if -margin > tolerance:
-            failures.append(
-                f"{shards} shard(s): throughput scaling {got:.2f}x single "
-                f"vs committed {want:.2f}x (-{-margin:.0%} worse than "
-                f"-{tolerance:.0%} allowed)"
-            )
-    return failures
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("fresh", type=Path, help="report from this run")
@@ -320,11 +255,6 @@ def main(argv=None) -> int:
                         help="gate the chaitin-normalized combined "
                              "liveness+interference+CPG phase time per "
                              "allocator")
-    parser.add_argument("--cluster", action="store_true",
-                        help="gate BENCH_cluster_throughput.json reports "
-                             "on single-shard-normalized throughput "
-                             "scaling, zero errors, and a live shared "
-                             "cache tier")
     parser.add_argument("--edit", action="store_true",
                         help="gate BENCH_edit_churn.json reports on the "
                              "incremental-vs-scratch speedup floor, the "
@@ -334,10 +264,9 @@ def main(argv=None) -> int:
                              "exact measurement reproduction, the "
                              "no-regression rule, and the preset digest")
     args = parser.parse_args(argv)
-    if sum((args.selector, args.dataflow, args.cluster, args.edit,
-            args.policy)) > 1:
-        parser.error("--selector, --dataflow, --cluster, --edit and "
-                     "--policy are mutually exclusive")
+    if sum((args.selector, args.dataflow, args.edit, args.policy)) > 1:
+        parser.error("--selector, --dataflow, --edit and --policy are "
+                     "mutually exclusive")
 
     fresh = json.loads(args.fresh.read_text())
     committed = json.loads(args.committed.read_text())
@@ -361,17 +290,6 @@ def main(argv=None) -> int:
             return 1
         print("\nedit churn perf gate passed "
               f"(tolerance {args.tolerance:.0%})")
-        return 0
-
-    if args.cluster:
-        failures = check_cluster(fresh, committed, args.tolerance)
-        if failures:
-            print("\ncluster perf regression gate FAILED:", file=sys.stderr)
-            for line in failures:
-                print(f"  - {line}", file=sys.stderr)
-            return 1
-        print("\ncluster perf regression gate passed "
-              f"(tolerance -{args.tolerance:.0%})")
         return 0
 
     if args.dataflow:

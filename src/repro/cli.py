@@ -30,7 +30,6 @@ import argparse
 import sys
 import uuid
 
-from repro.cluster.cli import add_cluster_parser, cmd_cluster_serve
 from repro.core import PreferenceDirectedAllocator
 from repro.errors import ReproError, ServiceError
 from repro.ir.parser import parse_module
@@ -130,9 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default ~/.cache/repro or $REPRO_CACHE_DIR)")
     serve.add_argument("--no-disk-cache", action="store_true",
                        help="keep the result cache in memory only")
-    serve.add_argument("--cache-peer", default=None, metavar="HOST:PORT",
-                       help="share results through a cluster cache-peer "
-                            "tier instead of the local disk layer")
 
     submit = sub.add_parser("submit",
                             help="send one request to a running server")
@@ -165,8 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("example", help="replay the paper's Figure 7")
     sub.add_parser("targets", help="describe the register-usage models")
-
-    add_cluster_parser(sub, ALLOCATOR_CHOICES, BENCHMARK_NAMES)
     return parser
 
 
@@ -191,8 +185,6 @@ def main(argv: list[str] | None = None,
             _cmd_example(out)
         elif args.command == "targets":
             _cmd_targets(out)
-        elif args.command == "cluster":
-            return _cmd_cluster(args, out) or 0
     except ReproError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -356,17 +348,8 @@ def _cmd_serve(args, out) -> None:
     if args.cache_dir:  # --cache-dir beats $REPRO_CACHE_DIR
         overrides["cache_dir"] = args.cache_dir
     options = AllocationOptions.from_env(**overrides)
-    if args.cache_peer:
-        from repro.cluster.cachepeer import PeerCacheBackend, parse_hostport
-
-        peer_host, peer_port = parse_hostport(args.cache_peer)
-        cache = ResultCache(max_entries=args.cache_size,
-                            backend=PeerCacheBackend(peer_host, peer_port))
-    else:
-        disk_dir = None
-        if not args.no_disk_cache:
-            disk_dir = default_cache_dir(options)
-        cache = ResultCache(max_entries=args.cache_size, disk_dir=disk_dir)
+    disk_dir = None if args.no_disk_cache else default_cache_dir(options)
+    cache = ResultCache(max_entries=args.cache_size, disk_dir=disk_dir)
     metrics = ServiceMetrics()
     scheduler = Scheduler(cache=cache, metrics=metrics, options=options,
                           max_queue=args.max_queue)
@@ -438,21 +421,6 @@ def _cmd_submit(args, out) -> int:
 def _cmd_stats(args, out) -> None:
     client = ServiceClient(args.host, args.port)
     print(canonical_json(client.stats()), file=out)
-
-
-def _cmd_cluster(args, out) -> int:
-    """Dispatch ``cluster {serve,submit,stats}``.
-
-    ``submit``/``stats`` reuse the single-server implementations
-    verbatim — the router speaks the identical protocol, only the
-    default port differs (and argparse already applied it).
-    """
-    if args.cluster_command == "serve":
-        return cmd_cluster_serve(args, out)
-    if args.cluster_command == "submit":
-        return _cmd_submit(args, out) or 0
-    _cmd_stats(args, out)
-    return 0
 
 
 def _cmd_example(out) -> None:

@@ -10,7 +10,6 @@ byte-identical to a direct :func:`repro.pipeline.allocate_module` run.
 """
 
 from repro.service.cache import (
-    CacheBackend,
     DiskCacheBackend,
     ResultCache,
     request_fingerprint,
@@ -35,7 +34,6 @@ __all__ = [
     "AllocationRequest",
     "AllocationResponse",
     "MachineSpec",
-    "CacheBackend",
     "DiskCacheBackend",
     "ResultCache",
     "request_fingerprint",

@@ -1,4 +1,4 @@
-"""Content-addressed allocation cache with LRU bounds and pluggable tiers.
+"""Content-addressed allocation cache with LRU bounds and a disk layer.
 
 The key of an entry is a fingerprint of *what determines the result*:
 the normalized IR text (parse -> print round-trip, so formatting and
@@ -10,19 +10,14 @@ request and an ``ir`` request carrying the same module text.
 Entries store the response with per-request metadata stripped
 (:meth:`AllocationResponse.for_cache`), so a hit can be re-addressed to
 any request id.  The in-memory layer is a bounded LRU; behind it sits an
-optional :class:`CacheBackend` — the second tier consulted only on a
-memory miss and written through on every store.  Two backends ship:
+optional :class:`DiskCacheBackend` under ``~/.cache/repro`` (override
+with ``disk_dir=``, or ``AllocationOptions.cache_dir`` — which
+``from_env`` fills from ``$REPRO_CACHE_DIR`` at the serve entry point),
+consulted only on a memory miss and written through on every store, so
+entries persist across server restarts.
 
-* :class:`DiskCacheBackend` — the historical on-disk layer under
-  ``~/.cache/repro`` (override with ``disk_dir=``, or
-  ``AllocationOptions.cache_dir`` — which ``from_env`` fills from
-  ``$REPRO_CACHE_DIR`` at the serve entry points), persisting entries
-  across server restarts;
-* :class:`repro.cluster.cachepeer.PeerCacheBackend` — a TCP client of a
-  shared cache-peer server, so the shards of a cluster share hits.
-
-All backend I/O failures degrade to cache misses — the cache must never
-take the service down — and so does a backend entry that fails its
+All disk I/O failures degrade to cache misses — the cache must never
+take the service down — and so does a disk entry that fails its
 integrity check (:func:`entry_is_intact`), counted as
 ``integrity_failures`` in ``repro stats``.
 """
@@ -49,7 +44,6 @@ from repro.target.machine import TargetMachine
 
 __all__ = [
     "ResultCache",
-    "CacheBackend",
     "DiskCacheBackend",
     "request_fingerprint",
     "default_cache_dir",
@@ -128,36 +122,13 @@ def entry_is_intact(key: str, entry: AllocationResponse) -> bool:
     return replace(entry).seal().result_digest == entry.result_digest
 
 
-class CacheBackend:
-    """Second cache tier behind the in-memory LRU.
+class DiskCacheBackend:
+    """One JSON file per entry under ``root`` (atomic replace writes).
 
-    Implementations must be safe to call from the scheduler's worker
-    thread and must *never raise* out of ``get``/``put`` — a broken
-    backend is a cache miss, not a service outage.  Entries cross the
-    backend boundary as :class:`AllocationResponse` objects with
-    per-request metadata already stripped; reads verify each entry with
+    ``get``/``put`` never raise: a broken disk is a cache miss, not a
+    service outage.  Reads verify each entry with
     :func:`entry_is_intact` and count rejects in ``integrity_failures``.
     """
-
-    name = "none"
-
-    def get(self, key: str) -> AllocationResponse | None:
-        raise NotImplementedError
-
-    def put(self, key: str, entry: AllocationResponse) -> None:
-        raise NotImplementedError
-
-    def snapshot(self) -> dict:
-        return {"backend": self.name}
-
-    def close(self) -> None:
-        """Release any connections/handles; idempotent."""
-
-
-class DiskCacheBackend(CacheBackend):
-    """One JSON file per entry under ``root`` (atomic replace writes)."""
-
-    name = "disk"
 
     def __init__(self, root: Path | str):
         self.root = Path(root).expanduser()
@@ -189,11 +160,11 @@ class DiskCacheBackend(CacheBackend):
             return None
 
     def put(self, key: str, entry: AllocationResponse) -> None:
-        # Unique per-writer temp name: cluster shards share a cache
-        # dir, and two processes storing the same entry through a fixed
-        # ``<key>.tmp`` could interleave write/replace and publish a
-        # torn file.  mkstemp keeps the temp on the same filesystem so
-        # os.replace stays atomic.
+        # Unique per-writer temp name: two ``repro serve`` processes can
+        # share ``~/.cache/repro``, and two writers storing the same
+        # entry through a fixed ``<key>.tmp`` could interleave
+        # write/replace and publish a torn file.  mkstemp keeps the temp
+        # on the same filesystem so os.replace stays atomic.
         try:
             path = self.path_for(key)
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -214,7 +185,7 @@ class DiskCacheBackend(CacheBackend):
 
     def snapshot(self) -> dict:
         return {
-            "backend": self.name,
+            "backend": "disk",
             "root": str(self.root),
             "hits": self.hits,
             "puts": self.puts,
@@ -224,43 +195,34 @@ class DiskCacheBackend(CacheBackend):
 
 
 class ResultCache:
-    """Bounded LRU of allocation responses over an optional backend tier.
-
-    ``disk_dir=`` remains the convenience spelling for the historical
-    layout and simply constructs a :class:`DiskCacheBackend`; pass
-    ``backend=`` for anything else.  The ``disk_hits``/``disk_errors``
-    counters kept their names when the disk layer generalized — they now
-    count *backend* hits/errors whatever the backend is.
-    """
+    """Bounded LRU of allocation responses over an optional disk layer."""
 
     def __init__(self, max_entries: int = 256,
-                 disk_dir: Path | str | None = None,
-                 backend: CacheBackend | None = None):
+                 disk_dir: Path | str | None = None):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
-        if disk_dir is not None and backend is not None:
-            raise ValueError("pass disk_dir or backend, not both")
         self.max_entries = max_entries
-        self.backend = (DiskCacheBackend(disk_dir) if disk_dir is not None
-                        else backend)
+        self.disk = (DiskCacheBackend(disk_dir) if disk_dir is not None
+                     else None)
         self._entries: "OrderedDict[str, AllocationResponse]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.disk_hits = 0
         self.evictions = 0
-        self.disk_errors = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
     @property
     def disk_dir(self) -> Path | None:
-        """The disk root when the backend is the disk layer, else None."""
-        return getattr(self.backend, "root", None)
+        return self.disk.root if self.disk is not None else None
 
-    def _disk_path(self, key: str) -> Path:
-        """Compat shim: the disk backend's path for ``key``."""
-        return self.backend.path_for(key)
+    @property
+    def disk_hits(self) -> int:
+        return self.disk.hits if self.disk is not None else 0
+
+    @property
+    def disk_errors(self) -> int:
+        return self.disk.errors if self.disk is not None else 0
 
     # -- lookup --------------------------------------------------------
 
@@ -271,10 +233,10 @@ class ResultCache:
             self._entries.move_to_end(key)
             self.hits += 1
             return replace(entry)
-        entry = self._backend_get(key)
+        if self.disk is not None:
+            entry = self.disk.get(key)
         if entry is not None:
             self.hits += 1
-            self.disk_hits += 1
             self._remember(key, entry)
             return replace(entry)
         self.misses += 1
@@ -284,10 +246,8 @@ class ResultCache:
         """Store ``response`` under ``key`` (metadata stripped)."""
         entry = response.for_cache()
         self._remember(key, entry)
-        if self.backend is not None:
-            before = self._backend_errors()
-            self.backend.put(key, entry)
-            self.disk_errors += self._backend_errors() - before
+        if self.disk is not None:
+            self.disk.put(key, entry)
 
     def _remember(self, key: str, entry: AllocationResponse) -> None:
         self._entries[key] = entry
@@ -295,21 +255,6 @@ class ResultCache:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.evictions += 1
-
-    def _backend_get(self, key: str) -> AllocationResponse | None:
-        if self.backend is None:
-            return None
-        before = self._backend_errors()
-        entry = self.backend.get(key)
-        self.disk_errors += self._backend_errors() - before
-        return entry
-
-    def _backend_errors(self) -> int:
-        return getattr(self.backend, "errors", 0)
-
-    def close(self) -> None:
-        if self.backend is not None:
-            self.backend.close()
 
     # -- introspection -------------------------------------------------
 
@@ -327,10 +272,10 @@ class ResultCache:
             "hit_ratio": round(self.hit_ratio, 4),
             "disk_hits": self.disk_hits,
             "disk_errors": self.disk_errors,
-            "integrity_failures": getattr(self.backend,
-                                          "integrity_failures", 0),
+            "integrity_failures": (self.disk.integrity_failures
+                                   if self.disk is not None else 0),
             "evictions": self.evictions,
             "disk_dir": str(self.disk_dir) if self.disk_dir else None,
-            "backend": (self.backend.snapshot()
-                        if self.backend is not None else None),
+            "backend": (self.disk.snapshot()
+                        if self.disk is not None else None),
         }

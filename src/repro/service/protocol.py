@@ -137,11 +137,6 @@ class AllocationRequest:
     verify: InitVar[bool | None] = None
     options: AllocationOptions | None = None
     protocol: int = PROTOCOL_VERSION
-    #: cache key precomputed by a routing tier in the same trust domain
-    #: (the cluster router memoizes one digest per unique request); lets
-    #: the shard skip re-normalizing the module on its cache-hit path.
-    #: Never part of the fingerprint itself.
-    fingerprint_hint: str | None = None
     #: non-None makes this an ``allocate_delta`` request (v2 extension):
     #: ``ir`` is the *new* body and the string is the session token of
     #: the edit chain (the ``session_digest`` of the previous response;
@@ -218,8 +213,6 @@ class AllocationRequest:
             # redundant duplicates and are no longer emitted.
             if self.options is not None:
                 wire["options"] = self.options.to_dict()
-            if self.fingerprint_hint:
-                wire["fingerprint_hint"] = self.fingerprint_hint
         else:
             # v1 compat: bare knobs are all that dialect can express.
             wire["verify"] = self.verify
@@ -239,9 +232,10 @@ class AllocationRequest:
                 options = AllocationOptions.from_dict(wire["options"])
             except (TypeError, ValueError) as err:
                 raise ServiceError(f"bad options: {err}") from err
-        # A garbled hint from a misbehaving proxy must not fail the
-        # request — it is a hit-path shortcut, never load-bearing.
-        hint = wire.get("fingerprint_hint")
+        # Unknown keys are ignored.  Older clients may still send a
+        # ``fingerprint_hint`` (a precomputed cache key); it is never
+        # read, because a client-supplied key could address another
+        # request's cached result.
         base_digest = None
         if wire.get("type") == "allocate_delta":
             base = wire.get("base", "")
@@ -258,7 +252,6 @@ class AllocationRequest:
             verify=bool(wire.get("verify", True)),
             options=options,
             protocol=wire.get("protocol", PROTOCOL_VERSION),
-            fingerprint_hint=hint if isinstance(hint, str) and hint else None,
             base_digest=base_digest,
         )
         req.validate()

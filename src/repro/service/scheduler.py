@@ -320,25 +320,6 @@ class Scheduler:
         if request.base_digest is not None:
             return self._process_delta(job, timings)
         try:
-            # A routing tier that already computed the content digest
-            # (and is trusted to have used the same fingerprint
-            # function) lets us skip the parse+normalize pass on the
-            # hit path.  The hint is only ever used to *read*; a stale
-            # or wrong hint falls through to the full path below, and
-            # puts always go under the locally computed fingerprint.
-            hint = request.fingerprint_hint
-            if hint and self.cache is not None:
-                hit = self.cache.get(hint)
-                if hit is not None:
-                    self.metrics.inc("cache_hits")
-                    self.metrics.inc("responses_ok")
-                    hit.id = request.id
-                    hit.cached = True
-                    hit.fingerprint = hint
-                    total = perf_counter() - job.submitted_at
-                    hit.timings = {**timings, "total_s": round(total, 6)}
-                    self.metrics.observe("total", total)
-                    return hit
             t0 = perf_counter()
             module = resolve_module(request)
             normalized = print_module(module)

@@ -4,11 +4,10 @@ The shapes leaving the system: ``allocation`` (``alloc --json``,
 ``submit --json``, and every server response line), ``comparison``
 (``compare --json`` / ``bench --json``), ``stats`` (the ``stats``
 control reply), ``final_stats`` (the snapshot ``serve`` dumps on
-shutdown), ``cluster_stats`` (the router's snapshot), and
-``policy_tuning`` (the offline tuner's report).  Historically each was
-assembled at its call site; they now all come from here, stamped with a
-shared ``schema`` version so downstream consumers can detect shape
-changes without guessing from the fields.
+shutdown), and ``policy_tuning`` (the offline tuner's report).
+Historically each was assembled at its call site; they now all come
+from here, stamped with a shared ``schema`` version so downstream
+consumers can detect shape changes without guessing from the fields.
 
 ``schema`` versions the *envelope shapes* in this module; it is
 orthogonal to ``protocol`` (the request/response conversation version,
@@ -28,7 +27,6 @@ __all__ = [
     "comparison_payload",
     "stats_payload",
     "final_stats_payload",
-    "cluster_stats_payload",
     "policy_tuning_payload",
     "dataflow_backend_fields",
 ]
@@ -36,8 +34,8 @@ __all__ = [
 #: Bumped whenever any emitted document shape changes incompatibly.
 #: v1: first versioned emission (previously the documents carried only
 #: ``protocol``).
-#: v2: ``cluster_stats`` joins the registry (the ``repro cluster``
-#: stats/final snapshot) and ``stats`` documents are guaranteed to carry
+#: v2: the sharded router's stats snapshot joins the registry and
+#: ``stats`` documents are guaranteed to carry
 #: every :data:`SERVICE_COUNTERS` counter plus the ``worker_pool`` and
 #: ``alloc_phases`` sections.
 #: v3: ``allocation`` documents carry ``session_digest`` (the
@@ -49,11 +47,14 @@ __all__ = [
 #: and the winning :class:`repro.policy.Policy`).
 #: v5: the counter contract gains ``session_colorings_reused`` (value
 #: edits whose allocation started from a retained round-0 coloring).
+#: v5 (unchanged): the sharded router's stats snapshot left the registry
+#: with the router, which never beat ``serve --jobs N`` on cache-miss
+#: traffic.  No remaining document changed shape, so no bump.
 SCHEMA_VERSION = 5
 
 #: Every ``type`` tag this module can emit.
 SCHEMA_TYPES = ("allocation", "comparison", "stats", "final_stats",
-                "cluster_stats", "policy_tuning")
+                "policy_tuning")
 
 #: Counters every ``stats``/``final_stats`` metrics section must carry —
 #: the contract the schema version vouches for (asserted by the
@@ -162,27 +163,3 @@ def policy_tuning_payload(tuner: dict, families: dict,
         payload["best"] = best
     return payload
 
-
-def cluster_stats_payload(router: dict, shards: list,
-                          supervisor: dict | None = None,
-                          shard_stats: dict | None = None) -> dict:
-    """The ``stats`` reply (and shutdown snapshot) of a cluster router.
-
-    ``router`` is a :class:`~repro.cluster.router.ClusterMetrics`
-    snapshot, ``shards`` the health table, ``supervisor`` the process
-    topology (pids, cache-peer counters) when the shards are locally
-    supervised, and ``shard_stats`` maps shard index -> that shard's own
-    ``stats`` document (each entry is itself a ``stats``-shaped payload,
-    or None when the probe failed).
-    """
-    payload = _tagged({
-        "type": "cluster_stats",
-        "protocol": PROTOCOL_VERSION,
-        "router": router,
-        "shards": shards,
-    })
-    if supervisor is not None:
-        payload["supervisor"] = supervisor
-    if shard_stats is not None:
-        payload["shard_stats"] = shard_stats
-    return payload

@@ -406,9 +406,8 @@ def execute_delta_request(
     on its next edit.  The token is *stable along an edit chain* — a
     known ``base_digest`` is reused as the storage key, and an unknown
     one adopts the client's token after a one-time scratch build — so a
-    digest-sharded router that routes ``allocate_delta`` lines by
-    ``base_digest`` keeps a keystroke stream pinned to the shard
-    holding its session.  Correctness never depends on the lookup:
+    client echoes one token for the whole chain.  Correctness never
+    depends on the lookup:
     whatever (or nothing) the token resolves to, the differ reconciles
     the retained state with the new body or rebuilds from scratch.
     ``info``, when given, is filled with ``base_hit``, the per-rung

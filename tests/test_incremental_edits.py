@@ -696,44 +696,3 @@ class TestDeltaWirePath:
         stripped = r.for_cache()
         assert stripped.session_digest == ""
         assert stripped.result_digest == r.result_digest
-
-
-class TestClusterDeltaAffinity:
-    def test_edit_chain_pins_to_one_shard(self):
-        from repro.cluster.router import ClusterRouter, ClusterServerThread
-        from repro.cluster.shards import ShardHandle
-        from repro.service.client import ServiceClient
-        from repro.service.scheduler import Scheduler
-        from repro.service.server import ServerThread
-
-        shards, handles = [], []
-        try:
-            for index in range(2):
-                scheduler = Scheduler(cache=None)
-                server = ServerThread(scheduler)
-                host, port = server.start()
-                shards.append((scheduler, server))
-                handles.append(ShardHandle(index, host, port))
-            router = ClusterRouter(handles, hedge_s=30.0)
-            thread = ClusterServerThread(router, "127.0.0.1", 0)
-            host, port = thread.start()
-            try:
-                client = ServiceClient(host, port)
-                r0 = client.allocate(delta_request("c0", IR, ""))
-                assert r0.ok and r0.session_digest
-                token = r0.session_digest
-                for i in range(3):
-                    ir = IR.replace("%lim = 10", f"%lim = {11 + i}")
-                    r = client.allocate(delta_request(f"c{i+1}", ir, token))
-                    assert r.ok and r.session_digest == token
-            finally:
-                thread.stop()
-            hits = sum(s.metrics.counters["session_hits"]
-                       for s, _ in shards)
-            # The token routes every edit to one shard; after at most
-            # one miss (chain start may have landed elsewhere) the
-            # session lives where the edits go.
-            assert hits >= 2
-        finally:
-            for _scheduler, server in shards:
-                server.stop()

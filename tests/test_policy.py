@@ -310,8 +310,15 @@ class TestPresets:
         assert not tuned.is_default()
 
     def test_tuned_v1_matches_the_committed_tuning_report(self):
+        from repro.service.schema import PROTOCOL_VERSION, SCHEMA_VERSION
+
         report_path = REPO_ROOT / "BENCH_policy_tuning.json"
         report = json.loads(report_path.read_text())
+        # The CI policy-tuning job asserts the same envelope; a schema
+        # bump that forgets to regenerate the report fails here first.
+        assert report["type"] == "policy_tuning"
+        assert report["schema"] == SCHEMA_VERSION
+        assert report["protocol"] == PROTOCOL_VERSION
         tuned = load_policy("tuned_v1")
         assert tuned.digest() == report["best"]["digest"]
         assert tuned == Policy.from_dict(report["best"]["policy"])

@@ -176,7 +176,7 @@ class TestResultCache:
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(max_entries=4, disk_dir=tmp_path)
-        path = cache._disk_path("feedface")
+        path = cache.disk.path_for("feedface")
         path.parent.mkdir(parents=True)
         path.write_text("not json{")
         assert cache.get("feedface") is None
@@ -187,7 +187,7 @@ class TestResultCache:
         entry = self.response("clean code")
         entry.fingerprint = "c0ffee"
         writer.put("c0ffee", entry)
-        path = writer._disk_path("c0ffee")
+        path = writer.disk.path_for("c0ffee")
         wire = json.loads(path.read_text())
         assert wire["code"] == "clean code"
         wire["code"] = "clean codf"  # one flipped bit, still valid JSON
@@ -203,9 +203,9 @@ class TestResultCache:
         entry = self.response("right key")
         entry.fingerprint = "aaaa"
         cache.put("aaaa", entry)
-        wrong = cache._disk_path("bbbb")
+        wrong = cache.disk.path_for("bbbb")
         wrong.parent.mkdir(parents=True, exist_ok=True)
-        wrong.write_text(cache._disk_path("aaaa").read_text())
+        wrong.write_text(cache.disk.path_for("aaaa").read_text())
         fresh = ResultCache(max_entries=4, disk_dir=tmp_path)
         assert fresh.get("bbbb") is None
         assert fresh.get("aaaa") is not None
@@ -363,8 +363,7 @@ class TestScheduler:
 
 
 class TestFingerprintHint:
-    """The cluster router precomputes the digest; shards trust it to
-    short-circuit straight to the cache, read-only."""
+    """Old clients may still send ``fingerprint_hint``; it is ignored."""
 
     def run_request(self, scheduler, request):
         future = scheduler.submit(request)
@@ -372,41 +371,29 @@ class TestFingerprintHint:
             scheduler.run_once()
         return future.result()
 
-    def test_hint_hit_skips_the_parse_pass(self):
+    def test_forged_hint_gets_the_requests_own_result(self):
         scheduler = Scheduler(cache=ResultCache())
-        first = self.run_request(scheduler, make_request(id="a"))
-        hinted = make_request(id="b")
-        hinted.fingerprint_hint = first.fingerprint
-        second = self.run_request(scheduler, hinted)
-        assert second.cached
-        assert second.id == "b"
-        assert second.result_digest == first.result_digest
-        assert second.fingerprint == first.fingerprint
-        # the whole point: the module was never re-normalized
-        assert "parse_s" not in second.timings
+        other = self.run_request(
+            scheduler, make_request(id="a", allocator="chaitin"))
+        wire = make_request(id="b", allocator="full").to_wire()
+        wire["fingerprint_hint"] = other.fingerprint
+        forged = self.run_request(scheduler,
+                                  AllocationRequest.from_wire(wire))
+        honest = execute_request(make_request(id="c", allocator="full"))
+        assert forged.ok and not forged.cached
+        assert forged.fingerprint != other.fingerprint
+        assert forged.result_digest == honest.result_digest
+        assert forged.result_digest != other.result_digest
 
-    def test_wrong_hint_falls_through_to_the_full_path(self):
-        scheduler = Scheduler(cache=ResultCache())
-        request = make_request(id="a", fingerprint_hint="0" * 64)
-        response = self.run_request(scheduler, request)
-        assert response.ok and not response.cached
-        assert response.fingerprint != request.fingerprint_hint
-        # puts go under the *computed* key — a bad hint can misroute a
-        # read, never poison the cache
-        assert scheduler.cache.get(response.fingerprint) is not None
-        assert scheduler.cache.get("0" * 64) is None
-
-    def test_hint_round_trips_on_the_wire(self):
-        request = make_request(id="a", fingerprint_hint="ab" * 32)
-        wire = request.to_wire()
-        assert wire["fingerprint_hint"] == "ab" * 32
-        again = AllocationRequest.from_wire(wire)
-        assert again.fingerprint_hint == "ab" * 32
-
-    def test_garbled_hint_is_dropped_not_fatal(self):
+    @pytest.mark.parametrize("hint", ["ab" * 32, "", 1234, None, ["x"]],
+                             ids=["valid", "empty", "int", "null", "list"])
+    def test_line_carrying_a_hint_is_accepted(self, hint):
         wire = make_request(id="a").to_wire()
-        wire["fingerprint_hint"] = 1234
-        assert AllocationRequest.from_wire(wire).fingerprint_hint is None
+        wire["fingerprint_hint"] = hint
+        request = AllocationRequest.from_wire(
+            json.loads(canonical_json(wire)))
+        assert request.id == "a" and request.ir == IR
+        assert "fingerprint_hint" not in request.to_wire()
 
 
 class TestPipelineSerialFallback:
@@ -526,10 +513,10 @@ class TestSchemaRoundTrip:
         # wire round-trip: the document survives canonical JSON intact
         assert json.loads(canonical_json(stats)) == stats
 
-    def test_schema_version_bumped_for_cluster(self):
-        from repro.service.schema import SCHEMA_TYPES, SCHEMA_VERSION
+    def test_router_stats_document_is_retired(self):
+        from repro.service import schema
 
-        assert SCHEMA_VERSION >= 2
-        assert "cluster_stats" in SCHEMA_TYPES
-        # cache snapshots grew a backend section in v2
+        assert "cluster_stats" not in schema.SCHEMA_TYPES
+        assert not hasattr(schema, "cluster_stats_payload")
+        # the cache snapshot keeps its v2 backend section
         assert "backend" in ResultCache().snapshot()
