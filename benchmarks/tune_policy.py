@@ -17,7 +17,10 @@ least one.  The best winner ships as a committed preset
 (``repro/policies/tuned_v1.json``, selectable via ``--policy
 tuned_v1``); the report (``BENCH_policy_tuning.json``, schema type
 ``policy_tuning``) carries per-family default/tuned measurements and
-deltas for the CI gate (``check_perf_regression.py --policy``).
+deltas.  The tier-1 test
+``tests/test_policy.py::TestPresets::test_tuned_v1_rescores_exactly_and_dominates``
+re-measures ``tuned_v1`` through :func:`run` and requires the committed
+measurements byte for byte plus the no-regression rule.
 
 Run modes::
 
@@ -27,7 +30,7 @@ Run modes::
         --out BENCH_policy_tuning.json \
         --emit-preset src/repro/policies/tuned_v1.json
 
-    # CI smoke: re-measure a committed preset, no search:
+    # re-measure a committed preset, no search:
     PYTHONPATH=src python benchmarks/tune_policy.py \
         --evaluate tuned_v1 --out /tmp/policy_tuning_fresh.json
 """
@@ -40,18 +43,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
 from repro.config import runtime_knobs
 from repro.core import PreferenceDirectedAllocator
 from repro.errors import ReproError
 from repro.pipeline import allocate_module, prepare_module
 from repro.policy import DEFAULT_POLICY, Policy, load_policy
 from repro.regalloc import AllocationOptions
-from repro.service.schema import (
-    dataflow_backend_fields,
-    policy_tuning_payload,
-)
+from repro.service.schema import policy_tuning_payload
 from repro.target.presets import make_machine
 from repro.workloads import make_benchmark
 from repro.workloads.generator import generate_module
@@ -294,7 +292,6 @@ def run(args) -> dict:
             for name, (prepared, _machine) in families.items()
         },
         "knobs": runtime_knobs(),
-        **dataflow_backend_fields(),
         "python": sys.version.split()[0],
         "git_commit": git_commit(),
         "hostname": socket.gethostname(),
@@ -335,7 +332,7 @@ def main(argv=None) -> int:
                         help="worker-pool width per evaluation")
     parser.add_argument("--evaluate", default=None, metavar="FILE|PRESET",
                         help="skip the search: measure this policy "
-                             "against the default (the CI smoke mode)")
+                             "against the default (no search)")
     parser.add_argument("--out", default="BENCH_policy_tuning.json")
     parser.add_argument("--emit-preset", default=None, metavar="PATH",
                         help="also write the winning policy as a preset "

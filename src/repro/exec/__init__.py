@@ -5,8 +5,8 @@
 workers with warm round-0 analysis caches, heartbeat health checks,
 automatic respawn, bounded retry-with-backoff, and hard deadline kills
 (:mod:`repro.exec.pool`), plus a deterministic fault-injection layer
-(:mod:`repro.exec.faults`) used by the resilience tests and
-``benchmarks/bench_worker_pool.py``.
+(:mod:`repro.exec.faults`) used by the resilience tests in
+``tests/test_exec_pool.py``.
 """
 
 from repro.exec.faults import FaultPlan, FaultSpec

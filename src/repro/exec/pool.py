@@ -36,8 +36,8 @@ Failure kinds a :class:`JobResult` can carry:
 ``deadline``  the job ran past its deadline on every attempt.
 
 Fault injection (:mod:`repro.exec.faults`) hooks into the worker loop
-only, keyed by the pool-assigned job sequence number, so tests and the
-resilience benchmark can script crashes deterministically.
+only, keyed by the pool-assigned job sequence number, so tests can
+script crashes deterministically.
 """
 
 from __future__ import annotations

@@ -1,10 +1,8 @@
 """Blocking client for the LDJSON allocation server.
 
 One short-lived connection per call keeps the client trivially
-thread-safe — the closed-loop load generator in
-``benchmarks/bench_service_throughput.py`` runs many of these in
-parallel — at the cost of a TCP handshake per request, which is noise
-next to an allocation.
+thread-safe — callers may run many of these in parallel — at the cost
+of a TCP handshake per request, which is noise next to an allocation.
 """
 
 from __future__ import annotations

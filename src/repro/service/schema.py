@@ -28,7 +28,6 @@ __all__ = [
     "stats_payload",
     "final_stats_payload",
     "policy_tuning_payload",
-    "dataflow_backend_fields",
 ]
 
 #: Bumped whenever any emitted document shape changes incompatibly.
@@ -83,17 +82,6 @@ SERVICE_COUNTERS = (
 def _tagged(payload: dict) -> dict:
     payload["schema"] = SCHEMA_VERSION
     return payload
-
-
-def dataflow_backend_fields() -> dict:
-    """The dataflow-backend stamp benchmark reports carry.
-
-    There is one dataflow backend (numpy bit-matrix kernels); the stamp
-    records it and the numpy version the numbers were measured with.
-    """
-    from repro.analysis.matrix import numpy_version
-
-    return {"backend": "numpy", "numpy_version": numpy_version()}
 
 
 def allocation_payload(response: AllocationResponse) -> dict:

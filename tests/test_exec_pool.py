@@ -263,17 +263,27 @@ class TestAllocationUnderFaults:
         return allocate_module(prepared, machine,
                                ALLOCATOR_FACTORIES["full"]())
 
-    def test_crash_recovery_is_byte_identical(self, prepared):
+    @pytest.mark.parametrize("plan,deadline_ms,minimums", [
+        pytest.param(FaultPlan.crash_on(1), None, {"crashes": 1},
+                     id="crash"),
+        pytest.param(FaultPlan.crash_on(0, 1, 2), None,
+                     {"crashes": 2, "respawns": 1}, id="crash_storm"),
+        pytest.param(FaultPlan.sleep_on(0, 5.0), 500,
+                     {"deadline_kills": 1}, id="deadline"),
+    ])
+    def test_crash_recovery_is_byte_identical(self, prepared, plan,
+                                              deadline_ms, minimums):
         prepared, machine = prepared
         want = alloc_fingerprint(self.serial(prepared, machine))
-        with WorkerPool(workers=4, fault_plan=FaultPlan.crash_on(1),
-                        **FAST) as pool:
+        with WorkerPool(workers=4, fault_plan=plan, **FAST) as pool:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # no fallback happened
                 got = allocate_module(
                     prepared, machine, ALLOCATOR_FACTORIES["full"](),
-                    AllocationOptions(jobs=4), pool=pool)
-            assert pool.counters["crashes"] >= 1
+                    AllocationOptions(jobs=4, deadline_ms=deadline_ms),
+                    pool=pool)
+            for counter, floor in minimums.items():
+                assert pool.counters[counter] >= floor, counter
         assert alloc_fingerprint(got) == want
 
     def test_retries_exhausted_falls_back_serially(self, prepared):

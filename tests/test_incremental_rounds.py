@@ -17,6 +17,7 @@ import pytest
 from oracles import compare_analyses, scratch_rounds, validate_rounds
 from repro.analysis.incremental import apply_spill_delta
 from repro.analysis.renumber import renumber
+from repro.core import PreferenceDirectedAllocator
 from repro.ir.function import Module
 from repro.pipeline import allocate_module, prepare_module
 from repro.regalloc import CallCostAllocator, ChaitinAllocator
@@ -114,7 +115,8 @@ class TestPatchEqualsRebuild:
 
 class TestEndToEndIdentity:
     @pytest.mark.parametrize("allocator_cls",
-                             [ChaitinAllocator, CallCostAllocator])
+                             [ChaitinAllocator, CallCostAllocator,
+                              PreferenceDirectedAllocator])
     def test_stats_assignment_cycles_identical(self, allocator_cls):
         machine = make_machine(8)
         prepared = prepare_module(small_stress_module(2), machine)
