@@ -1,26 +1,23 @@
 """The allocation job executed inside worker-pool processes.
 
-One payload is either the serial tuple ``(prepared_func, machine,
-allocator, options)`` — exactly what
-:func:`repro.pipeline._allocate_one` consumes — or, on the codec wire
-path, a digest-reference control tuple (see :mod:`repro.exec.wire`)
-that resolves to the same tuple plus precomputed content digests.  The return value is
-``(AllocationResult, CycleReport)`` either way, with the result's
-``round0_outcome`` cleared.
+One payload is a wire control tuple (see :mod:`repro.exec.wire`,
+packed by :func:`repro.pipeline._pool_results`) that resolves to the
+serial tuple ``(prepared_func, machine, allocator, options)`` — exactly
+what :func:`repro.pipeline._allocate_one` consumes — plus its content
+digests.  The return value is ``(AllocationResult, CycleReport)``, with
+the result's ``round0_outcome`` cleared.
 
 The worker keeps a **warm round-0 analysis cache** keyed by *content*,
-not by object identity: every batch ships fresh ``Function`` copies
-into the worker, but renumbering is deterministic, so the round-0
-analyses of any copy of a prepared function are value-identical (the
-same argument that backs :func:`repro.pipeline.round0_analyses`).  The
+not by object identity: every job ships a fresh ``Function`` copy into
+the worker, but renumbering is deterministic, so the round-0 analyses
+of any copy of a prepared function are value-identical (the same
+argument that backs :func:`repro.pipeline.round0_analyses`).  The
 content key is the codec digest (``sha256`` of
 :func:`repro.ir.codec.encode_function`) plus the machine's register
-model — on the codec wire path both digests arrive *with* the job, so
-keying the cache costs nothing; payloads the wire passes through
-untouched compute the same digests locally.  A
-service sweeping eight allocators over one module therefore analyzes
-each function once per worker, not once per job — and the results
-remain byte-identical to a cold serial run.
+model; both digests arrive *with* the job, so keying the cache costs
+nothing.  A service sweeping eight allocators over one module
+therefore analyzes each function once per worker, not once per job —
+and the results remain byte-identical to a cold serial run.
 
 The cache holds at most :data:`ROUND0_CACHE_MAX` entries.  Options
 travel *in the payload*, never through worker environment variables: a
@@ -43,35 +40,16 @@ _hits = 0
 _misses = 0
 
 
-def _content_key(func, machine, policy,
-                 func_digest: str | None = None,
-                 machine_digest: str | None = None) -> tuple:
-    from repro.exec.wire import machine_content_digest
-    from repro.ir.codec import function_digest
-
-    if func_digest is None:
-        func_digest = function_digest(func)
-    if machine_digest is None:
-        machine_digest = machine_content_digest(machine)
-    return (
-        func_digest,
-        machine_digest,
-        # Default policy adds nothing: keys (and so warm entries) are
-        # unchanged for all pre-policy traffic.
-        None if policy.is_default() else policy.digest(),
-    )
-
-
-def _warm_round0(func, machine, policy,
-                 func_digest: str | None = None,
-                 machine_digest: str | None = None):
+def _warm_round0(func, policy, func_digest: str, machine_digest: str):
     global _hits, _misses
     from repro.analysis.renumber import renumber
     from repro.ir.clone import clone_function
     from repro.regalloc.base import compute_round_analyses
 
-    key = _content_key(func, machine, policy, func_digest,
-                       machine_digest)
+    # Default policy adds nothing: keys (and so warm entries) are
+    # unchanged for all pre-policy traffic.
+    key = (func_digest, machine_digest,
+           None if policy.is_default() else policy.digest())
     cached = _ROUND0_CACHE.get(key)
     if cached is not None:
         _ROUND0_CACHE.move_to_end(key)
@@ -89,24 +67,17 @@ def _warm_round0(func, machine, policy,
 
 
 def run_alloc_job(payload):
-    """Allocate one prepared function; the pool's default task."""
-    from repro.exec.wire import is_wire_job, resolve_job
+    """Allocate one prepared function from a wire job; the pool's
+    default task."""
+    from repro.exec.wire import resolve_job
     from repro.regalloc.base import allocate_function
     from repro.regalloc.verify import verify_allocation
     from repro.sim.cycles import estimate_cycles
 
-    func_digest = machine_digest = None
-    if is_wire_job(payload):
-        (func, machine, allocator, options,
-         func_digest, machine_digest) = resolve_job(payload)
-    else:
-        func, machine, allocator, options = payload
-    round0 = None
-    if options.reuse_analyses:
-        round0 = _warm_round0(func, machine,
-                              policy=options.policy,
-                              func_digest=func_digest,
-                              machine_digest=machine_digest)
+    (func, machine, allocator, options,
+     func_digest, machine_digest) = resolve_job(payload)
+    round0 = _warm_round0(func, options.policy, func_digest,
+                          machine_digest)
     result = allocate_function(func, machine, allocator,
                                options=options, round0=round0)
     # The round-0 coloring is only ever carried by edit sessions, which

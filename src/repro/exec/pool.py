@@ -26,6 +26,12 @@ worker, a wedged worker, a poisoned job:
   submission order, so a batch that survives faults is byte-identical
   to a serial run.
 
+The pool is task-agnostic: it pickles each payload onto a worker's
+inbox and hands it to the task unchanged.  The allocation task
+(:data:`DEFAULT_TASK`) takes self-contained wire jobs, which
+:func:`repro.pipeline._pool_results` packs before calling
+:meth:`WorkerPool.run_batch`.
+
 Failure kinds a :class:`JobResult` can carry:
 
 ``ok``        the task returned a value.
@@ -359,28 +365,17 @@ class WorkerPool:
                   ) -> list[JobResult]:
         """Run every payload through the task; results in input order.
 
-        ``deadline_s`` bounds each job's wall time per attempt (measured
-        from dispatch).  The call always returns one :class:`JobResult`
-        per payload — failures are *reported*, not raised, so the caller
+        Payloads reach the task unchanged (pickled onto the worker's
+        inbox); the pool never looks inside them.  ``deadline_s``
+        bounds each job's wall time per attempt (measured from
+        dispatch).  The call always returns one :class:`JobResult` per
+        payload — failures are *reported*, not raised, so the caller
         chooses between propagating, degrading, and serial fallback.
         """
         with self._lock:
             self._ensure_started_locked()
             self.counters["batches"] += 1
-            shipment = None
-            if self.task == DEFAULT_TASK:
-                # Alloc-task payloads travel digest-deduped through
-                # shared memory (repro.exec.wire); the segment belongs to
-                # this batch — retries re-read it — and is released
-                # only once every job resolved.
-                from repro.exec import wire
-
-                payloads, shipment = wire.pack_batch(payloads)
-            try:
-                return self._run_batch_locked(payloads, deadline_s)
-            finally:
-                if shipment is not None:
-                    shipment.cleanup()
+            return self._run_batch_locked(payloads, deadline_s)
 
     def _run_batch_locked(self, payloads, deadline_s: float | None
                           ) -> list[JobResult]:

@@ -1,42 +1,28 @@
-"""Digest-deduped wire encoding for worker-pool dispatch.
+"""Digest-keyed wire encoding for worker-pool dispatch.
 
-Pickling one ``(func, machine, allocator, options)`` tuple per job
-would pickle every function of an eight-allocator sweep eight times and
-make every worker unpickle a fresh object graph per job.  This module
-replaces the per-job payload with a tiny control tuple of **content
-digests**; the bytes behind them — the
-function's :mod:`repro.ir.codec` blob plus the pickled machine,
-allocator, and options — ship **once per batch per distinct digest**
-through one ``multiprocessing.shared_memory`` segment.  Workers decode
-each function digest once into a bounded LRU beside the round-0
-analysis cache and hand every job a private
+:func:`pack_job` turns one ``(func, machine, allocator, options)``
+payload into a self-contained control tuple: the four **content
+digests** plus a ``{digest: blob}`` map holding that job's blobs — the
+function's :mod:`repro.ir.codec` encoding and the pickled machine,
+allocator and options.  The pool pickles the tuple like any other
+payload and keeps no state about it beyond the job, so a retried job
+re-sends the same tuple.
+
+Workers decode each function digest once into a bounded LRU beside the
+round-0 analysis cache and hand every job a private
 :func:`~repro.ir.clone.clone_function` copy (allocation mutates in
 place), which is byte-identical to an unpickled copy because the codec
-round-trips ``print_function`` text exactly.  Machines, allocators, and
+round-trips ``print_function`` text exactly.  Machines, allocators and
 options are read-only across jobs (the serial path already shares one
-instance for a whole module sweep), so workers cache them by digest and
-unpickle once per batch.  This is the only dispatch path; payload
-shapes the codec does not cover pass through unchanged (pickled by the
-pool), and the tests check decoded functions against the shipped
-originals.
-
-Segment layout and lifecycle: the parent writes ``u32 index length +
-pickled {digest: (offset, length)} index + concatenated blobs``,
-owns the segment for the whole batch (retries re-send the same control
-tuples), and closes+unlinks it in a ``finally`` once every job
-resolved.  Workers attach untracked (the parent owns the segment; a
-worker death must never unlink it), parse the index once, and keep the
-two most recent segments mapped so the per-job cost is a dict lookup.
-When shared memory is unavailable (sandboxed ``/dev/shm``), the blob
-table rides inline in each control message instead — still
-deduplicated by the worker-side caches.
+instance for a whole module sweep), so workers cache them by digest
+and unpickle each once.  The tests check decoded functions against the
+shipped originals (``tests/oracles.py::check_wire_jobs``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import pickle
-import struct
 import weakref
 from collections import OrderedDict
 
@@ -45,8 +31,7 @@ from repro.profiling import phase
 
 __all__ = [
     "WIRE_TAG",
-    "Shipment",
-    "pack_batch",
+    "pack_job",
     "is_wire_job",
     "resolve_job",
     "machine_content_digest",
@@ -56,52 +41,27 @@ __all__ = [
     "clear_decode_cache",
 ]
 
-#: First element of every codec-wire control tuple; versioned so a
-#: worker from a future wire format rejects instead of misparsing.
-WIRE_TAG = "repro-wire-v2"
-
-_INDEX_LEN = struct.Struct(">I")
-
-
-class Shipment:
-    """Owner of one batch's shared-memory segment (parent side)."""
-
-    def __init__(self, shm=None) -> None:
-        self.shm = shm
-
-    def cleanup(self) -> None:
-        if self.shm is None:
-            return
-        try:
-            self.shm.close()
-            self.shm.unlink()
-        except OSError:  # pragma: no cover - already gone
-            pass
-        self.shm = None
-
+#: First element of every wire control tuple; versioned so a worker
+#: from a future wire format rejects instead of misparsing.
+WIRE_TAG = "repro-wire-v3"
 
 #: parent-side per-object memos, keyed by identity (WeakKey) so an
 #: 8-allocator sweep over one prepared module encodes each function
 #: (and pickles each machine/allocator/options object) once, not once
-#: per batch.
+#: per job.
 _ENCODE_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _MACHINE_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _PICKLE_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 _STATS = {
-    "batches_packed": 0,
     "jobs_packed": 0,
     "encodes": 0,
     "encode_memo_hits": 0,
-    "blobs_shipped": 0,
-    "bytes_shipped": 0,
-    "shm_segments": 0,
-    "inline_batches": 0,
 }
 
 
 def wire_stats() -> dict:
-    """Parent-side dispatch counters (tests and the dispatch bench)."""
+    """Parent-side dispatch counters (tests)."""
     return dict(_STATS)
 
 
@@ -161,90 +121,36 @@ def _pickled(obj) -> tuple[str, bytes]:
     return entry
 
 
-def _eligible(payloads) -> bool:
+def pack_job(payload) -> tuple:
+    """One ``(func, machine, allocator, options)`` payload as a wire
+    control tuple ``(WIRE_TAG, func_digest, machine_digest,
+    alloc_digest, options_digest, {digest: blob})``.
+
+    Raises :class:`TypeError` for any other payload shape.
+    """
     from repro.ir.function import Function
 
-    return bool(payloads) and all(
-        isinstance(p, tuple) and len(p) == 4
-        and isinstance(p[0], Function) for p in payloads
-    )
-
-
-def pack_batch(payloads) -> tuple[list, Shipment | None]:
-    """Transform alloc-task payloads for the wire; identity for payload
-    shapes the codec path does not recognize.
-
-    Returns the control payloads plus the :class:`Shipment` the caller
-    must ``cleanup()`` after the batch fully resolves (retried jobs
-    re-read the same segment).
-    """
-    if not _eligible(payloads):
-        return list(payloads), None
+    if not (isinstance(payload, tuple) and len(payload) == 4
+            and isinstance(payload[0], Function)):
+        raise TypeError(
+            f"a wire job packs a (Function, machine, allocator, options) "
+            f"tuple, got {type(payload).__name__}")
+    func, machine, allocator, options = payload
     with phase("dispatch"):
         with phase("encode"):
-            blobs: OrderedDict[str, bytes] = OrderedDict()
-            refs = []
-            for func, machine, allocator, options in payloads:
-                func_digest, func_blob = _encoded(func)
-                machine_digest, machine_blob = _machine_entry(machine)
-                alloc_digest, alloc_blob = _pickled(allocator)
-                options_digest, options_blob = _pickled(options)
-                blobs.setdefault(func_digest, func_blob)
-                blobs.setdefault(machine_digest, machine_blob)
-                blobs.setdefault(alloc_digest, alloc_blob)
-                blobs.setdefault(options_digest, options_blob)
-                refs.append((func_digest, machine_digest, alloc_digest,
-                             options_digest))
-        with phase("shm"):
-            shipment = _ship(blobs)
-        inline = None if shipment.shm is not None else dict(blobs)
-        shm_name = shipment.shm.name if shipment.shm is not None else None
-        jobs = [(WIRE_TAG, shm_name, *digests, inline) for digests in refs]
-    _STATS["batches_packed"] += 1
-    _STATS["jobs_packed"] += len(jobs)
-    _STATS["blobs_shipped"] += len(blobs)
-    _STATS["bytes_shipped"] += sum(len(b) for b in blobs.values())
-    return jobs, shipment
-
-
-def _ship(blobs: "OrderedDict[str, bytes]") -> Shipment:
-    """One segment holding the digest index plus every distinct blob;
-    inline fallback when shared memory is unavailable."""
-    index: dict[str, tuple[int, int]] = {}
-    offset = 0
-    for digest, blob in blobs.items():
-        index[digest] = (offset, len(blob))
-        offset += len(blob)
-    index_blob = pickle.dumps(index, pickle.HIGHEST_PROTOCOL)
-    base = _INDEX_LEN.size + len(index_blob)
-    try:
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(create=True, size=base + offset)
-    except (ImportError, OSError, PermissionError, ValueError):
-        _STATS["inline_batches"] += 1
-        return Shipment(None)
-    shm.buf[:_INDEX_LEN.size] = _INDEX_LEN.pack(len(index_blob))
-    shm.buf[_INDEX_LEN.size:base] = index_blob
-    for digest, blob in blobs.items():
-        start, length = index[digest]
-        shm.buf[base + start:base + start + length] = blob
-    _STATS["shm_segments"] += 1
-    return Shipment(shm)
+            entries = (_encoded(func), _machine_entry(machine),
+                       _pickled(allocator), _pickled(options))
+    _STATS["jobs_packed"] += 1
+    return (WIRE_TAG, *(digest for digest, _ in entries), dict(entries))
 
 
 def is_wire_job(payload) -> bool:
-    return (isinstance(payload, tuple) and len(payload) == 7
+    return (isinstance(payload, tuple) and len(payload) == 6
             and payload[0] == WIRE_TAG)
 
 
 # -- worker side -------------------------------------------------------
 
-#: segment name -> (SharedMemory, {digest: (offset, length)}, base).
-#: The two most recent batches stay mapped; eviction just unmaps (the
-#: parent owns unlinking).
-_SEGMENTS: "OrderedDict[str, tuple]" = OrderedDict()
-_SEGMENTS_MAX = 2
 #: func digest -> pristine decoded Function (never handed out directly;
 #: jobs get clones because allocation rewrites the function in place).
 _DECODE_CACHE: "OrderedDict[str, object]" = OrderedDict()
@@ -265,101 +171,19 @@ def decode_cache_info() -> dict:
 
 def clear_decode_cache() -> None:
     global _decode_hits, _decode_misses
-    for shm, _index, _base in _SEGMENTS.values():
-        try:
-            shm.close()
-        except OSError:  # pragma: no cover
-            pass
-    _SEGMENTS.clear()
     _DECODE_CACHE.clear()
     _OBJECT_CACHE.clear()
     _decode_hits = _decode_misses = 0
 
 
-def _attach(name: str):
-    """Attach to the parent's segment without resource tracking.
-
-    The parent owns the segment; a worker must never let *its* resource
-    tracker adopt it (a tracked attach unlinks the segment when the
-    worker exits, or double-unregisters under fork's shared tracker).
-    Python 3.13+ has ``track=False``; older versions get the register
-    call suppressed for the duration of the attach (workers are
-    single-threaded, so the swap cannot race).
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        pass
-    from multiprocessing import resource_tracker
-
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
+def _fetch(digest: str, blobs: dict) -> bytes:
+    blob = blobs.get(digest)
+    if blob is None:
+        raise CodecError(f"wire job is missing blob {digest[:16]}")
+    return blob
 
 
-def _segment(name: str):
-    entry = _SEGMENTS.get(name)
-    if entry is not None:
-        _SEGMENTS.move_to_end(name)
-        return entry
-    try:
-        shm = _attach(name)
-    except (OSError, ValueError) as err:
-        raise CodecError(f"cannot attach dispatch segment {name}: "
-                         f"{err}") from err
-    try:
-        (index_len,) = _INDEX_LEN.unpack_from(shm.buf, 0)
-        base = _INDEX_LEN.size + index_len
-        index = pickle.loads(bytes(shm.buf[_INDEX_LEN.size:base]))
-        if not isinstance(index, dict):
-            raise CodecError("dispatch segment index is not a mapping")
-    except (struct.error, pickle.UnpicklingError, EOFError,
-            ValueError) as err:
-        shm.close()
-        raise CodecError(f"corrupt dispatch segment index: "
-                         f"{err}") from err
-    except CodecError:
-        shm.close()
-        raise
-    entry = (shm, index, base)
-    _SEGMENTS[name] = entry
-    while len(_SEGMENTS) > _SEGMENTS_MAX:
-        _name, (old, _idx, _b) = _SEGMENTS.popitem(last=False)
-        try:
-            old.close()
-        except OSError:  # pragma: no cover
-            pass
-    return entry
-
-
-def _fetch(shm_name, digest: str, inline) -> bytes:
-    if inline is not None:
-        blob = inline.get(digest)
-        if blob is None:
-            raise CodecError(f"inline wire job is missing blob "
-                             f"{digest[:16]}")
-        return blob
-    if shm_name is None:
-        raise CodecError("wire job carries neither a shared-memory "
-                         "segment nor inline blobs")
-    shm, index, base = _segment(shm_name)
-    ref = index.get(digest)
-    if ref is None:
-        raise CodecError(f"dispatch segment {shm_name} has no blob "
-                         f"{digest[:16]}")
-    offset, length = ref
-    if base + offset + length > shm.size:
-        raise CodecError(f"dispatch reference {ref} overruns the "
-                         f"{shm.size}-byte segment")
-    return bytes(shm.buf[base + offset:base + offset + length])
-
-
-def _decoded_function(shm_name, digest: str, inline):
+def _decoded_function(digest: str, blobs: dict):
     global _decode_hits, _decode_misses
     from repro.ir.clone import clone_function
 
@@ -373,17 +197,17 @@ def _decoded_function(shm_name, digest: str, inline):
 
     with phase("dispatch"):
         with phase("decode"):
-            decoded = decode_function(_fetch(shm_name, digest, inline))
+            decoded = decode_function(_fetch(digest, blobs))
     _DECODE_CACHE[digest] = decoded
     while len(_DECODE_CACHE) > _DECODE_CACHE_MAX:
         _DECODE_CACHE.popitem(last=False)
     return clone_function(decoded)
 
 
-def _object_for(shm_name, digest: str, inline):
+def _object_for(digest: str, blobs: dict):
     obj = _OBJECT_CACHE.get(digest)
     if obj is None:
-        obj = pickle.loads(_fetch(shm_name, digest, inline))
+        obj = pickle.loads(_fetch(digest, blobs))
         _OBJECT_CACHE[digest] = obj
         while len(_OBJECT_CACHE) > _OBJECT_CACHE_MAX:
             _OBJECT_CACHE.popitem(last=False)
@@ -395,11 +219,14 @@ def _object_for(shm_name, digest: str, inline):
 def resolve_job(payload):
     """A wire control tuple back into ``(func, machine, allocator,
     options)`` plus the content digests the round-0 cache keys on."""
-    (_tag, shm_name, func_digest, machine_digest, alloc_digest,
-     options_digest, inline) = payload
-    func = _decoded_function(shm_name, func_digest, inline)
-    machine = _object_for(shm_name, machine_digest, inline)
-    allocator = _object_for(shm_name, alloc_digest, inline)
-    options = _object_for(shm_name, options_digest, inline)
+    if not is_wire_job(payload):
+        raise CodecError(f"not a {WIRE_TAG} job: "
+                         f"{type(payload).__name__}")
+    (_tag, func_digest, machine_digest, alloc_digest, options_digest,
+     blobs) = payload
+    func = _decoded_function(func_digest, blobs)
+    machine = _object_for(machine_digest, blobs)
+    allocator = _object_for(alloc_digest, blobs)
+    options = _object_for(options_digest, blobs)
     return (func, machine, allocator, options,
             func_digest, machine_digest)

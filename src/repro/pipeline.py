@@ -29,6 +29,7 @@ from weakref import WeakKeyDictionary
 
 from repro.analysis.renumber import renumber
 from repro.exec import WorkerPoolUnavailable, get_default_pool
+from repro.exec.wire import pack_job
 from repro.ir.clone import clone_function, clone_module
 from repro.ir.function import Function, Module
 from repro.ir.validate import validate_function
@@ -38,7 +39,6 @@ from repro.regalloc.base import (
     AllocationStats,
     Allocator,
     RoundAnalyses,
-    _resolve_options,
     allocate_function,
     compute_round_analyses,
 )
@@ -127,9 +127,7 @@ def _allocate_one(
 ) -> tuple[AllocationResult, CycleReport]:
     """Allocate one function from its prepared form, serially."""
     func = clone_function(prepared_func)
-    round0 = None
-    if options.reuse_analyses:
-        round0 = round0_analyses(prepared_func, options.policy)
+    round0 = round0_analyses(prepared_func, options.policy)
     result = allocate_function(func, machine, allocator, options=options,
                                round0=round0)
     if options.verify:
@@ -140,17 +138,19 @@ def _allocate_one(
 def _pool_results(prepared, machine, allocator, options, pool):
     """Run the module's functions through the worker pool.
 
-    Returns submission-ordered ``(AllocationResult, CycleReport)`` pairs.
-    Per-job outcomes: worker *errors* re-raise here (same behavior as a
-    serial run); jobs whose workers kept *crashing* past the retry
-    budget are re-run serially in this process (byte-identical, just
-    slower); *deadline* kills past the retry budget raise
-    :class:`~repro.exec.JobDeadlineError` for the service layer to
-    degrade on.
+    Each function ships as one self-contained wire job
+    (:func:`~repro.exec.wire.pack_job`); the pool hands it to the
+    worker unchanged.  Returns submission-ordered ``(AllocationResult,
+    CycleReport)`` pairs.  Per-job outcomes: worker *errors* re-raise
+    here (same behavior as a serial run); jobs whose workers kept
+    *crashing* past the retry budget are re-run serially in this
+    process (byte-identical, just slower); *deadline* kills past the
+    retry budget raise :class:`~repro.exec.JobDeadlineError` for the
+    service layer to degrade on.
     """
     deadline_s = (None if options.deadline_ms is None
                   else options.deadline_ms / 1000.0)
-    payloads = [(func, machine, allocator, options)
+    payloads = [pack_job((func, machine, allocator, options))
                 for func in prepared.functions]
     batch = pool.run_batch(payloads, deadline_s=deadline_s)
     merged = []
@@ -180,25 +180,20 @@ def allocate_module(
     options: AllocationOptions | None = None,
     *,
     pool=None,
-    verify: bool | None = None,
-    jobs: int | None = None,
-    reuse_analyses: bool | None = None,
 ) -> ModuleAllocation:
     """Clone ``prepared``, allocate every function, sum stats and cycles.
 
-    All knobs ride on ``options`` (:class:`AllocationOptions`); the bare
-    ``verify``/``jobs``/``reuse_analyses`` keywords are deprecated shims.
-    ``options.jobs > 1`` allocates functions on the persistent
-    :mod:`repro.exec` worker pool; stats and cycle totals are merged in
+    All knobs ride on ``options`` (:class:`AllocationOptions`; ``None``
+    means :meth:`AllocationOptions.from_env`).  ``options.jobs > 1``
+    allocates functions on the persistent :mod:`repro.exec` worker pool; stats and cycle totals are merged in
     the module's function order regardless of completion order, so the
     result is identical to a sequential run.  ``pool`` injects a
-    specific :class:`~repro.exec.WorkerPool` (fault-injection tests and
-    the resilience benchmark); by default the shared module-level pool
+    specific :class:`~repro.exec.WorkerPool` (the service scheduler and
+    the fault-injection tests); by default the shared module-level pool
     is used and stays warm across calls.
     """
-    options = _resolve_options(
-        options, verify=verify, jobs=jobs, reuse_analyses=reuse_analyses
-    )
+    if options is None:
+        options = AllocationOptions.from_env()
     out = ModuleAllocation(allocator=allocator.name, machine=machine)
     out.stats.allocator = allocator.name
     merged = None

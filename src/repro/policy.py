@@ -44,8 +44,8 @@ __all__ = [
 
 #: The service's allocator fallback ladder under deadline pressure /
 #: overload, as ordered (allocator, cheaper-allocator) pairs.  Chaitin
-#: is terminal.  Mirrored by ``service.scheduler.DEGRADATION_LADDER``
-#: (which is derived from this default at import time).
+#: is terminal.  The default ``Policy.degradation_ladder``, walked one
+#: rung at a time by ``service.scheduler.degrade_for``.
 DEFAULT_DEGRADATION_LADDER = (
     ("briggs", "chaitin"),
     ("callcost", "chaitin"),

@@ -55,16 +55,15 @@ class AllocationOptions:
     (:func:`allocate_function`), the module fan-out
     (:func:`repro.pipeline.allocate_module`), the service scheduler, and
     the wire protocol all accept ``options=`` instead of the historical
-    mix of keywords and environment variables.  The legacy keywords
-    were removed in this API generation and now raise :class:`TypeError`
-    with a migration hint.
+    mix of keywords and environment variables.
 
     Fields that change *results* (``max_rounds``, ``rematerialize``,
     ``verify``, ``policy``) are part of the service cache fingerprint;
-    the rest (``jobs``, ``reuse_analyses``, ``deadline_ms``) are
-    result-neutral execution policy — any combination of them yields
-    byte-identical allocations.  No field picks an implementation
-    strategy: spill rounds and edits are always patched incrementally.
+    the rest (``jobs``, ``deadline_ms``) are result-neutral execution
+    policy — any combination of them yields byte-identical
+    allocations.  No field picks an implementation strategy: spill
+    rounds and edits are always patched incrementally, and round-0
+    analyses are always reused.
     A default ``policy`` is byte-identical to the historical constants and is
     *omitted* from both the wire form and the fingerprint, so existing
     traffic keeps its fingerprints (see :mod:`repro.policy`).
@@ -80,7 +79,6 @@ class AllocationOptions:
     rematerialize: bool = False
     verify: bool = True
     jobs: int = 1
-    reuse_analyses: bool = True
     deadline_ms: float | None = None
     #: service disk-cache directory (None = ~/.cache/repro); carried
     #: here so ``$REPRO_CACHE_DIR`` has exactly one reader, but not
@@ -127,10 +125,12 @@ class AllocationOptions:
     #: a *default* policy is omitted so pre-policy clients and servers
     #: interoperate unchanged).
     WIRE_FIELDS = ("max_rounds", "rematerialize", "verify", "jobs",
-                   "reuse_analyses", "deadline_ms", "policy")
-    #: retired strategy fields older clients still send; accepted and
-    #: ignored (every strategy now has one production path)
-    RETIRED_WIRE_FIELDS = ("incremental", "incremental_edits")
+                   "deadline_ms", "policy")
+    #: retired fields older clients still send; accepted and ignored
+    #: (every strategy now has one production path, and round-0
+    #: analyses are always reused)
+    RETIRED_WIRE_FIELDS = ("incremental", "incremental_edits",
+                           "reuse_analyses")
 
     def to_dict(self) -> dict:
         """JSON-safe wire form (``deadline_ms: None`` and the default
@@ -157,28 +157,6 @@ class AllocationOptions:
         if "policy" in values:
             values["policy"] = Policy.from_dict(values["policy"])
         return cls(**values)
-
-
-def _resolve_options(options: AllocationOptions | None,
-                     **legacy) -> AllocationOptions:
-    """Reject removed legacy keywords; resolve ``None`` to env defaults.
-
-    The pre-``AllocationOptions`` keywords went through a
-    :class:`DeprecationWarning` cycle and are now hard errors with a
-    migration hint (the keyword parameters are retained in the public
-    signatures so callers get this message rather than an opaque
-    ``unexpected keyword argument``).
-    """
-    supplied = {k: v for k, v in legacy.items() if v is not None}
-    if supplied:
-        hint = ", ".join(f"{k}=..." for k in sorted(supplied))
-        raise TypeError(
-            f"the legacy keyword(s) {sorted(supplied)} were removed; "
-            f"pass options=AllocationOptions({hint}) instead"
-        )
-    if options is None:
-        options = AllocationOptions.from_env()
-    return options
 
 
 @dataclass(eq=False)
@@ -483,15 +461,11 @@ def allocate_function(
     round0: RoundAnalyses | None = None,
     round0_outcome: RoundOutcome | None = None,
     assume_renumbered: bool = False,
-    max_rounds: int | None = None,
-    rematerialize: bool | None = None,
 ) -> AllocationResult:
     """Run ``allocator`` on ``func`` to completion (in place).
 
     ``options`` carries every knob (see :class:`AllocationOptions`);
-    when omitted it is built by :meth:`AllocationOptions.from_env`.  The
-    bare ``max_rounds``/``rematerialize`` keywords were removed — passing
-    them raises :class:`TypeError` with a migration hint.
+    when omitted it is built by :meth:`AllocationOptions.from_env`.
 
     ``options.rematerialize`` re-emits single-constant spilled live
     ranges instead of storing/reloading them (Briggs-style
@@ -521,9 +495,8 @@ def allocate_function(
     ``allocate_round`` (``PreferenceDirectedAllocator.last_trace``) are
     not refreshed for a carried round.
     """
-    options = _resolve_options(
-        options, max_rounds=max_rounds, rematerialize=rematerialize
-    )
+    if options is None:
+        options = AllocationOptions.from_env()
     max_rounds = options.max_rounds
     rematerialize = options.rematerialize
     policy = options.policy

@@ -59,9 +59,9 @@ def request_fingerprint(normalized_ir: str, machine: TargetMachine,
     Only *result-relevant* options enter the key: ``max_rounds``,
     ``rematerialize``, and a non-default heuristic ``policy`` change the
     allocation, so they are hashed; execution policy (``jobs``,
-    ``reuse_analyses``, deadlines) is result-neutral by construction and
-    deliberately excluded — a cached entry must be valid whatever
-    machinery computed it.
+    deadlines) is result-neutral by construction and deliberately
+    excluded — a cached entry must be valid whatever machinery
+    computed it.
 
     A *default* policy adds nothing to the payload: its results are
     byte-identical to the pre-policy constants, so fingerprints (and

@@ -64,7 +64,6 @@ from repro.workloads import make_benchmark
 
 __all__ = [
     "ALLOCATOR_FACTORIES",
-    "DEGRADATION_LADDER",
     "degrade_for",
     "render_allocation",
     "execute_request",
@@ -85,15 +84,13 @@ ALLOCATOR_FACTORIES = {
     "full": PreferenceDirectedAllocator,
 }
 
-#: Under pressure each allocator falls back one rung; ``chaitin`` is the
-#: floor (cheapest round, no preference machinery) and never degrades.
-#: The canonical copy lives on :class:`repro.policy.Policy` — this view
-#: is the *default* policy's ladder, kept for import compatibility.
-DEGRADATION_LADDER = DEFAULT_POLICY.ladder_map()
-
-
 def degrade_for(allocator: str, policy: Policy = DEFAULT_POLICY) -> str:
-    """One rung down ``policy``'s degradation ladder (floor: chaitin)."""
+    """One rung down ``policy``'s degradation ladder (floor: chaitin).
+
+    Under pressure each allocator falls back one rung; ``chaitin`` is
+    the floor (cheapest round, no preference machinery) and never
+    degrades.
+    """
     return policy.ladder_map().get(allocator, "chaitin")
 
 
@@ -123,7 +120,6 @@ def execute_request(
     request: AllocationRequest,
     options: AllocationOptions | None = None,
     *,
-    jobs: int | None = None,
     effective_allocator: str | None = None,
     prepared=None,
     machine=None,
@@ -134,20 +130,14 @@ def execute_request(
     This is the single compute path shared by the scheduler, the
     ``--json`` CLI commands, and the byte-identity tests; callers may
     pass a pre-``prepare_module``-d module to skip re-preparation.
-    ``options`` defaults to the request's own; the bare ``jobs``
-    keyword was removed (it raises TypeError with the replacement
-    spelling).  ``pool`` routes parallel allocation through a specific
-    worker pool (the scheduler passes its own).
+    ``options`` defaults to the request's own.  ``pool`` routes
+    parallel allocation through a specific worker pool (the scheduler
+    passes its own).
     """
     request.validate()
     name = effective_allocator or request.allocator
     if options is None:
         options = request.options
-    if jobs is not None:
-        raise TypeError(
-            "the legacy 'jobs' keyword was removed; pass "
-            "options=AllocationOptions(jobs=...) instead"
-        )
     if machine is None:
         machine = request.machine.build()
     if prepared is None:
@@ -181,13 +171,12 @@ class Scheduler:
     ``options`` is the server-side execution policy applied to every
     request (most importantly ``jobs``, the worker-pool width); knobs a
     request carries itself (verify, deadline, max_rounds, ...) stay per
-    request.  The bare ``jobs`` keyword was removed (TypeError).  With
-    ``options.jobs > 1`` the scheduler owns a persistent
+    request.  With ``options.jobs > 1`` the scheduler owns a persistent
     :class:`~repro.exec.WorkerPool`, giving every allocation process
     isolation: a crashed or wedged worker is killed and respawned, the
     job retried, and — past the retry budget — the computation degrades
     to in-process serial execution rather than erroring.  ``fault_plan``
-    injects deterministic worker faults (tests, resilience benchmark).
+    injects deterministic worker faults (the fault-injection tests).
     """
 
     def __init__(
@@ -195,7 +184,6 @@ class Scheduler:
         cache: ResultCache | None = None,
         metrics: ServiceMetrics | None = None,
         options: AllocationOptions | None = None,
-        jobs: int | None = None,
         max_queue: int = 64,
         batch_size: int = 8,
         overload_watermark: int | None = None,
@@ -205,11 +193,6 @@ class Scheduler:
     ):
         self.cache = cache
         self.metrics = metrics or ServiceMetrics()
-        if jobs is not None:
-            raise TypeError(
-                "the legacy 'jobs' keyword was removed; pass "
-                "options=AllocationOptions(jobs=...) instead"
-            )
         self.options = options or AllocationOptions.from_env()
         self.jobs = self.options.jobs
         self.pool: WorkerPool | None = None
@@ -292,7 +275,7 @@ class Scheduler:
             self.metrics.set_worker_pool(self.pool.snapshot())
         return len(jobs)
 
-    def _prepare_cached(self, normalized_ir: str, request, module, machine):
+    def _prepare_cached(self, module, machine):
         """Memoized ``prepare_module`` keyed by module+machine content.
 
         The key is the codec content digest of the parsed module plus
@@ -362,9 +345,7 @@ class Scheduler:
                                         request.options.policy)
 
             t0 = perf_counter()
-            prepared, machine = self._prepare_cached(
-                normalized, request, module, machine
-            )
+            prepared, machine = self._prepare_cached(module, machine)
             timings["prepare_s"] = round(perf_counter() - t0, 6)
             self.metrics.observe("prepare", timings["prepare_s"])
 

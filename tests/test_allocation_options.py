@@ -1,11 +1,11 @@
-"""The unified AllocationOptions surface and its compatibility shims.
+"""The unified AllocationOptions surface and its wire compatibility.
 
 One frozen dataclass now carries every allocation knob across the
 public API (``allocate_function``, ``allocate_module``, the scheduler,
 the wire protocol).  These tests pin the contract: validation, the two
 environment variables folded into :meth:`AllocationOptions.from_env`,
-the wire form (protocol v2, with v1 requests still accepted), the
-deprecation shims for every legacy keyword, and the rule that only
+the wire form (protocol v2, with v1 requests still accepted, and
+retired fields older clients send), and the rule that only
 result-relevant fields enter the service cache fingerprint.
 """
 
@@ -24,7 +24,7 @@ from repro.service.protocol import (
     AllocationRequest,
     MachineSpec,
 )
-from repro.service.scheduler import Scheduler, execute_request
+from repro.service.scheduler import execute_request
 from repro.target.presets import make_machine
 from repro.workloads.generator import generate_function
 from repro.workloads.profiles import BenchmarkProfile
@@ -53,7 +53,6 @@ class TestValidation:
         assert opts.rematerialize is False
         assert opts.verify is True
         assert opts.jobs == 1
-        assert opts.reuse_analyses is True
         assert opts.deadline_ms is None
         assert opts.cache_dir is None
 
@@ -162,11 +161,12 @@ class TestWireForm:
         # Clients built before the strategy fields were retired still
         # send them; servers accept and drop them.
         wire = {"jobs": 2, "incremental": "validate",
-                "incremental_edits": "off"}
+                "incremental_edits": "off", "reuse_analyses": False}
         assert AllocationOptions.from_dict(wire) == AllocationOptions(jobs=2)
         sent = AllocationOptions().to_dict()
         assert "incremental" not in sent
         assert "incremental_edits" not in sent
+        assert "reuse_analyses" not in sent
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown option"):
@@ -176,39 +176,13 @@ class TestWireForm:
 
 
 class TestRemovedLegacyKeywords:
-    """The PR-4 deprecation cycle is over: bare keywords are TypeErrors."""
+    """The removed bare keywords are gone from the signatures; the
+    options form is the one call shape and warns nothing."""
 
     @pytest.fixture
     def setup(self):
         machine = make_machine(8)
         return prepared_ir(machine), machine
-
-    def test_allocate_function_legacy_keywords(self, setup):
-        prepared, machine = setup
-        from repro.ir.clone import clone_function
-
-        func = clone_function(prepared.functions[0])
-        with pytest.raises(TypeError,
-                           match=r"\['max_rounds', 'rematerialize'\]"):
-            allocate_function(func, machine, ChaitinAllocator(),
-                              max_rounds=8, rematerialize=True)
-
-    def test_error_names_the_migration(self, setup):
-        prepared, machine = setup
-        with pytest.raises(TypeError,
-                           match=r"options=AllocationOptions\(verify=\.\.\.\)"):
-            allocate_module(prepared, machine, ChaitinAllocator(),
-                            verify=False)
-
-    def test_scheduler_jobs_keyword(self):
-        with pytest.raises(TypeError, match="jobs"):
-            Scheduler(jobs=2)
-
-    def test_execute_request_jobs_keyword(self):
-        request = AllocationRequest(id="d", ir=IR, allocator="chaitin",
-                                    machine=MachineSpec(regs=8))
-        with pytest.raises(TypeError, match="jobs"):
-            execute_request(request, jobs=1)
 
     def test_modern_call_sites_warn_nothing(self, setup):
         prepared, machine = setup
@@ -325,7 +299,6 @@ class TestFingerprint:
         base = request_fingerprint(IR, machine, "full",
                                    options=AllocationOptions())
         for neutral in (AllocationOptions(jobs=8),
-                        AllocationOptions(reuse_analyses=False),
                         AllocationOptions(deadline_ms=50.0),
                         AllocationOptions(cache_dir="/elsewhere")):
             assert base == request_fingerprint(IR, machine, "full",

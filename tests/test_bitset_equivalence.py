@@ -28,9 +28,15 @@ from repro.cfg.analysis import build_cfg
 from repro.core import PreferenceDirectedAllocator
 from repro.ir.clone import clone_function
 from repro.ir.values import PReg, VReg
-from repro.pipeline import allocate_module, prepare_function, prepare_module
-from repro.regalloc import AllocationOptions
+from repro.pipeline import (
+    ModuleAllocation,
+    allocate_module,
+    prepare_function,
+    prepare_module,
+)
+from repro.regalloc import AllocationOptions, allocate_function
 from repro.regalloc.igraph import build_alloc_graph
+from repro.sim.cycles import estimate_cycles
 from repro.target.presets import make_machine
 from repro.workloads.generator import generate_function, generate_module
 from repro.workloads.profiles import BenchmarkProfile
@@ -179,10 +185,18 @@ class TestPipelineLevers:
         machine = make_machine(8)
         prepared = prepare_module(generate_module(profile, seed=7), machine)
         allocator = PreferenceDirectedAllocator()
-        want = self._fingerprint(
-            allocate_module(prepared, machine, allocator,
-                            AllocationOptions(reuse_analyses=False))
-        )
+        # No-reuse reference: every function analyzed from scratch
+        # (round0=None), straight through the driver.
+        reference = ModuleAllocation(allocator=allocator.name,
+                                     machine=machine)
+        for func in prepared.functions:
+            clone = clone_function(func)
+            result = allocate_function(clone, machine, allocator,
+                                       AllocationOptions())
+            reference.results.append(result)
+            reference.stats.merge(result.stats)
+            reference.cycles.add(estimate_cycles(clone, machine))
+        want = self._fingerprint(reference)
         cold = self._fingerprint(
             allocate_module(prepared, machine, allocator)
         )

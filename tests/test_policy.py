@@ -33,7 +33,6 @@ from repro.regalloc.base import AllocationOptions
 from repro.service.cache import request_fingerprint
 from repro.service.scheduler import (
     ALLOCATOR_FACTORIES,
-    DEGRADATION_LADDER,
     degrade_for,
 )
 from repro.target.presets import make_machine, middle_pressure
@@ -240,7 +239,10 @@ class TestSerialization:
 
 class TestDegradationLadder:
     def test_scheduler_mirror(self):
-        assert DEGRADATION_LADDER == DEFAULT_POLICY.ladder_map()
+        # The scheduler degrades along the default policy's ladder.
+        ladder = DEFAULT_POLICY.ladder_map()
+        for name in ALLOCATOR_FACTORIES:
+            assert degrade_for(name) == ladder.get(name, "chaitin")
 
     def test_degrade_for_default(self):
         assert degrade_for("full") == "chaitin"

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.pipeline import allocate_module, prepare_module
+from repro.policy import DEFAULT_POLICY
 from repro.regalloc import AllocationOptions
 from repro.reporting import canonical_json
 from repro.service.cache import ResultCache, request_fingerprint
@@ -20,7 +21,6 @@ from repro.service.protocol import (
 )
 from repro.service.scheduler import (
     ALLOCATOR_FACTORIES,
-    DEGRADATION_LADDER,
     Scheduler,
     degrade_for,
     execute_request,
@@ -251,7 +251,7 @@ class TestDegradationLadder:
             seen = [name]
             while seen[-1] != "chaitin":
                 seen.append(degrade_for(seen[-1]))
-                assert len(seen) <= len(DEGRADATION_LADDER) + 1
+                assert len(seen) <= len(DEFAULT_POLICY.ladder_map()) + 1
         assert degrade_for("chaitin") == "chaitin"
 
 
