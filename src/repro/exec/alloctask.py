@@ -7,17 +7,22 @@ what :func:`repro.pipeline._allocate_one` consumes — plus its content
 digests.  The return value is ``(AllocationResult, CycleReport)``, with
 the result's ``round0_outcome`` cleared.
 
-The worker keeps a **warm round-0 analysis cache** keyed by *content*,
-not by object identity: every job ships a fresh ``Function`` copy into
-the worker, but renumbering is deterministic, so the round-0 analyses
-of any copy of a prepared function are value-identical (the same
-argument that backs :func:`repro.pipeline.round0_analyses`).  The
+The worker keeps a **warm round-0 cache** keyed by *content*, not by
+object identity: every job ships a fresh copy of its function, but
+renumbering is deterministic, so the renumbered reference and round-0
+analyses of any copy of a prepared function are value-identical (the
+same argument that backs :func:`repro.pipeline.round0_analyses`).  The
 content key is the codec digest (``sha256`` of
 :func:`repro.ir.codec.encode_function`) plus the machine's register
 model; both digests arrive *with* the job, so keying the cache costs
-nothing.  A service sweeping eight allocators over one module
-therefore analyzes each function once per worker, not once per job —
-and the results remain byte-identical to a cold serial run.
+nothing.  Each entry holds the renumbered reference next to its
+analyses, and a job allocates a clone of that reference with
+``assume_renumbered=True``, as the serial path does: round 0 renumbers
+nothing, and the job's function is decoded only to build the reference
+on a miss.  A service sweeping eight allocators over one module
+therefore renumbers and analyzes each function once per worker, not
+once per job — and the results remain byte-identical to a cold serial
+run.
 
 The cache holds at most :data:`ROUND0_CACHE_MAX` entries.  Options
 travel *in the payload*, never through worker environment variables: a
@@ -32,18 +37,21 @@ from collections import OrderedDict
 __all__ = ["run_alloc_job", "round0_cache_info", "clear_round0_cache",
            "ROUND0_CACHE_MAX"]
 
-#: content key -> RoundAnalyses (per worker process, bounded LRU)
-_ROUND0_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
+#: content key -> (renumbered reference, RoundAnalyses) (per worker
+#: process, bounded LRU)
+_ROUND0_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 #: the round-0 LRU bound (entries per worker process)
 ROUND0_CACHE_MAX = 64
 _hits = 0
 _misses = 0
 
 
-def _warm_round0(func, policy, func_digest: str, machine_digest: str):
+def _warm_round0(payload, policy, func_digest: str, machine_digest: str):
+    """The job's renumbered reference function and its round-0
+    analyses, built from the job's function on a miss."""
     global _hits, _misses
     from repro.analysis.renumber import renumber
-    from repro.ir.clone import clone_function
+    from repro.exec.wire import job_function
     from repro.regalloc.base import compute_round_analyses
 
     # Default policy adds nothing: keys (and so warm entries) are
@@ -56,30 +64,32 @@ def _warm_round0(func, policy, func_digest: str, machine_digest: str):
         _hits += 1
         return cached
     _misses += 1
-    ref = clone_function(func)
+    ref = job_function(payload)  # a private copy: renumber it in place
     renumber(ref)
-    analyses = compute_round_analyses(ref, collect_deltas=True,
-                                      policy=policy)
-    _ROUND0_CACHE[key] = analyses
+    cached = (ref, compute_round_analyses(ref, collect_deltas=True,
+                                          policy=policy))
+    _ROUND0_CACHE[key] = cached
     while len(_ROUND0_CACHE) > ROUND0_CACHE_MAX:
         _ROUND0_CACHE.popitem(last=False)
-    return analyses
+    return cached
 
 
 def run_alloc_job(payload):
     """Allocate one prepared function from a wire job; the pool's
     default task."""
-    from repro.exec.wire import resolve_job
+    from repro.exec.wire import resolve_objects
+    from repro.ir.clone import clone_function
     from repro.regalloc.base import allocate_function
     from repro.regalloc.verify import verify_allocation
     from repro.sim.cycles import estimate_cycles
 
-    (func, machine, allocator, options,
-     func_digest, machine_digest) = resolve_job(payload)
-    round0 = _warm_round0(func, options.policy, func_digest,
-                          machine_digest)
-    result = allocate_function(func, machine, allocator,
-                               options=options, round0=round0)
+    (machine, allocator, options,
+     func_digest, machine_digest) = resolve_objects(payload)
+    ref, round0 = _warm_round0(payload, options.policy, func_digest,
+                               machine_digest)
+    func = clone_function(ref)
+    result = allocate_function(func, machine, allocator, options=options,
+                               round0=round0, assume_renumbered=True)
     # The round-0 coloring is only ever carried by edit sessions, which
     # never run through the pool; do not pickle it back to the parent.
     result.round0_outcome = None

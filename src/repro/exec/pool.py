@@ -118,16 +118,24 @@ def _worker_main(slot: int, inbox, outbox, beats, task_spec,
                  fault_plan: FaultPlan | None, heartbeat_s: float) -> None:
     """Worker loop: heartbeat, pull a job, run it, push the result.
 
-    Messages are pre-pickled here so a value the task produced that
-    cannot cross the process boundary turns into an ``err`` message
-    instead of silently wedging the queue's feeder thread.
+    A worker whose parent died without shutting the pool down (its
+    parent pid changed) returns at its next idle tick, so a killed
+    server does not leave its workers running.  Messages are
+    pre-pickled here so a value the task produced that cannot cross
+    the process boundary turns into an ``err`` message instead of
+    silently wedging the queue's feeder thread.
     """
     task = resolve_task(task_spec)
+    parent = os.getppid()
     beats[slot] = time.time()
     while True:
         try:
             item = inbox.get(timeout=heartbeat_s)
         except queue.Empty:
+            if os.getppid() != parent:
+                # Orphaned: the parent died without a clean shutdown
+                # (SIGTERM, SIGKILL), which daemonic workers never see.
+                return
             beats[slot] = time.time()
             continue
         except (EOFError, OSError):  # parent went away

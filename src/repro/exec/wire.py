@@ -8,11 +8,13 @@ allocator and options.  The pool pickles the tuple like any other
 payload and keeps no state about it beyond the job, so a retried job
 re-sends the same tuple.
 
-Workers decode each function digest once into a bounded LRU beside the
-round-0 analysis cache and hand every job a private
-:func:`~repro.ir.clone.clone_function` copy (allocation mutates in
-place), which is byte-identical to an unpickled copy because the codec
-round-trips ``print_function`` text exactly.  Machines, allocators and
+Workers decode each function digest once into a bounded LRU and hand
+out private :func:`~repro.ir.clone.clone_function` copies (allocation
+mutates in place), which are byte-identical to an unpickled copy
+because the codec round-trips ``print_function`` text exactly.  The
+allocation task asks for a copy (:func:`job_function`) only when its
+round-0 cache misses; :func:`resolve_objects` reads the rest of a job
+without decoding the function.  Machines, allocators and
 options are read-only across jobs (the serial path already shares one
 instance for a whole module sweep), so workers cache them by digest
 and unpickle each once.  The tests check decoded functions against the
@@ -33,7 +35,8 @@ __all__ = [
     "WIRE_TAG",
     "pack_job",
     "is_wire_job",
-    "resolve_job",
+    "resolve_objects",
+    "job_function",
     "machine_content_digest",
     "wire_stats",
     "reset_wire_stats",
@@ -216,17 +219,26 @@ def _object_for(digest: str, blobs: dict):
     return obj
 
 
-def resolve_job(payload):
-    """A wire control tuple back into ``(func, machine, allocator,
-    options)`` plus the content digests the round-0 cache keys on."""
+def _checked(payload) -> tuple:
     if not is_wire_job(payload):
         raise CodecError(f"not a {WIRE_TAG} job: "
                          f"{type(payload).__name__}")
+    return payload
+
+
+def resolve_objects(payload):
+    """A wire control tuple's ``(machine, allocator, options)`` plus
+    the content digests the round-0 cache keys on, without decoding
+    its function."""
     (_tag, func_digest, machine_digest, alloc_digest, options_digest,
-     blobs) = payload
-    func = _decoded_function(func_digest, blobs)
-    machine = _object_for(machine_digest, blobs)
-    allocator = _object_for(alloc_digest, blobs)
-    options = _object_for(options_digest, blobs)
-    return (func, machine, allocator, options,
+     blobs) = _checked(payload)
+    return (_object_for(machine_digest, blobs),
+            _object_for(alloc_digest, blobs),
+            _object_for(options_digest, blobs),
             func_digest, machine_digest)
+
+
+def job_function(payload):
+    """A private copy of a wire control tuple's decoded function."""
+    _tag, func_digest, *_digests, blobs = _checked(payload)
+    return _decoded_function(func_digest, blobs)

@@ -88,35 +88,51 @@ def prepare_module(module: Module, machine: TargetMachine) -> Module:
     return prepared
 
 
-#: prepared function -> {policy digest -> round-0 analyses of a
-#: pristine renumbered clone}.  Keyed weakly so dropping a prepared
-#: module frees its analyses too; the inner key separates policies
-#: because spill costs (and so every structure built on them) are
-#: policy-weighted.
-_round0_cache: "WeakKeyDictionary[Function, dict[str, RoundAnalyses]]" = (
-    WeakKeyDictionary()
-)
+@dataclass(eq=False)
+class _Round0:
+    """One prepared function's renumbered reference and its analyses."""
+
+    #: a renumbered clone of the prepared function; never mutated —
+    #: every allocation works on a clone of it
+    ref: Function
+    #: policy digest -> round-0 analyses of ``ref``
+    analyses: dict[str, RoundAnalyses] = field(default_factory=dict)
+
+
+#: prepared function -> its :class:`_Round0`.  Keyed weakly so dropping
+#: a prepared module frees its reference and analyses too; the inner
+#: key separates policies because spill costs (and so every structure
+#: built on them) are policy-weighted, while the reference is shared.
+_round0_cache: "WeakKeyDictionary[Function, _Round0]" = WeakKeyDictionary()
 
 
 def round0_analyses(prepared_func: Function,
-                    policy: Policy = DEFAULT_POLICY) -> RoundAnalyses:
-    """Memoized first-round analyses of one prepared function.
+                    policy: Policy = DEFAULT_POLICY
+                    ) -> tuple[Function, RoundAnalyses]:
+    """Memoized renumbered reference of one prepared function and its
+    first-round analyses under ``policy``.
 
-    Computed on a renumbered *reference clone* so the cached structures
-    are never touched by an allocator's in-place rewrite; every clone of
-    ``prepared_func`` renumbers to the same names (renumbering is
-    deterministic), so the analyses transfer to any round 0.  The
+    The reference is a renumbered clone of ``prepared_func``, one per
+    prepared function and shared by every policy.  It is never touched
+    by an allocator's in-place rewrite: :func:`_allocate_one` allocates
+    a clone of it with ``assume_renumbered=True``, so a cold allocation
+    renumbers the function once (here) instead of twice.  Renumbering
+    is deterministic, so any clone of ``prepared_func`` renumbers to the
+    same names and the analyses transfer to every round 0.  The
     per-block summaries are collected so round 1 can patch them.
     """
-    per_policy = _round0_cache.setdefault(prepared_func, {})
-    cached = per_policy.get(policy.digest())
-    if cached is None:
+    entry = _round0_cache.get(prepared_func)
+    if entry is None:
         ref = clone_function(prepared_func)
         renumber(ref)
-        cached = compute_round_analyses(ref, collect_deltas=True,
-                                        policy=policy)
-        per_policy[policy.digest()] = cached
-    return cached
+        entry = _round0_cache[prepared_func] = _Round0(ref)
+    key = policy.digest()
+    analyses = entry.analyses.get(key)
+    if analyses is None:
+        analyses = compute_round_analyses(entry.ref, collect_deltas=True,
+                                          policy=policy)
+        entry.analyses[key] = analyses
+    return entry.ref, analyses
 
 
 def _allocate_one(
@@ -125,11 +141,16 @@ def _allocate_one(
     allocator: Allocator,
     options: AllocationOptions,
 ) -> tuple[AllocationResult, CycleReport]:
-    """Allocate one function from its prepared form, serially."""
-    func = clone_function(prepared_func)
-    round0 = round0_analyses(prepared_func, options.policy)
+    """Allocate one function from its prepared form, serially.
+
+    Works on a clone of the memoized renumbered reference (see
+    :func:`round0_analyses`), so round 0 skips its renumber; spill
+    rounds still renumber.
+    """
+    ref, round0 = round0_analyses(prepared_func, options.policy)
+    func = clone_function(ref)
     result = allocate_function(func, machine, allocator, options=options,
-                               round0=round0)
+                               round0=round0, assume_renumbered=True)
     if options.verify:
         verify_allocation(func, machine)
     return result, estimate_cycles(func, machine)

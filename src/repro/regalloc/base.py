@@ -480,9 +480,12 @@ def allocate_function(
 
     ``assume_renumbered=True`` skips the round-0 renumber: the caller
     vouches that ``func`` is already in renumbered form (a clone of —
-    or value-identical to — the function ``round0`` analyzed).  The
-    session layer uses this to keep a patched clone's names aligned
-    with its retained analyses; spill rounds still renumber normally.
+    or value-identical to — the function ``round0`` analyzed).  All
+    three production paths pass it: the serial pipeline and the pool
+    worker allocate a clone of the renumbered reference their round-0
+    cache keeps, and the session layer keeps a patched clone's names
+    aligned with its retained analyses.  Spill rounds still renumber
+    normally.
 
     ``round0_outcome`` is a round-0 coloring from an earlier run of an
     allocator with the same :meth:`Allocator.config_key` on a function

@@ -53,8 +53,8 @@ class AllocGraph:
     #: new_degree)`` after any active vreg's degree changes (removal,
     #: coalescing, or edge insertion).  At most one listener; the
     #: simplify worklist attaches for the duration of its run so
-    #: low-degree crossings and spill-metric refreshes are event-driven
-    #: instead of rescans (see ``repro.regalloc.worklist``).
+    #: low-degree crossings are event-driven instead of rescans (see
+    #: ``repro.regalloc.worklist``).
     degree_listener: object | None = field(default=None, repr=False)
     #: when built from a bitmask-form interference graph, the packed
     #: uint64 rows and dense index it was projected from.  Consumers

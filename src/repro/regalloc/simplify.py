@@ -16,10 +16,10 @@ uses its Section 5.1 metric "for all algorithms").
 
 The engine drives a :class:`~repro.regalloc.worklist.DegreeWorklist`
 off the graph's degree-change hook, so each low-degree candidate is
-discovered in O(1) and each spill pick costs O(log n).  The original
-rescan-per-batch engine is the oracle in ``tests/oracles.py``; the
-tests assert the two produce the identical stack (same batches, same
-tie-break keys, same spill picks).
+discovered in O(1) and each spill pick costs O(log n) per heap entry
+it re-keys or skips.  The original rescan-per-batch engine is the
+oracle in ``tests/oracles.py``; the tests assert the two produce the
+identical stack (same batches, same tie-break keys, same spill picks).
 """
 
 from __future__ import annotations
@@ -165,6 +165,9 @@ def _simplify_indexed(graph: AllocGraph, optimistic: bool,
     always removes all of its own members (degrees only fall, so no
     member can turn significant mid-batch).
     """
+    # While the worklist is attached, this loop only calls
+    # ``graph.remove``: degrees only fall and spill costs stay fixed,
+    # which the spill heap's lazy re-keying relies on.
     with DegreeWorklist(graph, tie_break_fn(policy),
                         metric=spill_metric_fn(policy)) as worklist:
         while graph.active:

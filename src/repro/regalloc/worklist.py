@@ -7,27 +7,31 @@ queue per pick.  This module holds the incrementally maintained
 indexes that replace those scans:
 
 * :class:`DegreeWorklist` — a bucketed low-degree worklist plus a lazy
-  min-heap over the Chaitin ``spill_cost / degree`` metric, both fed by
-  the :attr:`~repro.regalloc.igraph.AllocGraph.degree_listener` hook so
-  candidates surface in O(1)/O(log n) instead of O(n) rescans.  Only
-  significant nodes (degree >= K) get heap entries, since a spill is
-  picked only when no active node has low degree;
+  min-heap over the Chaitin ``spill_cost / degree`` metric.  The
+  :attr:`~repro.regalloc.igraph.AllocGraph.degree_listener` hook feeds
+  the bucket, so low-degree candidates surface in O(1); the heap is
+  never touched by a degree event and re-keys an entry only when it
+  pops with an out-of-date key.  Only significant nodes (degree >= K)
+  get heap entries, since a spill is picked only when no active node
+  has low degree;
 * :class:`LazyMaxHeap` — a generation-stamped max-heap used by
   :class:`~repro.core.select.PreferenceSelector` for its ready queue.
 
 Both are *lazy* structures: stale entries are left in the heap and
-skipped at pop time.  Laziness cannot change any pick because every
-entry carries the full deterministic tie-break key and a per-node
-generation stamp — only the newest stamp for a node is ever accepted,
-and the newest stamp's key equals the key a rescan would compute at
-pick time (see DESIGN.md §5f for the invariant argument).  These are
-the only engines; the scan implementations they replaced are the
-pick-by-pick oracles in ``tests/oracles.py``.
+dealt with at pop time.  Laziness cannot change any pick because every
+entry carries the full deterministic tie-break key.  The ready heap
+accepts only a node's newest generation stamp, whose key equals the
+key a rescan would compute at pick time; the spill heap's stored keys
+are lower bounds of the current ones, so the first entry that pops
+with a current key is the rescan's minimum (see DESIGN.md §5f for both
+invariant arguments).  These are the only engines; the scan
+implementations they replaced are the pick-by-pick oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from repro.errors import AllocationError
 from repro.ir.values import VReg
@@ -42,19 +46,23 @@ class DegreeWorklist:
     """Degree-indexed candidate structure over one ``AllocGraph``.
 
     Attach with :meth:`attach` *before* simplification starts removing
-    nodes; every degree decrement then flows through :meth:`on_degree`:
+    nodes; every degree decrement then flows through :meth:`on_degree`,
+    whose only job is the low-degree bucket: a node crossing below K
+    enters the *pending* bucket (each node crosses at most once —
+    degrees only fall during simplification — so each node is
+    tie-break sorted exactly once, when its batch is taken).
 
-    * a node crossing below K enters the *pending* low-degree bucket
-      (each node crosses at most once — degrees only fall during
-      simplification — so each node is tie-break sorted exactly once,
-      when its batch is taken);
-    * every change that leaves a node significant (degree >= K) pushes
-      a refreshed ``(cost/degree, tie_break)`` heap entry under a new
-      generation stamp, keeping the newest entry's metric exactly
-      current.  Low-degree nodes get no entries: :meth:`pop_spill` is
-      only called once the pending bucket is empty, and then every
-      active node is significant, so an entry for a low-degree node
-      could never be accepted.
+    The spill heap gets one ``(metric, tie_break, node)`` entry per
+    node that is significant (degree >= K) at construction, and no
+    entry on a degree event.  While the worklist is attached a node's
+    metric can only rise, so a stored key is a lower bound on the
+    node's current key; :meth:`pop_spill` re-keys an entry that pops
+    out of date and accepts the first one whose stored key is current.
+    A node holds at most one entry at any time (a re-key pops before it
+    pushes), so the only stale entries are those of removed nodes.
+    Low-degree nodes need no entries: :meth:`pop_spill` is only called
+    once the pending bucket is empty, and then every active node is
+    significant.
 
     :meth:`take_batch` reproduces the scan loop's batch semantics: the
     returned batch is precisely "all currently-low actives, tie-break
@@ -63,31 +71,38 @@ class DegreeWorklist:
     for the next one.
     """
 
-    __slots__ = ("graph", "tie_break", "metric", "_pending", "_heap",
-                 "_gen")
+    __slots__ = ("graph", "tie_break", "metric", "_pending", "_heap")
 
     def __init__(self, graph, tie_break, metric=None) -> None:
         self.graph = graph
         self.tie_break = tie_break
         #: optional ``metric(graph, node) -> float`` override for the
         #: spill score; ``None`` keeps the inlined historical
-        #: ``cost / degree`` (byte-identical heap entries).  A non-None
-        #: metric comes from a non-default :class:`repro.policy.Policy`
-        #: via :func:`repro.regalloc.simplify.spill_metric_fn`.
+        #: ``cost / degree`` (byte-identical keys).  A non-None metric
+        #: comes from a non-default :class:`repro.policy.Policy` via
+        #: :func:`repro.regalloc.simplify.spill_metric_fn`.
         self.metric = metric
         self._pending: list[VReg] = []
-        self._heap: list[tuple] = []
-        self._gen: dict[VReg, int] = {}
+        heap = []
         for node in graph.active:
             if graph.significant(node):
-                self._push(node)
+                heap.append((self._key(node), tie_break(node), node))
             else:
                 self._pending.append(node)
+        heapify(heap)
+        self._heap = heap
 
     # ------------------------------------------------------------------
 
     def attach(self) -> None:
-        """Route the graph's degree notifications to this worklist."""
+        """Route the graph's degree notifications to this worklist.
+
+        While attached, the graph may only lose nodes
+        (``AllocGraph.remove``): the spill heap's lower-bound keys rely
+        on degrees only falling and spill costs never changing.  A
+        caller that could raise a degree (``add_edge``) or merge nodes
+        (which also sums spill costs) must not attach one.
+        """
         if self.graph.degree_listener is not None:
             raise AllocationError("AllocGraph already has a degree listener")
         self.graph.degree_listener = self.on_degree
@@ -107,23 +122,17 @@ class DegreeWorklist:
 
     def on_degree(self, node: VReg, degree: int) -> None:
         """Degree-change hook (see ``AllocGraph.degree_listener``)."""
-        k = self.graph.k
-        if degree >= k:
-            self._push(node)
-        elif degree == k - 1:
+        if degree == self.graph.k - 1:
             # The one possible low-degree crossing: simplification only
             # ever decrements, one edge at a time.
             self._pending.append(node)
 
-    def _push(self, node: VReg) -> None:
-        gen = self._gen.get(node, 0) + 1
-        self._gen[node] = gen
+    def _key(self, node: VReg) -> float:
+        """``node``'s spill metric at the graph's current degrees."""
         if self.metric is None:
             degree = max(self.graph.degree(node), 1)
-            metric = self.graph.spill_cost(node) / degree
-        else:
-            metric = self.metric(self.graph, node)
-        heappush(self._heap, (metric, self.tie_break(node), gen, node))
+            return self.graph.spill_cost(node) / degree
+        return self.metric(self.graph, node)
 
     # ------------------------------------------------------------------
 
@@ -139,15 +148,23 @@ class DegreeWorklist:
         """Minimum ``cost/degree`` active node (ties by ``tie_break``).
 
         Only valid once :meth:`take_batch` has come back empty: the heap
-        holds entries for significant nodes only.
+        holds entries for significant nodes only.  An entry whose stored
+        metric is out of date is pushed back under its current metric.
+        Since no current key is below its stored key, the first entry
+        popped with a current key is the minimum over all active nodes,
+        and the tie-break (unique per node: it contains ``id``) settles
+        equal metrics exactly as the scan does.
         """
         heap = self._heap
         active = self.graph.active
-        gen = self._gen
         while heap:
-            metric, _tie, stamp, node = heappop(heap)
-            if node not in active or gen.get(node) != stamp:
-                continue  # stale: removed, or superseded by a refresh
+            metric, tie, node = heappop(heap)
+            if node not in active:
+                continue  # stale: removed since it was pushed
+            current = self._key(node)
+            if current != metric:
+                heappush(heap, (current, tie, node))
+                continue
             if metric == float("inf"):
                 raise AllocationError(
                     "all remaining nodes are no-spill temporaries; "

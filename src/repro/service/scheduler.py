@@ -20,7 +20,7 @@ direct :func:`repro.pipeline.allocate_module` run.
 Batches reuse work across requests: the module parse/prepare step is
 memoized per (module, machine) fingerprint, so fifty requests sweeping
 eight allocators over one module prepare it once (and, through
-``round0_analyses``, analyze it once).
+``round0_analyses``, renumber and analyze it once).
 """
 
 from __future__ import annotations

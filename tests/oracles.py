@@ -956,7 +956,7 @@ def check_wire_jobs(payloads, jobs) -> None:
     the original payload's after a pickle round trip (what a pickled
     dispatch would have delivered); raise on the first divergence."""
     for payload, job in zip(payloads, jobs):
-        decoded = wire.resolve_job(job)[0]
+        decoded = wire.job_function(job)
         shipped = pickle.loads(pickle.dumps(payload[0],
                                             pickle.HIGHEST_PROTOCOL))
         if print_function(decoded) != print_function(shipped):

@@ -15,9 +15,17 @@ timing races to produce a failure.
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.errors import AllocationError
 from repro.exec import (
@@ -223,6 +231,55 @@ class TestPoolMechanics:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="workers"):
             WorkerPool(workers=0)
+
+
+#: a pool owner that prints its worker pids, then idles until killed
+POOL_OWNER = """
+import time
+from repro.exec import WorkerPool
+pool = WorkerPool(workers=2)
+pool.ensure_started()
+print(*(w["pid"] for w in pool.snapshot()["per_worker"]), flush=True)
+time.sleep(120)
+"""
+
+
+def _running(pid: int) -> bool:
+    """``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+class TestOrphanedWorkers:
+    def test_sigterm_to_the_owner_stops_its_workers(self):
+        # SIGTERM skips the interpreter's exit hooks, so the pool never
+        # shuts down; each worker must notice its parent is gone.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        owner = subprocess.Popen(
+            [sys.executable, "-c", POOL_OWNER], stdout=subprocess.PIPE,
+            text=True, env={**os.environ, "PYTHONPATH": src})
+        try:
+            pids = [int(pid) for pid in owner.stdout.readline().split()]
+            assert len(pids) == 2
+            assert all(_running(pid) for pid in pids)
+            owner.send_signal(signal.SIGTERM)
+            owner.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while any(_running(pid) for pid in pids) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _running(pid)]
+        finally:
+            owner.kill()
+            owner.wait()
+            owner.stdout.close()
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,9 @@ from repro.ir.clone import clone_function
 from repro.ir.validate import validate_function
 from repro.ir.values import PReg, VReg
 from repro.pipeline import prepare_function
+from repro.policy import Policy
 from repro.regalloc import (
+    AllocationOptions,
     BriggsAllocator,
     CallCostAllocator,
     ChaitinAllocator,
@@ -68,6 +70,15 @@ profiles = st.builds(
     # K=4 machines only have two parameter registers
     max_params=st.integers(1, 2),
     max_call_args=st.integers(1, 2),
+)
+
+#: spill-metric exponents and tie-break orders (the default among them)
+spill_policies = st.builds(
+    Policy,
+    spill_cost_exponent=st.sampled_from([0.5, 1.0, 2.0]),
+    spill_degree_exponent=st.sampled_from([0.5, 1.0, 2.0]),
+    spill_tie_break=st.sampled_from([("id", "name"), ("name", "id"),
+                                     ("id",)]),
 )
 
 ALLOCATOR_FACTORIES = [
@@ -229,8 +240,11 @@ class TestSelectIndexEquivalence:
 
     @SLOW
     @given(profile=profiles, seed=st.integers(0, 10_000),
-           k=st.sampled_from([4, 8, 16]))
-    def test_decision_sequence_identical(self, profile, seed, k):
+           k=st.sampled_from([4, 8, 16]), policy=spill_policies)
+    def test_decision_sequence_identical(self, profile, seed, k, policy):
+        """``policy`` varies the spill metric's exponents and the
+        tie-break order, so every spill pick of the lazily re-keyed heap
+        is checked against the scan under non-default metrics too."""
         from contextlib import nullcontext
 
         from oracles import scan_select, validate_select
@@ -257,7 +271,9 @@ class TestSelectIndexEquivalence:
                 prepared = prepare_function(clone_function(func), machine)
                 try:
                     with engines():
-                        result = allocate_function(prepared, machine, alloc)
+                        result = allocate_function(
+                            prepared, machine, alloc,
+                            options=AllocationOptions(policy=policy))
                 except AllocationError as err:
                     # Unallocatable pressure must reproduce identically
                     # across engines; any other failure is a real bug.

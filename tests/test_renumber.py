@@ -1,23 +1,46 @@
 """Renumbering into webs: splitting, preservation, statistics."""
 
+import importlib
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import compare_renumber
+from repro import pipeline
 from repro.analysis.renumber import renumber
+from repro.exec import alloctask, wire
 from repro.ir.builder import IRBuilder
 from repro.ir.clone import clone_function
+from repro.ir.function import Module
+from repro.ir.printer import print_function
 from repro.ir.validate import validate_function
-from repro.ir.values import Const
+from repro.ir.values import Const, RegClass
 from repro.sim.interp import run_function
 from repro.sim.ops import Memory
-from repro.pipeline import prepare_function
-from repro.regalloc import ChaitinAllocator, allocate_function
+from repro.pipeline import allocate_module, prepare_function, prepare_module
+from repro.regalloc import (
+    AllocationOptions,
+    ChaitinAllocator,
+    allocate_function,
+    verify_allocation,
+)
 from repro.regalloc import base as regalloc_base
+from repro.service.protocol import cycles_to_dict, stats_to_dict
+from repro.service.scheduler import ALLOCATOR_FACTORIES
+from repro.sim.cycles import estimate_cycles
 from repro.ssa.construct import to_ssa
 from repro.ssa.destruct import from_ssa
-from repro.target.presets import high_pressure, make_machine
-from repro.workloads import BENCHMARK_NAMES, make_suite, spill_stress_module
+from repro.target.presets import (
+    high_pressure,
+    make_machine,
+    middle_pressure,
+)
+from repro.workloads import (
+    BENCHMARK_NAMES,
+    make_benchmark,
+    make_suite,
+    spill_stress_module,
+)
 from repro.workloads.generator import generate_function
 
 from conftest import build_counted_loop, build_diamond, build_straightline
@@ -156,3 +179,73 @@ class TestAgainstReference:
         to_ssa(work)
         from_ssa(work)
         assert compare_renumber(work) == []
+
+
+@pytest.fixture(scope="module", params=["16", "24"])
+def jess_prepared(request):
+    """jess prepared for K=16 (every allocator spills) and K=24 (the
+    model of the result pins)."""
+    machine = {"16": high_pressure, "24": middle_pressure}[request.param]()
+    return prepare_module(make_benchmark("jess", seed=0), machine), machine
+
+
+#: the module itself (the package re-exports the function under its name)
+renumber_mod = importlib.import_module("repro.analysis.renumber")
+
+
+def _record(result, cycles) -> tuple:
+    return (print_function(result.func), stats_to_dict(result.stats),
+            cycles_to_dict(cycles))
+
+
+class TestRenumberOnce:
+    """A cold allocation renumbers each prepared function once, plus
+    once per spill round: the serial path and the pool task allocate a
+    clone of their cached renumbered reference instead of renumbering
+    the working clone again.  Either way the result equals the oracle
+    path, which renumbers a plain clone of the prepared function inside
+    ``allocate_function``."""
+
+    @pytest.fixture
+    def renumbers(self, monkeypatch):
+        """Names of the functions renumbered while the test runs."""
+        calls = []
+        real = renumber_mod.renumber
+
+        def counting(func, cfg=None):
+            calls.append(func.name)
+            return real(func, cfg)
+
+        for module in (renumber_mod, regalloc_base, pipeline):
+            monkeypatch.setattr(module, "renumber", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(ALLOCATOR_FACTORIES))
+    def test_serial_and_pool_task_match_the_oracle(self, jess_prepared,
+                                                   name, renumbers):
+        prepared, machine = jess_prepared
+        allocator = ALLOCATOR_FACTORIES[name]()
+        options = AllocationOptions(verify=True, jobs=1)
+        spilled = False
+        for func in prepared.functions:
+            work = clone_function(func)
+            result = allocate_function(work, machine, allocator, options)
+            verify_allocation(work, machine)
+            want = _record(result, estimate_cycles(work, machine))
+            spilled |= result.stats.rounds > 1
+
+            # A fresh one-function module misses the round-0 cache.
+            renumbers.clear()
+            run = allocate_module(Module(func.name, [clone_function(func)]),
+                                  machine, allocator, options)
+            assert len(renumbers) == run.results[0].stats.rounds
+            assert _record(run.results[0], run.cycles) == want
+
+            alloctask.clear_round0_cache()
+            renumbers.clear()
+            got = alloctask.run_alloc_job(
+                wire.pack_job((func, machine, allocator, options)))
+            assert len(renumbers) == got[0].stats.rounds
+            assert _record(*got) == want
+        alloctask.clear_round0_cache()
+        assert spilled or machine.k(RegClass.INT) == 24

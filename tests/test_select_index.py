@@ -32,7 +32,12 @@ from repro.pipeline import prepare_function
 from repro.regalloc import allocate_function, verify_allocation
 from repro.regalloc.igraph import AllocGraph
 from repro.policy import DEFAULT_POLICY
-from repro.regalloc.simplify import SimplifyResult, _tie_break, simplify
+from repro.regalloc.simplify import (
+    SimplifyResult,
+    _tie_break,
+    choose_spill_candidate,
+    simplify,
+)
 from repro.regalloc.worklist import DegreeWorklist, LazyMaxHeap
 from repro.target.presets import high_pressure, make_machine
 from repro.workloads import BENCHMARK_NAMES, make_suite, spill_stress_module
@@ -181,8 +186,8 @@ class TestDegreeWorklist:
     def test_degree_event_refreshes_metric(self):
         # Initially node 3 wins (cost 4.5 over degree 3 = 1.5 beats node
         # 2's 4.0/2 = 2.0); removing node 4 drops degree(3) to 2, so the
-        # refreshed metric 2.25 loses to node 2 — the stale 1.5 entry
-        # must be skipped, not served.
+        # current metric 2.25 loses to node 2 — the stale 1.5 entry
+        # must be re-keyed, not served.
         graph, n = make_graph(1, [(2, 6), (2, 7), (3, 4), (3, 6), (3, 7)],
                               costs={2: 4.0, 3: 4.5,
                                      4: 100.0, 6: 100.0, 7: 100.0})
@@ -191,6 +196,29 @@ class TestDegreeWorklist:
             assert worklist.pop_spill() is n[2]
             graph.remove(n[2])
             assert worklist.pop_spill() is n[3]
+
+    def test_lazy_rekey_matches_the_scan(self):
+        # K=1 keeps everyone significant.  Node 1 starts cheapest (3.0
+        # over degree 3 = 1.0, against node 2's 4.0/2 = 2.0) but loses
+        # two neighbors, rising to 3.0.  Degree events push nothing, so
+        # node 1's entry still says 1.0 when it pops; it must be re-keyed
+        # to 3.0 and node 2 served, as the scan picks.
+        graph, n = make_graph(1, [(1, 4), (1, 5), (1, 6), (2, 7), (2, 8)],
+                              costs={1: 3.0, 2: 4.0, 4: 100.0, 5: 100.0,
+                                     6: 100.0, 7: 100.0, 8: 100.0})
+        with DegreeWorklist(graph, _tie_break) as worklist:
+            entries = len(worklist._heap)
+            graph.remove(n[4])
+            graph.remove(n[5])
+            assert len(worklist._heap) == entries  # no pushes
+            assert (1.0, _tie_break(n[1]), n[1]) in worklist._heap
+            picked = worklist.pop_spill()
+            assert picked is choose_spill_candidate(graph, graph.active)
+            assert picked is n[2]
+            # The stale 1.0 entry was re-keyed to node 1's current 3.0.
+            assert (3.0, _tie_break(n[1]), n[1]) in worklist._heap
+            assert all(entry[2] is not n[1] or entry[0] == 3.0
+                       for entry in worklist._heap)
 
     def test_pop_spill_skips_stale_entries(self):
         graph, n = make_graph(1, [(1, 2)], costs={1: 1.0, 2: 2.0})

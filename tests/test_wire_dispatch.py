@@ -21,6 +21,7 @@ from repro.ir.codec import function_digest
 from repro.ir.printer import print_function
 from repro.pipeline import _allocate_one, prepare_module
 from repro.regalloc import AllocationOptions, ChaitinAllocator
+from repro.service.protocol import stats_to_dict
 from repro.target.presets import make_machine
 from repro.workloads.generator import generate_module
 from repro.workloads.profiles import BenchmarkProfile
@@ -101,8 +102,9 @@ class TestPackBatch:
         for (func, machine, allocator, options), job in zip(payloads, jobs):
             # Each job carries exactly its own four blobs.
             assert set(job[5]) == set(job[1:5])
-            rfunc, rmachine, rallocator, roptions, fdig, mdig = \
-                wire.resolve_job(job)
+            rfunc = wire.job_function(job)
+            rmachine, rallocator, roptions, fdig, mdig = \
+                wire.resolve_objects(job)
             assert print_function(rfunc) == print_function(func)
             assert rfunc is not func  # private clone per job
             assert fdig == function_digest(func)
@@ -114,17 +116,17 @@ class TestPackBatch:
         """Machine/allocator/options resolve to one cached object per
         digest — the serial path's sharing, not a copy per job."""
         jobs = pack(small_payloads())
-        first = wire.resolve_job(jobs[0])
-        second = wire.resolve_job(jobs[1])
-        assert first[1] is second[1]  # machine
-        assert first[2] is second[2]  # allocator
-        assert first[3] is second[3]  # options
+        first = wire.resolve_objects(jobs[0])
+        second = wire.resolve_objects(jobs[1])
+        assert first[0] is second[0]  # machine
+        assert first[1] is second[1]  # allocator
+        assert first[2] is second[2]  # options
 
     def test_decode_cache_hits_across_batches(self):
         payloads = small_payloads()
         for expected_hits in (0, len(payloads)):
             for job in pack(payloads):
-                wire.resolve_job(job)
+                wire.job_function(job)
             info = wire.decode_cache_info()
             assert info["hits"] == expected_hits
         stats = wire.wire_stats()
@@ -154,7 +156,7 @@ class TestValidateAndErrors:
         bad = list(pack(small_payloads())[0])
         bad[1] = "0" * 64
         with pytest.raises(CodecError):
-            wire.resolve_job(tuple(bad))
+            wire.job_function(tuple(bad))
 
 
 class TestPoolIdentity:
@@ -175,6 +177,23 @@ class TestPoolIdentity:
         serial = [print_function(_allocate_one(*p)[0].func)
                   for p in payloads]
         assert self.run_pool(payloads) == serial
+
+    def test_round0_hit_allocates_like_the_cold_job(self):
+        """A warm job allocates a clone of the cached renumbered
+        reference; the reference itself must come out untouched."""
+        alloctask.clear_round0_cache()
+        try:
+            for payload in small_payloads(n=3):
+                job = wire.pack_job(payload)
+                cold, warm = run_alloc_job(job), run_alloc_job(job)
+                assert print_function(cold[0].func) == \
+                    print_function(warm[0].func)
+                assert stats_to_dict(cold[0].stats) == \
+                    stats_to_dict(warm[0].stats)
+                assert cold[1].total == warm[1].total
+            assert alloctask.round0_cache_info()["hits"] == 3
+        finally:
+            alloctask.clear_round0_cache()
 
     def test_run_alloc_job_accepts_both_shapes(self):
         """Of the two payload shapes the task now takes only one: a
