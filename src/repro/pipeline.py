@@ -70,13 +70,20 @@ class ModuleAllocation:
 def prepare_function(func: Function, machine: TargetMachine) -> Function:
     """Run the pre-allocation pipeline on ``func`` in place."""
     with phase("prepare"):
-        validate_function(func)
-        to_ssa(func)
-        validate_function(func, ssa=True)
-        eliminate_dead_code(func)
-        from_ssa(func)
-        lower_function(func, machine)
-        validate_function(func)
+        with phase("validate"):
+            validate_function(func)
+        with phase("ssa"):
+            to_ssa(func)
+        with phase("validate"):
+            validate_function(func, ssa=True)
+        with phase("dce"):
+            eliminate_dead_code(func)
+        with phase("out-of-ssa"):
+            from_ssa(func)
+        with phase("lower"):
+            lower_function(func, machine)
+        with phase("validate"):
+            validate_function(func)
     return func
 
 

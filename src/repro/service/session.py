@@ -2,10 +2,11 @@
 
 A session retains what a from-scratch allocation throws away: the
 prepared+renumbered *reference* form of each function, its round-0
-analyses, and each allocator's round-0 coloring.  When the next edit of
-the same source arrives, the session diffs the new raw body against the
-retained raw body (:func:`repro.ir.diff.diff_functions`) and takes the
-cheapest sound path down a three-rung ladder:
+analyses, and each allocator's round-0 coloring and finished
+allocation.  When the next edit of the same source arrives, the
+session diffs the new raw body against the retained raw body
+(:func:`repro.ir.diff.diff_functions`) and takes the cheapest sound
+path down a three-rung ladder:
 
 * **value** — the edit is *transparent* (constant values, opcodes,
   load/store offsets inside matched blocks): every prepare/renumber
@@ -18,7 +19,9 @@ cheapest sound path down a three-rung ladder:
   instruction landed (instructions dropped by DCE simply have no entry
   — deadness is value-independent, so skipping their edits is exact).
   The round-0 colorings carry over too, so allocation starts at the
-  spill rounds (or the rewrite) instead of recoloring.
+  spill rounds (or the rewrite) instead of recoloring; and when the
+  retained allocation ran no spill round, its finished code carries
+  over as well, with the same edits patched onto a clone of it.
 * **struct** — the edit is structural but block-local: the new body is
   prepared and renumbered from scratch, diffed against the retained
   reference in register-pairing mode, and the retained analyses are
@@ -44,6 +47,26 @@ outcome — unless one of its edits changes a ``base`` or an ``offset``
 then the colorings are dropped.  An identical advance keeps the
 finished results as well; struct and rebuild rungs start with none.
 The retained outcomes are shared and treated as read-only.
+
+Why a finished allocation survives the same edits when it ran no spill
+round: after round 0 the driver only rewrites — it maps each vreg to
+its color and drops the moves that became identities — and counts the
+stats on the way, none of which reads a constant, an opcode or an
+offset.  The appendix cost model (:mod:`repro.sim.cycles`) charges
+instruction classes, registers, loop frequencies and fused paired
+loads; pairing is the only thing in it that reads a base or an offset,
+and those edits already void the entry.  So the allocated code of the
+edited body is the retained allocated code with the edits patched in
+place, and its stats, assignment and cycle report are the retained
+ones.  The edits reach the allocated code through a second ``id()``
+map, reference position -> allocated position, taken around the
+allocation; the rewrite mutates instructions in place and drops only
+moves, which no value edit targets.  A spill round voids the argument
+(rematerialization copies ``ConstInst.value`` into new instructions),
+so a version that spilled takes the full tail.  The patch is lazy per
+allocator: edits queue in the retained entry until that allocator is
+next requested, and ``verify_allocation`` still checks the whole
+patched function.
 
 Whatever the rung, allocation itself runs on a clone of the reference
 with ``assume_renumbered=True``, so the result is byte-identical to a
@@ -112,37 +135,64 @@ __all__ = [
 ROUND0_VISIBLE_EDITS = frozenset({"offset", "base"})
 
 
+class _Provenance:
+    """Where each instruction of ``func`` lands after in-place passes.
+
+    Positions are tracked by instruction *identity*: the passes this
+    follows (prepare, renumber, allocation's rewrite) mutate surviving
+    instructions in place.  The strong ``_pinned`` list keeps every
+    original instruction alive so a recycled ``id()`` can never alias a
+    new instruction a pass creates.
+    """
+
+    def __init__(self, func: Function):
+        self._pinned = [instr for blk in func.blocks for instr in blk.instrs]
+        self._before = {
+            id(instr): (blk.label, i)
+            for blk in func.blocks
+            for i, instr in enumerate(blk.instrs)
+        }
+
+    def landing(self, func: Function) -> dict:
+        """Old ``(label, index)`` -> new ``(label, index)`` for every
+        original instruction still in ``func`` (absent when dropped)."""
+        moved: dict[tuple[str, int], tuple[str, int]] = {}
+        for blk in func.blocks:
+            for i, instr in enumerate(blk.instrs):
+                pos = self._before.get(id(instr))
+                if pos is not None:
+                    moved[pos] = (blk.label, i)
+        return moved
+
+
 def _prepare_ref(raw: Function, machine: TargetMachine):
     """Prepare+renumber a clone of ``raw``; map raw positions into it.
 
     Returns ``(ref, posmap)`` where ``posmap`` maps ``(label, index)``
     of a raw instruction to the ``(label, index)`` where that same
-    object sits in the reference (absent when DCE dropped it).  The
-    strong ``originals`` list pins every raw instruction alive through
-    the scan so a recycled ``id()`` can never alias a new instruction
-    created by SSA construction or lowering.
+    object sits in the reference (absent when DCE dropped it).
     """
     # Deferred import: pipeline imports regalloc.base like we do, but
     # the service layer is allowed to sit on top of it, not inside it.
     from repro.pipeline import prepare_function
 
-    work = clone_function(raw)
-    originals = [instr for blk in work.blocks for instr in blk.instrs]
-    premap = {
-        id(instr): (blk.label, i)
-        for blk in work.blocks
-        for i, instr in enumerate(blk.instrs)
-    }
+    with phase("clone"):
+        work = clone_function(raw)
+    seen = _Provenance(work)
     prepare_function(work, machine)
-    renumber(work)
-    posmap: dict[tuple[str, int], tuple[str, int]] = {}
-    for blk in work.blocks:
-        for i, instr in enumerate(blk.instrs):
-            raw_pos = premap.get(id(instr))
-            if raw_pos is not None:
-                posmap[raw_pos] = (blk.label, i)
-    del originals
-    return work, posmap
+    with phase("renumber"):
+        renumber(work)
+    return work, seen.landing(work)
+
+
+def _tail_carries(result: AllocationResult) -> bool:
+    """Whether ``result`` survives value edits round 0 cannot see.
+
+    Only without spill rounds: rematerialization (spill insertion)
+    reads ``ConstInst.value``, so a spilling version takes the full
+    tail.
+    """
+    return result.stats.rounds == 1
 
 
 @dataclass(eq=False)
@@ -152,9 +202,26 @@ class Retained:
     #: the round-0 coloring; valid for every body reachable through
     #: value edits round 0 cannot see (read-only, shared across versions)
     outcome: RoundOutcome
-    #: ``(result, cycles)`` for *this exact body*; ``None`` once a value
-    #: edit changed it
+    #: ``(result, cycles)`` of a finished allocation: of *this exact
+    #: body* when ``pending`` is ``None``, else of an earlier version
+    #: ``pending`` turns into this one.  Read-only, shared across versions
     finished: tuple[AllocationResult, CycleReport] | None = None
+    #: reference ``(label, index)`` -> ``(label, index)`` in the finished
+    #: function; set only when the finished tail carries over value edits
+    #: (:func:`_tail_carries`), and position-stable under them
+    placed: dict | None = None
+    #: value edits not yet patched onto ``finished``, as reference
+    #: ``(label, index, attr)`` -> new value; queued across versions this
+    #: allocator was not requested on, a later edit of a slot winning
+    pending: dict | None = None
+
+    def after(self, edits: dict) -> "Retained":
+        """This entry for the body ``edits`` (reference-position value
+        edits round 0 cannot see) lead to."""
+        if self.placed is None:
+            return Retained(self.outcome)
+        return Retained(self.outcome, self.finished, self.placed,
+                        {**(self.pending or {}), **edits})
 
 
 @dataclass(eq=False)
@@ -172,8 +239,10 @@ class FunctionSession:
     posmap: dict
     #: ``(allocator config, result-shaping options)`` -> :class:`Retained`;
     #: shared whole across identical advances (an unchanged function in
-    #: a multi-function module skips allocation outright), outcomes only
-    #: across value advances, dropped on any other edit
+    #: a multi-function module skips allocation outright); across value
+    #: advances round 0 cannot see, outcomes carry over, and spill-free
+    #: finished results with the edits queued onto them; dropped on any
+    #: other edit
     memo: dict = field(default_factory=dict)
 
     @classmethod
@@ -199,19 +268,19 @@ class FunctionSession:
         """
         delta = diff_functions(self.raw, parsed)
         if delta.transparent:
-            validate_function(parsed)
+            with phase("validate"):
+                validate_function(parsed)
+            with phase("clone"):
+                raw = clone_function(parsed)
             if delta.identical:
                 return FunctionSession(
-                    name=self.name, raw=clone_function(parsed),
-                    ref=self.ref, analyses=self.analyses,
-                    posmap=self.posmap, memo=self.memo,
+                    name=self.name, raw=raw, ref=self.ref,
+                    analyses=self.analyses, posmap=self.posmap,
+                    memo=self.memo,
                 ), "value"
-            ref = clone_function(self.ref)
-            memo = {}
-            if not any(edit.attr in ROUND0_VISIBLE_EDITS
-                       for edit in delta.value_edits):
-                memo = {key: Retained(kept.outcome)
-                        for key, kept in self.memo.items()}
+            with phase("clone"):
+                ref = clone_function(self.ref)
+            edits = {}
             with phase("patch"):
                 blocks = {blk.label: blk for blk in ref.blocks}
                 for edit in delta.value_edits:
@@ -221,14 +290,21 @@ class FunctionSession:
                     label, index = pos
                     setattr(blocks[label].instrs[index], edit.attr,
                             edit.new)
+                    edits[label, index, edit.attr] = edit.new
+            memo = {}
+            if not any(edit.attr in ROUND0_VISIBLE_EDITS
+                       for edit in delta.value_edits):
+                memo = {key: kept.after(edits)
+                        for key, kept in self.memo.items()}
             return FunctionSession(
-                name=self.name, raw=clone_function(parsed), ref=ref,
-                analyses=self.analyses, posmap=self.posmap, memo=memo,
+                name=self.name, raw=raw, ref=ref, analyses=self.analyses,
+                posmap=self.posmap, memo=memo,
             ), "value"
         if not delta.consistent:
             return FunctionSession.build(parsed, machine,
                                          self.analyses.policy), "rebuild"
-        raw = clone_function(parsed)
+        with phase("clone"):
+            raw = clone_function(parsed)
         ref, posmap = _prepare_ref(raw, machine)
         rdelta = diff_functions(self.ref, ref, pair_registers=True)
         analyses = None
@@ -253,16 +329,18 @@ class IncrementalAllocation:
     #: ladder rung taken: ``new`` (no base session), ``value``,
     #: ``struct``, or ``rebuild``
     path: str
-    #: allocation started from a retained round-0 coloring
+    #: allocation started from a retained round-0 coloring (or
+    #: patched a retained finished allocation, which started from it)
     coloring_reused: bool = False
 
 
 def _allocate_on(session: FunctionSession, machine: TargetMachine,
                  allocator: Allocator, options: AllocationOptions,
-                 outcome: RoundOutcome | None):
+                 outcome: RoundOutcome | None) -> Retained:
     """Allocate a clone of the session's reference; verify + cycles."""
     with phase("clone"):
         func = clone_function(session.ref)
+    seen = _Provenance(func)
     result = allocate_function(func, machine, allocator, options=options,
                                round0=session.analyses,
                                round0_outcome=outcome,
@@ -270,7 +348,41 @@ def _allocate_on(session: FunctionSession, machine: TargetMachine,
     if options.verify:
         with phase("verify"):
             verify_allocation(func, machine)
-    return result, estimate_cycles(func, machine)
+    cycles = estimate_cycles(func, machine)
+    placed = seen.landing(func) if _tail_carries(result) else None
+    return Retained(result.round0_outcome, (result, cycles), placed)
+
+
+def _patch_finished(kept: Retained, machine: TargetMachine,
+                    options: AllocationOptions) -> Retained:
+    """Patch ``kept``'s pending value edits onto a clone of its finished
+    function; stats, assignment and cycle report carry over as they are.
+
+    Sound because the rewrite, the stats and the appendix cost model
+    read no constant, opcode or offset (load bases and offsets, which
+    pairing reads, never get here: they void the whole entry), and every
+    edited instruction survives a spill-free rewrite, which drops only
+    identity moves.  A slot is missing from ``placed`` only when spill
+    insertion rematerialized the instruction away, copying its constant
+    elsewhere; :func:`_tail_carries` keeps such results out.
+    """
+    done, cycles = kept.finished
+    with phase("tail-patch"):
+        func = clone_function(done.func)
+        blocks = {blk.label: blk for blk in func.blocks}
+        for (label, index, attr), new in kept.pending.items():
+            pos = kept.placed.get((label, index))
+            if pos is None:
+                continue
+            label, index = pos
+            setattr(blocks[label].instrs[index], attr, new)
+    if options.verify:
+        with phase("verify"):
+            verify_allocation(func, machine)
+    result = AllocationResult(func=func, machine=machine, stats=done.stats,
+                              assignment=done.assignment,
+                              round0_outcome=done.round0_outcome)
+    return Retained(kept.outcome, (result, cycles), kept.placed)
 
 
 def allocate_function_incremental(
@@ -307,18 +419,21 @@ def allocate_function_incremental(
                 options.rematerialize, options.verify,
                 options.policy.digest())
     kept = fresh.memo.get(memo_key)
-    carried = None
-    if kept is not None and kept.finished is not None:
-        result, cycles = kept.finished
-    else:
+    if kept is None or kept.finished is None:
         carried = kept.outcome if kept is not None else None
-        result, cycles = _allocate_on(fresh, machine, allocator, options,
-                                      carried)
-        fresh.memo[memo_key] = Retained(result.round0_outcome,
-                                        (result, cycles))
+        kept = fresh.memo[memo_key] = _allocate_on(
+            fresh, machine, allocator, options, carried)
+        reused = carried is not None
+    elif kept.pending is not None:
+        kept = fresh.memo[memo_key] = _patch_finished(kept, machine,
+                                                      options)
+        reused = True
+    else:
+        reused = False
+    result, cycles = kept.finished
     return IncrementalAllocation(result=result, cycles=cycles,
                                  session=fresh, path=path,
-                                 coloring_reused=carried is not None)
+                                 coloring_reused=reused)
 
 
 @dataclass(eq=False)

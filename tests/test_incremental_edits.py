@@ -349,25 +349,34 @@ class TestModeAndBackendIdentity:
             == ["new", "value", "struct", "struct", "struct", "value"]
 
 
+#: value edits round 0 cannot see (no load base or offset moves)
+INVISIBLE_EDIT_OPS = [
+    edit_modify_const,
+    edit_modify_operand_const,
+    edit_swap_opcode,
+]
+
+
+def value_chain(seed: int, steps: int = 8, ops=VALUE_EDIT_OPS):
+    """A base function plus ``steps`` value-edited versions, cycling
+    through ``ops``."""
+    profile = BenchmarkProfile(name="edit", stmts=20, int_pool=6,
+                               float_pool=2, branch_prob=0.2,
+                               loop_prob=0.2, load_prob=0.3,
+                               store_prob=0.15, paired_prob=0.4,
+                               max_params=2)
+    versions = [generate_function("edit", profile, seed)]
+    rng = random.Random(seed)
+    for step in range(steps):
+        nxt = clone_function(versions[-1])
+        ops[(seed + step) % len(ops)](nxt, rng)
+        validate_function(nxt)
+        versions.append(nxt)
+    return versions
+
+
 class TestColoringCarry:
     """The value rung carries each allocator's round-0 coloring."""
-
-    def value_chain(self, seed: int, steps: int = 8):
-        """A base function plus ``steps`` value-edited versions, cycling
-        through every value-edit kind."""
-        profile = BenchmarkProfile(name="edit", stmts=20, int_pool=6,
-                                   float_pool=2, branch_prob=0.2,
-                                   loop_prob=0.2, load_prob=0.3,
-                                   store_prob=0.15, paired_prob=0.4,
-                                   max_params=2)
-        versions = [generate_function("edit", profile, seed)]
-        rng = random.Random(seed)
-        for step in range(steps):
-            nxt = clone_function(versions[-1])
-            VALUE_EDIT_OPS[(seed + step) % len(VALUE_EDIT_OPS)](nxt, rng)
-            validate_function(nxt)
-            versions.append(nxt)
-        return versions
 
     @pytest.mark.parametrize("regs", [8, 24])
     @pytest.mark.parametrize("make_allocator",
@@ -381,7 +390,7 @@ class TestColoringCarry:
         assert machine.has_paired_loads
         reused = spilling = 0
         for seed in range(6):
-            outs = run_chain(self.value_chain(seed), machine, "validate",
+            outs = run_chain(value_chain(seed), machine, "validate",
                              make_allocator())
             assert [o.path for o in outs[1:]] == ["value"] * (len(outs) - 1)
             for out in outs[1:]:
@@ -525,6 +534,139 @@ entry:
             == ChaitinAllocator().config_key()
         assert ChaitinAllocator().config_key() \
             != ChaitinAllocator(biased=True).config_key()
+
+
+def bump_const(func, nth: int, by: int):
+    """A copy of ``func`` whose ``nth`` constant definition is raised by
+    ``by``."""
+    edited = clone_function(func)
+    sites = [ins for blk in edited.blocks for ins in blk.instrs
+             if isinstance(ins, ConstInst)]
+    sites[nth].value += by
+    return edited
+
+
+class TestTailCarry:
+    """A value advance patches the retained finished allocation instead
+    of re-running the allocation tail (rewrite, cycle estimate)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Tail calls as :mod:`repro.service.session` makes them."""
+        counts = {"allocate": 0, "cycles": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(session_module, "allocate_function",
+                            counting("allocate",
+                                     session_module.allocate_function))
+        monkeypatch.setattr(session_module, "estimate_cycles",
+                            counting("cycles",
+                                     session_module.estimate_cycles))
+        return counts
+
+    @pytest.mark.parametrize("regs", [8, 24])
+    @pytest.mark.parametrize("make_allocator",
+                             [PreferenceDirectedAllocator, ChaitinAllocator],
+                             ids=["full", "chaitin"])
+    def test_value_advance_skips_the_tail(self, calls, make_allocator,
+                                          regs):
+        """Over a spill-free retained result a value advance allocates
+        nothing and estimates no cycles; over one that spilled (K=8) it
+        takes the full tail.  Every version matches a from-scratch run."""
+        machine = make_machine(regs)
+        allocator = make_allocator()
+        options = AllocationOptions()
+        carried = spilled = 0
+        for seed in range(4):
+            prev = None
+            for func in value_chain(seed, 6, INVISIBLE_EDIT_OPS):
+                before = dict(calls)
+                out = validated_incremental(
+                    prev.session if prev else None, func, machine,
+                    allocator, options)
+                ran = {key: calls[key] - before[key] for key in calls}
+                if prev is not None and prev.result.stats.rounds == 1:
+                    assert ran == {"allocate": 0, "cycles": 0}
+                    assert out.result.stats is prev.result.stats
+                    assert out.cycles is prev.cycles
+                    carried += 1
+                else:
+                    assert ran == {"allocate": 1, "cycles": 1}
+                    spilled += prev is not None
+                if prev is not None:
+                    assert out.path == "value" and out.coloring_reused
+                prev = out
+        assert carried
+        if regs == 8:
+            assert spilled
+
+    def test_branches_leave_the_base_unchanged(self):
+        """Two different value edits off one base both validate, and
+        the base's retained allocation prints as before."""
+        machine = make_machine(24)
+        allocator = PreferenceDirectedAllocator()
+        options = AllocationOptions()
+        func = value_chain(0, 0)[0]
+        base = allocate_function_incremental(None, func, machine,
+                                             allocator, options)
+        assert base.result.stats.rounds == 1
+        before = print_function(base.result.func)
+        texts = []
+        for nth in (0, 2):  # two live constants (the second is dead)
+            out = validated_incremental(base.session,
+                                        bump_const(func, nth, 7), machine,
+                                        allocator, options)
+            assert out.result.stats is base.result.stats
+            texts.append(print_function(out.result.func))
+        assert len({before, *texts}) == 3
+        assert print_function(base.result.func) == before
+
+    def test_unrequested_allocator_queues_its_edits(self, calls):
+        """An allocator skipped on some versions patches every queued
+        edit when next requested, a later edit of a slot winning."""
+        machine = make_machine(24)
+        full, chaitin = PreferenceDirectedAllocator(), ChaitinAllocator()
+        options = AllocationOptions()
+        v0 = value_chain(1, 0)[0]
+        v1 = bump_const(v0, 0, 3)
+        v2 = bump_const(v1, 1, 5)
+        v3 = bump_const(v2, 0, 4)
+        session = allocate_function_incremental(None, v0, machine, full,
+                                                options).session
+        session = allocate_function_incremental(session, v0, machine,
+                                                chaitin, options).session
+        for func in (v1, v2):
+            session = validated_incremental(session, func, machine, full,
+                                            options).session
+        assert calls["allocate"] == 2
+        out = validated_incremental(session, v3, machine, chaitin, options)
+        assert out.coloring_reused and calls["allocate"] == 2
+
+    def test_tail_guard_bypassed_is_caught(self, monkeypatch):
+        """Carrying a finished allocation past spill rounds is unsound:
+        rematerialization copied the edited constant into new
+        instructions the patch cannot reach.  The scratch oracle must
+        notice."""
+        machine = make_machine(8)
+        options = AllocationOptions(rematerialize=True)
+
+        def chain():
+            prev = None
+            for func in value_chain(6):
+                prev = validated_incremental(
+                    prev.session if prev else None, func, machine,
+                    PreferenceDirectedAllocator(), options)
+
+        chain()  # guarded: every version matches scratch
+        monkeypatch.setattr(session_module, "_tail_carries",
+                            lambda result: True)
+        with pytest.raises(OracleMismatch):
+            chain()
 
 
 class TestSessionStore:

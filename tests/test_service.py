@@ -1,6 +1,8 @@
 """The service layer: protocol, cache, metrics, scheduler."""
 
+import errno
 import json
+import os
 
 import pytest
 
@@ -287,6 +289,40 @@ class TestScheduler:
         assert second.result_digest == first.result_digest
         assert second.code == first.code
         assert scheduler.metrics.counters["cache_hits"] == 1
+
+    def test_disk_full_on_put_still_answers(self, tmp_path, monkeypatch):
+        """ENOSPC while writing the cache's temp file: the request still
+        answers ``ok``, ``disk_errors`` counts it once, no temp file is
+        left behind, and a fresh cache over the directory misses
+        cleanly."""
+        real_fdopen = os.fdopen
+
+        class FullDisk:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "fdopen", lambda fd, *args, **kwargs:
+                            FullDisk(real_fdopen(fd, *args, **kwargs)))
+        cache = ResultCache(disk_dir=tmp_path)
+        response = self.run_request(Scheduler(cache=cache), make_request())
+        monkeypatch.undo()
+        assert response.ok and not response.cached
+        assert cache.disk_errors == 1 and cache.disk.puts == 0
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+        fresh = ResultCache(disk_dir=tmp_path)
+        assert fresh.get(response.fingerprint) is None
+        snap = fresh.snapshot()
+        assert fresh.misses == 1 and snap["disk_errors"] == 0
+        assert snap["integrity_failures"] == 0
 
     def test_past_deadline_degrades_not_errors(self):
         scheduler = Scheduler(cache=ResultCache())
