@@ -14,11 +14,9 @@ process.  Nothing here depends on hash order.
 
 from __future__ import annotations
 
-from repro.ir.function import Function
-from repro.ir.instructions import Phi
-from repro.ir.values import PReg, RegClass, Register, VReg
+from repro.ir.values import PReg, RegClass, Register
 
-__all__ = ["RegisterIndex", "index_function", "iter_bits"]
+__all__ = ["RegisterIndex", "iter_bits"]
 
 
 def iter_bits(mask: int):
@@ -88,25 +86,3 @@ class RegisterIndex:
         """Registers of ``mask`` in dense-id (deterministic) order."""
         regs = self.regs
         return [regs[i] for i in iter_bits(mask)]
-
-
-def index_function(func: Function) -> RegisterIndex:
-    """Index every register of ``func`` in deterministic walk order."""
-    index = RegisterIndex()
-    add = index.add
-    for param in func.params:
-        add(param)
-    for blk in func.blocks:
-        for instr in blk.instrs:
-            for d in instr.defs():
-                if isinstance(d, (VReg, PReg)):
-                    add(d)
-            if isinstance(instr, Phi):
-                for value in instr.incoming.values():
-                    if isinstance(value, (VReg, PReg)):
-                        add(value)
-            else:
-                for u in instr.uses():
-                    if isinstance(u, (VReg, PReg)):
-                        add(u)
-    return index

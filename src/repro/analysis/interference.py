@@ -38,14 +38,13 @@ from repro.analysis import matrix
 from repro.analysis.liveness import Liveness, compute_liveness
 from repro.cfg.analysis import CFG, build_cfg
 from repro.ir.function import Function
-from repro.ir.instructions import Move, Phi
+from repro.ir.instructions import Move
 from repro.ir.values import PReg, RegClass, Register, VReg
 from repro.profiling import phase
 
 __all__ = [
     "InterferenceGraph",
     "build_interference",
-    "scan_block_rows",
 ]
 
 
@@ -67,7 +66,6 @@ class InterferenceGraph:
         self,
         adjacency: dict[Register, set[Register]] | None = None,
         moves: list[Move] | None = None,
-        block_rows: dict[str, dict[int, int]] | None = None,
         index=None,
         rows: matrix.MatrixRows | None = None,
     ):
@@ -75,11 +73,6 @@ class InterferenceGraph:
             adjacency = {}
         self._adjacency = adjacency
         self.moves = moves if moves is not None else []
-        #: per-block one-sided row contributions (dense id -> neighbor
-        #: mask), populated by ``build_interference(collect_block_rows=
-        #: True)`` so incremental spill-round re-analysis can reuse
-        #: untouched blocks
-        self.block_rows = block_rows
         #: dense register index / symmetrized full rows of the bitmask
         #: form (None for eagerly-built graphs)
         self.index = index
@@ -192,75 +185,24 @@ class InterferenceGraph:
         return self.adjacency.get(node, set())
 
 
-def scan_block_rows(
-    blk,
-    index,
-    live_out: int,
-    rows: dict[int, int],
-    moves: list[Move],
-) -> None:
-    """Backward scan of one block, OR-ing one-sided rows into ``rows``.
-
-    ``live_out`` is the block's live-out bitmask.  The block's ``Move``
-    instructions are appended to ``moves`` in scan (reversed) order —
-    the same order :func:`build_interference` has always produced.
-    """
-    bit_of = index.bit_of
-    live = live_out
-    for instr in reversed(blk.instrs):
-        if isinstance(instr, Phi):
-            raise ValueError("interference runs after out-of-SSA")
-        defs = [d for d in instr.defs() if isinstance(d, (VReg, PReg))]
-        uses = [u for u in instr.uses() if isinstance(u, (VReg, PReg))]
-
-        if isinstance(instr, Move):
-            moves.append(instr)
-            if isinstance(instr.src, (VReg, PReg)):
-                live &= ~bit_of(instr.src)
-
-        defs_mask = 0
-        for d in defs:
-            defs_mask |= bit_of(d)
-        targets = live | defs_mask
-        for d in defs:
-            dbit = bit_of(d)
-            row = (targets & index.class_mask(d)) & ~dbit
-            if isinstance(d, PReg):
-                # Physical-physical edges are implicit, never stored.
-                row &= ~index.preg_mask
-            i = dbit.bit_length() - 1
-            rows[i] = rows.get(i, 0) | row
-
-        live &= ~defs_mask
-        for u in uses:
-            live |= bit_of(u)
-
-
 def build_interference(
     func: Function,
     cfg: CFG | None = None,
     liveness: Liveness | None = None,
-    collect_block_rows: bool = False,
 ) -> InterferenceGraph:
     """Build the interference graph of a phi-free, lowered function.
 
-    A pack-driven scan produces the same one-sided rows as
-    :func:`scan_block_rows` (mask-for-mask), then one bit-transpose
-    symmetrizes them.  The graph's ``rows`` is a
+    A backward scan of each block over the liveness pack's
+    per-instruction masks accumulates one-sided rows, then one
+    bit-transpose symmetrizes them.  The graph's ``rows`` is a
     :class:`~repro.analysis.matrix.MatrixRows` view, rows decoded
-    lazily.  ``collect_block_rows=True`` additionally records each
-    block's one-sided row contributions on the result's
-    ``block_rows`` — the state incremental spill-round re-analysis
-    patches from.
+    lazily.
     """
     if cfg is None:
         cfg = build_cfg(func)
     if liveness is None:
         liveness = compute_liveness(func, cfg)
     pack = liveness.pack
-    if pack is None:
-        # Patched liveness carries no pack; one walk rebuilds it.
-        pack = matrix.build_pack(func)
     index = liveness.index
     out_mask = liveness.live_out_mask
     entries_of = pack.block_entries
@@ -270,9 +212,6 @@ def build_interference(
     #: dense one-sided rows, indexed by dense id (the pack walk has
     #: already registered every register, so the index is complete)
     rows: list[int] = [0] * len(index)
-    block_rows: dict[str, dict[int, int]] | None = (
-        {} if collect_block_rows else None
-    )
 
     with phase("rows"):
         row_and = pack.def_and_masks()
@@ -280,22 +219,11 @@ def build_interference(
             label = blk.label
             if label in has_phi:
                 raise ValueError("interference runs after out-of-SSA")
-            entries = entries_of[label]
-            if block_rows is None:
-                matrix.scan_packed_block_dense(entries, out_mask[label],
-                                               rows, moves, row_and)
-            else:
-                local: dict[int, int] = {}
-                matrix.scan_packed_block(entries, out_mask[label], local,
-                                         moves, row_and)
-                block_rows[label] = local
-                for i, row in local.items():
-                    rows[i] |= row
+            matrix.scan_packed_block(entries_of[label], out_mask[label],
+                                     rows, moves, row_and)
 
     sym = matrix.symmetrize_matrix(
         matrix.pack_masks(rows, matrix.words_for(len(index))), len(index)
     )
-    graph = InterferenceGraph(moves=moves, index=index,
-                              rows=matrix.MatrixRows(sym))
-    graph.block_rows = block_rows
-    return graph
+    return InterferenceGraph(moves=moves, index=index,
+                             rows=matrix.MatrixRows(sym))

@@ -58,13 +58,11 @@ class Liveness:
     #: bitmask twins of ``live_in``/``live_out``, for mask-level consumers
     live_in_mask: dict[str, int] = field(default_factory=dict)
     live_out_mask: dict[str, int] = field(default_factory=dict)
-    #: bitmask twins of ``use``/``defs`` (the gen/kill summaries) — kept so
-    #: incremental spill-round re-analysis can reuse untouched blocks'
-    #: summaries without rescanning their instructions
+    #: bitmask twins of ``use``/``defs`` (the gen/kill summaries)
     use_mask: dict[str, int] = field(default_factory=dict)
     defs_mask: dict[str, int] = field(default_factory=dict)
     #: the :class:`~repro.analysis.matrix.FunctionPack` this liveness was
-    #: computed from (None for patched liveness).  The interference
+    #: computed from (None when built by hand).  The interference
     #: builder reuses it to skip re-walking the function.
     pack: object | None = field(default=None, repr=False)
 
@@ -81,29 +79,6 @@ class Liveness:
                 continue
             live |= _regs(instr.uses())
         return live
-
-
-def _block_masks(
-    block: BasicBlock, index: RegisterIndex
-) -> tuple[int, int, int]:
-    """(gen, kill, phi-def) masks of one block."""
-    bit_of = index.bit_of
-    gen = kill = phi_defs = 0
-    for instr in block.instrs:
-        if isinstance(instr, Phi):
-            dbit = bit_of(instr.dst)
-            kill |= dbit
-            phi_defs |= dbit
-            continue
-        for u in instr.uses():
-            if isinstance(u, (VReg, PReg)):
-                ubit = bit_of(u)
-                if not kill & ubit:
-                    gen |= ubit
-        for d in instr.defs():
-            if isinstance(d, (VReg, PReg)):
-                kill |= bit_of(d)
-    return gen, kill, phi_defs
 
 
 def _lazy_set_field(name: str) -> property:

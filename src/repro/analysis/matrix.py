@@ -17,8 +17,6 @@ the whole-function phases as ``uint64`` bit-matrix operations (shape
   (:func:`symmetrize_matrix`), with :class:`MatrixRows` handing the
   result to :class:`~repro.analysis.interference.InterferenceGraph`
   through a lazy ``rows`` mapping;
-* the incremental spill-round mask translation becomes one batched
-  unpack / column-permute / repack (:func:`translate_masks`);
 * popcounts go through ``np.bitwise_count`` when available
   (:func:`popcount_rows`), falling back to an unpackbits sum.
 
@@ -45,14 +43,12 @@ __all__ = [
     "FunctionPack",
     "build_pack",
     "scan_packed_block",
-    "scan_packed_block_dense",
     "solve_liveness",
     "sets_of_masks",
     "MatrixRows",
     "pack_masks",
     "unpack_masks",
     "symmetrize_matrix",
-    "translate_masks",
     "popcount_rows",
     "words_for",
 ]
@@ -157,12 +153,10 @@ def sets_of_masks(index: RegisterIndex, masks) -> list[set]:
 class FunctionPack:
     """Everything the matrix kernels need, gathered in one function walk.
 
-    The walk assigns dense ids in *exactly*
-    :func:`~repro.analysis.indexing.index_function` order (parameters,
-    then per instruction defs before uses / phi-incoming values), so the
-    resulting :attr:`index` — and every mask built on it — is
-    interchangeable with one built by ``index_function`` (the
-    incremental patchers re-index that way).
+    The walk assigns dense ids in first-encounter order (parameters,
+    then per instruction defs before uses / phi-incoming values), so
+    clones of one function get the same :attr:`index` — and the same
+    masks on it.
     """
 
     __slots__ = ("index", "gen", "kill", "phi_defs", "edge_use",
@@ -280,41 +274,17 @@ def build_pack(func) -> FunctionPack:
     return pack
 
 
-def scan_packed_block(entries, live_out: int, rows: dict[int, int],
+def scan_packed_block(entries, live_out: int, rows: list[int],
                       moves: list, row_and: list[int]) -> None:
     """Backward interference scan of one pre-packed block.
 
-    Mask-for-mask and move-for-move identical to
-    :func:`~repro.analysis.interference.scan_block_rows`, but over the
+    ORs each definition's one-sided row into ``rows`` (indexed by dense
+    id, one slot per indexed register) and appends the block's moves to
+    ``moves`` in scan (reversed) order.  Mask-for-mask identical to the
+    per-instruction reference scan in ``tests/oracles.py``, but over the
     pack's per-instruction masks — no ``defs()``/``uses()`` calls, no
     isinstance tests, no per-register bit lookups.  ``row_and`` is the
     pack's :meth:`~FunctionPack.def_and_masks` table.
-    """
-    live = live_out
-    get = rows.get
-    append = moves.append
-    for dmask, umask, srcclear, move in entries:
-        if move is not None:
-            append(move)
-            if srcclear:
-                live &= ~srcclear
-        if dmask:
-            targets = live | dmask
-            rest = dmask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                i = low.bit_length() - 1
-                rows[i] = get(i, 0) | (targets & row_and[i])
-        live = (live & ~dmask) | umask
-
-
-def scan_packed_block_dense(entries, live_out: int, rows: list[int],
-                            moves: list, row_and: list[int]) -> None:
-    """:func:`scan_packed_block` accumulating into a dense row list.
-
-    Same masks, same move order; ``rows`` is indexed by dense id (one
-    slot per indexed register), skipping the sparse dict's hashing.
     """
     live = live_out
     append = moves.append
@@ -436,88 +406,6 @@ def solve_liveness(pack: FunctionPack, cfg) -> tuple[dict, dict]:
     return live_in, live_out
 
 
-def sweep_liveness(gen: dict, kill: dict, seed_in: dict, succs,
-                   n_regs: int) -> tuple[dict, dict]:
-    """Drive a below-fixpoint seed to the liveness fixed point.
-
-    The phi-free variant of :func:`solve_liveness`'s sweep stage, used
-    by incremental spill-round re-analysis: ``seed_in`` (the translated
-    previous-round solution) must be pointwise at or below the fixed
-    point, which the monotone sweeps then reach and certify.  All
-    blocks in ``gen`` participate (the incremental path requires a
-    fully-reachable CFG).  Like :func:`solve_liveness`, functions below
-    :data:`MATRIX_MIN_CELLS` cells drain a plain int worklist instead.
-    """
-    labels = list(gen)
-    live_in = dict(seed_in)
-    live_out = {label: 0 for label in labels}
-    if not labels:
-        return live_in, live_out
-    words = words_for(n_regs)
-    if len(labels) * words < MATRIX_MIN_CELLS:
-        preds: dict[str, list[str]] = {label: [] for label in labels}
-        for label in labels:
-            for succ in succs[label]:
-                preds[succ].append(label)
-        pending = deque(labels)
-        queued = set(labels)
-        while pending:
-            label = pending.popleft()
-            queued.discard(label)
-            out = 0
-            for succ in succs[label]:
-                out |= live_in[succ]
-            new_in = gen[label] | (out & ~kill[label])
-            live_out[label] = out
-            if new_in != live_in[label]:
-                live_in[label] = new_in
-                for pred in preds[label]:
-                    if pred not in queued:
-                        queued.add(pred)
-                        pending.append(pred)
-        return live_in, live_out
-
-    np = _numpy()
-    pos = {label: i for i, label in enumerate(labels)}
-    gen_m = pack_masks((gen[la] for la in labels), words)
-    nkill_m = ~pack_masks((kill[la] for la in labels), words)
-    in_m = pack_masks((live_in[la] for la in labels), words)
-
-    e_dst: list[int] = []
-    starts: list[int] = []
-    out_rows: list[int] = []
-    for i, label in enumerate(labels):
-        slist = succs[label]
-        if not slist:
-            continue
-        starts.append(len(e_dst))
-        out_rows.append(i)
-        for succ in slist:
-            e_dst.append(pos[succ])
-    out_m = np.zeros_like(in_m)
-    if e_dst:
-        e_dst_a = np.asarray(e_dst, dtype=np.intp)
-        starts_a = np.asarray(starts, dtype=np.intp)
-        out_rows_a = np.asarray(out_rows, dtype=np.intp)
-        while True:
-            out_m = np.zeros_like(in_m)
-            out_m[out_rows_a] = np.bitwise_or.reduceat(
-                in_m[e_dst_a], starts_a, axis=0
-            )
-            new_in = gen_m | (out_m & nkill_m)
-            if np.array_equal(new_in, in_m):
-                break
-            in_m = new_in
-    else:
-        in_m = gen_m | (out_m & nkill_m)
-    in_masks = unpack_masks(in_m)
-    out_masks = unpack_masks(out_m)
-    for i, label in enumerate(labels):
-        live_in[label] = in_masks[i]
-        live_out[label] = out_masks[i]
-    return live_in, live_out
-
-
 # ----------------------------------------------------------------------
 # interference: matrix symmetrization + the lazy rows mapping
 
@@ -567,40 +455,3 @@ class MatrixRows:
         if self._masks is None:
             self._masks = unpack_masks(self.matrix)
         return list(self._masks)
-
-
-def rows_matrix(rows: dict[int, int], n_bits: int):
-    """A dense ``(n_bits, words)`` matrix from a sparse rows dict."""
-    get = rows.get
-    return pack_masks((get(i, 0) for i in range(n_bits)),
-                      words_for(n_bits))
-
-
-# ----------------------------------------------------------------------
-# incremental re-analysis: batched row translation
-
-def translate_masks(masks, trans_pos, old_n: int, new_n: int) -> list[int]:
-    """Translate many masks through a dense-id renumbering at once.
-
-    ``trans_pos[old_id]`` is the new dense id, or -1 when the register
-    was deleted.  The mapping is injective on survivors (renumbering is
-    a bijection on surviving webs), so the column permute below never
-    collides.
-    """
-    np = _numpy()
-    masks = list(masks)
-    if not masks:
-        return []
-    trans_pos = np.asarray(trans_pos, dtype=np.int64)
-    matrix = pack_masks(masks, words_for(old_n))
-    bits = np.unpackbits(
-        matrix.view(np.uint8), axis=1, bitorder="little"
-    )[:, :old_n]
-    valid = trans_pos >= 0
-    new_bits = np.zeros((len(masks), words_for(new_n) * WORD), np.uint8)
-    new_bits[:, trans_pos[valid]] = bits[:, valid]
-    packed = np.packbits(new_bits, axis=1, bitorder="little")
-    out = np.ascontiguousarray(packed).view(np.uint64).reshape(
-        len(masks), words_for(new_n)
-    )
-    return unpack_masks(out)

@@ -4,12 +4,12 @@ Every hot step has exactly one production path: numpy bit-matrix
 dataflow (with its own size-class dispatch inside
 :mod:`repro.analysis.matrix` and :mod:`repro.core.cpg`), the indexed
 simplify/select engines, self-contained codec wire jobs for pool
-dispatch, and delta patching for spill rounds and edits (with a
-from-scratch rebuild only as the patchers' bail-out).  Each is checked
-against an independent oracle in ``tests/oracles.py``: the set-based
-liveness and interference references, the scalar CPG replay, the scan
-simplify/select engines, from-scratch re-analysis, and the shipped
-function for the wire.
+dispatch, and a from-scratch re-analysis for every spill round and
+structural edit.  Each is checked against an independent oracle in
+``tests/oracles.py``: the set-based liveness and interference
+references, the scalar CPG replay, the scan simplify/select engines,
+the full re-analysis (CFG included) and the from-scratch allocation of
+an edited function, and the shipped function for the wire.
 
 No implementation strategy is configurable.  The only environment
 variable the library consults is ``REPRO_CACHE_DIR``, a deployment

@@ -66,8 +66,7 @@ def _warm_round0(payload, policy, func_digest: str, machine_digest: str):
     _misses += 1
     ref = job_function(payload)  # a private copy: renumber it in place
     renumber(ref)
-    cached = (ref, compute_round_analyses(ref, collect_deltas=True,
-                                          policy=policy))
+    cached = (ref, compute_round_analyses(ref, policy))
     _ROUND0_CACHE[key] = cached
     while len(_ROUND0_CACHE) > ROUND0_CACHE_MAX:
         _ROUND0_CACHE.popitem(last=False)

@@ -3,42 +3,24 @@
 :func:`diff_functions` compares a *base* and a *new* version of a
 function and produces a :class:`FunctionDelta`: which blocks changed
 structurally, which were added or removed, whether the edge set
-changed, which registers of the base survive into the new version (and
-under what name), and — in raw mode — the list of pure *value edits*
-(constant values, immediate offsets, opcode swaps) that leave the
-function's structure untouched.
+changed, and the list of pure *value edits* (constant values,
+immediate offsets, opcode swaps) that leave the function's structure
+untouched.
 
-Two comparison modes serve the two layers of the incremental edit path
-(:mod:`repro.service.session`):
-
-* **raw mode** (``pair_registers=False``) compares two freshly parsed,
-  unprepared functions.  Registers must be *identical* — the diff
-  detects edits that are transparent to the whole prepare pipeline
-  (SSA construction, DCE, lowering are all value- and
-  opcode-indifferent), so the session can patch the stored prepared
-  function instead of re-preparing.  Constant operands of ``call``
-  arguments and ``ret`` are deliberately *not* value edits: lowering
-  materializes them into fresh ``ConstInst`` instructions whose
-  identity the position map cannot track, so those edits are
-  structural.
-
-* **renumbered mode** (``pair_registers=True``) compares two prepared
-  and renumbered versions.  Register *names* differ globally (webs are
-  numbered in traversal order, so one inserted web shifts every later
-  id); matching blocks pair their register operands positionally into
-  ``rename``, the base→new translation the analysis patcher
-  (:func:`repro.analysis.incremental.apply_function_delta`) pushes
-  masks through.  Any non-register difference marks the block touched.
-
-A :class:`~repro.regalloc.spill.SpillDelta` is the degenerate case of
-this contract — no blocks added or removed, no edge changes, renaming
-given by the round's renumbering — re-expressed by
-:meth:`FunctionDelta.from_spill`.
+The session layer (:mod:`repro.service.session`) compares two freshly
+parsed, unprepared functions.  Registers must be *identical* — the
+diff detects edits that are transparent to the whole prepare pipeline
+(SSA construction, DCE, lowering are all value- and
+opcode-indifferent), so the session can patch the stored prepared
+function instead of re-preparing.  Constant operands of ``call``
+arguments and ``ret`` are deliberately *not* value edits: lowering
+materializes them into fresh ``ConstInst`` instructions whose identity
+the position map cannot track, so those edits are structural.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.ir.function import Function
 from repro.ir.instructions import (
@@ -57,7 +39,7 @@ from repro.ir.instructions import (
     Store,
     UnaryOp,
 )
-from repro.ir.values import Const, PReg, Register, VReg
+from repro.ir.values import Const
 from repro.profiling import phase
 
 __all__ = ["ValueEdit", "FunctionDelta", "diff_functions"]
@@ -81,34 +63,22 @@ class FunctionDelta:
     """What changed between a base and a new version of one function.
 
     Block classification is by label: ``touched_blocks`` are common
-    labels whose bodies differ structurally (their analysis summaries
-    must be re-derived), ``added_blocks``/``removed_blocks`` exist on
-    only one side.  A relabeled block is simply a removed plus an added
-    label — conservative but exact.  ``rename`` maps every base
-    register that occurs in a matched (untouched) block or parameter
-    list to its new-version counterpart; base registers outside its
-    domain occur only in touched/removed blocks, so their dataflow bits
-    are dropped and rediscovered by the patcher's re-scan.
+    labels whose bodies differ structurally, ``added_blocks``/
+    ``removed_blocks`` exist on only one side.  A relabeled block is
+    simply a removed plus an added label — conservative but exact.
     """
 
     touched_blocks: frozenset[str] = frozenset()
     added_blocks: frozenset[str] = frozenset()
     removed_blocks: frozenset[str] = frozenset()
     #: entry label, any block's successor list, or block membership
-    #: changed — the CFG and loop nest must be rebuilt
+    #: changed
     changed_edges: bool = False
-    #: base register -> new register for every survivor (identity map in
-    #: raw mode, positional pairing in renumbered mode)
-    rename: dict[Register, Register] = field(default_factory=dict)
-    #: new-version vregs with no base counterpart
-    new_vregs: frozenset[VReg] = frozenset()
-    #: base vregs with no new-version counterpart
-    deleted_vregs: frozenset[VReg] = frozenset()
-    #: raw mode only: the structure-preserving edits, in block order
+    #: the structure-preserving edits, in block order
     value_edits: tuple[ValueEdit, ...] = ()
-    #: False when the versions cannot be reconciled at all (parameter
-    #: list changed, register pairing inconsistent) — callers must fall
-    #: back to a from-scratch build
+    #: False when the versions cannot be reconciled at all (name or
+    #: parameter list changed) — callers must fall back to a
+    #: from-scratch build
     consistent: bool = True
 
     @property
@@ -128,33 +98,10 @@ class FunctionDelta:
     def identical(self) -> bool:
         return self.transparent and not self.value_edits
 
-    def touched_fraction(self, n_new_blocks: int) -> float:
-        """Share of the new function's blocks needing a re-scan."""
-        if n_new_blocks <= 0:
-            return 1.0
-        changed = len(self.touched_blocks) + len(self.added_blocks)
-        return changed / n_new_blocks
-
-    @classmethod
-    def from_spill(cls, delta, renumbering) -> "FunctionDelta":
-        """A spill round's footprint as a :class:`FunctionDelta`.
-
-        Spill insertion rewrites blocks in place (never the edge set)
-        and the subsequent renumbering renames every surviving live
-        range bijectively, so the general patcher reproduces the
-        PR-3 spill path exactly.
-        """
-        return cls(
-            touched_blocks=frozenset(delta.touched_blocks),
-            rename={w.original: w.reg for w in renumbering.webs},
-            new_vregs=frozenset(delta.new_vregs),
-            deleted_vregs=frozenset(delta.deleted_vregs),
-        )
-
 
 def _operand_edit(old, new, label: str, index: int,
                   attr: str) -> ValueEdit | None | bool:
-    """Classify one operand slot in raw mode.
+    """Classify one operand slot.
 
     Returns ``True`` (equal), a :class:`ValueEdit` (constant value
     changed in place), or ``None`` (structural difference).
@@ -247,123 +194,25 @@ def _raw_edits(a: Instruction, b: Instruction, label: str,
     return None
 
 
-def _shape(instr: Instruction) -> tuple | None:
-    """(structural key, pairable operand slots) of one instruction.
-
-    Two instructions match in renumbered mode iff their keys are equal
-    and their slots pair register-by-register (:func:`_pair_values`).
-    Every non-register field — opcodes, constants, offsets, widths,
-    labels, physical register lists — goes into the key: renumbered
-    matching is deliberately strict, because a matched block's analysis
-    summaries are reused verbatim under the rename.
-    """
-    t = type(instr)
-    if t is ConstInst:
-        return (t, instr.value), (instr.dst,)
-    if t is Move:
-        return (t,), (instr.dst, instr.src)
-    if t is UnaryOp:
-        return (t, instr.op), (instr.dst, instr.src)
-    if t is BinOp:
-        return (t, instr.op), (instr.dst, instr.lhs, instr.rhs)
-    if t is Load:
-        return (t, instr.offset, instr.width), (instr.dst, instr.base)
-    if t is Store:
-        return (t, instr.offset), (instr.base, instr.src)
-    if t is Call:
-        key = (t, instr.callee, len(instr.args),
-               tuple(instr.reg_uses), tuple(instr.reg_defs))
-        return key, (instr.dst, *instr.args)
-    if t is Phi:
-        return (t, tuple(instr.incoming)), \
-            (instr.dst, *instr.incoming.values())
-    if t is Jump:
-        return (t, instr.target), ()
-    if t is Branch:
-        return (t, instr.iftrue, instr.iffalse), (instr.cond,)
-    if t is Ret:
-        return (t, tuple(instr.reg_uses)), (instr.src,)
-    if t is SpillLoad:
-        return (t, instr.slot), (instr.dst,)
-    if t is SpillStore:
-        return (t, instr.slot), (instr.src,)
-    return None
-
-
-def _pair_values(a, b, pairs: list) -> bool:
-    """Whether one operand slot is compatible; VReg pairs are recorded."""
-    if a is None or b is None:
-        return a is None and b is None
-    if isinstance(a, VReg) and isinstance(b, VReg):
-        if a.rclass != b.rclass:
-            return False
-        pairs.append((a, b))
-        return True
-    # Physical registers and constants never rename.
-    return a == b
-
-
-def _pair_instrs(a: Instruction, b: Instruction, pairs: list) -> bool:
-    sa, sb = _shape(a), _shape(b)
-    if sa is None or sb is None or sa[0] != sb[0]:
-        return False
-    slots_a, slots_b = sa[1], sb[1]
-    if len(slots_a) != len(slots_b):
-        return False
-    mark = len(pairs)
-    for x, y in zip(slots_a, slots_b):
-        if not _pair_values(x, y, pairs):
-            del pairs[mark:]
-            return False
-    return True
-
-
-def _vreg_occurrences(func: Function) -> set[VReg]:
-    seen: set[VReg] = {p for p in func.params if isinstance(p, VReg)}
-    for blk in func.blocks:
-        for instr in blk.instrs:
-            for reg in instr.defs():
-                if isinstance(reg, VReg):
-                    seen.add(reg)
-            for reg in instr.used_regs():
-                if isinstance(reg, VReg):
-                    seen.add(reg)
-    return seen
-
-
 def _targets(blk) -> tuple[str, ...]:
     if not blk.instrs:
         return ()
     return tuple(blk.instrs[-1].block_targets())
 
 
-def diff_functions(base: Function, new: Function, *,
-                   pair_registers: bool = False) -> FunctionDelta:
+def diff_functions(base: Function, new: Function) -> FunctionDelta:
     """The :class:`FunctionDelta` turning ``base`` into ``new``.
 
-    ``pair_registers`` selects renumbered mode (registers pair
-    positionally into the rename map) over raw mode (registers must be
-    identical; structure-preserving constant/opcode/offset changes are
-    reported as :class:`ValueEdit`\\ s).  Neither input is mutated.
+    Registers must be identical; structure-preserving
+    constant/opcode/offset changes are reported as
+    :class:`ValueEdit`\\ s.  Neither input is mutated.
     """
     with phase("diff"):
-        return _diff_functions(base, new, pair_registers)
+        return _diff_functions(base, new)
 
 
-def _diff_functions(base: Function, new: Function,
-                    pair_registers: bool) -> FunctionDelta:
-    pairs: list[tuple[VReg, VReg]] = []
-    consistent = base.name == new.name
-    if len(base.params) != len(new.params):
-        consistent = False
-    else:
-        for p, q in zip(base.params, new.params):
-            if pair_registers:
-                if not _pair_values(p, q, pairs):
-                    consistent = False
-            elif p != q:
-                consistent = False
-    if not consistent:
+def _diff_functions(base: Function, new: Function) -> FunctionDelta:
+    if base.name != new.name or base.params != new.params:
         return FunctionDelta(consistent=False)
 
     base_blocks = {blk.label: blk for blk in base.blocks}
@@ -387,68 +236,20 @@ def _diff_functions(base: Function, new: Function,
         if len(old_blk.instrs) != len(blk.instrs):
             touched.add(label)
             continue
-        if pair_registers:
-            mark = len(pairs)
-            for a, b in zip(old_blk.instrs, blk.instrs):
-                if not _pair_instrs(a, b, pairs):
-                    del pairs[mark:]
-                    touched.add(label)
-                    break
+        block_edits: list[ValueEdit] = []
+        for i, (a, b) in enumerate(zip(old_blk.instrs, blk.instrs)):
+            got = _raw_edits(a, b, label, i)
+            if got is None:
+                touched.add(label)
+                break
+            block_edits.extend(got)
         else:
-            block_edits: list[ValueEdit] = []
-            for i, (a, b) in enumerate(zip(old_blk.instrs, blk.instrs)):
-                got = _raw_edits(a, b, label, i)
-                if got is None:
-                    touched.add(label)
-                    break
-                block_edits.extend(got)
-            else:
-                edits.extend(block_edits)
-
-    # The pairings of every matched block and the parameter lists must
-    # agree on one bijective rename; any conflict poisons the whole
-    # delta (the analyses patcher cannot translate masks through a
-    # non-function or a non-injection).
-    rename: dict[Register, Register] = {}
-    reverse: dict[Register, Register] = {}
-    for old_reg, new_reg in pairs:
-        have = rename.get(old_reg)
-        if have is None:
-            if new_reg in reverse:
-                return FunctionDelta(consistent=False)
-            rename[old_reg] = new_reg
-            reverse[new_reg] = old_reg
-        elif have != new_reg:
-            return FunctionDelta(consistent=False)
-    if not pair_registers:
-        # Raw mode: survivors keep their names; expose the identity map
-        # over every register of the matched region so both modes offer
-        # the same contract.
-        for blk in new.blocks:
-            if blk.label in touched or blk.label in added:
-                continue
-            for instr in blk.instrs:
-                for reg in (*instr.defs(), *instr.used_regs()):
-                    rename.setdefault(reg, reg)
-        for p in new.params:
-            if isinstance(p, (VReg, PReg)):
-                rename.setdefault(p, p)
-
-    base_regs = _vreg_occurrences(base)
-    new_regs = _vreg_occurrences(new)
-    deleted = frozenset(r for r in base_regs if r not in rename)
-    fresh = frozenset(r for r in new_regs if r not in reverse) \
-        if pair_registers else frozenset(r for r in new_regs
-                                         if r not in rename)
+            edits.extend(block_edits)
 
     return FunctionDelta(
         touched_blocks=frozenset(touched),
         added_blocks=added,
         removed_blocks=removed,
         changed_edges=changed_edges,
-        rename=rename,
-        new_vregs=fresh,
-        deleted_vregs=deleted,
         value_edits=tuple(edits),
-        consistent=True,
     )

@@ -125,8 +125,7 @@ def round0_analyses(prepared_func: Function,
     a clone of it with ``assume_renumbered=True``, so a cold allocation
     renumbers the function once (here) instead of twice.  Renumbering
     is deterministic, so any clone of ``prepared_func`` renumbers to the
-    same names and the analyses transfer to every round 0.  The
-    per-block summaries are collected so round 1 can patch them.
+    same names and the analyses transfer to every round 0.
     """
     entry = _round0_cache.get(prepared_func)
     if entry is None:
@@ -136,8 +135,7 @@ def round0_analyses(prepared_func: Function,
     key = policy.digest()
     analyses = entry.analyses.get(key)
     if analyses is None:
-        analyses = compute_round_analyses(entry.ref, collect_deltas=True,
-                                          policy=policy)
+        analyses = compute_round_analyses(entry.ref, policy)
         entry.analyses[key] = analyses
     return entry.ref, analyses
 

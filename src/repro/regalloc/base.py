@@ -15,10 +15,9 @@ import abc
 import os
 from dataclasses import dataclass, field, replace
 
-from repro.analysis.incremental import apply_function_delta, apply_spill_delta
 from repro.analysis.interference import InterferenceGraph, build_interference
 from repro.analysis.liveness import Liveness, compute_liveness
-from repro.analysis.renumber import RenumberResult, renumber
+from repro.analysis.renumber import renumber
 from repro.cfg.analysis import CFG, build_cfg
 from repro.cfg.loops import LoopInfo, compute_loops
 from repro.errors import AllocationError
@@ -27,12 +26,9 @@ from repro.ir.instructions import Move, SpillLoad, SpillStore
 from repro.ir.values import PReg, RegClass, Register, VReg
 from repro.policy import DEFAULT_POLICY, Policy
 from repro.profiling import phase
-from repro.regalloc.costs import (
-    compute_spill_costs,
-    compute_spill_costs_by_block,
-)
+from repro.regalloc.costs import compute_spill_costs
 from repro.regalloc.igraph import AllocGraph, build_alloc_graph
-from repro.regalloc.spill import SpillDelta, insert_spill_code
+from repro.regalloc.spill import insert_spill_code
 from repro.target.machine import TargetMachine
 
 __all__ = [
@@ -61,9 +57,10 @@ class AllocationOptions:
     ``verify``, ``policy``) are part of the service cache fingerprint;
     the rest (``jobs``, ``deadline_ms``) are result-neutral execution
     policy — any combination of them yields byte-identical
-    allocations.  No field picks an implementation strategy: spill
-    rounds and edits are always patched incrementally, and round-0
-    analyses are always reused.
+    allocations.  No field picks an implementation strategy: every
+    spill round re-analyzes from scratch (keeping only the
+    branch-free CFG and loop nest), and round-0 analyses are always
+    reused.
     A default ``policy`` is byte-identical to the historical constants and is
     *omitted* from both the wire form and the fingerprint, so existing
     traffic keeps its fingerprints (see :mod:`repro.policy`).
@@ -236,65 +233,21 @@ class RoundAnalyses:
     liveness: Liveness
     ig: InterferenceGraph
     spill_costs: dict[VReg, float]
-    #: per-block one-sided interference rows / cost contributions, kept
-    #: so the next spill round can patch instead of rebuild (None when
-    #: computed without collection)
-    block_rows: dict[str, dict[int, int]] | None = None
-    block_costs: dict[str, dict[VReg, float]] | None = None
     #: the policy the spill costs were computed under; cached analyses
-    #: are only valid for requests carrying the same policy, and the
-    #: incremental patchers recompute touched-block costs with it.
+    #: are only valid for requests carrying the same policy, and spill
+    #: rounds re-analyze under it.
     policy: Policy = DEFAULT_POLICY
 
-    def apply_delta(
-        self,
-        func: Function,
-        delta: SpillDelta,
-        renumbering: RenumberResult,
-    ) -> "RoundAnalyses | None":
-        """These analyses patched through one spill round of ``func``.
+    def apply_delta(self, func: Function) -> "RoundAnalyses":
+        """The analyses of ``func`` after one spill round.
 
-        ``func`` must already be spill-rewritten and renumbered.  The
-        CFG and loop nest are reused outright (spill code is
-        branch-free); liveness, interference, and spill costs are
-        patched from the touched blocks.  Returns ``None`` when a
-        patch precondition fails — the caller falls back to
-        :func:`compute_round_analyses`.
+        ``func`` must already be spill-rewritten and renumbered.  Spill
+        code is branch-free, so the CFG and loop nest carry over;
+        liveness, interference and spill costs are recomputed under
+        ``self.policy``.
         """
-        patched = apply_spill_delta(func, self, delta, renumbering)
-        if patched is None:
-            return None
-        return RoundAnalyses(
-            cfg=self.cfg, loops=self.loops, liveness=patched.liveness,
-            ig=patched.ig, spill_costs=patched.spill_costs,
-            block_rows=patched.block_rows, block_costs=patched.block_costs,
-            policy=self.policy,
-        )
-
-    def apply_edit_delta(self, func: Function,
-                         fdelta) -> "RoundAnalyses | None":
-        """These analyses patched through a source-edit delta.
-
-        ``func`` is the new version of the analyzed function, already
-        prepared and renumbered; ``fdelta`` a renumbered-mode
-        :class:`~repro.ir.diff.FunctionDelta` of the analyzed function
-        against ``func``.  The CFG and loop nest carry over unless the
-        edit changed the edge set, in which case the patcher rebuilt
-        them.  Returns ``None`` when a patch precondition fails or the
-        delta touches too much of the function — the caller falls back
-        to :func:`compute_round_analyses`.
-        """
-        patched = apply_function_delta(func, self, fdelta)
-        if patched is None:
-            return None
-        return RoundAnalyses(
-            cfg=patched.cfg if patched.cfg is not None else self.cfg,
-            loops=patched.loops if patched.loops is not None else self.loops,
-            liveness=patched.liveness, ig=patched.ig,
-            spill_costs=patched.spill_costs,
-            block_rows=patched.block_rows, block_costs=patched.block_costs,
-            policy=self.policy,
-        )
+        return compute_round_analyses(func, self.policy, cfg=self.cfg,
+                                      loops=self.loops)
 
     def ig_for(self, func: Function) -> InterferenceGraph | None:
         """The cached graph rebased onto ``func``'s own move instructions.
@@ -326,36 +279,32 @@ class RoundAnalyses:
 
 
 def compute_round_analyses(
-    func: Function, collect_deltas: bool = False,
+    func: Function,
     policy: Policy = DEFAULT_POLICY,
+    *,
+    cfg: CFG | None = None,
+    loops: LoopInfo | None = None,
 ) -> RoundAnalyses:
     """Analyze one (already renumbered) function for an allocation round.
 
-    ``collect_deltas=True`` additionally retains the per-block summaries
-    (interference rows, cost contributions) that let a later spill round
-    patch these analyses via :meth:`RoundAnalyses.apply_delta`.
     ``policy`` parameterizes the spill-cost weighting; the default is
-    byte-identical to the historical constants.
+    byte-identical to the historical constants.  ``cfg`` and ``loops``
+    are handed in together when they are known to describe ``func`` (a
+    spill round keeps the previous round's); otherwise they are built
+    here.
     """
-    with phase("cfg"):
-        cfg = build_cfg(func)
-        loops = compute_loops(cfg)
+    if cfg is None:
+        with phase("cfg"):
+            cfg = build_cfg(func)
+            loops = compute_loops(cfg)
     with phase("liveness"):
         liveness = compute_liveness(func, cfg)
     with phase("interference"):
-        ig = build_interference(func, cfg, liveness,
-                                collect_block_rows=collect_deltas)
+        ig = build_interference(func, cfg, liveness)
     with phase("spill-costs"):
-        if collect_deltas:
-            spill_costs, block_costs = compute_spill_costs_by_block(
-                func, loops, cfg, policy
-            )
-        else:
-            spill_costs = compute_spill_costs(func, loops, cfg, policy)
-            block_costs = None
+        spill_costs = compute_spill_costs(func, loops, cfg, policy)
     return RoundAnalyses(cfg=cfg, loops=loops, liveness=liveness, ig=ig,
-                         spill_costs=spill_costs, block_rows=ig.block_rows,
-                         block_costs=block_costs, policy=policy)
+                         spill_costs=spill_costs, policy=policy)
 
 
 class Allocator(abc.ABC):
@@ -473,19 +422,17 @@ def allocate_function(
 
     ``round0`` supplies precomputed first-round analyses (from
     :func:`compute_round_analyses` on a renumbered clone of the same
-    prepared function).  Spill rounds patch the previous round's
-    analyses through the spill delta when possible
-    (:meth:`RoundAnalyses.apply_delta`), falling back to a from-scratch
-    re-analysis only when a patch precondition fails.
+    prepared function).  Spill rounds re-analyze the spill-rewritten
+    function from scratch, keeping only the previous round's CFG and
+    loop nest (:meth:`RoundAnalyses.apply_delta`).
 
     ``assume_renumbered=True`` skips the round-0 renumber: the caller
     vouches that ``func`` is already in renumbered form (a clone of —
     or value-identical to — the function ``round0`` analyzed).  All
-    three production paths pass it: the serial pipeline and the pool
-    worker allocate a clone of the renumbered reference their round-0
-    cache keeps, and the session layer keeps a patched clone's names
-    aligned with its retained analyses.  Spill rounds still renumber
-    normally.
+    three production paths pass it: the serial pipeline, the pool
+    worker and the session layer allocate a clone of the renumbered
+    reference their retained round-0 analyses describe.  Spill rounds
+    still renumber normally.
 
     ``round0_outcome`` is a round-0 coloring from an earlier run of an
     allocator with the same :meth:`Allocator.config_key` on a function
@@ -517,44 +464,30 @@ def allocate_function(
     outcome: RoundOutcome | None = None
     first: RoundOutcome | None = None
     ctx: RoundContext | None = None
-    prev_analyses: RoundAnalyses | None = None
-    delta: SpillDelta | None = None
+    analyses: RoundAnalyses | None = None
     for round_index in range(max_rounds):
         stats.rounds = round_index + 1
-        if round_index == 0 and assume_renumbered:
-            ren = None  # only consumed by spill rounds, which renumber
-        else:
+        if analyses is not None:
             with phase("renumber"):
                 # The CFG never changes across spill rounds; hand the
                 # previous round's to renumber so it skips a rebuild.
-                ren = renumber(
-                    func,
-                    cfg=prev_analyses.cfg
-                    if prev_analyses is not None else None,
-                )
-        analyses = None
-        if round_index == 0 and round0 is not None:
+                renumber(func, cfg=analyses.cfg)
+            with phase("reanalyze"):
+                analyses = analyses.apply_delta(func)
+        else:
+            if not assume_renumbered:
+                with phase("renumber"):
+                    renumber(func)
             # Retained analyses are only valid under the policy whose
             # spill costs they carry; a mismatch falls back to a fresh
             # (policy-correct) analysis below.
-            ig = round0.ig_for(func) if round0.policy == policy else None
-            if ig is not None:
-                analyses = RoundAnalyses(
-                    cfg=round0.cfg, loops=round0.loops,
-                    liveness=round0.liveness, ig=ig,
-                    spill_costs=round0.spill_costs,
-                    block_rows=round0.block_rows,
-                    block_costs=round0.block_costs,
-                    policy=round0.policy,
-                )
-        if analyses is None and delta is not None:
-            with phase("reanalyze"):
-                analyses = prev_analyses.apply_delta(func, delta, ren)
-        if analyses is None:
-            with phase("analyze" if round_index == 0 else "reanalyze"):
-                analyses = compute_round_analyses(
-                    func, collect_deltas=True, policy=policy
-                )
+            if round0 is not None and round0.policy == policy:
+                ig = round0.ig_for(func)
+                if ig is not None:
+                    analyses = replace(round0, ig=ig)
+            if analyses is None:
+                with phase("analyze"):
+                    analyses = compute_round_analyses(func, policy)
         ctx = RoundContext(
             func=func,
             machine=machine,
@@ -579,10 +512,8 @@ def allocate_function(
             break
         stats.spilled_webs += len(outcome.spilled)
         with phase("spill-insert"):
-            report = insert_spill_code(func, outcome.spilled,
-                                       rematerialize=rematerialize)
-        delta = report.delta
-        prev_analyses = analyses
+            insert_spill_code(func, outcome.spilled,
+                              rematerialize=rematerialize)
     else:
         raise AllocationError(
             f"{allocator.name}: no fixed point after {max_rounds} rounds"

@@ -27,8 +27,7 @@ from repro.ir.function import Function
 from repro.ir.values import VReg
 from repro.policy import DEFAULT_POLICY, Policy
 
-__all__ = ["LOAD_COST", "STORE_COST", "compute_spill_costs",
-           "block_spill_costs", "compute_spill_costs_by_block"]
+__all__ = ["LOAD_COST", "STORE_COST", "compute_spill_costs"]
 
 #: Appendix: Load_Cost(I) is 2, Store_Cost(I) is 1.  These remain the
 #: canonical defaults mirrored by ``Policy.spill_load_cost`` /
@@ -56,7 +55,14 @@ def compute_spill_costs(
     cfg: CFG | None = None,
     policy: Policy = DEFAULT_POLICY,
 ) -> dict[VReg, float]:
-    """Frequency-weighted spill cost of every virtual register."""
+    """Frequency-weighted spill cost of every virtual register.
+
+    Each block's contribution is summed on its own and then added to
+    the totals.  Under the default policy every term is an
+    integer-valued float (loop frequencies are powers of ten), so the
+    grouping cannot matter; under a fractional ``loop_depth_exponent``
+    it fixes the rounding, so it is part of the byte-identical contract.
+    """
     if cfg is None:
         cfg = build_cfg(func)
     if loops is None:
@@ -64,65 +70,20 @@ def compute_spill_costs(
     load_cost = policy.spill_load_cost
     store_cost = policy.spill_store_cost
     exponent = policy.loop_depth_exponent
-    costs: dict[VReg, float] = {}
+    totals: dict[VReg, float] = {}
     for blk in func.blocks:
         freq = _effective_freq(loops.freq(blk.label), exponent)
+        local: dict[VReg, float] = {}
         for instr in blk.instrs:
             for u in instr.uses():
                 if isinstance(u, VReg):
-                    costs[u] = costs.get(u, 0.0) + load_cost * freq
+                    local[u] = local.get(u, 0.0) + load_cost * freq
             for d in instr.defs():
                 if isinstance(d, VReg):
-                    costs[d] = costs.get(d, 0.0) + store_cost * freq
-    for param in func.params:
-        if isinstance(param, VReg):
-            costs.setdefault(param, 0.0)
-    return costs
-
-
-def block_spill_costs(block, freq: float,
-                      policy: Policy = DEFAULT_POLICY) -> dict[VReg, float]:
-    """One block's frequency-weighted contribution to the spill costs."""
-    load_cost = policy.spill_load_cost
-    store_cost = policy.spill_store_cost
-    freq = _effective_freq(freq, policy.loop_depth_exponent)
-    costs: dict[VReg, float] = {}
-    for instr in block.instrs:
-        for u in instr.uses():
-            if isinstance(u, VReg):
-                costs[u] = costs.get(u, 0.0) + load_cost * freq
-        for d in instr.defs():
-            if isinstance(d, VReg):
-                costs[d] = costs.get(d, 0.0) + store_cost * freq
-    return costs
-
-
-def compute_spill_costs_by_block(
-    func: Function,
-    loops: LoopInfo | None = None,
-    cfg: CFG | None = None,
-    policy: Policy = DEFAULT_POLICY,
-) -> tuple[dict[VReg, float], dict[str, dict[VReg, float]]]:
-    """Spill costs plus the per-block contribution tables they sum from.
-
-    The totals equal :func:`compute_spill_costs` exactly: every term is
-    an integer-valued float (loop frequencies are powers of ten), so the
-    two summation orders cannot disagree.  The per-block tables feed
-    incremental spill-round re-analysis, which re-derives only the
-    blocks spill insertion touched.
-    """
-    if cfg is None:
-        cfg = build_cfg(func)
-    if loops is None:
-        loops = compute_loops(cfg)
-    totals: dict[VReg, float] = {}
-    per_block: dict[str, dict[VReg, float]] = {}
-    for blk in func.blocks:
-        local = block_spill_costs(blk, loops.freq(blk.label), policy)
-        per_block[blk.label] = local
+                    local[d] = local.get(d, 0.0) + store_cost * freq
         for v, c in local.items():
             totals[v] = totals.get(v, 0.0) + c
     for param in func.params:
         if isinstance(param, VReg):
             totals.setdefault(param, 0.0)
-    return totals, per_block
+    return totals

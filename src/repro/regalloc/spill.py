@@ -20,32 +20,8 @@ from repro.ir.function import Function
 from repro.ir.instructions import ConstInst, Instruction, SpillLoad, SpillStore
 from repro.ir.values import VReg
 
-__all__ = ["SpillDelta", "SpillReport", "insert_spill_code",
+__all__ = ["SpillReport", "insert_spill_code",
            "rematerializable_values"]
-
-
-@dataclass(eq=False)
-class SpillDelta:
-    """The footprint of one spill-insertion pass, for incremental analysis.
-
-    Spill code never adds blocks or edges, so this delta plus the
-    pre-spill analyses determine the post-spill analyses
-    (:mod:`repro.analysis.incremental`).
-
-    ``deleted_vregs`` holds every spilled or rematerialized live range:
-    their *old* (whole-function) live ranges are gone.  A spilled
-    parameter is listed even though the register itself survives — its
-    only remaining occurrence is the entry store, inside a touched block,
-    so treating the old range as deleted and rediscovering the residue
-    from the touched blocks is exact.
-    """
-
-    #: labels of blocks whose instruction list was rewritten
-    touched_blocks: set[str] = field(default_factory=set)
-    #: spilled/rematerialized live ranges whose old range disappeared
-    deleted_vregs: set[VReg] = field(default_factory=set)
-    #: fresh ``no_spill`` temporaries (all block-local by construction)
-    new_vregs: set[VReg] = field(default_factory=set)
 
 
 @dataclass(eq=False)
@@ -57,8 +33,6 @@ class SpillReport:
     stores_inserted: int = 0
     #: spilled live ranges turned into constant re-emissions instead
     rematerialized: dict[VReg, object] = field(default_factory=dict)
-    #: which blocks/registers changed (consumed by incremental re-analysis)
-    delta: SpillDelta = field(default_factory=SpillDelta)
 
 
 def rematerializable_values(func: Function,
@@ -91,15 +65,11 @@ def insert_spill_code(func: Function, spilled: set[VReg],
         report.slots[v] = func.new_slot()
 
     remat = report.rematerialized
-    delta = report.delta
-    delta.deleted_vregs = set(report.slots) | set(remat)
     for blk in func.blocks:
         rewritten: list[Instruction] = []
-        changed = False
         for instr in blk.instrs:
             # A def of a rematerialized constant disappears outright.
             if isinstance(instr, ConstInst) and instr.dst in remat:
-                changed = True
                 continue
             used = [u for u in instr.used_regs()
                     if isinstance(u, VReg)
@@ -110,7 +80,6 @@ def insert_spill_code(func: Function, spilled: set[VReg],
             for v in _unique(used):
                 tmp = func.new_vreg(v.rclass, name=_tmp_name(v, "r"),
                                     no_spill=True)
-                delta.new_vregs.add(tmp)
                 if v in remat:
                     rewritten.append(ConstInst(tmp, remat[v]))
                 else:
@@ -119,19 +88,14 @@ def insert_spill_code(func: Function, spilled: set[VReg],
                 use_map[v] = tmp
             if use_map:
                 instr.replace_uses(use_map)
-                changed = True
             rewritten.append(instr)
             for v in _unique(defined):
                 tmp = func.new_vreg(v.rclass, name=_tmp_name(v, "s"),
                                     no_spill=True)
-                delta.new_vregs.add(tmp)
                 instr.replace_defs({v: tmp})
                 rewritten.append(SpillStore(report.slots[v], tmp))
                 report.stores_inserted += 1
-                changed = True
         blk.instrs = rewritten
-        if changed:
-            delta.touched_blocks.add(blk.label)
 
     # Parameters are defined implicitly at entry; store their incoming
     # value so reloads see it.  Inserted after the rewrite so the store
@@ -145,7 +109,6 @@ def insert_spill_code(func: Function, spilled: set[VReg],
             report.stores_inserted += 1
     if entry_stores:
         func.entry.instrs[0:0] = entry_stores
-        delta.touched_blocks.add(func.entry.label)
     return report
 
 

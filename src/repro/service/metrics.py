@@ -80,7 +80,6 @@ class ServiceMetrics:
             "session_hits": 0,
             "session_misses": 0,
             "session_patches_value": 0,
-            "session_patches_struct": 0,
             "session_rebuilds": 0,
             #: functions whose allocation started from a retained
             #: round-0 coloring (value edits round 0 cannot see)

@@ -98,7 +98,6 @@ def degrade_for(allocator: str, policy: Policy = DEFAULT_POLICY) -> str:
 #: too — the function had no retained session to advance).
 _SESSION_RUNG_COUNTERS = {
     "value": "session_patches_value",
-    "struct": "session_patches_struct",
     "new": "session_rebuilds",
     "rebuild": "session_rebuilds",
 }
@@ -435,10 +434,7 @@ class Scheduler:
             self.metrics.inc("session_hits" if info.get("base_hit")
                              else "session_misses")
             for rung, count in info.get("paths", {}).items():
-                self.metrics.inc(
-                    _SESSION_RUNG_COUNTERS.get(rung, "session_rebuilds"),
-                    by=count,
-                )
+                self.metrics.inc(_SESSION_RUNG_COUNTERS[rung], by=count)
             self.metrics.inc("session_colorings_reused",
                              by=info.get("colorings_reused", 0))
             if response.degraded:

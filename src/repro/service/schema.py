@@ -49,7 +49,10 @@ __all__ = [
 #: v5 (unchanged): the sharded router's stats snapshot left the registry
 #: with the router, which never beat ``serve --jobs N`` on cache-miss
 #: traffic.  No remaining document changed shape, so no bump.
-SCHEMA_VERSION = 5
+#: v6: the counter contract drops ``session_patches_struct``: the
+#: session's struct rung folded into ``rebuild`` (counted by
+#: ``session_rebuilds``) when struct edits stopped patching analyses.
+SCHEMA_VERSION = 6
 
 #: Every ``type`` tag this module can emit.
 SCHEMA_TYPES = ("allocation", "comparison", "stats", "final_stats",
@@ -73,7 +76,6 @@ SERVICE_COUNTERS = (
     "session_hits",
     "session_misses",
     "session_patches_value",
-    "session_patches_struct",
     "session_rebuilds",
     "session_colorings_reused",
 )

@@ -1,4 +1,4 @@
-"""Per-function allocation sessions for the edit-driven incremental path.
+"""Per-function allocation sessions for the edit-driven path.
 
 A session retains what a from-scratch allocation throws away: the
 prepared+renumbered *reference* form of each function, its round-0
@@ -6,7 +6,7 @@ analyses, and each allocator's round-0 coloring and finished
 allocation.  When the next edit of the same source arrives, the
 session diffs the new raw body against the retained raw body
 (:func:`repro.ir.diff.diff_functions`) and takes the cheapest sound
-path down a three-rung ladder:
+path down a two-rung ladder:
 
 * **value** — the edit is *transparent* (constant values, opcodes,
   load/store offsets inside matched blocks): every prepare/renumber
@@ -22,14 +22,8 @@ path down a three-rung ladder:
   spill rounds (or the rewrite) instead of recoloring; and when the
   retained allocation ran no spill round, its finished code carries
   over as well, with the same edits patched onto a clone of it.
-* **struct** — the edit is structural but block-local: the new body is
-  prepared and renumbered from scratch, diffed against the retained
-  reference in register-pairing mode, and the retained analyses are
-  patched through the delta
-  (:func:`repro.analysis.incremental.apply_function_delta`).
-* **rebuild** — the delta is inconsistent, touches too much of the
-  function, or a patch precondition fails: full re-prepare and
-  re-analysis, which is exactly the from-scratch path.
+* **rebuild** — any other edit: full re-prepare and re-analysis,
+  which is exactly the from-scratch path.
 
 Why a round-0 coloring survives a value edit: round 0 reads the
 function only through its register operands and instruction classes,
@@ -45,7 +39,7 @@ is never carried.  So a value advance keeps every allocator's round-0
 outcome — unless one of its edits changes a ``base`` or an ``offset``
 (:data:`ROUND0_VISIBLE_EDITS`), which can make or break a paired load;
 then the colorings are dropped.  An identical advance keeps the
-finished results as well; struct and rebuild rungs start with none.
+finished results as well; a rebuild starts with none.
 The retained outcomes are shared and treated as read-only.
 
 Why a finished allocation survives the same edits when it ran no spill
@@ -249,10 +243,10 @@ class FunctionSession:
     def build(cls, parsed: Function, machine: TargetMachine,
               policy: Policy = DEFAULT_POLICY) -> "FunctionSession":
         """A fresh session for ``parsed`` (the from-scratch rung)."""
-        raw = clone_function(parsed)
+        with phase("clone"):
+            raw = clone_function(parsed)
         ref, posmap = _prepare_ref(raw, machine)
-        analyses = compute_round_analyses(ref, collect_deltas=True,
-                                          policy=policy)
+        analyses = compute_round_analyses(ref, policy)
         return cls(name=parsed.name, raw=raw, ref=ref, analyses=analyses,
                    posmap=posmap)
 
@@ -261,10 +255,9 @@ class FunctionSession:
         """The session for the edited body, plus the ladder rung taken.
 
         ``parsed`` is the new raw body; the rung is ``"value"``
-        (transparent edit, analyses shared), ``"struct"`` (analyses
-        patched through a renumbered-mode delta), or ``"rebuild"``
-        (full re-prepare).  ``self`` is left usable — other edits may
-        still branch off the same base digest.
+        (transparent edit, analyses shared) or ``"rebuild"`` (full
+        re-prepare).  ``self`` is left usable — other edits may still
+        branch off the same base digest.
         """
         delta = diff_functions(self.raw, parsed)
         if delta.transparent:
@@ -300,23 +293,8 @@ class FunctionSession:
                 name=self.name, raw=raw, ref=ref, analyses=self.analyses,
                 posmap=self.posmap, memo=memo,
             ), "value"
-        if not delta.consistent:
-            return FunctionSession.build(parsed, machine,
-                                         self.analyses.policy), "rebuild"
-        with phase("clone"):
-            raw = clone_function(parsed)
-        ref, posmap = _prepare_ref(raw, machine)
-        rdelta = diff_functions(self.ref, ref, pair_registers=True)
-        analyses = None
-        if rdelta.consistent:
-            analyses = self.analyses.apply_edit_delta(ref, rdelta)
-        rung = "struct"
-        if analyses is None:
-            analyses = compute_round_analyses(ref, collect_deltas=True,
-                                              policy=self.analyses.policy)
-            rung = "rebuild"
-        return FunctionSession(name=self.name, raw=raw, ref=ref,
-                               analyses=analyses, posmap=posmap), rung
+        return FunctionSession.build(parsed, machine,
+                                     self.analyses.policy), "rebuild"
 
 
 @dataclass(eq=False)
@@ -326,8 +304,8 @@ class IncrementalAllocation:
     result: AllocationResult
     cycles: CycleReport
     session: FunctionSession
-    #: ladder rung taken: ``new`` (no base session), ``value``,
-    #: ``struct``, or ``rebuild``
+    #: ladder rung taken: ``new`` (no base session), ``value``, or
+    #: ``rebuild``
     path: str
     #: allocation started from a retained round-0 coloring (or
     #: patched a retained finished allocation, which started from it)

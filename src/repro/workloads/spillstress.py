@@ -2,13 +2,12 @@
 
 The SPECjvm98-like profiles keep a global pool of values live across the
 whole function, so under a squeezed machine *every* block sees spill
-code and an incremental spill-round re-analysis degenerates to a full
-one.  Real hot methods are not like that: pressure concentrates in a
+code.  Real hot methods are not like that: pressure concentrates in a
 few inner loops while the surrounding code idles well under the
-register budget.  This workload reproduces that shape on purpose — it
-is the benchmark for :mod:`repro.analysis.incremental`, where the
-interesting quantity is the fraction of blocks a spill round actually
-touches.
+register budget.  This workload reproduces that shape on purpose: many
+spill rounds over a large CFG, each of them re-analyzing the whole
+function although spill code lands in only a few blocks — the
+workload of the spill-round loop and of the edit-chain bench.
 
 Each function is a long chain of counted-loop segments.  Most segments
 are *cold* (a handful of simultaneously-live temporaries, colorable on
@@ -16,8 +15,8 @@ any machine we bench); every ``hot_every``-th segment is *hot*: its
 loop body materializes ``hot_pressure`` loads and keeps them all live
 into a reduction, far exceeding a squeezed register file.  Only the
 running accumulator, the address base, and each segment's loop counter
-cross segment boundaries, so spilled webs — and therefore
-``SpillDelta.touched_blocks`` — stay confined to the hot segments.
+cross segment boundaries, so spilled webs — and the blocks spill code
+rewrites — stay confined to the hot segments.
 """
 
 from __future__ import annotations
@@ -36,12 +35,10 @@ def _segment(b: IRBuilder, acc: VReg, base: VReg, seg: int,
     ``pressure`` values are loaded and held simultaneously live through
     a pairwise reduction; ``chain`` then appends that many *stores* of
     the reduced value.  Stores define nothing, so they add instructions
-    — fresh liveness/interference/cost scans pay for every one — while
-    the block's register population (and hence its translated masks,
-    rows and cost tables) stays a handful of entries.  Cold segments
-    are long store runs at trivial pressure: plenty for a from-scratch
-    scan to chew on, near-nothing for an incremental patch to
-    translate, and nothing for the spiller.
+    — liveness/interference/cost scans pay for every one — while the
+    block's register population stays a handful of entries.  Cold
+    segments are long store runs at trivial pressure: plenty for each
+    round's re-analysis to scan, and nothing for the spiller.
     """
     counter = b.const(0)
     head = f"seg{seg}_head"

@@ -14,8 +14,8 @@ def make_benchmark(name: str, seed: int = 0) -> Module:
     """The deterministic module for one named benchmark.
 
     Besides the SPECjvm98-like profiles this also serves
-    ``"spillstress"`` — the localized-pressure workload backing the
-    incremental spill-round bench.  It is deliberately *not* part of
+    ``"spillstress"`` — the localized-pressure, many-spill-round
+    workload.  It is deliberately *not* part of
     ``BENCHMARK_NAMES`` so the figure sweeps stay exactly the paper's
     suite.
     """

@@ -12,9 +12,12 @@ tests compare production against directly:
 * **simplify/select** — the rescan-per-batch simplify engine and the
   linear ready-queue scan of the preference selector, which recomputes
   every differential from the assignment;
-* **spill rounds and edits** — the from-scratch re-analysis, compared
-  phase by phase with :func:`compare_analyses`, and the from-scratch
-  allocation of an edited function (:func:`check_session_against_scratch`);
+* **dataflow scan** — the per-instruction interference row scan of one
+  block (:func:`scan_block_rows`), the reference for the packed scan;
+* **spill rounds and edits** — the from-scratch re-analysis (CFG and
+  loop nest included), compared phase by phase with
+  :func:`compare_analyses`, and the from-scratch allocation of an
+  edited function (:func:`check_session_against_scratch`);
 * **dispatch wire** — the shipped function itself
   (:func:`check_wire_jobs`).
 
@@ -25,7 +28,9 @@ reference into a real allocation run:
   decisions or results with the oracle as it happens, raising
   :class:`OracleMismatch` on the first divergence;
 * ``scan_select`` and ``scratch_rounds`` replace the production
-  engine with the oracle, for whole-run identity comparisons;
+  engine with the oracle, for whole-run identity comparisons
+  (``scratch_rounds`` rebuilds each spill round's CFG and loop nest
+  instead of carrying them over);
 * ``forced_matrix_branches`` runs the vectorized kernel size class on
   every function, however small.
 """
@@ -213,6 +218,46 @@ def build_interference_reference(func, cfg=None, liveness=None):
             live -= set(defs)
             live |= set(uses)
     return graph
+
+
+def scan_block_rows(blk, index, live_out: int, rows: dict[int, int],
+                    moves: list) -> None:
+    """Backward scan of one block, OR-ing one-sided rows into ``rows``.
+
+    ``live_out`` is the block's live-out bitmask over ``index``.  The
+    block's ``Move`` instructions are appended to ``moves`` in scan
+    (reversed) order.  The per-instruction reference for
+    :func:`repro.analysis.matrix.scan_packed_block`.
+    """
+    bit_of = index.bit_of
+    live = live_out
+    for instr in reversed(blk.instrs):
+        if isinstance(instr, Phi):
+            raise ValueError("interference runs after out-of-SSA")
+        defs = [d for d in instr.defs() if isinstance(d, (VReg, PReg))]
+        uses = [u for u in instr.uses() if isinstance(u, (VReg, PReg))]
+
+        if isinstance(instr, Move):
+            moves.append(instr)
+            if isinstance(instr.src, (VReg, PReg)):
+                live &= ~bit_of(instr.src)
+
+        defs_mask = 0
+        for d in defs:
+            defs_mask |= bit_of(d)
+        targets = live | defs_mask
+        for d in defs:
+            dbit = bit_of(d)
+            row = (targets & index.class_mask(d)) & ~dbit
+            if isinstance(d, PReg):
+                # Physical-physical edges are implicit, never stored.
+                row &= ~index.preg_mask
+            i = dbit.bit_length() - 1
+            rows[i] = rows.get(i, 0) | row
+
+        live &= ~defs_mask
+        for u in uses:
+            live |= bit_of(u)
 
 
 def compare_interference(got, want) -> list[str]:
@@ -727,9 +772,8 @@ def validate_dataflow():
             raise OracleMismatch("liveness oracle: " + "; ".join(problems))
         return got
 
-    def interference(func, cfg=None, liveness=None,
-                     collect_block_rows=False):
-        got = real_interference(func, cfg, liveness, collect_block_rows)
+    def interference(func, cfg=None, liveness=None):
+        got = real_interference(func, cfg, liveness)
         problems = compare_interference(
             got, build_interference_reference(func, cfg))
         if problems:
@@ -783,15 +827,15 @@ def _set_divergence(p_sets: dict, f_sets: dict) -> str:
     return ""
 
 
-def compare_analyses(patched, fresh) -> list[str]:
-    """Differences between a patched and a from-scratch round analysis.
+def compare_analyses(got, fresh) -> list[str]:
+    """Differences between a production and a from-scratch round analysis.
 
     Empty list means value-identical (including the node insertion
     order the allocators' tie-breaks depend on).  Each problem names
     the first divergent block/register.
     """
     problems: list[str] = []
-    p_liv, f_liv = patched.liveness, fresh.liveness
+    p_liv, f_liv = got.liveness, fresh.liveness
     index = getattr(f_liv, "index", None)
     for name in ("live_in_mask", "live_out_mask", "use_mask", "defs_mask"):
         p, f = getattr(p_liv, name), getattr(f_liv, name)
@@ -805,7 +849,7 @@ def compare_analyses(patched, fresh) -> list[str]:
             problems.append(
                 f"liveness.{name} differs{_set_divergence(p, f)}"
             )
-    p_ig, f_ig = patched.ig, fresh.ig
+    p_ig, f_ig = got.ig, fresh.ig
     p_nodes, f_nodes = list(p_ig.adjacency), list(f_ig.adjacency)
     if p_nodes != f_nodes:
         at = next(
@@ -828,50 +872,33 @@ def compare_analyses(patched, fresh) -> list[str]:
     if [(m.dst, m.src) for m in p_ig.moves] != \
             [(m.dst, m.src) for m in f_ig.moves]:
         problems.append("move lists differ")
-    if patched.spill_costs != fresh.spill_costs:
+    if got.spill_costs != fresh.spill_costs:
         detail = ""
-        for v in sorted(set(patched.spill_costs) | set(fresh.spill_costs),
+        for v in sorted(set(got.spill_costs) | set(fresh.spill_costs),
                         key=str):
-            if patched.spill_costs.get(v) != fresh.spill_costs.get(v):
-                detail = (f" at {v} ({patched.spill_costs.get(v)} vs "
+            if got.spill_costs.get(v) != fresh.spill_costs.get(v):
+                detail = (f" at {v} ({got.spill_costs.get(v)} vs "
                           f"{fresh.spill_costs.get(v)})")
                 break
         problems.append(f"spill costs differ{detail}")
-    if fresh.block_rows is not None and patched.block_rows != fresh.block_rows:
-        detail = next(
-            (f" at block {lbl!r}" for lbl in fresh.block_rows
-             if patched.block_rows.get(lbl) != fresh.block_rows[lbl]),
-            "",
-        )
-        problems.append(f"per-block interference rows differ{detail}")
-    if (fresh.block_costs is not None
-            and patched.block_costs != fresh.block_costs):
-        detail = next(
-            (f" at block {lbl!r}" for lbl in fresh.block_costs
-             if patched.block_costs.get(lbl) != fresh.block_costs[lbl]),
-            "",
-        )
-        problems.append(f"per-block cost tables differ{detail}")
     return problems
 
 
 @contextmanager
 def validate_rounds():
-    """Recompute every patched spill round from scratch and raise on
-    the first divergence from the patch."""
+    """Recompute every spill round from scratch, CFG and loop nest
+    included, and raise on the first divergence from the production
+    re-analysis (which carries the previous round's CFG and loops)."""
     real = regalloc_base.RoundAnalyses.apply_delta
 
-    def checked(self, func, delta, renumbering):
-        patched = real(self, func, delta, renumbering)
-        if patched is not None:
-            fresh = regalloc_base.compute_round_analyses(
-                func, collect_deltas=True, policy=self.policy)
-            problems = compare_analyses(patched, fresh)
-            if problems:
-                raise OracleMismatch(
-                    "incremental round analyses diverged: "
-                    + "; ".join(problems))
-        return patched
+    def checked(self, func):
+        got = real(self, func)
+        fresh = regalloc_base.compute_round_analyses(func, self.policy)
+        problems = compare_analyses(got, fresh)
+        if problems:
+            raise OracleMismatch(
+                "spill-round analyses diverged: " + "; ".join(problems))
+        return got
 
     with mock.patch.object(regalloc_base.RoundAnalyses, "apply_delta",
                            checked):
@@ -880,9 +907,12 @@ def validate_rounds():
 
 @contextmanager
 def scratch_rounds():
-    """Re-analyze every spill round from scratch (the patch oracle)."""
-    with mock.patch.object(regalloc_base.RoundAnalyses, "apply_delta",
-                           lambda self, func, delta, renumbering: None):
+    """Re-analyze every spill round from scratch, CFG and loop nest
+    included (the oracle for carrying them over)."""
+    with mock.patch.object(
+            regalloc_base.RoundAnalyses, "apply_delta",
+            lambda self, func: regalloc_base.compute_round_analyses(
+                func, self.policy)):
         yield
 
 
@@ -900,8 +930,7 @@ def check_session_against_scratch(session, parsed, machine, allocator,
     prepared = prepare_function(clone_function(parsed), machine)
     ref = clone_function(prepared)
     renumber(ref)
-    fresh = compute_round_analyses(ref, collect_deltas=True,
-                                   policy=options.policy)
+    fresh = compute_round_analyses(ref, options.policy)
     problems = compare_analyses(session.analyses, fresh)
     if problems:
         raise OracleMismatch(

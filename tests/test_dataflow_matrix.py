@@ -30,11 +30,12 @@ from oracles import (
     compare_liveness,
     compute_liveness_reference,
     forced_matrix_branches,
+    scan_block_rows,
     validate_dataflow,
     validate_rounds,
 )
 from repro.analysis import matrix
-from repro.analysis.interference import build_interference, scan_block_rows
+from repro.analysis.interference import build_interference
 from repro.analysis.liveness import compute_liveness
 from repro.cfg.analysis import build_cfg
 from repro.core import PreferenceDirectedAllocator
@@ -111,17 +112,27 @@ class TestInterferenceBackends:
     def test_rows_moves_and_block_rows_match_reference(self, profile,
                                                        seed):
         func, _ = _prepared(profile, seed)
-        fast = build_interference(func, collect_block_rows=True)
+        fast = build_interference(func)
         assert compare_interference(
             fast, build_interference_reference(func)) == []
-        # Per-block rows equal the scalar per-instruction scan the
-        # incremental patchers re-scan touched blocks with.
+        # The packed scan yields, block by block, the one-sided rows
+        # and move order of the scalar per-instruction reference scan.
         liveness = compute_liveness(func)
+        pack = liveness.pack
+        row_and = pack.def_and_masks()
         for blk in func.blocks:
-            local: dict[int, int] = {}
-            scan_block_rows(blk, liveness.index,
-                            liveness.live_out_mask[blk.label], local, [])
-            assert fast.block_rows[blk.label] == local, blk.label
+            live_out = liveness.live_out_mask[blk.label]
+            want: dict[int, int] = {}
+            want_moves: list = []
+            scan_block_rows(blk, liveness.index, live_out, want,
+                            want_moves)
+            got = [0] * len(liveness.index)
+            got_moves: list = []
+            matrix.scan_packed_block(pack.block_entries[blk.label],
+                                     live_out, got, got_moves, row_and)
+            assert {i: r for i, r in enumerate(got) if r} \
+                == {i: r for i, r in want.items() if r}, blk.label
+            assert got_moves == want_moves, blk.label
         # Lazy materialization inserts nodes in dense-id order.
         assert list(fast.adjacency) == list(fast.index.regs)
 
@@ -248,8 +259,8 @@ class TestValidateDetectsDivergence:
 @contextmanager
 def dataflow(mode: str):
     """``default`` production, ``forced`` with the vectorized size class
-    everywhere, ``validate`` with every kernel call and every patched
-    spill round checked against its oracle."""
+    everywhere, ``validate`` with every kernel call and every spill
+    round's re-analysis checked against its oracle."""
     with ExitStack() as stack:
         if mode == "forced":
             stack.enter_context(forced_matrix_branches())
@@ -289,9 +300,9 @@ class TestAllocationIdentity:
             assert runs["default"] == runs["forced"] == runs["validate"]
 
     def test_spill_rounds_identical_across_modes(self):
-        # k=4 forces multi-round allocations: the rows travel through
-        # SpillDelta translation/patching in both size classes and must
-        # match the from-scratch analyses.
+        # k=4 forces multi-round allocations: every spill round's
+        # re-analysis, in both size classes, must match the
+        # from-scratch analyses.
         profile = BenchmarkProfile(name="matrix", stmts=24, int_pool=10,
                                    max_params=2, max_call_args=2)
         saw_spill = False

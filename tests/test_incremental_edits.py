@@ -1,7 +1,7 @@
 """Edit-driven incremental re-allocation: sessions, deltas, wire path.
 
 The load-bearing property is *exactness*: every path through the
-session ladder (value-patch, struct-patch, rebuild) must produce
+session ladder (value-patch, rebuild) must produce
 byte-identical allocations to a from-scratch run.  The validate
 harness (``tests/oracles.py``: :func:`validated_incremental`) checks
 this after every edit — it rebuilds every analysis from scratch,
@@ -253,7 +253,7 @@ class TestRandomEditScripts:
                            min_size=1, max_size=4))
     def test_validate_mode_accepts_random_chains(self, profile, seed,
                                                  script):
-        """Patched analyses == rebuilt analyses, phase by phase, and the
+        """Retained analyses == rebuilt analyses, phase by phase, and the
         allocation is byte-identical — for every prefix of a random edit
         chain (validate mode raises on any divergence)."""
         base = generate_function("edit", profile, seed)
@@ -271,7 +271,7 @@ class TestRandomEditScripts:
                 assume(False)
             raise
         assert outs[0].path == "new"
-        assert all(o.path in ("value", "struct", "rebuild")
+        assert all(o.path in ("value", "rebuild")
                    for o in outs[1:])
 
     @SLOW
@@ -344,9 +344,9 @@ class TestModeAndBackendIdentity:
     def test_paths_taken(self):
         outs = run_chain(self.versions(), make_machine(12), "on")
         # const edit -> value patch; dead insert / split / redefine ->
-        # structural; final const edit -> value patch again.
+        # rebuild; final const edit -> value patch again.
         assert [o.path for o in outs] \
-            == ["new", "value", "struct", "struct", "struct", "value"]
+            == ["new", "value", "rebuild", "rebuild", "rebuild", "value"]
 
 
 #: value edits round 0 cannot see (no load base or offset moves)
@@ -777,7 +777,8 @@ class TestDeltaWirePath:
         counters = scheduler.metrics.counters
         assert counters["session_hits"] == 2
         assert counters["session_patches_value"] >= 1
-        assert counters["session_patches_struct"] >= 1
+        # The chain start and the struct edit each build from scratch.
+        assert counters["session_rebuilds"] == 2
         # The value edit started from the retained coloring.
         assert counters["session_colorings_reused"] == 1
         # Byte-identical to the full path, digest included.

@@ -1,10 +1,8 @@
-"""Structural differ: raw/renumbered classification and the rename map."""
-
-from types import SimpleNamespace
+"""Structural differ: value edits against structural changes."""
 
 from repro.ir.diff import FunctionDelta, ValueEdit, diff_functions
 from repro.ir.parser import parse_function
-from repro.ir.values import Const, VReg
+from repro.ir.values import Const
 
 
 def parse(body: str, header: str = "func f(%p0, %p1) -> value"):
@@ -32,11 +30,6 @@ class TestRawTransparent:
         delta = diff_raw(BASE)
         assert delta.identical and delta.transparent and delta.consistent
         assert not delta.value_edits
-        # Survivors expose the identity rename over the matched region.
-        base = parse(BASE)
-        v2 = base.blocks[0].instrs[0].dst
-        assert delta.rename[v2] == v2
-        assert not delta.new_vregs and not delta.deleted_vregs
 
     def test_const_inst_value(self):
         delta = diff_raw(BASE.replace("%v2 = 10", "%v2 = 99"))
@@ -87,10 +80,6 @@ class TestRawStructural:
         delta = diff_raw(new)
         assert delta.touched_blocks == {"then"}
         assert not delta.changed_edges
-        # The inserted def is fresh; %v4 lives only in the touched
-        # block, so it is conservatively dropped and rediscovered.
-        assert {r.name for r in delta.new_vregs} == {"v4", "v9"}
-        assert {r.name for r in delta.deleted_vregs} == {"v4"}
 
     def test_deletion_touches(self):
         new = BASE.replace("  store [%p1+4] = %v4\n", "")
@@ -144,81 +133,3 @@ exit:
         base = parse(BASE)
         new = parse(BASE, header="func g(%p0, %p1) -> value")
         assert not diff_functions(base, new).consistent
-
-
-class TestRenumberedPairing:
-    BASE = """entry:
-  %v2 = add %p0, %p1
-  %v3 = add %v2, 1
-  ret %v3"""
-    SHIFTED = """entry:
-  %v7 = add %p0, %p1
-  %v9 = add %v7, 1
-  ret %v9"""
-
-    def test_registers_pair_positionally(self):
-        base, new = parse(self.BASE), parse(self.SHIFTED)
-        delta = diff_functions(base, new, pair_registers=True)
-        assert delta.transparent
-        v2 = base.blocks[0].instrs[0].dst
-        v7 = new.blocks[0].instrs[0].dst
-        assert delta.rename[v2] == v7
-        assert not delta.new_vregs and not delta.deleted_vregs
-
-    def test_constant_mismatch_is_touched_not_edit(self):
-        delta = diff_functions(
-            parse(self.BASE),
-            parse(self.SHIFTED.replace("add %v7, 1", "add %v7, 2")),
-            pair_registers=True)
-        assert delta.touched_blocks == {"entry"}
-        assert not delta.value_edits
-
-    def test_non_function_rename_inconsistent(self):
-        # %v2 would need to map to both %v7 and %v8.
-        base = parse("entry:\n  %v3 = add %v2, %v2\n  ret %v3",
-                     header="func f(%v2) -> value")
-        new = parse("entry:\n  %v9 = add %v7, %v8\n  ret %v9",
-                    header="func f(%v7) -> value")
-        # Params pair v2->v7; the rhs then demands v2->v8: conflict.
-        delta = diff_functions(base, new, pair_registers=True)
-        assert not delta.consistent
-
-    def test_non_injective_rename_inconsistent(self):
-        base = parse("entry:\n  %v4 = add %v2, %v3\n  ret %v4",
-                     header="func f(%v2, %v3) -> value")
-        new = parse("entry:\n  %v9 = add %v7, %v7\n  ret %v9",
-                    header="func f(%v7, %v7) -> value")
-        delta = diff_functions(base, new, pair_registers=True)
-        assert not delta.consistent
-
-    def test_touched_block_regs_counted_deleted_and_new(self):
-        base = parse(self.BASE)
-        new = parse(self.SHIFTED.replace("%v9 = add %v7, 1",
-                                         "%v9 = mul %v7, 1"))
-        delta = diff_functions(base, new, pair_registers=True)
-        assert delta.touched_blocks == {"entry"}
-        # Nothing pairs inside a touched block, so every vreg on each
-        # side (minus the paired params) is deleted/new respectively.
-        assert {r.name for r in delta.deleted_vregs} == {"v2", "v3"}
-        assert {r.name for r in delta.new_vregs} == {"v7", "v9"}
-
-
-class TestHelpers:
-    def test_touched_fraction(self):
-        delta = FunctionDelta(touched_blocks=frozenset({"a"}),
-                              added_blocks=frozenset({"b"}))
-        assert delta.touched_fraction(4) == 0.5
-        assert delta.touched_fraction(0) == 1.0
-
-    def test_from_spill(self):
-        v1, v2, v9 = VReg(1), VReg(2), VReg(9)
-        spill = SimpleNamespace(touched_blocks={"loop"},
-                                new_vregs={v9}, deleted_vregs={v2})
-        renumbering = SimpleNamespace(
-            webs=[SimpleNamespace(original=v1, reg=VReg(0))])
-        delta = FunctionDelta.from_spill(spill, renumbering)
-        assert delta.touched_blocks == frozenset({"loop"})
-        assert delta.rename == {v1: VReg(0)}
-        assert delta.new_vregs == frozenset({v9})
-        assert delta.deleted_vregs == frozenset({v2})
-        assert not delta.changed_edges and delta.consistent
