@@ -95,6 +95,28 @@ class TestPatchEqualsRebuild:
             assert compare_analyses(carried, fresh) == []
         assert rounds >= 3, f"workload only forced {rounds} spill rounds"
 
+    def test_patch_preserves_cfg_and_loops(self):
+        machine = make_machine(8)
+        module = prepare_module(small_stress_module(), machine)
+        func = module.functions[0]
+        renumber(func)
+        analyses = compute_round_analyses(func)
+        ctx = RoundContext(
+            func=func, machine=machine, cfg=analyses.cfg,
+            loops=analyses.loops, liveness=analyses.liveness,
+            ig=analyses.ig, spill_costs=analyses.spill_costs,
+            round_index=0,
+        )
+        outcome = ChaitinAllocator().allocate_round(ctx)
+        assert outcome.spilled
+        insert_spill_code(func, outcome.spilled)
+        renumber(func, cfg=analyses.cfg)
+        patched = analyses.apply_delta(func)
+        assert patched is not None
+        # Spill code is branch-free: the very same objects are reused.
+        assert patched.cfg is analyses.cfg
+        assert patched.loops is analyses.loops
+
 
 class TestEndToEndIdentity:
     @pytest.mark.parametrize("allocator_cls",
