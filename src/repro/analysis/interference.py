@@ -16,9 +16,9 @@ index that liveness computed: one backward scan per block (over the
 pre-packed per-instruction masks of liveness's
 :class:`~repro.analysis.matrix.FunctionPack`) keeps the live set as an
 int, and each definition point ORs the whole live mask into the
-definer's adjacency row in one operation.  Rows are symmetrized at the
-end by one numpy bit-transpose, but the public dict-of-sets
-``adjacency`` stays *lazy*: the
+definer's adjacency row in one operation.  Rows are mirrored into
+symmetric ones at the end (:func:`~repro.analysis.matrix.mirror_rows`),
+but the public dict-of-sets ``adjacency`` stays *lazy*: the
 per-class coloring graphs (:func:`~repro.regalloc.igraph.build_alloc_graph`)
 read the symmetrized rows directly, so the Register-object sets are
 built exactly once — in the coloring graph — instead of once here and
@@ -54,8 +54,8 @@ class InterferenceGraph:
     Two backing representations coexist: the classic dict-of-sets
     ``adjacency`` (always available, built eagerly by the reference
     builder and by tests) and the dense bitmask form ``index`` + ``rows``
-    (a :class:`~repro.analysis.matrix.MatrixRows` of symmetrized full
-    rows keyed by dense id) the builder produces.
+    (a ``list[int]`` of symmetric full rows, indexed by dense id) the
+    builder produces.
     In the bitmask form ``adjacency`` is materialized lazily on first
     access, so the common allocation path — which projects per-class
     coloring graphs straight off the rows — never pays for the
@@ -67,13 +67,13 @@ class InterferenceGraph:
         adjacency: dict[Register, set[Register]] | None = None,
         moves: list[Move] | None = None,
         index=None,
-        rows: matrix.MatrixRows | None = None,
+        rows: list[int] | None = None,
     ):
         if adjacency is None and rows is None:
             adjacency = {}
         self._adjacency = adjacency
         self.moves = moves if moves is not None else []
-        #: dense register index / symmetrized full rows of the bitmask
+        #: dense register index / symmetric full rows of the bitmask
         #: form (None for eagerly-built graphs)
         self.index = index
         self.rows = rows
@@ -96,18 +96,9 @@ class InterferenceGraph:
         # indexed register can be absent.  Nodes are inserted in
         # dense-id order — the deterministic first-encounter order of
         # the index walk — which downstream tie-breaks depend on.
-        regs = self.index.regs
-        get = self.rows.get
-        adj: dict[Register, set[Register]] = {}
-        for i in range(len(regs)):
-            row = get(i, 0)
-            neighbors = set()
-            while row:
-                low = row & -row
-                neighbors.add(regs[low.bit_length() - 1])
-                row ^= low
-            adj[regs[i]] = neighbors
-        return adj
+        set_of = self.index.set_of
+        return {reg: set_of(row)
+                for reg, row in zip(self.index.regs, self.rows)}
 
     def nodes(self) -> list[Register]:
         if self._adjacency is None:
@@ -145,20 +136,11 @@ class InterferenceGraph:
 
         Returns None when the graph has no bitmask form.  Unlike
         :meth:`neighbors` this never materializes the full adjacency;
-        the caller owns the returned set.  Every row is decoded in one
-        vectorized batch on the first call (per-class projection touches
-        them all anyway); each call still hands out a fresh copy.
+        each call decodes the row into a fresh set the caller owns.
         """
-        rows = self.rows
-        if rows is None:
+        if self.rows is None:
             return None
-        sets = getattr(self, "_row_sets", None)
-        if sets is None:
-            sets = self._row_sets = matrix.sets_of_masks(
-                self.index, rows.masks()
-            )
-        i = self.index.ids[node]
-        return set(sets[i]) if i < len(sets) else set()
+        return self.index.set_of(self.rows[self.index.ids[node]])
 
     def ensure(self, node: Register) -> None:
         self.adjacency.setdefault(node, set())
@@ -193,10 +175,8 @@ def build_interference(
     """Build the interference graph of a phi-free, lowered function.
 
     A backward scan of each block over the liveness pack's
-    per-instruction masks accumulates one-sided rows, then one
-    bit-transpose symmetrizes them.  The graph's ``rows`` is a
-    :class:`~repro.analysis.matrix.MatrixRows` view, rows decoded
-    lazily.
+    per-instruction masks accumulates one-sided rows, which are then
+    mirrored into the graph's symmetric ``rows``.
     """
     if cfg is None:
         cfg = build_cfg(func)
@@ -222,8 +202,5 @@ def build_interference(
             matrix.scan_packed_block(entries_of[label], out_mask[label],
                                      rows, moves, row_and)
 
-    sym = matrix.symmetrize_matrix(
-        matrix.pack_masks(rows, matrix.words_for(len(index))), len(index)
-    )
     return InterferenceGraph(moves=moves, index=index,
-                             rows=matrix.MatrixRows(sym))
+                             rows=matrix.mirror_rows(rows))

@@ -11,11 +11,10 @@ must respect.
 The fixed point runs over *bitmasks*: one walk of the function
 (:func:`repro.analysis.matrix.build_pack`) gives every register a dense
 id and summarizes each block into gen (upward-exposed use) / kill (def)
-masks, and :func:`repro.analysis.matrix.solve_liveness` drives them to
-the fixed point (numpy row sweeps, or a plain int worklist on small
-functions).  The direct set-based formulation is the test oracle in
-``tests/oracles.py``; the property suite asserts the two agree
-set-for-set on randomized CFGs.
+masks, and :func:`repro.analysis.matrix.solve_liveness` drains a block
+worklist over them.  The direct set-based formulation is the test
+oracle in ``tests/oracles.py``; the property suite asserts the two
+agree set-for-set on randomized CFGs.
 """
 
 from __future__ import annotations
@@ -99,10 +98,9 @@ class LazySetsLiveness(Liveness):
 
     The allocation loop consumes only the mask tables; the set dicts
     serve SSA construction, the reference oracles, and tests, so their
-    (batched, vectorized)
-    materialization until something actually reads one — any access
-    fills all four dicts, after which they behave exactly like the
-    eagerly-built ones (same contents, same block insertion order).
+    materialization waits until something actually reads one — any
+    access fills all four dicts, after which they behave exactly like
+    the eagerly-built ones (same contents, same block insertion order).
     """
 
     live_in = _lazy_set_field("live_in")
@@ -117,27 +115,19 @@ class LazySetsLiveness(Liveness):
         if not self.__dict__.get("_pending_sets"):
             return
         self.__dict__["_pending_sets"] = False
-        labels = list(self.use_mask)
-        masks: list[int] = []
-        in_m, out_m = self.live_in_mask, self.live_out_mask
-        g_m, k_m = self.use_mask, self.defs_mask
-        for label in labels:
-            masks.append(in_m[label])
-            masks.append(out_m[label])
-            masks.append(g_m[label])
-            masks.append(k_m[label])
-        sets = matrix.sets_of_masks(self.index, masks)
+        set_of = self.index.set_of
         d = self.__dict__
         li, lo, us, df = d["_live_in"], d["_live_out"], d["_use"], d["_defs"]
-        for i, label in enumerate(labels):
-            li[label] = sets[4 * i]
-            lo[label] = sets[4 * i + 1]
-            us[label] = sets[4 * i + 2]
-            df[label] = sets[4 * i + 3]
+        in_m, out_m = self.live_in_mask, self.live_out_mask
+        for label, gen in self.use_mask.items():
+            li[label] = set_of(in_m[label])
+            lo[label] = set_of(out_m[label])
+            us[label] = set_of(gen)
+            df[label] = set_of(self.defs_mask[label])
 
 
 def compute_liveness(func: Function, cfg: CFG | None = None) -> Liveness:
-    """Block liveness: one pack walk plus the bit-matrix fixed point."""
+    """Block liveness: one pack walk plus the bitmask fixed point."""
     if cfg is None:
         cfg = build_cfg(func)
     pack = matrix.build_pack(func)

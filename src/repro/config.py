@@ -1,9 +1,8 @@
 """Runtime facts about how this process computes allocations.
 
-Every hot step has exactly one production path: numpy bit-matrix
-dataflow (with its own size-class dispatch inside
-:mod:`repro.analysis.matrix` and :mod:`repro.core.cpg`), the indexed
-simplify/select engines, self-contained codec wire jobs for pool
+Every hot step has exactly one production path: int-bitmask dataflow
+kernels (:mod:`repro.analysis.matrix` and :mod:`repro.core.cpg`), the
+indexed simplify/select engines, self-contained codec wire jobs for pool
 dispatch, and a from-scratch re-analysis for every spill round and
 structural edit.  Each is checked against an independent oracle in
 ``tests/oracles.py``: the set-based liveness and interference
@@ -18,9 +17,10 @@ path folded in by
 configuration lives in ``AllocationOptions`` and
 :class:`repro.policy.Policy`.
 
-:func:`runtime_knobs` reports backend facts for benchmark records;
-:func:`knob_env_snapshot` is kept for callers that refuse to run with
-strategy variables set, and is always empty.
+:func:`runtime_knobs` is kept for the benchmark records that stamp it,
+and :func:`knob_env_snapshot` for callers that refuse to run with
+strategy variables set; both are always empty.  The package needs
+nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -35,11 +35,6 @@ def knob_env_snapshot(environ=None) -> dict[str, str]:
 
 
 def runtime_knobs() -> dict:
-    """JSON-safe backend facts of this process (the numpy version).
-
-    Reads no environment variable; imports numpy (a required
-    dependency) only when called.
-    """
-    from repro.analysis.matrix import numpy_version
-
-    return {"numpy": numpy_version()}
+    """JSON-safe backend facts of this process: none, since every
+    kernel is pure Python with no optional backend."""
+    return {}

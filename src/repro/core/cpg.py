@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
-from repro.analysis import matrix
 from repro.errors import AllocationError
 from repro.ir.values import VReg
 from repro.profiling import phase
@@ -40,12 +40,6 @@ from repro.regalloc.igraph import AllocGraph
 from repro.regalloc.simplify import SimplifyResult
 
 __all__ = ["ColoringPrecedenceGraph", "build_cpg"]
-
-#: Below this many WIG nodes the replay keeps its reachability rows as
-#: scalar Python ints — per-call numpy overhead beats word-parallelism
-#: on masks this small.  Tests force 0 to drive the batched branch on
-#: small graphs.
-MATRIX_MIN_NODES = 192
 
 TOP = "top"
 BOTTOM = "bottom"
@@ -210,28 +204,31 @@ def _wig_rows_usable(graph: AllocGraph, wig_adjacency) -> bool:
     )
 
 
-def _wig_rows_matrix(graph: AllocGraph, wig_adjacency):
-    """:func:`_wig_rows` read straight off the packed interference rows.
+def _wig_rows_gathered(graph: AllocGraph, wig_adjacency):
+    """:func:`_wig_rows` read straight off the interference rows.
 
-    One gather + bit-transpose replaces the per-neighbor Python encode
-    loop: the class sub-matrix is unpacked to bits, the WIG nodes'
-    columns gathered in dense-id order, and the result repacked into one
-    int row per node.  Valid only under :func:`_wig_rows_usable`.
+    Each WIG node's local row is its global row's bits at the WIG
+    nodes' dense ids: one ``itemgetter`` call picks those binary digits
+    and ``int(..., 2)`` parses them back, so no Python loop runs per
+    neighbor.  Valid only under :func:`_wig_rows_usable`.
     """
-    np = matrix._numpy()
     index = graph.source_index
+    rows = graph.source_rows
     ids = index.ids
     nodes: list[VReg] = sorted(wig_adjacency, key=lambda v: v.id)
     idx = {node: i for i, node in enumerate(nodes)}
     gids = [ids[node] for node in nodes]
-    sub = graph.source_rows.matrix[gids]
-    bits = np.unpackbits(sub.view(np.uint8), axis=1, bitorder="little")
-    packed = np.packbits(bits[:, gids], axis=1, bitorder="little")
-    adj = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    n = len(rows)
+    width = f"0{n}b"
+    # format(row, width) puts global bit g at digit n-1-g; the local
+    # row's digits, most significant first, are the WIG nodes reversed.
+    pick = itemgetter(*[n - 1 - g for g in reversed(gids)])
+    join = "".join
+    adj = [int(join(pick(format(rows[g], width))), 2) for g in gids]
     # Interference rows never cross classes, so masking with the global
     # preg bits counts exactly this class's precolored neighbors.
-    preg_row = matrix.pack_masks([index.preg_mask], sub.shape[1])[0]
-    preg_deg = matrix.popcount_rows(sub & preg_row).tolist()
+    preg_mask = index.preg_mask
+    preg_deg = [(rows[g] & preg_mask).bit_count() for g in gids]
     return nodes, idx, adj, preg_deg
 
 
@@ -254,17 +251,13 @@ def build_cpg(
     WIG) never gains another successor.  Structural work is
     deduplicated with a created-node bitmask and edges go in with
     direct set operations, with the edge version counter settled once
-    at the end.  At :data:`MATRIX_MIN_NODES` and above, reachability
-    rows live in one numpy ``uint64`` matrix: the step-7 tests of a pop
-    become one gathered column read, the closure update one batched
-    row-OR (``R[sel] |= R[pi]``), and the step-4/step-8 degree counts
-    batched popcounts; below the threshold the same loop keeps scalar
-    int rows.  The scalar replay the tests check this against lives in
+    at the end.  The plain replay the tests check this against, with
+    every edge through ``add_edge``/``remove_edge``, lives in
     ``tests/oracles.py``.
     """
     k = graph.k
     if _wig_rows_usable(graph, wig_adjacency):
-        nodes, idx, adj, preg_deg = _wig_rows_matrix(graph, wig_adjacency)
+        nodes, idx, adj, preg_deg = _wig_rows_gathered(graph, wig_adjacency)
     else:
         nodes, idx, adj, preg_deg = _wig_rows(graph, wig_adjacency)
     n = len(nodes)
@@ -285,27 +278,13 @@ def build_cpg(
     has_bottom = 0
     edge_ops = 0
     optimistic = simplification.optimistic
-
-    use_np = n >= MATRIX_MIN_NODES
-    if use_np:
-        np = matrix._numpy()
-        words = matrix.words_for(n + 1)
-        adj_m = matrix.pack_masks(adj, words)
-        pd = np.asarray(preg_deg, dtype=np.int64)
-        low0 = matrix.popcount_rows(adj_m) + pd < k
-        reach_m = np.zeros((n, words), dtype=np.uint64)
-        alive_row = matrix.pack_masks([alive], words)[0]
-        bword, bbit = divmod(n, 64)
-        bottom_bit64 = np.uint64(1 << bbit)
-        word_mask = (1 << 64) - 1
-    else:
-        reach = [0] * n
+    #: per-node mask of CPG-reachable nodes (dense ids plus the bottom bit)
+    reach = [0] * n
 
     # Step 4: initial low-degree nodes point at bottom and are ready;
     # potential-spill nodes point at bottom but are not ready.
     for i, node in enumerate(nodes):
-        low = (bool(low0[i]) if use_np
-               else adj[i].bit_count() + preg_deg[i] < k)
+        low = adj[i].bit_count() + preg_deg[i] < k
         if low or node in optimistic:
             succs[node] = {BOTTOM}
             preds[node] = set()
@@ -315,10 +294,7 @@ def build_cpg(
             has_bottom |= 1 << i
             if low:
                 ready |= 1 << i
-            if use_np:
-                reach_m[i, bword] = bottom_bit64
-            else:
-                reach[i] |= bottom_bit
+            reach[i] |= bottom_bit
 
     # Steps 5-9: replay removals in simplification order.
     with phase("closure"):
@@ -336,9 +312,6 @@ def build_cpg(
                 )
             popped_bit = 1 << pi
             alive &= ~popped_bit
-            if use_np:
-                wp, bp = divmod(pi, 64)
-                alive_row[wp] &= np.uint64(~(1 << bp) & word_mask)
             neighbors = adj[pi] & alive
             # Ensure only genuinely new nodes (ensured == created: every
             # ensured node was created at the same step), ascending.
@@ -358,60 +331,26 @@ def build_cpg(
                 edge_ops += 1
                 continue
             preds_popped = preds[popped]
-            if use_np:
-                pending = []
-                rest = non_ready
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    pending.append(low.bit_length() - 1)
-                wis = np.asarray(pending, dtype=np.intp)
-                pbit64 = np.uint64(1 << bp)
-                # Step 7 transitivity tests, one gathered column read.
-                sel = wis[(reach_m[wis, wp] & pbit64) == 0]
-                popped_to_bottom = bool(reach_m[pi, bword] & bottom_bit64)
-                for wi in sel:
-                    wi = int(wi)
+            popped_reach = reach[pi] | popped_bit
+            popped_to_bottom = reach[pi] & bottom_bit
+            rest = non_ready
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                wi = low.bit_length() - 1
+                if not reach[wi] & popped_bit:
                     w = nodes[wi]
                     succs[w].add(popped)
                     preds_popped.add(w)
                     edge_ops += 1
-                    if popped_to_bottom and (has_bottom >> wi) & 1:
+                    reach[wi] |= popped_reach
+                    if popped_to_bottom and has_bottom & low:
                         succs[w].discard(BOTTOM)
                         bottom_preds.discard(w)
-                        has_bottom &= ~(1 << wi)
+                        has_bottom &= ~low
                         edge_ops += 1
-                if sel.size:
-                    reach_m[sel] |= reach_m[pi]
-                    reach_m[sel, wp] |= pbit64
-                # Step 8: batched recount of the touched neighbors.
-                low_now = (
-                    matrix.popcount_rows(adj_m[wis] & alive_row) + pd[wis]
-                    < k
-                )
-                for wi in wis[low_now]:
-                    ready |= 1 << int(wi)
-            else:
-                popped_reach = reach[pi] | popped_bit
-                popped_to_bottom = reach[pi] & bottom_bit
-                rest = non_ready
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    wi = low.bit_length() - 1
-                    if not reach[wi] & popped_bit:
-                        w = nodes[wi]
-                        succs[w].add(popped)
-                        preds_popped.add(w)
-                        edge_ops += 1
-                        reach[wi] |= popped_reach
-                        if popped_to_bottom and has_bottom & low:
-                            succs[w].discard(BOTTOM)
-                            bottom_preds.discard(w)
-                            has_bottom &= ~low
-                            edge_ops += 1
-                    if (adj[wi] & alive).bit_count() + preg_deg[wi] < k:
-                        ready |= low
+                if (adj[wi] & alive).bit_count() + preg_deg[wi] < k:
+                    ready |= low
 
     cpg._version = edge_ops
     return cpg

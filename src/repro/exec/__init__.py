@@ -2,9 +2,9 @@
 
 ``repro.exec`` is the single process-pool layer behind
 ``allocate_module(jobs=N)`` and the service scheduler: long-lived
-workers with warm round-0 analysis caches, heartbeat health checks,
-automatic respawn, bounded retry-with-backoff, and hard deadline kills
-(:mod:`repro.exec.pool`), plus a deterministic fault-injection layer
+workers, heartbeat health checks, automatic respawn, bounded
+retry-with-backoff, and hard deadline kills (:mod:`repro.exec.pool`),
+plus a deterministic fault-injection layer
 (:mod:`repro.exec.faults`) used by the resilience tests in
 ``tests/test_exec_pool.py``.
 """

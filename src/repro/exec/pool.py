@@ -2,11 +2,10 @@
 
 The execution backend behind ``allocate_module(jobs=N)`` and the
 service scheduler.  Unlike a per-call ``ProcessPoolExecutor``, the pool
-is long-lived: worker processes stay warm across batches (each keeps a
-content-addressed round-0 analysis cache, see
-:mod:`repro.exec.alloctask`), and the pool survives the worst-case
-behavior the spill-everywhere complexity results promise — a crashed
-worker, a wedged worker, a poisoned job:
+is long-lived: worker processes stay up across batches (each keeps the
+wire's decode and object caches, see :mod:`repro.exec.wire`), and the
+pool survives the worst-case behavior the spill-everywhere complexity
+results promise — a crashed worker, a wedged worker, a poisoned job:
 
 * **isolation** — every worker has its own inbox/outbox queue pair, so
   a worker killed mid-write can only corrupt its *own* channel, which
@@ -115,24 +114,27 @@ def resolve_task(spec):
 
 
 def _worker_main(slot: int, inbox, outbox, beats, task_spec,
-                 fault_plan: FaultPlan | None, heartbeat_s: float) -> None:
+                 fault_plan: FaultPlan | None, heartbeat_s: float,
+                 owner: int) -> None:
     """Worker loop: heartbeat, pull a job, run it, push the result.
 
-    A worker whose parent died without shutting the pool down (its
-    parent pid changed) returns at its next idle tick, so a killed
-    server does not leave its workers running.  Messages are
-    pre-pickled here so a value the task produced that cannot cross
-    the process boundary turns into an ``err`` message instead of
-    silently wedging the queue's feeder thread.
+    ``owner`` is the pid of the process that spawned the worker, taken
+    there rather than read here: a worker whose owner is killed while
+    it is still importing its task would otherwise record its adoptive
+    parent as the owner.  A worker whose parent is no longer ``owner``
+    (the owner died without shutting the pool down) returns at its next
+    idle tick, so a killed server does not leave its workers running.
+    Messages are pre-pickled here so a value the task produced that
+    cannot cross the process boundary turns into an ``err`` message
+    instead of silently wedging the queue's feeder thread.
     """
     task = resolve_task(task_spec)
-    parent = os.getppid()
     beats[slot] = time.time()
     while True:
         try:
             item = inbox.get(timeout=heartbeat_s)
         except queue.Empty:
-            if os.getppid() != parent:
+            if os.getppid() != owner:
                 # Orphaned: the parent died without a clean shutdown
                 # (SIGTERM, SIGKILL), which daemonic workers never see.
                 return
@@ -320,7 +322,8 @@ class WorkerPool:
         slot.process = self._ctx.Process(
             target=_worker_main,
             args=(slot.index, slot.inbox, slot.outbox, self._beats,
-                  self.task, self.fault_plan, self.heartbeat_s),
+                  self.task, self.fault_plan, self.heartbeat_s,
+                  os.getpid()),
             name=f"repro-worker-{slot.index}",
             daemon=True,
         )

@@ -12,9 +12,9 @@ Workers decode each function digest once into a bounded LRU and hand
 out private :func:`~repro.ir.clone.clone_function` copies (allocation
 mutates in place), which are byte-identical to an unpickled copy
 because the codec round-trips ``print_function`` text exactly.  The
-allocation task asks for a copy (:func:`job_function`) only when its
-round-0 cache misses; :func:`resolve_objects` reads the rest of a job
-without decoding the function.  Machines, allocators and
+allocation task takes its copy with :func:`job_function`;
+:func:`resolve_objects` reads the rest of a job without decoding the
+function.  Machines, allocators and
 options are read-only across jobs (the serial path already shares one
 instance for a whole module sweep), so workers cache them by digest
 and unpickle each once.  The tests check decoded functions against the
@@ -227,15 +227,13 @@ def _checked(payload) -> tuple:
 
 
 def resolve_objects(payload):
-    """A wire control tuple's ``(machine, allocator, options)`` plus
-    the content digests the round-0 cache keys on, without decoding
-    its function."""
-    (_tag, func_digest, machine_digest, alloc_digest, options_digest,
+    """A wire control tuple's ``(machine, allocator, options)``, without
+    decoding its function."""
+    (_tag, _func_digest, machine_digest, alloc_digest, options_digest,
      blobs) = _checked(payload)
     return (_object_for(machine_digest, blobs),
             _object_for(alloc_digest, blobs),
-            _object_for(options_digest, blobs),
-            func_digest, machine_digest)
+            _object_for(options_digest, blobs))
 
 
 def job_function(payload):

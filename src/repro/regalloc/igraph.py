@@ -56,11 +56,11 @@ class AllocGraph:
     #: low-degree crossings are event-driven instead of rescans (see
     #: ``repro.regalloc.worklist``).
     degree_listener: object | None = field(default=None, repr=False)
-    #: when built from a bitmask-form interference graph, the packed
-    #: uint64 rows and dense index it was projected from.  Consumers
-    #: (the CPG replay) may read adjacency straight from these rows as
-    #: long as ``adj_pristine`` still holds.
-    source_rows: object | None = field(default=None, repr=False)
+    #: when built from a bitmask-form interference graph, the symmetric
+    #: int rows and dense index it was projected from.  Consumers (the
+    #: CPG replay) may read adjacency straight from these rows as long
+    #: as ``adj_pristine`` still holds.
+    source_rows: list[int] | None = field(default=None, repr=False)
     source_index: object | None = field(default=None, repr=False)
     #: vreg count at build time (``adj`` rows match ``source_rows`` only
     #: while no edge has been added or node coalesced since then; plain

@@ -30,9 +30,7 @@ reference into a real allocation run:
 * ``scan_select`` and ``scratch_rounds`` replace the production
   engine with the oracle, for whole-run identity comparisons
   (``scratch_rounds`` rebuilds each spill round's CFG and loop nest
-  instead of carrying them over);
-* ``forced_matrix_branches`` runs the vectorized kernel size class on
-  every function, however small.
+  instead of carrying them over).
 """
 
 from __future__ import annotations
@@ -740,19 +738,6 @@ def validate_select():
         stack.enter_context(mock.patch.object(
             core_allocator, "PreferenceSelector",
             CheckedPreferenceSelector))
-        yield
-
-
-@contextmanager
-def forced_matrix_branches():
-    """Drop both kernel size thresholds so the vectorized branches
-    engage on every function, however small."""
-    from repro.analysis import matrix
-    from repro.core import cpg
-
-    with ExitStack() as stack:
-        stack.enter_context(mock.patch.object(matrix, "MATRIX_MIN_CELLS", 0))
-        stack.enter_context(mock.patch.object(cpg, "MATRIX_MIN_NODES", 0))
         yield
 
 

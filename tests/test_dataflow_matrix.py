@@ -1,14 +1,13 @@
-"""The numpy bit-matrix dataflow kernels vs the oracles.
+"""The int-bitmask dataflow kernels vs the oracles.
 
 Liveness, interference and the CPG replay each have one production
-path (:mod:`repro.analysis.matrix`, :mod:`repro.core.cpg`) with a
-size-class dispatch inside.  These tests pin them to the oracles in
-``tests/oracles.py`` — the set-based liveness and interference
-references and the scalar CPG replay — on random programs, force the
-vectorized branches that small functions normally stay below, prove
-the validate harness detects an injected divergence in each of the
-three kernels, and check whole allocations are identical across size
-classes and under the harness.  numpy itself is imported lazily.
+path (:mod:`repro.analysis.matrix`, :mod:`repro.core.cpg`).  These
+tests pin them to the oracles in ``tests/oracles.py`` — the set-based
+liveness and interference references and the plain CPG replay — on
+random programs, prove the validate harness detects an injected
+divergence in each of the three kernels, check whole allocations are
+identical under the harness, and check a full allocation runs on the
+standard library alone (numpy is never imported).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from oracles import (
     compare_interference,
     compare_liveness,
     compute_liveness_reference,
-    forced_matrix_branches,
     scan_block_rows,
     validate_dataflow,
     validate_rounds,
@@ -95,16 +93,6 @@ class TestLivenessBackends:
         func, _ = _prepared(profile, seed)
         _assert_liveness_matches_reference(func)
 
-    @SLOW
-    @given(profile=profiles, seed=st.integers(0, 10_000))
-    def test_forced_matrix_sweeps_match_reference(self, profile, seed):
-        # Below MATRIX_MIN_CELLS the kernel keeps the int worklist
-        # schedule; force the row-sweep branch so it is the thing being
-        # compared.
-        func, _ = _prepared(profile, seed)
-        with forced_matrix_branches():
-            _assert_liveness_matches_reference(func)
-
 
 class TestInterferenceBackends:
     @SLOW
@@ -162,7 +150,7 @@ class TestCPGBackends:
                 if not cpg_mod._wig_rows_usable(graph, wig):
                     continue
                 checked += 1
-                assert cpg_mod._wig_rows_matrix(graph, wig) \
+                assert cpg_mod._wig_rows_gathered(graph, wig) \
                     == cpg_mod._wig_rows(graph, wig)
         assert checked, "fast path never engaged"
 
@@ -180,7 +168,7 @@ class TestCPGBackends:
         graph.add_edge(*pair[0])
         assert not cpg_mod._wig_rows_usable(graph, wig)
 
-    def test_forced_matrix_closure_matches_int(self):
+    def test_closure_matches_int(self):
         profile = BenchmarkProfile(name="matrix", stmts=24, int_pool=8,
                                    branch_prob=0.2, loop_prob=0.2,
                                    max_params=2, max_call_args=2)
@@ -190,9 +178,6 @@ class TestCPGBackends:
                 want = build_cpg_int(graph, wig, simp)
                 assert compare_cpgs(cpg_mod.build_cpg(graph, wig, simp),
                                     want) == []
-                with forced_matrix_branches():
-                    got = cpg_mod.build_cpg(graph, wig, simp)
-                assert compare_cpgs(got, want) == []
 
 
 class TestValidateDetectsDivergence:
@@ -227,21 +212,21 @@ class TestValidateDetectsDivergence:
 
     def test_corrupted_interference_matrix(self, monkeypatch):
         func, machine = self._func()
-        real = matrix.symmetrize_matrix
+        real = matrix.mirror_rows
 
-        def corrupted(m, n_bits):
-            sym = real(m, n_bits)
-            if sym.shape[0]:
-                sym[0, 0] ^= matrix._numpy().uint64(1)
+        def corrupted(rows):
+            sym = real(rows)
+            if sym:
+                sym[0] ^= 1  # register 0 now interferes with itself
             return sym
 
-        monkeypatch.setattr(matrix, "symmetrize_matrix", corrupted)
+        monkeypatch.setattr(matrix, "mirror_rows", corrupted)
         with pytest.raises(OracleMismatch, match="interference"):
             self._allocate(func, machine)
 
     def test_corrupted_cpg_reachability(self, monkeypatch):
         func, machine = self._func()
-        real = cpg_mod._wig_rows_matrix
+        real = cpg_mod._wig_rows_gathered
 
         def corrupted(graph, wig):
             nodes, idx, adj, preg_deg = real(graph, wig)
@@ -251,26 +236,23 @@ class TestValidateDetectsDivergence:
             assert any(adj), "test function's WIG has no edges"
             return nodes, idx, [0] * len(adj), preg_deg
 
-        monkeypatch.setattr(cpg_mod, "_wig_rows_matrix", corrupted)
+        monkeypatch.setattr(cpg_mod, "_wig_rows_gathered", corrupted)
         with pytest.raises(OracleMismatch, match="CPG"):
             self._allocate(func, machine)
 
 
 @contextmanager
 def dataflow(mode: str):
-    """``default`` production, ``forced`` with the vectorized size class
-    everywhere, ``validate`` with every kernel call and every spill
-    round's re-analysis checked against its oracle."""
+    """``default`` production, ``validate`` with every kernel call and
+    every spill round's re-analysis checked against its oracle."""
     with ExitStack() as stack:
-        if mode == "forced":
-            stack.enter_context(forced_matrix_branches())
-        elif mode == "validate":
+        if mode == "validate":
             stack.enter_context(validate_dataflow())
             stack.enter_context(validate_rounds())
         yield
 
 
-MODES = ("default", "forced", "validate")
+MODES = ("default", "validate")
 
 
 class TestAllocationIdentity:
@@ -297,12 +279,11 @@ class TestAllocationIdentity:
                     runs[mode] = self._fingerprint(
                         func, machine, PreferenceDirectedAllocator
                     )
-            assert runs["default"] == runs["forced"] == runs["validate"]
+            assert runs["default"] == runs["validate"]
 
     def test_spill_rounds_identical_across_modes(self):
         # k=4 forces multi-round allocations: every spill round's
-        # re-analysis, in both size classes, must match the
-        # from-scratch analyses.
+        # re-analysis must match the from-scratch analyses.
         profile = BenchmarkProfile(name="matrix", stmts=24, int_pool=10,
                                    max_params=2, max_call_args=2)
         saw_spill = False
@@ -319,36 +300,36 @@ class TestAllocationIdentity:
                         if "pressure cannot be met" not in str(err):
                             raise
                         runs[mode] = ("pressure-error", str(err))
-            assert runs["default"] == runs["forced"] == runs["validate"]
+            assert runs["default"] == runs["validate"]
             if runs["default"][0] != "pressure-error" \
                     and runs["default"][1][4] > 1:
                 saw_spill = True
         assert saw_spill, "no workload actually spilled"
 
 
-class TestNumpyImport:
-    def _run(self, code: str) -> str:
+class TestNoNumpy:
+    def test_allocation_never_imports_numpy(self):
+        # The kernels are pure Python: allocating a suite module with
+        # every allocator, with the dataflow sets materialized and the
+        # cycle estimate run, must leave numpy unimported.
+        code = (
+            "import sys\n"
+            "from repro.pipeline import allocate_module, prepare_module\n"
+            "from repro.service.scheduler import ALLOCATOR_FACTORIES\n"
+            "from repro.target.presets import make_machine\n"
+            "from repro.workloads import make_benchmark\n"
+            "machine = make_machine(16)\n"
+            "prepared = prepare_module(make_benchmark('db'), machine)\n"
+            "for name in sorted(ALLOCATOR_FACTORIES):\n"
+            "    allocate_module(prepared, machine,\n"
+            "                    ALLOCATOR_FACTORIES[name]())\n"
+            "print(len(ALLOCATOR_FACTORIES), 'numpy' in sys.modules)\n"
+        )
         env = {**os.environ, "PYTHONPATH": _src_path()}
         out = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True, check=True,
                              env=env)
-        return out.stdout.strip()
-
-    def test_pipeline_import_leaves_numpy_unloaded(self):
-        # Cold start stays lean: numpy is imported on the first kernel
-        # call, not when the pipeline is imported.
-        assert self._run(
-            "import sys\n"
-            "import repro.pipeline, repro.core, repro.regalloc, "
-            "repro.target.presets\n"
-            "print('numpy' in sys.modules)") == "False"
-
-    def test_first_kernel_call_imports_numpy(self):
-        assert self._run(
-            "import sys\n"
-            "from repro.analysis import matrix\n"
-            "matrix.popcount_rows(matrix.pack_masks([3], 1))\n"
-            "print('numpy' in sys.modules)") == "True"
+        assert out.stdout.split() == ["8", "False"]
 
 
 def _src_path() -> str:

@@ -16,9 +16,11 @@ timing races to produce a failure.
 from __future__ import annotations
 
 import os
+import queue
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -37,7 +39,7 @@ from repro.exec import (
     WorkerPool,
     WorkerPoolUnavailable,
 )
-from repro.exec.pool import resolve_task
+from repro.exec.pool import _worker_main, resolve_task
 from repro.ir.parser import parse_module
 from repro.pipeline import allocate_module, prepare_module
 from repro.regalloc import AllocationOptions
@@ -280,6 +282,20 @@ class TestOrphanedWorkers:
             owner.kill()
             owner.wait()
             owner.stdout.close()
+
+    def test_worker_checks_the_owner_it_was_given(self):
+        # The owner pid comes from the spawning process, not from the
+        # worker's own getppid() after its task import: a worker whose
+        # parent is not the owner it was handed is orphaned and must
+        # return at its first idle tick.
+        beats = [0.0]
+        worker = threading.Thread(target=_worker_main, args=(
+            0, queue.Queue(), queue.Queue(), beats, "builtins:len",
+            None, 0.01, os.getpid()), daemon=True)
+        worker.start()
+        worker.join(timeout=5.0)
+        assert not worker.is_alive()
+        assert beats[0] > 0.0
 
 
 # ----------------------------------------------------------------------

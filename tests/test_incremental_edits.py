@@ -19,7 +19,6 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from oracles import (
     OracleMismatch,
-    forced_matrix_branches,
     scratch_incremental,
     validated_incremental,
 )
@@ -306,7 +305,7 @@ class TestRandomEditScripts:
 
 
 class TestModeAndBackendIdentity:
-    """One deterministic chain, every mode x dataflow size class."""
+    """One deterministic chain through every session mode."""
 
     def versions(self):
         profile = BenchmarkProfile(name="edit", stmts=24, int_pool=6,
@@ -325,21 +324,13 @@ class TestModeAndBackendIdentity:
         return versions
 
     def test_identical_across_modes_and_backends(self):
-        from contextlib import nullcontext
-
         machine = make_machine(12)
         versions = self.versions()
-        runs = {}
-        for size_class, kernels in (("default", nullcontext),
-                                    ("forced", forced_matrix_branches)):
-            with kernels():
-                for mode in ("off", "on", "validate"):
-                    outs = run_chain(versions, machine, mode)
-                    runs[(size_class, mode)] = [
-                        print_function(o.result.func) for o in outs]
-        want = runs[("default", "off")]
-        for key, got in runs.items():
-            assert got == want, f"{key} diverged from (default, off)"
+        runs = {mode: [print_function(o.result.func)
+                       for o in run_chain(versions, machine, mode)]
+                for mode in ("off", "on", "validate")}
+        for mode, got in runs.items():
+            assert got == runs["off"], f"{mode} diverged from off"
 
     def test_paths_taken(self):
         outs = run_chain(self.versions(), make_machine(12), "on")

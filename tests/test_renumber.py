@@ -200,11 +200,12 @@ def _record(result, cycles) -> tuple:
 
 class TestRenumberOnce:
     """A cold allocation renumbers each prepared function once, plus
-    once per spill round: the serial path and the pool task allocate a
-    clone of their cached renumbered reference instead of renumbering
-    the working clone again.  Either way the result equals the oracle
-    path, which renumbers a plain clone of the prepared function inside
-    ``allocate_function``."""
+    once per spill round: the serial path allocates a clone of its
+    cached renumbered reference instead of renumbering the working
+    clone again, and the pool task renumbers its private decoded copy
+    inside ``allocate_function``.  Either way the result equals the
+    oracle path, which renumbers a plain clone of the prepared function
+    inside ``allocate_function``."""
 
     @pytest.fixture
     def renumbers(self, monkeypatch):
@@ -241,11 +242,9 @@ class TestRenumberOnce:
             assert len(renumbers) == run.results[0].stats.rounds
             assert _record(run.results[0], run.cycles) == want
 
-            alloctask.clear_round0_cache()
             renumbers.clear()
             got = alloctask.run_alloc_job(
                 wire.pack_job((func, machine, allocator, options)))
             assert len(renumbers) == got[0].stats.rounds
             assert _record(*got) == want
-        alloctask.clear_round0_cache()
         assert spilled or machine.k(RegClass.INT) == 24

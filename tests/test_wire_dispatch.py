@@ -14,7 +14,7 @@ import pytest
 from oracles import OracleMismatch, check_wire_jobs
 from repro.config import knob_env_snapshot, runtime_knobs
 from repro.errors import CodecError
-from repro.exec import alloctask, wire
+from repro.exec import wire
 from repro.exec.alloctask import run_alloc_job
 from repro.exec.pool import WorkerPool
 from repro.ir.codec import function_digest
@@ -66,23 +66,8 @@ class TestKnob:
     def test_runtime_knobs_surface(self, monkeypatch):
         monkeypatch.setenv("REPRO_WIRE", "pickle")
         monkeypatch.setenv("REPRO_ROUND0_CACHE", "17")
-        import numpy
-
-        assert runtime_knobs() == {"numpy": numpy.__version__}
+        assert runtime_knobs() == {}
         assert knob_env_snapshot() == {}
-
-    def test_round0_cache_knob(self, monkeypatch):
-        # The round-0 LRU bound is the constant 64, whatever the
-        # retired REPRO_ROUND0_CACHE variable says.
-        monkeypatch.setenv("REPRO_ROUND0_CACHE", "1")
-        alloctask.clear_round0_cache()
-        try:
-            for job in pack(small_payloads(n=3)):
-                run_alloc_job(job)
-            assert alloctask.ROUND0_CACHE_MAX == 64
-            assert alloctask.round0_cache_info()["entries"] == 3
-        finally:
-            alloctask.clear_round0_cache()
 
 
 class TestPackBatch:
@@ -103,12 +88,11 @@ class TestPackBatch:
             # Each job carries exactly its own four blobs.
             assert set(job[5]) == set(job[1:5])
             rfunc = wire.job_function(job)
-            rmachine, rallocator, roptions, fdig, mdig = \
-                wire.resolve_objects(job)
+            rmachine, rallocator, roptions = wire.resolve_objects(job)
             assert print_function(rfunc) == print_function(func)
             assert rfunc is not func  # private clone per job
-            assert fdig == function_digest(func)
-            assert mdig == wire.machine_content_digest(machine)
+            assert job[1] == function_digest(func)
+            assert job[2] == wire.machine_content_digest(machine)
             assert roptions.verify == options.verify
             assert type(rallocator) is type(allocator)
 
@@ -178,22 +162,18 @@ class TestPoolIdentity:
                   for p in payloads]
         assert self.run_pool(payloads) == serial
 
-    def test_round0_hit_allocates_like_the_cold_job(self):
-        """A warm job allocates a clone of the cached renumbered
-        reference; the reference itself must come out untouched."""
-        alloctask.clear_round0_cache()
-        try:
-            for payload in small_payloads(n=3):
-                job = wire.pack_job(payload)
-                cold, warm = run_alloc_job(job), run_alloc_job(job)
-                assert print_function(cold[0].func) == \
-                    print_function(warm[0].func)
-                assert stats_to_dict(cold[0].stats) == \
-                    stats_to_dict(warm[0].stats)
-                assert cold[1].total == warm[1].total
-            assert alloctask.round0_cache_info()["hits"] == 3
-        finally:
-            alloctask.clear_round0_cache()
+    def test_repeated_job_allocates_like_the_first(self):
+        """A repeated job allocates a clone of the cached decoded
+        function; the cached function itself must come out untouched."""
+        for payload in small_payloads(n=3):
+            job = wire.pack_job(payload)
+            first, again = run_alloc_job(job), run_alloc_job(job)
+            assert print_function(first[0].func) == \
+                print_function(again[0].func)
+            assert stats_to_dict(first[0].stats) == \
+                stats_to_dict(again[0].stats)
+            assert first[1].total == again[1].total
+        assert wire.decode_cache_info()["hits"] == 3
 
     def test_run_alloc_job_accepts_both_shapes(self):
         """Of the two payload shapes the task now takes only one: a
