@@ -2,13 +2,13 @@
 
 Every hot step has exactly one production path: int-bitmask dataflow
 kernels (:mod:`repro.analysis.matrix` and :mod:`repro.core.cpg`), the
-indexed simplify/select engines, self-contained codec wire jobs for pool
+indexed simplify/select engines, one pickled job per function for pool
 dispatch, and a from-scratch re-analysis for every spill round and
 structural edit.  Each is checked against an independent oracle in
 ``tests/oracles.py``: the set-based liveness and interference
 references, the scalar CPG replay, the scan simplify/select engines,
 the full re-analysis (CFG included) and the from-scratch allocation of
-an edited function, and the shipped function for the wire.
+an edited function.  Pool results are compared with the serial path.
 
 No implementation strategy is configurable.  The only environment
 variable the library consults is ``REPRO_CACHE_DIR``, a deployment

@@ -19,7 +19,6 @@ __all__ = [
     "SimulationError",
     "TargetError",
     "ServiceError",
-    "CodecError",
 ]
 
 
@@ -68,14 +67,3 @@ class TargetError(ReproError):
 class ServiceError(ReproError):
     """Raised by the allocation service on bad requests or overload."""
 
-
-class CodecError(ServiceError):
-    """Raised by the binary IR codec on unencodable IR or a blob that is
-    truncated, corrupted, or from an unknown format version.
-
-    Decoding never produces garbage IR: any structural or integrity
-    violation surfaces as this error.  It lives in the service family
-    because blobs cross process boundaries on the service's behalf
-    (worker dispatch, cache shipping), where a torn read is an
-    operational fault, not an IR authoring bug.
-    """

@@ -2,10 +2,10 @@
 
 The execution backend behind ``allocate_module(jobs=N)`` and the
 service scheduler.  Unlike a per-call ``ProcessPoolExecutor``, the pool
-is long-lived: worker processes stay up across batches (each keeps the
-wire's decode and object caches, see :mod:`repro.exec.wire`), and the
-pool survives the worst-case behavior the spill-everywhere complexity
-results promise — a crashed worker, a wedged worker, a poisoned job:
+is long-lived: worker processes stay up across batches and pay their
+imports once, and the pool survives the worst-case behavior the
+spill-everywhere complexity results promise — a crashed worker, a
+wedged worker, a poisoned job:
 
 * **isolation** — every worker has its own inbox/outbox queue pair, so
   a worker killed mid-write can only corrupt its *own* channel, which
@@ -27,9 +27,9 @@ results promise — a crashed worker, a wedged worker, a poisoned job:
 
 The pool is task-agnostic: it pickles each payload onto a worker's
 inbox and hands it to the task unchanged.  The allocation task
-(:data:`DEFAULT_TASK`) takes self-contained wire jobs, which
-:func:`repro.pipeline._pool_results` packs before calling
-:meth:`WorkerPool.run_batch`.
+(:data:`DEFAULT_TASK`) takes one pickled ``(func, machine, allocator,
+options)`` tuple as bytes, which :func:`repro.pipeline._pool_results`
+pickles in the calling thread before :meth:`WorkerPool.run_batch`.
 
 Failure kinds a :class:`JobResult` can carry:
 

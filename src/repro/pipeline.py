@@ -23,13 +23,13 @@ Two throughput levers, both result-neutral:
 
 from __future__ import annotations
 
+import pickle
 import warnings
 from dataclasses import dataclass, field
 from weakref import WeakKeyDictionary
 
 from repro.analysis.renumber import renumber
 from repro.exec import WorkerPoolUnavailable, get_default_pool
-from repro.exec.wire import pack_job
 from repro.ir.clone import clone_function, clone_module
 from repro.ir.function import Function, Module
 from repro.ir.validate import validate_function
@@ -164,9 +164,13 @@ def _allocate_one(
 def _pool_results(prepared, machine, allocator, options, pool):
     """Run the module's functions through the worker pool.
 
-    Each function ships as one self-contained wire job
-    (:func:`~repro.exec.wire.pack_job`); the pool hands it to the
-    worker unchanged.  Returns submission-ordered ``(AllocationResult,
+    Each function ships as one job: the bytes of its pickled
+    ``(func, machine, allocator, options)`` tuple, which the pool hands
+    to :func:`repro.exec.alloctask.run_alloc_job` unchanged.  Jobs are
+    pickled here, in the calling thread, so the pool's queue feeder
+    threads only copy bytes instead of walking object graphs while the
+    caller (the service's scheduler thread) competes with them for the
+    GIL.  Returns submission-ordered ``(AllocationResult,
     CycleReport)`` pairs.  Per-job outcomes: worker *errors* re-raise
     here (same behavior as a serial run); jobs whose workers kept
     *crashing* past the retry budget are re-run serially in this
@@ -176,8 +180,10 @@ def _pool_results(prepared, machine, allocator, options, pool):
     """
     deadline_s = (None if options.deadline_ms is None
                   else options.deadline_ms / 1000.0)
-    payloads = [pack_job((func, machine, allocator, options))
-                for func in prepared.functions]
+    with phase("dispatch"):
+        payloads = [pickle.dumps((func, machine, allocator, options),
+                                 pickle.HIGHEST_PROTOCOL)
+                    for func in prepared.functions]
     batch = pool.run_batch(payloads, deadline_s=deadline_s)
     merged = []
     for func, job in zip(prepared.functions, batch):

@@ -128,6 +128,10 @@ class AllocationOptions:
     #: analyses are always reused)
     RETIRED_WIRE_FIELDS = ("incremental", "incremental_edits",
                            "reuse_analyses")
+    #: exact types of the scalar wire fields (``bool`` is not an
+    #: ``int`` here: JSON ``true`` is no round count)
+    _WIRE_TYPES = {"max_rounds": int, "jobs": int,
+                   "rematerialize": bool, "verify": bool}
 
     def to_dict(self) -> dict:
         """JSON-safe wire form (``deadline_ms: None`` and the default
@@ -151,6 +155,10 @@ class AllocationOptions:
             raise ValueError(f"unknown option field(s) {sorted(unknown)}")
         values = {name: value for name, value in wire.items()
                   if name in cls.WIRE_FIELDS}
+        for name, kind in cls._WIRE_TYPES.items():
+            if name in values and type(values[name]) is not kind:
+                raise ValueError(f"{name} must be a {kind.__name__}, "
+                                 f"got {values[name]!r}")
         if "policy" in values:
             values["policy"] = Policy.from_dict(values["policy"])
         return cls(**values)

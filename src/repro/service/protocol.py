@@ -34,7 +34,9 @@ __all__ = [
     "MachineSpec",
     "AllocationRequest",
     "AllocationResponse",
+    "MAX_MACHINE_REGS",
     "machine_descriptor",
+    "machine_content_digest",
     "stats_to_dict",
     "cycles_to_dict",
 ]
@@ -53,6 +55,13 @@ PROTOCOL_VERSION = 2
 
 #: Versions the server still parses.
 SUPPORTED_PROTOCOLS = (1, 2)
+
+#: Largest register file a request may ask for.  Building a machine is
+#: linear in its size (about 6 us and 0.3 KiB per register), so an
+#: unbounded ``regs`` would let one request line wedge the scheduler
+#: thread and exhaust memory.  The largest machine used in the tree is
+#: 32 registers per class.
+MAX_MACHINE_REGS = 128
 
 #: Allocator names a request may ask for (the CLI's choices).
 SERVICE_ALLOCATORS = (
@@ -82,6 +91,10 @@ class MachineSpec:
         paired = wire.get("has_paired_loads", True)
         if not isinstance(regs, int) or isinstance(regs, bool):
             raise ServiceError(f"machine regs must be an int, got {regs!r}")
+        if regs % 2 or not 2 <= regs <= MAX_MACHINE_REGS:
+            raise ServiceError(
+                f"machine regs must be even and in 2..{MAX_MACHINE_REGS}, "
+                f"got {regs}")
         if not isinstance(paired, bool):
             raise ServiceError("machine has_paired_loads must be a bool")
         return cls(regs=regs, has_paired_loads=paired)
@@ -108,6 +121,13 @@ def machine_descriptor(machine: TargetMachine) -> dict:
         "has_paired_loads": machine.has_paired_loads,
         "files": files,
     }
+
+
+def machine_content_digest(machine: TargetMachine) -> str:
+    """sha256 of the canonical :func:`machine_descriptor`: equal for
+    any two machines that allocate alike, in any process."""
+    descriptor = canonical_json(machine_descriptor(machine))
+    return hashlib.sha256(descriptor.encode()).hexdigest()
 
 
 @dataclass
@@ -151,9 +171,9 @@ class AllocationRequest:
         if self.options is None:
             overrides = {"verify": True if verify is None else bool(verify)}
             if deadline_s is not None:
-                if isinstance(deadline_s, (int, float)) and not isinstance(
-                    deadline_s, bool
-                ):
+                if (isinstance(deadline_s, (int, float))
+                        and not isinstance(deadline_s, bool)
+                        and deadline_s >= 0):
                     overrides["deadline_ms"] = float(deadline_s) * 1000.0
                 else:
                     self._invalid_deadline = deadline_s
@@ -162,7 +182,8 @@ class AllocationRequest:
         # constructor arguments are dropped, not synced.
 
     def validate(self) -> None:
-        if self.protocol not in SUPPORTED_PROTOCOLS:
+        if (type(self.protocol) is not int
+                or self.protocol not in SUPPORTED_PROTOCOLS):
             raise ServiceError(
                 f"protocol version {self.protocol} unsupported "
                 f"(server speaks {SUPPORTED_PROTOCOLS})"
@@ -172,6 +193,10 @@ class AllocationRequest:
                 "request needs exactly one of 'ir' (IR text) or "
                 "'bench' (benchmark name)"
             )
+        if self.ir is not None and not isinstance(self.ir, str):
+            raise ServiceError(
+                f"'ir' must be a string of IR text, got "
+                f"{type(self.ir).__name__}")
         if self.bench is not None and self.bench not in BENCHMARK_NAMES:
             raise ServiceError(
                 f"unknown benchmark {self.bench!r}; "
@@ -183,7 +208,8 @@ class AllocationRequest:
                 f"choose from {sorted(SERVICE_ALLOCATORS)}"
             )
         if self._invalid_deadline is not None:
-            raise ServiceError("deadline_s must be a number (seconds)")
+            raise ServiceError(
+                "deadline_s must be a non-negative number (seconds)")
         if self.base_digest is not None:
             if self.protocol < 2:
                 raise ServiceError(

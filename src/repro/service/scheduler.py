@@ -25,6 +25,7 @@ eight allocators over one module prepare it once (and, through
 
 from __future__ import annotations
 
+import hashlib
 import queue
 import threading
 from concurrent.futures import Future
@@ -34,8 +35,6 @@ from time import perf_counter
 from repro.core import PreferenceConfig, PreferenceDirectedAllocator
 from repro.errors import ReproError, ServiceError
 from repro.exec import FaultPlan, JobDeadlineError, WorkerPool
-from repro.exec.wire import machine_content_digest
-from repro.ir.codec import module_digest
 from repro.ir.function import Module
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_function, print_module
@@ -57,6 +56,7 @@ from repro.service.protocol import (
     AllocationRequest,
     AllocationResponse,
     cycles_to_dict,
+    machine_content_digest,
     stats_to_dict,
 )
 from repro.service.session import SessionStore, execute_delta_request
@@ -274,17 +274,17 @@ class Scheduler:
             self.metrics.set_worker_pool(self.pool.snapshot())
         return len(jobs)
 
-    def _prepare_cached(self, module, machine):
+    def _prepare_cached(self, module, normalized, machine):
         """Memoized ``prepare_module`` keyed by module+machine content.
 
-        The key is the codec content digest of the parsed module plus
-        the machine's register model — cheaper than the historical
-        second ``request_fingerprint`` pass (which re-hashed the full
-        normalized text) and exactly as collision-safe, since the codec
-        digest *is* content identity.  The wire-visible cache
-        fingerprint in :meth:`_process` is untouched.
+        The key is the sha256 of ``normalized`` (the module's printed
+        text, which :meth:`_process` already renders for the cache
+        fingerprint) plus the machine's descriptor digest.  It
+        identifies a module exactly as far as the result cache does,
+        which keys on the same text.
         """
-        key = (module_digest(module), machine_content_digest(machine))
+        key = (hashlib.sha256(normalized.encode()).hexdigest(),
+               machine_content_digest(machine))
         hit = self._prepared.get(key)
         if hit is None:
             hit = (prepare_module(module, machine), machine)
@@ -344,7 +344,8 @@ class Scheduler:
                                         request.options.policy)
 
             t0 = perf_counter()
-            prepared, machine = self._prepare_cached(module, machine)
+            prepared, machine = self._prepare_cached(module, normalized,
+                                                      machine)
             timings["prepare_s"] = round(perf_counter() - t0, 6)
             self.metrics.observe("prepare", timings["prepare_s"])
 

@@ -17,9 +17,7 @@ tests compare production against directly:
 * **spill rounds and edits** — the from-scratch re-analysis (CFG and
   loop nest included), compared phase by phase with
   :func:`compare_analyses`, and the from-scratch allocation of an
-  edited function (:func:`check_session_against_scratch`);
-* **dispatch wire** — the shipped function itself
-  (:func:`check_wire_jobs`).
+  edited function (:func:`check_session_against_scratch`).
 
 Besides the plain oracle functions, context managers install each
 reference into a real allocation run:
@@ -36,7 +34,6 @@ reference into a real allocation run:
 from __future__ import annotations
 
 import importlib
-import pickle
 from contextlib import ExitStack, contextmanager
 from unittest import mock
 
@@ -54,7 +51,6 @@ from repro.core import allocator as core_allocator
 from repro.core.cpg import BOTTOM, TOP, ColoringPrecedenceGraph, _wig_rows
 from repro.core.select import PreferenceSelector
 from repro.errors import AllocationError
-from repro.exec import wire
 from repro.ir.clone import clone_function
 from repro.ir.instructions import Move, Phi
 from repro.ir.printer import print_function
@@ -960,20 +956,3 @@ def scratch_incremental(session, func, machine, allocator, options):
 
     return allocate_function_incremental(None, func, machine, allocator,
                                          options)
-
-
-# ----------------------------------------------------------------------
-# dispatch wire: decoded functions against the shipped ones
-
-def check_wire_jobs(payloads, jobs) -> None:
-    """Resolve each codec control tuple and compare its function with
-    the original payload's after a pickle round trip (what a pickled
-    dispatch would have delivered); raise on the first divergence."""
-    for payload, job in zip(payloads, jobs):
-        decoded = wire.job_function(job)
-        shipped = pickle.loads(pickle.dumps(payload[0],
-                                            pickle.HIGHEST_PROTOCOL))
-        if print_function(decoded) != print_function(shipped):
-            raise OracleMismatch(
-                f"wire: decoded function {decoded.name!r} diverges from "
-                f"the shipped function {shipped.name!r}")

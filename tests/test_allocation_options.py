@@ -266,6 +266,14 @@ class TestProtocolCompat:
         wire["options"] = "fast please"
         with pytest.raises(ServiceError, match="bad options"):
             AllocationRequest.from_wire(wire)
+        # Scalars must carry their exact wire type: JSON true is no
+        # round count.
+        for options in ({"max_rounds": 3.5}, {"max_rounds": True},
+                        {"jobs": "2"}, {"verify": 1},
+                        {"rematerialize": "yes"}):
+            wire["options"] = options
+            with pytest.raises(ServiceError, match="bad options"):
+                AllocationRequest.from_wire(wire)
 
     def test_explicit_options_win_over_legacy_fields(self):
         request = AllocationRequest(

@@ -1,6 +1,7 @@
 """Renumbering into webs: splitting, preservation, statistics."""
 
 import importlib
+import pickle
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from oracles import compare_renumber
 from repro import pipeline
 from repro.analysis.renumber import renumber
-from repro.exec import alloctask, wire
+from repro.exec import alloctask
 from repro.ir.builder import IRBuilder
 from repro.ir.clone import clone_function
 from repro.ir.function import Module
@@ -202,7 +203,7 @@ class TestRenumberOnce:
     """A cold allocation renumbers each prepared function once, plus
     once per spill round: the serial path allocates a clone of its
     cached renumbered reference instead of renumbering the working
-    clone again, and the pool task renumbers its private decoded copy
+    clone again, and the pool task renumbers its private unpickled copy
     inside ``allocate_function``.  Either way the result equals the
     oracle path, which renumbers a plain clone of the prepared function
     inside ``allocate_function``."""
@@ -243,8 +244,8 @@ class TestRenumberOnce:
             assert _record(run.results[0], run.cycles) == want
 
             renumbers.clear()
-            got = alloctask.run_alloc_job(
-                wire.pack_job((func, machine, allocator, options)))
+            got = alloctask.run_alloc_job(pickle.dumps(
+                (func, machine, allocator, options), pickle.HIGHEST_PROTOCOL))
             assert len(renumbers) == got[0].stats.rounds
             assert _record(*got) == want
         assert spilled or machine.k(RegClass.INT) == 24

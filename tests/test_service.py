@@ -5,6 +5,7 @@ import json
 import os
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ServiceError
 from repro.pipeline import allocate_module, prepare_module
@@ -14,11 +15,14 @@ from repro.reporting import canonical_json
 from repro.service.cache import ResultCache, request_fingerprint
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
 from repro.service.protocol import (
+    MAX_MACHINE_REGS,
     PROTOCOL_VERSION,
     SERVICE_ALLOCATORS,
+    SUPPORTED_PROTOCOLS,
     AllocationRequest,
     AllocationResponse,
     MachineSpec,
+    machine_content_digest,
     machine_descriptor,
 )
 from repro.service.scheduler import (
@@ -29,6 +33,7 @@ from repro.service.scheduler import (
     render_allocation,
 )
 from repro.target.presets import make_machine
+from repro.workloads import BENCHMARK_NAMES
 
 IR = """func axpy(%p0, %p1) -> value {
 entry:
@@ -112,10 +117,120 @@ class TestProtocol:
         assert set(SERVICE_ALLOCATORS) == set(ALLOCATOR_FACTORIES)
 
     def test_machine_descriptor_is_value_based(self):
-        a = machine_descriptor(make_machine(8))
-        b = machine_descriptor(make_machine(8))
-        c = machine_descriptor(make_machine(16))
-        assert a == b != c
+        for view in (machine_descriptor, machine_content_digest):
+            a = view(make_machine(8))
+            b = view(make_machine(8))
+            c = view(make_machine(16))
+            assert a == b != c
+
+    @pytest.mark.parametrize("regs", [10**9, MAX_MACHINE_REGS + 2, 7, 0,
+                                      -2])
+    def test_machine_size_is_bounded(self, regs):
+        with pytest.raises(ServiceError, match="machine regs"):
+            MachineSpec.from_wire({"regs": regs})
+
+    def test_machine_size_bounds_are_inclusive(self):
+        for regs in (2, 32, MAX_MACHINE_REGS):
+            assert MachineSpec.from_wire({"regs": regs}).regs == regs
+
+    def test_non_string_ir_is_rejected(self):
+        for ir in (123, ["func f() {}"], {"text": IR}, True):
+            with pytest.raises(ServiceError, match="'ir' must be a string"):
+                AllocationRequest.from_wire({"type": "allocate", "ir": ir})
+
+
+#: Any JSON value, nested a little.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner,
+                                     max_size=3)),
+    max_leaves=6,
+)
+
+#: Valid values of each request field; nested fields also draw
+#: arbitrary JSON.
+VALID_FIELDS = {
+    "type": st.sampled_from(["allocate", "allocate_delta"]),
+    "protocol": st.sampled_from(SUPPORTED_PROTOCOLS),
+    "id": st.text(max_size=8),
+    "allocator": st.sampled_from(SERVICE_ALLOCATORS),
+    "machine": st.fixed_dictionaries({}, optional={
+        "regs": st.sampled_from([2, 8, 24, MAX_MACHINE_REGS])
+        | st.integers() | JSON_VALUES,
+        "has_paired_loads": st.booleans() | JSON_VALUES}),
+    "options": st.fixed_dictionaries({}, optional={
+        "max_rounds": st.integers(1, 80) | JSON_VALUES,
+        "verify": st.booleans() | JSON_VALUES,
+        "rematerialize": st.booleans() | JSON_VALUES,
+        "jobs": st.integers(1, 4) | JSON_VALUES,
+        "deadline_ms": st.floats(0, 1e4) | JSON_VALUES,
+        "incremental": JSON_VALUES,
+        "policy": st.just({}) | JSON_VALUES}),
+    "deadline_s": st.floats(0, 10) | st.none(),
+    "verify": st.booleans(),
+    "base": st.text(max_size=8),
+}
+
+#: Values one step off a valid field: wrong types, out-of-range sizes,
+#: ``bool`` where an ``int`` is due.
+NEAR_MISSES = st.sampled_from([10**9, 7, 0, -1, 1.0, True, "", "db",
+                               IR, [IR], {}, None])
+
+#: A valid request with up to two top-level fields replaced by
+#: arbitrary JSON (unknown keys included).
+REQUEST_OBJECTS = st.builds(
+    lambda source, fields, edits: {**fields, **source, **edits},
+    st.sampled_from([{"ir": IR}, {"bench": "db"}]),
+    st.fixed_dictionaries({}, optional=VALID_FIELDS),
+    st.dictionaries(st.sampled_from(["ir", "bench", *VALID_FIELDS])
+                    | st.text(max_size=6),
+                    NEAR_MISSES | JSON_VALUES, max_size=2),
+)
+
+
+class TestRequestParsing:
+    """The request parser is a trust boundary: every JSON object is
+    either refused with a :class:`ServiceError` or becomes a request
+    whose fields have the types the scheduler relies on."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(REQUEST_OBJECTS)
+    @example({"ir": 123})
+    @example({"bench": "db", "machine": {"regs": 10**9}})
+    @example({"ir": IR, "deadline_s": -1})
+    @example({"ir": IR, "protocol": True})
+    @example({"ir": IR, "protocol": 1.0})
+    @example({"ir": IR, "options": {"max_rounds": True}})
+    def test_arbitrary_objects_are_rejected_or_well_typed(self, wire):
+        try:
+            request = AllocationRequest.from_wire(wire)
+        except ServiceError:
+            return
+        assert type(request.id) is str
+        assert type(request.protocol) is int
+        assert request.protocol in SUPPORTED_PROTOCOLS
+        assert (request.ir is None) != (request.bench is None)
+        assert request.ir is None or type(request.ir) is str
+        assert request.bench is None or request.bench in BENCHMARK_NAMES
+        assert request.allocator in SERVICE_ALLOCATORS
+        assert type(request.machine.regs) is int
+        assert request.machine.regs % 2 == 0
+        assert 2 <= request.machine.regs <= MAX_MACHINE_REGS
+        assert type(request.machine.has_paired_loads) is bool
+        options = request.options
+        assert isinstance(options, AllocationOptions)
+        assert type(options.max_rounds) is int and options.max_rounds >= 1
+        assert type(options.jobs) is int and options.jobs >= 1
+        assert type(options.verify) is bool
+        assert type(options.rematerialize) is bool
+        assert options.deadline_ms is None or options.deadline_ms >= 0
+        assert request.base_digest is None or \
+            type(request.base_digest) is str
+        if request.base_digest is not None:
+            assert request.ir is not None
 
 
 class TestFingerprint:

@@ -184,6 +184,21 @@ class TestRoundTrip:
         assert reply["ok"] is False
         assert "allocator" in reply["error"]
 
+    def test_oversized_machine_gets_an_error_then_serves(self, server):
+        host, port = server
+        client = ServiceClient(host, port, timeout=120.0)
+        reply = client.request({
+            "type": "allocate", "id": "huge", "bench": "db",
+            "machine": {"regs": 10**9},
+        })
+        assert reply["ok"] is False and reply["id"] == "huge"
+        assert "machine regs must be even and in 2.." in reply["error"]
+        response = client.allocate(AllocationRequest(
+            id="after", ir=sample_ir(3), allocator="chaitin",
+            machine=MachineSpec(regs=8)))
+        assert response.ok
+        assert response.code == direct_render(sample_ir(3), "chaitin", 8)
+
 
 class TestStdioServer:
     def test_stdio_loop_speaks_the_same_protocol(self):
