@@ -1,8 +1,10 @@
 """The allocation job executed inside worker-pool processes.
 
-One payload is the bytes of one pickled ``(prepared_func, machine,
-allocator, options)`` tuple, pickled by
-:func:`repro.pipeline._pool_results` — exactly what
+One payload is the bytes of one pickled ``(prepared_func, shared)``
+pair, where ``shared`` is the bytes of the batch's pickled ``(machine,
+allocator, options)``: :func:`pack_jobs` pickles those three once per
+batch, so each job copies their bytes instead of walking their object
+graphs again.  Unpacked, a job is exactly what
 :func:`repro.pipeline._allocate_one` consumes.  The return value is
 ``(AllocationResult, CycleReport)``, with the result's
 ``round0_outcome`` cleared.
@@ -25,7 +27,16 @@ from __future__ import annotations
 
 import pickle
 
-__all__ = ["run_alloc_job"]
+__all__ = ["pack_jobs", "run_alloc_job"]
+
+
+def pack_jobs(funcs, machine, allocator, options) -> list[bytes]:
+    """One job per function of a batch, sharing the pickled ``(machine,
+    allocator, options)``."""
+    shared = pickle.dumps((machine, allocator, options),
+                          pickle.HIGHEST_PROTOCOL)
+    return [pickle.dumps((func, shared), pickle.HIGHEST_PROTOCOL)
+            for func in funcs]
 
 
 def run_alloc_job(payload: bytes):
@@ -35,7 +46,8 @@ def run_alloc_job(payload: bytes):
     from repro.regalloc.verify import verify_allocation
     from repro.sim.cycles import estimate_cycles
 
-    func, machine, allocator, options = pickle.loads(payload)
+    func, shared = pickle.loads(payload)
+    machine, allocator, options = pickle.loads(shared)
     result = allocate_function(func, machine, allocator, options=options)
     # The round-0 coloring is only ever carried by edit sessions, which
     # never run through the pool; do not pickle it back to the parent.

@@ -27,9 +27,10 @@ wedged worker, a poisoned job:
 
 The pool is task-agnostic: it pickles each payload onto a worker's
 inbox and hands it to the task unchanged.  The allocation task
-(:data:`DEFAULT_TASK`) takes one pickled ``(func, machine, allocator,
-options)`` tuple as bytes, which :func:`repro.pipeline._pool_results`
-pickles in the calling thread before :meth:`WorkerPool.run_batch`.
+(:data:`DEFAULT_TASK`) takes one pickled ``(func, shared)`` pair as
+bytes, ``shared`` being the batch's ``(machine, allocator, options)``
+pickled once; :func:`repro.pipeline._pool_results` pickles both in the
+calling thread before :meth:`WorkerPool.run_batch`.
 
 Failure kinds a :class:`JobResult` can carry:
 

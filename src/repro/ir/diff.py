@@ -106,12 +106,20 @@ def _operand_edit(old, new, label: str, index: int,
     Returns ``True`` (equal), a :class:`ValueEdit` (constant value
     changed in place), or ``None`` (structural difference).
     """
-    if old == new:
+    if old == new and (type(old) is not Const
+                       or same_constant(old.value, new.value)):
         return True
     if (isinstance(old, Const) and isinstance(new, Const)
             and old.rclass == new.rclass):
         return ValueEdit(label, index, attr, new, old)
     return None
+
+
+def same_constant(a, b) -> bool:
+    """Whether two immediates are the same constant: type-strict (``1``
+    is not ``1.0``, though they compare equal) and by ``repr``
+    (``-0.0`` is not ``0.0``), as the printed code tells them apart."""
+    return type(a) is type(b) and repr(a) == repr(b)
 
 
 def _raw_edits(a: Instruction, b: Instruction, label: str,
@@ -141,7 +149,7 @@ def _raw_edits(a: Instruction, b: Instruction, label: str,
     if isinstance(a, ConstInst):
         if a.dst != b.dst:
             return None
-        if a.value != b.value:
+        if not same_constant(a.value, b.value):
             out.append(ValueEdit(label, index, "value", b.value, a.value))
         return out
     if isinstance(a, Move):

@@ -23,13 +23,13 @@ Two throughput levers, both result-neutral:
 
 from __future__ import annotations
 
-import pickle
 import warnings
 from dataclasses import dataclass, field
 from weakref import WeakKeyDictionary
 
 from repro.analysis.renumber import renumber
 from repro.exec import WorkerPoolUnavailable, get_default_pool
+from repro.exec.alloctask import pack_jobs
 from repro.ir.clone import clone_function, clone_module
 from repro.ir.function import Function, Module
 from repro.ir.validate import validate_function
@@ -164,9 +164,11 @@ def _allocate_one(
 def _pool_results(prepared, machine, allocator, options, pool):
     """Run the module's functions through the worker pool.
 
-    Each function ships as one job: the bytes of its pickled
-    ``(func, machine, allocator, options)`` tuple, which the pool hands
-    to :func:`repro.exec.alloctask.run_alloc_job` unchanged.  Jobs are
+    Each function ships as one job: the bytes of its pickled ``(func,
+    shared)`` pair, ``shared`` being the ``(machine, allocator,
+    options)`` pickled once for the batch
+    (:func:`repro.exec.alloctask.pack_jobs`), which the pool hands to
+    :func:`repro.exec.alloctask.run_alloc_job` unchanged.  Jobs are
     pickled here, in the calling thread, so the pool's queue feeder
     threads only copy bytes instead of walking object graphs while the
     caller (the service's scheduler thread) competes with them for the
@@ -181,9 +183,8 @@ def _pool_results(prepared, machine, allocator, options, pool):
     deadline_s = (None if options.deadline_ms is None
                   else options.deadline_ms / 1000.0)
     with phase("dispatch"):
-        payloads = [pickle.dumps((func, machine, allocator, options),
-                                 pickle.HIGHEST_PROTOCOL)
-                    for func in prepared.functions]
+        payloads = pack_jobs(prepared.functions, machine, allocator,
+                             options)
     batch = pool.run_batch(payloads, deadline_s=deadline_s)
     merged = []
     for func, job in zip(prepared.functions, batch):

@@ -80,6 +80,9 @@ class ServiceMetrics:
             "session_hits": 0,
             "session_misses": 0,
             "session_patches_value": 0,
+            #: struct edits whose prepared body only renamed webs: the
+            #: retained allocation carried over whole
+            "session_patches_rename": 0,
             "session_rebuilds": 0,
             #: functions whose allocation started from a retained
             #: round-0 coloring (value edits round 0 cannot see)

@@ -98,6 +98,7 @@ def degrade_for(allocator: str, policy: Policy = DEFAULT_POLICY) -> str:
 #: too — the function had no retained session to advance).
 _SESSION_RUNG_COUNTERS = {
     "value": "session_patches_value",
+    "rename": "session_patches_rename",
     "new": "session_rebuilds",
     "rebuild": "session_rebuilds",
 }

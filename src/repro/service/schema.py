@@ -52,7 +52,10 @@ __all__ = [
 #: v6: the counter contract drops ``session_patches_struct``: the
 #: session's struct rung folded into ``rebuild`` (counted by
 #: ``session_rebuilds``) when struct edits stopped patching analyses.
-SCHEMA_VERSION = 6
+#: v7: the counter contract gains ``session_patches_rename`` (struct
+#: edits whose prepared body renames the retained one's webs and so
+#: keep its analyses and allocations).
+SCHEMA_VERSION = 7
 
 #: Every ``type`` tag this module can emit.
 SCHEMA_TYPES = ("allocation", "comparison", "stats", "final_stats",
@@ -76,6 +79,7 @@ SERVICE_COUNTERS = (
     "session_hits",
     "session_misses",
     "session_patches_value",
+    "session_patches_rename",
     "session_rebuilds",
     "session_colorings_reused",
 )

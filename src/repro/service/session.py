@@ -6,7 +6,7 @@ analyses, and each allocator's round-0 coloring and finished
 allocation.  When the next edit of the same source arrives, the
 session diffs the new raw body against the retained raw body
 (:func:`repro.ir.diff.diff_functions`) and takes the cheapest sound
-path down a two-rung ladder:
+path down a three-rung ladder:
 
 * **value** — the edit is *transparent* (constant values, opcodes,
   load/store offsets inside matched blocks): every prepare/renumber
@@ -22,8 +22,35 @@ path down a two-rung ladder:
   spill rounds (or the rewrite) instead of recoloring; and when the
   retained allocation ran no spill round, its finished code carries
   over as well, with the same edits patched onto a clone of it.
-* **rebuild** — any other edit: full re-prepare and re-analysis,
-  which is exactly the from-scratch path.
+* **rename** — an edit whose prepared+renumbered body is the retained
+  reference up to a renaming of its vregs (:func:`_is_rename`), such
+  as a dead instruction that DCE removes but whose insertion or
+  deletion shifts every web id: the session keeps the retained
+  reference, analyses and per-allocator results whole, and takes only
+  the new raw body and its position map (positions coincide, so later
+  value edits still land).
+* **rebuild** — any other edit: the analyses of the freshly prepared
+  body, which is exactly the from-scratch path.
+
+Why a result survives a rename: the renaming must be a bijection that
+keeps each vreg's class and ``no_spill`` flag, the same block labels
+and lengths, instruction classes, physical registers and every
+non-register field (type-strictly: ``1`` is not ``1.0``), position for
+position; and it must keep the two orders allocators read vregs
+through — id order (the tie-breaks of simplify, select, the CPG and
+spill insertion) and ``str`` order
+(``regalloc/callcost.py::_biased_choice`` sorts copy partners by
+name), for names extended by a suffix too, as spill temporaries and
+later rounds' webs are.  The allocated code prints no vreg but the
+params in its header, which must print alike; every other vreg is
+colored away.  The third way
+allocators see vregs is hash-set iteration, which a rename does change
+(a vreg's hash is its id); no result depends on it, which the tier-1
+property ``TestRenameRung`` checks: every allocator's code, stats and
+cycles are invariant under id-shifting renames of suite functions,
+spilling ones included.  The retained results carry the retained
+reference's vregs in ``AllocationResult.assignment``; the code, stats
+and cycles are the scratch run's, byte for byte.
 
 Why a round-0 coloring survives a value edit: round 0 reads the
 function only through its register operands and instruction classes,
@@ -79,15 +106,31 @@ mirroring :func:`repro.service.scheduler.execute_request`.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.analysis.renumber import renumber
 from repro.ir.clone import clone_function
-from repro.ir.diff import diff_functions
+from repro.ir.diff import diff_functions, same_constant
 from repro.ir.function import Function
+from repro.ir.instructions import (
+    BinOp,
+    Branch,
+    Call,
+    ConstInst,
+    Jump,
+    Load,
+    Move,
+    Phi,
+    Ret,
+    SpillLoad,
+    SpillStore,
+    Store,
+    UnaryOp,
+)
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_function, print_module
 from repro.ir.validate import validate_function
+from repro.ir.values import Const, VReg
 from repro.policy import DEFAULT_POLICY, Policy
 from repro.profiling import phase
 from repro.regalloc.base import (
@@ -179,6 +222,115 @@ def _prepare_ref(raw: Function, machine: TargetMachine):
     return work, seen.landing(work)
 
 
+#: instruction class -> its dataclass field names, register operands
+#: and every other field alike
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in (
+    ConstInst, Move, UnaryOp, BinOp, Load, Store, Call, Phi, Jump, Branch,
+    Ret, SpillLoad, SpillStore)}
+
+
+class _Renaming:
+    """A vreg bijection between two references, grown operand by operand.
+
+    :meth:`match` pairs a retained operand with the fresh operand at the
+    same place; :meth:`order_preserving` then checks the pairs keep the
+    orders allocators read.
+    """
+
+    def __init__(self):
+        #: fresh vreg -> retained vreg, and back
+        self.fwd: dict[VReg, VReg] = {}
+        self.back: dict[VReg, VReg] = {}
+
+    def match(self, old, new) -> bool:
+        """Whether retained ``old`` and fresh ``new`` agree, up to the
+        vreg renaming (extended by this pair when it is new)."""
+        kind = type(old)
+        if type(new) is not kind:
+            return False  # also keeps 1 apart from 1.0 and True
+        if kind is VReg:
+            seen = self.fwd.get(new)
+            if seen is not None:
+                return seen == old
+            if (self.back.setdefault(old, new) != new
+                    or old.rclass is not new.rclass
+                    or old.no_spill != new.no_spill):
+                return False
+            self.fwd[new] = old
+            return True
+        if kind is list:
+            return len(old) == len(new) and all(
+                map(self.match, old, new))
+        if kind is Const:
+            return (old.rclass is new.rclass
+                    and self.match(old.value, new.value))
+        if kind is float:
+            return same_constant(old, new)  # -0.0 prints apart from 0.0
+        return old == new  # PRegs, strings, ints, labels, None
+
+    def order_preserving(self) -> bool:
+        """Whether the pairs keep id order, and ``str`` order (ties
+        included) of every name *and* of every name extended by a
+        suffix: spill temporaries and later rounds' webs are named
+        ``<name>.<suffix>``, so wherever one name is a prefix of
+        another its image must be too, with the same remainder."""
+        pairs = sorted(self.fwd.items(), key=lambda pair: pair[0].id)
+        ids = [old.id for _, old in pairs]
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            return False
+        names = {(str(new), str(old)) for new, old in pairs}
+        if all(new == old for new, old in names):
+            return True  # the common case: only ids moved
+        names = sorted(names)
+        for (new1, old1), (new2, old2) in zip(names, names[1:]):
+            if not (old1 < old2 if new1 < new2 else old1 == old2):
+                return False
+        to_old = dict(names)
+        to_new = {old: new for new, old in names}
+        return _keeps_prefixes(to_old) and _keeps_prefixes(to_new)
+
+
+def _keeps_prefixes(image: dict[str, str]) -> bool:
+    """Whether every name in ``image`` that extends another name maps
+    to the other's image extended by the same remainder."""
+    for name, target in image.items():
+        for cut in range(1, len(name)):
+            head = image.get(name[:cut])
+            if head is not None and head + name[cut:] != target:
+                return False
+    return True
+
+
+def _is_rename(retained: Function, fresh: Function) -> bool:
+    """Whether ``fresh`` is ``retained`` up to an order-preserving
+    bijective vreg renaming: same block labels and lengths, params
+    (printed alike: the allocated code's header shows them),
+    instruction classes, physical registers and non-register fields
+    (compared type-strictly), position for position."""
+    if (retained.returns_value != fresh.returns_value
+            or retained.next_slot != fresh.next_slot
+            or len(retained.blocks) != len(fresh.blocks)
+            or list(map(str, retained.params))
+            != list(map(str, fresh.params))):
+        return False
+    renaming = _Renaming()
+    if not renaming.match(retained.params, fresh.params):
+        return False
+    match = renaming.match
+    for old_blk, new_blk in zip(retained.blocks, fresh.blocks):
+        if (old_blk.label != new_blk.label
+                or len(old_blk.instrs) != len(new_blk.instrs)):
+            return False
+        for old, new in zip(old_blk.instrs, new_blk.instrs):
+            kind = type(old)
+            if type(new) is not kind:
+                return False
+            for name in _FIELDS[kind]:
+                if not match(getattr(old, name), getattr(new, name)):
+                    return False
+    return renaming.order_preserving()
+
+
 def _tail_carries(result: AllocationResult) -> bool:
     """Whether ``result`` survives value edits round 0 cannot see.
 
@@ -232,11 +384,11 @@ class FunctionSession:
     #: raw ``(label, index)`` -> reference ``(label, index)``
     posmap: dict
     #: ``(allocator config, result-shaping options)`` -> :class:`Retained`;
-    #: shared whole across identical advances (an unchanged function in
-    #: a multi-function module skips allocation outright); across value
-    #: advances round 0 cannot see, outcomes carry over, and spill-free
-    #: finished results with the edits queued onto them; dropped on any
-    #: other edit
+    #: shared whole across identical and rename advances (an unchanged
+    #: function in a multi-function module skips allocation outright);
+    #: across value advances round 0 cannot see, outcomes carry over,
+    #: and spill-free finished results with the edits queued onto them;
+    #: dropped on any other edit
     memo: dict = field(default_factory=dict)
 
     @classmethod
@@ -255,9 +407,11 @@ class FunctionSession:
         """The session for the edited body, plus the ladder rung taken.
 
         ``parsed`` is the new raw body; the rung is ``"value"``
-        (transparent edit, analyses shared) or ``"rebuild"`` (full
-        re-prepare).  ``self`` is left usable — other edits may still
-        branch off the same base digest.
+        (transparent edit, analyses shared), ``"rename"`` (re-prepared
+        body renames the retained reference; everything shared) or
+        ``"rebuild"`` (analyses of the re-prepared body).  ``self`` is
+        left usable — other edits may still branch off the same base
+        digest.
         """
         delta = diff_functions(self.raw, parsed)
         if delta.transparent:
@@ -293,8 +447,19 @@ class FunctionSession:
                 name=self.name, raw=raw, ref=ref, analyses=self.analyses,
                 posmap=self.posmap, memo=memo,
             ), "value"
-        return FunctionSession.build(parsed, machine,
-                                     self.analyses.policy), "rebuild"
+        with phase("clone"):
+            raw = clone_function(parsed)
+        ref, posmap = _prepare_ref(raw, machine)
+        with phase("rename"):
+            renamed = _is_rename(self.ref, ref)
+        if renamed:
+            return FunctionSession(
+                name=self.name, raw=raw, ref=self.ref,
+                analyses=self.analyses, posmap=posmap, memo=self.memo,
+            ), "rename"
+        analyses = compute_round_analyses(ref, self.analyses.policy)
+        return FunctionSession(name=self.name, raw=raw, ref=ref,
+                               analyses=analyses, posmap=posmap), "rebuild"
 
 
 @dataclass(eq=False)
@@ -304,8 +469,8 @@ class IncrementalAllocation:
     result: AllocationResult
     cycles: CycleReport
     session: FunctionSession
-    #: ladder rung taken: ``new`` (no base session), ``value``, or
-    #: ``rebuild``
+    #: ladder rung taken: ``new`` (no base session), ``value``,
+    #: ``rename`` or ``rebuild``
     path: str
     #: allocation started from a retained round-0 coloring (or
     #: patched a retained finished allocation, which started from it)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import importlib
 from contextlib import ExitStack, contextmanager
+from types import SimpleNamespace
 from unittest import mock
 
 from repro.analysis.indexing import iter_bits
@@ -897,10 +898,91 @@ def scratch_rounds():
         yield
 
 
+def rename_onto(retained, fresh) -> dict:
+    """Retained vreg -> fresh vreg, pairing the operands of two
+    references position by position; raise :class:`OracleMismatch`
+    unless ``fresh`` is ``retained`` with its vregs renamed one to one.
+
+    Walks ``uses()``/``defs()`` rather than the dataclass fields the
+    session's own check walks; constants are left to the byte
+    comparison of the allocated code.
+    """
+    def shape(func):
+        return [(blk.label, len(blk.instrs)) for blk in func.blocks]
+
+    if shape(retained) != shape(fresh):
+        raise OracleMismatch(f"retained reference of {retained.name!r} "
+                             f"has other blocks than the scratch one")
+    rename: dict = {}
+
+    def pair(olds, news, where) -> None:
+        if len(olds) != len(news):
+            raise OracleMismatch(f"operand count differs at {where}")
+        for old, new in zip(olds, news):
+            if isinstance(old, VReg) and isinstance(new, VReg):
+                if rename.setdefault(old, new) != new:
+                    raise OracleMismatch(f"{old} renames two ways at "
+                                         f"{where}")
+            elif old != new:
+                raise OracleMismatch(f"{old} vs {new} at {where}")
+
+    pair(retained.params, fresh.params, "params")
+    for old_blk, new_blk in zip(retained.blocks, fresh.blocks):
+        for i, (old, new) in enumerate(zip(old_blk.instrs, new_blk.instrs)):
+            where = f"{old_blk.label}:{i}"
+            if type(old) is not type(new):
+                raise OracleMismatch(f"instruction class differs at "
+                                     f"{where}")
+            pair(old.uses(), new.uses(), where)
+            pair(old.defs(), new.defs(), where)
+    if len(set(rename.values())) != len(rename):
+        raise OracleMismatch("retained vregs merge under the renaming")
+    return rename
+
+
+def renamed_analyses(got, rename: dict):
+    """``got`` (a :class:`RoundAnalyses`) with every register passed
+    through ``rename``, in the shape :func:`compare_analyses` reads.
+
+    The mask fields carry over as they are: the register index numbers
+    registers in first-encounter order, which a positional renaming
+    keeps (the index itself is compared register by register).
+    """
+    def reg(r):
+        return rename.get(r, r)
+
+    def sets(table):
+        return {label: {reg(r) for r in regs}
+                for label, regs in table.items()}
+
+    liv = got.liveness
+    index = SimpleNamespace(regs=[reg(r) for r in liv.index.regs])
+    liveness = SimpleNamespace(
+        index=index,
+        live_in_mask=liv.live_in_mask, live_out_mask=liv.live_out_mask,
+        use_mask=liv.use_mask, defs_mask=liv.defs_mask,
+        live_in=sets(liv.live_in), live_out=sets(liv.live_out),
+        use=sets(liv.use), defs=sets(liv.defs),
+    )
+    ig = SimpleNamespace(
+        adjacency={reg(node): {reg(r) for r in row}
+                   for node, row in got.ig.adjacency.items()},
+        moves=[SimpleNamespace(dst=reg(m.dst), src=reg(m.src))
+               for m in got.ig.moves],
+    )
+    costs = {reg(v): cost for v, cost in got.spill_costs.items()}
+    return SimpleNamespace(liveness=liveness, ig=ig, spill_costs=costs)
+
+
 def check_session_against_scratch(session, parsed, machine, allocator,
                                   options, result, cycles) -> None:
     """Recompute ``parsed`` from scratch; raise on any divergence from
-    an incremental allocation's analyses, code, stats or cycles."""
+    an incremental allocation's analyses, code, stats or cycles.
+
+    The session's reference may be an earlier version's that the
+    scratch reference renames (the ``rename`` rung), so its analyses
+    are compared through that renaming; code, stats and cycles are
+    compared byte for byte."""
     from repro.analysis.renumber import renumber
     from repro.pipeline import prepare_function
     from repro.regalloc.base import allocate_function, compute_round_analyses
@@ -912,7 +994,11 @@ def check_session_against_scratch(session, parsed, machine, allocator,
     ref = clone_function(prepared)
     renumber(ref)
     fresh = compute_round_analyses(ref, options.policy)
-    problems = compare_analyses(session.analyses, fresh)
+    got = renamed_analyses(session.analyses,
+                           rename_onto(session.ref, ref))
+    problems = compare_analyses(got, fresh)
+    if got.liveness.index.regs != fresh.liveness.index.regs:
+        problems.append("register index differs")
     if problems:
         raise OracleMismatch(
             f"incremental edit analyses diverged for {session.name!r}: "

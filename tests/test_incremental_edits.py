@@ -47,9 +47,11 @@ from repro.pipeline import prepare_function
 from repro.profiling import profiled
 from repro.regalloc import (
     AllocationOptions,
+    CallCostAllocator,
     ChaitinAllocator,
     allocate_function,
 )
+from repro.service.scheduler import ALLOCATOR_FACTORIES
 from repro.service.session import (
     ModuleSession,
     SessionStore,
@@ -270,7 +272,7 @@ class TestRandomEditScripts:
                 assume(False)
             raise
         assert outs[0].path == "new"
-        assert all(o.path in ("value", "rebuild")
+        assert all(o.path in ("value", "rename", "rebuild")
                    for o in outs[1:])
 
     @SLOW
@@ -334,10 +336,11 @@ class TestModeAndBackendIdentity:
 
     def test_paths_taken(self):
         outs = run_chain(self.versions(), make_machine(12), "on")
-        # const edit -> value patch; dead insert / split / redefine ->
-        # rebuild; final const edit -> value patch again.
+        # const edit -> value patch; dead insert -> rename (DCE drops
+        # it, only web ids move); split / redefine -> rebuild; final
+        # const edit -> value patch again.
         assert [o.path for o in outs] \
-            == ["new", "value", "rebuild", "rebuild", "rebuild", "value"]
+            == ["new", "value", "rename", "rebuild", "rebuild", "value"]
 
 
 #: value edits round 0 cannot see (no load base or offset moves)
@@ -660,6 +663,247 @@ class TestTailCarry:
             chain()
 
 
+def edit_delete_dead(func, rng) -> bool:
+    """Delete a constant nothing reads (DCE drops it anyway)."""
+    read = {u for blk in func.blocks for ins in blk.instrs
+            for u in ins.uses()}
+    sites = [(blk, i) for blk in func.blocks
+             for i, ins in enumerate(blk.instrs)
+             if isinstance(ins, ConstInst) and ins.dst not in read]
+    if not sites:
+        return False
+    blk, i = rng.choice(sites)
+    del blk.instrs[i]
+    return True
+
+
+#: struct edits the rename rung absorbs: DCE removes what they touch,
+#: so only web ids move
+DEAD_EDIT_OPS = [edit_insert_dead, edit_delete_dead]
+
+#: struct edits that change the prepared body
+LIVE_EDIT_OPS = [edit_redefine, edit_delete_store, edit_split_block,
+                 edit_merge_blocks]
+
+#: order-preserving id maps (each one changes every vreg's hash)
+RENAMES = {
+    "id+1": lambda i: i + 1,
+    "id+7": lambda i: i + 7,
+    "2id+1": lambda i: 2 * i + 1,
+    "3id+5": lambda i: 3 * i + 5,
+}
+
+#: suite functions the rename property runs on; each spills at K=16
+#: under some allocator but ``mtrt_f0``, and ``mpegaudio_f2`` also
+#: allocates float webs
+RENAME_SAMPLE = ("db_f0", "javac_f0", "mpegaudio_f2", "jess_f1",
+                 "jack_f0", "mtrt_f0")
+
+
+def renamed(ref, shift):
+    """``ref`` with every vreg's id mapped through ``shift``; names,
+    classes and ``no_spill`` flags kept, so ``str`` order is too."""
+    mapping = {v: VReg(shift(v.id), v.rclass, v.name or str(v)[1:],
+                       v.no_spill)
+               for v in ref.vregs()}
+    out = clone_function(ref)
+    for blk in out.blocks:
+        for instr in blk.instrs:
+            instr.replace(mapping)
+    out.params = [mapping.get(p, p) for p in out.params]
+    out.next_vreg_id = shift(ref.next_vreg_id)
+    return out
+
+
+class TestRenameRung:
+    """Struct edits whose prepared body only renames webs keep the
+    retained reference, analyses and allocations."""
+
+    @pytest.mark.parametrize("name", sorted(ALLOCATOR_FACTORIES))
+    def test_allocation_invariant_under_order_preserving_renames(
+            self, name):
+        """The rung's soundness ground: renaming every vreg of a
+        renumbered function, keeping id and ``str`` order, changes no
+        allocator's code, stats or cycles — though every hash, and so
+        every hash-set iteration order, changes."""
+        from repro.analysis.renumber import renumber
+        from repro.service.protocol import cycles_to_dict, stats_to_dict
+        from repro.sim.cycles import estimate_cycles
+
+        def outcome(func, machine):
+            work = clone_function(func)
+            result = allocate_function(
+                work, machine, ALLOCATOR_FACTORIES[name](),
+                options=AllocationOptions(verify=True),
+                assume_renumbered=True)
+            return (print_function(work), stats_to_dict(result.stats),
+                    cycles_to_dict(estimate_cycles(work, machine)))
+
+        functions = {f.name: f for bench in ("db", "javac", "mpegaudio",
+                                             "jess", "jack", "mtrt")
+                     for f in make_benchmark(bench).functions}
+        shifts = list(RENAMES.values())
+        spilled = 0
+        for regs in (16, 24):
+            machine = make_machine(regs)
+            for i, fname in enumerate(RENAME_SAMPLE):
+                ref = prepare_function(clone_function(functions[fname]),
+                                       machine)
+                renumber(ref)
+                want = outcome(ref, machine)
+                spilled += want[1]["rounds"] > 1
+                for shift in (shifts[i % 4], shifts[(i + 1) % 4]):
+                    other = renamed(ref, shift)
+                    assert session_module._is_rename(ref, other)
+                    assert outcome(other, machine) == want, (fname, regs)
+        assert spilled
+
+    @SLOW
+    @given(profile=profiles, seed=st.integers(0, 5000),
+           name=st.sampled_from(sorted(ALLOCATOR_FACTORIES)),
+           script=st.lists(st.sampled_from(
+               DEAD_EDIT_OPS * 2 + LIVE_EDIT_OPS + INVISIBLE_EDIT_OPS),
+               min_size=2, max_size=5))
+    def test_random_chains_match_scratch(self, profile, seed, name,
+                                         script):
+        """Dead inserts and deletes mixed with live struct edits and
+        value edits: every version matches a from-scratch run, analyses
+        compared up to the renaming (validate mode raises otherwise)."""
+        rng = random.Random(seed ^ 0x2E4A)
+        versions = [generate_function("edit", profile, seed)]
+        for op in script:
+            nxt = clone_function(versions[-1])
+            op(nxt, rng)
+            validate_function(nxt)
+            versions.append(nxt)
+        try:
+            run_chain(versions, make_machine(16), "validate",
+                      ALLOCATOR_FACTORIES[name]())
+        except AllocationError as err:
+            if "pressure cannot be met" in str(err):
+                assume(False)
+            raise
+
+    @pytest.mark.parametrize("name", sorted(ALLOCATOR_FACTORIES))
+    def test_dead_edits_take_the_rung(self, name):
+        """A fixed chain through every allocator: dead inserts and
+        deletes rename, and carry the finished allocation."""
+        rng = random.Random(3)
+        versions = [value_chain(3, steps=0)[0]]
+        for op in (edit_insert_dead, edit_insert_dead, edit_modify_const,
+                   edit_delete_dead, edit_redefine, edit_delete_dead):
+            nxt = clone_function(versions[-1])
+            assert op(nxt, rng)
+            versions.append(nxt)
+        outs = run_chain(versions, make_machine(12), "validate",
+                         ALLOCATOR_FACTORIES[name]())
+        assert [o.path for o in outs] == ["new", "rename", "rename",
+                                          "value", "rename", "rebuild",
+                                          "rename"]
+        # A rename hands back the retained result object itself.
+        assert outs[1].result is outs[0].result
+        assert outs[2].result is outs[0].result
+        assert outs[6].result is outs[5].result
+
+    def test_guard_bypassed_is_caught(self, monkeypatch):
+        """Keeping the retained allocation across a live struct edit is
+        unsound; the scratch oracle must notice."""
+        machine = make_machine(8)
+        allocator = ChaitinAllocator()
+        options = AllocationOptions()
+        live = IR.replace("  %acc = add %acc, %x",
+                          "  %acc = add %acc, %x\n  %acc = add %acc, 1")
+        base = allocate_function_incremental(
+            None, parse_module(IR).functions[0], machine, allocator,
+            options)
+        edited = parse_module(live).functions[0]
+        out = validated_incremental(base.session, edited, machine,
+                                    allocator, options)
+        assert out.path == "rebuild"
+        monkeypatch.setattr(session_module, "_is_rename",
+                            lambda retained, fresh: True)
+        with pytest.raises(OracleMismatch):
+            validated_incremental(base.session, edited, machine,
+                                  allocator, options)
+
+    RENAMED_IR = """func f(%p0, %p1) -> value {
+entry:
+  %v5 = load [%p0+0]
+  %v9 = load [%p0+4]
+  %s = add %v5, %v9
+  %t = mul %s, %p1
+  %u = add %t, %v9
+  ret %u
+}
+"""
+
+    @pytest.mark.parametrize("new, path", [("v8", "rename"),
+                                           ("v10", "rebuild")])
+    def test_str_order_decides_a_source_rename(self, new, path):
+        """Renaming ``%v9`` keeps every id; as ``%v8`` it keeps ``str``
+        order too and takes the rung, as ``%v10`` it sorts before
+        ``%v5`` and must rebuild."""
+        machine = make_machine(8)
+        allocator = CallCostAllocator()
+        options = AllocationOptions()
+        base = allocate_function_incremental(
+            None, parse_module(self.RENAMED_IR).functions[0], machine,
+            allocator, options)
+        edited = parse_module(
+            self.RENAMED_IR.replace("%v9", f"%{new}")).functions[0]
+        out = validated_incremental(base.session, edited, machine,
+                                    allocator, options)
+        assert out.path == path
+
+    @pytest.mark.parametrize("names, keeps", [
+        ((("c", "a"), ("c.b", "a.b")), True),
+        # "%a" < "%ab" and "%a" < "%a.b", but a spill temporary "%a.r"
+        # sorts after "%a.b" and before "%ab"
+        ((("a", "a"), ("ab", "a.b")), False),
+        ((("v10", "v9"), ("v5", "v5")), False),
+    ])
+    def test_order_check_covers_suffixed_names(self, names, keeps):
+        renaming = session_module._Renaming()
+        for i, (new, old) in enumerate(names):
+            assert renaming.match(VReg(i, name=old), VReg(i + 3, name=new))
+        assert renaming.order_preserving() is keeps
+
+    def test_changed_constant_type_rebuilds(self):
+        """A dead insert alongside ``%lim = 10`` -> ``10.0``: the
+        prepared bodies differ in a constant's type alone, which must
+        not count as a rename."""
+        machine = make_machine(8)
+        allocator = ChaitinAllocator()
+        options = AllocationOptions()
+        base = allocate_function_incremental(
+            None, parse_module(IR).functions[0], machine, allocator,
+            options)
+        dead = IR.replace("  %acc = 0", "  %acc = 0\n  %dead = 7")
+        out = validated_incremental(
+            base.session, parse_module(dead).functions[0], machine,
+            allocator, options)
+        assert out.path == "rename"
+        retyped = parse_module(dead.replace("%lim = 10", "%lim = 10.0"))
+        out = validated_incremental(base.session, retyped.functions[0],
+                                    machine, allocator, options)
+        assert out.path == "rebuild"
+
+    def test_changed_constant_type_is_a_value_edit(self):
+        """``10`` -> ``10.0`` alone compares equal but prints apart: a
+        value edit, never an identical advance."""
+        machine = make_machine(8)
+        allocator = ChaitinAllocator()
+        options = AllocationOptions()
+        base = allocate_function_incremental(
+            None, parse_module(IR).functions[0], machine, allocator,
+            options)
+        retyped = parse_module(IR.replace("%lim = 10", "%lim = 10.0"))
+        out = validated_incremental(base.session, retyped.functions[0],
+                                    machine, allocator, options)
+        assert out.path == "value"
+        assert "= 10.0" in print_function(out.result.func)
+
+
 class TestSessionStore:
     def put(self, store, digest):
         store.put(digest, ModuleSession(digest=digest, machine_key="mk",
@@ -760,20 +1004,23 @@ class TestDeltaWirePath:
         ir1 = IR.replace("%lim = 10", "%lim = 99")          # value edit
         ir2 = ir1.replace("  %acc = add %acc, %x",
                           "  %acc = add %acc, %x\n  %acc = add %acc, 1")
+        ir3 = ir2.replace("  %acc = 0", "  %acc = 0\n  %dead = 7")
         prints = []
-        for i, ir in enumerate((ir1, ir2)):
+        for i, ir in enumerate((ir1, ir2, ir3)):
             r = self.run(scheduler, delta_request(f"d{i+1}", ir, token))
             assert r.ok and r.session_digest == token
             prints.append(r)
         counters = scheduler.metrics.counters
-        assert counters["session_hits"] == 2
+        assert counters["session_hits"] == 3
         assert counters["session_patches_value"] >= 1
-        # The chain start and the struct edit each build from scratch.
+        # The chain start and the live struct edit each build from
+        # scratch; the dead insert only renames webs.
         assert counters["session_rebuilds"] == 2
+        assert counters["session_patches_rename"] == 1
         # The value edit started from the retained coloring.
         assert counters["session_colorings_reused"] == 1
         # Byte-identical to the full path, digest included.
-        for r, ir in zip(prints, (ir1, ir2)):
+        for r, ir in zip(prints, (ir1, ir2, ir3)):
             full = execute_request(full_request("f", ir))
             assert r.code == full.code
             assert r.result_digest == full.result_digest

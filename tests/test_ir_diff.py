@@ -44,6 +44,13 @@ class TestRawTransparent:
         assert (edit.label, edit.index, edit.attr) == ("entry", 1, "rhs")
         assert edit.new == Const(7) and edit.old == Const(1)
 
+    def test_constant_type_change_is_an_edit(self):
+        """``10`` and ``10.0`` compare equal but print apart."""
+        delta = diff_raw(BASE.replace("%v2 = 10", "%v2 = 10.0"))
+        assert delta.transparent and not delta.identical
+        (edit,) = delta.value_edits
+        assert type(edit.new) is float and edit.old == 10
+
     def test_opcode_swap(self):
         delta = diff_raw(BASE.replace("add %p0, 1", "sub %p0, 1"))
         (edit,) = delta.value_edits

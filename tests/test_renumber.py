@@ -1,7 +1,6 @@
 """Renumbering into webs: splitting, preservation, statistics."""
 
 import importlib
-import pickle
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -244,8 +243,8 @@ class TestRenumberOnce:
             assert _record(run.results[0], run.cycles) == want
 
             renumbers.clear()
-            got = alloctask.run_alloc_job(pickle.dumps(
-                (func, machine, allocator, options), pickle.HIGHEST_PROTOCOL))
+            got = alloctask.run_alloc_job(alloctask.pack_jobs(
+                [func], machine, allocator, options)[0])
             assert len(renumbers) == got[0].stats.rounds
             assert _record(*got) == want
         assert spilled or machine.k(RegClass.INT) == 24

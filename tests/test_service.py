@@ -630,6 +630,17 @@ class TestSchemaRoundTrip:
         snapshot = ServiceMetrics().snapshot()
         assert set(snapshot["counters"]) == set(SERVICE_COUNTERS)
 
+    def test_every_session_rung_has_a_contract_counter(self):
+        from repro.service.scheduler import _SESSION_RUNG_COUNTERS
+        from repro.service.schema import SCHEMA_VERSION, SERVICE_COUNTERS
+
+        assert set(_SESSION_RUNG_COUNTERS) == {"new", "value", "rename",
+                                               "rebuild"}
+        assert set(_SESSION_RUNG_COUNTERS.values()) <= set(SERVICE_COUNTERS)
+        # v7 added session_patches_rename
+        assert SCHEMA_VERSION >= 7
+        assert "session_patches_rename" in SERVICE_COUNTERS
+
     def test_stats_documents_carry_every_counter(self):
         from repro.service.schema import (
             SCHEMA_VERSION,

@@ -1,5 +1,6 @@
-"""Pool dispatch: each job is one pickled ``(func, machine, allocator,
-options)`` tuple.
+"""Pool dispatch: each job is one pickled ``(func, shared)`` pair, with
+the batch's ``(machine, allocator, options)`` pickled once as
+``shared``.
 
 Covers byte-identity of pool results with serial in-process runs, the
 parent's prepared functions coming out of a batch untouched, and the
@@ -9,10 +10,8 @@ variables.
 
 from __future__ import annotations
 
-import pickle
-
 from repro.config import knob_env_snapshot, runtime_knobs
-from repro.exec.alloctask import run_alloc_job
+from repro.exec.alloctask import pack_jobs, run_alloc_job
 from repro.exec.pool import WorkerPool
 from repro.ir.printer import print_function
 from repro.pipeline import _allocate_one, allocate_module, prepare_module
@@ -45,7 +44,8 @@ def small_payloads(n=4, regs=8):
 
 def pickled(payload) -> bytes:
     """A job as ``pipeline._pool_results`` ships it."""
-    return pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+    func, machine, allocator, options = payload
+    return pack_jobs([func], machine, allocator, options)[0]
 
 
 class TestKnob:
