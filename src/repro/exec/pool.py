@@ -7,15 +7,15 @@ imports once, and the pool survives the worst-case behavior the
 spill-everywhere complexity results promise — a crashed worker, a
 wedged worker, a poisoned job:
 
-* **isolation** — every worker has its own inbox/outbox queue pair, so
-  a worker killed mid-write can only corrupt its *own* channel, which
-  is discarded on respawn;
-* **health** — workers stamp a shared heartbeat array on every loop
-  tick; liveness is ``Process.is_alive`` plus heartbeat age for idle
-  workers (a worker wedged outside any job is killed and respawned);
-* **respawn** — a dead worker's slot is refilled (bounded by
-  ``max_respawns``) and its in-flight job is retried elsewhere with
-  exponential backoff, up to ``max_retries`` extra attempts;
+* **isolation** — every worker seat owns one duplex pipe, so a worker
+  killed mid-write can only tear its *own* channel, which is discarded
+  with the process;
+* **readiness** — a worker sends one empty message once its task has
+  resolved; only then is it handed jobs;
+* **respawn** — a dead worker's seat is refilled (bounded by
+  ``max_respawns``) and its in-flight job is retried, up to
+  ``max_retries`` extra attempts.  An attempt replays a pure payload,
+  so a retry has nothing to wait out;
 * **deadline** — a job running past ``deadline_s`` gets its worker
   killed (SIGKILL — a wedged process ignores polite signals) and is
   retried; retries exhausted surface as a ``deadline``-kind failure the
@@ -25,8 +25,13 @@ wedged worker, a poisoned job:
   submission order, so a batch that survives faults is byte-identical
   to a serial run.
 
+The batch drive loop sleeps in one ``multiprocessing.connection.wait``
+over the busy and starting seats' pipes and process sentinels, so it
+wakes when a result lands or a worker dies, or at the nearest job
+deadline.
+
 The pool is task-agnostic: it pickles each payload onto a worker's
-inbox and hands it to the task unchanged.  The allocation task
+pipe and hands it to the task unchanged.  The allocation task
 (:data:`DEFAULT_TASK`) takes one pickled ``(func, shared)`` pair as
 bytes, ``shared`` being the batch's ``(machine, allocator, options)``
 pickled once; :func:`repro.pipeline._pool_results` pickles both in the
@@ -54,12 +59,10 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
-import queue
 import threading
 import time
-import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ReproError
 from repro.exec.faults import FaultPlan
@@ -79,11 +82,9 @@ __all__ = [
 #: Exit code of a fault-injected crash (visible in worker stats).
 _CRASH_EXIT = 71
 
-#: Upper bound on one idle wait of the batch drive loop (seconds).
-#: Result arrival interrupts the wait (``connection.wait`` on the
-#: outbox pipes), so the bound only caps how stale the police pass
-#: (deadlines, heartbeats, corpse detection) can get.
-_IDLE_WAIT_MAX = 0.005
+#: How long an idle worker waits for a job before it checks that its
+#: owner is still alive (seconds).
+_ORPHAN_CHECK_S = 0.2
 
 #: The allocation task; resolved inside the worker on first use.
 DEFAULT_TASK = "repro.exec.alloctask:run_alloc_job"
@@ -114,39 +115,38 @@ def resolve_task(spec):
     return getattr(importlib.import_module(module), attr)
 
 
-def _worker_main(slot: int, inbox, outbox, beats, task_spec,
-                 fault_plan: FaultPlan | None, heartbeat_s: float,
+def _worker_main(conn, task_spec, fault_plan: FaultPlan | None,
                  owner: int) -> None:
-    """Worker loop: heartbeat, pull a job, run it, push the result.
+    """Worker loop: say ready, then receive a job, run it, send the result.
 
-    ``owner`` is the pid of the process that spawned the worker, taken
-    there rather than read here: a worker whose owner is killed while
-    it is still importing its task would otherwise record its adoptive
-    parent as the owner.  A worker whose parent is no longer ``owner``
-    (the owner died without shutting the pool down) returns at its next
-    idle tick, so a killed server does not leave its workers running.
-    Messages are pre-pickled here so a value the task produced that
-    cannot cross the process boundary turns into an ``err`` message
-    instead of silently wedging the queue's feeder thread.
+    ``conn`` is the worker's end of its seat's duplex pipe; an empty
+    message on it means "ready" from the worker and "stop" from the
+    pool.  ``owner`` is the pid of the process that spawned the worker,
+    taken there rather than read here: a worker whose owner is killed
+    while it is still importing its task would otherwise record its
+    adoptive parent as the owner.  A worker whose parent is no longer
+    ``owner`` (the owner died without shutting the pool down) returns
+    at its next idle check, so a killed server does not leave its
+    workers running.  Results are pickled here so a value the task
+    produced that cannot cross the process boundary turns into an
+    ``err`` message instead of killing the worker.
     """
     task = resolve_task(task_spec)
-    beats[slot] = time.time()
+    conn.send_bytes(b"")
     while True:
         try:
-            item = inbox.get(timeout=heartbeat_s)
-        except queue.Empty:
-            if os.getppid() != owner:
-                # Orphaned: the parent died without a clean shutdown
-                # (SIGTERM, SIGKILL), which daemonic workers never see.
-                return
-            beats[slot] = time.time()
-            continue
+            if not conn.poll(_ORPHAN_CHECK_S):
+                # Idle: daemonic workers never see a SIGTERM or SIGKILL
+                # of their parent, so check for orphaning here.
+                if os.getppid() != owner:
+                    return
+                continue
+            data = conn.recv_bytes()
         except (EOFError, OSError):  # parent went away
             return
-        if item is None:
+        if not data:
             return
-        seq, attempt, payload = item
-        beats[slot] = time.time()
+        seq, attempt, payload = pickle.loads(data)
         fault = fault_plan.lookup(seq, attempt) if fault_plan else None
         if fault is not None and fault.kind == "crash":
             os._exit(_CRASH_EXIT)
@@ -155,18 +155,20 @@ def _worker_main(slot: int, inbox, outbox, beats, task_spec,
         try:
             if fault is not None and fault.kind == "error":
                 raise RuntimeError(fault.message)
-            message = ("ok", slot, seq, task(payload))
+            message = ("ok", task(payload))
         except BaseException as err:  # the pool decides what propagates
-            message = ("err", slot, seq, err)
+            message = ("err", err)
         try:
             blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as err:
-            blob = pickle.dumps(("err", slot, seq, RuntimeError(
+            blob = pickle.dumps(("err", RuntimeError(
                 f"result of job {seq} could not cross the process "
                 f"boundary: {type(err).__name__}: {err}")),
                 protocol=pickle.HIGHEST_PROTOCOL)
-        outbox.put(blob)
-        beats[slot] = time.time()
+        try:
+            conn.send_bytes(blob)
+        except OSError:
+            return
 
 
 @dataclass(eq=False)
@@ -185,9 +187,7 @@ class JobResult:
 class _Job:
     seq: int
     payload: object
-    deadline_s: float | None = None
     attempts: int = 0  # failed attempts so far
-    not_before: float = 0.0
 
 
 @dataclass(eq=False)
@@ -196,8 +196,8 @@ class _Slot:
 
     index: int
     process: multiprocessing.Process | None = None
-    inbox: object = None
-    outbox: object = None
+    conn: object = None  # the pool's end of the seat's pipe
+    ready: bool = False  # the worker has resolved its task
     job: _Job | None = None
     job_started: float = 0.0
     jobs_ok: int = 0
@@ -220,11 +220,8 @@ class WorkerPool:
         workers: int = 2,
         task=DEFAULT_TASK,
         fault_plan: FaultPlan | None = None,
-        heartbeat_s: float = 0.2,
         max_retries: int = 2,
-        backoff_s: float = 0.05,
         max_respawns: int = 8,
-        idle_kill_factor: float = 25.0,
         start_timeout_s: float = 10.0,
     ):
         if workers < 1:
@@ -232,15 +229,11 @@ class WorkerPool:
         self.workers = workers
         self.task = task
         self.fault_plan = fault_plan
-        self.heartbeat_s = heartbeat_s
         self.max_retries = max_retries
-        self.backoff_s = backoff_s
         self.max_respawns = max_respawns
-        self.idle_kill_factor = idle_kill_factor
         self.start_timeout_s = start_timeout_s
         self._ctx = multiprocessing.get_context()
         self._slots = [_Slot(index=i) for i in range(workers)]
-        self._beats = None
         self._lock = threading.Lock()
         self._seq = 0
         self._started = False
@@ -255,7 +248,6 @@ class WorkerPool:
             "retries": 0,
             "crashes": 0,
             "deadline_kills": 0,
-            "hung_kills": 0,
             "respawns": 0,
         }
 
@@ -273,22 +265,32 @@ class WorkerPool:
         if self._started:
             return
         try:
-            self._beats = self._ctx.Array("d", [0.0] * self.workers)
             for slot in self._slots:
                 self._spawn(slot, count_respawn=False)
         except (OSError, PermissionError, RuntimeError, ValueError) as err:
             self._teardown_locked()
             raise WorkerPoolUnavailable(
                 f"cannot start worker processes: {err}") from err
+        # Wait for the first ready message; a worker that dies first is
+        # left in its seat so the failure detail can report its exit.
         deadline = time.monotonic() + self.start_timeout_s
-        while time.monotonic() < deadline:
-            if any(self._beats[i] > 0.0 for i in range(self.workers)):
-                self._started = True
-                return
-            if all(s.process is None or not s.process.is_alive()
-                   for s in self._slots):
-                break
-            time.sleep(0.01)
+        starting = list(self._slots)
+        while starting and time.monotonic() < deadline:
+            multiprocessing.connection.wait(
+                [s.conn for s in starting]
+                + [s.process.sentinel for s in starting],
+                deadline - time.monotonic())
+            for slot in list(starting):
+                if slot.conn.poll():
+                    try:
+                        slot.conn.recv_bytes()
+                    except (EOFError, OSError):
+                        starting.remove(slot)
+                        continue
+                    slot.ready = self._started = True
+                    return
+                if not slot.process.is_alive():
+                    starting.remove(slot)
         detail = self._startup_failure_detail()
         self._teardown_locked()
         raise WorkerPoolUnavailable(
@@ -301,7 +303,7 @@ class WorkerPool:
         The serial-fallback warning in :mod:`repro.pipeline` carries
         this message verbatim, so "the pool didn't start" always names
         *why*: a worker that died at import/resolve time reports its
-        exit code, one that hung reports the missing heartbeat.
+        exit code, one that hung reports that it never said ready.
         """
         states = []
         for slot in self._slots:
@@ -309,29 +311,39 @@ class WorkerPool:
             if proc is None:
                 states.append(f"worker {slot.index} never spawned")
             elif proc.is_alive():
-                states.append(f"worker {slot.index} alive but no "
-                              f"heartbeat")
+                states.append(f"worker {slot.index} alive but never "
+                              f"ready")
             else:
                 states.append(f"worker {slot.index} exited with code "
                               f"{proc.exitcode}")
         return "; ".join(states) if states else "no worker slots"
 
     def _spawn(self, slot: _Slot, count_respawn: bool = True) -> None:
-        slot.inbox = self._ctx.Queue()
-        slot.outbox = self._ctx.Queue()
-        self._beats[slot.index] = 0.0
-        slot.process = self._ctx.Process(
+        conn, child = self._ctx.Pipe()
+        process = self._ctx.Process(
             target=_worker_main,
-            args=(slot.index, slot.inbox, slot.outbox, self._beats,
-                  self.task, self.fault_plan, self.heartbeat_s,
-                  os.getpid()),
+            args=(child, self.task, self.fault_plan, os.getpid()),
             name=f"repro-worker-{slot.index}",
             daemon=True,
         )
-        slot.process.start()
-        slot.job = None
+        try:
+            with child:  # once started, the worker holds its own copy
+                process.start()
+        except BaseException:
+            conn.close()
+            raise
+        slot.process, slot.conn = process, conn
         if count_respawn:
             self.counters["respawns"] += 1
+
+    def _clear(self, slot: _Slot) -> None:
+        """SIGKILL whatever still runs in the seat and discard its pipe."""
+        if slot.process.is_alive():
+            slot.process.kill()
+        slot.process.join(timeout=1.0)
+        slot.conn.close()
+        slot.process = slot.conn = slot.job = None
+        slot.ready = False
 
     def shutdown(self) -> None:
         """Stop every worker; idempotent."""
@@ -340,28 +352,18 @@ class WorkerPool:
             self._closed = True
 
     def _teardown_locked(self) -> None:
-        for slot in self._slots:
-            if slot.process is None:
-                continue
-            if slot.process.is_alive():
-                try:
-                    slot.inbox.put_nowait(None)
-                except Exception:
-                    pass
-        for slot in self._slots:
-            if slot.process is None:
-                continue
+        # An explicit stop message, because under fork each later
+        # worker holds a copy of the earlier seats' pool ends: closing
+        # ours gives the worker no EOF.
+        live = [s for s in self._slots if s.process is not None]
+        for slot in live:
+            try:
+                slot.conn.send_bytes(b"")
+            except OSError:
+                pass
+        for slot in live:
             slot.process.join(timeout=1.0)
-            if slot.process.is_alive():
-                slot.process.kill()
-                slot.process.join(timeout=1.0)
-            for q in (slot.inbox, slot.outbox):
-                if q is not None:
-                    q.cancel_join_thread()
-                    q.close()
-            slot.process = None
-            slot.inbox = slot.outbox = None
-            slot.job = None
+            self._clear(slot)
         self._started = False
 
     def __enter__(self) -> "WorkerPool":
@@ -378,7 +380,7 @@ class WorkerPool:
         """Run every payload through the task; results in input order.
 
         Payloads reach the task unchanged (pickled onto the worker's
-        inbox); the pool never looks inside them.  ``deadline_s``
+        pipe); the pool never looks inside them.  ``deadline_s``
         bounds each job's wall time per attempt (measured from
         dispatch).  The call always returns one :class:`JobResult` per
         payload — failures are *reported*, not raised, so the caller
@@ -393,30 +395,22 @@ class WorkerPool:
                           ) -> list[JobResult]:
         jobs = []
         for payload in payloads:
-            jobs.append(_Job(seq=self._seq, payload=payload,
-                             deadline_s=deadline_s))
+            jobs.append(_Job(seq=self._seq, payload=payload))
             self._seq += 1
         self.counters["jobs_submitted"] += len(jobs)
         results: dict[int, JobResult] = {}
         pending = deque(jobs)
         while len(results) < len(jobs):
-            if not self._dispatchable() and not pending_in_flight(
-                    self._slots):
-                # Nobody alive to run anything and nothing running:
-                # fail whatever is still pending.
-                now = time.monotonic()
-                still = [j for j in pending if j.seq not in results]
-                if still and all(j.not_before <= now for j in still):
-                    for job in still:
-                        self._record_failure(results, job, "crash",
-                                             "no live workers left")
-                    pending.clear()
-                    continue
-            self._dispatch(pending, results)
-            progressed = self._drain(results, pending)
-            self._police(results, pending)
-            if not progressed:
-                self._await_results(_IDLE_WAIT_MAX)
+            self._dispatch(pending, results, deadline_s)
+            if all(s.process is None for s in self._slots):
+                # Every seat is retired, so nothing is in flight and
+                # nobody can run what is left.
+                for job in pending:
+                    self._record_failure(results, job, "crash",
+                                         "no live workers left", deadline_s)
+                break
+            self._await(deadline_s)
+            self._collect(results, pending, deadline_s)
         for job in jobs:
             res = results[job.seq]
             self.counters["jobs_" + ("ok" if res.ok else
@@ -426,169 +420,91 @@ class WorkerPool:
                                      )] += 1
         return [results[job.seq] for job in jobs]
 
-    def _await_results(self, timeout: float) -> None:
-        """Sleep until a worker writes a result (or ``timeout``).
-
-        Short-job batches used to be quantized to a fixed polling
-        sleep, which dominated batch wall time once payload
-        serialization got cheap; waiting on the outbox pipes wakes the
-        drive loop the moment a result lands.
-        """
-        readers = []
-        for slot in self._slots:
-            outbox = slot.outbox
-            reader = getattr(outbox, "_reader", None)
-            if reader is not None and not reader.closed:
-                readers.append(reader)
-        if not readers:
-            time.sleep(timeout)
-            return
-        try:
-            multiprocessing.connection.wait(readers, timeout=timeout)
-        except OSError:
-            # A pipe died mid-wait (worker killed); the police pass
-            # handles the corpse.
-            time.sleep(0.0005)
-
-    def _dispatchable(self) -> bool:
-        if any(s.process is not None and s.process.is_alive()
-               for s in self._slots):
-            return True
-        return any(not s.retired for s in self._slots)
-
-    def _dispatch(self, pending: deque, results: dict) -> None:
-        now = time.monotonic()
+    def _dispatch(self, pending: deque, results: dict,
+                  deadline_s: float | None) -> None:
         for slot in self._slots:
             if not pending:
                 return
-            if (slot.process is None or slot.job is not None
-                    or not slot.process.is_alive()
-                    or self._beats[slot.index] <= 0.0):
+            if not slot.ready or slot.job is not None:
                 continue
-            job = _pop_eligible(pending, results, now)
-            if job is None:
-                return
+            if not slot.process.is_alive():
+                # Died while idle, e.g. between two batches.
+                self._lose(slot, "crash", results, pending, deadline_s)
+                continue
+            job = pending.popleft()
             slot.job = job
-            slot.job_started = now
+            slot.job_started = time.monotonic()
             try:
-                slot.inbox.put_nowait((job.seq, job.attempts, job.payload))
-            except Exception:
-                # Feeder already broken: treat as a dead worker; the
-                # police pass will requeue the job.
-                pass
+                slot.conn.send_bytes(pickle.dumps(
+                    (job.seq, job.attempts, job.payload),
+                    protocol=pickle.HIGHEST_PROTOCOL))
+            except OSError:
+                pass  # the worker is gone; its sentinel reports the crash
 
-    def _drain(self, results: dict, pending: deque) -> bool:
-        got = False
-        for slot in self._slots:
-            if slot.outbox is None:
-                continue
-            while True:
+    def _watched(self) -> list[_Slot]:
+        """Seats with something to report: busy or still starting."""
+        return [s for s in self._slots if s.process is not None
+                and (s.job is not None or not s.ready)]
+
+    def _await(self, deadline_s: float | None) -> None:
+        """Sleep until a watched worker writes or dies, or the nearest
+        job deadline passes."""
+        watched = self._watched()
+        timeout = None
+        busy = [s.job_started for s in watched if s.job is not None]
+        if deadline_s is not None and busy:
+            timeout = max(0.0, min(busy) + deadline_s - time.monotonic())
+        multiprocessing.connection.wait(
+            [s.conn for s in watched] + [s.process.sentinel for s in watched],
+            timeout)
+
+    def _collect(self, results: dict, pending: deque,
+                 deadline_s: float | None) -> None:
+        now = time.monotonic()
+        for slot in self._watched():
+            if slot.conn.poll():
                 try:
-                    blob = slot.outbox.get_nowait()
-                    message = pickle.loads(blob)
-                except queue.Empty:
-                    break
+                    blob = slot.conn.recv_bytes()
+                    if not slot.ready:
+                        slot.ready = True
+                        continue
+                    kind, value = pickle.loads(blob)
                 except Exception:
-                    # Torn write from a killed worker; the channel is
-                    # confined to this slot and replaced on respawn.
-                    self.counters["crashes"] += 1
-                    orphan = self._kill_slot(slot, None)
-                    if orphan is not None:
-                        self._retry_or_fail(results, pending, orphan,
-                                            "crash")
-                    break
-                got = True
-                self._handle(message, slot, results, pending)
-        return got
+                    # EOF from a dead worker, or a result that cannot
+                    # be read back; the seat is replaced either way.
+                    self._lose(slot, "crash", results, pending, deadline_s)
+                    continue
+                self._finish(slot, kind, value, results)
+            elif not slot.process.is_alive():
+                self._lose(slot, "crash", results, pending, deadline_s)
+            elif (slot.job is not None and deadline_s is not None
+                  and now - slot.job_started > deadline_s):
+                self._lose(slot, "deadline", results, pending, deadline_s)
 
-    def _handle(self, message, slot: _Slot, results: dict,
-                pending: deque) -> None:
-        kind, _wid, seq, value = message
-        if seq in results:
-            return  # late result for a job that already resolved
-        if slot.job is not None and slot.job.seq == seq:
-            attempts = slot.job.attempts + 1
-            slot.job = None
-        else:
-            # The job was requeued (e.g. we presumed this worker dead);
-            # first result wins, cancel the pending retry.
-            requeued = _remove_pending(pending, seq)
-            attempts = (requeued.attempts + 1) if requeued else 1
-            if requeued is None:
-                return
+    def _finish(self, slot: _Slot, kind: str, value, results: dict) -> None:
+        job, slot.job = slot.job, None
         if kind == "ok":
             slot.jobs_ok += 1
-            results[seq] = JobResult(seq=seq, ok=True, value=value,
-                                     attempts=attempts)
+            results[job.seq] = JobResult(seq=job.seq, ok=True, value=value,
+                                         attempts=job.attempts + 1)
         else:
             slot.jobs_err += 1
-            results[seq] = JobResult(seq=seq, ok=False, error=value,
-                                     kind="error", attempts=attempts)
+            results[job.seq] = JobResult(seq=job.seq, ok=False, error=value,
+                                         kind="error",
+                                         attempts=job.attempts + 1)
 
-    def _police(self, results: dict, pending: deque) -> None:
-        now = time.monotonic()
-        wall = time.time()
-        for slot in self._slots:
-            if slot.process is None:
-                continue
-            alive = slot.process.is_alive()
-            if slot.job is not None:
-                job = slot.job
-                overdue = (job.deadline_s is not None
-                           and now - slot.job_started > job.deadline_s)
-                if overdue and alive:
-                    self.counters["deadline_kills"] += 1
-                    self._kill_slot(slot, None)
-                    self._retry_or_fail(results, pending, job, "deadline")
-                elif not alive:
-                    # One last drain: the worker may have finished the
-                    # job and exited (or been crash-injected *after*
-                    # writing).  Only an unanswered job is a crash.
-                    self._drain(results, pending)
-                    if slot.job is not None and slot.job.seq not in results:
-                        self.counters["crashes"] += 1
-                        slot.deaths += 1
-                        self._retry_or_fail(results, pending, slot.job,
-                                            "crash")
-                    slot.job = None
-                    self._respawn_or_retire(slot)
-            else:
-                if not alive:
-                    self.counters["crashes"] += 1
-                    slot.deaths += 1
-                    self._respawn_or_retire(slot)
-                elif (self._beats[slot.index] > 0.0
-                      and wall - self._beats[slot.index]
-                      > self.idle_kill_factor * self.heartbeat_s):
-                    # Idle but silent: wedged outside any job.
-                    self.counters["hung_kills"] += 1
-                    self._kill_slot(slot, None)
-                    self._respawn_or_retire(slot)
+    def _lose(self, slot: _Slot, kind: str, results: dict, pending: deque,
+              deadline_s: float | None) -> None:
+        """Count a dead or overdue worker, kill it, and refill its seat.
 
-    def _kill_slot(self, slot: _Slot, counter: str | None) -> "_Job | None":
-        """SIGKILL the slot's process and refill the seat.
-
-        Returns the job that was in flight (the caller decides whether
-        it is retried or failed) — it is never silently dropped.
+        The job it was running is retried or failed, never dropped.
         """
-        if counter:
-            self.counters[counter] += 1
+        self.counters["crashes" if kind == "crash" else "deadline_kills"] += 1
         slot.deaths += 1
-        orphan = slot.job
-        slot.job = None
-        if slot.process is not None and slot.process.is_alive():
-            slot.process.kill()
-            slot.process.join(timeout=1.0)
-        self._respawn_or_retire(slot)
-        return orphan
-
-    def _respawn_or_retire(self, slot: _Slot) -> None:
-        for q in (slot.inbox, slot.outbox):
-            if q is not None:
-                q.cancel_join_thread()
-                q.close()
-        slot.process = None
-        slot.inbox = slot.outbox = None
+        job = slot.job
+        self._clear(slot)
+        if job is not None:
+            self._retry_or_fail(results, pending, job, kind, deadline_s)
         if self.counters["respawns"] >= self.max_respawns:
             slot.retired = True
             return
@@ -598,24 +514,21 @@ class WorkerPool:
             slot.retired = True
 
     def _retry_or_fail(self, results: dict, pending: deque, job: _Job,
-                       kind: str) -> None:
+                       kind: str, deadline_s: float | None) -> None:
         job.attempts += 1
         if job.attempts > self.max_retries:
-            self._record_failure(
-                results, job, kind,
-                f"after {job.attempts} attempts")
+            self._record_failure(results, job, kind,
+                                 f"after {job.attempts} attempts", deadline_s)
             return
         self.counters["retries"] += 1
-        job.not_before = (time.monotonic()
-                          + self.backoff_s * (2 ** (job.attempts - 1)))
         pending.append(job)
 
     def _record_failure(self, results: dict, job: _Job, kind: str,
-                        detail: str) -> None:
+                        detail: str, deadline_s: float | None) -> None:
         exc_cls = (JobDeadlineError if kind == "deadline"
                    else JobCrashError)
         what = ("exceeded its deadline of "
-                f"{job.deadline_s}s" if kind == "deadline"
+                f"{deadline_s}s" if kind == "deadline"
                 else "lost its worker")
         results[job.seq] = JobResult(
             seq=job.seq, ok=False, kind=kind,
@@ -627,22 +540,18 @@ class WorkerPool:
 
     def snapshot(self) -> dict:
         """JSON-safe pool + per-worker stats (service metrics wire form)."""
-        now = time.time()
         per_worker = []
         for slot in self._slots:
-            alive = slot.process is not None and slot.process.is_alive()
-            beat = self._beats[slot.index] if self._beats is not None else 0.0
             per_worker.append({
                 "slot": slot.index,
                 "pid": slot.process.pid if slot.process else None,
-                "alive": alive,
+                "alive": (slot.process is not None
+                          and slot.process.is_alive()),
                 "busy": slot.job is not None,
                 "retired": slot.retired,
                 "jobs_ok": slot.jobs_ok,
                 "jobs_err": slot.jobs_err,
                 "deaths": slot.deaths,
-                "heartbeat_age_s": (round(now - beat, 3)
-                                    if alive and beat > 0.0 else None),
             })
         return {
             "workers": self.workers,
@@ -651,29 +560,6 @@ class WorkerPool:
             "counters": dict(self.counters),
             "per_worker": per_worker,
         }
-
-
-def pending_in_flight(slots) -> bool:
-    return any(s.job is not None for s in slots)
-
-
-def _pop_eligible(pending: deque, results: dict, now: float):
-    for _ in range(len(pending)):
-        job = pending.popleft()
-        if job.seq in results:
-            continue  # resolved while queued (late ok beat the retry)
-        if job.not_before <= now:
-            return job
-        pending.append(job)
-    return None
-
-
-def _remove_pending(pending: deque, seq: int):
-    for job in pending:
-        if job.seq == seq:
-            pending.remove(job)
-            return job
-    return None
 
 
 # -- shared default pool ----------------------------------------------

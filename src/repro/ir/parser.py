@@ -210,17 +210,18 @@ class _Parser:
         if rhs.startswith("call "):
             return self._call_pre(rhs, lineno, dst)
 
-        tokens = rhs.split(None, 1)
-        if tokens and tokens[0] in _BINOPS:
-            operands = [t.strip() for t in tokens[1].split(",")]
+        op, *rest = rhs.split(None, 1) or [""]
+        if op in _BINOPS:
+            operands = [t.strip() for t in rest[0].split(",")] if rest else []
             if len(operands) != 2:
                 raise ParseError(f"binop needs two operands: {rhs!r}", lineno)
-            return BinOp(tokens[0], dst,
+            return BinOp(op, dst,
                          self._value(operands[0], lineno, dst.rclass),
                          self._value(operands[1], lineno, dst.rclass))
-        if tokens and tokens[0] in _UNOPS:
-            return UnaryOp(tokens[0], dst, self._value(tokens[1], lineno,
-                                                       dst.rclass))
+        if op in _UNOPS:
+            if not rest:
+                raise ParseError(f"{op} needs an operand: {rhs!r}", lineno)
+            return UnaryOp(op, dst, self._value(rest[0], lineno, dst.rclass))
         # Bare value: move (register source) or const materialization.
         value = self._value(rhs, lineno, dst.rclass)
         if isinstance(value, Const):

@@ -169,16 +169,15 @@ def _pool_results(prepared, machine, allocator, options, pool):
     options)`` pickled once for the batch
     (:func:`repro.exec.alloctask.pack_jobs`), which the pool hands to
     :func:`repro.exec.alloctask.run_alloc_job` unchanged.  Jobs are
-    pickled here, in the calling thread, so the pool's queue feeder
-    threads only copy bytes instead of walking object graphs while the
-    caller (the service's scheduler thread) competes with them for the
-    GIL.  Returns submission-ordered ``(AllocationResult,
-    CycleReport)`` pairs.  Per-job outcomes: worker *errors* re-raise
-    here (same behavior as a serial run); jobs whose workers kept
-    *crashing* past the retry budget are re-run serially in this
-    process (byte-identical, just slower); *deadline* kills past the
-    retry budget raise :class:`~repro.exec.JobDeadlineError` for the
-    service layer to degrade on.
+    pickled here, once, so the pool's dispatch (and any retry) only
+    wraps bytes instead of walking object graphs.  Returns
+    submission-ordered ``(AllocationResult, CycleReport)`` pairs.
+    Per-job outcomes: worker *errors* re-raise here (same behavior as
+    a serial run); jobs whose workers kept *crashing* past the retry
+    budget are re-run serially in this process (byte-identical, just
+    slower); *deadline* kills past the retry budget raise
+    :class:`~repro.exec.JobDeadlineError` for the service layer to
+    degrade on.
     """
     deadline_s = (None if options.deadline_ms is None
                   else options.deadline_ms / 1000.0)

@@ -279,7 +279,7 @@ class Scheduler:
         """Memoized ``prepare_module`` keyed by module+machine content.
 
         The key is the sha256 of ``normalized`` (the module's printed
-        text, which :meth:`_process` already renders for the cache
+        text, which :meth:`_answer` already renders for the cache
         fingerprint) plus the machine's descriptor digest.  It
         identifies a module exactly as far as the result cache does,
         which keys on the same text.
@@ -295,95 +295,15 @@ class Scheduler:
         return hit
 
     def _process(self, job: _Job) -> AllocationResponse:
+        """Answer one job; any error becomes an ``ok=false`` response."""
         request = job.request
-        started = perf_counter()
-        wait_s = started - job.submitted_at
+        wait_s = perf_counter() - job.submitted_at
         self.metrics.observe("wait", wait_s)
         timings = {"wait_s": round(wait_s, 6)}
-        if request.base_digest is not None:
-            return self._process_delta(job, timings)
+        answer = (self._answer if request.base_digest is None
+                  else self._answer_delta)
         try:
-            t0 = perf_counter()
-            module = resolve_module(request)
-            normalized = print_module(module)
-            machine = request.machine.build()
-            timings["parse_s"] = round(perf_counter() - t0, 6)
-            self.metrics.observe("parse", timings["parse_s"])
-            fingerprint = request_fingerprint(
-                normalized, machine, request.allocator,
-                options=request.options,
-            )
-            if self.cache is not None:
-                hit = self.cache.get(fingerprint)
-                if hit is not None:
-                    self.metrics.inc("cache_hits")
-                    self.metrics.inc("responses_ok")
-                    hit.id = request.id
-                    hit.cached = True
-                    hit.fingerprint = fingerprint
-                    total = perf_counter() - job.submitted_at
-                    hit.timings = {**timings, "total_s": round(total, 6)}
-                    self.metrics.observe("total", total)
-                    return hit
-                self.metrics.inc("cache_misses")
-
-            # Per-request knobs ride on the request; execution policy
-            # (pool width) is the server's.
-            run_options = request.options.replace(jobs=self.jobs)
-            effective = request.allocator
-            if request.deadline_s is not None and (
-                perf_counter() - job.submitted_at
-            ) > request.deadline_s:
-                self.metrics.inc("deadline_misses")
-                effective = degrade_for(request.allocator,
-                                        request.options.policy)
-                # The deadline already passed; degradation is about
-                # finishing fast now, not about killing more workers.
-                run_options = run_options.replace(deadline_ms=None)
-            elif job.overloaded:
-                effective = degrade_for(request.allocator,
-                                        request.options.policy)
-
-            t0 = perf_counter()
-            prepared, machine = self._prepare_cached(module, normalized,
-                                                      machine)
-            timings["prepare_s"] = round(perf_counter() - t0, 6)
-            self.metrics.observe("prepare", timings["prepare_s"])
-
-            t0 = perf_counter()
-            with profiled() as prof:
-                try:
-                    response = execute_request(
-                        request, run_options,
-                        effective_allocator=effective,
-                        prepared=prepared, machine=machine, pool=self.pool,
-                    )
-                except JobDeadlineError:
-                    # A worker blew the per-job wall-time budget on every
-                    # retry.  Degrade one rung and rerun without the
-                    # deadline so the client still gets an allocation —
-                    # other queued requests were never blocked (the kill
-                    # freed the worker).
-                    self.metrics.inc("deadline_misses")
-                    self.metrics.inc("worker_deadline_kills")
-                    effective = degrade_for(effective,
-                                            request.options.policy)
-                    response = execute_request(
-                        request,
-                        run_options.replace(deadline_ms=None),
-                        effective_allocator=effective,
-                        prepared=prepared, machine=machine, pool=self.pool,
-                    )
-            self.metrics.record_phases(prof.snapshot())
-            timings["allocate_s"] = round(perf_counter() - t0, 6)
-            self.metrics.observe("allocate", timings["allocate_s"])
-
-            response.fingerprint = fingerprint
-            if response.degraded:
-                self.metrics.inc("degraded_total")
-            elif self.cache is not None:
-                self.cache.put(fingerprint, response)
-            self.metrics.inc("responses_ok")
+            response = answer(job, timings)
         except ReproError as err:
             self.metrics.inc("responses_error")
             response = AllocationResponse.error_response(
@@ -399,62 +319,127 @@ class Scheduler:
         self.metrics.observe("total", total)
         return response
 
-    def _process_delta(self, job: _Job, timings: dict) -> AllocationResponse:
+    def _plan(self, job: _Job) -> tuple[str, AllocationOptions]:
+        """The allocator to run and the options to run it with.
+
+        Per-request knobs ride on the request; execution policy (pool
+        width) is the server's.  A request whose wait already exceeded
+        its deadline, or one admitted over the overload watermark,
+        degrades one ladder rung.
+        """
+        request = job.request
+        run_options = request.options.replace(jobs=self.jobs)
+        if request.deadline_s is not None and (
+            perf_counter() - job.submitted_at
+        ) > request.deadline_s:
+            self.metrics.inc("deadline_misses")
+            # The deadline already passed; degradation is about
+            # finishing fast now, not about killing more workers.
+            return (degrade_for(request.allocator, request.options.policy),
+                    run_options.replace(deadline_ms=None))
+        if job.overloaded:
+            return (degrade_for(request.allocator, request.options.policy),
+                    run_options)
+        return request.allocator, run_options
+
+    def _answer(self, job: _Job, timings: dict) -> AllocationResponse:
+        """The full path: result cache, then the pipeline on a miss."""
+        request = job.request
+        t0 = perf_counter()
+        module = resolve_module(request)
+        normalized = print_module(module)
+        machine = request.machine.build()
+        timings["parse_s"] = round(perf_counter() - t0, 6)
+        self.metrics.observe("parse", timings["parse_s"])
+        fingerprint = request_fingerprint(
+            normalized, machine, request.allocator,
+            options=request.options,
+        )
+        if self.cache is not None:
+            hit = self.cache.get(fingerprint)
+            if hit is not None:
+                self.metrics.inc("cache_hits")
+                self.metrics.inc("responses_ok")
+                hit.id = request.id
+                hit.cached = True
+                hit.fingerprint = fingerprint
+                return hit
+            self.metrics.inc("cache_misses")
+
+        effective, run_options = self._plan(job)
+        t0 = perf_counter()
+        prepared, machine = self._prepare_cached(module, normalized,
+                                                  machine)
+        timings["prepare_s"] = round(perf_counter() - t0, 6)
+        self.metrics.observe("prepare", timings["prepare_s"])
+
+        t0 = perf_counter()
+        with profiled() as prof:
+            try:
+                response = execute_request(
+                    request, run_options,
+                    effective_allocator=effective,
+                    prepared=prepared, machine=machine, pool=self.pool,
+                )
+            except JobDeadlineError:
+                # A worker blew the per-job wall-time budget on every
+                # retry.  Degrade one rung and rerun without the
+                # deadline so the client still gets an allocation —
+                # other queued requests were never blocked (the kill
+                # freed the worker).
+                self.metrics.inc("deadline_misses")
+                self.metrics.inc("worker_deadline_kills")
+                effective = degrade_for(effective, request.options.policy)
+                response = execute_request(
+                    request,
+                    run_options.replace(deadline_ms=None),
+                    effective_allocator=effective,
+                    prepared=prepared, machine=machine, pool=self.pool,
+                )
+        self.metrics.record_phases(prof.snapshot())
+        timings["allocate_s"] = round(perf_counter() - t0, 6)
+        self.metrics.observe("allocate", timings["allocate_s"])
+
+        response.fingerprint = fingerprint
+        if response.degraded:
+            self.metrics.inc("degraded_total")
+        elif self.cache is not None:
+            self.cache.put(fingerprint, response)
+        self.metrics.inc("responses_ok")
+        return response
+
+    def _answer_delta(self, job: _Job, timings: dict
+                      ) -> AllocationResponse:
         """The ``allocate_delta`` path: session store instead of cache.
 
         Delta responses carry a session token and are never written to
         the content-addressed cache — the session store *is* their
         reuse tier (every keystroke changes the content digest, so the
         cache could only ever hit on a verbatim repeat).  Deadline and
-        overload degradation mirror the full path.
+        overload degradation are the full path's (:meth:`_plan`).
         """
         request = job.request
         self.metrics.inc("delta_requests")
-        try:
-            run_options = request.options.replace(jobs=self.jobs)
-            effective = request.allocator
-            if request.deadline_s is not None and (
-                perf_counter() - job.submitted_at
-            ) > request.deadline_s:
-                self.metrics.inc("deadline_misses")
-                effective = degrade_for(request.allocator,
-                                        request.options.policy)
-                run_options = run_options.replace(deadline_ms=None)
-            elif job.overloaded:
-                effective = degrade_for(request.allocator,
-                                        request.options.policy)
-            t0 = perf_counter()
-            info: dict = {}
-            with profiled() as prof:
-                response = execute_delta_request(
-                    request, self.sessions, run_options,
-                    effective_allocator=effective, info=info,
-                )
-            self.metrics.record_phases(prof.snapshot())
-            timings["allocate_s"] = round(perf_counter() - t0, 6)
-            self.metrics.observe("allocate", timings["allocate_s"])
-            self.metrics.inc("session_hits" if info.get("base_hit")
-                             else "session_misses")
-            for rung, count in info.get("paths", {}).items():
-                self.metrics.inc(_SESSION_RUNG_COUNTERS[rung], by=count)
-            self.metrics.inc("session_colorings_reused",
-                             by=info.get("colorings_reused", 0))
-            if response.degraded:
-                self.metrics.inc("degraded_total")
-            self.metrics.inc("responses_ok")
-        except ReproError as err:
-            self.metrics.inc("responses_error")
-            response = AllocationResponse.error_response(
-                request.id, str(err), request.allocator)
-        except Exception as err:  # never kill the worker
-            self.metrics.inc("responses_error")
-            response = AllocationResponse.error_response(
-                request.id, f"internal error: {type(err).__name__}: {err}",
-                request.allocator)
-        total = perf_counter() - job.submitted_at
-        timings["total_s"] = round(total, 6)
-        response.timings = timings
-        self.metrics.observe("total", total)
+        effective, run_options = self._plan(job)
+        t0 = perf_counter()
+        info: dict = {}
+        with profiled() as prof:
+            response = execute_delta_request(
+                request, self.sessions, run_options,
+                effective_allocator=effective, info=info,
+            )
+        self.metrics.record_phases(prof.snapshot())
+        timings["allocate_s"] = round(perf_counter() - t0, 6)
+        self.metrics.observe("allocate", timings["allocate_s"])
+        self.metrics.inc("session_hits" if info.get("base_hit")
+                         else "session_misses")
+        for rung, count in info.get("paths", {}).items():
+            self.metrics.inc(_SESSION_RUNG_COUNTERS[rung], by=count)
+        self.metrics.inc("session_colorings_reused",
+                         by=info.get("colorings_reused", 0))
+        if response.degraded:
+            self.metrics.inc("degraded_total")
+        self.metrics.inc("responses_ok")
         return response
 
     # -- lifecycle -----------------------------------------------------

@@ -55,7 +55,10 @@ __all__ = [
 #: v7: the counter contract gains ``session_patches_rename`` (struct
 #: edits whose prepared body renames the retained one's webs and so
 #: keep its analyses and allocations).
-SCHEMA_VERSION = 7
+#: v8: the ``worker_pool`` section drops ``counters.hung_kills`` and each
+#: worker's ``heartbeat_age_s``: pool workers no longer stamp a
+#: heartbeat, and an idle worker is never killed for silence.
+SCHEMA_VERSION = 8
 
 #: Every ``type`` tag this module can emit.
 SCHEMA_TYPES = ("allocation", "comparison", "stats", "final_stats",

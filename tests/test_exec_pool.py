@@ -15,8 +15,8 @@ timing races to produce a failure.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-import queue
 import signal
 import subprocess
 import sys
@@ -54,7 +54,7 @@ from repro.service.scheduler import (
 from repro.target.presets import make_machine
 
 #: fast-failure knobs shared by the mechanics tests
-FAST = dict(heartbeat_s=0.05, backoff_s=0.01, start_timeout_s=30.0)
+FAST = dict(start_timeout_s=30.0)
 
 PERSISTENT = tuple(range(16))
 
@@ -220,7 +220,7 @@ class TestPoolMechanics:
         assert len(snap["per_worker"]) == 2
         for worker in snap["per_worker"]:
             assert {"slot", "pid", "alive", "busy", "retired", "jobs_ok",
-                    "jobs_err", "deaths", "heartbeat_age_s"} <= set(worker)
+                    "jobs_err", "deaths"} <= set(worker)
 
     def test_shutdown_is_idempotent_and_closes_the_pool(self):
         pool = WorkerPool(workers=1, task=double, **FAST)
@@ -233,6 +233,93 @@ class TestPoolMechanics:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="workers"):
             WorkerPool(workers=0)
+
+
+def kill(pid: int) -> None:
+    """SIGKILL ``pid`` and wait until it is gone."""
+    os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + 5.0
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+def bounded_batch(pool, payloads, meanwhile=lambda: None):
+    """``pool.run_batch(payloads)`` on a thread, failing after 30 s.
+
+    A stuck batch keeps holding the pool's lock, so callers shut the
+    pool down only after this returns.
+    """
+    box = {}
+    batch = threading.Thread(target=lambda: box.update(
+        results=pool.run_batch(payloads)), daemon=True)
+    batch.start()
+    meanwhile()
+    batch.join(timeout=30.0)
+    assert not batch.is_alive(), "the batch never finished"
+    return box["results"]
+
+
+class TestExternalKills:
+    """Workers killed from outside the pool, not by a fault plan."""
+
+    def test_idle_worker_killed_between_batches(self):
+        pool = WorkerPool(workers=2, task=double, **FAST)
+        with pool:
+            pool.run_batch([1, 2, 3, 4])
+            kill(pool.snapshot()["per_worker"][0]["pid"])
+            before = dict(pool.counters)
+            results = pool.run_batch(list(range(6)))
+        assert [r.value for r in results] == [i * 2 for i in range(6)]
+        assert all(r.ok and r.attempts == 1 for r in results)
+        assert pool.counters["crashes"] == before["crashes"] + 1
+        assert pool.counters["respawns"] == before["respawns"] + 1
+        assert pool.counters["retries"] == before["retries"]
+
+    def test_idle_worker_killed_with_no_respawn_budget(self):
+        pool = WorkerPool(workers=1, task=double, max_respawns=0, **FAST)
+        pool.ensure_started()
+        kill(pool.snapshot()["per_worker"][0]["pid"])
+        results = bounded_batch(pool, [1, 2])
+        pool.shutdown()
+        assert [r.kind for r in results] == ["crash", "crash"]
+        assert "no live workers left" in str(results[0].error)
+        assert pool.counters["crashes"] == 1
+        assert pool.counters["respawns"] == 0
+
+    def test_busy_worker_killed_mid_job_is_retried(self):
+        # No deadline: only the kill can end the first attempt.
+        pool = WorkerPool(workers=1, task=double,
+                          fault_plan=FaultPlan.sleep_on(0, 30.0), **FAST)
+        pool.ensure_started()
+        victim = pool.snapshot()["per_worker"][0]["pid"]
+
+        def kill_once_busy():
+            deadline = time.monotonic() + 10.0
+            while (not pool.snapshot()["per_worker"][0]["busy"]
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            kill(victim)
+
+        results = bounded_batch(pool, [5, 6, 7], kill_once_busy)
+        pool.shutdown()
+        assert [r.value for r in results] == [10, 12, 14]
+        assert results[0].ok and results[0].attempts == 2
+        assert pool.counters["crashes"] == 1
+        assert pool.counters["retries"] == 1
+        assert pool.counters["respawns"] == 1
+
+    def test_shutdown_of_a_started_pool_is_prompt(self):
+        # Under fork the second worker inherits the first seat's pool
+        # end, so only an explicit stop message ends the first worker
+        # without waiting out the join timeout.
+        pool = WorkerPool(workers=2, task=double, **FAST)
+        pool.ensure_started()
+        pool.run_batch([1, 2])
+        pids = [w["pid"] for w in pool.snapshot()["per_worker"]]
+        started = time.monotonic()
+        pool.shutdown()
+        assert time.monotonic() - started < 1.0
+        assert not [pid for pid in pids if _running(pid)]
 
 
 #: a pool owner that prints its worker pids, then idles until killed
@@ -287,15 +374,14 @@ class TestOrphanedWorkers:
         # The owner pid comes from the spawning process, not from the
         # worker's own getppid() after its task import: a worker whose
         # parent is not the owner it was handed is orphaned and must
-        # return at its first idle tick.
-        beats = [0.0]
+        # return at its first idle check.
+        ours, theirs = multiprocessing.Pipe()
         worker = threading.Thread(target=_worker_main, args=(
-            0, queue.Queue(), queue.Queue(), beats, "builtins:len",
-            None, 0.01, os.getpid()), daemon=True)
+            theirs, "builtins:len", None, os.getpid()), daemon=True)
         worker.start()
         worker.join(timeout=5.0)
         assert not worker.is_alive()
-        assert beats[0] > 0.0
+        assert ours.recv_bytes() == b""  # it said ready first
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Printer and parser: formatting and round trips."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.errors import ParseError
+from repro.errors import ParseError, ReproError
 from repro.ir.parser import parse_function, parse_module
 from repro.ir.printer import print_function, side_by_side
 from repro.ir.validate import validate_function
@@ -76,6 +77,11 @@ class TestParserErrors:
             parse_function("func f() {\nentry:\n  %a = frobnicate %b, %c\n}")
         assert "line 3" in str(err.value)
 
+    @pytest.mark.parametrize("rhs", ["add", "neg", "cmplt", "fadd"])
+    def test_operator_without_operands(self, rhs):
+        with pytest.raises(ParseError, match="line 3"):
+            parse_function(f"func f() {{\nentry:\n  %a = {rhs}\n  ret\n}}")
+
 
 class TestParserSemantics:
     def test_float_prefix_infers_class(self):
@@ -109,3 +115,93 @@ class TestSideBySide:
         lines = out.splitlines()
         assert all("|" in line for line in lines[2:])  # [1] is the rule
         assert "before" in lines[0] and "after" in lines[0]
+
+
+# ----------------------------------------------------------------------
+# malformed text: a clean error at the parser and over the wire
+
+#: tokens a mutation may write into a line
+VOCAB = ["add", "neg", "phi", "call", "load", "store", "reload", "spill",
+         "ret", "jump", "branch", "%a", "%f1", "$r1", "slot0", "5", "1.5",
+         "entry", ",", "=", "[", "]", "{", "}", ":", ""]
+
+MUTATION = st.tuples(st.integers(0, 5), st.integers(0, 10**6),
+                     st.integers(0, 10**6), st.sampled_from(VOCAB))
+
+
+def suite_text() -> list[str]:
+    from repro.ir.printer import print_module
+    from repro.workloads import make_benchmark
+
+    return print_module(make_benchmark("db")).splitlines()
+
+
+def mutate(lines: list[str], mutations) -> str:
+    """Apply ``(kind, line, position, token)`` edits to a copy of lines."""
+    lines = list(lines)
+    for kind, line, pos, token in mutations:
+        j = line % len(lines)
+        toks = lines[j].split()
+        if kind == 0:  # keep a prefix of the tokens
+            lines[j] = "  " + " ".join(toks[:pos % (len(toks) + 1)])
+        elif kind == 1 and toks:  # drop one token
+            del toks[pos % len(toks)]
+            lines[j] = "  " + " ".join(toks)
+        elif kind == 2 and toks:  # overwrite one token
+            toks[pos % len(toks)] = token
+            lines[j] = "  " + " ".join(toks)
+        elif kind == 3:  # cut the line at a character
+            lines[j] = lines[j][:pos % (len(lines[j]) + 1)]
+        elif kind == 4:
+            lines.insert(j, lines[j])
+        elif len(lines) > 1:
+            del lines[j]
+    return "\n".join(lines)
+
+
+class TestMalformedText:
+    LINES = suite_text()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(MUTATION, min_size=1, max_size=3))
+    @example([(0, 19, 3, "")])
+    def test_mutated_suite_text_parses_or_raises_repro_error(self,
+                                                           mutations):
+        text = mutate(self.LINES, mutations)
+        try:
+            parse_module(text)
+        except ReproError:
+            pass
+
+    def test_the_operandless_example_is_an_operator_line(self):
+        # The @example above cuts `%x = add %y, 6` down to `%x = add`.
+        text = mutate(self.LINES, [(0, 19, 3, "")])
+        assert self.LINES[19].split()[1:3] == ["=", "add"]
+        with pytest.raises(ParseError, match="line 20"):
+            parse_module(text)
+
+    def test_server_answers_a_parse_error_then_serves(self):
+        from repro.service import (
+            AllocationRequest,
+            MachineSpec,
+            Scheduler,
+            ServerThread,
+            ServiceClient,
+        )
+
+        good = print_function(build_counted_loop())
+        bad = good.replace("\nentry:\n", "\nentry:\n  %a = add\n", 1)
+        thread = ServerThread(Scheduler(cache=None))
+        host, port = thread.start()
+        try:
+            client = ServiceClient(host, port, timeout=60.0)
+            reply = client.allocate(AllocationRequest(
+                id="bad", ir=bad, machine=MachineSpec(regs=8)))
+            assert reply.ok is False and reply.id == "bad"
+            assert "needs two operands" in reply.error
+            assert "internal error" not in reply.error
+            after = client.allocate(AllocationRequest(
+                id="after", ir=good, machine=MachineSpec(regs=8)))
+            assert after.ok and after.code
+        finally:
+            thread.stop()

@@ -21,7 +21,7 @@ from repro.target.presets import make_machine
 from repro.workloads.generator import generate_module
 from repro.workloads.profiles import BenchmarkProfile
 
-FAST = dict(heartbeat_s=0.05, backoff_s=0.01, start_timeout_s=30.0)
+FAST = dict(start_timeout_s=30.0)
 
 
 def small_prepared(n=4, regs=8):
