@@ -52,7 +52,7 @@ def main() -> None:
 
     ig = build_interference(probe)
     graph = build_alloc_graph(ig, machine, RegClass.INT)
-    wig = graph.snapshot_active_adjacency()
+    wig = graph.active
     simplification = simplify(graph, optimistic=True)
     print("\n=== simplification stack (push order) ===")
     print("  " + ", ".join(str(n) for n in simplification.stack))

@@ -18,7 +18,7 @@ from itertools import compress
 
 from repro.ir.values import PReg, RegClass, Register
 
-__all__ = ["RegisterIndex", "iter_bits"]
+__all__ = ["RegisterIndex", "iter_bits", "regs_in"]
 
 #: ``bytes.translate`` table turning the digits of ``format(m, "b")``
 #: into 0/1 bytes (usable as :func:`itertools.compress` selectors)
@@ -31,6 +31,17 @@ def iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def regs_in(regs: list, mask: int) -> list:
+    """The entries of ``regs`` at the set bits of ``mask``, in id order.
+
+    The mask's binary digits, lowest first, become one 0/1 byte per
+    register, and ``compress`` picks the set ones: the per-bit loop
+    runs in C rather than once per bit in Python.
+    """
+    flags = format(mask, "b").encode()[::-1].translate(_DIGIT_FLAGS)
+    return list(compress(regs, flags))
 
 
 class RegisterIndex:
@@ -85,11 +96,5 @@ class RegisterIndex:
 
     def set_of(self, mask: int) -> set[Register]:
         """Materialize a mask back into a ``set[Register]``, inserting
-        in dense-id order.
-
-        The mask's binary digits, lowest first, become one 0/1 byte per
-        register, and ``compress`` picks the set ones: the per-bit loop
-        runs in C rather than once per bit in Python.
-        """
-        flags = format(mask, "b").encode()[::-1].translate(_DIGIT_FLAGS)
-        return set(compress(self.regs, flags))
+        in dense-id order (see :func:`regs_in`)."""
+        return set(regs_in(self.regs, mask))

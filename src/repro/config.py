@@ -6,7 +6,7 @@ indexed simplify/select engines, one pickled job per function for pool
 dispatch, and a from-scratch re-analysis for every spill round and
 structural edit.  Each is checked against an independent oracle in
 ``tests/oracles.py``: the set-based liveness and interference
-references, the scalar CPG replay, the scan simplify/select engines,
+references, the set-based CPG replay, the scan simplify/select engines,
 the full re-analysis (CFG included) and the from-scratch allocation of
 an edited function.  Pool results are compared with the serial path.
 

@@ -17,7 +17,7 @@ is "full preferences".
 from __future__ import annotations
 
 from repro.core.costs import CostModel
-from repro.core.cpg import BOTTOM, TOP, ColoringPrecedenceGraph, build_cpg
+from repro.core.cpg import ColoringPrecedenceGraph, build_cpg
 from repro.core.postpass import aggressive_post_coalesce
 from repro.core.prefs import PreferenceConfig, build_rpg
 from repro.core.select import PreferenceSelector, SelectionTrace
@@ -64,14 +64,14 @@ class PreferenceDirectedAllocator(Allocator):
 
         for rclass in ctx.classes():
             graph = ctx.graph(rclass)
-            wig = graph.snapshot_active_adjacency()
+            wig = graph.active
             simplification = simplify(graph, optimistic=True,
                                       policy=ctx.policy)
             with phase("CPG"):
                 if self.use_cpg:
                     cpg = build_cpg(graph, wig, simplification)
                 else:
-                    cpg = _chain_cpg(simplification)
+                    cpg = _chain_cpg(graph, simplification)
             selector = PreferenceSelector(
                 graph=graph,
                 rpg=rpg,
@@ -99,16 +99,17 @@ class PreferenceDirectedAllocator(Allocator):
         return outcome
 
 
-def _chain_cpg(simplification) -> ColoringPrecedenceGraph:
+def _chain_cpg(graph, simplification) -> ColoringPrecedenceGraph:
     """A total-order precedence graph mirroring the Briggs pop order."""
-    cpg = ColoringPrecedenceGraph()
-    cpg.ensure(TOP)
-    cpg.ensure(BOTTOM)
-    order = simplification.select_order
+    cpg = ColoringPrecedenceGraph(graph.nodes)
+    order = [graph.ids[node] for node in simplification.select_order]
     if not order:
         return cpg
-    cpg.add_edge(TOP, order[0])
     for earlier, later in zip(order, order[1:]):
-        cpg.add_edge(earlier, later)
-    cpg.add_edge(order[-1], BOTTOM)
+        cpg.succ[earlier] |= 1 << later
+        cpg.pred[later] |= 1 << earlier
+        cpg.live |= 1 << earlier
+    cpg.live |= 1 << order[-1]
+    cpg.top = 1 << order[0]
+    cpg.bottom = 1 << order[-1]
     return cpg

@@ -18,10 +18,15 @@ a node whose preferences are all weaker than staying in memory
 (every ``Str < 0``) is *actively* spilled, which is how the paper avoids
 the Lueh–Gross objection to optimistic coloring (Section 5.4).
 
-Register sets are bitmasks over the class's color list: each node keeps
-an incrementally-maintained mask of colors its neighbors have claimed,
-so availability is one ``&`` instead of a neighbor scan, and preference
-screening intersects masks.
+The selector runs on the coloring graph's dense ids.  Register sets
+are bitmasks over the class's color list; per color ``c`` it keeps the
+mask of nodes with a neighbor holding ``c`` (seeded from the physical
+registers), and from it each undecided node's mask of colors its
+neighbors have claimed, so availability is one ``&`` and a coloring
+touches only the neighbors that newly lose the color.  Each node's
+preference edges are indexed once per run into tuples over ids and
+color positions; ids map back to registers only when the assignment
+and the spill set are written.
 
 The ready queue is a lazy max-heap keyed on ``(differential,
 spill_cost, -id)``.  Each queued node caches its honorable asks as
@@ -55,14 +60,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.indexing import iter_bits
-from repro.core.cpg import BOTTOM, TOP, ColoringPrecedenceGraph
+from repro.core.cpg import ColoringPrecedenceGraph
 from repro.core.costs import CostModel
-from repro.core.rpg import (
-    PrefEdge,
-    PrefKind,
-    RegGroup,
-    RegisterPreferenceGraph,
-)
+from repro.core.rpg import PrefKind, RegGroup, RegisterPreferenceGraph
 from repro.errors import AllocationError
 from repro.ir.values import PReg, VReg
 from repro.policy import DEFAULT_POLICY, Policy
@@ -75,6 +75,9 @@ from repro.target.machine import RegisterFile, TargetMachine
 __all__ = ["PreferenceSelector", "SelectionTrace"]
 
 NEG_INF = float("-inf")
+#: ``_color`` entries of nodes without a register
+UNCOLORED = -1
+SPILLED = -2
 
 
 def _spread(asks: list[tuple[float, int]]) -> float:
@@ -87,6 +90,28 @@ def _spread(asks: list[tuple[float, int]]) -> float:
         return asks[0][0]
     strengths = [strength for strength, _mask in asks]
     return max(strengths) - min(strengths)
+
+
+def _color_tables(colors: tuple[PReg, ...], regfile: RegisterFile,
+                  policy: str) -> tuple:
+    """Constants over color positions: each register's position, the
+    volatile mask, the fallback order, and per preference kind the
+    register bit an edge's source wants given its target's position
+    (``fwd``) and the reverse (``rev``)."""
+    pos = {c: i for i, c in enumerate(colors)}
+    by_index = {c.index: 1 << i for i, c in enumerate(colors)}
+    same = [1 << i for i in range(len(colors))]
+    up = [by_index.get(c.index + 1, 0) for c in colors]
+    down = [by_index.get(c.index - 1, 0) for c in colors]
+    fwd = {PrefKind.COALESCE: same, PrefKind.SEQ_NEXT: up,
+           PrefKind.SEQ_PREV: down}
+    rev = {PrefKind.COALESCE: same, PrefKind.SEQ_NEXT: down,
+           PrefKind.SEQ_PREV: up}
+    vol = sum(same[i] for i, c in enumerate(colors)
+              if regfile.is_volatile(c))
+    fallback = tuple(pos[c] for c in order_colors_cached(colors, regfile,
+                                                         policy))
+    return pos, vol, fallback, fwd, rev
 
 
 @dataclass(eq=False)
@@ -104,7 +129,11 @@ class SelectionTrace:
 
 @dataclass(eq=False)
 class PreferenceSelector:
-    """One run of the Section 5.3 algorithm over one register class."""
+    """One run of the Section 5.3 algorithm over one register class.
+
+    Nodes are ``graph``'s dense ids throughout; the results are written
+    to ``assignment`` and ``spilled`` as registers.
+    """
 
     graph: AllocGraph
     rpg: RegisterPreferenceGraph
@@ -142,226 +171,201 @@ class PreferenceSelector:
                 self.policy.select_spill_cost_weight,
                 self.policy.select_id_weight,
             )
-        colors = self.graph.colors
-        self._colors = colors
-        self._color_bit: dict[PReg, int] = {
-            c: 1 << i for i, c in enumerate(colors)
-        }
+        graph = self.graph
+        colors = self._colors = graph.colors
+        pos, vol, self._fallback, fwd, rev = _color_tables(
+            colors, self.regfile, self.fallback_policy)
         self._all_mask = (1 << len(colors)) - 1
-        vol = 0
-        for i, c in enumerate(colors):
-            if self.machine.is_volatile(c):
-                vol |= 1 << i
         self._vol_mask = vol
         self._nonvol_mask = self._all_mask & ~vol
-        # Memoized: the fallback order depends only on (regfile, colors,
-        # policy), yet a selector is instantiated per class per round.
-        self._fallback = list(
-            order_colors_cached(colors, self.regfile, self.fallback_policy)
-        )
-        #: per-node mask of colors claimed by neighbors (lazily seeded
-        #: from the current assignment, then maintained incrementally)
-        self._taken: dict[VReg, int] = {}
+        n = len(graph.nodes)
+        live = self.cpg.live
+        #: undecided live ranges (neither colored nor spilled)
+        self._pending = live
+        #: per id: color position, ``UNCOLORED`` or ``SPILLED``
+        self._color = [UNCOLORED] * n
+        #: per color position: mask of nodes with a neighbor holding it
+        near = self._near = [0] * len(colors)
+        for j in iter_bits(graph.precolored):
+            c = pos.get(graph.nodes[j])
+            if c is not None:
+                near[c] |= graph.rows[j]
+        #: per undecided node: mask of colors its neighbors hold
+        taken = self._taken = [0] * n
+        for c, mask in enumerate(near):
+            for j in iter_bits(mask & live):
+                taken[j] |= 1 << c
         #: per queued node: its honorable asks as ``(strength, mask)``,
         #: masks kept current, and the differential they give; both are
         #: dropped only by events that can change the differential
-        self._asks: dict[VReg, list[tuple[float, int]]] = {}
-        self._diff_cache: dict[VReg, float] = {}
-        self._group_masks: dict[RegGroup, int] = {}
+        self._asks: list[list | None] = [None] * n
+        self._diff: list[float | None] = [None] * n
+        self._index_prefs(pos, fwd, rev)
         #: lazy max-heap ready queue, keyed by :meth:`_pick_key`
         self._ready = LazyMaxHeap()
+
+    def _index_prefs(self, pos: dict, fwd: dict, rev: dict) -> None:
+        """Each live range's preference edges as id/position tuples
+        ``(vol, nonvol, fixed_mask, partner, ask_bits, defer_bits,
+        incoming)``, outgoing edges first, each side in RPG order.
+
+        An edge to a register or group asks for ``fixed_mask``
+        (``partner`` is -1); an edge with a live-range ``partner`` asks
+        for ``ask_bits[c]`` once the partner holds position ``c``, and
+        while the partner is undecided, taking ``c`` leaves it
+        ``defer_bits[c]``.  The strength of an incoming ask follows the
+        partner's register, every other one the asked register.
+        """
+        graph = self.graph
+        ids = graph.ids
+        regfile = self.regfile
+        none = [0] * len(self._colors)
+        group_masks: dict[RegGroup, int] = {}
+        prefs: list[list] = [[]] * len(graph.nodes)
+        self._partners = partners = [0] * len(graph.nodes)
+        self._cost = cost = [0.0] * len(graph.nodes)
+        spill_cost = self.costs.spill_cost
+        for i in iter_bits(self.cpg.live):
+            node = graph.nodes[i]
+            cost[i] = spill_cost(node)
+            entries = []
+            for edge in self.rpg.edges_from(node):
+                target = edge.target
+                strength = edge.strength
+                if isinstance(target, VReg):
+                    j = ids[target]
+                    partners[i] |= 1 << j
+                    entries.append((strength.vol, strength.nonvol, 0, j,
+                                    fwd.get(edge.kind, none),
+                                    rev.get(edge.kind, none), False))
+                    continue
+                if isinstance(target, RegGroup):
+                    mask = group_masks.get(target)
+                    if mask is None:
+                        mask = group_masks[target] = sum(
+                            1 << pos[r] for r in target.regs if r in pos)
+                elif edge.kind is PrefKind.COALESCE:
+                    mask = 1 << pos[target] if target in pos else 0
+                else:
+                    wanted = (regfile.next_reg(target)
+                              if edge.kind is PrefKind.SEQ_NEXT
+                              else regfile.prev_reg(target)
+                              if edge.kind is PrefKind.SEQ_PREV else None)
+                    mask = 1 << pos[wanted] if wanted in pos else 0
+                if mask:
+                    entries.append((strength.vol, strength.nonvol, mask,
+                                    -1, none, none, False))
+            for edge in self.rpg.edges_to(node):
+                j = ids[edge.src]
+                partners[i] |= 1 << j
+                entries.append((edge.strength.vol, edge.strength.nonvol, 0,
+                                j, rev.get(edge.kind, none),
+                                fwd.get(edge.kind, none), True))
+            prefs[i] = entries
+        self._prefs = prefs
 
     # ------------------------------------------------------------------
 
     def run(self) -> None:
-        indegree = {
-            node: len({p for p in preds if p != TOP})
-            for node, preds in self.cpg.preds.items()
-            if isinstance(node, VReg)
-        }
+        indegree = list(map(int.bit_count, self.cpg.pred))
         ready = self._ready
-        for node, degree in indegree.items():
-            if degree == 0:
-                ready.push(node, self._pick_key(node))
+        for i in iter_bits(self.cpg.live):
+            if not indegree[i]:
+                ready.push(i, self._pick_key(i))
 
+        succ = self.cpg.succ
         with phase("select"):
             while ready:
                 with phase("choose"):
                     node = self._next_node()
                 with phase("color"):
                     self._color_node(node)
-                for succ in self.cpg.succs.get(node, ()):
-                    if succ == BOTTOM or not isinstance(succ, VReg):
-                        continue
-                    indegree[succ] -= 1
-                    if indegree[succ] == 0:
-                        ready.push(succ, self._pick_key(succ))
+                for j in iter_bits(succ[node]):
+                    indegree[j] -= 1
+                    if not indegree[j]:
+                        ready.push(j, self._pick_key(j))
 
     # ------------------------------------------------------------------
     # step 2-3: node choice
 
-    def _next_node(self) -> VReg:
+    def _next_node(self) -> int:
         """The ready node with the largest :meth:`_pick_key`."""
         return self._ready.pop()
 
-    def _pick_key(self, node: VReg) -> tuple:
+    def _pick_key(self, node: int) -> tuple:
         """The ready-queue ordering key: differential, then spill cost,
-        then lowest id (``-id``), optionally policy-weighted."""
-        differential = self._diff_cache.get(node)
+        then lowest vreg id (``-id``), optionally policy-weighted."""
+        differential = self._diff[node]
         if differential is None:
             asks = self._asks[node] = self._usable_asks(
                 node, self._free_mask(node))
-            differential = self._diff_cache[node] = _spread(asks)
+            differential = self._diff[node] = _spread(asks)
         weights = self._key_weights
+        vreg_id = self.graph.nodes[node].id
         if weights is None:
-            return (differential, self.costs.spill_cost(node), -node.id)
+            return (differential, self._cost[node], -vreg_id)
         wd, ws, wi = weights
-        return (wd * differential, ws * self.costs.spill_cost(node),
-                wi * -node.id)
+        return (wd * differential, ws * self._cost[node], wi * -vreg_id)
 
-    def _free_mask(self, node: VReg) -> int:
+    def _free_mask(self, node: int) -> int:
         """Mask of colors no (colored or physical) neighbor holds."""
-        taken = self._taken.get(node)
-        if taken is None:
-            taken = 0
-            color_bit = self._color_bit
-            assignment = self.assignment
-            for n in self.graph.adj.get(node, ()):
-                if isinstance(n, PReg):
-                    taken |= color_bit.get(n, 0)
-                else:
-                    c = assignment.get(n)
-                    if c is not None:
-                        taken |= color_bit[c]
-            self._taken[node] = taken
-        return self._all_mask & ~taken
+        return self._all_mask & ~self._taken[node]
 
-    def _available(self, node: VReg) -> list[PReg]:
-        colors = self._colors
-        return [colors[i] for i in iter_bits(self._free_mask(node))]
-
-    def _group_mask(self, group: RegGroup) -> int:
-        mask = self._group_masks.get(group)
-        if mask is None:
-            color_bit = self._color_bit
-            mask = 0
-            for reg in group.regs:
-                mask |= color_bit.get(reg, 0)
-            self._group_masks[group] = mask
-        return mask
-
-    def _usable_asks(self, node: VReg,
+    def _usable_asks(self, node: int,
                      avail_mask: int) -> list[tuple[float, int]]:
         """Steps 2.1/2.2 as concrete *asks*: ``(strength, register mask)``.
 
         Outgoing edges whose target is colored (or physical / a group)
         ask directly.  Incoming live-range edges whose *source* is
         already colored also ask — that is the deferred coalescence /
-        pairing being resolved from the other end.  Unhonorable asks
-        (empty intersection with the available mask) are eliminated.
+        pairing being resolved from the other end.  Edges to undecided
+        partners are deferred (revisited in step 4.3), and unhonorable
+        asks (empty intersection with the available mask) are
+        eliminated.
         """
         asks: list[tuple[float, int]] = []
-        for edge in self.rpg.edges_from(node):
-            if self._unresolved(edge.target):
-                continue  # step 2.2: deferred, revisited in step 4.3
-            ask = self._ask_of_outgoing(edge, avail_mask)
-            if ask is not None:
-                asks.append(ask)
-        for edge in self.rpg.edges_to(node):
-            source_color = self.assignment.get(edge.src)
-            if source_color is None:
-                continue
-            ask = self._ask_of_incoming(edge, source_color, avail_mask)
-            if ask is not None:
-                asks.append(ask)
-        return asks
-
-    def _unresolved(self, target) -> bool:
-        """A live-range target not yet colored (and not spilled)."""
-        return (
-            isinstance(target, VReg)
-            and target not in self.assignment
-            and target not in self.spilled
-        )
-
-    def _strength_for_mask(self, edge: PrefEdge, mask: int) -> float:
-        """Best realized strength over the registers of ``mask``."""
-        strength = NEG_INF
-        if mask & self._vol_mask:
-            strength = edge.strength.vol
-        if mask & self._nonvol_mask:
-            nonvol = edge.strength.nonvol
-            if nonvol > strength:
-                strength = nonvol
-        return strength
-
-    def _ask_of_outgoing(self, edge: PrefEdge,
-                         avail_mask: int) -> tuple[float, int] | None:
-        if isinstance(edge.target, RegGroup):
-            mask = avail_mask & self._group_mask(edge.target)
+        color = self._color
+        vol_mask = self._vol_mask
+        nonvol_mask = self._nonvol_mask
+        for vol, nonvol, mask, partner, ask_bits, _defer, incoming \
+                in self._prefs[node]:
+            if partner >= 0:
+                c = color[partner]
+                if c < 0:
+                    continue
+                if incoming:
+                    mask = ask_bits[c] & avail_mask
+                    if mask:
+                        asks.append((vol if vol_mask >> c & 1 else nonvol,
+                                     mask))
+                    continue
+                mask = ask_bits[c]
+            mask &= avail_mask
             if not mask:
-                return None
-            return (self._strength_for_mask(edge, mask), mask)
-        wanted = self._resolve_target_register(edge.kind, edge.target)
-        if wanted is None:
-            return None
-        bit = self._color_bit.get(wanted, 0)
-        if not bit & avail_mask:
-            return None
-        return (self._strength_for_mask(edge, bit), bit)
-
-    def _ask_of_incoming(self, edge: PrefEdge, source_color: PReg,
-                         avail_mask: int) -> tuple[float, int] | None:
-        """What an already-colored source wants *this* node to take."""
-        if edge.kind is PrefKind.COALESCE:
-            wanted: PReg | None = source_color
-        elif edge.kind is PrefKind.SEQ_NEXT:
-            # The source wanted (this node's register) + 1 and holds
-            # source_color, so this node must take source_color - 1.
-            wanted = self.regfile.prev_reg(source_color)
-        elif edge.kind is PrefKind.SEQ_PREV:
-            wanted = self.regfile.next_reg(source_color)
-        else:
-            return None
-        if wanted is None:
-            return None
-        bit = self._color_bit.get(wanted, 0)
-        if not bit & avail_mask:
-            return None
-        source_bit = self._color_bit.get(source_color, 0)
-        return (self._strength_for_mask(edge, source_bit), bit)
-
-    def _resolve_target_register(self, kind: PrefKind,
-                                 target) -> PReg | None:
-        """The concrete register an outgoing edge asks for, if fixed."""
-        if isinstance(target, VReg):
-            target = self.assignment.get(target)
-            if target is None:
-                return None
-        if not isinstance(target, PReg):
-            return None
-        if kind is PrefKind.COALESCE:
-            return target
-        if kind is PrefKind.SEQ_NEXT:
-            return self.regfile.next_reg(target)
-        if kind is PrefKind.SEQ_PREV:
-            return self.regfile.prev_reg(target)
-        return None
+                continue
+            # Best realized strength over the registers of the ask.
+            strength = vol if mask & vol_mask else NEG_INF
+            if mask & nonvol_mask and nonvol > strength:
+                strength = nonvol
+            asks.append((strength, mask))
+        return asks
 
     # ------------------------------------------------------------------
     # step 4: register choice
 
-    def _color_node(self, node: VReg) -> None:
+    def _color_node(self, node: int) -> None:
+        reg = self.graph.nodes[node]
         free = self._free_mask(node)
         # The ready queue keyed ``node``, so its asks are cached, current.
-        asks = self._asks.pop(node)
-        del self._diff_cache[node]
+        asks = self._asks[node]
+        self._asks[node] = self._diff[node] = None
+        self._pending &= ~(1 << node)
         if not free:
             self._spill(node, reason="no register available")
             return
-        if self.active_memory_spill and not node.no_spill \
+        if self.active_memory_spill and not reg.no_spill \
                 and self._prefers_memory(
-                    node, free, [strength for strength, _mask in asks]
+                    reg, free, [strength for strength, _mask in asks]
                 ):
             # Section 5.4: strongest preference is memory.
             self._spill(node, reason="prefers memory")
@@ -375,59 +379,55 @@ class PreferenceSelector:
                 self.honored_prefs += 1
 
         candidates = self._respect_deferred(node, candidates)
-        color_bit = self._color_bit
-        color = next(
-            c for c in self._fallback if color_bit[c] & candidates
-        )
-        self.assignment[node] = color
-        self._after_decision(node, color)
+        c = next(c for c in self._fallback if candidates >> c & 1)
+        self._color[node] = c
+        color = self.assignment[reg] = self._colors[c]
+        self._after_decision(node, c)
         if self.trace is not None:
-            self.trace.note(f"{node} -> {color} (of {free.bit_count()} free)")
+            self.trace.note(f"{reg} -> {color} (of {free.bit_count()} free)")
 
-    def _after_decision(self, node: VReg, color: PReg) -> None:
+    def _after_decision(self, node: int, c: int) -> None:
         """Re-key the queued nodes whose key coloring ``node`` with
-        ``color`` can change (a spill changes none; see the module
+        position ``c`` can change (a spill changes none; see the module
         docstring for the argument).
 
-        Every neighbor with a seeded free mask loses ``color``.  A cached
-        neighbor's asks lose it too, in place, unless it was the last
-        register of its kind (volatile or not) in some ask: that can
+        Every undecided neighbor that did not yet border ``c`` loses it.
+        A cached neighbor's asks lose it too, in place, unless it was the
+        last register of its kind (volatile or not) in some ask: that can
         change the ask's strength or honorability, so the node's cache
         is dropped and rebuilt.  RPG partners on either side gain an
         ask and are always rebuilt.  Each stale node is re-keyed once,
         so the heap's newest entry per node always carries the key a
         rescan of the ready set would compute at pick time.
         """
-        bit = self._color_bit[color]
+        bit = 1 << c
         kind = self._vol_mask if bit & self._vol_mask else self._nonvol_mask
+        row = self.graph.rows[node]
+        near = self._near
+        rest = row & ~near[c] & self._pending
+        near[c] |= row
         taken = self._taken
         asks_of = self._asks
-        stale: dict[VReg, None] = {}
-        for n in self.graph.adj.get(node, ()):
-            mask = taken.get(n)
-            if mask is None or mask & bit:
-                continue  # unseeded (and so uncached), or already lost it
-            taken[n] = mask | bit
-            asks = asks_of.get(n)
+        stale = self._partners[node]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            n = low.bit_length() - 1
+            taken[n] |= bit
+            asks = asks_of[n]
             if asks is None:
                 continue
             for i, (strength, ask_mask) in enumerate(asks):
                 if ask_mask & bit:
                     ask_mask &= ~bit
                     if not ask_mask & kind:
-                        stale[n] = None
+                        stale |= low
                         break
                     asks[i] = (strength, ask_mask)
-        for edge in self.rpg.edges_to(node):
-            stale[edge.src] = None
-        for edge in self.rpg.edges_from(node):
-            if isinstance(edge.target, VReg):
-                stale[edge.target] = None
-        diff_cache = self._diff_cache
+        diff = self._diff
         ready = self._ready
-        for n in stale:
-            diff_cache.pop(n, None)
-            asks_of.pop(n, None)
+        for n in iter_bits(stale):
+            diff[n] = asks_of[n] = None
             if n in ready:
                 ready.push(n, self._pick_key(n))
 
@@ -448,64 +448,30 @@ class PreferenceSelector:
             best = max(best, self.costs.strength_nonvolatile(node))
         return best < 0.0
 
-    def _respect_deferred(self, node: VReg, candidates: int) -> int:
+    def _respect_deferred(self, node: int, candidates: int) -> int:
         """Step 4.3: keep registers that leave deferred partners a chance."""
-        colors = self._colors
-        color_bit = self._color_bit
-        for edge in self.rpg.edges_from(node):
-            if not self._unresolved(edge.target):
+        color = self._color
+        for _vol, _nonvol, _mask, partner, _ask, defer_bits, _incoming \
+                in self._prefs[node]:
+            if partner < 0 or color[partner] != UNCOLORED:
                 continue
-            partner = edge.target
-            assert isinstance(partner, VReg)
             partner_free = self._free_mask(partner)
             keep = 0
-            for i in iter_bits(candidates):
-                mine = self._partner_register(edge.kind, colors[i],
-                                              outgoing=True)
-                if mine is not None and color_bit.get(mine, 0) & partner_free:
-                    keep |= 1 << i
-            if keep:
-                candidates = keep
-        for edge in self.rpg.edges_to(node):
-            if not self._unresolved(edge.src):
-                continue
-            partner_free = self._free_mask(edge.src)
-            keep = 0
-            for i in iter_bits(candidates):
-                mine = self._partner_register(edge.kind, colors[i],
-                                              outgoing=False)
-                if mine is not None and color_bit.get(mine, 0) & partner_free:
-                    keep |= 1 << i
+            for c in iter_bits(candidates):
+                if defer_bits[c] & partner_free:
+                    keep |= 1 << c
             if keep:
                 candidates = keep
         return candidates
 
-    def _partner_register(self, kind: PrefKind, mine: PReg,
-                          outgoing: bool) -> PReg | None:
-        """Register the deferred partner must later take if I pick ``mine``.
-
-        ``outgoing``: the deferred edge is mine (I want something relative
-        to the partner); otherwise the partner wants something relative to
-        me and the adjacency flips.
-        """
-        if kind is PrefKind.COALESCE:
-            return mine
-        if kind is PrefKind.SEQ_NEXT:
-            # Outgoing: I want partner+1 => partner takes mine-1.
-            # Incoming: partner wants mine+1.
-            return self.regfile.prev_reg(mine) if outgoing \
-                else self.regfile.next_reg(mine)
-        if kind is PrefKind.SEQ_PREV:
-            return self.regfile.next_reg(mine) if outgoing \
-                else self.regfile.prev_reg(mine)
-        return None
-
-    def _spill(self, node: VReg, reason: str) -> None:
-        if node not in self.optimistic and reason == "no register available":
+    def _spill(self, node: int, reason: str) -> None:
+        reg = self.graph.nodes[node]
+        if reg not in self.optimistic and reason == "no register available":
             raise AllocationError(
-                f"CPG colorability violated: non-optimistic node {node} "
+                f"CPG colorability violated: non-optimistic node {reg} "
                 f"has no free register"
             )
-        self.spilled.add(node)
+        self._color[node] = SPILLED
+        self.spilled.add(reg)
         if self.trace is not None:
-            self.trace.note(f"{node} spilled ({reason})")
+            self.trace.note(f"{reg} spilled ({reason})")

@@ -188,8 +188,11 @@ class RoundContext:
 
     def classes(self) -> list[RegClass]:
         """Register classes that actually occur in the function."""
-        present = {v.rclass for v in self.ig.vregs()}
-        return [rc for rc in (RegClass.INT, RegClass.FLOAT) if rc in present]
+        index = self.ig.index
+        vregs = ~index.preg_mask
+        return [rc for rc, mask in ((RegClass.INT, index.int_mask),
+                                    (RegClass.FLOAT, index.float_mask))
+                if mask & vregs]
 
 
 @dataclass(eq=False)
@@ -276,14 +279,8 @@ class RoundAnalyses:
             a.dst != b.dst or a.src != b.src for a, b in zip(moves, ref)
         ):
             return None
-        # The backing store is shared (read-only to every allocator) in
-        # whichever form the cached graph has — bitmask rows when the
-        # adjacency was never materialized, the dict otherwise; the
-        # fresh instance keeps per-use caches (nodes_by_class) local.
-        ig = self.ig
-        if ig.materialized:
-            return InterferenceGraph(adjacency=ig.adjacency, moves=moves)
-        return InterferenceGraph(moves=moves, index=ig.index, rows=ig.rows)
+        # The index and rows are shared, read-only to every allocator.
+        return InterferenceGraph(self.ig.index, self.ig.rows, moves)
 
 
 def compute_round_analyses(

@@ -79,7 +79,7 @@ class CallCostAllocator(Allocator):
         callee_save = float(policy.callee_save_cost)
         benefit_vol: dict[VReg, float] = {}
         benefit_nonvol: dict[VReg, float] = {}
-        for node in graph.active:
+        for node in graph.active_nodes():
             spill = cross = 0.0
             for member in graph.members_of(node):
                 if isinstance(member, VReg):
@@ -103,13 +103,15 @@ class CallCostAllocator(Allocator):
 
         stack: list[VReg] = []
         while graph.active:
-            low = [n for n in graph.active if not graph.significant(n)]
+            low = [n for n in graph.active_nodes()
+                   if not graph.significant(n)]
             if low:
                 node = min(low, key=lambda n: (priority(n), n.id))
                 graph.remove(node)
                 stack.append(node)
                 continue
-            candidate = choose_spill_candidate(graph, graph.active, policy)
+            candidate = choose_spill_candidate(graph, graph.active_nodes(),
+                                               policy)
             graph.remove(candidate)
             for member in graph.members_of(candidate):
                 if isinstance(member, VReg):

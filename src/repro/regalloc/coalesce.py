@@ -15,6 +15,7 @@ physical registers are never merged.
 
 from __future__ import annotations
 
+from repro.analysis.indexing import iter_bits
 from repro.ir.instructions import Move
 from repro.ir.values import PReg, Register, VReg
 from repro.regalloc.igraph import AllocGraph
@@ -43,7 +44,7 @@ def mergeable(graph: AllocGraph, a: Register, b: Register) -> bool:
         return False
     # Both ends must still be in the graph.
     for end in (a, b):
-        if isinstance(end, VReg) and end not in graph.active:
+        if isinstance(end, VReg) and not graph.is_active(end):
             return False
     return True
 
@@ -78,18 +79,23 @@ def coalesce_aggressive(graph: AllocGraph) -> int:
 def briggs_conservative_ok(graph: AllocGraph, a: Register,
                            b: Register) -> bool:
     """Briggs test: merged node has < K significant-degree neighbors."""
-    combined = graph.neighbors(a) | graph.neighbors(b)
-    combined.discard(a)
-    combined.discard(b)
-    significant = 0
-    for n in combined:
-        degree = graph.degree(n)
-        if n in graph.neighbors(a) and n in graph.neighbors(b) \
-                and isinstance(n, VReg):
-            degree -= 1  # the merge collapses two edges into one
-        if degree >= graph.k:
+    present = graph.active | graph.precolored
+    row_a = graph.row(a) & present
+    row_b = graph.row(b) & present
+    combined = row_a | row_b
+    for end in (a, b):
+        if end in graph.ids:
+            combined &= ~(1 << graph.ids[end])
+    # Physical registers are always significant.
+    significant = (combined & graph.precolored).bit_count()
+    # A vreg neighbor of both ends loses one edge in the merge.
+    shared = row_a & row_b
+    deg = graph.deg
+    k = graph.k
+    for n in iter_bits(combined & graph.active):
+        if deg[n] - (shared >> n & 1) >= k:
             significant += 1
-    return significant < graph.k
+    return significant < k
 
 
 def george_ok(graph: AllocGraph, a: Register, b: Register) -> bool:
@@ -98,13 +104,18 @@ def george_ok(graph: AllocGraph, a: Register, b: Register) -> bool:
     Safe when every neighbor t of ``a`` already interferes with ``b`` or
     has insignificant degree.  Used when ``b`` is precolored.
     """
-    for t in graph.neighbors(a):
-        if graph.degree(t) < graph.k:
-            continue
-        if graph.interferes(t, b):
-            continue
-        return False
-    return True
+    interfering = graph.row(b)
+    if isinstance(b, PReg):
+        # Distinct physical registers interfere implicitly.
+        interfering |= graph.precolored
+        if b in graph.ids:
+            interfering &= ~(1 << graph.ids[b])
+    row_a = graph.row(a) & ~interfering
+    if row_a & graph.precolored:
+        return False  # a physical neighbor's degree is infinite
+    deg = graph.deg
+    k = graph.k
+    return all(deg[t] < k for t in iter_bits(row_a & graph.active))
 
 
 def conservative_ok(graph: AllocGraph, a: Register, b: Register) -> bool:

@@ -11,12 +11,19 @@ It supports the operations the Chaitin-family algorithms need:
 
 Virtual nodes are the webs produced by renumbering; physical nodes are the
 target's registers of the class (all of them, so the color set is total).
+
+Nodes are the dense ids of the function's register index: the adjacency
+is the interference graph's int rows (bit ``j`` of ``rows[i]`` is the
+edge ``i``–``j``), the active set is an int mask and degrees are a list
+indexed by id.  The rows are shared with the interference graph until
+the first ``add_edge``/``merge``, which copies them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analysis.indexing import iter_bits, regs_in
 from repro.analysis.interference import InterferenceGraph
 from repro.errors import AllocationError
 from repro.ir.instructions import Move
@@ -35,12 +42,18 @@ class AllocGraph:
     rclass: RegClass
     k: int
     colors: tuple[PReg, ...]
-    #: full adjacency over vregs and pregs (grows under coalescing)
-    adj: dict[Register, set[Register]] = field(default_factory=dict)
-    #: nodes still in the graph (vregs only; pregs are always present)
-    active: set[VReg] = field(default_factory=set)
+    #: dense id -> register and back (the function's register index;
+    #: a register first named by ``add_edge``/``merge`` gets the next id)
+    nodes: list[Register] = field(default_factory=list)
+    ids: dict[Register, int] = field(default_factory=dict)
+    #: adjacency rows over dense ids (grow under coalescing)
+    rows: list[int] = field(default_factory=list)
+    #: mask of the nodes still in the graph (vregs only)
+    active: int = 0
+    #: mask of the physical registers (always present, infinite degree)
+    precolored: int = 0
     #: current degree of each active vreg w.r.t. active ∪ precolored
-    _degree: dict[VReg, int] = field(default_factory=dict)
+    deg: list[int] = field(default_factory=list)
     #: move instructions, per node, for copy-relatedness queries
     moves_of: dict[Register, list[Move]] = field(default_factory=dict)
     moves: list[Move] = field(default_factory=list)
@@ -56,18 +69,8 @@ class AllocGraph:
     #: low-degree crossings are event-driven instead of rescans (see
     #: ``repro.regalloc.worklist``).
     degree_listener: object | None = field(default=None, repr=False)
-    #: when built from a bitmask-form interference graph, the symmetric
-    #: int rows and dense index it was projected from.  Consumers (the
-    #: CPG replay) may read adjacency straight from these rows as long
-    #: as ``adj_pristine`` still holds.
-    source_rows: list[int] | None = field(default=None, repr=False)
-    source_index: object | None = field(default=None, repr=False)
-    #: vreg count at build time (``adj`` rows match ``source_rows`` only
-    #: while no edge has been added or node coalesced since then; plain
-    #: simplification removals never rewrite ``adj`` so they keep this
-    #: True)
-    adj_pristine: bool = True
-    initial_vregs: int = 0
+    #: ``nodes``/``ids``/``rows`` still belong to the interference graph
+    shared: bool = field(default=False, repr=False)
 
     # ------------------------------------------------------------------
     # aliases
@@ -84,36 +87,44 @@ class AllocGraph:
     # ------------------------------------------------------------------
     # structure queries
 
+    def row(self, node: Register) -> int:
+        """``node``'s adjacency mask (0 for a register with no id)."""
+        i = self.ids.get(node)
+        return 0 if i is None else self.rows[i]
+
+    def active_nodes(self) -> list[VReg]:
+        return regs_in(self.nodes, self.active)
+
+    def is_active(self, node: Register) -> bool:
+        i = self.ids.get(node)
+        return i is not None and bool(self.active >> i & 1)
+
     def is_precolored(self, node: Register) -> bool:
         return isinstance(node, PReg)
 
     def degree(self, node: Register) -> int:
         if isinstance(node, PReg):
             return INFINITE_DEGREE
-        return self._degree[node]
+        return self.deg[self.ids[node]]
 
     def neighbors(self, node: Register) -> set[Register]:
         """Active (or precolored) neighbors of ``node``."""
-        return {
-            n for n in self.adj.get(node, ())
-            if isinstance(n, PReg) or n in self.active
-        }
+        return set(regs_in(self.nodes, self.row(node)
+                           & (self.active | self.precolored)))
 
     def all_neighbors(self, node: Register) -> set[Register]:
         """Neighbors including removed ones (used by select/CPG replay)."""
-        return set(self.adj.get(node, ()))
+        return set(regs_in(self.nodes, self.row(node)))
 
     def interferes(self, a: Register, b: Register) -> bool:
         if isinstance(a, PReg) and isinstance(b, PReg):
             return a != b
-        return b in self.adj.get(a, ())
+        j = self.ids.get(b)
+        return j is not None and bool(self.row(a) >> j & 1)
 
     def significant(self, node: Register) -> bool:
         """Degree >= K (Briggs's 'significant-degree' test)."""
         return self.degree(node) >= self.k
-
-    def vregs(self) -> list[VReg]:
-        return [n for n in self.adj if isinstance(n, VReg)]
 
     def spill_cost(self, node: VReg) -> float:
         if node.no_spill or any(
@@ -125,84 +136,101 @@ class AllocGraph:
     # ------------------------------------------------------------------
     # mutation
 
+    def _id(self, node: Register) -> int:
+        """``node``'s id, appending a fresh edgeless node on first sight
+        (after taking private copies of the shared structures)."""
+        if self.shared:
+            self.nodes = list(self.nodes)
+            self.ids = dict(self.ids)
+            self.rows = list(self.rows)
+            self.shared = False
+        i = self.ids.get(node)
+        if i is None:
+            i = self.ids[node] = len(self.nodes)
+            self.nodes.append(node)
+            self.rows.append(0)
+            self.deg.append(0)
+            if isinstance(node, PReg):
+                self.precolored |= 1 << i
+        return i
+
     def add_edge(self, a: Register, b: Register) -> None:
         if a == b or a.rclass is not b.rclass:
             return
         if isinstance(a, PReg) and isinstance(b, PReg):
             return
-        if b in self.adj.setdefault(a, set()):
+        i, j = self._id(a), self._id(b)
+        rows = self.rows
+        if rows[i] >> j & 1:
             return
-        self.adj_pristine = False
-        self.adj[a].add(b)
-        self.adj.setdefault(b, set()).add(a)
-        if isinstance(a, VReg) and a in self.active and (
-            isinstance(b, PReg) or b in self.active
-        ):
-            self._degree[a] += 1
-            self._note_degree(a)
-        if isinstance(b, VReg) and b in self.active and (
-            isinstance(a, PReg) or a in self.active
-        ):
-            self._degree[b] += 1
-            self._note_degree(b)
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+        present = self.active | self.precolored
+        if self.active >> i & 1 and present >> j & 1:
+            self.deg[i] += 1
+            self._note_degree(i)
+        if self.active >> j & 1 and present >> i & 1:
+            self.deg[j] += 1
+            self._note_degree(j)
 
-    def _note_degree(self, node: VReg) -> None:
+    def _note_degree(self, i: int) -> None:
         listener = self.degree_listener
         if listener is not None:
-            listener(node, self._degree[node])
+            listener(self.nodes[i], self.deg[i])
 
     def remove(self, node: VReg) -> None:
         """Simplification removal: take ``node`` out of the active graph."""
-        if node not in self.active:
+        i = self.ids.get(node)
+        if i is None or not self.active >> i & 1:
             raise AllocationError(f"removing inactive node {node}")
-        self.active.remove(node)
+        self.active ^= 1 << i
         listener = self.degree_listener
-        degree = self._degree
-        for n in self.adj.get(node, ()):
-            if isinstance(n, VReg) and n in self.active:
-                degree[n] -= 1
-                if listener is not None:
-                    listener(n, degree[n])
+        deg = self.deg
+        rest = self.rows[i] & self.active
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            deg[j] -= 1
+            if listener is not None:
+                listener(self.nodes[j], deg[j])
 
     def merge(self, kept: Register, gone: VReg) -> None:
         """Coalesce ``gone`` into ``kept`` (both must be active/precolored)."""
         if isinstance(gone, PReg):
             raise AllocationError("cannot merge away a physical register")
-        if gone not in self.active:
+        if not self.is_active(gone):
             raise AllocationError(f"merging inactive node {gone}")
-        if isinstance(kept, VReg) and kept not in self.active:
+        if isinstance(kept, VReg) and not self.is_active(kept):
             raise AllocationError(f"merging into inactive node {kept}")
-        self.adj_pristine = False
+        ki, gi = self._id(kept), self.ids[gone]
         self.alias[gone] = kept
         mem = self.members.setdefault(kept, {kept})
         mem |= self.members_of(gone)
         self.members.pop(gone, None)
 
-        self.active.remove(gone)
-        kept_adj = self.adj.setdefault(kept, set())
-        for n in list(self.adj.get(gone, ())):
-            self.adj[n].discard(gone)
-            if n == kept:
+        gone_bit = 1 << gi
+        self.active &= ~gone_bit
+        rows = self.rows
+        deg = self.deg
+        for n in iter_bits(rows[gi]):
+            rows[n] &= ~gone_bit
+            if n == ki:
                 # `kept` lost the (unusual) edge to `gone` itself.
                 if isinstance(kept, VReg):
-                    self._degree[kept] -= 1
-                    self._note_degree(kept)
-                kept_adj.discard(gone)
+                    deg[ki] -= 1
+                    self._note_degree(ki)
                 continue
             # `gone` left the graph: a neighbor shared with `kept` loses
             # one active neighbor outright; an unshared one trades the
             # edge to `gone` for a new edge to `kept` (add_edge already
             # bumps both endpoint degrees), so it loses the `gone` count.
-            if n in kept_adj:
-                if isinstance(n, VReg) and n in self.active:
-                    self._degree[n] -= 1
-                    self._note_degree(n)
-            else:
-                self.add_edge(kept, n)
-                if isinstance(n, VReg) and n in self.active:
-                    self._degree[n] -= 1
-                    self._note_degree(n)
-        self.adj[gone] = set()
+            if not rows[ki] >> n & 1:
+                self.add_edge(kept, self.nodes[n])
+            if self.active >> n & 1:
+                deg[n] -= 1
+                self._note_degree(n)
+        rows[gi] = 0
         if isinstance(kept, VReg):
             cost = self.spill_costs.get(kept, 0.0) + self.spill_costs.get(
                 gone, 0.0
@@ -224,16 +252,6 @@ class AllocGraph:
                     out.add(rep)
         return out
 
-    def snapshot_active_adjacency(self) -> dict[VReg, set[VReg]]:
-        """Vreg-only adjacency of the currently active graph (CPG input)."""
-        out: dict[VReg, set[VReg]] = {}
-        for node in self.active:
-            out[node] = {
-                n for n in self.adj.get(node, ())
-                if isinstance(n, VReg) and n in self.active
-            }
-        return out
-
 
 def build_alloc_graph(
     ig: InterferenceGraph,
@@ -241,34 +259,28 @@ def build_alloc_graph(
     rclass: RegClass,
     spill_costs: dict[VReg, float] | None = None,
 ) -> AllocGraph:
-    """Project the function-wide interference graph onto one class."""
+    """Project the function-wide interference graph onto one class.
+
+    Interference rows never cross classes, so the projection is just the
+    class's masks over the shared rows: every vreg of the class starts
+    active, with its row's size as degree.
+    """
     regfile = machine.file(rclass)
+    index = ig.index
+    in_class = index.int_mask if rclass is RegClass.INT else index.float_mask
     graph = AllocGraph(
         rclass=rclass,
         k=regfile.k,
         colors=regfile.regs,
+        nodes=index.regs,
+        ids=index.ids,
+        rows=ig.rows,
+        active=in_class & ~index.preg_mask,
+        precolored=in_class & index.preg_mask,
+        deg=list(map(int.bit_count, ig.rows)),
         spill_costs=dict(spill_costs or {}),
+        shared=True,
     )
-    # Pre-partitioned projection: only this class's nodes are visited,
-    # and every vreg starts active, so its degree is just its row size
-    # (interference edges never cross classes).  A bitmask-form graph
-    # hands out each neighbor set directly from its rows, so the
-    # function-wide adjacency dict never needs to exist.
-    class_nodes = ig.nodes_by_class().get(rclass, [])
-    from_rows = ig.rows is not None and not ig.materialized
-    if from_rows:
-        graph.source_rows = ig.rows
-        graph.source_index = ig.index
-    for node in class_nodes:
-        row = ig.row_set(node) if from_rows else set(ig.neighbors(node))
-        graph.adj[node] = row
-        if isinstance(node, VReg):
-            graph.active.add(node)
-            graph.members[node] = {node}
-            graph._degree[node] = len(row)
-    graph.initial_vregs = len(graph.active)
-    for preg in regfile.regs:
-        graph.adj.setdefault(preg, set())
     for mv in ig.moves:
         if mv.dst.rclass is not rclass:
             continue

@@ -54,14 +54,14 @@ class IteratedCoalescingAllocator(Allocator):
                 # --- simplify: non-move-related low-degree nodes --------
                 candidates = sorted(
                     (
-                        n for n in graph.active
+                        n for n in graph.active_nodes()
                         if not graph.significant(n) and not move_related(n)
                     ),
                     key=lambda r: r.id,
                 )
                 if candidates:
                     for node in candidates:
-                        if node in graph.active and not graph.significant(
+                        if graph.is_active(node) and not graph.significant(
                             node
                         ) and not move_related(node):
                             graph.remove(node)
@@ -85,7 +85,7 @@ class IteratedCoalescingAllocator(Allocator):
                 # --- freeze: give up on one low-degree node's moves ------
                 freezable = sorted(
                     (
-                        n for n in graph.active
+                        n for n in graph.active_nodes()
                         if not graph.significant(n) and move_related(n)
                     ),
                     key=lambda r: r.id,
@@ -94,7 +94,8 @@ class IteratedCoalescingAllocator(Allocator):
                     frozen.update(live_moves(freezable[0]))
                     continue
                 # --- potential spill -------------------------------------
-                candidate = choose_spill_candidate(graph, graph.active,
+                candidate = choose_spill_candidate(graph,
+                                                   graph.active_nodes(),
                                                    ctx.policy)
                 graph.remove(candidate)
                 result.stack.append(candidate)

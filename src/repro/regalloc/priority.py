@@ -61,11 +61,11 @@ class PriorityAllocator(Allocator):
                                                         1)
 
         constrained = sorted(
-            (n for n in graph.active if graph.significant(n)),
+            (n for n in graph.active_nodes() if graph.significant(n)),
             key=lambda n: (-priority(n), n.id),
         )
         unconstrained = sorted(
-            (n for n in graph.active if not graph.significant(n)),
+            (n for n in graph.active_nodes() if not graph.significant(n)),
             key=lambda n: n.id,
         )
 

@@ -84,7 +84,7 @@ class DegreeWorklist:
         self.metric = metric
         self._pending: list[VReg] = []
         heap = []
-        for node in graph.active:
+        for node in graph.active_nodes():
             if graph.significant(node):
                 heap.append((self._key(node), tie_break(node), node))
             else:
@@ -156,10 +156,10 @@ class DegreeWorklist:
         equal metrics exactly as the scan does.
         """
         heap = self._heap
-        active = self.graph.active
+        is_active = self.graph.is_active
         while heap:
             metric, tie, node = heappop(heap)
-            if node not in active:
+            if not is_active(node):
                 continue  # stale: removed since it was pushed
             current = self._key(node)
             if current != metric:

@@ -6,7 +6,10 @@ tests compare production against directly:
 
 * **dataflow** — the set-based liveness and interference builders,
   written straight from the definitions (closest to the paper), and
-  the scalar int-row CPG replay;
+  the set-based CPG replay over the reference interference graph;
+* **coloring graph** — :class:`SetAllocGraph`, the register-set
+  coloring graph (removal, merging, edge insertion) that the dense-id
+  :class:`~repro.regalloc.igraph.AllocGraph` is checked against;
 * **renumber** — the quadratic def-scanning web renumbering
   (:func:`renumber_reference`, compared by :func:`compare_renumber`);
 * **simplify/select** — the rescan-per-batch simplify engine and the
@@ -38,7 +41,6 @@ from contextlib import ExitStack, contextmanager
 from types import SimpleNamespace
 from unittest import mock
 
-from repro.analysis.indexing import iter_bits
 from repro.analysis.liveness import Liveness
 from repro.analysis.renumber import (
     RenumberResult,
@@ -49,7 +51,7 @@ from repro.analysis.renumber import (
 )
 from repro.cfg.analysis import build_cfg
 from repro.core import allocator as core_allocator
-from repro.core.cpg import BOTTOM, TOP, ColoringPrecedenceGraph, _wig_rows
+from repro.core.cpg import BOTTOM, TOP
 from repro.core.select import PreferenceSelector
 from repro.errors import AllocationError
 from repro.ir.clone import clone_function
@@ -174,23 +176,31 @@ def compare_liveness(got: Liveness, want: Liveness) -> list[str]:
 # ----------------------------------------------------------------------
 # interference: the direct set-based builder
 
+def _link(adjacency: dict, a, b) -> None:
+    """Chaitin's edge rules: no self edges, none across classes, and
+    physical-physical edges stay implicit."""
+    if a == b or a.rclass is not b.rclass:
+        return
+    if isinstance(a, PReg) and isinstance(b, PReg):
+        return
+    adjacency.setdefault(a, set()).add(b)
+    adjacency.setdefault(b, set()).add(a)
+
+
 def build_interference_reference(func, cfg=None, liveness=None):
     """Chaitin's definition, one register set per block scan.
 
+    Returns ``adjacency`` (register -> neighbor set) and ``moves``.
     ``liveness`` defaults to the set-based reference, so the oracle
     shares no code with the production kernels.
     """
-    from repro.analysis.interference import InterferenceGraph
-
     if cfg is None:
         cfg = build_cfg(func)
     if liveness is None:
         liveness = compute_liveness_reference(func, cfg)
 
-    graph = InterferenceGraph()
-    for param in func.params:
-        graph.ensure(param)
-
+    adjacency: dict = {param: set() for param in func.params}
+    moves: list = []
     for blk in func.blocks:
         live = set(liveness.live_out[blk.label])
         for instr in reversed(blk.instrs):
@@ -199,20 +209,20 @@ def build_interference_reference(func, cfg=None, liveness=None):
             defs = [d for d in instr.defs() if isinstance(d, (VReg, PReg))]
             uses = [u for u in instr.uses() if isinstance(u, (VReg, PReg))]
             for reg in defs + uses:
-                graph.ensure(reg)
+                adjacency.setdefault(reg, set())
 
             if isinstance(instr, Move):
-                graph.moves.append(instr)
+                moves.append(instr)
                 live.discard(instr.src)
 
             for d in defs:
                 for other in live:
-                    graph.add_edge(d, other)
+                    _link(adjacency, d, other)
                 for d2 in defs:
-                    graph.add_edge(d, d2)
+                    _link(adjacency, d, d2)
             live -= set(defs)
             live |= set(uses)
-    return graph
+    return SimpleNamespace(adjacency=adjacency, moves=moves)
 
 
 def scan_block_rows(blk, index, live_out: int, rows: dict[int, int],
@@ -259,15 +269,14 @@ def compare_interference(got, want) -> list[str]:
     """Production graph against the reference: same nodes, same
     neighbor sets, same move list.
 
-    Reads the production graph through ``row_set`` only, so the check
-    leaves its dict-of-sets adjacency unmaterialized (materializing it
-    would steer the coloring graphs off their packed-row fast paths).
+    Decodes the production rows directly, so the check leaves the
+    graph's lazy dict-of-sets view unmaterialized.
     """
     problems = []
     if set(got.index.regs) != set(want.adjacency):
         problems.append("interference node sets differ")
     for node, row in want.adjacency.items():
-        if got.row_set(node) != row:
+        if got.index.set_of(got.rows[got.index.ids[node]]) != row:
             problems.append(f"interference adjacency differs at {node}")
             break
     if ([(m.dst, m.src) for m in got.moves]
@@ -277,105 +286,141 @@ def compare_interference(got, want) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# CPG: the scalar int-row replay
+# CPG: the set-based replay
 
-def build_cpg_int(graph, wig_adjacency, simplification):
-    """The Section 5.2 replay with one int row per node, scalar closure.
+def _reaches(succs: dict, a, b) -> bool:
+    """DFS reachability a ->* b over successor sets."""
+    stack, seen = [a], {a}
+    while stack:
+        node = stack.pop()
+        if node == b:
+            return True
+        for nxt in succs.get(node, ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
 
-    The step-7 transitivity test is a single ``&`` against an
-    incrementally-maintained reachability closure, and every edge goes
-    through :meth:`ColoringPrecedenceGraph.add_edge` /
-    ``remove_edge`` — the straightforward form the production replay's
-    batched bookkeeping must reproduce down to dict insertion order and
-    the edge version counter.
+
+def build_cpg_reference(adjacency: dict, k: int, wig_nodes,
+                        simplification) -> dict:
+    """The Section 5.2 replay over register sets, as successor sets.
+
+    ``adjacency`` is a reference interference graph
+    (:func:`build_interference_reference`), ``wig_nodes`` the live
+    ranges in the WIG.  The step-7 transitivity tests are plain DFS
+    walks over the edges built so far.
     """
-    k = graph.k
-    nodes, idx, adj, preg_deg = _wig_rows(graph, wig_adjacency)
-    n = len(nodes)
-    bottom_bit = 1 << n
+    wig_nodes = set(wig_nodes)
+    wig = {v: adjacency[v] & wig_nodes for v in wig_nodes}
+    pregs = {v: sum(isinstance(w, PReg) for w in adjacency[v])
+             for v in wig_nodes}
+    alive = set(wig_nodes)
 
-    cpg = ColoringPrecedenceGraph()
-    cpg.ensure(TOP)
-    cpg.ensure(BOTTOM)
-    alive = (1 << n) - 1
-    ready = 0
-    created = 0
-    #: per-node mask of CPG-reachable nodes (dense ids plus the bottom bit)
-    reach = [0] * n
+    def low(v) -> bool:
+        return len(wig[v] & alive) + pregs[v] < k
 
+    succs: dict = {TOP: set(), BOTTOM: set()}
+    ready = set()
     # Step 4: initial low-degree nodes point at bottom and are ready;
     # potential-spill nodes point at bottom but are not ready.
-    optimistic = simplification.optimistic
-    for i, node in enumerate(nodes):
-        if (adj[i] & alive).bit_count() + preg_deg[i] < k:
-            cpg.add_edge(node, BOTTOM)
-            reach[i] |= bottom_bit
-            created |= 1 << i
-            ready |= 1 << i
-        elif node in optimistic:
-            cpg.add_edge(node, BOTTOM)
-            reach[i] |= bottom_bit
-            created |= 1 << i
-
+    for v in wig_nodes:
+        if low(v) or v in simplification.optimistic:
+            succs[v] = {BOTTOM}
+            if low(v):
+                ready.add(v)
     # Steps 5-9: replay removals in simplification order.
     for popped in simplification.stack:
-        pi = idx.get(popped)
-        if pi is None or not (alive >> pi) & 1:
-            raise AllocationError(f"stack node {popped} missing from WIG")
-        if not (created >> pi) & 1:
-            raise AllocationError(
-                f"CPG invariant broken: {popped} popped before being "
-                f"created (neither low-degree, optimistic, nor a "
-                f"neighbor of an earlier pop)"
-            )
-        popped_bit = 1 << pi
-        alive &= ~popped_bit
-        neighbors = adj[pi] & alive
-        created |= neighbors
-        for wi in iter_bits(neighbors):
-            cpg.ensure(nodes[wi])
-
-        non_ready = neighbors & ~ready
-        if non_ready:
-            popped_reach = reach[pi] | popped_bit
-            popped_to_bottom = reach[pi] & bottom_bit
-            # Bit order is ascending vreg id — the step-7 edge order.
-            for wi in iter_bits(non_ready):
-                # Step 7: skip (and never create) transitive edges.
-                if not reach[wi] & popped_bit:
-                    w = nodes[wi]
-                    cpg.add_edge(w, popped)
-                    reach[wi] |= popped_reach
-                    # A pre-existing w -> bottom edge is now transitive
-                    # whenever `popped` itself reaches bottom.
-                    if popped_to_bottom and BOTTOM in cpg.succs.get(w, ()):
-                        cpg.remove_edge(w, BOTTOM)
-        else:
-            cpg.add_edge(TOP, popped)
-
+        if popped not in alive or popped not in succs:
+            raise AllocationError(f"stack node {popped} out of order")
+        alive.discard(popped)
+        neighbors = wig[popped] & alive
+        for w in neighbors:
+            succs.setdefault(w, set())
+        non_ready = neighbors - ready
+        if not non_ready:
+            succs[TOP].add(popped)
+            continue
+        to_bottom = _reaches(succs, popped, BOTTOM)
+        for w in non_ready:
+            # Step 7: skip transitive edges, and drop w -> bottom once
+            # w reaches bottom through `popped`.
+            if not _reaches(succs, w, popped):
+                succs[w].add(popped)
+                if to_bottom:
+                    succs[w].discard(BOTTOM)
         # Step 8: removal may have made neighbors low-degree.
-        for wi in iter_bits(non_ready):
-            if (adj[wi] & alive).bit_count() + preg_deg[wi] < k:
-                ready |= 1 << wi
-
-    return cpg
+        ready |= {w for w in non_ready if low(w)}
+    return succs
 
 
-def compare_cpgs(got, want) -> list[str]:
-    """Edge-for-edge CPG identity, including insertion order (the
-    selector's dict iteration observes it) and the version counter."""
-    problems = []
-    if list(got.succs) != list(want.succs):
-        problems.append("CPG succs insertion order differs")
-    if list(got.preds) != list(want.preds):
-        problems.append("CPG preds insertion order differs")
-    if got.succs != want.succs:
-        problems.append("CPG successor sets differ")
-    if got.preds != want.preds:
-        problems.append("CPG predecessor sets differ")
-    if got._version != want._version:
-        problems.append("CPG edge version counters differ")
-    return problems
+def compare_cpgs(got, want: dict) -> list[str]:
+    """Edge-for-edge CPG identity against reference successor sets."""
+    got_succs = got.succs
+    if got_succs.keys() != want.keys():
+        return ["CPG node sets differ"]
+    for node, targets in want.items():
+        if got_succs[node] != targets:
+            return [f"CPG successors of {node} differ"]
+    return []
+
+
+# ----------------------------------------------------------------------
+# coloring graph: register sets
+
+class SetAllocGraph:
+    """One class's coloring graph over register sets: neighbor sets,
+    the active vregs and their degrees under ``remove``, ``merge`` and
+    ``add_edge``, as the definitions state them.  Built from a reference
+    interference graph (:func:`build_interference_reference`)."""
+
+    def __init__(self, adjacency: dict, rclass, colors) -> None:
+        self.adj = {n: set(ns) for n, ns in adjacency.items()
+                    if n.rclass is rclass}
+        for c in colors:
+            self.adj.setdefault(c, set())
+        self.active = {n for n in self.adj if isinstance(n, VReg)}
+        self.degree = {n: len(self.adj[n]) for n in self.active}
+
+    def _present(self, node) -> bool:
+        return isinstance(node, PReg) or node in self.active
+
+    def neighbors(self, node) -> set:
+        return {n for n in self.adj.get(node, ()) if self._present(n)}
+
+    def add_edge(self, a, b) -> None:
+        if a == b or a.rclass is not b.rclass:
+            return
+        if isinstance(a, PReg) and isinstance(b, PReg):
+            return
+        if b in self.adj.setdefault(a, set()):
+            return
+        self.adj[a].add(b)
+        self.adj.setdefault(b, set()).add(a)
+        for x, y in ((a, b), (b, a)):
+            if x in self.active and self._present(y):
+                self.degree[x] += 1
+
+    def remove(self, node) -> None:
+        self.active.remove(node)
+        for n in self.adj[node]:
+            if n in self.active:
+                self.degree[n] -= 1
+
+    def merge(self, kept, gone) -> None:
+        self.active.remove(gone)
+        kept_adj = self.adj.setdefault(kept, set())
+        for n in list(self.adj[gone]):
+            self.adj[n].discard(gone)
+            if n == kept:
+                if isinstance(kept, VReg):
+                    self.degree[kept] -= 1
+                continue
+            if n not in kept_adj:
+                self.add_edge(kept, n)
+            if n in self.active:
+                self.degree[n] -= 1
+        self.adj[gone] = set()
 
 
 # ----------------------------------------------------------------------
@@ -580,18 +625,19 @@ def simplify_scan(graph, optimistic, result, policy) -> None:
     """
     tie_break = tie_break_fn(policy)
     while graph.active:
-        low = [n for n in graph.active if not graph.significant(n)]
+        low = [n for n in graph.active_nodes() if not graph.significant(n)]
         if low:
             # Remove all currently-low-degree nodes in a deterministic
             # order; removing one can only lower other degrees, so batch
             # removal stays valid.
             for node in sorted(low, key=tie_break):
-                if node in graph.active and not graph.significant(node):
+                if graph.is_active(node) and not graph.significant(node):
                     graph.remove(node)
                     result.stack.append(node)
             continue
         with phase("spill_pick"):
-            candidate = choose_spill_candidate(graph, graph.active, policy)
+            candidate = choose_spill_candidate(graph, graph.active_nodes(),
+                                               policy)
         graph.remove(candidate)
         if optimistic:
             result.stack.append(candidate)
@@ -600,16 +646,17 @@ def simplify_scan(graph, optimistic, result, policy) -> None:
             result.spilled.add(candidate)
 
 
-def free_mask_reference(selector: PreferenceSelector, node) -> int:
-    """Colors no colored or physical neighbor of ``node`` holds, from the
-    assignment and the adjacency alone."""
-    color_bit = selector._color_bit
+def free_mask_reference(selector: PreferenceSelector, node: int) -> int:
+    """Colors no colored or physical neighbor of id ``node`` holds, from
+    the assignment and the adjacency alone."""
+    graph = selector.graph
+    color_bit = {c: 1 << i for i, c in enumerate(graph.colors)}
     taken = 0
-    for n in selector.graph.adj.get(node, ()):
+    for n in graph.all_neighbors(graph.nodes[node]):
         color = n if isinstance(n, PReg) else selector.assignment.get(n)
         if color is not None:
             taken |= color_bit.get(color, 0)
-    return selector._all_mask & ~taken
+    return (1 << len(graph.colors)) - 1 & ~taken
 
 
 def differential_reference(selector: PreferenceSelector, node) -> float:
@@ -626,7 +673,7 @@ def differential_reference(selector: PreferenceSelector, node) -> float:
     return max(strengths) - min(strengths)
 
 
-def choose_node_scan(selector: PreferenceSelector, queue) -> VReg:
+def choose_node_scan(selector: PreferenceSelector, queue) -> int:
     """Linear scan of the ready set for the largest pick key, every
     differential recomputed by :func:`differential_reference` (the
     selector's free-mask, ask and differential caches are not read, so
@@ -637,12 +684,13 @@ def choose_node_scan(selector: PreferenceSelector, queue) -> VReg:
     best_key = None
     for node in queue:
         differential = differential_reference(selector, node)
+        reg = selector.graph.nodes[node]
         if weights is None:
-            key = (differential, spill_cost(node), -node.id)
+            key = (differential, spill_cost(reg), -reg.id)
         else:
             key = (weights[0] * differential,
-                   weights[1] * spill_cost(node),
-                   weights[2] * -node.id)
+                   weights[1] * spill_cost(reg),
+                   weights[2] * -reg.id)
         if best_key is None or key > best_key:
             best, best_key = node, key
     assert best is not None
@@ -652,7 +700,7 @@ def choose_node_scan(selector: PreferenceSelector, queue) -> VReg:
 class ScanPreferenceSelector(PreferenceSelector):
     """The selector picking by :func:`choose_node_scan`."""
 
-    def _next_node(self) -> VReg:
+    def _next_node(self) -> int:
         node = choose_node_scan(self, set(self._ready._members))
         self._ready.discard(node)
         return node
@@ -661,16 +709,15 @@ class ScanPreferenceSelector(PreferenceSelector):
 class CheckedPreferenceSelector(PreferenceSelector):
     """The production selector, every pick checked against the scan."""
 
-    def _next_node(self) -> VReg:
+    def _next_node(self) -> int:
         queue = set(self._ready._members)
         node = super()._next_node()
         oracle = choose_node_scan(self, queue)
-        # Value equality: equal-but-distinct VReg instances occur under
-        # cached/unpickled analyses, and every index keys by eq/hash.
         if node != oracle:
+            nodes = self.graph.nodes
             raise OracleMismatch(
                 f"select-index validation failed: ready heap picked "
-                f"{node}, scan oracle {oracle}"
+                f"{nodes[node]}, scan oracle {nodes[oracle]}"
             )
         return node
 
@@ -683,7 +730,7 @@ class CheckedDegreeWorklist(DegreeWorklist):
         batch = super().take_batch()
         graph = self.graph
         oracle = sorted(
-            (n for n in graph.active if not graph.significant(n)),
+            (n for n in graph.active_nodes() if not graph.significant(n)),
             key=self.tie_break,
         )
         if batch != oracle:
@@ -704,7 +751,8 @@ class CheckedDegreeWorklist(DegreeWorklist):
                 metric = self.metric(graph, node)
             return metric, self.tie_break(node)
 
-        oracle = min(graph.active, key=score) if graph.active else None
+        oracle = (min(graph.active_nodes(), key=score) if graph.active
+                  else None)
         node = super().pop_spill()
         if node != oracle:
             raise OracleMismatch(
@@ -741,10 +789,17 @@ def validate_select():
 @contextmanager
 def validate_dataflow():
     """Check every liveness solve, interference build and CPG replay of
-    an allocation run against the references as it happens."""
+    an allocation run against the references as it happens.
+
+    The CPG reference runs on the reference interference graph of the
+    function whose production graph the coloring graph was built from.
+    """
     real_liveness = regalloc_base.compute_liveness
     real_interference = regalloc_base.build_interference
     real_cpg = core_allocator.build_cpg
+    #: id of a production graph's register list -> (that list, the
+    #: reference adjacency of its function)
+    references: dict = {}
 
     def liveness(func, cfg=None):
         got = real_liveness(func, cfg)
@@ -756,17 +811,22 @@ def validate_dataflow():
 
     def interference(func, cfg=None, liveness=None):
         got = real_interference(func, cfg, liveness)
-        problems = compare_interference(
-            got, build_interference_reference(func, cfg))
+        want = build_interference_reference(func, cfg)
+        problems = compare_interference(got, want)
         if problems:
             raise OracleMismatch(
                 "interference oracle: " + "; ".join(problems))
+        references[id(got.index.regs)] = (got.index.regs, want.adjacency)
         return got
 
-    def cpg(graph, wig_adjacency, simplification):
-        got = real_cpg(graph, wig_adjacency, simplification)
-        problems = compare_cpgs(
-            got, build_cpg_int(graph, wig_adjacency, simplification))
+    def cpg(graph, wig, simplification):
+        got = real_cpg(graph, wig, simplification)
+        _nodes, adjacency = references[id(graph.nodes)]
+        wig_nodes = [node for i, node in enumerate(graph.nodes)
+                     if wig >> i & 1]
+        want = build_cpg_reference(adjacency, graph.k, wig_nodes,
+                                   simplification)
+        problems = compare_cpgs(got, want)
         if problems:
             raise OracleMismatch("CPG oracle: " + "; ".join(problems))
         return got

@@ -13,11 +13,13 @@ about the produced allocations.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import (
+    SetAllocGraph,
     build_interference_reference,
     compute_liveness_reference,
     instruction_liveness_reference,
@@ -38,6 +40,7 @@ from repro.regalloc import AllocationOptions, allocate_function
 from repro.regalloc.igraph import build_alloc_graph
 from repro.sim.cycles import estimate_cycles
 from repro.target.presets import make_machine
+from repro.workloads import make_suite
 from repro.workloads.generator import generate_function, generate_module
 from repro.workloads.profiles import BenchmarkProfile
 
@@ -122,8 +125,8 @@ class TestInterferenceEquivalence:
 
 class TestIncrementalDegrees:
     def _check_degrees(self, graph):
-        for node in graph.active:
-            assert graph._degree[node] == len(graph.neighbors(node)), node
+        for node in graph.active_nodes():
+            assert graph.degree(node) == len(graph.neighbors(node)), node
 
     def test_degree_tracks_recount_under_mutation(self):
         """merge/remove/add_edge keep ``_degree`` equal to a recount."""
@@ -141,7 +144,7 @@ class TestIncrementalDegrees:
                     if not graph.active:
                         break
                     roll = rng.random()
-                    nodes = sorted(graph.active, key=lambda v: v.id)
+                    nodes = graph.active_nodes()
                     a = rng.choice(nodes)
                     if roll < 0.3:
                         graph.remove(a)
@@ -160,6 +163,74 @@ class TestIncrementalDegrees:
                         b = rng.choice(nodes)
                         graph.add_edge(a, b)
                     self._check_degrees(graph)
+
+
+#: the first three functions of each suite module
+SUITE_SIZE = 21
+
+
+@functools.cache
+def _suite_functions():
+    machine = make_machine(8)
+    funcs = [prepare_function(clone_function(f), machine)
+             for module in make_suite().values()
+             for f in module.functions[:3]]
+    assert len(funcs) == SUITE_SIZE
+    return machine, funcs
+
+
+class TestAllocGraphAgainstSets:
+    """The dense-id coloring graph against :class:`SetAllocGraph` built
+    from the reference interference graph: same neighbors, degrees and
+    active set after every step of a random remove / merge / add_edge
+    sequence on suite functions."""
+
+    def _agree(self, graph, ref) -> None:
+        assert set(graph.active_nodes()) == ref.active
+        for node in ref.adj:
+            assert graph.neighbors(node) == ref.neighbors(node), node
+        for node in ref.active:
+            assert graph.degree(node) == ref.degree[node], node
+
+    @SLOW
+    @given(which=st.integers(0, SUITE_SIZE - 1),
+           ops=st.lists(st.tuples(st.sampled_from("rmpe"),
+                                  st.integers(0, 1 << 16),
+                                  st.integers(0, 1 << 16)),
+                        max_size=30))
+    def test_mutations_match_set_reference(self, which, ops):
+        machine, funcs = _suite_functions()
+        func = funcs[which]
+        ig = build_interference(func)
+        adjacency = build_interference_reference(func).adjacency
+        for rclass in {v.rclass for v in ig.vregs()}:
+            graph = build_alloc_graph(ig, machine, rclass)
+            ref = SetAllocGraph(adjacency, rclass, graph.colors)
+            self._agree(graph, ref)
+            for op, x, y in ops:
+                nodes = sorted(ref.active, key=lambda v: v.id)
+                if not nodes:
+                    break
+                a = nodes[x % len(nodes)]
+                b = nodes[y % len(nodes)]
+                if op == "r":
+                    graph.remove(a)
+                    ref.remove(a)
+                elif op == "m" and a != b and b not in ref.adj[a]:
+                    graph.merge(a, b)
+                    ref.merge(a, b)
+                elif op == "p":
+                    free = [p for p in graph.colors if p not in ref.adj[a]]
+                    if free:
+                        kept = free[y % len(free)]
+                        graph.merge(kept, a)
+                        ref.merge(kept, a)
+                elif op == "e":
+                    other = graph.colors[y % len(graph.colors)] \
+                        if x % 2 else b
+                    graph.add_edge(a, other)
+                    ref.add_edge(a, other)
+                self._agree(graph, ref)
 
 
 class TestPipelineLevers:

@@ -2,7 +2,7 @@
 
 from repro.analysis.interference import build_interference
 from repro.ir.builder import IRBuilder
-from repro.ir.values import Const, PReg, RegClass
+from repro.ir.values import Const, PReg, RegClass, VReg
 from repro.regalloc.coalesce import (
     briggs_conservative_ok,
     coalesce_aggressive,
@@ -47,10 +47,10 @@ class TestMergeable:
         func = b.finish()
         machine = make_machine(8)
         graph = graph_of(func, machine)
-        a, bb = list(graph.active)[:2]
+        active = graph.active_nodes()
         # find an actually interfering pair
         pairs = [
-            (x, y) for x in graph.active for y in graph.active
+            (x, y) for x in active for y in active
             if x != y and graph.interferes(x, y)
         ]
         assert pairs
@@ -138,3 +138,70 @@ class TestMergeMove:
         mv = graph.moves[0]
         assert merge_move(graph, mv) is not None
         assert merge_move(graph, mv) is None
+
+
+def briggs_reference(ref, k, a, b) -> bool:
+    """Briggs over register sets: fewer than K significant neighbors of
+    the merged node, a shared vreg neighbor losing one edge."""
+    na, nb = ref.neighbors(a), ref.neighbors(b)
+    significant = 0
+    for n in (na | nb) - {a, b}:
+        if isinstance(n, PReg):
+            significant += 1
+            continue
+        degree = ref.degree[n] - (n in na and n in nb)
+        significant += degree >= k
+    return significant < k
+
+
+def george_reference(ref, k, a, b) -> bool:
+    """George over register sets: every significant neighbor of ``a``
+    already interferes with ``b``."""
+    for t in ref.neighbors(a):
+        if isinstance(t, VReg) and ref.degree[t] < k:
+            continue
+        if isinstance(t, PReg) and isinstance(b, PReg):
+            if t != b:
+                continue
+        elif b in ref.adj.get(t, ()):
+            continue
+        return False
+    return True
+
+
+class TestRowTestsAgainstSets:
+    """Briggs and George on the dense-id rows give the set-based
+    answers for every move of the suite's functions, as aggressive
+    coalescing merges them one by one."""
+
+    def test_row_tests_match_set_reference(self):
+        from oracles import SetAllocGraph, build_interference_reference
+        from repro.ir.clone import clone_function
+        from repro.pipeline import prepare_function
+        from repro.workloads import make_suite
+
+        machine = make_machine(16)
+        checked = 0
+        for module in make_suite().values():
+            for func in module.functions[:3]:
+                func = prepare_function(clone_function(func), machine)
+                graph = graph_of(func, machine)
+                ref = SetAllocGraph(
+                    build_interference_reference(func).adjacency,
+                    RegClass.INT, graph.colors)
+                for mv in graph.moves:
+                    a, b = graph.find(mv.dst), graph.find(mv.src)
+                    if not mergeable(graph, a, b):
+                        continue
+                    checked += 1
+                    for x, y in ((a, b), (b, a)):
+                        if not isinstance(x, PReg) and \
+                                not isinstance(y, PReg):
+                            assert briggs_conservative_ok(graph, x, y) \
+                                == briggs_reference(ref, graph.k, x, y)
+                        if not isinstance(x, PReg):
+                            assert george_ok(graph, x, y) \
+                                == george_reference(ref, graph.k, x, y)
+                    kept = merge_move(graph, mv)
+                    ref.merge(kept, b if kept == a else a)
+        assert checked > 50

@@ -3,6 +3,7 @@ deferred filtering, memory preference."""
 
 import pytest
 
+from cpg_queries import initial_queue, live_nodes
 from oracles import choose_node_scan
 from repro.analysis.interference import build_interference
 from repro.analysis.renumber import renumber
@@ -26,7 +27,7 @@ def make_selector(func, machine, config=None, lowered=False):
     rpg = build_rpg(func, machine, costs, config)
     ig = build_interference(func)
     graph = build_alloc_graph(ig, machine, RegClass.INT)
-    wig = graph.snapshot_active_adjacency()
+    wig = graph.active
     simplification = simplify(graph, optimistic=True)
     cpg = build_cpg(graph, wig, simplification)
     return PreferenceSelector(
@@ -37,10 +38,15 @@ def make_selector(func, machine, config=None, lowered=False):
 
 
 def web(selector, name):
-    for node in selector.graph.adj:
+    """The id of the web named ``name``."""
+    for i, node in enumerate(selector.graph.nodes):
         if getattr(node, "name", None) == name:
-            return node
+            return i
     raise AssertionError(f"no web named {name}")
+
+
+def ids(selector, nodes) -> list[int]:
+    return [selector.graph.ids[node] for node in nodes]
 
 
 class TestDifferential:
@@ -54,7 +60,7 @@ class TestDifferential:
                                   paired_loads=False, volatility=False,
                                   byte_loads=False)
         sel = make_selector(func, make_machine(8), config)
-        node = sel.cpg.live_nodes()[0]
+        node = ids(sel, live_nodes(sel.cpg))[0]
         assert sel._pick_key(node)[0] == NEG_INF
 
     def test_single_preference_uses_own_strength(self):
@@ -84,12 +90,12 @@ class TestDifferential:
         # the call-crossing web has vol and nonvol asks whose strengths
         # differ by |3*crossings - 2|
         crossing = [
-            n for n in sel.cpg.live_nodes()
+            n for n in live_nodes(sel.cpg)
             if sel.costs.crosses_calls(n)
         ]
         assert crossing
         for n in crossing:
-            diff = sel._pick_key(n)[0]
+            diff = sel._pick_key(sel.graph.ids[n])[0]
             assert diff >= abs(
                 3 * sel.costs.cross_freq(n) - 2
             ) - 1e-9
@@ -123,13 +129,14 @@ class TestOrdering:
 
         machine = figure7_machine()
         sel = make_selector(figure7_function(), machine)
-        queue = set(sel.cpg.initial_queue())
+        queue = set(ids(sel, initial_queue(sel.cpg)))
         for node in queue:
             sel._ready.push(node, sel._pick_key(node))
         chosen = sel._next_node()
         assert chosen == choose_node_scan(sel, queue)
         # v3's dedicated arg0 edge gives it the largest differential
-        assert chosen.name.split(".")[0] == "v4"  # builder name for v3
+        name = sel.graph.nodes[chosen].name
+        assert name.split(".")[0] == "v4"  # builder name for v3
 
 
 class TestMemoryPreference:
@@ -152,7 +159,8 @@ class TestMemoryPreference:
         for node in sel.spilled:
             vol = sel.costs.strength_volatile(node)
             nonvol = sel.costs.strength_nonvolatile(node)
-            assert max(vol, nonvol) < 0 or not sel._available(node)
+            assert max(vol, nonvol) < 0 \
+                or not sel._free_mask(sel.graph.ids[node])
 
     def test_no_spill_temporaries_never_memory_spilled(self):
         b = IRBuilder("f", n_params=1)

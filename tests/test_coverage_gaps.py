@@ -10,11 +10,21 @@ from repro.core.cpg import BOTTOM, TOP
 from repro.ir.builder import IRBuilder
 from repro.ir.printer import format_assignment, print_function
 from repro.ir.values import Const, PReg, RegClass, VReg
+from repro.regalloc.igraph import AllocGraph
 from repro.regalloc.simplify import SimplifyResult
 from repro.sim.interp import run_function
 from repro.sim.ops import Memory
 
 from conftest import build_diamond
+from cpg_queries import any_topological_order
+
+
+def chain_cpg(*stack):
+    """The chain CPG of a simplification stack over an edgeless graph."""
+    graph = AllocGraph(rclass=RegClass.INT, k=2, colors=())
+    for node in stack:
+        graph.active |= 1 << graph._id(node)
+    return _chain_cpg(graph, SimplifyResult(stack=list(stack)))
 
 
 class TestPrinterExtras:
@@ -43,8 +53,7 @@ class TestPrinterExtras:
 class TestChainCPG:
     def test_chain_preserves_stack_order(self):
         a, b, c = VReg(0, name="a"), VReg(1, name="b"), VReg(2, name="c")
-        simpl = SimplifyResult(stack=[a, b, c])
-        cpg = _chain_cpg(simpl)
+        cpg = chain_cpg(a, b, c)
         # select order (pop) is c, b, a -> chain top->c->b->a->bottom
         assert cpg.succs[TOP] == {c}
         assert cpg.succs[c] == {b}
@@ -52,13 +61,12 @@ class TestChainCPG:
         assert BOTTOM in cpg.succs[a]
 
     def test_empty_stack(self):
-        cpg = _chain_cpg(SimplifyResult())
+        cpg = chain_cpg()
         assert cpg.succs.get(TOP) == set()
 
     def test_any_topological_order_covers_all(self):
         a, b = VReg(0, name="a"), VReg(1, name="b")
-        cpg = _chain_cpg(SimplifyResult(stack=[a, b]))
-        order = cpg.any_topological_order()
+        order = any_topological_order(chain_cpg(a, b))
         assert order == [b, a]
 
 

@@ -14,17 +14,26 @@ from repro.target.lowering import lower_function
 from repro.target.presets import figure7_machine, make_machine
 
 from conftest import build_call_heavy, build_diamond, build_figure7
+from cpg_queries import (
+    initial_queue,
+    live_nodes,
+    preds_of,
+    reaches,
+    topological_orders_exist,
+)
 
 
 def cpg_for(func, machine, rclass=RegClass.INT):
-    """Replicates the allocator's per-round CPG construction."""
+    """Replicates the allocator's per-round CPG construction; returns
+    the WIG as its set of live ranges."""
     renumber(func)
     ig = build_interference(func)
     graph = build_alloc_graph(ig, machine, rclass)
-    wig = graph.snapshot_active_adjacency()
+    wig = graph.active
+    wig_nodes = set(graph.active_nodes())
     simplification = simplify(graph, optimistic=True)
     cpg = build_cpg(graph, wig, simplification)
-    return cpg, graph, wig, simplification
+    return cpg, graph, wig_nodes, simplification
 
 
 class TestFigure7:
@@ -37,7 +46,7 @@ class TestFigure7:
         lower_function(func, machine)
         self.cpg, self.graph, _, self.simpl = cpg_for(func, machine)
         self.by_name = {}
-        for node in self.cpg.live_nodes():
+        for node in live_nodes(self.cpg):
             base = (node.name or "").split(".")[0]
             self.by_name[base] = node
         # paper name -> our builder name
@@ -54,7 +63,7 @@ class TestFigure7:
         assert v["v4"] in self.cpg.succs[v["v3"]]
 
     def test_initial_queue_is_v1_v2_v3(self):
-        initial = set(self.cpg.initial_queue())
+        initial = set(initial_queue(self.cpg))
         expected = {self.v["v1"], self.v["v2"], self.v["v3"]}
         # the condition vreg of our transcription also floats at top level
         assert expected <= initial
@@ -65,11 +74,11 @@ class TestFigure7:
         # direct edge may legally be dropped as transitive; reachability
         # is the invariant.
         v = self.v
-        assert self.cpg.reaches(v["v0"], BOTTOM)
-        assert self.cpg.reaches(v["v4"], BOTTOM)
+        assert reaches(self.cpg, v["v0"], BOTTOM)
+        assert reaches(self.cpg, v["v4"], BOTTOM)
 
     def test_acyclic(self):
-        assert self.cpg.topological_orders_exist()
+        assert topological_orders_exist(self.cpg)
 
 
 class TestStructure:
@@ -78,15 +87,16 @@ class TestStructure:
         machine = make_machine(8)
         lower_function(func, machine)
         cpg, graph, wig, _ = cpg_for(func, machine)
-        assert set(cpg.live_nodes()) == set(wig)
+        assert set(live_nodes(cpg)) == wig
 
     def test_every_node_has_a_predecessor(self):
         func = build_call_heavy()
         machine = make_machine(8)
         lower_function(func, machine)
         cpg, *_ = cpg_for(func, machine)
-        for node in cpg.live_nodes():
-            assert cpg.preds[node], f"{node} has no predecessor"
+        preds = preds_of(cpg)
+        for node in live_nodes(cpg):
+            assert preds[node], f"{node} has no predecessor"
 
     def test_no_transitive_direct_edges_to_bottom(self):
         # Step 7: a direct edge to bottom must not coexist with another
@@ -95,13 +105,14 @@ class TestStructure:
         machine = make_machine(8)
         lower_function(func, machine)
         cpg, *_ = cpg_for(func, machine)
-        for node in cpg.live_nodes():
-            if BOTTOM not in cpg.succs[node]:
+        succs = cpg.succs
+        for node in live_nodes(cpg):
+            if BOTTOM not in succs[node]:
                 continue
-            for succ in cpg.succs[node]:
+            for succ in succs[node]:
                 if succ in (BOTTOM, TOP):
                     continue
-                assert not cpg.reaches(succ, BOTTOM), (
+                assert not reaches(cpg, succ, BOTTOM), (
                     f"{node} -> bottom is transitive via {succ}"
                 )
 
@@ -110,8 +121,9 @@ class TestStructure:
         machine = make_machine(8)
         lower_function(func, machine)
         cpg, *_ = cpg_for(func, machine)
-        for node in cpg.live_nodes():
-            assert cpg.reaches(TOP, node) or not cpg.preds[node]
+        preds = preds_of(cpg)
+        for node in live_nodes(cpg):
+            assert reaches(cpg, TOP, node) or not preds[node]
 
 
 class TestColorabilityProperty:
@@ -122,14 +134,15 @@ class TestColorabilityProperty:
         cpg, graph, wig, simpl = cpg_for(func, machine)
         rng = random.Random(seed)
         # Build a random topological order.
-        indeg = {n: len(p) for n, p in cpg.preds.items()}
+        succs = cpg.succs
+        indeg = {n: len(p) for n, p in preds_of(cpg).items()}
         frontier = [n for n, d in indeg.items() if d == 0 and n != BOTTOM]
         order = []
         while frontier:
             node = rng.choice(frontier)
             frontier.remove(node)
             order.append(node)
-            for succ in cpg.succs.get(node, ()):
+            for succ in succs.get(node, ()):
                 indeg[succ] -= 1
                 if indeg[succ] == 0 and succ != BOTTOM:
                     frontier.append(succ)
@@ -138,7 +151,7 @@ class TestColorabilityProperty:
             if node == TOP or not hasattr(node, "rclass"):
                 continue
             forbidden = set()
-            for n in graph.adj.get(node, ()):
+            for n in graph.all_neighbors(node):
                 if hasattr(n, "index"):
                     forbidden.add(n)
                 elif n in assignment:

@@ -3,7 +3,7 @@
 Liveness, interference and the CPG replay each have one production
 path (:mod:`repro.analysis.matrix`, :mod:`repro.core.cpg`).  These
 tests pin them to the oracles in ``tests/oracles.py`` — the set-based
-liveness and interference references and the plain CPG replay — on
+liveness and interference references and the set-based CPG replay — on
 random programs, prove the validate harness detects an injected
 divergence in each of the three kernels, check whole allocations are
 identical under the harness, and check a full allocation runs on the
@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import (
     OracleMismatch,
-    build_cpg_int,
+    build_cpg_reference,
     build_interference_reference,
     compare_cpgs,
     compare_interference,
@@ -37,6 +37,7 @@ from repro.analysis.interference import build_interference
 from repro.analysis.liveness import compute_liveness
 from repro.cfg.analysis import build_cfg
 from repro.core import PreferenceDirectedAllocator
+from repro.core import allocator as core_allocator
 from repro.core import cpg as cpg_mod
 from repro.errors import AllocationError
 from repro.ir.clone import clone_function
@@ -126,56 +127,23 @@ class TestInterferenceBackends:
 
 
 class TestCPGBackends:
-    def _graph_inputs(self, func, machine):
+    def test_closure_matches_reference(self):
         from repro.regalloc.simplify import simplify
 
-        ig = build_interference(func)
-        rclasses = {v.rclass for v in ig.vregs()}
-        out = []
-        for rclass in rclasses:
-            graph = build_alloc_graph(ig, machine, rclass)
-            wig = graph.snapshot_active_adjacency()
-            simp = simplify(graph, optimistic=True)
-            out.append((graph, wig, simp))
-        return out
-
-    def test_wig_rows_fast_path_matches_dict_encode(self):
-        profile = BenchmarkProfile(name="matrix", stmts=20, int_pool=8,
-                                   float_pool=2, max_params=2,
-                                   max_call_args=2)
-        checked = 0
-        for seed in range(8):
-            func, machine = _prepared(profile, seed)
-            for graph, wig, _ in self._graph_inputs(func, machine):
-                if not cpg_mod._wig_rows_usable(graph, wig):
-                    continue
-                checked += 1
-                assert cpg_mod._wig_rows_gathered(graph, wig) \
-                    == cpg_mod._wig_rows(graph, wig)
-        assert checked, "fast path never engaged"
-
-    def test_adjacency_mutation_disables_fast_path(self):
-        profile = BenchmarkProfile(name="matrix", stmts=20, int_pool=8,
-                                   max_params=2, max_call_args=2)
-        func, machine = _prepared(profile, 1)
-        (graph, wig, _), *_ = self._graph_inputs(func, machine)
-        assert cpg_mod._wig_rows_usable(graph, wig)
-        nodes = sorted(wig, key=lambda v: v.id)
-        pair = [(a, b) for a in nodes for b in nodes
-                if a is not b and b not in graph.adj[a]]
-        if not pair:
-            pytest.skip("complete graph; nothing to add")
-        graph.add_edge(*pair[0])
-        assert not cpg_mod._wig_rows_usable(graph, wig)
-
-    def test_closure_matches_int(self):
         profile = BenchmarkProfile(name="matrix", stmts=24, int_pool=8,
                                    branch_prob=0.2, loop_prob=0.2,
                                    max_params=2, max_call_args=2)
         for seed in range(6):
             func, machine = _prepared(profile, seed)
-            for graph, wig, simp in self._graph_inputs(func, machine):
-                want = build_cpg_int(graph, wig, simp)
+            ig = build_interference(func)
+            adjacency = build_interference_reference(func).adjacency
+            for rclass in {v.rclass for v in ig.vregs()}:
+                graph = build_alloc_graph(ig, machine, rclass)
+                wig = graph.active
+                wig_nodes = graph.active_nodes()
+                simp = simplify(graph, optimistic=True)
+                want = build_cpg_reference(adjacency, graph.k, wig_nodes,
+                                           simp)
                 assert compare_cpgs(cpg_mod.build_cpg(graph, wig, simp),
                                     want) == []
 
@@ -226,17 +194,19 @@ class TestValidateDetectsDivergence:
 
     def test_corrupted_cpg_reachability(self, monkeypatch):
         func, machine = self._func()
-        real = cpg_mod._wig_rows_gathered
+        real = cpg_mod.build_cpg
 
-        def corrupted(graph, wig):
-            nodes, idx, adj, preg_deg = real(graph, wig)
-            # Claim every node interferes with nothing: the replay then
-            # wires the CPG edges differently.  (Zeroing a single row is
-            # not enough — that node may happen to have no neighbors.)
-            assert any(adj), "test function's WIG has no edges"
-            return nodes, idx, [0] * len(adj), preg_deg
+        def corrupted(graph, wig, simplification):
+            cpg = real(graph, wig, simplification)
+            # Re-hang every precedence edge's target off the top node:
+            # the replay's ordering constraints are lost.
+            assert any(cpg.succ), "test function's CPG has no edges"
+            for i, succ in enumerate(cpg.succ):
+                cpg.top |= succ
+                cpg.succ[i] = 0
+            return cpg
 
-        monkeypatch.setattr(cpg_mod, "_wig_rows_gathered", corrupted)
+        monkeypatch.setattr(core_allocator, "build_cpg", corrupted)
         with pytest.raises(OracleMismatch, match="CPG"):
             self._allocate(func, machine)
 

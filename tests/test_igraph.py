@@ -31,11 +31,12 @@ def small_graph():
 class TestStructure:
     def test_active_nodes_are_vregs(self):
         graph, _ = small_graph()
-        assert all(isinstance(n, VReg) for n in graph.active)
+        assert graph.active_nodes()
+        assert all(isinstance(n, VReg) for n in graph.active_nodes())
 
     def test_degree_matches_neighbors(self):
         graph, (x, y, z, t) = small_graph()
-        for node in graph.active:
+        for node in graph.active_nodes():
             assert graph.degree(node) == len(graph.neighbors(node))
 
     def test_precolored_infinite_degree(self):
@@ -79,7 +80,7 @@ class TestMerge:
         graph.merge(x, t)
         assert graph.find(t) == x
         assert graph.neighbors(x) >= neighbors
-        assert t not in graph.active
+        assert not graph.is_active(t)
 
     def test_merge_into_precolored(self):
         graph, (x, y, z, t) = small_graph()
@@ -117,10 +118,7 @@ class TestMerge:
     def test_no_spill_member_makes_cost_infinite(self):
         graph, (x, y, z, t) = small_graph()
         ns = VReg(100, no_spill=True)
-        graph.adj[ns] = set()
-        graph.active.add(ns)
-        graph._degree[ns] = 0
-        graph.members[ns] = {ns}
+        graph.active |= 1 << graph._id(ns)
         graph.merge(x, ns)
         assert graph.spill_cost(x) == float("inf")
 

@@ -16,6 +16,8 @@ import random
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from cpg_queries import preds_of, topological_orders_exist
+
 from repro.analysis.interference import build_interference
 from repro.errors import AllocationError
 from repro.analysis.renumber import renumber
@@ -171,27 +173,28 @@ class TestCPGColorability:
 
         ig = build_interference(func)
         graph = build_alloc_graph(ig, machine, RegClass.INT)
-        wig = graph.snapshot_active_adjacency()
+        wig = graph.active
         simpl = simplify(graph, optimistic=True)
         cpg = build_cpg(graph, wig, simpl)
-        assert cpg.topological_orders_exist()
+        assert topological_orders_exist(cpg)
 
         rng = random.Random(order_seed)
-        indeg = {n: len(p) for n, p in cpg.preds.items()}
+        succs = cpg.succs
+        indeg = {n: len(p) for n, p in preds_of(cpg).items()}
         frontier = [n for n, d in indeg.items()
                     if d == 0 and n != BOTTOM]
         assignment: dict[VReg, PReg] = {}
         while frontier:
             node = rng.choice(frontier)
             frontier.remove(node)
-            for succ in cpg.succs.get(node, ()):
+            for succ in succs.get(node, ()):
                 indeg[succ] -= 1
                 if indeg[succ] == 0 and succ != BOTTOM:
                     frontier.append(succ)
             if node == TOP or not isinstance(node, VReg):
                 continue
             forbidden = set()
-            for n in graph.adj.get(node, ()):
+            for n in graph.all_neighbors(node):
                 if isinstance(n, PReg):
                     forbidden.add(n)
                 elif n in assignment:

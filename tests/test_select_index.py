@@ -23,6 +23,7 @@ from oracles import (
     validate_select,
 )
 
+from repro.analysis.indexing import iter_bits
 from repro.core import PreferenceDirectedAllocator
 from repro.core.select import PreferenceSelector
 from repro.errors import AllocationError
@@ -53,10 +54,7 @@ def make_graph(k: int, edges, costs=None) -> tuple[AllocGraph, dict]:
     def node(i: int) -> VReg:
         if i not in nodes:
             v = nodes[i] = VReg(i)
-            graph.adj[v] = set()
-            graph.active.add(v)
-            graph.members[v] = {v}
-            graph._degree[v] = 0
+            graph.active |= 1 << graph._id(v)
         return nodes[i]
 
     for a, b in edges:
@@ -213,7 +211,8 @@ class TestDegreeWorklist:
             assert len(worklist._heap) == entries  # no pushes
             assert (1.0, _tie_break(n[1]), n[1]) in worklist._heap
             picked = worklist.pop_spill()
-            assert picked is choose_spill_candidate(graph, graph.active)
+            assert picked is choose_spill_candidate(graph,
+                                                    graph.active_nodes())
             assert picked is n[2]
             # The stale 1.0 entry was re-keyed to node 1's current 3.0.
             assert (3.0, _tie_break(n[1]), n[1]) in worklist._heap
@@ -410,16 +409,17 @@ def drop_one_neighbor_rekey(monkeypatch) -> list:
 
     def after_decision(self, node, color):
         if not dropped:
-            partners = {e.src for e in self.rpg.edges_to(node)} | {
-                e.target for e in self.rpg.edges_from(node)}
-            for n in self.graph.adj.get(node, ()):
-                if (n in partners or n not in self._ready
-                        or self._diff_cache[n]
-                        == differential_reference(self, n)):
+            for n in iter_bits(self.graph.rows[node] & self._pending
+                               & ~self._partners[node]):
+                if (n not in self._ready
+                        or self._diff[n] == differential_reference(self, n)):
                     continue
-                taken = self._taken.pop(n)
+                # Hide n from the real update, then give it only the
+                # lost color.
+                self._pending &= ~(1 << n)
                 real(self, node, color)
-                self._taken[n] = taken | self._color_bit[color]
+                self._pending |= 1 << n
+                self._taken[n] |= 1 << color
                 dropped.append(n)
                 return
         real(self, node, color)

@@ -593,8 +593,8 @@ class TestPipelineSerialFallback:
                             AllocationOptions(jobs=4))
 
     def test_startup_timeout_names_worker_fates(self):
-        """A pool whose workers die before their first heartbeat says
-        which workers died and with what exit codes."""
+        """A pool whose workers die before sending their "ready" message
+        says which workers died and with what exit codes."""
         from repro.exec.pool import WorkerPool, WorkerPoolUnavailable
 
         pool = WorkerPool(workers=2, task="repro.exec:does_not_exist",

@@ -54,7 +54,7 @@ class TestSimplify:
     def test_stack_contains_every_node(self):
         func, _ = clique_function(4)
         graph = graph_for(func, figure7_machine())
-        nodes = set(graph.active)
+        nodes = set(graph.active_nodes())
         result = simplify(graph, optimistic=True)
         assert set(result.stack) == nodes
 
@@ -73,18 +73,18 @@ class TestSpillCandidate:
         costs[cheap] = 1.0
         graph = graph_for(func, figure7_machine(), costs=costs)
         # restrict to the original pool values present in the graph
-        pool = [v for v in values if v in graph.active]
+        pool = [v for v in values if graph.is_active(v)]
         assert choose_spill_candidate(graph, pool) == cheap
 
     def test_no_spill_nodes_never_chosen(self):
         func, values = clique_function(4)
         graph = graph_for(func, figure7_machine())
-        for node in list(graph.active):
+        for node in graph.active_nodes():
             graph.spill_costs[node] = float("inf")
         object.__setattr__  # silence lint; we use real no-spill below
         with pytest.raises(AllocationError):
             # all infinite -> no candidate
-            choose_spill_candidate(graph, graph.active)
+            choose_spill_candidate(graph, graph.active_nodes())
 
 
 class TestOrderColors:

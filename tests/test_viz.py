@@ -26,7 +26,7 @@ def figure7_pieces():
     rpg = build_rpg(func, machine, costs)
     ig = build_interference(func)
     graph = build_alloc_graph(ig, machine, RegClass.INT)
-    wig = graph.snapshot_active_adjacency()
+    wig = graph.active
     cpg = build_cpg(graph, wig, simplify(graph, optimistic=True))
     return func, ig, rpg, cpg
 
