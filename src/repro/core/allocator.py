@@ -17,7 +17,7 @@ is "full preferences".
 from __future__ import annotations
 
 from repro.core.costs import CostModel
-from repro.core.cpg import ColoringPrecedenceGraph, build_cpg
+from repro.core.cpg import build_cpg, chain_cpg
 from repro.core.postpass import aggressive_post_coalesce
 from repro.core.prefs import PreferenceConfig, build_rpg
 from repro.core.select import PreferenceSelector, SelectionTrace
@@ -71,7 +71,7 @@ class PreferenceDirectedAllocator(Allocator):
                 if self.use_cpg:
                     cpg = build_cpg(graph, wig, simplification)
                 else:
-                    cpg = _chain_cpg(graph, simplification)
+                    cpg = chain_cpg(graph, simplification.select_order)
             selector = PreferenceSelector(
                 graph=graph,
                 rpg=rpg,
@@ -98,18 +98,3 @@ class PreferenceDirectedAllocator(Allocator):
         self.last_trace = trace
         return outcome
 
-
-def _chain_cpg(graph, simplification) -> ColoringPrecedenceGraph:
-    """A total-order precedence graph mirroring the Briggs pop order."""
-    cpg = ColoringPrecedenceGraph(graph.nodes)
-    order = [graph.ids[node] for node in simplification.select_order]
-    if not order:
-        return cpg
-    for earlier, later in zip(order, order[1:]):
-        cpg.succ[earlier] |= 1 << later
-        cpg.pred[later] |= 1 << earlier
-        cpg.live |= 1 << earlier
-    cpg.live |= 1 << order[-1]
-    cpg.top = 1 << order[0]
-    cpg.bottom = 1 << order[-1]
-    return cpg

@@ -42,7 +42,7 @@ from repro.profiling import phase
 from repro.regalloc.igraph import AllocGraph
 from repro.regalloc.simplify import SimplifyResult
 
-__all__ = ["ColoringPrecedenceGraph", "build_cpg"]
+__all__ = ["ColoringPrecedenceGraph", "build_cpg", "chain_cpg"]
 
 TOP = "top"
 BOTTOM = "bottom"
@@ -74,7 +74,8 @@ class ColoringPrecedenceGraph:
     @property
     def succs(self) -> dict[object, set[object]]:
         """Successor sets keyed by live range, ``TOP`` and ``BOTTOM``
-        (printing, DOT export and tests)."""
+        (printing, DOT export and tests).  Built afresh on each access:
+        a read-only snapshot, so writes to it do not reach the CPG."""
         nodes = self.nodes
         out: dict[object, set[object]] = {
             TOP: {nodes[i] for i in iter_bits(self.top)}, BOTTOM: set()}
@@ -204,4 +205,22 @@ def build_cpg(
     cpg.live = created
     cpg.top = top
     cpg.bottom = has_bottom
+    return cpg
+
+
+def chain_cpg(graph: AllocGraph, order) -> ColoringPrecedenceGraph:
+    """The total order ``order`` (registers of ``graph``, first to be
+    colored first) as a precedence chain: top -> order[0] -> ... ->
+    order[-1] -> bottom.  The CPG ablation colors in Briggs pop order."""
+    cpg = ColoringPrecedenceGraph(graph.nodes)
+    chain = [graph.ids[node] for node in order]
+    if not chain:
+        return cpg
+    for earlier, later in zip(chain, chain[1:]):
+        cpg.succ[earlier] |= 1 << later
+        cpg.pred[later] |= 1 << earlier
+    for i in chain:
+        cpg.live |= 1 << i
+    cpg.top = 1 << chain[0]
+    cpg.bottom = 1 << chain[-1]
     return cpg

@@ -100,8 +100,9 @@ def cpg_to_dot(cpg: ColoringPrecedenceGraph, name: str = "cpg") -> str:
              "  rankdir=TB;"]
     lines.append(f"  {_quote(TOP)} [shape=plaintext];")
     lines.append(f"  {_quote(BOTTOM)} [shape=plaintext];")
-    for src in sorted(cpg.succs, key=str):
-        for dst in sorted(cpg.succs[src], key=str):
+    succs = cpg.succs
+    for src in sorted(succs, key=str):
+        for dst in sorted(succs[src], key=str):
             lines.append(f"  {_quote(src)} -> {_quote(dst)};")
     lines.append("}")
     return "\n".join(lines)

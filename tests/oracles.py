@@ -355,13 +355,28 @@ def build_cpg_reference(adjacency: dict, k: int, wig_nodes,
 
 
 def compare_cpgs(got, want: dict) -> list[str]:
-    """Edge-for-edge CPG identity against reference successor sets."""
+    """Edge-for-edge CPG identity against reference successor sets,
+    plus :func:`check_cpg_preds` (the selector's indegrees come from
+    ``pred``, which the successor view does not show)."""
     got_succs = got.succs
     if got_succs.keys() != want.keys():
         return ["CPG node sets differ"]
     for node, targets in want.items():
         if got_succs[node] != targets:
             return [f"CPG successors of {node} differ"]
+    return check_cpg_preds(got)
+
+
+def check_cpg_preds(cpg) -> list[str]:
+    """``pred[i]`` must hold ``j`` exactly when ``succ[j]`` holds ``i``,
+    for every id (edges from top are not predecessors)."""
+    n = len(cpg.nodes)
+    for i in range(n):
+        want = {j for j in range(n) if cpg.succ[j] >> i & 1}
+        got = {j for j in range(n) if cpg.pred[i] >> j & 1}
+        if got != want:
+            return [f"CPG predecessors of {cpg.nodes[i]} differ: "
+                    f"{sorted(got)} != {sorted(want)} (by id)"]
     return []
 
 
@@ -797,9 +812,31 @@ def validate_dataflow():
     real_liveness = regalloc_base.compute_liveness
     real_interference = regalloc_base.build_interference
     real_cpg = core_allocator.build_cpg
-    #: id of a production graph's register list -> (that list, the
-    #: reference adjacency of its function)
+    #: id of an interference graph's register list -> (its register
+    #: index, the reference adjacency of its function)
     references: dict = {}
+
+    def wig_adjacency(graph) -> dict:
+        """The reference adjacency of the function ``graph`` was built
+        from.  A graph that ``add_edge``/``merge`` changed no longer
+        matches that function (and its nodes list is a copy extending
+        the index's): its adjacency is read off its own rows, which
+        ``SetAllocGraph`` checks separately."""
+        hit = references.get(id(graph.nodes))
+        if hit is not None and hit[0].regs is graph.nodes:
+            return hit[1]
+        if not graph.shared and any(
+                len(graph.nodes) >= len(index.regs)
+                and all(a is b for a, b in zip(graph.nodes, index.regs))
+                for index, _ in references.values()):
+            nodes = graph.nodes
+            return {node: {nodes[j] for j in range(len(nodes))
+                           if graph.rows[i] >> j & 1}
+                    for i, node in enumerate(nodes)}
+        raise OracleMismatch(
+            "CPG oracle: no reference interference graph was recorded "
+            "for this coloring graph (build its interference graph "
+            "inside validate_dataflow)")
 
     def liveness(func, cfg=None):
         got = real_liveness(func, cfg)
@@ -816,12 +853,12 @@ def validate_dataflow():
         if problems:
             raise OracleMismatch(
                 "interference oracle: " + "; ".join(problems))
-        references[id(got.index.regs)] = (got.index.regs, want.adjacency)
+        references[id(got.index.regs)] = (got.index, want.adjacency)
         return got
 
     def cpg(graph, wig, simplification):
         got = real_cpg(graph, wig, simplification)
-        _nodes, adjacency = references[id(graph.nodes)]
+        adjacency = wig_adjacency(graph)
         wig_nodes = [node for i, node in enumerate(graph.nodes)
                      if wig >> i & 1]
         want = build_cpg_reference(adjacency, graph.k, wig_nodes,

@@ -5,26 +5,35 @@ error handling, dominance queries, and the chain-CPG ablation hook."""
 import io
 
 from repro.cli import main as cli_main
-from repro.core.allocator import _chain_cpg
-from repro.core.cpg import BOTTOM, TOP
+from repro.core import PreferenceDirectedAllocator
+from repro.core import allocator as core_allocator
+from repro.core.cpg import BOTTOM, TOP, chain_cpg as build_chain
 from repro.ir.builder import IRBuilder
 from repro.ir.printer import format_assignment, print_function
 from repro.ir.values import Const, PReg, RegClass, VReg
+from repro.pipeline import prepare_function
+from repro.regalloc import allocate_function
 from repro.regalloc.igraph import AllocGraph
-from repro.regalloc.simplify import SimplifyResult
 from repro.sim.interp import run_function
 from repro.sim.ops import Memory
+from repro.target.presets import make_machine
+from repro.workloads.generator import generate_function
+from repro.workloads.profiles import BenchmarkProfile
 
 from conftest import build_diamond
 from cpg_queries import any_topological_order
+from oracles import check_cpg_preds
 
 
 def chain_cpg(*stack):
-    """The chain CPG of a simplification stack over an edgeless graph."""
-    graph = AllocGraph(rclass=RegClass.INT, k=2, colors=())
-    for node in stack:
-        graph.active |= 1 << graph._id(node)
-    return _chain_cpg(graph, SimplifyResult(stack=list(stack)))
+    """The chain CPG of a simplification stack over an edgeless graph
+    (colored in pop order: the stack reversed)."""
+    n = len(stack)
+    graph = AllocGraph(rclass=RegClass.INT, k=2, colors=(),
+                       nodes=list(stack),
+                       ids={node: i for i, node in enumerate(stack)},
+                       rows=[0] * n, active=(1 << n) - 1, deg=[0] * n)
+    return build_chain(graph, stack[::-1])
 
 
 class TestPrinterExtras:
@@ -68,6 +77,31 @@ class TestChainCPG:
         a, b = VReg(0, name="a"), VReg(1, name="b")
         order = any_topological_order(chain_cpg(a, b))
         assert order == [b, a]
+
+    def test_predecessors_mirror_successors(self):
+        a, b, c = VReg(0, name="a"), VReg(1, name="b"), VReg(2, name="c")
+        assert check_cpg_preds(chain_cpg(a, b, c)) == []
+
+    def test_ablation_chains_have_consistent_predecessors(self,
+                                                          monkeypatch):
+        real = core_allocator.chain_cpg
+        built = []
+
+        def checked(graph, order):
+            cpg = real(graph, order)
+            built.append(cpg)
+            assert check_cpg_preds(cpg) == []
+            return cpg
+
+        monkeypatch.setattr(core_allocator, "chain_cpg", checked)
+        machine = make_machine(8)
+        func = prepare_function(generate_function("gaps", BenchmarkProfile(
+            name="gaps", stmts=16, int_pool=6, max_params=2,
+            max_call_args=2), 3), machine)
+        allocate_function(func, machine,
+                          PreferenceDirectedAllocator(use_cpg=False))
+        assert built and any(cpg.succ[i] for cpg in built
+                             for i in range(len(cpg.nodes)))
 
 
 class TestInterpreterPaths:

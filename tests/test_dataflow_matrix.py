@@ -41,8 +41,10 @@ from repro.core import allocator as core_allocator
 from repro.core import cpg as cpg_mod
 from repro.errors import AllocationError
 from repro.ir.clone import clone_function
+from repro.ir.values import RegClass
 from repro.pipeline import prepare_function
 from repro.regalloc import ChaitinAllocator, allocate_function
+from repro.regalloc import base as regalloc_base
 from repro.regalloc.igraph import build_alloc_graph
 from repro.sim.cycles import estimate_cycles
 from repro.target.presets import make_machine
@@ -147,6 +149,58 @@ class TestCPGBackends:
                 assert compare_cpgs(cpg_mod.build_cpg(graph, wig, simp),
                                     want) == []
 
+    def _graph(self, func, machine):
+        """An int coloring graph of ``func`` and two active vregs that
+        do not interfere."""
+        graph = build_alloc_graph(regalloc_base.build_interference(func),
+                                  machine, RegClass.INT)
+        nodes = graph.active_nodes()
+        pair = next(((a, b) for a in nodes for b in nodes
+                     if a is not b and not graph.interferes(a, b)), None)
+        assert pair is not None, "test function's graph is complete"
+        return graph, pair
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_validate_covers_mutated_graph(self, monkeypatch, corrupt):
+        from repro.regalloc.simplify import simplify
+
+        real = cpg_mod.build_cpg
+
+        def replay(graph, wig, simplification):
+            cpg = real(graph, wig, simplification)
+            if corrupt:
+                cpg.top |= cpg.succ[0] | 1
+            return cpg
+
+        monkeypatch.setattr(core_allocator, "build_cpg", replay)
+        func, machine = _prepared(BenchmarkProfile(
+            name="matrix", stmts=12, int_pool=6, max_params=2,
+            max_call_args=2), 3)
+        with validate_dataflow():
+            graph, (a, b) = self._graph(func, machine)
+            graph.add_edge(a, b)  # copies the shared rows
+            assert not graph.shared
+            wig = graph.active
+            simp = simplify(graph, optimistic=True)
+            if corrupt:
+                with pytest.raises(OracleMismatch, match="CPG"):
+                    core_allocator.build_cpg(graph, wig, simp)
+            else:
+                core_allocator.build_cpg(graph, wig, simp)
+
+    def test_validate_refuses_unrecorded_graph(self):
+        from repro.regalloc.simplify import simplify
+
+        func, machine = _prepared(BenchmarkProfile(
+            name="matrix", stmts=12, int_pool=6, max_params=2,
+            max_call_args=2), 3)
+        graph, _ = self._graph(func, machine)
+        wig = graph.active
+        simp = simplify(graph, optimistic=True)
+        with validate_dataflow(), pytest.raises(
+                OracleMismatch, match="no reference interference graph"):
+            core_allocator.build_cpg(graph, wig, simp)
+
 
 class TestValidateDetectsDivergence:
     """The validate harness raises on the first injected divergence."""
@@ -208,6 +262,23 @@ class TestValidateDetectsDivergence:
 
         monkeypatch.setattr(core_allocator, "build_cpg", corrupted)
         with pytest.raises(OracleMismatch, match="CPG"):
+            self._allocate(func, machine)
+
+    def test_corrupted_cpg_predecessors(self, monkeypatch):
+        func, machine = self._func()
+        real = cpg_mod.build_cpg
+
+        def corrupted(graph, wig, simplification):
+            cpg = real(graph, wig, simplification)
+            # Drop one predecessor: the successor view is unchanged, but
+            # the selector would count one indegree too few.
+            i = next((i for i, p in enumerate(cpg.pred) if p), None)
+            assert i is not None, "test function's CPG has no edges"
+            cpg.pred[i] &= cpg.pred[i] - 1
+            return cpg
+
+        monkeypatch.setattr(core_allocator, "build_cpg", corrupted)
+        with pytest.raises(OracleMismatch, match="predecessors"):
             self._allocate(func, machine)
 
 
