@@ -4,7 +4,7 @@ from repro.analysis.interference import InterferenceGraph, build_interference
 from repro.analysis.liveness import (
     Liveness,
     compute_liveness,
-    instruction_liveness,
+    instruction_liveness_masks,
 )
 from repro.analysis.renumber import RenumberResult, Web, renumber
 
@@ -13,7 +13,7 @@ __all__ = [
     "build_interference",
     "Liveness",
     "compute_liveness",
-    "instruction_liveness",
+    "instruction_liveness_masks",
     "RenumberResult",
     "Web",
     "renumber",

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from repro.analysis import matrix
 from repro.analysis.indexing import RegisterIndex
 from repro.cfg.analysis import CFG, build_cfg
-from repro.ir.function import BasicBlock, Function
+from repro.ir.function import Function
 from repro.ir.instructions import Phi
 from repro.ir.values import PReg, Register, VReg
 from repro.profiling import phase
@@ -32,13 +32,8 @@ from repro.profiling import phase
 __all__ = [
     "Liveness",
     "compute_liveness",
-    "instruction_liveness",
     "instruction_liveness_masks",
 ]
-
-
-def _regs(values) -> set[Register]:
-    return {v for v in values if isinstance(v, (VReg, PReg))}
 
 
 @dataclass(eq=False)
@@ -64,20 +59,6 @@ class Liveness:
     #: computed from (None when built by hand).  The interference
     #: builder reuses it to skip re-walking the function.
     pack: object | None = field(default=None, repr=False)
-
-    def live_across_instr(self, block: BasicBlock, index: int) -> set[Register]:
-        """Registers live immediately *after* ``block.instrs[index]``.
-
-        A convenience for tests and for the call-crossing cost evaluation;
-        recomputes a backward scan of the block suffix on each call.
-        """
-        live = set(self.live_out[block.label])
-        for instr in reversed(block.instrs[index + 1:]):
-            live -= _regs(instr.defs())
-            if isinstance(instr, Phi):
-                continue
-            live |= _regs(instr.uses())
-        return live
 
 
 def _lazy_set_field(name: str) -> property:
@@ -165,24 +146,3 @@ def instruction_liveness_masks(
                     if isinstance(u, (VReg, PReg)):
                         live |= bit_of(u)
     return index, after
-
-
-def instruction_liveness(
-    func: Function, liveness: Liveness
-) -> dict[int, set[Register]]:
-    """Live sets *after* each instruction, keyed by ``id(instr)``.
-
-    One backward scan per block; used by the interference builder and by
-    the cycle evaluator's call-crossing accounting.  Identical masks
-    share one materialized set (consumers treat the sets as read-only).
-    """
-    index, after = instruction_liveness_masks(func, liveness)
-    set_of = index.set_of
-    cache: dict[int, set[Register]] = {}
-    out: dict[int, set[Register]] = {}
-    for key, mask in after.items():
-        materialized = cache.get(mask)
-        if materialized is None:
-            materialized = cache[mask] = set_of(mask)
-        out[key] = materialized
-    return out

@@ -58,7 +58,8 @@ class PreferenceDirectedAllocator(Allocator):
         outcome = RoundOutcome()
         with phase("build-RPG"):
             costs = CostModel(ctx.func, ctx.machine, ctx.cfg, ctx.loops,
-                              ctx.liveness, policy=ctx.policy)
+                              ctx.liveness, policy=ctx.policy,
+                              spill_costs=ctx.spill_costs)
             rpg = build_rpg(ctx.func, ctx.machine, costs, self.config)
         trace = SelectionTrace() if self.keep_trace else None
 

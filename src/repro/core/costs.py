@@ -18,6 +18,12 @@ non-volatile register) — Figure 7 annotates v3's coalesce edge exactly
 that way ("40 when coalescing to a volatile register, but 38 for a
 non-volatile").  :class:`Strength` carries the pair.
 
+Where the numbers come from: ``Spill_Cost`` is the round's shared
+metric (``RoundAnalyses.spill_costs``, the one every allocator uses),
+and one backward walk per block over the liveness masks gives each
+vreg's frequency-weighted call crossings and each move's live-after
+mask.  ``Op_Cost`` is summed on demand; no allocator reads it.
+
 Checked against every number given in the paper's Figure 7: v4 prefers
 non-volatile with strength 28; v3's coalesce edge is 40/38; v1–v2's
 sequential edges are 50/48.
@@ -27,11 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.liveness import Liveness, compute_liveness, instruction_liveness
+from repro.analysis.indexing import iter_bits
+from repro.analysis.liveness import Liveness, compute_liveness
 from repro.cfg.analysis import CFG, build_cfg
 from repro.cfg.loops import LoopInfo, compute_loops
 from repro.ir.function import Function
-from repro.ir.instructions import Call, Instruction, Load, Move, SpillLoad
+from repro.ir.instructions import Call, Instruction, Load, Move, Phi, SpillLoad
 from repro.ir.values import PReg, VReg
 from repro.policy import DEFAULT_POLICY, Policy
 from repro.target.machine import TargetMachine
@@ -91,7 +98,11 @@ class Strength:
 
 
 class CostModel:
-    """Per-live-range costs of one (lowered, renumbered) function."""
+    """Per-live-range costs of one (lowered, renumbered) function.
+
+    ``spill_costs`` is the round's table (``RoundContext.spill_costs``);
+    when omitted, :func:`~repro.regalloc.costs.compute_spill_costs`.
+    """
 
     def __init__(
         self,
@@ -101,76 +112,89 @@ class CostModel:
         loops: LoopInfo | None = None,
         liveness: Liveness | None = None,
         policy: Policy = DEFAULT_POLICY,
+        spill_costs: dict[VReg, float] | None = None,
     ):
         self.func = func
         self.machine = machine
         self.policy = policy
         cfg = cfg or build_cfg(func)
-        self.loops = loops or compute_loops(cfg)
+        self.loops = loops = loops or compute_loops(cfg)
         liveness = liveness or compute_liveness(func, cfg)
-        self._after = instruction_liveness(func, liveness)
+        if spill_costs is None:
+            # Imported here: repro.regalloc's package init imports this
+            # module (through the call-cost allocator).
+            from repro.regalloc.costs import compute_spill_costs
+            spill_costs = compute_spill_costs(func, loops, cfg, policy)
+        self.spill_costs = spill_costs
+        index = self.index = liveness.index
+        ids = index.ids
+        vreg_mask = ~index.preg_mask
 
-        self._spill: dict[VReg, float] = {}
-        self._op: dict[VReg, float] = {}
-        self._cross: dict[VReg, float] = {}
-        self._cross_count: dict[VReg, int] = {}
-        self._freq_of_instr: dict[int, int] = {}
-
-        # Policy spill weights (defaults 2/1 make these exactly the
-        # historical ``2.0 * freq`` / ``1.0 * freq`` terms); the
-        # loop-depth exponent re-weights the *spill* terms only — op
-        # and call-crossing costs always use the raw frequency.
-        load_w = float(policy.spill_load_cost)
-        store_w = float(policy.spill_store_cost)
-        exponent = policy.loop_depth_exponent
+        crossings: list[int] = []
+        move_after: dict[int, int] = {}
+        freq_of: dict[int, int] = {}
+        cross: dict[int, float] = {}
+        out_mask = liveness.live_out_mask
         for blk in func.blocks:
-            freq = self.loops.freq(blk.label)
-            sfreq = freq if exponent == 1.0 else float(freq) ** exponent
-            for instr in blk.instrs:
-                self._freq_of_instr[id(instr)] = freq
-                cost = inst_cost(instr)
-                for u in instr.used_regs():
-                    if isinstance(u, VReg):
-                        self._bump(self._spill, u, load_w * sfreq)
-                        self._bump(self._op, u, cost * freq)
+            freq = loops.freq(blk.label)
+            live = out_mask[blk.label]
+            for instr in reversed(blk.instrs):
+                dmask = 0
                 for d in instr.defs():
-                    if isinstance(d, VReg):
-                        self._bump(self._spill, d, store_w * sfreq)
-                        self._bump(self._op, d, cost * freq)
-                if isinstance(instr, Call):
-                    crossing = self._after[id(instr)] - set(instr.defs())
-                    for reg in crossing:
-                        if isinstance(reg, VReg):
-                            self._bump(self._cross, reg, float(freq))
-                            self._cross_count[reg] = (
-                                self._cross_count.get(reg, 0) + 1
-                            )
-
-    @staticmethod
-    def _bump(table: dict[VReg, float], key: VReg, amount: float) -> None:
-        table[key] = table.get(key, 0.0) + amount
+                    dmask |= 1 << ids[d]
+                if isinstance(instr, Move):
+                    move_after[id(instr)] = live
+                    freq_of[id(instr)] = freq
+                elif isinstance(instr, Load):
+                    freq_of[id(instr)] = freq
+                elif isinstance(instr, Call):
+                    crossing = live & ~dmask & vreg_mask
+                    crossings.append(crossing)
+                    for i in iter_bits(crossing):
+                        cross[i] = cross.get(i, 0.0) + freq
+                live &= ~dmask
+                if not isinstance(instr, Phi):
+                    for u in instr.uses():
+                        if isinstance(u, (VReg, PReg)):
+                            live |= 1 << ids[u]
+        #: per call site, the mask of vregs live across it
+        self.call_crossings = crossings
+        #: live-after mask of each move, keyed by ``id(move)``
+        self._move_after = move_after
+        #: block frequency of each move and load, keyed by ``id(instr)``
+        self._freq_of_instr = freq_of
+        #: frequency-weighted call crossings per vreg (absent: none)
+        self.cross_table = {index.regs[i]: c for i, c in cross.items()}
 
     # ------------------------------------------------------------------
     # appendix quantities
 
     def freq_of(self, instr: Instruction) -> int:
+        """Block frequency of a move or load of the function."""
         return self._freq_of_instr.get(id(instr), 1)
 
     def spill_cost(self, v: VReg) -> float:
-        return self._spill.get(v, 0.0)
+        return self.spill_costs.get(v, 0.0)
 
     def op_cost(self, v: VReg) -> float:
-        return self._op.get(v, 0.0)
+        """Appendix ``Op_Cost``, summed on demand (no allocator reads it)."""
+        total = 0.0
+        for blk in self.func.blocks:
+            freq = self.loops.freq(blk.label)
+            for instr in blk.instrs:
+                n = instr.used_regs().count(v) + instr.defs().count(v)
+                total += n * inst_cost(instr) * freq
+        return total
 
     def mem_cost(self, v: VReg) -> float:
         return self.spill_cost(v) + self.op_cost(v)
 
     def cross_freq(self, v: VReg) -> float:
         """Frequency-weighted number of calls this live range crosses."""
-        return self._cross.get(v, 0.0)
+        return self.cross_table.get(v, 0.0)
 
     def crosses_calls(self, v: VReg) -> bool:
-        return self._cross_count.get(v, 0) > 0
+        return v in self.cross_table
 
     def call_cost(self, v: VReg, volatile: bool) -> float:
         if volatile:
@@ -210,7 +234,8 @@ class CostModel:
         """
         if mv.dst == v:
             return inst_cost(mv) * self.freq_of(mv)
-        if mv.src == v and v not in self._after[id(mv)]:
+        if mv.src == v and not (
+                self._move_after[id(mv)] >> self.index.ids[v]) & 1:
             return inst_cost(mv) * self.freq_of(mv)
         return 0.0
 

@@ -107,15 +107,23 @@ def build_rpg(
             rclass: volatility_groups(machine, rclass)
             for rclass in machine.files
         }
-        for v in sorted(func.vregs(), key=lambda r: r.id):
+        # Str = Spill_Cost - Call_Cost, read straight from the cost
+        # tables (the arithmetic of CostModel.strength_(non)volatile).
+        spill_costs = costs.spill_costs
+        cross = costs.cross_table
+        save_restore = costs.policy.save_restore_cost
+        callee_save = float(costs.policy.callee_save_cost)
+        vregs = [r for r in costs.index.regs if isinstance(r, VReg)]
+        for v in sorted(vregs, key=lambda r: r.id):
             vol_group, nonvol_group = groups[v.rclass]
+            spill = spill_costs.get(v, 0.0)
             rpg.add(PrefEdge(
                 v, PrefKind.GROUP, vol_group,
-                Strength.scalar(costs.strength_volatile(v)),
+                Strength.scalar(spill - save_restore * cross.get(v, 0.0)),
             ))
             rpg.add(PrefEdge(
                 v, PrefKind.GROUP, nonvol_group,
-                Strength.scalar(costs.strength_nonvolatile(v)),
+                Strength.scalar(spill - callee_save),
             ))
     return rpg
 

@@ -17,9 +17,9 @@ negative prefers memory and is actively spilled.
 
 from __future__ import annotations
 
+from repro.analysis.indexing import regs_in
 from repro.core.costs import CostModel
 from repro.errors import AllocationError
-from repro.ir.instructions import Call
 from repro.ir.values import PReg, VReg
 from repro.policy import DEFAULT_POLICY, Policy
 from repro.profiling import phase
@@ -40,7 +40,8 @@ class CallCostAllocator(Allocator):
     def allocate_round(self, ctx: RoundContext) -> RoundOutcome:
         outcome = RoundOutcome()
         costs = CostModel(ctx.func, ctx.machine, ctx.cfg, ctx.loops,
-                          ctx.liveness, policy=ctx.policy)
+                          ctx.liveness, policy=ctx.policy,
+                          spill_costs=ctx.spill_costs)
         for rclass in ctx.classes():
             graph = ctx.graph(rclass)
             outcome.coalesced_count += coalesce_aggressive(graph)
@@ -56,7 +57,7 @@ class CallCostAllocator(Allocator):
                 continue  # Chaitin-style: spill code first, retry round
 
             forced_volatile = self._preference_decision(
-                ctx, graph, rclass, benefit_nonvol
+                costs, graph, rclass, benefit_nonvol
             )
             with phase("select"):
                 self._select(ctx, graph, rclass, stack, benefit_vol,
@@ -120,7 +121,7 @@ class CallCostAllocator(Allocator):
 
     def _preference_decision(
         self,
-        ctx: RoundContext,
+        costs: CostModel,
         graph: AllocGraph,
         rclass,
         benefit_nonvol: dict[VReg, float],
@@ -131,22 +132,15 @@ class CallCostAllocator(Allocator):
         valuable (R = number of non-volatile registers) are annotated to
         prefer volatile registers.
         """
-        regfile = ctx.machine.file(rclass)
-        r = len(regfile.nonvolatile)
-        after = _liveness_after(ctx)
+        r = len(costs.machine.file(rclass).nonvolatile)
+        regs = costs.index.regs
         forced: set[VReg] = set()
-        for blk in ctx.func.blocks:
-            for instr in blk.instrs:
-                if not isinstance(instr, Call):
-                    continue
-                crossing = {
-                    graph.find(w)
-                    for w in after[id(instr)] - set(instr.defs())
-                    if isinstance(w, VReg) and w.rclass is rclass
-                }
-                reps = [w for w in crossing if isinstance(w, VReg)]
-                reps.sort(key=lambda w: (-benefit_nonvol.get(w, 0.0), w.id))
-                forced.update(reps[r:])
+        for crossing in costs.call_crossings:
+            reps = [w for w in {graph.find(w) for w in regs_in(regs, crossing)
+                                if w.rclass is rclass}
+                    if isinstance(w, VReg)]
+            reps.sort(key=lambda w: (-benefit_nonvol.get(w, 0.0), w.id))
+            forced.update(reps[r:])
         return forced
 
     def _select(
@@ -208,8 +202,3 @@ def _contains_no_spill(graph: AllocGraph, node: VReg) -> bool:
         isinstance(m, VReg) and m.no_spill for m in graph.members_of(node)
     )
 
-
-def _liveness_after(ctx: RoundContext):
-    from repro.analysis.liveness import instruction_liveness
-
-    return instruction_liveness(ctx.func, ctx.liveness)

@@ -25,6 +25,8 @@ the Chaitin-family allocators.
 
 from __future__ import annotations
 
+from repro.analysis.indexing import iter_bits
+from repro.analysis.liveness import instruction_liveness_masks
 from repro.ir.values import PReg, VReg
 from repro.regalloc.base import Allocator, RoundContext, RoundOutcome
 from repro.regalloc.igraph import AllocGraph
@@ -118,12 +120,10 @@ def _cheapest_neighbor(ctx, graph: AllocGraph, node: VReg,
 
 def _live_range_sizes(ctx) -> dict[VReg, int]:
     """Footprint of each live range: instructions where it is live."""
-    from repro.analysis.liveness import instruction_liveness
-
-    after = instruction_liveness(ctx.func, ctx.liveness)
-    sizes: dict[VReg, int] = {}
-    for live in after.values():
-        for reg in live:
-            if isinstance(reg, VReg):
-                sizes[reg] = sizes.get(reg, 0) + 1
-    return sizes
+    index, after = instruction_liveness_masks(ctx.func, ctx.liveness)
+    vregs = ~index.preg_mask
+    counts: dict[int, int] = {}
+    for mask in after.values():
+        for i in iter_bits(mask & vregs):
+            counts[i] = counts.get(i, 0) + 1
+    return {index.regs[i]: n for i, n in counts.items()}

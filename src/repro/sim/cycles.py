@@ -24,17 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.liveness import compute_liveness, instruction_liveness
+from repro.analysis.liveness import compute_liveness
 from repro.cfg.analysis import build_cfg
 from repro.cfg.loops import compute_loops
 from repro.core.pairs import find_paired_loads
 from repro.ir.function import Function
 from repro.ir.instructions import (
     Call,
-    Jump,
     Load,
     Move,
-    Ret,
     SpillLoad,
     SpillStore,
 )
@@ -114,7 +112,6 @@ def estimate_cycles(func: Function, machine: TargetMachine) -> CycleReport:
         cfg = build_cfg(func)
         loops = compute_loops(cfg)
         liveness = compute_liveness(func, cfg)
-        after = instruction_liveness(func, liveness)
 
     # Fused paired loads: the adjacency check runs on physical registers.
     fused_second_loads: set[int] = set()
@@ -129,13 +126,30 @@ def estimate_cycles(func: Function, machine: TargetMachine) -> CycleReport:
                 fused_second_loads.add(id(cand.second))
                 report.paired_loads_fused += 1
 
-    nonvolatile_used: set[PReg] = set()
+    # One backward walk per block keeps the live set as a mask over the
+    # liveness index; the touched and volatile registers are masks too.
+    index = liveness.index
+    ids = index.ids
+    volatile_mask = nonvolatile_mask = 0
+    for i, reg in enumerate(index.regs):
+        if isinstance(reg, PReg):
+            if machine.is_volatile(reg):
+                volatile_mask |= 1 << i
+            else:
+                nonvolatile_mask |= 1 << i
+    touched = 0
     for blk in func.blocks:
         freq = loops.freq(blk.label)
-        for instr in blk.instrs:
-            for reg in list(instr.defs()) + list(instr.used_regs()):
-                if isinstance(reg, PReg) and not machine.is_volatile(reg):
-                    nonvolatile_used.add(reg)
+        live = liveness.live_out_mask[blk.label]
+        for instr in reversed(blk.instrs):
+            dmask = umask = 0
+            for d in instr.defs():
+                dmask |= 1 << ids[d]
+            for u in instr.used_regs():
+                umask |= 1 << ids[u]
+            touched |= dmask | umask
+            after = live
+            live = (live & ~dmask) | umask
 
             if isinstance(instr, Load):
                 if id(instr) in fused_second_loads:
@@ -160,14 +174,11 @@ def estimate_cycles(func: Function, machine: TargetMachine) -> CycleReport:
                 report.moves_remaining += 1
             elif isinstance(instr, Call):
                 report.call_overhead_cycles += CALL_OVERHEAD * freq
-                crossing = after[id(instr)] - set(instr.defs())
-                for reg in crossing:
-                    if isinstance(reg, PReg) and machine.is_volatile(reg):
-                        report.caller_save_cycles += 3.0 * freq
-            elif isinstance(instr, (Jump, Ret)):
-                report.op_cycles += 1.0 * freq
+                crossing = after & ~dmask & volatile_mask
+                report.caller_save_cycles += (
+                    3.0 * freq * crossing.bit_count())
             else:
                 report.op_cycles += 1.0 * freq
 
-    report.callee_save_cycles = 2.0 * len(nonvolatile_used)
+    report.callee_save_cycles = 2.0 * (touched & nonvolatile_mask).bit_count()
     return report

@@ -41,7 +41,7 @@ from contextlib import ExitStack, contextmanager
 from types import SimpleNamespace
 from unittest import mock
 
-from repro.analysis.liveness import Liveness
+from repro.analysis.liveness import Liveness, instruction_liveness_masks
 from repro.analysis.renumber import (
     RenumberResult,
     Web,
@@ -151,6 +151,25 @@ def instruction_liveness_reference(func, liveness) -> dict[int, set]:
             if not isinstance(instr, Phi):
                 live |= _regs(instr.uses())
     return after
+
+
+def instruction_liveness(func, liveness) -> dict[int, set]:
+    """Production's live masks after each instruction
+    (:func:`~repro.analysis.liveness.instruction_liveness_masks`),
+    decoded into register sets for comparison with the reference."""
+    index, after = instruction_liveness_masks(func, liveness)
+    return {key: index.set_of(mask) for key, mask in after.items()}
+
+
+def live_across_instr(liveness, block, index: int) -> set:
+    """Registers live immediately *after* ``block.instrs[index]``: a
+    backward set scan of the block suffix from ``liveness.live_out``."""
+    live = set(liveness.live_out[block.label])
+    for instr in reversed(block.instrs[index + 1:]):
+        live -= _regs(instr.defs())
+        if not isinstance(instr, Phi):
+            live |= _regs(instr.uses())
+    return live
 
 
 def compare_liveness(got: Liveness, want: Liveness) -> list[str]:

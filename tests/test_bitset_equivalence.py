@@ -22,10 +22,11 @@ from oracles import (
     SetAllocGraph,
     build_interference_reference,
     compute_liveness_reference,
+    instruction_liveness,
     instruction_liveness_reference,
 )
 from repro.analysis.interference import build_interference
-from repro.analysis.liveness import compute_liveness, instruction_liveness
+from repro.analysis.liveness import compute_liveness
 from repro.cfg.analysis import build_cfg
 from repro.core import PreferenceDirectedAllocator
 from repro.ir.clone import clone_function

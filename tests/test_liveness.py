@@ -1,7 +1,7 @@
 """Liveness dataflow, including phi edge semantics and physical registers."""
 
-from oracles import phi_uses_on_edge
-from repro.analysis.liveness import compute_liveness, instruction_liveness
+from oracles import instruction_liveness, live_across_instr, phi_uses_on_edge
+from repro.analysis.liveness import compute_liveness
 from repro.cfg.analysis import build_cfg
 from repro.ir.builder import IRBuilder
 from repro.ir.function import BasicBlock, Function
@@ -111,5 +111,5 @@ class TestInstructionLiveness:
         func = build_counted_loop()
         liveness = compute_liveness(func)
         head = func.block("head")
-        live = liveness.live_across_instr(head, 0)
+        live = live_across_instr(liveness, head, 0)
         assert func.params[0] in live
