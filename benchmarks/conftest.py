@@ -26,7 +26,6 @@ from repro.regalloc import (
     BriggsAllocator,
     CallCostAllocator,
     ChaitinAllocator,
-    IteratedCoalescingAllocator,
     OptimisticCoalescingAllocator,
     PriorityAllocator,
 )
@@ -44,7 +43,6 @@ MODELS = {
 ALLOCATORS = {
     "chaitin": ChaitinAllocator,
     "briggs": BriggsAllocator,
-    "iterated": IteratedCoalescingAllocator,
     "optimistic": OptimisticCoalescingAllocator,
     "callcost": CallCostAllocator,
     "priority": PriorityAllocator,

@@ -16,7 +16,6 @@ from repro import (
     BriggsAllocator,
     CallCostAllocator,
     ChaitinAllocator,
-    IteratedCoalescingAllocator,
     OptimisticCoalescingAllocator,
     PreferenceDirectedAllocator,
     PriorityAllocator,
@@ -31,7 +30,6 @@ ALLOCATORS = [
     ChaitinAllocator(),
     PriorityAllocator(),
     BriggsAllocator(),
-    IteratedCoalescingAllocator(),
     OptimisticCoalescingAllocator(),
     CallCostAllocator(),
     PreferenceDirectedAllocator(PreferenceConfig.only_coalescing()),

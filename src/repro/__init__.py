@@ -6,7 +6,7 @@ spilling, coalescing, and irregular-register preferences in one
 integrated select phase, driven by a Register Preference Graph (RPG) and
 a Coloring Precedence Graph (CPG), together with every substrate the
 evaluation needs — an RTL IR with SSA, liveness/interference analyses,
-the six baseline allocators the paper discusses, a cycle-cost
+the five baseline allocators the paper compares against, a cycle-cost
 simulator, and a SPECjvm98-like synthetic workload suite.
 
 Quickstart::
@@ -76,7 +76,6 @@ from repro.regalloc import (
     BriggsAllocator,
     CallCostAllocator,
     ChaitinAllocator,
-    IteratedCoalescingAllocator,
     OptimisticCoalescingAllocator,
     PriorityAllocator,
     allocate_function,
@@ -132,7 +131,6 @@ __all__ = [
     "allocate_function",
     "ChaitinAllocator",
     "BriggsAllocator",
-    "IteratedCoalescingAllocator",
     "OptimisticCoalescingAllocator",
     "CallCostAllocator",
     "PriorityAllocator",

@@ -52,8 +52,7 @@ __all__ = [
 ]
 
 #: Appendix: Save_Restore_Cost(I) is always 3 (per frequency-weighted call
-#: crossing, volatile placement).  Canonical default of
-#: ``Policy.save_restore_cost``.
+#: crossing, volatile placement).
 SAVE_RESTORE_COST = 3
 #: Appendix: Callee_Save_Cost(V) is always 2 (non-volatile placement).
 #: Canonical default of ``Policy.callee_save_cost``.
@@ -198,7 +197,7 @@ class CostModel:
 
     def call_cost(self, v: VReg, volatile: bool) -> float:
         if volatile:
-            return self.policy.save_restore_cost * self.cross_freq(v)
+            return SAVE_RESTORE_COST * self.cross_freq(v)
         return float(self.policy.callee_save_cost)
 
     # ------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.costs import CostModel, Strength, inst_cost
+from repro.core.costs import SAVE_RESTORE_COST, CostModel, Strength, inst_cost
 from repro.core.pairs import find_paired_loads
 from repro.ir.function import Function
 from repro.ir.instructions import Load, Move
@@ -111,7 +111,6 @@ def build_rpg(
         # tables (the arithmetic of CostModel.strength_(non)volatile).
         spill_costs = costs.spill_costs
         cross = costs.cross_table
-        save_restore = costs.policy.save_restore_cost
         callee_save = float(costs.policy.callee_save_cost)
         vregs = [r for r in costs.index.regs if isinstance(r, VReg)]
         for v in sorted(vregs, key=lambda r: r.id):
@@ -119,7 +118,8 @@ def build_rpg(
             spill = spill_costs.get(v, 0.0)
             rpg.add(PrefEdge(
                 v, PrefKind.GROUP, vol_group,
-                Strength.scalar(spill - save_restore * cross.get(v, 0.0)),
+                Strength.scalar(
+                    spill - SAVE_RESTORE_COST * cross.get(v, 0.0)),
             ))
             rpg.add(PrefEdge(
                 v, PrefKind.GROUP, nonvol_group,

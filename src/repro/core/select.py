@@ -162,14 +162,12 @@ class PreferenceSelector:
 
     def __post_init__(self) -> None:
         if (self.policy.select_differential_weight == 1.0
-                and self.policy.select_spill_cost_weight == 1.0
-                and self.policy.select_id_weight == 1.0):
+                and self.policy.select_spill_cost_weight == 1.0):
             self._key_weights = None
         else:
             self._key_weights = (
                 self.policy.select_differential_weight,
                 self.policy.select_spill_cost_weight,
-                self.policy.select_id_weight,
             )
         graph = self.graph
         colors = self._colors = graph.colors
@@ -293,8 +291,8 @@ class PreferenceSelector:
         return self._ready.pop()
 
     def _pick_key(self, node: int) -> tuple:
-        """The ready-queue ordering key: differential, then spill cost,
-        then lowest vreg id (``-id``), optionally policy-weighted."""
+        """The ready-queue ordering key: differential, then spill cost
+        (both optionally policy-weighted), then lowest vreg id (``-id``)."""
         differential = self._diff[node]
         if differential is None:
             asks = self._asks[node] = self._usable_asks(
@@ -304,8 +302,8 @@ class PreferenceSelector:
         vreg_id = self.graph.nodes[node].id
         if weights is None:
             return (differential, self._cost[node], -vreg_id)
-        wd, ws, wi = weights
-        return (wd * differential, ws * self._cost[node], wi * -vreg_id)
+        wd, ws = weights
+        return (wd * differential, ws * self._cost[node], -vreg_id)
 
     def _free_mask(self, node: int) -> int:
         """Mask of colors no (colored or physical) neighbor holds."""

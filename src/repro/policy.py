@@ -1,16 +1,21 @@
 """The allocation :class:`Policy`: every result-relevant heuristic knob.
 
-The paper fixes a handful of heuristic constants — the appendix cost
+The paper fixes a handful of heuristic constants: the appendix cost
 model (Save_Restore_Cost = 3, Callee_Save_Cost = 2, spill load/store
 weights 2/1, loop frequency 10**depth), the Chaitin spill metric
-(cost / degree with an id tie-break), and the preference selector's
-ready-queue key — and the service adds one more (the degradation
-ladder).  Historically those lived as literals scattered across
-``core/costs.py``, ``core/select.py``, ``regalloc/simplify.py``,
-``regalloc/worklist.py``, ``regalloc/callcost.py`` and
-``service/scheduler.py``.  This module factors them into one frozen,
-serializable value so heuristic research (and the offline tuner in
-``benchmarks/tune_policy.py``) can vary them without forking the code.
+(cost / degree) and the preference selector's ready-queue key.  A
+``Policy`` holds the eight of them that a preset may change, as one
+frozen, serializable value; the rest are plain constants in the code
+(``core.costs.SAVE_RESTORE_COST``, the ``(id, name)`` spill tie-break
+in ``regalloc.simplify``, the selector's ``-id`` term).  The service's
+degradation ladder is service behaviour, not a heuristic, and lives in
+``service/scheduler.py``.
+
+The one committed preset, ``tuned_v1`` (``policies/tuned_v1.json``), was
+picked by an offline search over three training families.  It is not
+the default: its held-out table (``benchmarks/bench_policy_heldout.py``,
+quoted in EXPERIMENTS.md) shows it faster in some cells and slower in
+others.
 
 Contract: ``Policy()`` — the default — is **byte-identical** to the
 historical literals.  Every consumer guards the default value onto the
@@ -21,14 +26,16 @@ keeps its fingerprints and cached results.
 
 Serialization is canonical JSON (sorted keys, fixed separators);
 ``Policy.digest()`` is the sha256 of that form and is what enters wire
-payloads, cache fingerprints, and session memo keys.
+payloads, cache fingerprints, and session memo keys.  Older clients
+send four more keys (:data:`RETIRED_FIELDS`); ``from_dict`` accepts
+each only at the one value it ever had.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from repro.reporting import canonical_json
@@ -36,38 +43,54 @@ from repro.reporting import canonical_json
 __all__ = [
     "Policy",
     "DEFAULT_POLICY",
-    "DEFAULT_DEGRADATION_LADDER",
+    "RETIRED_FIELDS",
     "load_policy",
     "preset_path",
     "available_presets",
 ]
 
-#: The service's allocator fallback ladder under deadline pressure /
-#: overload, as ordered (allocator, cheaper-allocator) pairs.  Chaitin
-#: is terminal.  The default ``Policy.degradation_ladder``, walked one
-#: rung at a time by ``service.scheduler.degrade_for``.
-DEFAULT_DEGRADATION_LADDER = (
-    ("briggs", "chaitin"),
-    ("callcost", "chaitin"),
-    ("full", "chaitin"),
-    ("iterated", "briggs"),
-    ("only-coalescing", "chaitin"),
-    ("optimistic", "briggs"),
-    ("priority", "chaitin"),
-)
+#: Fields ``Policy`` no longer has, each with the one value every preset
+#: and caller gave it.  ``Policy.to_dict()`` documents from older clients
+#: still carry them; :meth:`Policy.from_dict` drops a retired key at this
+#: value and rejects any other value, mirroring
+#: ``AllocationOptions.RETIRED_WIRE_FIELDS``.  The ladder is the old
+#: default, ``iterated`` rung included; the old ``Policy`` sorted it, so
+#: any order of these rungs was the same ladder.
+RETIRED_FIELDS = {
+    "save_restore_cost": 3,
+    "select_id_weight": 1.0,
+    "spill_tie_break": ("id", "name"),
+    "degradation_ladder": (
+        ("briggs", "chaitin"),
+        ("callcost", "chaitin"),
+        ("full", "chaitin"),
+        ("iterated", "briggs"),
+        ("only-coalescing", "chaitin"),
+        ("optimistic", "briggs"),
+        ("priority", "chaitin"),
+    ),
+}
 
-#: Allocator names a ladder entry may mention (kept as a literal so this
-#: module stays a leaf — scheduler imports *us*).
-_LADDER_NAMES = frozenset(
-    name for pair in DEFAULT_DEGRADATION_LADDER for name in pair
-)
 
-_TIE_BREAK_KEYS = ("id", "name")
+def _as_tuples(value):
+    """``value`` with every (nested) JSON list as a tuple."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_as_tuples(item) for item in value)
+    return value
+
+
+def _is_retired_value(name: str, value) -> bool:
+    """True iff ``value`` is the one value retired field ``name`` had."""
+    old = RETIRED_FIELDS[name]
+    value = _as_tuples(value)
+    if name == "degradation_ladder" and isinstance(value, tuple):
+        return len(value) == len(old) and all(rung in value for rung in old)
+    return type(value) is not bool and value == old
 
 
 @dataclass(frozen=True)
 class Policy:
-    """Every result-relevant heuristic decision point, in one value.
+    """Every result-relevant heuristic constant a preset may change.
 
     All fields default to the paper's (and this repo's historical)
     constants; see the module docstring for the byte-identity contract.
@@ -76,8 +99,6 @@ class Policy:
     """
 
     # -- cost-model constants (paper appendix) -------------------------
-    #: cycles to save+restore a volatile register around one call
-    save_restore_cost: int = 3
     #: one-time cycles to claim a callee-save (non-volatile) register
     callee_save_cost: int = 2
     #: weight of one spilled *use* (a load) in spill-cost estimates
@@ -95,66 +116,27 @@ class Policy:
     #: (1.0, 1.0) is the classic cost/degree.
     spill_cost_exponent: float = 1.0
     spill_degree_exponent: float = 1.0
-    #: deterministic tie-break field order for equal metrics
-    spill_tie_break: tuple[str, ...] = ("id", "name")
 
     # -- PreferenceSelector ready-queue key ----------------------------
-    #: key = (w_diff * differential, w_cost * spill_cost, w_id * -id);
-    #: all-1.0 weights reproduce the historical lexicographic key.
+    #: key = (w_diff * differential, w_cost * spill_cost, -id); all-1.0
+    #: weights reproduce the historical lexicographic key.
     select_differential_weight: float = 1.0
     select_spill_cost_weight: float = 1.0
-    select_id_weight: float = 1.0
-
-    # -- service degradation ladder ------------------------------------
-    degradation_ladder: tuple[tuple[str, str], ...] = (
-        DEFAULT_DEGRADATION_LADDER
-    )
 
     def __post_init__(self) -> None:
-        for name in ("save_restore_cost", "callee_save_cost",
-                     "spill_load_cost", "spill_store_cost"):
+        for name in ("callee_save_cost", "spill_load_cost",
+                     "spill_store_cost"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an int, got {value!r}")
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
         for name in ("loop_depth_exponent", "spill_cost_exponent",
-                     "spill_degree_exponent"):
+                     "spill_degree_exponent", "select_differential_weight",
+                     "select_spill_cost_weight"):
             value = getattr(self, name)
             self._check_weight(name, value)
             object.__setattr__(self, name, float(value))
-        for name in ("select_differential_weight",
-                     "select_spill_cost_weight", "select_id_weight"):
-            value = getattr(self, name)
-            self._check_weight(name, value)
-            object.__setattr__(self, name, float(value))
-        tie = tuple(self.spill_tie_break)
-        if (not tie or len(set(tie)) != len(tie)
-                or any(k not in _TIE_BREAK_KEYS for k in tie)
-                or "id" not in tie):
-            raise ValueError(
-                "spill_tie_break must be a duplicate-free ordering of "
-                f"{_TIE_BREAK_KEYS} that includes 'id', got {tie!r}"
-            )
-        object.__setattr__(self, "spill_tie_break", tie)
-        ladder = tuple(
-            (str(frm), str(to)) for frm, to in self.degradation_ladder
-        )
-        seen: set[str] = set()
-        for frm, to in ladder:
-            if frm not in _LADDER_NAMES or to not in _LADDER_NAMES:
-                raise ValueError(
-                    f"degradation ladder names unknown allocator in "
-                    f"({frm!r}, {to!r})"
-                )
-            if frm == to:
-                raise ValueError(f"ladder entry {frm!r} degrades to itself")
-            if frm in seen:
-                raise ValueError(f"duplicate ladder entry for {frm!r}")
-            seen.add(frm)
-        object.__setattr__(
-            self, "degradation_ladder", tuple(sorted(ladder))
-        )
 
     @staticmethod
     def _check_weight(name: str, value) -> None:
@@ -172,26 +154,14 @@ class Policy:
         """True iff byte-identical to the paper's historical constants."""
         return self == DEFAULT_POLICY
 
-    def ladder_map(self) -> dict[str, str]:
-        """The degradation ladder as a lookup dict."""
-        return dict(self.degradation_ladder)
-
     def replace(self, **changes) -> "Policy":
         return replace(self, **changes)
 
     # -- serialization --------------------------------------------------
 
     def to_dict(self) -> dict:
-        """JSON-safe form; tuples become lists, field order canonical."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "degradation_ladder":
-                value = [list(pair) for pair in value]
-            elif f.name == "spill_tie_break":
-                value = list(value)
-            out[f.name] = value
-        return out
+        """JSON-safe form, field order canonical."""
+        return asdict(self)
 
     def to_json(self, indent: int | None = None) -> str:
         if indent is None:
@@ -202,28 +172,17 @@ class Policy:
     def from_dict(cls, payload: dict) -> "Policy":
         if not isinstance(payload, dict):
             raise ValueError(f"policy must be an object, got {payload!r}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
+        values = dict(payload)
+        for name in sorted(RETIRED_FIELDS.keys() & values.keys()):
+            value = values.pop(name)
+            if not _is_retired_value(name, value):
+                raise ValueError(
+                    f"policy field {name!r} is retired and only accepts "
+                    f"{RETIRED_FIELDS[name]!r}, got {value!r}"
+                )
+        unknown = set(values) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown policy field(s) {sorted(unknown)}")
-        values = dict(payload)
-        if "degradation_ladder" in values:
-            ladder = values["degradation_ladder"]
-            if not isinstance(ladder, (list, tuple)) or any(
-                not isinstance(pair, (list, tuple)) or len(pair) != 2
-                for pair in ladder
-            ):
-                raise ValueError(
-                    "degradation_ladder must be a list of [from, to] pairs"
-                )
-            values["degradation_ladder"] = tuple(
-                (pair[0], pair[1]) for pair in ladder
-            )
-        if "spill_tie_break" in values:
-            tie = values["spill_tie_break"]
-            if not isinstance(tie, (list, tuple)):
-                raise ValueError("spill_tie_break must be a list")
-            values["spill_tie_break"] = tuple(tie)
         return cls(**values)
 
     @classmethod

@@ -6,7 +6,6 @@ classes are the paper's comparators:
 
 * :class:`ChaitinAllocator` — the base algorithm of Figure 9's ratios,
 * :class:`BriggsAllocator` — optimistic coloring + aggressive coalescing,
-* :class:`IteratedCoalescingAllocator` — George & Appel,
 * :class:`OptimisticCoalescingAllocator` — Park & Moon,
 * :class:`CallCostAllocator` — the "aggressive+volatility" configuration
   of Lueh & Gross used in Figure 11,
@@ -37,7 +36,6 @@ from repro.regalloc.coalesce import (
 )
 from repro.regalloc.costs import compute_spill_costs
 from repro.regalloc.igraph import AllocGraph, build_alloc_graph
-from repro.regalloc.iterated import IteratedCoalescingAllocator
 from repro.regalloc.optimistic import OptimisticCoalescingAllocator
 from repro.regalloc.priority import PriorityAllocator
 from repro.regalloc.select import SelectResult, select
@@ -58,7 +56,6 @@ __all__ = [
     "allocate_function",
     "ChaitinAllocator",
     "BriggsAllocator",
-    "IteratedCoalescingAllocator",
     "OptimisticCoalescingAllocator",
     "CallCostAllocator",
     "PriorityAllocator",

@@ -1,7 +1,7 @@
 """Allocator framework: round context, driver loop, stats, rewriting.
 
-Every allocator variant (Chaitin, Briggs, iterated, optimistic,
-call-cost, preference-directed) implements one *round*: given the current
+Every allocator variant (Chaitin, Briggs, optimistic, call-cost,
+priority, preference-directed) implements one *round*: given the current
 function's interference structure, produce either a complete coloring or
 a set of live ranges to spill.  The shared :func:`allocate_function`
 driver runs rounds to a fixed point — renumber, analyze, color, and on
@@ -82,7 +82,7 @@ class AllocationOptions:
     #: serialized onto the wire (it is server-local policy).
     cache_dir: str | None = None
     #: heuristic decision points (cost constants, spill scoring,
-    #: selector key, degradation ladder) — see :mod:`repro.policy`.
+    #: selector key) — see :mod:`repro.policy`.
     policy: Policy = DEFAULT_POLICY
 
     def __post_init__(self) -> None:

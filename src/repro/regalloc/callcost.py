@@ -18,7 +18,7 @@ negative prefers memory and is actively spilled.
 from __future__ import annotations
 
 from repro.analysis.indexing import regs_in
-from repro.core.costs import CostModel
+from repro.core.costs import SAVE_RESTORE_COST, CostModel
 from repro.errors import AllocationError
 from repro.ir.values import PReg, VReg
 from repro.policy import DEFAULT_POLICY, Policy
@@ -72,11 +72,11 @@ class CallCostAllocator(Allocator):
     ) -> tuple[dict[VReg, float], dict[VReg, float]]:
         """Per-representative benefits, summed over coalesced members.
 
-        The 3.0/2.0 constants are the policy's save/restore and
-        callee-save costs (int defaults 3/2; ``float(3) * cross`` is
-        bit-equal to the historical ``3.0 * cross``).
+        The 3.0/2.0 constants are the appendix save/restore cost and
+        the policy's callee-save cost (int default 2; ``float(3) *
+        cross`` is bit-equal to the historical ``3.0 * cross``).
         """
-        save_restore = float(policy.save_restore_cost)
+        save_restore = float(SAVE_RESTORE_COST)
         callee_save = float(policy.callee_save_cost)
         benefit_vol: dict[VReg, float] = {}
         benefit_nonvol: dict[VReg, float] = {}

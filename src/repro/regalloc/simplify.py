@@ -34,7 +34,7 @@ from repro.regalloc.igraph import AllocGraph
 from repro.regalloc.worklist import DegreeWorklist
 
 __all__ = ["SimplifyResult", "simplify", "choose_spill_candidate",
-           "spill_metric_fn", "tie_break_fn"]
+           "spill_metric_fn"]
 
 
 def spill_metric_fn(policy: Policy):
@@ -57,26 +57,6 @@ def spill_metric_fn(policy: Policy):
         return float(cost) ** ce / float(max(graph.degree(node), 1)) ** de
 
     return metric
-
-
-def tie_break_fn(policy: Policy):
-    """The deterministic tie-break key under ``policy``.
-
-    The default order ``("id", "name")`` returns the module-level
-    :func:`_tie_break` (the historical key) so indexed-engine heap
-    entries compare identically to before.
-    """
-    if policy.spill_tie_break == ("id", "name"):
-        return _tie_break
-    order = policy.spill_tie_break
-
-    def key(node: VReg) -> tuple:
-        return tuple(
-            node.id if field == "id" else (node.name or "")
-            for field in order
-        )
-
-    return key
 
 
 @dataclass(eq=False)
@@ -104,10 +84,9 @@ def choose_spill_candidate(graph: AllocGraph, nodes,
 
     The metric is Chaitin's ``spill_cost / degree`` under the default
     policy, generalized to policy exponents otherwise; ties break by
-    the policy's field order (historically ``(id, name)``).
+    ``(id, name)``.
     """
     metric_of = spill_metric_fn(policy)
-    tie_break = tie_break_fn(policy)
     best: VReg | None = None
     best_metric = float("inf")
     for node in nodes:
@@ -117,7 +96,7 @@ def choose_spill_candidate(graph: AllocGraph, nodes,
             metric = metric_of(graph, node)
         if best is None or metric < best_metric or (
             metric == best_metric
-            and tie_break(node) < tie_break(best)
+            and _tie_break(node) < _tie_break(best)
         ):
             best = node
             best_metric = metric
@@ -132,6 +111,7 @@ def choose_spill_candidate(graph: AllocGraph, nodes,
 
 
 def _tie_break(node: VReg) -> tuple:
+    """The deterministic order of equal-metric nodes and of a batch."""
     return (node.id, node.name or "")
 
 
@@ -141,11 +121,10 @@ def simplify(graph: AllocGraph, optimistic: bool = True,
 
     ``graph`` is mutated: all active nodes are removed.  Copy-related
     nodes are treated like any other (the aggressive-coalescing pipelines
-    have coalesced before this phase; George–Appel iterated coalescing
-    interleaves its own simplify loop and does not call this one).
+    have coalesced before this phase).
 
-    ``policy`` parameterizes the spill metric and tie-break; the
-    default reproduces the historical pick sequence exactly.
+    ``policy`` parameterizes the spill metric; the default reproduces
+    the historical pick sequence exactly.
     """
     result = SimplifyResult()
     with phase("simplify"):
@@ -168,7 +147,7 @@ def _simplify_indexed(graph: AllocGraph, optimistic: bool,
     # While the worklist is attached, this loop only calls
     # ``graph.remove``: degrees only fall and spill costs stay fixed,
     # which the spill heap's lazy re-keying relies on.
-    with DegreeWorklist(graph, tie_break_fn(policy),
+    with DegreeWorklist(graph, _tie_break,
                         metric=spill_metric_fn(policy)) as worklist:
         while graph.active:
             batch = worklist.take_batch()

@@ -65,8 +65,8 @@ MAX_MACHINE_REGS = 128
 
 #: Allocator names a request may ask for (the CLI's choices).
 SERVICE_ALLOCATORS = (
-    "chaitin", "briggs", "iterated", "optimistic", "callcost",
-    "priority", "only-coalescing", "full",
+    "chaitin", "briggs", "optimistic", "callcost", "priority",
+    "only-coalescing", "full",
 )
 
 

@@ -39,14 +39,12 @@ from repro.ir.function import Module
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_function, print_module
 from repro.pipeline import ModuleAllocation, allocate_module, prepare_module
-from repro.policy import DEFAULT_POLICY, Policy
 from repro.profiling import profiled
 from repro.regalloc import (
     AllocationOptions,
     BriggsAllocator,
     CallCostAllocator,
     ChaitinAllocator,
-    IteratedCoalescingAllocator,
     OptimisticCoalescingAllocator,
     PriorityAllocator,
 )
@@ -64,6 +62,7 @@ from repro.workloads import make_benchmark
 
 __all__ = [
     "ALLOCATOR_FACTORIES",
+    "DEGRADATION_LADDER",
     "degrade_for",
     "render_allocation",
     "execute_request",
@@ -74,7 +73,6 @@ __all__ = [
 ALLOCATOR_FACTORIES = {
     "chaitin": ChaitinAllocator,
     "briggs": BriggsAllocator,
-    "iterated": IteratedCoalescingAllocator,
     "optimistic": OptimisticCoalescingAllocator,
     "callcost": CallCostAllocator,
     "priority": PriorityAllocator,
@@ -84,14 +82,27 @@ ALLOCATOR_FACTORIES = {
     "full": PreferenceDirectedAllocator,
 }
 
-def degrade_for(allocator: str, policy: Policy = DEFAULT_POLICY) -> str:
-    """One rung down ``policy``'s degradation ladder (floor: chaitin).
+#: The allocator fallback ladder under deadline pressure or overload:
+#: allocator -> the cheaper allocator it degrades to.  ``chaitin`` is
+#: the floor and never degrades.
+DEGRADATION_LADDER = {
+    "briggs": "chaitin",
+    "callcost": "chaitin",
+    "full": "chaitin",
+    "only-coalescing": "chaitin",
+    "optimistic": "briggs",
+    "priority": "chaitin",
+}
+
+
+def degrade_for(allocator: str) -> str:
+    """One rung down :data:`DEGRADATION_LADDER` (floor: chaitin).
 
     Under pressure each allocator falls back one rung; ``chaitin`` is
     the floor (cheapest round, no preference machinery) and never
     degrades.
     """
-    return policy.ladder_map().get(allocator, "chaitin")
+    return DEGRADATION_LADDER.get(allocator, "chaitin")
 
 
 #: session ladder rung -> metrics counter (``new`` is a scratch build
@@ -335,11 +346,10 @@ class Scheduler:
             self.metrics.inc("deadline_misses")
             # The deadline already passed; degradation is about
             # finishing fast now, not about killing more workers.
-            return (degrade_for(request.allocator, request.options.policy),
+            return (degrade_for(request.allocator),
                     run_options.replace(deadline_ms=None))
         if job.overloaded:
-            return (degrade_for(request.allocator, request.options.policy),
-                    run_options)
+            return degrade_for(request.allocator), run_options
         return request.allocator, run_options
 
     def _answer(self, job: _Job, timings: dict) -> AllocationResponse:
@@ -389,7 +399,7 @@ class Scheduler:
                 # freed the worker).
                 self.metrics.inc("deadline_misses")
                 self.metrics.inc("worker_deadline_kills")
-                effective = degrade_for(effective, request.options.policy)
+                effective = degrade_for(effective)
                 response = execute_request(
                     request,
                     run_options.replace(deadline_ms=None),

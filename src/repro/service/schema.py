@@ -3,9 +3,8 @@
 The shapes leaving the system: ``allocation`` (``alloc --json``,
 ``submit --json``, and every server response line), ``comparison``
 (``compare --json`` / ``bench --json``), ``stats`` (the ``stats``
-control reply), ``final_stats`` (the snapshot ``serve`` dumps on
-shutdown), and ``policy_tuning`` (the offline tuner's report).
-Historically each was assembled at its call site; they now all come
+control reply) and ``final_stats`` (the snapshot ``serve`` dumps on
+shutdown).  Historically each was assembled at its call site; they now all come
 from here, stamped with a shared ``schema`` version so downstream
 consumers can detect shape changes without guessing from the fields.
 
@@ -27,7 +26,6 @@ __all__ = [
     "comparison_payload",
     "stats_payload",
     "final_stats_payload",
-    "policy_tuning_payload",
 ]
 
 #: Bumped whenever any emitted document shape changes incompatibly.
@@ -41,9 +39,9 @@ __all__ = [
 #: ``allocate_delta`` edit-chain token, empty off the delta path) and
 #: the counter contract gains the ``delta_requests`` / ``session_*``
 #: family plus the ``session_hit_ratio`` metrics field.
-#: v4: ``policy_tuning`` joins the registry (``benchmarks/
-#: tune_policy.py``'s report: per-family default/candidate measurements
-#: and the winning :class:`repro.policy.Policy`).
+#: v4: the offline policy tuner's report joins the registry
+#: (per-family default/candidate measurements and the winning
+#: :class:`repro.policy.Policy`).
 #: v5: the counter contract gains ``session_colorings_reused`` (value
 #: edits whose allocation started from a retained round-0 coloring).
 #: v5 (unchanged): the sharded router's stats snapshot left the registry
@@ -58,11 +56,14 @@ __all__ = [
 #: v8: the ``worker_pool`` section drops ``counters.hung_kills`` and each
 #: worker's ``heartbeat_age_s``: pool workers no longer stamp a
 #: heartbeat, and an idle worker is never killed for silence.
+#: v8 (unchanged): the policy tuner's report type left the registry
+#: with the tuner; its one preset (``tuned_v1``) is now judged by a
+#: held-out table (``benchmarks/bench_policy_heldout.py``).  No
+#: remaining document changed shape, so no bump.
 SCHEMA_VERSION = 8
 
 #: Every ``type`` tag this module can emit.
-SCHEMA_TYPES = ("allocation", "comparison", "stats", "final_stats",
-                "policy_tuning")
+SCHEMA_TYPES = ("allocation", "comparison", "stats", "final_stats")
 
 #: Counters every ``stats``/``final_stats`` metrics section must carry —
 #: the contract the schema version vouches for (asserted by the
@@ -138,25 +139,4 @@ def final_stats_payload(metrics: dict, cache: dict) -> dict:
         "metrics": metrics,
         "cache": cache,
     })
-
-
-def policy_tuning_payload(tuner: dict, families: dict,
-                          best: dict | None = None) -> dict:
-    """The offline policy tuner's report (``BENCH_policy_tuning.json``).
-
-    ``tuner`` describes the search (seed, budget, workload snapshot,
-    runtime knobs); ``families`` maps family name -> that family's
-    default/tuned measurements and deltas; ``best`` is the winning
-    policy's ``to_dict()`` form plus its digest (absent when no
-    candidate beat the default).
-    """
-    payload = _tagged({
-        "type": "policy_tuning",
-        "protocol": PROTOCOL_VERSION,
-        "tuner": tuner,
-        "families": families,
-    })
-    if best is not None:
-        payload["best"] = best
-    return payload
 

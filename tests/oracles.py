@@ -60,7 +60,7 @@ from repro.ir.printer import print_function
 from repro.ir.values import PReg, VReg
 from repro.profiling import phase
 from repro.regalloc import base as regalloc_base
-from repro.regalloc.simplify import choose_spill_candidate, tie_break_fn
+from repro.regalloc.simplify import _tie_break, choose_spill_candidate
 from repro.regalloc.worklist import DegreeWorklist
 
 # ``repro.regalloc`` re-exports the ``simplify`` function under the
@@ -657,14 +657,13 @@ def simplify_scan(graph, optimistic, result, policy) -> None:
 
     Drop-in for ``repro.regalloc.simplify._simplify_indexed``.
     """
-    tie_break = tie_break_fn(policy)
     while graph.active:
         low = [n for n in graph.active_nodes() if not graph.significant(n)]
         if low:
             # Remove all currently-low-degree nodes in a deterministic
             # order; removing one can only lower other degrees, so batch
             # removal stays valid.
-            for node in sorted(low, key=tie_break):
+            for node in sorted(low, key=_tie_break):
                 if graph.is_active(node) and not graph.significant(node):
                     graph.remove(node)
                     result.stack.append(node)

@@ -1,6 +1,6 @@
 """Mechanism-level tests for the baseline allocators: the Park–Moon undo,
-the George–Appel freeze, the Lueh–Gross preference decision and active
-spilling, and the shared driver's corner cases."""
+the Lueh–Gross preference decision and active spilling, and the shared
+driver's corner cases."""
 
 import pytest
 
@@ -16,7 +16,6 @@ from repro.regalloc import (
     BriggsAllocator,
     CallCostAllocator,
     ChaitinAllocator,
-    IteratedCoalescingAllocator,
     OptimisticCoalescingAllocator,
     RoundOutcome,
     allocate_function,
@@ -63,33 +62,6 @@ class TestParkMoonUndo:
         got = run_function(func, [10], machine=machine,
                            memory=Memory()).value
         assert got == want
-
-
-class TestIteratedFreeze:
-    def test_copy_related_low_degree_eventually_simplified(self):
-        # All nodes copy-related and uncoalescable moves force freezing.
-        b = IRBuilder("f", n_params=1)
-        t = b.move(b.param(0))
-        u = b.add(t, b.param(0))
-        v = b.move(u)
-        w = b.add(v, u)          # v-u interfere? u used after v's def
-        b.ret(w)
-        func = prepare_function(b.finish(), make_machine(8))
-        machine = make_machine(8)
-        result = allocate_function(func, machine,
-                                   IteratedCoalescingAllocator())
-        verify_allocation(func, machine)
-        assert result.stats.spill_instructions == 0
-
-    def test_conservative_never_coalesces_into_spill(self):
-        machine = make_machine(4)
-        func = prepare_function(pressure_with_copies(), machine)
-        result = allocate_function(func, machine,
-                                   IteratedCoalescingAllocator())
-        verify_allocation(func, machine)
-        # conservative coalescing: no spill caused by merging
-        assert result.stats.spill_instructions == 0 or \
-            result.stats.coalesced_count >= 0  # structural smoke
 
 
 class TestCallCostMechanisms:

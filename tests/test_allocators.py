@@ -10,7 +10,6 @@ from repro.regalloc import (
     BriggsAllocator,
     CallCostAllocator,
     ChaitinAllocator,
-    IteratedCoalescingAllocator,
     OptimisticCoalescingAllocator,
     allocate_function,
     verify_allocation,
@@ -30,7 +29,6 @@ from conftest import (
 ALLOCATORS = [
     ChaitinAllocator,
     BriggsAllocator,
-    IteratedCoalescingAllocator,
     OptimisticCoalescingAllocator,
     CallCostAllocator,
     lambda: PreferenceDirectedAllocator(PreferenceConfig.only_coalescing()),

@@ -46,8 +46,8 @@ class TestParser:
 
     def test_allocator_choices_complete(self):
         assert set(ALLOCATOR_CHOICES) == {
-            "chaitin", "briggs", "iterated", "optimistic", "callcost",
-            "priority", "only-coalescing", "full",
+            "chaitin", "briggs", "optimistic", "callcost", "priority",
+            "only-coalescing", "full",
         }
 
 

@@ -1,28 +1,26 @@
 """The :class:`repro.policy.Policy` surface: validation, serialization,
-digest stability, preset loading, and — most load-bearing — the
-byte-identity contract: a default-valued policy must reproduce the
-pre-policy allocator bit for bit.  The fingerprints and result stats
-pinned below were captured on the commit *before* the policy layer
-landed; if any of them moves, default traffic changed behavior and the
-contract is broken.
+digest stability, preset loading, wire compatibility for retired keys,
+and — most load-bearing — the byte-identity contract: a default-valued
+policy must reproduce the pre-policy allocator bit for bit.  The
+fingerprints and result stats pinned below were captured on the commit
+*before* the policy layer landed; if any of them moves, default traffic
+changed behavior and the contract is broken.
 """
 
 from __future__ import annotations
 
-import argparse
-import importlib.util
 import json
-from dataclasses import FrozenInstanceError
-from pathlib import Path
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.errors import ServiceError
 from repro.ir.printer import print_module
 from repro.pipeline import allocate_module, prepare_function, prepare_module
 from repro.policy import (
-    DEFAULT_DEGRADATION_LADDER,
     DEFAULT_POLICY,
+    RETIRED_FIELDS,
     Policy,
     available_presets,
     load_policy,
@@ -31,23 +29,29 @@ from repro.policy import (
 from repro.regalloc import allocate_function, verify_allocation
 from repro.regalloc.base import AllocationOptions
 from repro.service.cache import request_fingerprint
+from repro.service.protocol import (
+    SERVICE_ALLOCATORS,
+    AllocationRequest,
+    MachineSpec,
+)
 from repro.service.scheduler import (
     ALLOCATOR_FACTORIES,
+    DEGRADATION_LADDER,
     degrade_for,
+    execute_request,
 )
 from repro.target.presets import make_machine, middle_pressure
 from repro.workloads.generator import generate_function
 from repro.workloads.profiles import BenchmarkProfile
 from repro.workloads.suite import make_benchmark
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
 #: sha256 of the default policy's canonical JSON.  Changing any field
 #: name, default, or the canonical form moves this — which silently
 #: *preserves* old cache fingerprints for traffic that pins the old
-#: digest, so bump it consciously.
+#: digest, so bump it consciously.  (It last moved when the four
+#: one-valued fields in ``RETIRED_FIELDS`` left ``Policy``.)
 DEFAULT_DIGEST = \
-    "71424194846dd9aa5c5febc0f1b9ad1ef94d97a84ab5ecfedd318d51795c515f"
+    "ad6d98570f1554f27004cc3b9dd471f5d928f0861dd3d037ffa354dee38cc45e"
 
 # ---------------------------------------------------------------------------
 # Pre-policy pins (captured with the literals still inlined in the code)
@@ -85,16 +89,22 @@ PINNED_SPILLSTRESS_STATS = {
 }
 
 #: The same 5-tuple on jess at the 24-register model
-#: (``middle_pressure()``), for all eight allocators.
+#: (``middle_pressure()``), for all seven allocators.
 PINNED_JESS_M24_STATS = {
     "chaitin": (458, 0, 0, 4527.0, 1),
     "priority": (215, 0, 0, 4812.0, 1),
     "briggs": (458, 0, 0, 4527.0, 1),
-    "iterated": (459, 0, 0, 4049.0, 1),
     "optimistic": (458, 0, 0, 4527.0, 1),
     "callcost": (459, 6, 3, 3823.0, 2),
     "only-coalescing": (427, 0, 0, 4115.0, 1),
     "full": (388, 5, 2, 3853.0, 2),
+}
+
+#: The same 5-tuple for ``full`` under the ``tuned_v1`` preset, seed-0
+#: modules at K=12 (jess's cycles are its cell of the held-out table).
+PINNED_TUNED_V1_STATS = {
+    "spillstress": (152, 408, 204, 56448.0, 4),
+    "jess": (453, 238, 100, 4223.0, 3),
 }
 
 
@@ -127,14 +137,15 @@ class TestPolicyValue:
         assert DEFAULT_POLICY.digest() == DEFAULT_DIGEST
 
     def test_any_field_change_is_not_default(self):
-        assert not Policy(save_restore_cost=4).is_default()
+        assert len(fields(Policy)) == 8
+        assert not Policy(callee_save_cost=3).is_default()
         assert not Policy(loop_depth_exponent=1.5).is_default()
-        assert not Policy(spill_tie_break=("name", "id")).is_default()
+        assert not Policy(select_spill_cost_weight=2.0).is_default()
 
     def test_frozen_and_hashable(self):
         policy = Policy()
         with pytest.raises(FrozenInstanceError):
-            policy.save_restore_cost = 9
+            policy.callee_save_cost = 9
         assert len({Policy(), Policy(), Policy(callee_save_cost=3)}) == 2
 
     def test_replace(self):
@@ -151,10 +162,13 @@ class TestPolicyValue:
         assert policy.loop_depth_exponent == 1.0
         assert isinstance(policy.loop_depth_exponent, float)
         assert policy.is_default()
-        assert isinstance(Policy().save_restore_cost, int)
+        assert isinstance(Policy().callee_save_cost, int)
 
 
 class TestValidation:
+    # Through ``from_dict``, where wire input enters: there
+    # ``save_restore_cost`` and ``select_id_weight`` are retired keys,
+    # which take no value but their old one.
     @pytest.mark.parametrize("field", ["save_restore_cost",
                                        "callee_save_cost",
                                        "spill_load_cost",
@@ -162,7 +176,7 @@ class TestValidation:
     def test_costs_must_be_nonnegative_ints(self, field):
         for bad in (-1, 1.5, True, "2", None):
             with pytest.raises(ValueError):
-                Policy(**{field: bad})
+                Policy.from_dict({field: bad})
 
     @pytest.mark.parametrize("field", ["loop_depth_exponent",
                                        "spill_cost_exponent",
@@ -173,41 +187,51 @@ class TestValidation:
     def test_weights_must_be_finite_positive(self, field):
         for bad in (0.0, -0.5, float("nan"), float("inf"), True, "1"):
             with pytest.raises(ValueError):
-                Policy(**{field: bad})
+                Policy.from_dict({field: bad})
 
     def test_tie_break_rules(self):
-        assert Policy(spill_tie_break=("name", "id")).spill_tie_break \
-            == ("name", "id")
-        for bad in ((), ("name",), ("id", "id"), ("id", "bogus")):
-            with pytest.raises(ValueError):
-                Policy(spill_tie_break=bad)
+        # The spill tie-break is fixed at (id, name); old clients may
+        # still name that order, and no other.
+        assert Policy.from_dict(
+            {"spill_tie_break": ["id", "name"]}) == DEFAULT_POLICY
+        for bad in (["name", "id"], [], ["id"], ["id", "id"], "id"):
+            with pytest.raises(ValueError, match="retired"):
+                Policy.from_dict({"spill_tie_break": bad})
 
     def test_ladder_rules(self):
-        with pytest.raises(ValueError, match="unknown allocator"):
-            Policy(degradation_ladder=(("full", "nosuch"),))
-        with pytest.raises(ValueError, match="degrades to itself"):
-            Policy(degradation_ladder=(("full", "full"),))
-        with pytest.raises(ValueError, match="duplicate"):
-            Policy(degradation_ladder=(("full", "chaitin"),
-                                       ("full", "briggs")))
+        # The ladder left Policy for service/scheduler.py; a policy
+        # carrying any ladder but the old default is refused.
+        old = [list(rung) for rung in RETIRED_FIELDS["degradation_ladder"]]
+        current = [[frm, to] for frm, to in DEGRADATION_LADDER.items()]
+        for bad in ([["full", "briggs"], ["briggs", "chaitin"]],
+                    current,
+                    old + [["full", "briggs"]],
+                    old[1:] + old[1:2],  # a duplicate in place of one
+                    [["full", "nosuch"]],
+                    ["full"]):
+            with pytest.raises(ValueError, match="retired"):
+                Policy.from_dict({"degradation_ladder": bad})
 
     def test_ladder_canonicalized(self):
-        shuffled = tuple(reversed(DEFAULT_DEGRADATION_LADDER))
-        policy = Policy(degradation_ladder=shuffled)
-        assert policy.degradation_ladder == DEFAULT_DEGRADATION_LADDER
-        assert policy.is_default()
-        assert policy.digest() == DEFAULT_DIGEST
+        # The old Policy sorted its ladder, so every order of the old
+        # default rungs was the default policy.
+        for ladder in (RETIRED_FIELDS["degradation_ladder"],
+                       tuple(reversed(RETIRED_FIELDS["degradation_ladder"]))):
+            policy = Policy.from_dict(
+                {"degradation_ladder": [list(rung) for rung in ladder]})
+            assert policy.is_default()
+            assert policy.digest() == DEFAULT_DIGEST
 
     def test_options_reject_non_policy(self):
         with pytest.raises(ValueError, match="policy"):
-            AllocationOptions(policy={"save_restore_cost": 3})
+            AllocationOptions(policy={"callee_save_cost": 2})
 
 
 class TestSerialization:
     def test_json_round_trip(self):
         tuned = Policy(spill_degree_exponent=2.0,
                        select_spill_cost_weight=1.5,
-                       spill_tie_break=("name", "id"))
+                       callee_save_cost=3)
         for indent in (None, 2):
             again = Policy.from_json(tuned.to_json(indent=indent))
             assert again == tuned
@@ -231,31 +255,89 @@ class TestSerialization:
 
     def test_wire_shapes_are_json_safe(self):
         payload = json.loads(Policy().to_json())
-        assert payload["degradation_ladder"] == [
-            list(pair) for pair in DEFAULT_DEGRADATION_LADDER
-        ]
-        assert payload["spill_tie_break"] == ["id", "name"]
+        assert sorted(payload) == sorted(f.name for f in fields(Policy))
+        assert not set(payload) & set(RETIRED_FIELDS)
+        assert payload["callee_save_cost"] == 2
+        assert payload["select_spill_cost_weight"] == 1.0
+
+
+def old_client_dict(policy: Policy) -> dict:
+    """``policy`` as a client from before the retirement sent it: all
+    twelve keys, the retired four at their one value."""
+    payload = policy.to_dict()
+    payload["save_restore_cost"] = 3
+    payload["select_id_weight"] = 1.0
+    payload["spill_tie_break"] = ["id", "name"]
+    payload["degradation_ladder"] = [
+        list(rung) for rung in RETIRED_FIELDS["degradation_ladder"]]
+    return json.loads(json.dumps(payload))
+
+
+class TestRetiredWireKeys:
+    """Clients still send ``Policy.to_dict()`` with the four retired keys."""
+
+    def request_wire(self, policy_payload) -> dict:
+        wire = AllocationRequest(
+            id="r", bench="jess", allocator="full",
+            machine=MachineSpec(regs=12)).to_wire()
+        wire["options"] = {"policy": policy_payload}
+        return wire
+
+    def test_old_tuned_v1_dict_is_the_preset(self):
+        tuned = load_policy("tuned_v1")
+        old = old_client_dict(tuned)
+        assert len(old) == 12
+        assert Policy.from_dict(old) == tuned
+        assert Policy.from_dict(old).digest() == tuned.digest()
+        request = AllocationRequest.from_wire(self.request_wire(old))
+        assert request.options.policy == tuned
+        via_wire = execute_request(request)
+        preset = execute_request(AllocationRequest(
+            id="r", bench="jess", allocator="full",
+            machine=MachineSpec(regs=12),
+            options=AllocationOptions(policy=tuned)))
+        assert via_wire.ok and preset.ok
+        assert via_wire.code == preset.code
+        assert via_wire.result_digest == preset.result_digest
+        assert via_wire.cycles["total"] == \
+            PINNED_TUNED_V1_STATS["jess"][3]
+
+    @pytest.mark.parametrize("field,bad", [
+        ("save_restore_cost", 4),
+        ("select_id_weight", 2.0),
+        ("spill_tie_break", ["name", "id"]),
+        ("degradation_ladder", [["full", "briggs"]]),
+    ])
+    def test_non_default_retired_value_is_rejected(self, field, bad):
+        old = old_client_dict(DEFAULT_POLICY)
+        old[field] = bad
+        with pytest.raises(ValueError, match=f"{field}.*retired"):
+            Policy.from_dict(old)
+        with pytest.raises(ServiceError, match="bad options"):
+            AllocationRequest.from_wire(self.request_wire(old))
+
+    def test_unknown_key_is_still_rejected(self):
+        old = old_client_dict(DEFAULT_POLICY)
+        old["typo_field"] = 1
+        with pytest.raises(ServiceError,
+                           match="bad options.*unknown policy field"):
+            AllocationRequest.from_wire(self.request_wire(old))
 
 
 class TestDegradationLadder:
     def test_scheduler_mirror(self):
-        # The scheduler degrades along the default policy's ladder.
-        ladder = DEFAULT_POLICY.ladder_map()
+        # The ladder names only served allocators and never degrades to
+        # itself.
+        for frm, to in DEGRADATION_LADDER.items():
+            assert {frm, to} <= set(SERVICE_ALLOCATORS) and frm != to
         for name in ALLOCATOR_FACTORIES:
-            assert degrade_for(name) == ladder.get(name, "chaitin")
+            assert degrade_for(name) == DEGRADATION_LADDER.get(name,
+                                                               "chaitin")
 
     def test_degrade_for_default(self):
         assert degrade_for("full") == "chaitin"
-        assert degrade_for("iterated") == "briggs"
+        assert degrade_for("optimistic") == "briggs"
         assert degrade_for("chaitin") == "chaitin"  # terminal floor
-
-    def test_degrade_for_custom_ladder(self):
-        policy = Policy(degradation_ladder=(("full", "briggs"),
-                                            ("briggs", "chaitin")))
-        assert degrade_for("full", policy) == "briggs"
-        assert degrade_for("briggs", policy) == "chaitin"
-        # Unlisted allocators fall straight to the floor.
-        assert degrade_for("priority", policy) == "chaitin"
 
 
 class TestFingerprintPins:
@@ -327,6 +409,23 @@ class TestResultPins:
         )
         assert result_pin(result) == PINNED_SPILLSTRESS_STATS["full"]
 
+    def test_tuned_v1_spillstress_pin(self, spillstress_m12):
+        prepared, machine = spillstress_m12
+        result = allocate_module(
+            prepared, machine, ALLOCATOR_FACTORIES["full"](),
+            options=AllocationOptions(policy=load_policy("tuned_v1")),
+        )
+        assert result_pin(result) == PINNED_TUNED_V1_STATS["spillstress"]
+
+    def test_tuned_v1_jess_m12_pin(self):
+        machine = make_machine(12)
+        prepared = prepare_module(make_benchmark("jess", seed=0), machine)
+        result = allocate_module(
+            prepared, machine, ALLOCATOR_FACTORIES["full"](),
+            options=AllocationOptions(policy=load_policy("tuned_v1")),
+        )
+        assert result_pin(result) == PINNED_TUNED_V1_STATS["jess"]
+
 
 class TestPresets:
     def test_load_none_is_default(self):
@@ -337,51 +436,13 @@ class TestPresets:
         tuned = load_policy("tuned_v1")
         assert not tuned.is_default()
 
-    def test_tuned_v1_matches_the_committed_tuning_report(self):
-        from repro.service.schema import PROTOCOL_VERSION, SCHEMA_VERSION
-
-        report_path = REPO_ROOT / "BENCH_policy_tuning.json"
-        report = json.loads(report_path.read_text())
-        # The CI policy-tuning job asserts the same envelope; a schema
-        # bump that forgets to regenerate the report fails here first.
-        assert report["type"] == "policy_tuning"
-        assert report["schema"] == SCHEMA_VERSION
-        assert report["protocol"] == PROTOCOL_VERSION
-        tuned = load_policy("tuned_v1")
-        assert tuned.digest() == report["best"]["digest"]
-        assert tuned == Policy.from_dict(report["best"]["policy"])
-
-    def test_tuned_v1_rescores_exactly_and_dominates(self):
-        # Cycle counts are deterministic, so the committed measurements
-        # must reproduce byte for byte; any drift is a behavior change.
-        # benchmarks/ is not a package: load the tuner by file path.
-        path = REPO_ROOT / "benchmarks" / "tune_policy.py"
-        spec = importlib.util.spec_from_file_location("tune_policy", path)
-        tuner = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tuner)
-        committed = json.loads(
-            (REPO_ROOT / "BENCH_policy_tuning.json").read_text())
-        fresh = tuner.run(argparse.Namespace(
-            seed=0, budget=0, local=0, jobs=1, evaluate="tuned_v1"))
-        assert fresh["best"]["digest"] == committed["best"]["digest"]
-        assert sorted(fresh["families"]) == sorted(committed["families"])
-        improved = False
-        for name, want in committed["families"].items():
-            got = fresh["families"][name]
-            assert got["default"] == want["default"], name
-            assert got["tuned"] == want["tuned"], name
-            base, tuned = got["default"]["cycles"], got["tuned"]["cycles"]
-            assert tuned <= base, name
-            improved = improved or tuned < base
-        assert improved, "tuned_v1 improves cycles on no family"
-
     def test_unknown_preset_lists_alternatives(self):
         with pytest.raises(ValueError, match="tuned_v1"):
             load_policy("nosuch")
 
     def test_file_path_loading(self, tmp_path):
         path = tmp_path / "mine.json"
-        policy = Policy(save_restore_cost=5)
+        policy = Policy(callee_save_cost=5)
         path.write_text(policy.to_json(indent=2))
         assert load_policy(str(path)) == policy
         with pytest.raises(ValueError, match="not found"):
@@ -401,18 +462,14 @@ _PROP_PROFILE = BenchmarkProfile(
 
 policies = st.builds(
     Policy,
-    save_restore_cost=st.integers(0, 6),
     callee_save_cost=st.integers(0, 5),
     spill_load_cost=st.integers(1, 4),
     spill_store_cost=st.integers(0, 3),
     loop_depth_exponent=st.sampled_from([0.5, 0.8, 1.0, 1.3, 2.0]),
     spill_cost_exponent=st.sampled_from([0.5, 0.75, 1.0, 1.25]),
     spill_degree_exponent=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
-    spill_tie_break=st.sampled_from([("id", "name"), ("name", "id"),
-                                     ("id",)]),
     select_differential_weight=st.sampled_from([0.5, 1.0, 2.0]),
     select_spill_cost_weight=st.sampled_from([0.5, 1.0, 2.0]),
-    select_id_weight=st.sampled_from([0.5, 1.0, 2.0]),
 )
 
 

@@ -33,7 +33,6 @@ from repro.regalloc import (
     BriggsAllocator,
     CallCostAllocator,
     ChaitinAllocator,
-    IteratedCoalescingAllocator,
     OptimisticCoalescingAllocator,
     allocate_function,
     verify_allocation,
@@ -74,19 +73,16 @@ profiles = st.builds(
     max_call_args=st.integers(1, 2),
 )
 
-#: spill-metric exponents and tie-break orders (the default among them)
+#: spill-metric exponents (the default among them)
 spill_policies = st.builds(
     Policy,
     spill_cost_exponent=st.sampled_from([0.5, 1.0, 2.0]),
     spill_degree_exponent=st.sampled_from([0.5, 1.0, 2.0]),
-    spill_tie_break=st.sampled_from([("id", "name"), ("name", "id"),
-                                     ("id",)]),
 )
 
 ALLOCATOR_FACTORIES = [
     ChaitinAllocator,
     BriggsAllocator,
-    IteratedCoalescingAllocator,
     OptimisticCoalescingAllocator,
     CallCostAllocator,
     lambda: PreferenceDirectedAllocator(PreferenceConfig.only_coalescing()),
@@ -245,9 +241,9 @@ class TestSelectIndexEquivalence:
     @given(profile=profiles, seed=st.integers(0, 10_000),
            k=st.sampled_from([4, 8, 16]), policy=spill_policies)
     def test_decision_sequence_identical(self, profile, seed, k, policy):
-        """``policy`` varies the spill metric's exponents and the
-        tie-break order, so every spill pick of the lazily re-keyed heap
-        is checked against the scan under non-default metrics too."""
+        """``policy`` varies the spill metric's exponents, so every
+        spill pick of the lazily re-keyed heap is checked against the
+        scan under non-default metrics too."""
         from contextlib import nullcontext
 
         from oracles import scan_select, validate_select

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ServiceError
 from repro.pipeline import allocate_module, prepare_module
-from repro.policy import DEFAULT_POLICY
 from repro.regalloc import AllocationOptions
 from repro.reporting import canonical_json
 from repro.service.cache import ResultCache, request_fingerprint
@@ -27,6 +26,7 @@ from repro.service.protocol import (
 )
 from repro.service.scheduler import (
     ALLOCATOR_FACTORIES,
+    DEGRADATION_LADDER,
     Scheduler,
     degrade_for,
     execute_request,
@@ -107,6 +107,17 @@ class TestProtocol:
         with pytest.raises(ServiceError, match="allocator"):
             AllocationRequest(id="x", ir=IR,
                               allocator="linear-scan").validate()
+
+    def test_retired_iterated_allocator_is_unknown(self):
+        # George-Appel iterated coalescing was served until it was
+        # retired; a request naming it gets the ordinary clean error.
+        request = make_request(allocator="iterated")
+        with pytest.raises(ServiceError,
+                           match="unknown allocator 'iterated'"):
+            AllocationRequest.from_wire(request.to_wire())
+        response = Scheduler().submit(request).result(timeout=1)
+        assert not response.ok
+        assert "unknown allocator 'iterated'" in response.error
 
     def test_rejects_wrong_protocol_version(self):
         with pytest.raises(ServiceError, match="protocol"):
@@ -368,7 +379,7 @@ class TestDegradationLadder:
             seen = [name]
             while seen[-1] != "chaitin":
                 seen.append(degrade_for(seen[-1]))
-                assert len(seen) <= len(DEFAULT_POLICY.ladder_map()) + 1
+                assert len(seen) <= len(DEGRADATION_LADDER) + 1
         assert degrade_for("chaitin") == "chaitin"
 
 
