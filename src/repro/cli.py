@@ -35,7 +35,6 @@ from repro.errors import ReproError, ServiceError
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_function
 from repro.pipeline import allocate_module, prepare_module
-from repro.policy import load_policy
 from repro.profiling import profiled
 from repro.regalloc import AllocationOptions, allocate_function
 from repro.reporting import canonical_json
@@ -84,8 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="full")
     alloc.add_argument("--regs", type=int, default=24,
                        help="registers per class (default 24)")
-    alloc.add_argument("--policy", default=None, metavar="FILE|PRESET",
-                       help="heuristic policy: a preset name (e.g. tuned_v1) or a Policy JSON file")
     alloc.add_argument("--profile", action="store_true",
                        help="print a per-phase wall-clock profile to stderr")
     alloc.add_argument("--json", action="store_true",
@@ -95,8 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="run every allocator over an IR file")
     compare.add_argument("file", help="textual IR file ('-' for stdin)")
     compare.add_argument("--regs", type=int, default=24)
-    compare.add_argument("--policy", default=None, metavar="FILE|PRESET",
-                         help="heuristic policy: a preset name (e.g. tuned_v1) or a Policy JSON file")
     compare.add_argument("--profile", action="store_true",
                          help="print a per-phase wall-clock profile to stderr")
     compare.add_argument("--json", action="store_true",
@@ -105,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="allocate a synthetic benchmark")
     bench.add_argument("name", choices=BENCHMARK_NAMES)
     bench.add_argument("--regs", type=int, default=16)
-    bench.add_argument("--policy", default=None, metavar="FILE|PRESET",
-                       help="heuristic policy: a preset name (e.g. tuned_v1) or a Policy JSON file")
     bench.add_argument("--profile", action="store_true",
                        help="print a per-phase wall-clock profile to stderr")
     bench.add_argument("--json", action="store_true",
@@ -142,8 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--deadline", type=float, default=None,
                         help="seconds before the server may degrade "
                              "the allocator")
-    submit.add_argument("--policy", default=None, metavar="FILE|PRESET",
-                        help="heuristic policy: a preset name (e.g. tuned_v1) or a Policy JSON file")
     submit.add_argument("--base", default=None, metavar="TOKEN",
                         help="send an allocate_delta request: TOKEN is "
                              "the session_digest of the previous "
@@ -230,21 +221,6 @@ def _read_module(path: str):
     return parse_module(_read_text(path))
 
 
-def _policy_options(args) -> AllocationOptions | None:
-    """Options carrying ``--policy``, or None when it was not given.
-
-    None keeps every call site on its historical default-options path —
-    the flag's absence must not perturb anything.
-    """
-    spec = getattr(args, "policy", None)
-    if spec is None:
-        return None
-    try:
-        return AllocationOptions.from_env(policy=load_policy(spec))
-    except (ValueError, OSError) as err:
-        raise ReproError(f"--policy: {err}") from err
-
-
 def _cmd_alloc(args, out) -> int:
     if args.json:
         # One-shot direct run: a fixed id keeps the output deterministic
@@ -254,7 +230,6 @@ def _cmd_alloc(args, out) -> int:
             ir=_read_text(args.file),
             allocator=args.allocator,
             machine=MachineSpec(regs=args.regs),
-            options=_policy_options(args),
         )
         response = execute_request(request)
         print(canonical_json(allocation_payload(response)), file=out)
@@ -263,8 +238,7 @@ def _cmd_alloc(args, out) -> int:
     module = _read_module(args.file)
     prepared = prepare_module(module, machine)
     run = allocate_module(prepared, machine,
-                          ALLOCATOR_CHOICES[args.allocator](),
-                          _policy_options(args))
+                          ALLOCATOR_CHOICES[args.allocator]())
     for result in run.results:
         print(print_function(result.func), file=out)
         print(file=out)
@@ -282,36 +256,33 @@ def _cmd_compare(args, out) -> None:
     machine = make_machine(args.regs)
     module = _read_module(args.file)
     prepared = prepare_module(module, machine)
-    options = _policy_options(args)
     if args.json:
-        print(_comparison_json(prepared, machine, options=options),
-              file=out)
+        print(_comparison_json(prepared, machine), file=out)
         return
-    _comparison_table(prepared, machine, out, options)
+    _comparison_table(prepared, machine, out)
 
 
 def _cmd_bench(args, out) -> None:
     machine = make_machine(args.regs)
     module = make_benchmark(args.name)
     prepared = prepare_module(module, machine)
-    options = _policy_options(args)
     if args.json:
-        print(_comparison_json(prepared, machine, bench=args.name,
-                               options=options), file=out)
+        print(_comparison_json(prepared, machine, bench=args.name),
+              file=out)
         return
     print(f"benchmark {args.name}: {len(prepared.functions)} functions, "
           f"{prepared.instruction_count()} instructions, "
           f"{args.regs} regs/class", file=out)
-    _comparison_table(prepared, machine, out, options)
+    _comparison_table(prepared, machine, out)
 
 
-def _comparison_table(prepared, machine, out, options=None) -> None:
+def _comparison_table(prepared, machine, out) -> None:
     header = (f"{'allocator':20s} {'moves elim.':>12s} {'spills':>7s} "
               f"{'caller-save':>12s} {'paired':>7s} {'cycles':>9s}")
     print(header, file=out)
     print("-" * len(header), file=out)
     for name, factory in ALLOCATOR_CHOICES.items():
-        run = allocate_module(prepared, machine, factory(), options)
+        run = allocate_module(prepared, machine, factory())
         stats, cycles = run.stats, run.cycles
         print(f"{name:20s} "
               f"{stats.moves_eliminated:5d}/{stats.moves_before:<6d} "
@@ -321,14 +292,13 @@ def _comparison_table(prepared, machine, out, options=None) -> None:
               f"{cycles.total:9.0f}", file=out)
 
 
-def _comparison_json(prepared, machine, bench: str | None = None,
-                     options=None) -> str:
+def _comparison_json(prepared, machine, bench: str | None = None) -> str:
     """Every allocator's result in the service response schema."""
     from repro.service.protocol import AllocationResponse, machine_descriptor
 
     results = {}
     for name, factory in ALLOCATOR_CHOICES.items():
-        run = allocate_module(prepared, machine, factory(), options)
+        run = allocate_module(prepared, machine, factory())
         response = AllocationResponse(
             ok=True,
             allocator=name,
@@ -379,11 +349,6 @@ def _cmd_serve(args, out) -> None:
 
 def _cmd_submit(args, out) -> int:
     base = getattr(args, "base", None)
-    # An explicit options object silences the bare constructor knobs,
-    # so --deadline must ride inside it whenever --policy forces one.
-    options = _policy_options(args)
-    if options is not None and args.deadline is not None:
-        options = options.replace(deadline_ms=args.deadline * 1000.0)
     request = AllocationRequest(
         id=f"cli-{uuid.uuid4().hex[:12]}",
         ir=_read_text(args.file) if args.file else None,
@@ -391,7 +356,6 @@ def _cmd_submit(args, out) -> int:
         allocator=args.allocator,
         machine=MachineSpec(regs=args.regs),
         deadline_s=args.deadline,
-        options=options,
         base_digest=(None if base is None
                      else ("" if base == "new" else base)),
     )

@@ -14,11 +14,10 @@ No implementation strategy is configurable.  The only environment
 variable the library consults is ``REPRO_CACHE_DIR``, a deployment
 path folded in by
 :meth:`repro.regalloc.base.AllocationOptions.from_env`.  Result-relevant
-configuration lives in ``AllocationOptions`` and
-:class:`repro.policy.Policy`, whose eight fields are the heuristic
-constants a preset may change; every other paper constant
-(Save_Restore_Cost, the spill tie-break, the selector's id term) and
-the service's degradation ladder are fixed in the code.
+configuration lives in ``AllocationOptions``.  The paper's heuristic
+constants (the appendix cost model, Chaitin's cost/degree spill metric
+and its tie-break, the selector's ready-queue key) and the service's
+degradation ladder are fixed in the code.
 
 :func:`runtime_knobs` is kept for the benchmark records that stamp it,
 and :func:`knob_env_snapshot` for callers that refuse to run with

@@ -58,16 +58,14 @@ class PreferenceDirectedAllocator(Allocator):
         outcome = RoundOutcome()
         with phase("build-RPG"):
             costs = CostModel(ctx.func, ctx.machine, ctx.cfg, ctx.loops,
-                              ctx.liveness, policy=ctx.policy,
-                              spill_costs=ctx.spill_costs)
+                              ctx.liveness, spill_costs=ctx.spill_costs)
             rpg = build_rpg(ctx.func, ctx.machine, costs, self.config)
         trace = SelectionTrace() if self.keep_trace else None
 
         for rclass in ctx.classes():
             graph = ctx.graph(rclass)
             wig = graph.active
-            simplification = simplify(graph, optimistic=True,
-                                      policy=ctx.policy)
+            simplification = simplify(graph, optimistic=True)
             with phase("CPG"):
                 if self.use_cpg:
                     cpg = build_cpg(graph, wig, simplification)
@@ -83,7 +81,6 @@ class PreferenceDirectedAllocator(Allocator):
                 optimistic=simplification.optimistic,
                 trace=trace,
                 active_memory_spill=self.config.volatility,
-                policy=ctx.policy,
             )
             selector.run()
             if self.post_coalesce:

@@ -40,7 +40,6 @@ from repro.cfg.loops import LoopInfo, compute_loops
 from repro.ir.function import Function
 from repro.ir.instructions import Call, Instruction, Load, Move, Phi, SpillLoad
 from repro.ir.values import PReg, VReg
-from repro.policy import DEFAULT_POLICY, Policy
 from repro.target.machine import TargetMachine
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
 #: crossing, volatile placement).
 SAVE_RESTORE_COST = 3
 #: Appendix: Callee_Save_Cost(V) is always 2 (non-volatile placement).
-#: Canonical default of ``Policy.callee_save_cost``.
 CALLEE_SAVE_COST = 2
 
 
@@ -110,12 +108,10 @@ class CostModel:
         cfg: CFG | None = None,
         loops: LoopInfo | None = None,
         liveness: Liveness | None = None,
-        policy: Policy = DEFAULT_POLICY,
         spill_costs: dict[VReg, float] | None = None,
     ):
         self.func = func
         self.machine = machine
-        self.policy = policy
         cfg = cfg or build_cfg(func)
         self.loops = loops = loops or compute_loops(cfg)
         liveness = liveness or compute_liveness(func, cfg)
@@ -123,7 +119,7 @@ class CostModel:
             # Imported here: repro.regalloc's package init imports this
             # module (through the call-cost allocator).
             from repro.regalloc.costs import compute_spill_costs
-            spill_costs = compute_spill_costs(func, loops, cfg, policy)
+            spill_costs = compute_spill_costs(func, loops, cfg)
         self.spill_costs = spill_costs
         index = self.index = liveness.index
         ids = index.ids
@@ -198,7 +194,7 @@ class CostModel:
     def call_cost(self, v: VReg, volatile: bool) -> float:
         if volatile:
             return SAVE_RESTORE_COST * self.cross_freq(v)
-        return float(self.policy.callee_save_cost)
+        return float(CALLEE_SAVE_COST)
 
     # ------------------------------------------------------------------
     # preference strengths

@@ -26,7 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.costs import SAVE_RESTORE_COST, CostModel, Strength, inst_cost
+from repro.core.costs import (
+    CALLEE_SAVE_COST,
+    SAVE_RESTORE_COST,
+    CostModel,
+    Strength,
+    inst_cost,
+)
 from repro.core.pairs import find_paired_loads
 from repro.ir.function import Function
 from repro.ir.instructions import Load, Move
@@ -111,7 +117,7 @@ def build_rpg(
         # tables (the arithmetic of CostModel.strength_(non)volatile).
         spill_costs = costs.spill_costs
         cross = costs.cross_table
-        callee_save = float(costs.policy.callee_save_cost)
+        callee_save = float(CALLEE_SAVE_COST)
         vregs = [r for r in costs.index.regs if isinstance(r, VReg)]
         for v in sorted(vregs, key=lambda r: r.id):
             vol_group, nonvol_group = groups[v.rclass]

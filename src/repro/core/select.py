@@ -65,7 +65,6 @@ from repro.core.costs import CostModel
 from repro.core.rpg import PrefKind, RegGroup, RegisterPreferenceGraph
 from repro.errors import AllocationError
 from repro.ir.values import PReg, VReg
-from repro.policy import DEFAULT_POLICY, Policy
 from repro.regalloc.igraph import AllocGraph
 from repro.profiling import phase
 from repro.regalloc.select import order_colors_cached
@@ -155,20 +154,8 @@ class PreferenceSelector:
     assignment: dict[VReg, PReg] = field(default_factory=dict)
     spilled: set[VReg] = field(default_factory=set)
     honored_prefs: int = 0
-    #: heuristic knobs; only the ``select_*_weight`` fields matter here.
-    #: The all-1.0 default takes the historical unweighted key path,
-    #: keeping pick order (and heap entries) byte-identical.
-    policy: Policy = DEFAULT_POLICY
 
     def __post_init__(self) -> None:
-        if (self.policy.select_differential_weight == 1.0
-                and self.policy.select_spill_cost_weight == 1.0):
-            self._key_weights = None
-        else:
-            self._key_weights = (
-                self.policy.select_differential_weight,
-                self.policy.select_spill_cost_weight,
-            )
         graph = self.graph
         colors = self._colors = graph.colors
         pos, vol, self._fallback, fwd, rev = _color_tables(
@@ -291,19 +278,14 @@ class PreferenceSelector:
         return self._ready.pop()
 
     def _pick_key(self, node: int) -> tuple:
-        """The ready-queue ordering key: differential, then spill cost
-        (both optionally policy-weighted), then lowest vreg id (``-id``)."""
+        """The ready-queue ordering key: differential, then spill cost,
+        then lowest vreg id (``-id``)."""
         differential = self._diff[node]
         if differential is None:
             asks = self._asks[node] = self._usable_asks(
                 node, self._free_mask(node))
             differential = self._diff[node] = _spread(asks)
-        weights = self._key_weights
-        vreg_id = self.graph.nodes[node].id
-        if weights is None:
-            return (differential, self._cost[node], -vreg_id)
-        wd, ws = weights
-        return (wd * differential, ws * self._cost[node], -vreg_id)
+        return (differential, self._cost[node], -self.graph.nodes[node].id)
 
     def _free_mask(self, node: int) -> int:
         """Mask of colors no (colored or physical) neighbor holds."""

@@ -42,7 +42,6 @@ from repro.regalloc.base import (
     allocate_function,
     compute_round_analyses,
 )
-from repro.policy import DEFAULT_POLICY, Policy
 from repro.profiling import phase
 from repro.regalloc.verify import verify_allocation
 from repro.sim.cycles import CycleReport, estimate_cycles
@@ -95,49 +94,32 @@ def prepare_module(module: Module, machine: TargetMachine) -> Module:
     return prepared
 
 
-@dataclass(eq=False)
-class _Round0:
-    """One prepared function's renumbered reference and its analyses."""
-
-    #: a renumbered clone of the prepared function; never mutated —
-    #: every allocation works on a clone of it
-    ref: Function
-    #: policy digest -> round-0 analyses of ``ref``
-    analyses: dict[str, RoundAnalyses] = field(default_factory=dict)
+#: prepared function -> ``(ref, analyses)``: ``ref`` is a renumbered
+#: clone of it, never mutated (every allocation works on a clone of
+#: ``ref``), and ``analyses`` are ``ref``'s round-0 analyses.  Keyed
+#: weakly so dropping a prepared module frees both.
+_round0_cache: "WeakKeyDictionary[Function, tuple]" = WeakKeyDictionary()
 
 
-#: prepared function -> its :class:`_Round0`.  Keyed weakly so dropping
-#: a prepared module frees its reference and analyses too; the inner
-#: key separates policies because spill costs (and so every structure
-#: built on them) are policy-weighted, while the reference is shared.
-_round0_cache: "WeakKeyDictionary[Function, _Round0]" = WeakKeyDictionary()
-
-
-def round0_analyses(prepared_func: Function,
-                    policy: Policy = DEFAULT_POLICY
+def round0_analyses(prepared_func: Function
                     ) -> tuple[Function, RoundAnalyses]:
     """Memoized renumbered reference of one prepared function and its
-    first-round analyses under ``policy``.
+    first-round analyses.
 
-    The reference is a renumbered clone of ``prepared_func``, one per
-    prepared function and shared by every policy.  It is never touched
-    by an allocator's in-place rewrite: :func:`_allocate_one` allocates
-    a clone of it with ``assume_renumbered=True``, so a cold allocation
-    renumbers the function once (here) instead of twice.  Renumbering
-    is deterministic, so any clone of ``prepared_func`` renumbers to the
+    The reference is never touched by an allocator's in-place rewrite:
+    :func:`_allocate_one` allocates a clone of it with
+    ``assume_renumbered=True``, so a cold allocation renumbers the
+    function once (here) instead of twice.  Renumbering is
+    deterministic, so any clone of ``prepared_func`` renumbers to the
     same names and the analyses transfer to every round 0.
     """
     entry = _round0_cache.get(prepared_func)
     if entry is None:
         ref = clone_function(prepared_func)
         renumber(ref)
-        entry = _round0_cache[prepared_func] = _Round0(ref)
-    key = policy.digest()
-    analyses = entry.analyses.get(key)
-    if analyses is None:
-        analyses = compute_round_analyses(entry.ref, policy)
-        entry.analyses[key] = analyses
-    return entry.ref, analyses
+        entry = _round0_cache[prepared_func] = (
+            ref, compute_round_analyses(ref))
+    return entry
 
 
 def _allocate_one(
@@ -152,7 +134,7 @@ def _allocate_one(
     :func:`round0_analyses`), so round 0 skips its renumber; spill
     rounds still renumber.
     """
-    ref, round0 = round0_analyses(prepared_func, options.policy)
+    ref, round0 = round0_analyses(prepared_func)
     func = clone_function(ref)
     result = allocate_function(func, machine, allocator, options=options,
                                round0=round0, assume_renumbered=True)

@@ -27,13 +27,7 @@ from repro.regalloc.base import (
 from repro.regalloc.briggs import BriggsAllocator
 from repro.regalloc.callcost import CallCostAllocator
 from repro.regalloc.chaitin import ChaitinAllocator
-from repro.regalloc.coalesce import (
-    briggs_conservative_ok,
-    coalesce_aggressive,
-    coalesce_conservative,
-    conservative_ok,
-    george_ok,
-)
+from repro.regalloc.coalesce import coalesce_aggressive
 from repro.regalloc.costs import compute_spill_costs
 from repro.regalloc.igraph import AllocGraph, build_alloc_graph
 from repro.regalloc.optimistic import OptimisticCoalescingAllocator
@@ -69,10 +63,6 @@ __all__ = [
     "insert_spill_code",
     "compute_spill_costs",
     "coalesce_aggressive",
-    "coalesce_conservative",
-    "briggs_conservative_ok",
-    "george_ok",
-    "conservative_ok",
     "verify_allocation",
     "verify_assignment_against_interference",
 ]

@@ -24,7 +24,6 @@ from repro.errors import AllocationError
 from repro.ir.function import Function
 from repro.ir.instructions import Move, SpillLoad, SpillStore
 from repro.ir.values import PReg, RegClass, Register, VReg
-from repro.policy import DEFAULT_POLICY, Policy
 from repro.profiling import phase
 from repro.regalloc.costs import compute_spill_costs
 from repro.regalloc.igraph import AllocGraph, build_alloc_graph
@@ -54,16 +53,13 @@ class AllocationOptions:
     mix of keywords and environment variables.
 
     Fields that change *results* (``max_rounds``, ``rematerialize``,
-    ``verify``, ``policy``) are part of the service cache fingerprint;
+    ``verify``) are part of the service cache fingerprint;
     the rest (``jobs``, ``deadline_ms``) are result-neutral execution
     policy — any combination of them yields byte-identical
     allocations.  No field picks an implementation strategy: every
     spill round re-analyzes from scratch (keeping only the
     branch-free CFG and loop nest), and round-0 analyses are always
     reused.
-    A default ``policy`` is byte-identical to the historical constants and is
-    *omitted* from both the wire form and the fingerprint, so existing
-    traffic keeps its fingerprints (see :mod:`repro.policy`).
 
     ``deadline_ms`` is the per-function hard deadline enforced by the
     :mod:`repro.exec` worker pool: a worker running past it is killed
@@ -81,16 +77,8 @@ class AllocationOptions:
     #: here so ``$REPRO_CACHE_DIR`` has exactly one reader, but not
     #: serialized onto the wire (it is server-local policy).
     cache_dir: str | None = None
-    #: heuristic decision points (cost constants, spill scoring,
-    #: selector key) — see :mod:`repro.policy`.
-    policy: Policy = DEFAULT_POLICY
 
     def __post_init__(self) -> None:
-        if not isinstance(self.policy, Policy):
-            raise ValueError(
-                f"policy must be a repro.policy.Policy, "
-                f"got {type(self.policy).__name__}"
-            )
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         if self.jobs < 1:
@@ -118,11 +106,9 @@ class AllocationOptions:
     def replace(self, **changes) -> "AllocationOptions":
         return replace(self, **changes)
 
-    #: fields serialized onto the service wire (cache_dir is local;
-    #: a *default* policy is omitted so pre-policy clients and servers
-    #: interoperate unchanged).
+    #: fields serialized onto the service wire (cache_dir is local)
     WIRE_FIELDS = ("max_rounds", "rematerialize", "verify", "jobs",
-                   "deadline_ms", "policy")
+                   "deadline_ms")
     #: retired fields older clients still send; accepted and ignored
     #: (every strategy now has one production path, and round-0
     #: analyses are always reused)
@@ -134,15 +120,10 @@ class AllocationOptions:
                    "rematerialize": bool, "verify": bool}
 
     def to_dict(self) -> dict:
-        """JSON-safe wire form (``deadline_ms: None`` and the default
-        ``policy`` are omitted)."""
+        """JSON-safe wire form (``deadline_ms: None`` is omitted)."""
         wire = {name: getattr(self, name) for name in self.WIRE_FIELDS}
         if wire["deadline_ms"] is None:
             del wire["deadline_ms"]
-        if self.policy.is_default():
-            del wire["policy"]
-        else:
-            wire["policy"] = self.policy.to_dict()
         return wire
 
     @classmethod
@@ -159,8 +140,6 @@ class AllocationOptions:
             if name in values and type(values[name]) is not kind:
                 raise ValueError(f"{name} must be a {kind.__name__}, "
                                  f"got {values[name]!r}")
-        if "policy" in values:
-            values["policy"] = Policy.from_dict(values["policy"])
         return cls(**values)
 
 
@@ -176,10 +155,6 @@ class RoundContext:
     ig: InterferenceGraph
     spill_costs: dict[VReg, float]
     round_index: int
-    #: heuristic knobs for this allocation (defaults are byte-identical
-    #: to the historical constants) — allocators read cost constants,
-    #: spill scoring, and selector weights from here.
-    policy: Policy = DEFAULT_POLICY
 
     def graph(self, rclass: RegClass) -> AllocGraph:
         """A fresh per-class coloring graph for this round."""
@@ -244,21 +219,15 @@ class RoundAnalyses:
     liveness: Liveness
     ig: InterferenceGraph
     spill_costs: dict[VReg, float]
-    #: the policy the spill costs were computed under; cached analyses
-    #: are only valid for requests carrying the same policy, and spill
-    #: rounds re-analyze under it.
-    policy: Policy = DEFAULT_POLICY
 
     def apply_delta(self, func: Function) -> "RoundAnalyses":
         """The analyses of ``func`` after one spill round.
 
         ``func`` must already be spill-rewritten and renumbered.  Spill
         code is branch-free, so the CFG and loop nest carry over;
-        liveness, interference and spill costs are recomputed under
-        ``self.policy``.
+        liveness, interference and spill costs are recomputed.
         """
-        return compute_round_analyses(func, self.policy, cfg=self.cfg,
-                                      loops=self.loops)
+        return compute_round_analyses(func, cfg=self.cfg, loops=self.loops)
 
     def ig_for(self, func: Function) -> InterferenceGraph | None:
         """The cached graph rebased onto ``func``'s own move instructions.
@@ -285,18 +254,15 @@ class RoundAnalyses:
 
 def compute_round_analyses(
     func: Function,
-    policy: Policy = DEFAULT_POLICY,
     *,
     cfg: CFG | None = None,
     loops: LoopInfo | None = None,
 ) -> RoundAnalyses:
     """Analyze one (already renumbered) function for an allocation round.
 
-    ``policy`` parameterizes the spill-cost weighting; the default is
-    byte-identical to the historical constants.  ``cfg`` and ``loops``
-    are handed in together when they are known to describe ``func`` (a
-    spill round keeps the previous round's); otherwise they are built
-    here.
+    ``cfg`` and ``loops`` are handed in together when they are known to
+    describe ``func`` (a spill round keeps the previous round's);
+    otherwise they are built here.
     """
     if cfg is None:
         with phase("cfg"):
@@ -307,9 +273,9 @@ def compute_round_analyses(
     with phase("interference"):
         ig = build_interference(func, cfg, liveness)
     with phase("spill-costs"):
-        spill_costs = compute_spill_costs(func, loops, cfg, policy)
+        spill_costs = compute_spill_costs(func, loops, cfg)
     return RoundAnalyses(cfg=cfg, loops=loops, liveness=liveness, ig=ig,
-                         spill_costs=spill_costs, policy=policy)
+                         spill_costs=spill_costs)
 
 
 class Allocator(abc.ABC):
@@ -454,7 +420,6 @@ def allocate_function(
         options = AllocationOptions.from_env()
     max_rounds = options.max_rounds
     rematerialize = options.rematerialize
-    policy = options.policy
     stats = AllocationStats(allocator=allocator.name)
     # The move-count loop nest is the same one round 0 will use; reuse
     # the cached copy instead of re-deriving CFG + loops when available.
@@ -483,16 +448,13 @@ def allocate_function(
             if not assume_renumbered:
                 with phase("renumber"):
                     renumber(func)
-            # Retained analyses are only valid under the policy whose
-            # spill costs they carry; a mismatch falls back to a fresh
-            # (policy-correct) analysis below.
-            if round0 is not None and round0.policy == policy:
+            if round0 is not None:
                 ig = round0.ig_for(func)
                 if ig is not None:
                     analyses = replace(round0, ig=ig)
             if analyses is None:
                 with phase("analyze"):
-                    analyses = compute_round_analyses(func, policy)
+                    analyses = compute_round_analyses(func)
         ctx = RoundContext(
             func=func,
             machine=machine,
@@ -502,7 +464,6 @@ def allocate_function(
             ig=analyses.ig,
             spill_costs=analyses.spill_costs,
             round_index=round_index,
-            policy=policy,
         )
         if round_index == 0 and round0_outcome is not None:
             outcome = round0_outcome

@@ -34,8 +34,7 @@ class BriggsAllocator(Allocator):
         for rclass in ctx.classes():
             graph = ctx.graph(rclass)
             outcome.coalesced_count += coalesce_aggressive(graph)
-            result = simplify(graph, optimistic=True,
-                              policy=ctx.policy)
+            result = simplify(graph, optimistic=True)
             outcome.alias.update(graph.alias)
             colored = select(
                 graph,

@@ -18,10 +18,9 @@ negative prefers memory and is actively spilled.
 from __future__ import annotations
 
 from repro.analysis.indexing import regs_in
-from repro.core.costs import SAVE_RESTORE_COST, CostModel
+from repro.core.costs import CALLEE_SAVE_COST, SAVE_RESTORE_COST, CostModel
 from repro.errors import AllocationError
 from repro.ir.values import PReg, VReg
-from repro.policy import DEFAULT_POLICY, Policy
 from repro.profiling import phase
 from repro.regalloc.base import Allocator, RoundContext, RoundOutcome
 from repro.regalloc.coalesce import coalesce_aggressive
@@ -40,17 +39,15 @@ class CallCostAllocator(Allocator):
     def allocate_round(self, ctx: RoundContext) -> RoundOutcome:
         outcome = RoundOutcome()
         costs = CostModel(ctx.func, ctx.machine, ctx.cfg, ctx.loops,
-                          ctx.liveness, policy=ctx.policy,
-                          spill_costs=ctx.spill_costs)
+                          ctx.liveness, spill_costs=ctx.spill_costs)
         for rclass in ctx.classes():
             graph = ctx.graph(rclass)
             outcome.coalesced_count += coalesce_aggressive(graph)
 
-            benefit_vol, benefit_nonvol = self._benefits(graph, costs,
-                                                         ctx.policy)
+            benefit_vol, benefit_nonvol = self._benefits(graph, costs)
             with phase("simplify"):
                 stack = self._benefit_driven_simplify(
-                    graph, benefit_vol, benefit_nonvol, outcome, ctx.policy
+                    graph, benefit_vol, benefit_nonvol, outcome
                 )
             outcome.alias.update(graph.alias)
             if outcome.spilled:
@@ -68,16 +65,14 @@ class CallCostAllocator(Allocator):
 
     def _benefits(
         self, graph: AllocGraph, costs: CostModel,
-        policy: Policy = DEFAULT_POLICY,
     ) -> tuple[dict[VReg, float], dict[VReg, float]]:
         """Per-representative benefits, summed over coalesced members.
 
-        The 3.0/2.0 constants are the appendix save/restore cost and
-        the policy's callee-save cost (int default 2; ``float(3) *
-        cross`` is bit-equal to the historical ``3.0 * cross``).
+        The 3.0/2.0 constants are the appendix save/restore and
+        callee-save costs.
         """
         save_restore = float(SAVE_RESTORE_COST)
-        callee_save = float(policy.callee_save_cost)
+        callee_save = float(CALLEE_SAVE_COST)
         benefit_vol: dict[VReg, float] = {}
         benefit_nonvol: dict[VReg, float] = {}
         for node in graph.active_nodes():
@@ -96,7 +91,6 @@ class CallCostAllocator(Allocator):
         benefit_vol: dict[VReg, float],
         benefit_nonvol: dict[VReg, float],
         outcome: RoundOutcome,
-        policy: Policy = DEFAULT_POLICY,
     ) -> list[VReg]:
         def priority(node: VReg) -> float:
             return max(benefit_vol.get(node, 0.0),
@@ -111,8 +105,7 @@ class CallCostAllocator(Allocator):
                 graph.remove(node)
                 stack.append(node)
                 continue
-            candidate = choose_spill_candidate(graph, graph.active_nodes(),
-                                               policy)
+            candidate = choose_spill_candidate(graph, graph.active_nodes())
             graph.remove(candidate)
             for member in graph.members_of(candidate):
                 if isinstance(member, VReg):

@@ -35,8 +35,7 @@ class ChaitinAllocator(Allocator):
         for rclass in ctx.classes():
             graph = ctx.graph(rclass)
             outcome.coalesced_count += coalesce_aggressive(graph)
-            result = simplify(graph, optimistic=False,
-                              policy=ctx.policy)
+            result = simplify(graph, optimistic=False)
             outcome.alias.update(graph.alias)
             if result.spilled:
                 # Spill the *entire* coalesced range of each marked node.

@@ -11,12 +11,6 @@ heuristics based on the metric in Section 5.1 to decide the spill
 candidate" — so this module is used by the baselines and by the
 preference-directed allocator alike (the latter adds the preference
 strengths on top, in :mod:`repro.core.costs`).
-
-The constants are the *defaults* of :class:`repro.policy.Policy`
-(``spill_load_cost`` / ``spill_store_cost`` / ``loop_depth_exponent``);
-a non-default policy re-weights the metric.  The default policy takes
-the exact historical arithmetic — same int constants, untouched
-frequencies — so results stay byte-identical.
 """
 
 from __future__ import annotations
@@ -25,62 +19,40 @@ from repro.cfg.analysis import CFG, build_cfg
 from repro.cfg.loops import LoopInfo, compute_loops
 from repro.ir.function import Function
 from repro.ir.values import VReg
-from repro.policy import DEFAULT_POLICY, Policy
 
 __all__ = ["LOAD_COST", "STORE_COST", "compute_spill_costs"]
 
-#: Appendix: Load_Cost(I) is 2, Store_Cost(I) is 1.  These remain the
-#: canonical defaults mirrored by ``Policy.spill_load_cost`` /
-#: ``Policy.spill_store_cost``.
+#: Appendix: Load_Cost(I) is 2, Store_Cost(I) is 1.
 LOAD_COST = 2
 STORE_COST = 1
-
-
-def _effective_freq(freq, exponent: float):
-    """Spill-weighting frequency: ``freq ** exponent``.
-
-    ``exponent == 1.0`` (the default) returns ``freq`` untouched —
-    preserving its int-ness and therefore byte-identical totals.  The
-    exponent applies to spill-cost *weighting* only; cycle estimation
-    elsewhere always uses the raw frequency.
-    """
-    if exponent == 1.0:
-        return freq
-    return float(freq) ** exponent
 
 
 def compute_spill_costs(
     func: Function,
     loops: LoopInfo | None = None,
     cfg: CFG | None = None,
-    policy: Policy = DEFAULT_POLICY,
 ) -> dict[VReg, float]:
     """Frequency-weighted spill cost of every virtual register.
 
     Each block's contribution is summed on its own and then added to
-    the totals.  Under the default policy every term is an
-    integer-valued float (loop frequencies are powers of ten), so the
-    grouping cannot matter; under a fractional ``loop_depth_exponent``
-    it fixes the rounding, so it is part of the byte-identical contract.
+    the totals.  Every term is an integer-valued float (loop
+    frequencies are powers of ten), so the grouping cannot matter.
     """
     if cfg is None:
         cfg = build_cfg(func)
     if loops is None:
         loops = compute_loops(cfg)
-    load_cost = policy.spill_load_cost
-    store_cost = policy.spill_store_cost
-    exponent = policy.loop_depth_exponent
     totals: dict[VReg, float] = {}
     for blk in func.blocks:
-        freq = _effective_freq(loops.freq(blk.label), exponent)
+        freq = loops.freq(blk.label)
         local: dict[VReg, float] = {}
         for instr in blk.instrs:
             for u in instr.uses():
                 if isinstance(u, VReg):
-                    local[u] = local.get(u, 0.0) + load_cost * freq
+                    local[u] = local.get(u, 0.0) + LOAD_COST * freq
             for d in instr.defs():
                 if isinstance(d, VReg):
-                    local[d] = local.get(d, 0.0) + store_cost * freq
+                    local[d] = local.get(d, 0.0) + STORE_COST * freq
         for v, c in local.items():
             totals[v] = totals.get(v, 0.0) + c
     for param in func.params:

@@ -42,8 +42,7 @@ class OptimisticCoalescingAllocator(Allocator):
         for rclass in ctx.classes():
             graph = ctx.graph(rclass)
             outcome.coalesced_count += coalesce_aggressive(graph)
-            result = simplify(graph, optimistic=True,
-                              policy=ctx.policy)
+            result = simplify(graph, optimistic=True)
             self._select_with_undo(
                 ctx.ig, graph, result.select_order, result.optimistic,
                 ctx.machine.file(rclass), outcome,

@@ -28,35 +28,11 @@ from dataclasses import dataclass, field
 
 from repro.errors import AllocationError
 from repro.ir.values import VReg
-from repro.policy import DEFAULT_POLICY, Policy
 from repro.profiling import phase
 from repro.regalloc.igraph import AllocGraph
 from repro.regalloc.worklist import DegreeWorklist
 
-__all__ = ["SimplifyResult", "simplify", "choose_spill_candidate",
-           "spill_metric_fn"]
-
-
-def spill_metric_fn(policy: Policy):
-    """The spill-candidate scoring function under ``policy``.
-
-    The default exponents (1.0, 1.0) return ``None`` so callers use the
-    inlined historical ``cost / degree`` expression, keeping the
-    arithmetic byte-identical.  Non-default policies get
-    ``cost ** ce / max(degree, 1) ** de``.
-    """
-    ce = policy.spill_cost_exponent
-    de = policy.spill_degree_exponent
-    if ce == 1.0 and de == 1.0:
-        return None
-
-    def metric(graph: AllocGraph, node: VReg) -> float:
-        cost = graph.spill_cost(node)
-        if cost == float("inf"):
-            return cost  # no-spill temporaries stay un-pickable
-        return float(cost) ** ce / float(max(graph.degree(node), 1)) ** de
-
-    return metric
+__all__ = ["SimplifyResult", "simplify", "choose_spill_candidate"]
 
 
 @dataclass(eq=False)
@@ -78,22 +54,16 @@ class SimplifyResult:
         return list(reversed(self.stack))
 
 
-def choose_spill_candidate(graph: AllocGraph, nodes,
-                           policy: Policy = DEFAULT_POLICY) -> VReg:
+def choose_spill_candidate(graph: AllocGraph, nodes) -> VReg:
     """Minimum-metric node among ``nodes`` (a linear scan).
 
-    The metric is Chaitin's ``spill_cost / degree`` under the default
-    policy, generalized to policy exponents otherwise; ties break by
+    The metric is Chaitin's ``spill_cost / degree``; ties break by
     ``(id, name)``.
     """
-    metric_of = spill_metric_fn(policy)
     best: VReg | None = None
     best_metric = float("inf")
     for node in nodes:
-        if metric_of is None:
-            metric = graph.spill_cost(node) / max(graph.degree(node), 1)
-        else:
-            metric = metric_of(graph, node)
+        metric = graph.spill_cost(node) / max(graph.degree(node), 1)
         if best is None or metric < best_metric or (
             metric == best_metric
             and _tie_break(node) < _tie_break(best)
@@ -115,26 +85,21 @@ def _tie_break(node: VReg) -> tuple:
     return (node.id, node.name or "")
 
 
-def simplify(graph: AllocGraph, optimistic: bool = True,
-             policy: Policy = DEFAULT_POLICY) -> SimplifyResult:
+def simplify(graph: AllocGraph, optimistic: bool = True) -> SimplifyResult:
     """Run simplification over the active nodes of ``graph``.
 
     ``graph`` is mutated: all active nodes are removed.  Copy-related
     nodes are treated like any other (the aggressive-coalescing pipelines
     have coalesced before this phase).
-
-    ``policy`` parameterizes the spill metric; the default reproduces
-    the historical pick sequence exactly.
     """
     result = SimplifyResult()
     with phase("simplify"):
-        _simplify_indexed(graph, optimistic, result, policy)
+        _simplify_indexed(graph, optimistic, result)
     return result
 
 
 def _simplify_indexed(graph: AllocGraph, optimistic: bool,
-                      result: SimplifyResult,
-                      policy: Policy = DEFAULT_POLICY) -> None:
+                      result: SimplifyResult) -> None:
     """Worklist engine: low-degree buckets + lazy spill heap.
 
     A batch is "every active low-degree node, tie-break sorted", and
@@ -147,8 +112,7 @@ def _simplify_indexed(graph: AllocGraph, optimistic: bool,
     # While the worklist is attached, this loop only calls
     # ``graph.remove``: degrees only fall and spill costs stay fixed,
     # which the spill heap's lazy re-keying relies on.
-    with DegreeWorklist(graph, _tie_break,
-                        metric=spill_metric_fn(policy)) as worklist:
+    with DegreeWorklist(graph, _tie_break) as worklist:
         while graph.active:
             batch = worklist.take_batch()
             if batch:

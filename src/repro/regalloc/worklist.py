@@ -71,17 +71,11 @@ class DegreeWorklist:
     for the next one.
     """
 
-    __slots__ = ("graph", "tie_break", "metric", "_pending", "_heap")
+    __slots__ = ("graph", "tie_break", "_pending", "_heap")
 
-    def __init__(self, graph, tie_break, metric=None) -> None:
+    def __init__(self, graph, tie_break) -> None:
         self.graph = graph
         self.tie_break = tie_break
-        #: optional ``metric(graph, node) -> float`` override for the
-        #: spill score; ``None`` keeps the inlined historical
-        #: ``cost / degree`` (byte-identical keys).  A non-None metric
-        #: comes from a non-default :class:`repro.policy.Policy` via
-        #: :func:`repro.regalloc.simplify.spill_metric_fn`.
-        self.metric = metric
         self._pending: list[VReg] = []
         heap = []
         for node in graph.active_nodes():
@@ -129,10 +123,8 @@ class DegreeWorklist:
 
     def _key(self, node: VReg) -> float:
         """``node``'s spill metric at the graph's current degrees."""
-        if self.metric is None:
-            degree = max(self.graph.degree(node), 1)
-            return self.graph.spill_cost(node) / degree
-        return self.metric(self.graph, node)
+        degree = max(self.graph.degree(node), 1)
+        return self.graph.spill_cost(node) / degree
 
     # ------------------------------------------------------------------
 

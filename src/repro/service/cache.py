@@ -56,25 +56,16 @@ def request_fingerprint(normalized_ir: str, machine: TargetMachine,
                         options: "AllocationOptions | None" = None) -> str:
     """The content address of one allocation request.
 
-    Only *result-relevant* options enter the key: ``max_rounds``,
-    ``rematerialize``, and a non-default heuristic ``policy`` change the
-    allocation, so they are hashed; execution policy (``jobs``,
-    deadlines) is result-neutral by construction and deliberately
-    excluded — a cached entry must be valid whatever machinery
-    computed it.
-
-    A *default* policy adds nothing to the payload: its results are
-    byte-identical to the pre-policy constants, so fingerprints (and
-    therefore the cached entries of all existing traffic) are unchanged.
-    A non-default policy joins as its canonical digest.
+    Only *result-relevant* options enter the key: ``max_rounds`` and
+    ``rematerialize`` change the allocation, so they are hashed;
+    execution policy (``jobs``, deadlines) is result-neutral by
+    construction and deliberately excluded — a cached entry must be
+    valid whatever machinery computed it.
     """
-    policy = None
     if options is not None:
         verify = options.verify
         max_rounds = options.max_rounds
         rematerialize = options.rematerialize
-        if not options.policy.is_default():
-            policy = options.policy
     else:
         defaults = AllocationOptions()
         max_rounds = defaults.max_rounds
@@ -88,8 +79,6 @@ def request_fingerprint(normalized_ir: str, machine: TargetMachine,
         "max_rounds": max_rounds,
         "rematerialize": rematerialize,
     }
-    if policy is not None:
-        fields["policy"] = policy.digest()
     payload = canonical_json(fields)
     return hashlib.sha256(payload.encode()).hexdigest()
 

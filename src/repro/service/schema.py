@@ -60,6 +60,10 @@ __all__ = [
 #: with the tuner; its one preset (``tuned_v1``) is now judged by a
 #: held-out table (``benchmarks/bench_policy_heldout.py``).  No
 #: remaining document changed shape, so no bump.
+#: v8 (unchanged): ``Policy`` and its ``tuned_v1`` preset left the
+#: package with the held-out table; the appendix constants are plain
+#: constants and request ``options`` no longer accept a ``policy``
+#: field.  No emitted document changed shape, so no bump.
 SCHEMA_VERSION = 8
 
 #: Every ``type`` tag this module can emit.

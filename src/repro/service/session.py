@@ -131,7 +131,6 @@ from repro.ir.parser import parse_module
 from repro.ir.printer import print_function, print_module
 from repro.ir.validate import validate_function
 from repro.ir.values import Const, VReg
-from repro.policy import DEFAULT_POLICY, Policy
 from repro.profiling import phase
 from repro.regalloc.base import (
     AllocationOptions,
@@ -392,13 +391,13 @@ class FunctionSession:
     memo: dict = field(default_factory=dict)
 
     @classmethod
-    def build(cls, parsed: Function, machine: TargetMachine,
-              policy: Policy = DEFAULT_POLICY) -> "FunctionSession":
+    def build(cls, parsed: Function,
+              machine: TargetMachine) -> "FunctionSession":
         """A fresh session for ``parsed`` (the from-scratch rung)."""
         with phase("clone"):
             raw = clone_function(parsed)
         ref, posmap = _prepare_ref(raw, machine)
-        analyses = compute_round_analyses(ref, policy)
+        analyses = compute_round_analyses(ref)
         return cls(name=parsed.name, raw=raw, ref=ref, analyses=analyses,
                    posmap=posmap)
 
@@ -457,7 +456,7 @@ class FunctionSession:
                 name=self.name, raw=raw, ref=self.ref,
                 analyses=self.analyses, posmap=posmap, memo=self.memo,
             ), "rename"
-        analyses = compute_round_analyses(ref, self.analyses.policy)
+        analyses = compute_round_analyses(ref)
         return FunctionSession(name=self.name, raw=raw, ref=ref,
                                analyses=analyses, posmap=posmap), "rebuild"
 
@@ -548,19 +547,13 @@ def allocate_function_incremental(
     if options is None:
         options = AllocationOptions.from_env()
     with phase("session"):
-        # A session built under a different policy carries analyses
-        # (spill costs and everything derived from them) that are not
-        # this request's; retained state is only sound policy-for-policy.
-        stale_policy = (session is not None
-                        and session.analyses.policy != options.policy)
-        if session is None or stale_policy:
-            fresh = FunctionSession.build(func, machine, options.policy)
-            path = "new" if session is None else "rebuild"
+        if session is None:
+            fresh = FunctionSession.build(func, machine)
+            path = "new"
         else:
             fresh, path = session.advance(func, machine)
     memo_key = (allocator.config_key(), options.max_rounds,
-                options.rematerialize, options.verify,
-                options.policy.digest())
+                options.rematerialize, options.verify)
     kept = fresh.memo.get(memo_key)
     if kept is None or kept.finished is None:
         carried = kept.outcome if kept is not None else None
@@ -684,12 +677,6 @@ def execute_delta_request(
     with phase("parse"):
         module = parse_module(request.ir)
     machine_key = canonical_json(machine_descriptor(machine))
-    if not options.policy.is_default():
-        # Retained sessions are policy-specific (see
-        # allocate_function_incremental); keying the store entry by the
-        # policy too keeps a chain from thrashing another policy's
-        # sessions under the same token.
-        machine_key += "+policy:" + options.policy.digest()
     base = None
     if request.base_digest:
         base = store.get(request.base_digest, machine_key)

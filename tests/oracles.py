@@ -652,7 +652,7 @@ def compare_renumber(func) -> list[str]:
 # ----------------------------------------------------------------------
 # simplify / select: the scan engines
 
-def simplify_scan(graph, optimistic, result, policy) -> None:
+def simplify_scan(graph, optimistic, result) -> None:
     """The original rescan-per-batch simplify engine.
 
     Drop-in for ``repro.regalloc.simplify._simplify_indexed``.
@@ -669,8 +669,7 @@ def simplify_scan(graph, optimistic, result, policy) -> None:
                     result.stack.append(node)
             continue
         with phase("spill_pick"):
-            candidate = choose_spill_candidate(graph, graph.active_nodes(),
-                                               policy)
+            candidate = choose_spill_candidate(graph, graph.active_nodes())
         graph.remove(candidate)
         if optimistic:
             result.stack.append(candidate)
@@ -712,18 +711,12 @@ def choose_node_scan(selector: PreferenceSelector, queue) -> int:
     selector's free-mask, ask and differential caches are not read, so
     a stale one shows up as a different pick)."""
     spill_cost = selector.costs.spill_cost
-    weights = selector._key_weights
     best = None
     best_key = None
     for node in queue:
         differential = differential_reference(selector, node)
         reg = selector.graph.nodes[node]
-        if weights is None:
-            key = (differential, spill_cost(reg), -reg.id)
-        else:
-            key = (weights[0] * differential,
-                   weights[1] * spill_cost(reg),
-                   weights[2] * -reg.id)
+        key = (differential, spill_cost(reg), -reg.id)
         if best_key is None or key > best_key:
             best, best_key = node, key
     assert best is not None
@@ -778,10 +771,7 @@ class CheckedDegreeWorklist(DegreeWorklist):
         graph = self.graph
 
         def score(node):
-            if self.metric is None:
-                metric = graph.spill_cost(node) / max(graph.degree(node), 1)
-            else:
-                metric = self.metric(graph, node)
+            metric = graph.spill_cost(node) / max(graph.degree(node), 1)
             return metric, self.tie_break(node)
 
         oracle = (min(graph.active_nodes(), key=score) if graph.active
@@ -990,7 +980,7 @@ def validate_rounds():
 
     def checked(self, func):
         got = real(self, func)
-        fresh = regalloc_base.compute_round_analyses(func, self.policy)
+        fresh = regalloc_base.compute_round_analyses(func)
         problems = compare_analyses(got, fresh)
         if problems:
             raise OracleMismatch(
@@ -1008,8 +998,7 @@ def scratch_rounds():
     included (the oracle for carrying them over)."""
     with mock.patch.object(
             regalloc_base.RoundAnalyses, "apply_delta",
-            lambda self, func: regalloc_base.compute_round_analyses(
-                func, self.policy)):
+            lambda self, func: regalloc_base.compute_round_analyses(func)):
         yield
 
 
@@ -1108,7 +1097,7 @@ def check_session_against_scratch(session, parsed, machine, allocator,
     prepared = prepare_function(clone_function(parsed), machine)
     ref = clone_function(prepared)
     renumber(ref)
-    fresh = compute_round_analyses(ref, options.policy)
+    fresh = compute_round_analyses(ref)
     got = renamed_analyses(session.analyses,
                            rename_onto(session.ref, ref))
     problems = compare_analyses(got, fresh)

@@ -59,7 +59,7 @@ class TestValidation:
     @pytest.mark.parametrize("bad", [
         dict(max_rounds=0),
         dict(jobs=0),
-        dict(policy="tuned_v1"),
+        dict(jobs=-1),
         dict(deadline_ms=-1),
         dict(deadline_ms=True),
         dict(deadline_ms="soon"),

@@ -4,9 +4,11 @@ import pytest
 
 from repro.core import PreferenceConfig, PreferenceDirectedAllocator
 from repro.ir.clone import clone_function
+from repro.ir.printer import print_module
 from repro.ir.values import VReg
-from repro.pipeline import prepare_function
+from repro.pipeline import allocate_module, prepare_function, prepare_module
 from repro.regalloc import (
+    AllocationOptions,
     BriggsAllocator,
     CallCostAllocator,
     ChaitinAllocator,
@@ -14,9 +16,12 @@ from repro.regalloc import (
     allocate_function,
     verify_allocation,
 )
+from repro.service.cache import request_fingerprint
+from repro.service.scheduler import ALLOCATOR_FACTORIES
 from repro.sim.interp import run_function
 from repro.sim.ops import Memory
-from repro.target.presets import high_pressure, make_machine
+from repro.target.presets import make_machine, middle_pressure
+from repro.workloads.suite import make_benchmark
 
 from conftest import (
     build_call_heavy,
@@ -153,3 +158,109 @@ class TestAllocatorDifferences:
         r2 = allocate_function(f2, machine,
                                OptimisticCoalescingAllocator())
         assert r2.stats.spill_instructions <= r1.stats.spill_instructions
+
+
+# ---------------------------------------------------------------------------
+# Result and fingerprint pins: any drift in the appendix cost constants,
+# the spill metric, the selector key or round behavior moves these.
+# ---------------------------------------------------------------------------
+
+AXPY_IR = """func axpy(%p0, %p1) -> value {
+entry:
+  %a = mul %p0, 2
+  %b = add %a, %p1
+  ret %b
+}
+"""
+
+#: request_fingerprint pins under the default options.  These are the
+#: cache keys of deployed traffic: moving one orphans its cache entries.
+PINNED_FINGERPRINTS = {
+    # (ir-producer, allocator, regs) -> hex digest
+    "axpy/full/m8":
+        "75eea572d9dab2406e3df6feed5b4f8288b62fc8478649ba6388f758effc1375",
+    "spillstress/full/m12":
+        "0ce86c091fdf45487a2951d368461f4f61e9ca2a0c007dcb24f867e2be7329f5",
+    "jess/full/m12":
+        "3ec79ea41d3ad27c31d8aadf74ba23074cb55a7382bcdade4c063fd8426aaa6d",
+}
+
+#: (moves_eliminated, spill_loads + spill_stores, spilled_webs,
+#:  cycles.total, rounds) on spillstress(seed=0) at K=12, per allocator.
+PINNED_SPILLSTRESS_STATS = {
+    "full": (152, 408, 204, 56448.0, 4),
+    "chaitin": (296, 408, 204, 59008.0, 4),
+    "briggs": (296, 408, 204, 59008.0, 4),
+    "callcost": (296, 408, 204, 59008.0, 4),
+    "priority": (164, 376, 188, 59412.0, 3),
+}
+
+#: The same 5-tuple on jess at the 24-register model
+#: (``middle_pressure()``), for all seven allocators.
+PINNED_JESS_M24_STATS = {
+    "chaitin": (458, 0, 0, 4527.0, 1),
+    "priority": (215, 0, 0, 4812.0, 1),
+    "briggs": (458, 0, 0, 4527.0, 1),
+    "optimistic": (458, 0, 0, 4527.0, 1),
+    "callcost": (459, 6, 3, 3823.0, 2),
+    "only-coalescing": (427, 0, 0, 4115.0, 1),
+    "full": (388, 5, 2, 3853.0, 2),
+}
+
+
+def result_pin(result) -> tuple:
+    stats = result.stats
+    return (stats.moves_eliminated,
+            stats.spill_loads + stats.spill_stores,
+            stats.spilled_webs,
+            result.cycles.total,
+            stats.rounds)
+
+
+@pytest.fixture(scope="module")
+def spillstress_m12():
+    machine = make_machine(12)
+    module = make_benchmark("spillstress", seed=0)
+    return prepare_module(module, machine), machine
+
+
+@pytest.fixture(scope="module")
+def jess_m24():
+    machine = middle_pressure()
+    return prepare_module(make_benchmark("jess", seed=0), machine), machine
+
+
+class TestFingerprintPins:
+    def test_axpy_pin(self):
+        fp = request_fingerprint(AXPY_IR, make_machine(8), "full",
+                                 options=AllocationOptions())
+        assert fp == PINNED_FINGERPRINTS["axpy/full/m8"]
+
+    def test_spillstress_pin(self, spillstress_m12):
+        prepared, machine = spillstress_m12
+        fp = request_fingerprint(print_module(prepared), machine, "full",
+                                 options=AllocationOptions())
+        assert fp == PINNED_FINGERPRINTS["spillstress/full/m12"]
+
+    def test_jess_pin(self):
+        machine = make_machine(12)
+        prepared = prepare_module(make_benchmark("jess", seed=0), machine)
+        fp = request_fingerprint(print_module(prepared), machine, "full",
+                                 options=AllocationOptions())
+        assert fp == PINNED_FINGERPRINTS["jess/full/m12"]
+
+
+class TestResultPins:
+    @pytest.mark.parametrize("name", sorted(PINNED_SPILLSTRESS_STATS))
+    def test_spillstress_stats_pin(self, spillstress_m12, name):
+        prepared, machine = spillstress_m12
+        result = allocate_module(prepared, machine,
+                                 ALLOCATOR_FACTORIES[name]())
+        assert result_pin(result) == PINNED_SPILLSTRESS_STATS[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_JESS_M24_STATS))
+    def test_jess_m24_stats_pin(self, jess_m24, name):
+        prepared, machine = jess_m24
+        result = allocate_module(prepared, machine,
+                                 ALLOCATOR_FACTORIES[name]())
+        assert result_pin(result) == PINNED_JESS_M24_STATS[name]

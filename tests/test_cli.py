@@ -190,6 +190,13 @@ class TestErrorPaths:
             build_parser().parse_args(
                 ["alloc", sample_ir, "--allocator", "linear-scan"])
 
+    def test_policy_flag_is_gone(self, sample_ir, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["alloc", sample_ir, "--policy", "tuned_v1"],
+                 out=io.StringIO())
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --policy" in capsys.readouterr().err
+
     def test_submit_requires_exactly_one_source(self, sample_ir):
         with pytest.raises(SystemExit):
             build_parser().parse_args(

@@ -1,19 +1,11 @@
-"""Coalescing strategies: aggressive, Briggs, George."""
+"""Aggressive coalescing and its merge primitives."""
 
 from repro.analysis.interference import build_interference
 from repro.ir.builder import IRBuilder
-from repro.ir.values import Const, PReg, RegClass, VReg
-from repro.regalloc.coalesce import (
-    briggs_conservative_ok,
-    coalesce_aggressive,
-    coalesce_conservative,
-    conservative_ok,
-    george_ok,
-    merge_move,
-    mergeable,
-)
+from repro.ir.values import PReg, RegClass
+from repro.regalloc.coalesce import coalesce_aggressive, merge_move, mergeable
 from repro.regalloc.igraph import build_alloc_graph
-from repro.target.presets import figure7_machine, make_machine
+from repro.target.presets import make_machine
 
 
 def graph_of(func, machine):
@@ -88,49 +80,6 @@ class TestAggressive:
         assert graph.find(v) == PReg(0)
 
 
-class TestConservative:
-    def test_briggs_ok_in_sparse_graph(self):
-        func = copy_chain(2)
-        graph = graph_of(func, make_machine(8))
-        mv = graph.moves[0]
-        assert briggs_conservative_ok(graph, graph.find(mv.dst),
-                                      graph.find(mv.src))
-
-    def test_briggs_blocks_when_too_many_significant(self):
-        # Build a dense graph: K=4 machine, a 5-clique around the pair.
-        b = IRBuilder("f", n_params=1)
-        x = b.move(b.param(0))
-        others = [b.const(i) for i in range(5)]
-        y = b.move(x)
-        acc = y
-        for o in others:
-            acc = b.add(acc, o)
-        acc = b.add(acc, x)
-        b.ret(acc)
-        func = b.finish()
-        machine = make_machine(4)
-        graph = graph_of(func, machine)
-        merged = coalesce_conservative(graph)
-        aggressive = graph_of(func, machine)
-        merged_aggr = coalesce_aggressive(aggressive)
-        assert merged <= merged_aggr
-
-    def test_george_with_precolored(self):
-        func = copy_chain(1)
-        graph = graph_of(func, make_machine(8))
-        v = graph.moves[0].dst
-        # merging v into a fresh physical register: all of v's neighbors
-        # are low-degree, so the George test passes
-        free = next(c for c in graph.colors if not graph.interferes(v, c))
-        assert george_ok(graph, v, free)
-
-    def test_conservative_ok_dispatches(self):
-        func = copy_chain(1)
-        graph = graph_of(func, make_machine(8))
-        mv = graph.moves[0]
-        assert conservative_ok(graph, mv.dst, mv.src) in (True, False)
-
-
 class TestMergeMove:
     def test_identity_after_merge_not_remergeable(self):
         func = copy_chain(1)
@@ -139,69 +88,3 @@ class TestMergeMove:
         assert merge_move(graph, mv) is not None
         assert merge_move(graph, mv) is None
 
-
-def briggs_reference(ref, k, a, b) -> bool:
-    """Briggs over register sets: fewer than K significant neighbors of
-    the merged node, a shared vreg neighbor losing one edge."""
-    na, nb = ref.neighbors(a), ref.neighbors(b)
-    significant = 0
-    for n in (na | nb) - {a, b}:
-        if isinstance(n, PReg):
-            significant += 1
-            continue
-        degree = ref.degree[n] - (n in na and n in nb)
-        significant += degree >= k
-    return significant < k
-
-
-def george_reference(ref, k, a, b) -> bool:
-    """George over register sets: every significant neighbor of ``a``
-    already interferes with ``b``."""
-    for t in ref.neighbors(a):
-        if isinstance(t, VReg) and ref.degree[t] < k:
-            continue
-        if isinstance(t, PReg) and isinstance(b, PReg):
-            if t != b:
-                continue
-        elif b in ref.adj.get(t, ()):
-            continue
-        return False
-    return True
-
-
-class TestRowTestsAgainstSets:
-    """Briggs and George on the dense-id rows give the set-based
-    answers for every move of the suite's functions, as aggressive
-    coalescing merges them one by one."""
-
-    def test_row_tests_match_set_reference(self):
-        from oracles import SetAllocGraph, build_interference_reference
-        from repro.ir.clone import clone_function
-        from repro.pipeline import prepare_function
-        from repro.workloads import make_suite
-
-        machine = make_machine(16)
-        checked = 0
-        for module in make_suite().values():
-            for func in module.functions[:3]:
-                func = prepare_function(clone_function(func), machine)
-                graph = graph_of(func, machine)
-                ref = SetAllocGraph(
-                    build_interference_reference(func).adjacency,
-                    RegClass.INT, graph.colors)
-                for mv in graph.moves:
-                    a, b = graph.find(mv.dst), graph.find(mv.src)
-                    if not mergeable(graph, a, b):
-                        continue
-                    checked += 1
-                    for x, y in ((a, b), (b, a)):
-                        if not isinstance(x, PReg) and \
-                                not isinstance(y, PReg):
-                            assert briggs_conservative_ok(graph, x, y) \
-                                == briggs_reference(ref, graph.k, x, y)
-                        if not isinstance(x, PReg):
-                            assert george_ok(graph, x, y) \
-                                == george_reference(ref, graph.k, x, y)
-                    kept = merge_move(graph, mv)
-                    ref.merge(kept, b if kept == a else a)
-        assert checked > 50

@@ -11,8 +11,6 @@ prepared for round 0, after one spill round, and allocated.
 
 from __future__ import annotations
 
-from unittest import mock
-
 import pytest
 
 from oracles import compute_liveness_reference, instruction_liveness_reference
@@ -20,13 +18,11 @@ from repro.analysis.renumber import renumber
 from repro.cfg.analysis import build_cfg
 from repro.cfg.loops import compute_loops
 from repro.core import PreferenceDirectedAllocator
-from repro.core import allocator as core_allocator
 from repro.core.costs import CostModel
 from repro.ir.clone import clone_function
 from repro.ir.instructions import Call, Move
 from repro.ir.values import VReg
 from repro.pipeline import allocate_module, prepare_module
-from repro.policy import load_policy
 from repro.regalloc import AllocationOptions
 from repro.regalloc.base import compute_round_analyses
 from repro.regalloc.spill import insert_spill_code
@@ -129,33 +125,3 @@ def test_cost_tables_match_set_recount(name):
     for result in run.results:
         check_cycles(result.func)
 
-
-def test_one_spill_metric_under_tuned_v1():
-    """A fractional loop-depth exponent makes the spill-cost sum's
-    grouping visible in the last ulp: every cost model, standalone or
-    built by the allocator for a round, must hold that round's
-    ``RoundAnalyses.spill_costs`` exactly."""
-    policy = load_policy("tuned_v1")
-    checked = []
-
-    def check(costs) -> CostModel:
-        want = compute_round_analyses(costs.func, policy).spill_costs
-        for v in costs.func.vregs():
-            assert costs.spill_cost(v).hex() == want[v].hex(), \
-                (costs.func.name, v)
-            checked.append(v)
-        return costs
-
-    def recorded(*args, **kwargs):
-        return check(CostModel(*args, **kwargs))
-
-    for module in make_suite().values():
-        prepared = prepare_module(module, MACHINE)
-        for func in prepared.functions:
-            probe = clone_function(func)
-            renumber(probe)
-            check(CostModel(probe, MACHINE, policy=policy))
-        with mock.patch.object(core_allocator, "CostModel", recorded):
-            allocate_module(prepared, MACHINE, PreferenceDirectedAllocator(),
-                            AllocationOptions(policy=policy))
-    assert checked

@@ -27,7 +27,6 @@ from repro.ir.clone import clone_function
 from repro.ir.validate import validate_function
 from repro.ir.values import PReg, VReg
 from repro.pipeline import prepare_function
-from repro.policy import Policy
 from repro.regalloc import (
     AllocationOptions,
     BriggsAllocator,
@@ -71,13 +70,6 @@ profiles = st.builds(
     # K=4 machines only have two parameter registers
     max_params=st.integers(1, 2),
     max_call_args=st.integers(1, 2),
-)
-
-#: spill-metric exponents (the default among them)
-spill_policies = st.builds(
-    Policy,
-    spill_cost_exponent=st.sampled_from([0.5, 1.0, 2.0]),
-    spill_degree_exponent=st.sampled_from([0.5, 1.0, 2.0]),
 )
 
 ALLOCATOR_FACTORIES = [
@@ -239,11 +231,8 @@ class TestSelectIndexEquivalence:
 
     @SLOW
     @given(profile=profiles, seed=st.integers(0, 10_000),
-           k=st.sampled_from([4, 8, 16]), policy=spill_policies)
-    def test_decision_sequence_identical(self, profile, seed, k, policy):
-        """``policy`` varies the spill metric's exponents, so every
-        spill pick of the lazily re-keyed heap is checked against the
-        scan under non-default metrics too."""
+           k=st.sampled_from([4, 8, 16]))
+    def test_decision_sequence_identical(self, profile, seed, k):
         from contextlib import nullcontext
 
         from oracles import scan_select, validate_select
@@ -259,8 +248,8 @@ class TestSelectIndexEquivalence:
                                   ("validate", validate_select)):
                 stacks = []
 
-                def recording(graph, optimistic=True, **kwargs):
-                    res = real_simplify(graph, optimistic, **kwargs)
+                def recording(graph, optimistic=True):
+                    res = real_simplify(graph, optimistic)
                     stacks.append((list(res.stack), set(res.optimistic),
                                    set(res.spilled)))
                     return res
@@ -272,7 +261,7 @@ class TestSelectIndexEquivalence:
                     with engines():
                         result = allocate_function(
                             prepared, machine, alloc,
-                            options=AllocationOptions(policy=policy))
+                            options=AllocationOptions())
                 except AllocationError as err:
                     # Unallocatable pressure must reproduce identically
                     # across engines; any other failure is a real bug.

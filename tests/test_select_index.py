@@ -32,7 +32,6 @@ from repro.ir.values import RegClass, VReg
 from repro.pipeline import prepare_function
 from repro.regalloc import allocate_function, verify_allocation
 from repro.regalloc.igraph import AllocGraph
-from repro.policy import DEFAULT_POLICY
 from repro.regalloc.simplify import (
     SimplifyResult,
     _tie_break,
@@ -74,7 +73,7 @@ def run_engine(mode, graph, optimistic=True):
     ``validate`` production checked pick by pick against the oracle."""
     if mode == "off":
         result = SimplifyResult()
-        simplify_scan(graph, optimistic, result, DEFAULT_POLICY)
+        simplify_scan(graph, optimistic, result)
         return result
     with validate_select() if mode == "validate" else nullcontext():
         return simplify(graph, optimistic=optimistic)

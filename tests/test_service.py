@@ -119,6 +119,15 @@ class TestProtocol:
         assert not response.ok
         assert "unknown allocator 'iterated'" in response.error
 
+    def test_retired_policy_option_is_refused(self):
+        # The heuristic constants are fixed; a request asking for other
+        # ones is refused rather than answered with the defaults.
+        wire = make_request().to_wire()
+        wire["options"] = {"policy": {"spill_cost_exponent": 1.25}}
+        with pytest.raises(ServiceError, match=r"bad options: unknown "
+                           r"option field\(s\) \['policy'\]"):
+            AllocationRequest.from_wire(wire)
+
     def test_rejects_wrong_protocol_version(self):
         with pytest.raises(ServiceError, match="protocol"):
             AllocationRequest(id="x", ir=IR,
@@ -179,6 +188,7 @@ VALID_FIELDS = {
         "jobs": st.integers(1, 4) | JSON_VALUES,
         "deadline_ms": st.floats(0, 1e4) | JSON_VALUES,
         "incremental": JSON_VALUES,
+        # retired: any value is refused
         "policy": st.just({}) | JSON_VALUES}),
     "deadline_s": st.floats(0, 10) | st.none(),
     "verify": st.booleans(),
@@ -215,11 +225,13 @@ class TestRequestParsing:
     @example({"ir": IR, "protocol": True})
     @example({"ir": IR, "protocol": 1.0})
     @example({"ir": IR, "options": {"max_rounds": True}})
+    @example({"ir": IR, "options": {"policy": {}}})
     def test_arbitrary_objects_are_rejected_or_well_typed(self, wire):
         try:
             request = AllocationRequest.from_wire(wire)
         except ServiceError:
             return
+        assert "policy" not in (wire.get("options") or {})
         assert type(request.id) is str
         assert type(request.protocol) is int
         assert request.protocol in SUPPORTED_PROTOCOLS
@@ -381,6 +393,20 @@ class TestDegradationLadder:
                 seen.append(degrade_for(seen[-1]))
                 assert len(seen) <= len(DEGRADATION_LADDER) + 1
         assert degrade_for("chaitin") == "chaitin"
+
+    def test_scheduler_mirror(self):
+        # The ladder names only served allocators and never degrades to
+        # itself.
+        for frm, to in DEGRADATION_LADDER.items():
+            assert {frm, to} <= set(SERVICE_ALLOCATORS) and frm != to
+        for name in ALLOCATOR_FACTORIES:
+            assert degrade_for(name) == DEGRADATION_LADDER.get(name,
+                                                               "chaitin")
+
+    def test_degrade_for_default(self):
+        assert degrade_for("full") == "chaitin"
+        assert degrade_for("optimistic") == "briggs"
+        assert degrade_for("chaitin") == "chaitin"  # terminal floor
 
 
 class TestScheduler:

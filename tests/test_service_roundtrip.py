@@ -231,3 +231,26 @@ class TestStdioServer:
         assert replies[4]["type"] == "shutdown"
         assert replies[1]["code"] == direct_render(sample_ir(1),
                                                    "chaitin", 8)
+
+    def test_policy_option_is_refused_and_serving_continues(self):
+        scheduler = Scheduler(cache=ResultCache())
+        scheduler.start()
+        try:
+            request = AllocationRequest(id="p2", ir=sample_ir(1),
+                                        allocator="full",
+                                        machine=MachineSpec(regs=8))
+            wire = request.to_wire()
+            wire["id"] = "p1"
+            wire["options"] = {"policy": {"spill_cost_exponent": 1.25}}
+            out = io.StringIO()
+            serve_stdio(scheduler, iter([json.dumps(wire),
+                                         request.to_json()]), out)
+        finally:
+            scheduler.stop()
+        refused, served = [json.loads(line)
+                           for line in out.getvalue().splitlines()]
+        assert refused["id"] == "p1" and not refused["ok"]
+        assert "unknown option field(s) ['policy']" in refused["error"]
+        assert "internal error" not in refused["error"]
+        assert served["id"] == "p2" and served["ok"]
+        assert served["code"] == direct_render(sample_ir(1), "full", 8)
