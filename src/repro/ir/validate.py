@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.errors import IRValidationError
 from repro.ir.function import Function
-from repro.ir.instructions import Call, Phi, Ret
+from repro.ir.instructions import BinOp, Call, Load, Move, Phi, Ret, UnaryOp
 from repro.ir.values import Const, PReg, VReg
 
 __all__ = ["validate_function", "validate_module"]
@@ -85,8 +85,6 @@ def _check_classes(func: Function, label: str, instr) -> None:
     if isinstance(instr, Ret):
         return
     defs = instr.defs()
-    from repro.ir.instructions import BinOp, Load, Move, UnaryOp
-
     if isinstance(instr, Move):
         if instr.dst.rclass is not instr.src.rclass:
             raise IRValidationError(

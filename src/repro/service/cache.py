@@ -3,7 +3,8 @@
 The key of an entry is a fingerprint of *what determines the result*:
 the normalized IR text (parse -> print round-trip, so formatting and
 comment noise never split the cache), the machine's full register model,
-the allocator name, and the verify flag.  Two requests that would
+the allocator name, and the result-relevant options
+(:func:`result_options`).  Two requests that would
 allocate identically therefore share one entry — including a ``bench``
 request and an ``ir`` request carrying the same module text.
 
@@ -37,6 +38,7 @@ from repro.regalloc.base import AllocationOptions
 from repro.reporting import canonical_json
 from repro.service.protocol import (
     PROTOCOL_VERSION,
+    AllocationRequest,
     AllocationResponse,
     machine_descriptor,
 )
@@ -46,9 +48,27 @@ __all__ = [
     "ResultCache",
     "DiskCacheBackend",
     "request_fingerprint",
+    "request_source_key",
+    "result_options",
     "default_cache_dir",
     "entry_is_intact",
 ]
+
+
+def result_options(options: AllocationOptions) -> dict:
+    """The option fields that enter a cache key, by wire name.
+
+    Only *result-relevant* options count: ``max_rounds`` and
+    ``rematerialize`` change the allocation and ``verify`` whether it is
+    checked; execution policy (``jobs``, deadlines, ``cache_dir``) is
+    result-neutral by construction and deliberately excluded — a cached
+    entry must be valid whatever machinery computed it.
+    """
+    return {
+        "verify": options.verify,
+        "max_rounds": options.max_rounds,
+        "rematerialize": options.rematerialize,
+    }
 
 
 def request_fingerprint(normalized_ir: str, machine: TargetMachine,
@@ -56,28 +76,43 @@ def request_fingerprint(normalized_ir: str, machine: TargetMachine,
                         options: "AllocationOptions | None" = None) -> str:
     """The content address of one allocation request.
 
-    Only *result-relevant* options enter the key: ``max_rounds`` and
-    ``rematerialize`` change the allocation, so they are hashed;
-    execution policy (``jobs``, deadlines) is result-neutral by
-    construction and deliberately excluded — a cached entry must be
-    valid whatever machinery computed it.
+    ``options`` (default: the defaults with ``verify``) contributes
+    its :func:`result_options`.
     """
-    if options is not None:
-        verify = options.verify
-        max_rounds = options.max_rounds
-        rematerialize = options.rematerialize
-    else:
-        defaults = AllocationOptions()
-        max_rounds = defaults.max_rounds
-        rematerialize = defaults.rematerialize
+    if options is None:
+        options = AllocationOptions(verify=verify)
     fields = {
         "protocol": PROTOCOL_VERSION,
         "ir": normalized_ir,
         "machine": machine_descriptor(machine),
         "allocator": allocator,
-        "verify": verify,
-        "max_rounds": max_rounds,
-        "rematerialize": rematerialize,
+        **result_options(options),
+    }
+    payload = canonical_json(fields)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def request_source_key(request: AllocationRequest) -> str:
+    """A digest of an allocate request as the client sent it.
+
+    It covers what :func:`request_fingerprint` covers, with the raw
+    ``ir`` text or ``bench`` name in place of the normalized module
+    (tagged by kind, so IR text never aliases a benchmark name) and the
+    machine spec in place of the built machine.  Equal keys therefore
+    always give equal fingerprints, which lets the scheduler map one to
+    the other without parsing; unequal keys may still share one (IR
+    that differs only in formatting).
+    """
+    if request.ir is not None:
+        kind, source = "ir", request.ir
+    else:
+        kind, source = "bench", request.bench
+    fields = {
+        "kind": kind,
+        "source": source,
+        "machine": request.machine.to_wire(),
+        "allocator": request.allocator,
+        **result_options(request.options),
     }
     payload = canonical_json(fields)
     return hashlib.sha256(payload.encode()).hexdigest()

@@ -21,6 +21,17 @@ Batches reuse work across requests: the module parse/prepare step is
 memoized per (module, machine) fingerprint, so fifty requests sweeping
 eight allocators over one module prepare it once (and, through
 ``round0_analyses``, renumber and analyze it once).
+
+Repeats skip the parse too.  The cache is keyed on the *normalized*
+module, so finding a request's entry takes a parse and a print; the
+scheduler remembers, per request as sent (:func:`request_source_key`),
+the fingerprint its own parse produced, and a repeat whose fingerprint
+still hits the cache is answered from that memo alone.  The memo is
+learned, never taken from the client, and equal request text
+normalizes to equal text, so it can only name the entry the parse
+would have found.  Repeats stay in the FIFO queue: answering them
+ahead of queued misses lets concurrent clients' misses collide and
+raises the tail latency.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import queue
 import threading
+from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass
 from time import perf_counter
@@ -48,7 +60,11 @@ from repro.regalloc import (
     OptimisticCoalescingAllocator,
     PriorityAllocator,
 )
-from repro.service.cache import ResultCache, request_fingerprint
+from repro.service.cache import (
+    ResultCache,
+    request_fingerprint,
+    request_source_key,
+)
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
     AllocationRequest,
@@ -220,6 +236,9 @@ class Scheduler:
         self.sessions = SessionStore(capacity=session_store_size)
         self._prepared: dict[str, tuple] = {}
         self._prepared_cache_size = max(1, prepared_cache_size)
+        #: request_source_key -> fingerprint, learned from this
+        #: scheduler's own parses and bounded like the result cache
+        self._fingerprints: "OrderedDict[str, str]" = OrderedDict()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
@@ -353,8 +372,28 @@ class Scheduler:
         return request.allocator, run_options
 
     def _answer(self, job: _Job, timings: dict) -> AllocationResponse:
-        """The full path: result cache, then the pipeline on a miss."""
+        """The full path: result cache, then the pipeline on a miss.
+
+        A repeat is recognized before any parse: ``_fingerprints`` maps
+        :func:`request_source_key` (the request as sent) to the
+        fingerprint this scheduler computed from its own parse of the
+        same request earlier.  If that fingerprint still hits the
+        result cache, the request is answered with no parse, print or
+        machine build.  Any other outcome (new text, an evicted entry,
+        a degraded earlier answer that was never cached) takes the
+        parse path, which records the mapping once it has the
+        fingerprint.  Memo hits are still answered in queue order.
+        """
         request = job.request
+        key = known = None
+        if self.cache is not None:
+            key = request_source_key(request)
+            known = self._fingerprints.get(key)
+            if known is not None:
+                self._fingerprints.move_to_end(key)
+                hit = self._cache_get(request, known)
+                if hit is not None:
+                    return hit
         t0 = perf_counter()
         module = resolve_module(request)
         normalized = print_module(module)
@@ -365,16 +404,13 @@ class Scheduler:
             normalized, machine, request.allocator,
             options=request.options,
         )
-        if self.cache is not None:
-            hit = self.cache.get(fingerprint)
+        if key is not None and known is None:
+            self._fingerprints[key] = fingerprint
+            while len(self._fingerprints) > self.cache.max_entries:
+                self._fingerprints.popitem(last=False)
+            hit = self._cache_get(request, fingerprint)
             if hit is not None:
-                self.metrics.inc("cache_hits")
-                self.metrics.inc("responses_ok")
-                hit.id = request.id
-                hit.cached = True
-                hit.fingerprint = fingerprint
                 return hit
-            self.metrics.inc("cache_misses")
 
         effective, run_options = self._plan(job)
         t0 = perf_counter()
@@ -417,6 +453,21 @@ class Scheduler:
             self.cache.put(fingerprint, response)
         self.metrics.inc("responses_ok")
         return response
+
+    def _cache_get(self, request: AllocationRequest, fingerprint: str
+                   ) -> AllocationResponse | None:
+        """The cached answer under ``fingerprint``, re-addressed to
+        ``request``, or None (both outcomes counted)."""
+        hit = self.cache.get(fingerprint)
+        if hit is None:
+            self.metrics.inc("cache_misses")
+            return None
+        self.metrics.inc("cache_hits")
+        self.metrics.inc("responses_ok")
+        hit.id = request.id
+        hit.cached = True
+        hit.fingerprint = fingerprint
+        return hit
 
     def _answer_delta(self, job: _Job, timings: dict
                       ) -> AllocationResponse:

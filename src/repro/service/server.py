@@ -16,7 +16,8 @@ dispatched on their ``type`` field:
 The TCP front end is a small asyncio loop: connections are cheap and
 concurrent, while the actual allocation work happens on the scheduler's
 worker (and, inside it, the pipeline's process pool), so a slow
-allocation never blocks other clients' cache hits or stats probes.
+allocation never blocks other clients' pings or stats probes.  Cache
+hits go through the scheduler's queue in arrival order, like misses.
 ``serve_stdio`` is the same dispatcher over stdin/stdout for
 subprocess-style embedding; it processes one line at a time.
 :class:`ServerThread` runs the TCP server on a background thread — the

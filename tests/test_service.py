@@ -442,6 +442,93 @@ class TestScheduler:
         assert second.code == first.code
         assert scheduler.metrics.counters["cache_hits"] == 1
 
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Every text the scheduler module hands to ``parse_module``."""
+        import repro.service.scheduler as scheduler_module
+
+        seen = []
+        real = scheduler_module.parse_module
+
+        def counting(text):
+            seen.append(text)
+            return real(text)
+
+        monkeypatch.setattr(scheduler_module, "parse_module", counting)
+        return seen
+
+    def test_repeat_is_answered_without_a_parse(self, parses):
+        direct = execute_request(make_request(id="direct"))
+        del parses[:]
+        scheduler = Scheduler(cache=ResultCache())
+        first = self.run_request(scheduler, make_request(id="a"))
+        assert len(parses) == 1 and not first.cached
+        repeat = self.run_request(scheduler, make_request(id="b"))
+        assert len(parses) == 1, "the repeat must not be parsed"
+        assert repeat.ok and repeat.cached and repeat.id == "b"
+        assert repeat.result_digest == direct.result_digest
+        assert repeat.code == direct.code
+        assert repeat.fingerprint == first.fingerprint
+        assert scheduler.metrics.counters["cache_hits"] == 1
+        assert "parse_s" not in repeat.timings
+
+    @pytest.mark.parametrize("change", [
+        dict(machine=MachineSpec(regs=16)),
+        dict(machine=MachineSpec(regs=8, has_paired_loads=False)),
+        dict(allocator="chaitin"),
+        dict(options=AllocationOptions(verify=False)),
+        dict(options=AllocationOptions(max_rounds=8)),
+        dict(options=AllocationOptions(rematerialize=True)),
+    ], ids=["regs", "paired", "allocator", "verify", "max_rounds",
+            "rematerialize"])
+    def test_same_text_with_other_knobs_is_its_own_request(
+            self, parses, change):
+        direct = execute_request(make_request(id="direct", **change))
+        scheduler = Scheduler(cache=ResultCache())
+        base = self.run_request(scheduler, make_request(id="a"))
+        del parses[:]
+        other = self.run_request(scheduler,
+                                 make_request(id="b", **change))
+        assert len(parses) == 1, "a new knob value must be parsed"
+        assert other.ok and not other.cached
+        assert other.fingerprint != base.fingerprint
+        assert other.result_digest == direct.result_digest
+        again = self.run_request(scheduler, make_request(id="c", **change))
+        assert again.cached and len(parses) == 1
+        assert again.result_digest == direct.result_digest
+
+    def test_ir_text_never_aliases_a_bench_name(self, parses):
+        scheduler = Scheduler(cache=ResultCache())
+        bench = AllocationRequest(id="b", bench="db", allocator="chaitin",
+                                  machine=MachineSpec(regs=16))
+        first = self.run_request(scheduler, bench)
+        assert first.ok and not first.cached
+        as_text = self.run_request(scheduler, AllocationRequest(
+            id="t", ir="db", allocator="chaitin",
+            machine=MachineSpec(regs=16)))
+        assert parses == ["db"]
+        assert not as_text.ok and not as_text.cached
+        assert as_text.result_digest != first.result_digest
+        assert self.run_request(scheduler, bench).cached
+
+    def test_evicted_entry_falls_through_to_the_full_path(self, parses):
+        direct = execute_request(make_request(id="direct"))
+        del parses[:]
+        scheduler = Scheduler(cache=ResultCache(max_entries=1))
+        first = self.run_request(scheduler, make_request(id="a"))
+        scheduler.cache.put("another-entry", first)  # evicts first's
+        misses = scheduler.cache.misses
+        again = self.run_request(scheduler, make_request(id="b"))
+        assert len(parses) == 2
+        assert again.ok and not again.cached and not again.degraded
+        assert again.fingerprint == first.fingerprint
+        assert again.result_digest == direct.result_digest
+        assert again.code == direct.code
+        assert scheduler.cache.misses == misses + 1
+        assert scheduler.metrics.counters["cache_misses"] == 2
+        third = self.run_request(scheduler, make_request(id="c"))
+        assert third.cached and len(parses) == 2
+
     def test_disk_full_on_put_still_answers(self, tmp_path, monkeypatch):
         """ENOSPC while writing the cache's temp file: the request still
         answers ``ok``, ``disk_errors`` counts it once, no temp file is
@@ -496,6 +583,21 @@ class TestScheduler:
         fresh = self.run_request(scheduler, make_request(id="later"))
         assert not fresh.degraded and not fresh.cached
         assert fresh.effective_allocator == "full"
+
+    def test_repeat_of_a_degraded_answer_is_a_correct_miss(self, parses):
+        direct = execute_request(make_request(id="direct"))
+        del parses[:]
+        scheduler = Scheduler(cache=ResultCache())
+        degraded = self.run_request(scheduler,
+                                    make_request(id="a", deadline_s=0.0))
+        assert degraded.degraded and len(scheduler.cache) == 0
+        fresh = self.run_request(scheduler, make_request(id="b"))
+        assert len(parses) == 2
+        assert not fresh.degraded and not fresh.cached
+        assert fresh.result_digest == direct.result_digest
+        repeat = self.run_request(scheduler, make_request(id="c"))
+        assert repeat.cached and len(parses) == 2
+        assert repeat.result_digest == direct.result_digest
 
     def test_admission_control_rejects_when_full(self):
         scheduler = Scheduler(cache=None, max_queue=2)
