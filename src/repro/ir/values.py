@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 __all__ = ["RegClass", "VReg", "PReg", "Const", "Value", "Register"]
 
+_setattr = object.__setattr__
+
 
 class RegClass(enum.Enum):
     """Architectural register class of a value."""
@@ -36,6 +38,10 @@ class RegClass(enum.Enum):
         return f"RegClass.{self.name}"
 
 
+#: an Enum member read through its class costs a lookup each time
+_FLOAT = RegClass.FLOAT
+
+
 @dataclass(frozen=True, slots=True)
 class VReg:
     """A virtual register (an unbounded supply, one per SSA-ish name).
@@ -54,14 +60,19 @@ class VReg:
     #: fields so hashing (and set iteration order) is process-independent
     _hash: int = field(init=False, repr=False, compare=False, default=0)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "_hash",
-            (self.id << 3)
-            | (4 if self.rclass is RegClass.FLOAT else 0)
-            | (2 if self.no_spill else 0),
-        )
+    def __init__(self, id: int, rclass: RegClass = RegClass.INT,
+                 name: str | None = None, no_spill: bool = False) -> None:
+        # Written out because the parser makes one register per distinct
+        # name: the generated frozen __init__ plus a __post_init__ took
+        # about 2.5x as long.
+        _setattr(self, "id", id)
+        _setattr(self, "rclass", rclass)
+        _setattr(self, "name", name)
+        _setattr(self, "no_spill", no_spill)
+        _setattr(self, "_hash",
+                 (id << 3)
+                 | (4 if rclass is _FLOAT else 0)
+                 | (2 if no_spill else 0))
 
     def __hash__(self) -> int:
         return self._hash

@@ -40,6 +40,9 @@ def verify_allocation(func: Function, machine: TargetMachine) -> None:
     """Structural checks on fully-rewritten code."""
     stored_slots: set[int] = set()
     loaded_slots: set[int] = set()
+    # Membership through a set: PReg's hash agrees with its equality.
+    members = {rclass: frozenset(regfile.regs)
+               for rclass, regfile in machine.files.items()}
     for blk in func.blocks:
         for instr in blk.instrs:
             for reg in list(instr.defs()) + list(instr.used_regs()):
@@ -49,8 +52,11 @@ def verify_allocation(func: Function, machine: TargetMachine) -> None:
                         f"survived allocation in {instr}"
                     )
                 assert isinstance(reg, PReg)
-                regfile = machine.file(reg.rclass)
-                if reg not in regfile.regs:
+                try:
+                    regs = members[reg.rclass]
+                except KeyError:  # no such file: TargetError, as before
+                    regs = machine.file(reg.rclass).regs
+                if reg not in regs:
                     raise AllocationVerifyError(
                         f"{func.name}: register {reg} not in the "
                         f"{reg.rclass.value} file of {machine.name}"

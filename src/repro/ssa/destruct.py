@@ -32,6 +32,7 @@ def split_critical_edges(func: Function) -> int:
     predecessor; returns the number of edges split."""
     cfg = build_cfg(func)
     blocks = func.block_map()
+    taken = set(blocks)
     split = 0
     for src_label in list(cfg.succs):
         succs = cfg.succs[src_label]
@@ -41,7 +42,12 @@ def split_critical_edges(func: Function) -> int:
             if len(cfg.preds[dst_label]) < 2:
                 continue
             split += 1
-            mid_label = f"{src_label}.{dst_label}.{split}"
+            # Labels may contain dots, so a minted label can already be
+            # in use; skip to the next free suffix.
+            suffix = split
+            while (mid_label := f"{src_label}.{dst_label}.{suffix}") in taken:
+                suffix += 1
+            taken.add(mid_label)
             mid = BasicBlock(mid_label, [Jump(dst_label)])
             # Place the split block right before its target for readability.
             index = func.blocks.index(blocks[dst_label])

@@ -20,7 +20,10 @@ tests compare production against directly:
 * **spill rounds and edits** — the from-scratch re-analysis (CFG and
   loop nest included), compared phase by phase with
   :func:`compare_analyses`, and the from-scratch allocation of an
-  edited function (:func:`check_session_against_scratch`).
+  edited function (:func:`check_session_against_scratch`);
+* **IR text** — the regex-per-form parser (:func:`parse_module_reference`)
+  that the one-pass :mod:`repro.ir.parser` is checked against, read out
+  for comparison by :func:`parsed_shape`.
 
 Besides the plain oracle functions, context managers install each
 reference into a real allocation run:
@@ -37,6 +40,7 @@ reference into a real allocation run:
 from __future__ import annotations
 
 import importlib
+import re
 from contextlib import ExitStack, contextmanager
 from types import SimpleNamespace
 from unittest import mock
@@ -53,11 +57,30 @@ from repro.cfg.analysis import build_cfg
 from repro.core import allocator as core_allocator
 from repro.core.cpg import BOTTOM, TOP
 from repro.core.select import PreferenceSelector
-from repro.errors import AllocationError
+from repro.errors import AllocationError, ParseError
+from repro.ir.function import BasicBlock, Function, Module
 from repro.ir.clone import clone_function
-from repro.ir.instructions import Move, Phi
+from repro.ir.instructions import (
+    COMPARE_OPS,
+    FLOAT_BINOPS,
+    INT_BINOPS,
+    UNARY_OPS,
+    BinOp,
+    Branch,
+    Call,
+    ConstInst,
+    Jump,
+    Load,
+    Move,
+    Phi,
+    Ret,
+    SpillLoad,
+    SpillStore,
+    Store,
+    UnaryOp,
+)
 from repro.ir.printer import print_function
-from repro.ir.values import PReg, VReg
+from repro.ir.values import Const, PReg, RegClass, VReg
 from repro.profiling import phase
 from repro.regalloc import base as regalloc_base
 from repro.regalloc.simplify import _tie_break, choose_spill_candidate
@@ -1146,3 +1169,244 @@ def scratch_incremental(session, func, machine, allocator, options):
 
     return allocate_function_incremental(None, func, machine, allocator,
                                          options)
+
+
+# ----------------------------------------------------------------------
+# IR text: one regular expression per instruction form
+
+
+_REF_FUNC_RE = re.compile(r"^func\s+(\w+)\(([^)]*)\)(\s*->\s*value)?\s*\{$")
+_REF_LABEL_RE = re.compile(r"^([\w.]+):(\s*;.*)?$")
+_REF_VREG_FLOAT_RE = re.compile(r"^%f\d+$")
+_REF_PREG_RE = re.compile(r"^\$(fr|r)(\d+)$")
+_REF_LOAD_RE = re.compile(r"^load(\.b)?\s*\[(\S+?)\+(-?\d+)\]$")
+_REF_STORE_RE = re.compile(r"^store\s*\[(\S+?)\+(-?\d+)\]\s*=\s*(\S+)$")
+_REF_CALL_PRE_RE = re.compile(r"^call\s+(\w+)\((.*)\)$")
+_REF_CALL_POST_RE = re.compile(r"^call\s+(\w+)\s*\[(.*)\]$")
+_REF_PHI_RE = re.compile(r"^phi\s*\[(.*)\]$")
+_REF_RELOAD_RE = re.compile(r"^reload\s+slot(\d+)$")
+_REF_SPILL_RE = re.compile(r"^spill\s+slot(\d+)\s*=\s*(\S+)$")
+_REF_BINOPS = set(INT_BINOPS) | set(FLOAT_BINOPS) | set(COMPARE_OPS)
+_REF_UNOPS = set(UNARY_OPS)
+
+
+class _ReferenceParser:
+    """Each line tried against the forms' regexes in a fixed order."""
+
+    def __init__(self, text: str):
+        self.lines = text.splitlines()
+        self.pos = 0
+        self.func = None
+        self.regs: dict = {}
+
+    def next_meaningful(self):
+        while self.pos < len(self.lines):
+            lineno = self.pos + 1
+            raw = self.lines[self.pos]
+            self.pos += 1
+            stripped = raw.split(";", 1)[0].strip()
+            if stripped:
+                return lineno, stripped
+        return None
+
+    def parse_function(self) -> Function:
+        item = self.next_meaningful()
+        if item is None:
+            raise ParseError("expected function header, found end of input")
+        lineno, line = item
+        m = _REF_FUNC_RE.match(line)
+        if not m:
+            raise ParseError(f"bad function header: {line!r}", lineno)
+        name, params_text, returns = m.group(1), m.group(2), m.group(3)
+        self.func = Function(name, returns_value=bool(returns))
+        self.regs = {}
+        for token in filter(None, (t.strip() for t in params_text.split(","))):
+            reg = self._reg(token, lineno)
+            if not isinstance(reg, VReg):
+                raise ParseError(f"parameter must be virtual: {token}", lineno)
+            self.func.params.append(reg)
+        block = None
+        while True:
+            item = self.next_meaningful()
+            if item is None:
+                raise ParseError("unterminated function (missing '}')")
+            lineno, line = item
+            if line == "}":
+                break
+            label = _REF_LABEL_RE.match(line)
+            if label:
+                block = BasicBlock(label.group(1))
+                self.func.blocks.append(block)
+                continue
+            if block is None:
+                raise ParseError(f"instruction before any label: {line!r}",
+                                 lineno)
+            block.instrs.append(self._instr(line, lineno))
+        return self.func
+
+    def _reg(self, token: str, lineno: int):
+        token = token.strip()
+        if token.startswith("%"):
+            if token in self.regs:
+                return self.regs[token]
+            rclass = (RegClass.FLOAT if _REF_VREG_FLOAT_RE.match(token)
+                      else RegClass.INT)
+            reg = self.func.new_vreg(rclass, name=token[1:])
+            self.regs[token] = reg
+            return reg
+        m = _REF_PREG_RE.match(token)
+        if m:
+            rclass = RegClass.FLOAT if m.group(1) == "fr" else RegClass.INT
+            return PReg(int(m.group(2)), rclass)
+        raise ParseError(f"bad register token {token!r}", lineno)
+
+    def _value(self, token: str, lineno: int, rclass=RegClass.INT):
+        token = token.strip()
+        if token.startswith(("%", "$")):
+            return self._reg(token, lineno)
+        try:
+            if "." in token or "e" in token.lower():
+                return Const(float(token), RegClass.FLOAT)
+            return Const(int(token), rclass)
+        except ValueError:
+            raise ParseError(f"bad value token {token!r}", lineno) from None
+
+    def _instr(self, line: str, lineno: int):
+        m = _REF_STORE_RE.match(line)
+        if m:
+            return Store(self._value(m.group(1), lineno), int(m.group(2)),
+                         self._value(m.group(3), lineno))
+        m = _REF_SPILL_RE.match(line)
+        if m:
+            return SpillStore(int(m.group(1)), self._value(m.group(2), lineno))
+        m = _REF_CALL_POST_RE.match(line)
+        if m:
+            uses = [self._reg(t, lineno)
+                    for t in filter(None, (x.strip()
+                                           for x in m.group(2).split(",")))]
+            for u in uses:
+                if not isinstance(u, PReg):
+                    raise ParseError("lowered call uses must be physical",
+                                     lineno)
+            return Call(m.group(1), reg_uses=uses)
+        if line.startswith("jump "):
+            return Jump(line[5:].strip())
+        if line.startswith("branch "):
+            parts = [p.strip() for p in line[7:].split(",")]
+            if len(parts) != 3:
+                raise ParseError(f"bad branch: {line!r}", lineno)
+            return Branch(self._value(parts[0], lineno), parts[1], parts[2])
+        if line == "ret":
+            return Ret()
+        if line.startswith("ret ["):
+            inner = line[len("ret ["):-1]
+            uses = [self._reg(t, lineno)
+                    for t in filter(None, (x.strip() for x in inner.split(",")))]
+            return Ret(None, reg_uses=[u for u in uses if isinstance(u, PReg)])
+        if line.startswith("ret "):
+            return Ret(self._value(line[4:], lineno))
+        if line.startswith("call "):
+            return self._call_pre(line, lineno, dst=None)
+        if "=" not in line:
+            raise ParseError(f"unrecognized instruction {line!r}", lineno)
+        dst_text, rhs = (s.strip() for s in line.split("=", 1))
+        dst = self._reg(dst_text, lineno)
+        return self._assign(dst, rhs, lineno)
+
+    def _call_pre(self, rhs: str, lineno: int, dst):
+        m = _REF_CALL_PRE_RE.match(rhs)
+        if not m:
+            raise ParseError(f"bad call {rhs!r}", lineno)
+        args = [self._value(t, lineno)
+                for t in filter(None, (x.strip()
+                                       for x in m.group(2).split(",")))]
+        return Call(m.group(1), args, dst)
+
+    def _assign(self, dst, rhs: str, lineno: int):
+        m = _REF_LOAD_RE.match(rhs)
+        if m:
+            width = "byte" if m.group(1) else "word"
+            return Load(dst, self._value(m.group(2), lineno),
+                        int(m.group(3)), width)
+        m = _REF_RELOAD_RE.match(rhs)
+        if m:
+            return SpillLoad(dst, int(m.group(1)))
+        m = _REF_PHI_RE.match(rhs)
+        if m:
+            incoming = {}
+            for part in filter(None, (x.strip() for x in m.group(1).split(","))):
+                if ":" not in part:
+                    raise ParseError(f"bad phi arm {part!r}", lineno)
+                label, val = (s.strip() for s in part.split(":", 1))
+                incoming[label] = self._value(val, lineno, dst.rclass)
+            return Phi(dst, incoming)
+        if rhs.startswith("call "):
+            return self._call_pre(rhs, lineno, dst)
+        op, *rest = rhs.split(None, 1) or [""]
+        if op in _REF_BINOPS:
+            operands = [t.strip() for t in rest[0].split(",")] if rest else []
+            if len(operands) != 2:
+                raise ParseError(f"binop needs two operands: {rhs!r}", lineno)
+            return BinOp(op, dst,
+                         self._value(operands[0], lineno, dst.rclass),
+                         self._value(operands[1], lineno, dst.rclass))
+        if op in _REF_UNOPS:
+            if not rest:
+                raise ParseError(f"{op} needs an operand: {rhs!r}", lineno)
+            return UnaryOp(op, dst, self._value(rest[0], lineno, dst.rclass))
+        value = self._value(rhs, lineno, dst.rclass)
+        if isinstance(value, Const):
+            return ConstInst(dst, value.value)
+        return Move(dst, value)
+
+
+def parse_module_reference(text: str, name: str = "module") -> Module:
+    """The reference reading of ``text`` as a module."""
+    parser = _ReferenceParser(text)
+    module = Module(name)
+    while True:
+        save = parser.pos
+        if parser.next_meaningful() is None:
+            break
+        parser.pos = save
+        module.add(parser.parse_function())
+    return module
+
+
+def _operand_shape(value):
+    if isinstance(value, VReg):
+        return ("v", value.id, value.rclass, value.name, value.no_spill)
+    if isinstance(value, PReg):
+        return ("p", value.index, value.rclass, value.name)
+    if isinstance(value, Const):
+        return ("c", type(value.value), value.value, value.rclass)
+    return value
+
+
+def parsed_shape(module: Module) -> list:
+    """Everything a parse decides, in a form two parses compare by.
+
+    Per function: the printed text, ``next_vreg_id``, the parameters and
+    every instruction's class and fields, with each register's id, class
+    and name and each constant's type and class.
+    """
+    out = []
+    for func in module.functions:
+        instrs = []
+        for blk in func.blocks:
+            for instr in blk.instrs:
+                fields = []
+                for slot in type(instr).__slots__:
+                    value = getattr(instr, slot)
+                    if isinstance(value, list):
+                        value = [_operand_shape(v) for v in value]
+                    elif isinstance(value, dict):
+                        value = [(k, _operand_shape(v))
+                                 for k, v in value.items()]
+                    else:
+                        value = _operand_shape(value)
+                    fields.append((slot, value))
+                instrs.append((blk.label, type(instr).__name__, fields))
+        out.append((print_function(func), func.next_vreg_id,
+                    [_operand_shape(p) for p in func.params], instrs))
+    return out

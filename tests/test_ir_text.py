@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ParseError, ReproError
+from repro.ir.instructions import ConstInst
 from repro.ir.parser import parse_function, parse_module
 from repro.ir.printer import print_function, side_by_side
 from repro.ir.validate import validate_function
@@ -14,6 +15,7 @@ from conftest import (
     build_diamond,
     build_straightline,
 )
+from oracles import parse_module_reference, parsed_shape
 
 
 def roundtrip(func):
@@ -43,6 +45,21 @@ class TestRoundTrip:
         func = build_call_heavy()
         lower_function(func, middle_pressure())
         roundtrip(func)
+
+    def test_prepared_suite_reparses_byte_identically(self):
+        # Edge splitting mints dotted labels (``loop1.loop1.1``).
+        from repro.pipeline import prepare_module
+        from repro.target.presets import high_pressure
+        from repro.workloads import make_suite
+
+        machine = high_pressure()
+        funcs = [func for module in make_suite().values()
+                 for func in prepare_module(module, machine).functions]
+        assert len(funcs) == 88
+        assert any("." in blk.label for func in funcs for blk in func.blocks)
+        for func in funcs:
+            text = print_function(func)
+            assert print_function(parse_function(text)) == text, func.name
 
     def test_spill_code_roundtrips(self):
         text = """func f(%p0) -> value {
@@ -205,3 +222,118 @@ class TestMalformedText:
             assert after.ok and after.code
         finally:
             thread.stop()
+
+
+# ----------------------------------------------------------------------
+# the one-pass parser against the regex-per-form reference
+
+
+def parse_outcome(parse, text):
+    """What ``parse`` makes of ``text``: its shape, or its error."""
+    try:
+        return "ok", parsed_shape(parse(text))
+    except ParseError as exc:
+        return "error", exc.line, str(exc)
+
+
+def assert_parses_as_reference(text):
+    got = parse_outcome(parse_module, text)
+    assert got == parse_outcome(parse_module_reference, text)
+    return got
+
+
+def edit_text(edits) -> str:
+    """The spill-stress function after ``edits``, as the editor sends it.
+
+    Each ``(kind, site, amount)`` bumps an integer constant (``kind``
+    0) or inserts a dead constant into a block (``kind`` 1), as the
+    benchmark's edit chain does.
+    """
+    from repro.ir.printer import print_module
+    from repro.workloads import spill_stress_module
+
+    module = spill_stress_module(1)
+    func = module.functions[0]
+    for kind, site, amount in edits:
+        if kind == 0:
+            consts = [instr for _, instr in func.instructions()
+                      if isinstance(instr, ConstInst)]
+            consts[site % len(consts)].value += amount
+        else:
+            blk = func.blocks[site % len(func.blocks)]
+            blk.instrs.insert(len(blk.phis()),
+                              ConstInst(func.new_vreg(), amount))
+    return print_module(module)
+
+
+EDIT = st.tuples(st.integers(0, 1), st.integers(0, 10**6),
+                 st.integers(1, 64))
+
+
+class TestReferenceParser:
+    LINES = suite_text()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(MUTATION, min_size=1, max_size=3))
+    @example([(0, 19, 3, "")])
+    @example([(2, 40, 0, "a.b:")])
+    def test_mutated_suite_text_parses_as_the_reference(self, mutations):
+        assert_parses_as_reference(mutate(self.LINES, mutations))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(EDIT, max_size=4),
+           st.lists(MUTATION, max_size=2))
+    def test_edited_text_parses_as_the_reference(self, edits, mutations):
+        text = edit_text(edits)
+        if mutations:
+            text = mutate(text.splitlines(), mutations)
+        assert_parses_as_reference(text)
+
+    def test_unmutated_texts_parse(self):
+        assert assert_parses_as_reference("\n".join(self.LINES))[0] == "ok"
+        assert assert_parses_as_reference(edit_text([]))[0] == "ok"
+
+    @pytest.mark.parametrize("line", [
+        "store [%p0+4]=%a",
+        "store[%p0+4] = %a",
+        "store\t[%p0+-4] =\t%a",
+        "store [%p0]+4] = %a",
+        "store [%p0+4] = %a b",
+        "store [%p 0+4] = %a",
+        "spill slot3 = %a",
+        "spill\tslot3=%a",
+        "spillslot3 = %a",
+        "%b = load[%p0+8]",
+        "%b = load.b [%p0+8]",
+        "%b = load .b[%p0+8]",
+        "%b = load [%p0 +8]",
+        "%b = reload slot2",
+        "%b = reload slot 2",
+        "%b = phi[entry: %a]",
+        "%b = phi [entry %a]",
+        "%b = add %a,%a",
+        "%b = add %a , 3",
+        "%b = add\t%a, %a",
+        "%b = add %a, %a, %a",
+        "%b = neg",
+        "%b = neg  %a",
+        "%b = call f(%a, 2)",
+        "%b = call\tf(%a)",
+        "%f3 = fadd %f3, 2",
+        "%b = 1e3",
+        "%b = $r1",
+        "$r2 = %a",
+        "call f [$r1, $r2]",
+        "call f [%a]",
+        "ret [$r0, %a]",
+        "jump  x y",
+        "jump",
+        "branch %a, x",
+        "bogus",
+        "x = 1",
+        "a.b.1:",
+    ])
+    def test_unusual_spacing_parses_as_the_reference(self, line):
+        text = ("func f(%p0, %a) -> value {\nentry:\n  " + line
+                + "\n  ret %p0\n}")
+        assert_parses_as_reference(text)

@@ -3,6 +3,7 @@
 from repro.cfg.analysis import build_cfg
 from repro.ir.clone import clone_function
 from repro.ir.instructions import Move, Phi
+from repro.ir.parser import parse_function, parse_module
 from repro.ir.validate import validate_function
 from repro.sim.interp import run_function
 from repro.sim.ops import Memory
@@ -155,6 +156,38 @@ class TestDestruction:
         assert split >= 3
         assert len(func.blocks) == n_blocks + split
         validate_function(func)
+
+    def test_split_skips_a_label_already_in_use(self):
+        func = parse_function(DOTTED_CLIENT)
+        assert split_critical_edges(func) == 1
+        assert [blk.label for blk in func.blocks] == [
+            "entry", "entry.join.1", "entry.join.2", "join"]
+        assert func.entry.terminator.iftrue == "entry.join.2"
+        validate_function(func)
+
+    def test_client_label_like_a_split_label_allocates(self):
+        from repro.regalloc.verify import verify_allocation
+        from repro.service import AllocationRequest, MachineSpec
+        from repro.service.scheduler import execute_request
+
+        machine = MachineSpec(regs=8)
+        response = execute_request(AllocationRequest(
+            id="dotted", ir=DOTTED_CLIENT, machine=machine))
+        assert response.ok and response.result_digest
+        (func,) = parse_module(response.code).functions
+        verify_allocation(func, machine.build())
+
+
+#: entry branches to ``join`` directly and through ``entry.join.1``, the
+#: label the splitter would mint for the critical edge entry -> join
+DOTTED_CLIENT = """func f(%p0) -> value {
+entry:
+  branch %p0, join, entry.join.1
+entry.join.1:
+  jump join
+join:
+  ret %p0
+}"""
 
 
 class TestDCE:
