@@ -76,9 +76,6 @@ class RegisterIndex:
                 self.preg_mask |= bit
         return idx
 
-    def id_of(self, reg: Register) -> int:
-        return self.ids[reg]
-
     def bit_of(self, reg: Register) -> int:
         """``1 << id``, indexing ``reg`` on demand."""
         return 1 << self.add(reg)
@@ -86,13 +83,6 @@ class RegisterIndex:
     def class_mask(self, reg: Register) -> int:
         """Mask of all indexed registers sharing ``reg``'s class."""
         return self.int_mask if reg.rclass is RegClass.INT else self.float_mask
-
-    def mask_of(self, regs) -> int:
-        """Bitset of an iterable of registers (indexed on demand)."""
-        mask = 0
-        for reg in regs:
-            mask |= 1 << self.add(reg)
-        return mask
 
     def set_of(self, mask: int) -> set[Register]:
         """Materialize a mask back into a ``set[Register]``, inserting

@@ -58,12 +58,6 @@ class PrefEdge:
     target: Register | RegGroup
     strength: Strength
 
-    @property
-    def is_live_range_target(self) -> bool:
-        """True when the destination is another live range (type 4 / the
-        deferred case of Section 5.3 step 2.2)."""
-        return isinstance(self.target, VReg)
-
     def __str__(self) -> str:
         return (
             f"{self.src} --{self.kind.value}[{self.strength}]--> "

@@ -66,11 +66,6 @@ class IRBuilder:
         self.func.blocks.append(self._block)
         return self._block
 
-    def switch_to(self, label: str) -> BasicBlock:
-        """Make an existing block current."""
-        self._block = self.func.block(label)
-        return self._block
-
     def emit(self, instr: Instruction) -> Instruction:
         if self._block.terminator is not None:
             raise IRError(

@@ -99,9 +99,6 @@ class AllocGraph:
         i = self.ids.get(node)
         return i is not None and bool(self.active >> i & 1)
 
-    def is_precolored(self, node: Register) -> bool:
-        return isinstance(node, PReg)
-
     def degree(self, node: Register) -> int:
         if isinstance(node, PReg):
             return INFINITE_DEGREE

@@ -11,8 +11,8 @@ path down a three-rung ladder:
 * **value** — the edit is *transparent* (constant values, opcodes,
   load/store offsets inside matched blocks): every prepare/renumber
   artifact of the base carries over verbatim, so the session patches
-  the changed values onto a clone of the retained reference through a
-  position map and reuses the retained analyses wholesale.  The
+  the changed values into the retained reference through a position
+  map and reuses the retained analyses wholesale.  The
   position map is built once per reference from instruction *identity*:
   raw instructions are mutated in place by SSA/DCE/lowering, so an
   ``id()``-keyed scan of the prepared function recovers where each raw
@@ -20,8 +20,8 @@ path down a three-rung ladder:
   — deadness is value-independent, so skipping their edits is exact).
   The round-0 colorings carry over too, so allocation starts at the
   spill rounds (or the rewrite) instead of recoloring; and when the
-  retained allocation ran no spill round, its finished code carries
-  over as well, with the same edits patched onto a clone of it.
+  retained allocation ran no spill round, its finished code and its
+  printed lines carry over as well, with the same edits patched in.
 * **rename** — an edit whose prepared+renumbered body is the retained
   reference up to a renaming of its vregs (:func:`_is_rename`), such
   as a dead instruction that DCE removes but whose insertion or
@@ -67,7 +67,6 @@ outcome — unless one of its edits changes a ``base`` or an ``offset``
 (:data:`ROUND0_VISIBLE_EDITS`), which can make or break a paired load;
 then the colorings are dropped.  An identical advance keeps the
 finished results as well; a rebuild starts with none.
-The retained outcomes are shared and treated as read-only.
 
 Why a finished allocation survives the same edits when it ran no spill
 round: after round 0 the driver only rewrites — it maps each vreg to
@@ -77,8 +76,8 @@ offset.  The appendix cost model (:mod:`repro.sim.cycles`) charges
 instruction classes, registers, loop frequencies and fused paired
 loads; pairing is the only thing in it that reads a base or an offset,
 and those edits already void the entry.  So the allocated code of the
-edited body is the retained allocated code with the edits patched in
-place, and its stats, assignment and cycle report are the retained
+edited body is the retained allocated code with the edits patched in,
+and its stats, assignment and cycle report are the retained
 ones.  The edits reach the allocated code through a second ``id()``
 map, reference position -> allocated position, taken around the
 allocation; the rewrite mutates instructions in place and drops only
@@ -89,9 +88,13 @@ allocator: edits queue in the retained entry until that allocator is
 next requested, and ``verify_allocation`` still checks the whole
 patched function.
 
-Whatever the rung, allocation itself runs on a clone of the reference
-with ``assume_renumbered=True``, so the result is byte-identical to a
-from-scratch run (renumbering is deterministic).  The ladder is
+Retained outcomes, results and functions are shared and never mutated:
+a patched version shares every instruction but the edited ones with
+the version before it (:func:`_with_edits`) and re-prints only their
+lines of the retained rendering.  Whatever the rung, allocation itself
+runs on a clone of the reference with ``assume_renumbered=True``, so
+the result is byte-identical to a from-scratch run (renumbering is
+deterministic).  The ladder is
 always on; the from-scratch path is the oracle the tests compare every
 rung against (``tests/oracles.py``: analyses, rendered code, stats, and
 cycle estimates).
@@ -106,12 +109,12 @@ mirroring :func:`repro.service.scheduler.execute_request`.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from repro.analysis.renumber import renumber
-from repro.ir.clone import clone_function
+from repro.ir.clone import clone_function, clone_instruction
 from repro.ir.diff import diff_functions, same_constant
-from repro.ir.function import Function
+from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import (
     BinOp,
     Branch,
@@ -219,6 +222,20 @@ def _prepare_ref(raw: Function, machine: TargetMachine):
     with phase("renumber"):
         renumber(work)
     return work, seen.landing(work)
+
+
+def _with_edits(func: Function, edits: dict) -> Function:
+    """``func`` with ``edits`` (``(label, index, attr)`` -> new value)
+    set on copies of the edited instructions; every other instruction
+    object is shared with ``func``, which is left as it was."""
+    out = replace(func, params=list(func.params), blocks=[
+        BasicBlock(blk.label, list(blk.instrs)) for blk in func.blocks])
+    blocks = {blk.label: blk.instrs for blk in out.blocks}
+    for label, index in {key[:2] for key in edits}:
+        blocks[label][index] = clone_instruction(blocks[label][index])
+    for (label, index, attr), new in edits.items():
+        setattr(blocks[label][index], attr, new)
+    return out
 
 
 #: instruction class -> its dataclass field names, register operands
@@ -347,10 +364,11 @@ class Retained:
     #: the round-0 coloring; valid for every body reachable through
     #: value edits round 0 cannot see (read-only, shared across versions)
     outcome: RoundOutcome
-    #: ``(result, cycles)`` of a finished allocation: of *this exact
-    #: body* when ``pending`` is ``None``, else of an earlier version
-    #: ``pending`` turns into this one.  Read-only, shared across versions
-    finished: tuple[AllocationResult, CycleReport] | None = None
+    #: ``(result, cycles, lines)`` of a finished allocation (``lines``:
+    #: its printed function, line by line): of *this exact body* when
+    #: ``pending`` is ``None``, else of an earlier version ``pending``
+    #: turns into this one.  Read-only, shared across versions
+    finished: tuple[AllocationResult, CycleReport, list[str]] | None = None
     #: reference ``(label, index)`` -> ``(label, index)`` in the finished
     #: function; set only when the finished tail carries over value edits
     #: (:func:`_tail_carries`), and position-stable under them
@@ -377,7 +395,7 @@ class FunctionSession:
     #: the raw (parsed, un-prepared) body the next edit is diffed against
     raw: Function
     #: prepared + renumbered reference the analyses describe; never
-    #: mutated — allocation and value-patching always work on clones
+    #: mutated (allocation works on a clone, value advances share it)
     ref: Function
     analyses: RoundAnalyses
     #: raw ``(label, index)`` -> reference ``(label, index)``
@@ -393,12 +411,11 @@ class FunctionSession:
     @classmethod
     def build(cls, parsed: Function,
               machine: TargetMachine) -> "FunctionSession":
-        """A fresh session for ``parsed`` (the from-scratch rung)."""
-        with phase("clone"):
-            raw = clone_function(parsed)
-        ref, posmap = _prepare_ref(raw, machine)
+        """A fresh session for ``parsed`` (the from-scratch rung), which
+        the caller hands over: it becomes the raw body, never mutated."""
+        ref, posmap = _prepare_ref(parsed, machine)
         analyses = compute_round_analyses(ref)
-        return cls(name=parsed.name, raw=raw, ref=ref, analyses=analyses,
+        return cls(name=parsed.name, raw=parsed, ref=ref, analyses=analyses,
                    posmap=posmap)
 
     def advance(self, parsed: Function,
@@ -410,54 +427,45 @@ class FunctionSession:
         body renames the retained reference; everything shared) or
         ``"rebuild"`` (analyses of the re-prepared body).  ``self`` is
         left usable — other edits may still branch off the same base
-        digest.
+        digest.  The caller hands ``parsed`` over, as to :meth:`build`.
         """
         delta = diff_functions(self.raw, parsed)
         if delta.transparent:
             with phase("validate"):
                 validate_function(parsed)
-            with phase("clone"):
-                raw = clone_function(parsed)
             if delta.identical:
                 return FunctionSession(
-                    name=self.name, raw=raw, ref=self.ref,
+                    name=self.name, raw=parsed, ref=self.ref,
                     analyses=self.analyses, posmap=self.posmap,
                     memo=self.memo,
                 ), "value"
-            with phase("clone"):
-                ref = clone_function(self.ref)
             edits = {}
             with phase("patch"):
-                blocks = {blk.label: blk for blk in ref.blocks}
                 for edit in delta.value_edits:
                     pos = self.posmap.get((edit.label, edit.index))
                     if pos is None:
                         continue  # DCE'd; deadness is value-independent
-                    label, index = pos
-                    setattr(blocks[label].instrs[index], edit.attr,
-                            edit.new)
-                    edits[label, index, edit.attr] = edit.new
+                    edits[(*pos, edit.attr)] = edit.new
+                ref = _with_edits(self.ref, edits)
             memo = {}
             if not any(edit.attr in ROUND0_VISIBLE_EDITS
                        for edit in delta.value_edits):
                 memo = {key: kept.after(edits)
                         for key, kept in self.memo.items()}
             return FunctionSession(
-                name=self.name, raw=raw, ref=ref, analyses=self.analyses,
+                name=self.name, raw=parsed, ref=ref, analyses=self.analyses,
                 posmap=self.posmap, memo=memo,
             ), "value"
-        with phase("clone"):
-            raw = clone_function(parsed)
-        ref, posmap = _prepare_ref(raw, machine)
+        ref, posmap = _prepare_ref(parsed, machine)
         with phase("rename"):
             renamed = _is_rename(self.ref, ref)
         if renamed:
             return FunctionSession(
-                name=self.name, raw=raw, ref=self.ref,
+                name=self.name, raw=parsed, ref=self.ref,
                 analyses=self.analyses, posmap=posmap, memo=self.memo,
             ), "rename"
         analyses = compute_round_analyses(ref)
-        return FunctionSession(name=self.name, raw=raw, ref=ref,
+        return FunctionSession(name=self.name, raw=parsed, ref=ref,
                                analyses=analyses, posmap=posmap), "rebuild"
 
 
@@ -467,6 +475,8 @@ class IncrementalAllocation:
 
     result: AllocationResult
     cycles: CycleReport
+    #: ``print_function(result.func)``, kept from the retained lines
+    code: str
     session: FunctionSession
     #: ladder rung taken: ``new`` (no base session), ``value``,
     #: ``rename`` or ``rebuild``
@@ -492,13 +502,16 @@ def _allocate_on(session: FunctionSession, machine: TargetMachine,
             verify_allocation(func, machine)
     cycles = estimate_cycles(func, machine)
     placed = seen.landing(func) if _tail_carries(result) else None
-    return Retained(result.round0_outcome, (result, cycles), placed)
+    with phase("render"):
+        lines = print_function(func).split("\n")
+    return Retained(result.round0_outcome, (result, cycles, lines), placed)
 
 
 def _patch_finished(kept: Retained, machine: TargetMachine,
                     options: AllocationOptions) -> Retained:
-    """Patch ``kept``'s pending value edits onto a clone of its finished
-    function; stats, assignment and cycle report carry over as they are.
+    """Patch ``kept``'s pending value edits into a new version of its
+    finished function and its printed lines; stats, assignment and
+    cycle report carry over as they are.
 
     Sound because the rewrite, the stats and the appendix cost model
     read no constant, opcode or offset (load bases and offsets, which
@@ -508,23 +521,31 @@ def _patch_finished(kept: Retained, machine: TargetMachine,
     insertion rematerialized the instruction away, copying its constant
     elsewhere; :func:`_tail_carries` keeps such results out.
     """
-    done, cycles = kept.finished
+    done, cycles, lines = kept.finished
     with phase("tail-patch"):
-        func = clone_function(done.func)
-        blocks = {blk.label: blk for blk in func.blocks}
+        edits = {}
         for (label, index, attr), new in kept.pending.items():
             pos = kept.placed.get((label, index))
-            if pos is None:
-                continue
-            label, index = pos
-            setattr(blocks[label].instrs[index], attr, new)
+            if pos is not None:
+                edits[(*pos, attr)] = new
+        func = _with_edits(done.func, edits)
+    with phase("render"):
+        # print_function's layout: a header line, then each block's
+        # label line followed by its instructions
+        first, row, lines = {}, 2, list(lines)
+        for blk in func.blocks:
+            first[blk.label] = row
+            row += 1 + len(blk.instrs)
+        blocks = {blk.label: blk.instrs for blk in func.blocks}
+        for label, index, _ in edits:
+            lines[first[label] + index] = f"  {blocks[label][index]}"
     if options.verify:
         with phase("verify"):
             verify_allocation(func, machine)
     result = AllocationResult(func=func, machine=machine, stats=done.stats,
                               assignment=done.assignment,
                               round0_outcome=done.round0_outcome)
-    return Retained(kept.outcome, (result, cycles), kept.placed)
+    return Retained(kept.outcome, (result, cycles, lines), kept.placed)
 
 
 def allocate_function_incremental(
@@ -542,7 +563,8 @@ def allocate_function_incremental(
     :class:`IncrementalAllocation` carries the allocation, the cycle
     estimate, the *new* session to retain for the next edit, and the
     ladder rung taken.  The result is byte-identical to a from-scratch
-    :func:`~repro.regalloc.base.allocate_function` run.
+    :func:`~repro.regalloc.base.allocate_function` run.  The caller
+    hands ``func`` over: the new session keeps it, never mutated.
     """
     if options is None:
         options = AllocationOptions.from_env()
@@ -566,8 +588,9 @@ def allocate_function_incremental(
         reused = True
     else:
         reused = False
-    result, cycles = kept.finished
+    result, cycles, lines = kept.finished
     return IncrementalAllocation(result=result, cycles=cycles,
+                                 code="\n".join(lines),
                                  session=fresh, path=path,
                                  coloring_reused=reused)
 
@@ -683,7 +706,7 @@ def execute_delta_request(
     allocator = ALLOCATOR_FACTORIES[name]()
     stats = AllocationStats(allocator=allocator.name)
     cycles = CycleReport()
-    results: list[AllocationResult] = []
+    codes: list[str] = []
     sessions: dict[str, FunctionSession] = {}
     paths: dict[str, int] = {}
     reused = 0
@@ -691,7 +714,7 @@ def execute_delta_request(
         prev = base.functions.get(func.name) if base is not None else None
         out = allocate_function_incremental(prev, func, machine, allocator,
                                             options)
-        results.append(out.result)
+        codes.append(out.code)
         stats.merge(out.result.stats)
         cycles.add(out.cycles)
         sessions[func.name] = out.session
@@ -712,7 +735,7 @@ def execute_delta_request(
             allocator=request.allocator,
             effective_allocator=name,
             degraded=name != request.allocator,
-            code="\n\n".join(print_function(r.func) for r in results),
+            code="\n\n".join(codes),
             stats=stats_to_dict(stats),
             cycles=cycles_to_dict(cycles),
         ).seal()

@@ -1102,14 +1102,15 @@ def renamed_analyses(got, rename: dict):
 
 
 def check_session_against_scratch(session, parsed, machine, allocator,
-                                  options, result, cycles) -> None:
+                                  options, result, cycles, code) -> None:
     """Recompute ``parsed`` from scratch; raise on any divergence from
     an incremental allocation's analyses, code, stats or cycles.
 
     The session's reference may be an earlier version's that the
     scratch reference renames (the ``rename`` rung), so its analyses
     are compared through that renaming; code, stats and cycles are
-    compared byte for byte."""
+    compared byte for byte, and the retained rendering ``code`` must
+    be both ``print_function(result.func)`` and the scratch code."""
     from repro.analysis.renumber import renumber
     from repro.pipeline import prepare_function
     from repro.regalloc.base import allocate_function, compute_round_analyses
@@ -1136,9 +1137,13 @@ def check_session_against_scratch(session, parsed, machine, allocator,
                                 round0=fresh)
     if options.verify:
         verify_allocation(func, machine)
-    if print_function(result.func) != print_function(func):
+    want = print_function(func)
+    if print_function(result.func) != want:
         raise OracleMismatch(f"incremental edit allocation diverged from "
                              f"scratch for {session.name!r}")
+    if code != want:
+        raise OracleMismatch(f"incremental edit rendering diverged from "
+                             f"its code for {session.name!r}")
     if stats_to_dict(result.stats) != stats_to_dict(scratch.stats):
         raise OracleMismatch(f"incremental edit stats diverged from "
                              f"scratch for {session.name!r}")
@@ -1159,7 +1164,7 @@ def validated_incremental(session, func, machine, allocator, options):
     if session is not None:
         check_session_against_scratch(out.session, func, machine,
                                       allocator, options, out.result,
-                                      out.cycles)
+                                      out.cycles, out.code)
     return out
 
 

@@ -544,24 +544,31 @@ class TestTailCarry:
     """A value advance patches the retained finished allocation instead
     of re-running the allocation tail (rewrite, cycle estimate)."""
 
+    @staticmethod
+    def counting(monkeypatch, **names):
+        """Count the calls :mod:`repro.service.session` makes to each
+        named function, under the key it is passed as."""
+        counts = dict.fromkeys(names, 0)
+        for key, name in names.items():
+            def wrapped(*args, _key=key,
+                        _fn=getattr(session_module, name), **kwargs):
+                counts[_key] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(session_module, name, wrapped)
+        return counts
+
     @pytest.fixture
     def calls(self, monkeypatch):
         """Tail calls as :mod:`repro.service.session` makes them."""
-        counts = {"allocate": 0, "cycles": 0}
+        return self.counting(monkeypatch, allocate="allocate_function",
+                             cycles="estimate_cycles")
 
-        def counting(key, fn):
-            def wrapped(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(session_module, "allocate_function",
-                            counting("allocate",
-                                     session_module.allocate_function))
-        monkeypatch.setattr(session_module, "estimate_cycles",
-                            counting("cycles",
-                                     session_module.estimate_cycles))
-        return counts
+    @pytest.fixture
+    def copies(self, monkeypatch):
+        """Whole-function clones and prints as
+        :mod:`repro.service.session` makes them."""
+        return self.counting(monkeypatch, clone="clone_function",
+                             print="print_function")
 
     @pytest.mark.parametrize("regs", [8, 24])
     @pytest.mark.parametrize("make_allocator",
@@ -620,6 +627,46 @@ class TestTailCarry:
         assert len({before, *texts}) == 3
         assert print_function(base.result.func) == before
 
+    def test_versions_never_see_each_others_edits(self):
+        """Two value branches off one base, then a value edit from one
+        branch back to the base body: each version copies only the
+        instruction it edits, and every retained raw body, reference and
+        finished function prints as it did when it was created."""
+        machine = make_machine(24)
+        allocator = PreferenceDirectedAllocator()
+        options = AllocationOptions()
+        func = value_chain(0, 0)[0]
+        base = allocate_function_incremental(None, func, machine,
+                                             allocator, options)
+        assert base.result.stats.rounds == 1
+
+        def prints(out):
+            return (print_function(out.session.raw),
+                    print_function(out.session.ref),
+                    print_function(out.result.func))
+
+        def copied(old, new):
+            return sum(a is not b
+                       for old_blk, new_blk in zip(old.blocks, new.blocks)
+                       for a, b in zip(old_blk.instrs, new_blk.instrs))
+
+        outs = [base]
+        for nth in (0, 2):
+            out = validated_incremental(base.session,
+                                        bump_const(func, nth, 7), machine,
+                                        allocator, options)
+            assert copied(base.session.ref, out.session.ref) <= 1
+            assert copied(base.result.func, out.result.func) <= 1
+            outs.append(out)
+        assert copied(base.result.func, outs[1].result.func) == 1
+        snapshots = [prints(out) for out in outs]
+        back = validated_incremental(outs[1].session, clone_function(func),
+                                     machine, allocator, options)
+        assert back.path == "value" and back.code == base.code
+        outs.append(back)
+        snapshots.append(prints(back))
+        assert [prints(out) for out in outs] == snapshots
+
     def test_unrequested_allocator_queues_its_edits(self, calls):
         """An allocator skipped on some versions patches every queued
         edit when next requested, a later edit of a slot winning."""
@@ -640,6 +687,35 @@ class TestTailCarry:
         assert calls["allocate"] == 2
         out = validated_incremental(session, v3, machine, chaitin, options)
         assert out.coloring_reused and calls["allocate"] == 2
+
+    @pytest.mark.parametrize("regs", [8, 24])
+    def test_value_advance_copies_only_the_edits(self, copies, regs):
+        """Over a spill-free retained result a value advance clones and
+        prints no whole function; over one that spilled (K=8) it clones
+        the reference once, to allocate it, and prints the result once.
+        Every version matches a from-scratch run."""
+        machine = make_machine(regs)
+        allocator = PreferenceDirectedAllocator()
+        options = AllocationOptions()
+        carried = spilled = 0
+        for seed in range(4):
+            prev = None
+            for func in value_chain(seed, 6, INVISIBLE_EDIT_OPS):
+                before = dict(copies)
+                out = validated_incremental(
+                    prev.session if prev else None, func, machine,
+                    allocator, options)
+                made = {key: copies[key] - before[key] for key in copies}
+                if prev is not None and prev.result.stats.rounds == 1:
+                    assert made == {"clone": 0, "print": 0}
+                    carried += 1
+                elif prev is not None:
+                    assert made == {"clone": 1, "print": 1}
+                    spilled += 1
+                prev = out
+        assert carried
+        if regs == 8:
+            assert spilled
 
     def test_tail_guard_bypassed_is_caught(self, monkeypatch):
         """Carrying a finished allocation past spill rounds is unsound:
