@@ -27,7 +27,6 @@ from repro.regalloc import (
     CallCostAllocator,
     ChaitinAllocator,
     OptimisticCoalescingAllocator,
-    PriorityAllocator,
 )
 from repro.target.presets import high_pressure, low_pressure, middle_pressure
 from repro.workloads import BENCHMARK_NAMES, make_benchmark
@@ -45,7 +44,6 @@ ALLOCATORS = {
     "briggs": BriggsAllocator,
     "optimistic": OptimisticCoalescingAllocator,
     "callcost": CallCostAllocator,
-    "priority": PriorityAllocator,
     "only-coalescing": lambda: PreferenceDirectedAllocator(
         PreferenceConfig.only_coalescing()
     ),

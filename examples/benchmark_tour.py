@@ -18,7 +18,6 @@ from repro import (
     ChaitinAllocator,
     OptimisticCoalescingAllocator,
     PreferenceDirectedAllocator,
-    PriorityAllocator,
     allocate_module,
     make_benchmark,
     make_machine,
@@ -28,7 +27,6 @@ from repro.core import PreferenceConfig
 
 ALLOCATORS = [
     ChaitinAllocator(),
-    PriorityAllocator(),
     BriggsAllocator(),
     OptimisticCoalescingAllocator(),
     CallCostAllocator(),

@@ -77,7 +77,6 @@ from repro.regalloc import (
     CallCostAllocator,
     ChaitinAllocator,
     OptimisticCoalescingAllocator,
-    PriorityAllocator,
     allocate_function,
     verify_allocation,
 )
@@ -133,7 +132,6 @@ __all__ = [
     "BriggsAllocator",
     "OptimisticCoalescingAllocator",
     "CallCostAllocator",
-    "PriorityAllocator",
     "verify_allocation",
     # IR
     "IRBuilder",

@@ -349,13 +349,19 @@ def _cmd_serve(args, out) -> None:
 
 def _cmd_submit(args, out) -> int:
     base = getattr(args, "base", None)
+    try:
+        options = AllocationOptions.from_env(
+            deadline_ms=(None if args.deadline is None
+                         else args.deadline * 1000.0))
+    except ValueError as err:
+        raise ServiceError(f"bad --deadline: {err}") from err
     request = AllocationRequest(
         id=f"cli-{uuid.uuid4().hex[:12]}",
         ir=_read_text(args.file) if args.file else None,
         bench=args.bench,
         allocator=args.allocator,
         machine=MachineSpec(regs=args.regs),
-        deadline_s=args.deadline,
+        options=options,
         base_digest=(None if base is None
                      else ("" if base == "new" else base)),
     )

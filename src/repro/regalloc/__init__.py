@@ -8,9 +8,7 @@ classes are the paper's comparators:
 * :class:`BriggsAllocator` — optimistic coloring + aggressive coalescing,
 * :class:`OptimisticCoalescingAllocator` — Park & Moon,
 * :class:`CallCostAllocator` — the "aggressive+volatility" configuration
-  of Lueh & Gross used in Figure 11,
-* :class:`PriorityAllocator` — Chow & Hennessy's priority-based coloring,
-  the Section 7 related-work contrast (no figure uses it).
+  of Lueh & Gross used in Figure 11.
 
 The paper's own algorithm lives in :mod:`repro.core`.
 """
@@ -31,7 +29,6 @@ from repro.regalloc.coalesce import coalesce_aggressive
 from repro.regalloc.costs import compute_spill_costs
 from repro.regalloc.igraph import AllocGraph, build_alloc_graph
 from repro.regalloc.optimistic import OptimisticCoalescingAllocator
-from repro.regalloc.priority import PriorityAllocator
 from repro.regalloc.select import SelectResult, select
 from repro.regalloc.simplify import SimplifyResult, simplify
 from repro.regalloc.spill import SpillReport, insert_spill_code
@@ -52,7 +49,6 @@ __all__ = [
     "BriggsAllocator",
     "OptimisticCoalescingAllocator",
     "CallCostAllocator",
-    "PriorityAllocator",
     "AllocGraph",
     "build_alloc_graph",
     "SimplifyResult",

@@ -1,7 +1,7 @@
 """Allocator framework: round context, driver loop, stats, rewriting.
 
 Every allocator variant (Chaitin, Briggs, optimistic, call-cost,
-priority, preference-directed) implements one *round*: given the current
+preference-directed) implements one *round*: given the current
 function's interference structure, produce either a complete coloring or
 a set of live ranges to spill.  The shared :func:`allocate_function`
 driver runs rounds to a fixed point — renumber, analyze, color, and on
@@ -12,6 +12,7 @@ Figures 1–3 and 8 — then rewrites the function onto physical registers.
 from __future__ import annotations
 
 import abc
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -88,6 +89,11 @@ class AllocationOptions:
                 self.deadline_ms, bool
             ):
                 raise ValueError("deadline_ms must be a number or None")
+            # json.loads reads Infinity and NaN; neither is a deadline
+            # the worker pool can wait on.
+            if not math.isfinite(self.deadline_ms):
+                raise ValueError(
+                    f"deadline_ms must be finite, got {self.deadline_ms}")
             if self.deadline_ms < 0:
                 raise ValueError("deadline_ms must be >= 0")
 
@@ -109,11 +115,6 @@ class AllocationOptions:
     #: fields serialized onto the service wire (cache_dir is local)
     WIRE_FIELDS = ("max_rounds", "rematerialize", "verify", "jobs",
                    "deadline_ms")
-    #: retired fields older clients still send; accepted and ignored
-    #: (every strategy now has one production path, and round-0
-    #: analyses are always reused)
-    RETIRED_WIRE_FIELDS = ("incremental", "incremental_edits",
-                           "reuse_analyses")
     #: exact types of the scalar wire fields (``bool`` is not an
     #: ``int`` here: JSON ``true`` is no round count)
     _WIRE_TYPES = {"max_rounds": int, "jobs": int,
@@ -130,17 +131,14 @@ class AllocationOptions:
     def from_dict(cls, wire: dict) -> "AllocationOptions":
         if not isinstance(wire, dict):
             raise ValueError(f"options must be an object, got {wire!r}")
-        unknown = (set(wire) - set(cls.WIRE_FIELDS)
-                   - set(cls.RETIRED_WIRE_FIELDS))
+        unknown = set(wire) - set(cls.WIRE_FIELDS)
         if unknown:
             raise ValueError(f"unknown option field(s) {sorted(unknown)}")
-        values = {name: value for name, value in wire.items()
-                  if name in cls.WIRE_FIELDS}
         for name, kind in cls._WIRE_TYPES.items():
-            if name in values and type(values[name]) is not kind:
+            if name in wire and type(wire[name]) is not kind:
                 raise ValueError(f"{name} must be a {kind.__name__}, "
-                                 f"got {values[name]!r}")
-        return cls(**values)
+                                 f"got {wire[name]!r}")
+        return cls(**wire)
 
 
 @dataclass(eq=False)

@@ -18,7 +18,6 @@ from repro.service.client import ServiceClient
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
     PROTOCOL_VERSION,
-    SUPPORTED_PROTOCOLS,
     AllocationRequest,
     AllocationResponse,
     MachineSpec,
@@ -29,7 +28,6 @@ from repro.service.server import AllocationServer, ServerThread, serve_stdio
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "SUPPORTED_PROTOCOLS",
     "SCHEMA_VERSION",
     "AllocationRequest",
     "AllocationResponse",

@@ -72,15 +72,15 @@ def result_options(options: AllocationOptions) -> dict:
 
 
 def request_fingerprint(normalized_ir: str, machine: TargetMachine,
-                        allocator: str, verify: bool = True,
-                        options: "AllocationOptions | None" = None) -> str:
+                        allocator: str,
+                        options: AllocationOptions | None = None) -> str:
     """The content address of one allocation request.
 
-    ``options`` (default: the defaults with ``verify``) contributes
-    its :func:`result_options`.
+    ``options`` (default: the defaults) contributes its
+    :func:`result_options`.
     """
     if options is None:
-        options = AllocationOptions(verify=verify)
+        options = AllocationOptions()
     fields = {
         "protocol": PROTOCOL_VERSION,
         "ir": normalized_ir,

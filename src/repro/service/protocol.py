@@ -17,7 +17,7 @@ cache hits, and direct :func:`repro.pipeline.allocate_module` runs.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from repro.errors import ServiceError
 from repro.regalloc.base import AllocationOptions, AllocationStats
@@ -29,7 +29,6 @@ from repro.workloads import BENCHMARK_NAMES
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "SUPPORTED_PROTOCOLS",
     "SERVICE_ALLOCATORS",
     "MachineSpec",
     "AllocationRequest",
@@ -41,20 +40,15 @@ __all__ = [
     "cycles_to_dict",
 ]
 
-#: Bumped whenever a wire field changes meaning; requests carrying an
-#: *unsupported* version are rejected instead of silently misread.
-#: v1: bare ``verify``/``deadline_s`` knobs.
-#: v2: requests carry a serialized :class:`AllocationOptions` under
-#: ``options`` (v1 requests are still accepted and get defaulted
-#: options; v1 ``verify``/``deadline_s`` keep working as views).
+#: Bumped whenever a wire field changes meaning; a request carrying
+#: any other version is refused instead of silently misread.  v2
+#: requests carry a serialized :class:`AllocationOptions` under
+#: ``options`` (v1's bare ``verify``/``deadline_s`` knobs are refused).
 #: v2 also admits the ``allocate_delta`` message type (``base`` session
 #: token + new ``ir`` body) and responses may carry ``session_digest``;
 #: both are additive, so the version number is unchanged — old peers
 #: simply never send the type.
 PROTOCOL_VERSION = 2
-
-#: Versions the server still parses.
-SUPPORTED_PROTOCOLS = (1, 2)
 
 #: Largest register file a request may ask for.  Building a machine is
 #: linear in its size (about 6 us and 0.3 KiB per register), so an
@@ -65,9 +59,13 @@ MAX_MACHINE_REGS = 128
 
 #: Allocator names a request may ask for (the CLI's choices).
 SERVICE_ALLOCATORS = (
-    "chaitin", "briggs", "optimistic", "callcost", "priority",
-    "only-coalescing", "full",
+    "chaitin", "briggs", "optimistic", "callcost", "only-coalescing",
+    "full",
 )
+
+#: Protocol v1's bare request knobs -> where v2 carries them.
+_MOVED_KNOBS = {"verify": "options.verify",
+                "deadline_s": "options.deadline_ms (milliseconds)"}
 
 
 @dataclass(frozen=True)
@@ -134,14 +132,11 @@ def machine_content_digest(machine: TargetMachine) -> str:
 class AllocationRequest:
     """One allocation job: IR text *or* a benchmark name, plus knobs.
 
-    Since protocol v2 the knobs ride in ``options``
-    (:class:`~repro.regalloc.base.AllocationOptions`), which is the
-    *only* stored copy: the historical ``verify``/``deadline_s`` fields
-    are now constructor conveniences (folded into ``options`` when no
-    explicit ``options`` is given — ``options`` wins otherwise) plus
-    read-only properties derived from it.  Only a v1 wire conversation
-    still carries them as fields; a v2 wire line carries ``options``
-    alone, so the two copies can never disagree.
+    The knobs ride in ``options``
+    (:class:`~repro.regalloc.base.AllocationOptions`), the one stored
+    copy: ``options.verify`` checks the result, and
+    ``options.deadline_ms`` is how long the client is willing to wait
+    before the scheduler degrades the allocator (it never errors).
     """
 
     id: str = ""
@@ -149,13 +144,8 @@ class AllocationRequest:
     bench: str | None = None
     allocator: str = "full"
     machine: MachineSpec = field(default_factory=MachineSpec)
-    #: seconds the client is willing to wait; the scheduler degrades the
-    #: allocator (it never errors) once the deadline has passed.
-    #: Constructor-only: stored as ``options.deadline_ms``.
-    deadline_s: InitVar[float | None] = None
-    #: constructor-only: stored as ``options.verify``.
-    verify: InitVar[bool | None] = None
-    options: AllocationOptions | None = None
+    options: AllocationOptions = field(
+        default_factory=AllocationOptions.from_env)
     protocol: int = PROTOCOL_VERSION
     #: non-None makes this an ``allocate_delta`` request (v2 extension):
     #: ``ir`` is the *new* body and the string is the session token of
@@ -164,29 +154,12 @@ class AllocationRequest:
     #: gracefully to a from-scratch build that primes the session.
     base_digest: str | None = None
 
-    def __post_init__(self, deadline_s, verify) -> None:
-        # Non-numeric deadlines are remembered raw so validate() can
-        # reject them with a ServiceError instead of blowing up here.
-        self._invalid_deadline = None
-        if self.options is None:
-            overrides = {"verify": True if verify is None else bool(verify)}
-            if deadline_s is not None:
-                if (isinstance(deadline_s, (int, float))
-                        and not isinstance(deadline_s, bool)
-                        and deadline_s >= 0):
-                    overrides["deadline_ms"] = float(deadline_s) * 1000.0
-                else:
-                    self._invalid_deadline = deadline_s
-            self.options = AllocationOptions.from_env(**overrides)
-        # An explicit options value wins outright; the legacy
-        # constructor arguments are dropped, not synced.
-
     def validate(self) -> None:
         if (type(self.protocol) is not int
-                or self.protocol not in SUPPORTED_PROTOCOLS):
+                or self.protocol != PROTOCOL_VERSION):
             raise ServiceError(
                 f"protocol version {self.protocol} unsupported "
-                f"(server speaks {SUPPORTED_PROTOCOLS})"
+                f"(server speaks {PROTOCOL_VERSION})"
             )
         if (self.ir is None) == (self.bench is None):
             raise ServiceError(
@@ -207,19 +180,11 @@ class AllocationRequest:
                 f"unknown allocator {self.allocator!r}; "
                 f"choose from {sorted(SERVICE_ALLOCATORS)}"
             )
-        if self._invalid_deadline is not None:
+        if self.base_digest is not None and self.ir is None:
             raise ServiceError(
-                "deadline_s must be a non-negative number (seconds)")
-        if self.base_digest is not None:
-            if self.protocol < 2:
-                raise ServiceError(
-                    "allocate_delta requires protocol >= 2"
-                )
-            if self.ir is None:
-                raise ServiceError(
-                    "allocate_delta requires 'ir' (the new module body); "
-                    "'bench' cannot carry an edit stream"
-                )
+                "allocate_delta requires 'ir' (the new module body); "
+                "'bench' cannot carry an edit stream"
+            )
 
     def to_wire(self) -> dict:
         wire = {
@@ -229,21 +194,12 @@ class AllocationRequest:
             "id": self.id,
             "allocator": self.allocator,
             "machine": self.machine.to_wire(),
+            "options": self.options.to_dict(),
         }
         if self.ir is not None:
             wire["ir"] = self.ir
         if self.bench is not None:
             wire["bench"] = self.bench
-        if self.protocol >= 2:
-            # v2 carries the one true copy; the legacy fields would be
-            # redundant duplicates and are no longer emitted.
-            if self.options is not None:
-                wire["options"] = self.options.to_dict()
-        else:
-            # v1 compat: bare knobs are all that dialect can express.
-            wire["verify"] = self.verify
-            if self.deadline_s is not None:
-                wire["deadline_s"] = self.deadline_s
         if self.base_digest is not None:
             wire["base"] = self.base_digest
         return wire
@@ -252,14 +208,21 @@ class AllocationRequest:
     def from_wire(cls, wire: dict) -> "AllocationRequest":
         if not isinstance(wire, dict):
             raise ServiceError(f"request must be a JSON object, got {wire!r}")
-        options = None
+        # Bare knobs were honoured once; ignoring them would change what
+        # such a client gets without telling it.
+        for bare, moved in _MOVED_KNOBS.items():
+            if bare in wire:
+                raise ServiceError(
+                    f"top-level {bare!r} is not read; send {moved}")
+        knobs = {}
         if wire.get("options") is not None:
             try:
-                options = AllocationOptions.from_dict(wire["options"])
+                knobs["options"] = AllocationOptions.from_dict(
+                    wire["options"])
             except (TypeError, ValueError) as err:
                 raise ServiceError(f"bad options: {err}") from err
-        # Unknown keys are ignored.  Older clients may still send a
-        # ``fingerprint_hint`` (a precomputed cache key); it is never
+        # Other unknown keys are ignored.  Older clients may still send
+        # a ``fingerprint_hint`` (a precomputed cache key); it is never
         # read, because a client-supplied key could address another
         # request's cached result.
         base_digest = None
@@ -272,33 +235,15 @@ class AllocationRequest:
             bench=wire.get("bench"),
             allocator=wire.get("allocator", "full"),
             machine=MachineSpec.from_wire(wire.get("machine", {})),
-            # Bare knobs only matter when no options object arrived
-            # (v1 peers, hand-written lines); options wins otherwise.
-            deadline_s=wire.get("deadline_s"),
-            verify=bool(wire.get("verify", True)),
-            options=options,
             protocol=wire.get("protocol", PROTOCOL_VERSION),
             base_digest=base_digest,
+            **knobs,
         )
         req.validate()
         return req
 
     def to_json(self) -> str:
         return canonical_json(self.to_wire())
-
-
-# Read-only views of the one stored copy.  Assigned after the @dataclass
-# decoration on purpose: inside the class body the property objects
-# would be visible at decoration time and become the InitVar *defaults*.
-AllocationRequest.verify = property(
-    lambda self: self.options.verify,
-    doc="Read-only view of ``options.verify``.",
-)
-AllocationRequest.deadline_s = property(
-    lambda self: (None if self.options.deadline_ms is None
-                  else self.options.deadline_ms / 1000.0),
-    doc="Read-only view of ``options.deadline_ms``, in seconds.",
-)
 
 
 @dataclass

@@ -7,7 +7,7 @@ its process-pool ``jobs`` fan-out.  Two load-shedding mechanisms, both
 *graceful* (the client always gets a valid allocation, never an error):
 
 * **deadline**: a request whose wait has already exceeded its
-  ``deadline_s`` is downgraded along the degradation ladder
+  ``options.deadline_ms`` is downgraded along the degradation ladder
   (``full`` -> ``chaitin``) so it completes quickly;
 * **overload**: requests admitted while the queue is above the
   high-watermark are downgraded the same way.
@@ -58,7 +58,6 @@ from repro.regalloc import (
     CallCostAllocator,
     ChaitinAllocator,
     OptimisticCoalescingAllocator,
-    PriorityAllocator,
 )
 from repro.service.cache import (
     ResultCache,
@@ -91,7 +90,6 @@ ALLOCATOR_FACTORIES = {
     "briggs": BriggsAllocator,
     "optimistic": OptimisticCoalescingAllocator,
     "callcost": CallCostAllocator,
-    "priority": PriorityAllocator,
     "only-coalescing": lambda: PreferenceDirectedAllocator(
         PreferenceConfig.only_coalescing()
     ),
@@ -107,7 +105,6 @@ DEGRADATION_LADDER = {
     "full": "chaitin",
     "only-coalescing": "chaitin",
     "optimistic": "briggs",
-    "priority": "chaitin",
 }
 
 
@@ -359,9 +356,10 @@ class Scheduler:
         """
         request = job.request
         run_options = request.options.replace(jobs=self.jobs)
-        if request.deadline_s is not None and (
+        deadline_ms = request.options.deadline_ms
+        if deadline_ms is not None and (
             perf_counter() - job.submitted_at
-        ) > request.deadline_s:
+        ) > deadline_ms / 1000.0:
             self.metrics.inc("deadline_misses")
             # The deadline already passed; degradation is about
             # finishing fast now, not about killing more workers.

@@ -615,7 +615,8 @@ def session_digest(normalized_ir: str, machine: TargetMachine) -> str:
     session serves every allocator, exactly like the scheduler's
     prepared-module cache (same fingerprint function, same key).
     """
-    return request_fingerprint(normalized_ir, machine, "", verify=False)
+    return request_fingerprint(normalized_ir, machine, "",
+                               AllocationOptions(verify=False))
 
 
 class SessionStore:

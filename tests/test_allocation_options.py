@@ -4,12 +4,14 @@ One frozen dataclass now carries every allocation knob across the
 public API (``allocate_function``, ``allocate_module``, the scheduler,
 the wire protocol).  These tests pin the contract: validation, the two
 environment variables folded into :meth:`AllocationOptions.from_env`,
-the wire form (protocol v2, with v1 requests still accepted, and
-retired fields older clients send), and the rule that only
+the wire form (protocol v2 only: v1 requests, their bare knobs and
+retired option fields are refused), and the rule that only
 result-relevant fields enter the service cache fingerprint.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -20,7 +22,6 @@ from repro.regalloc.base import allocate_function
 from repro.service.cache import default_cache_dir, request_fingerprint
 from repro.service.protocol import (
     PROTOCOL_VERSION,
-    SUPPORTED_PROTOCOLS,
     AllocationRequest,
     MachineSpec,
 )
@@ -63,13 +64,16 @@ class TestValidation:
         dict(deadline_ms=-1),
         dict(deadline_ms=True),
         dict(deadline_ms="soon"),
+        dict(deadline_ms=float("inf")),
+        dict(deadline_ms=float("-inf")),
+        dict(deadline_ms=float("nan")),
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):
             AllocationOptions(**bad)
 
     def test_zero_deadline_is_legal(self):
-        # deadline_s=0.0 is how clients ask for immediate degradation.
+        # deadline_ms=0 is how clients ask for immediate degradation.
         assert AllocationOptions(deadline_ms=0).deadline_ms == 0
 
     def test_frozen_and_replace(self):
@@ -157,12 +161,15 @@ class TestWireForm:
         wire = AllocationOptions(cache_dir="/secret/server/path").to_dict()
         assert "cache_dir" not in wire
 
-    def test_retired_strategy_fields_accepted_and_ignored(self):
-        # Clients built before the strategy fields were retired still
-        # send them; servers accept and drop them.
-        wire = {"jobs": 2, "incremental": "validate",
-                "incremental_edits": "off", "reuse_analyses": False}
-        assert AllocationOptions.from_dict(wire) == AllocationOptions(jobs=2)
+    def test_retired_strategy_fields_refused(self):
+        # Every strategy has one production path; a client asking for
+        # another one is told so instead of silently getting the one.
+        for name, value in (("incremental", "validate"),
+                            ("incremental_edits", "off"),
+                            ("reuse_analyses", False)):
+            with pytest.raises(ValueError, match=r"unknown option "
+                               rf"field\(s\) \['{name}'\]"):
+                AllocationOptions.from_dict({"jobs": 2, name: value})
         sent = AllocationOptions().to_dict()
         assert "incremental" not in sent
         assert "incremental_edits" not in sent
@@ -223,38 +230,30 @@ class TestProtocolCompat:
         wire = request.to_wire()
         assert wire["protocol"] == PROTOCOL_VERSION == 2
         assert wire["options"]["max_rounds"] == 9
-        # options is the only copy on a v2 line; the legacy duplicates
-        # are gone (v1 conversations still carry them — see below)
+        # options is the only copy of the knobs on the wire
         assert "verify" not in wire
         assert "deadline_s" not in wire
         again = AllocationRequest.from_wire(wire)
         assert again.options == request.options
-        assert again.verify is False and again.deadline_s == 0.5
 
-    def test_v1_request_round_trips_with_defaulted_options(self):
-        # A v1 client sends no "options" object; the server accepts the
-        # request and folds the bare knobs into a defaulted options.
+    def test_v1_request_is_refused(self):
+        # Protocol v1 is no longer spoken, on the wire or in-process.
         v1_wire = {
             "type": "allocate", "protocol": 1, "id": "old",
             "ir": IR, "allocator": "chaitin",
             "machine": {"regs": 8, "has_paired_loads": True},
-            "verify": False, "deadline_s": 1.5,
         }
-        request = AllocationRequest.from_wire(v1_wire)
-        assert request.protocol == 1
-        assert request.options is not None
-        assert request.options.verify is False
-        assert request.options.deadline_ms == 1500.0
-        request.validate()  # v1 still spoken
-        # and a v1 request serializes *without* the v2 options object,
-        # carrying the bare knobs that dialect understands instead
-        wire = request.to_wire()
-        assert "options" not in wire
-        assert wire["verify"] is False and wire["deadline_s"] == 1.5
-        assert AllocationRequest.from_wire(wire) == request
+        with pytest.raises(ServiceError,
+                           match=r"protocol version 1 unsupported"):
+            AllocationRequest.from_wire(v1_wire)
+        with pytest.raises(ServiceError,
+                           match=r"protocol version 1 unsupported"):
+            execute_request(AllocationRequest(
+                id="v1", ir=IR, allocator="chaitin",
+                machine=MachineSpec(regs=8), protocol=1))
 
     def test_unsupported_protocol_rejected(self):
-        beyond = max(SUPPORTED_PROTOCOLS) + 1
+        beyond = PROTOCOL_VERSION + 1
         with pytest.raises(ServiceError, match="protocol"):
             AllocationRequest(id="x", ir=IR, protocol=beyond).validate()
 
@@ -274,19 +273,24 @@ class TestProtocolCompat:
             wire["options"] = options
             with pytest.raises(ServiceError, match="bad options"):
                 AllocationRequest.from_wire(wire)
+        # json.loads reads Infinity and NaN; no deadline is either.
+        for line in ('{"deadline_ms": Infinity}', '{"deadline_ms": NaN}'):
+            wire["options"] = json.loads(line)
+            with pytest.raises(ServiceError, match="bad options: "
+                               "deadline_ms must be finite"):
+                AllocationRequest.from_wire(wire)
 
-    def test_explicit_options_win_over_legacy_fields(self):
-        request = AllocationRequest(
-            id="x", ir=IR, verify=True, deadline_s=9.0,
-            options=AllocationOptions(verify=False, deadline_ms=100.0))
-        assert request.verify is False
-        assert request.deadline_s == 0.1
-
-    def test_v1_executes_end_to_end(self):
-        response = execute_request(AllocationRequest(
-            id="v1", ir=IR, allocator="chaitin",
-            machine=MachineSpec(regs=8), protocol=1))
-        assert response.ok and response.result_digest
+    @pytest.mark.parametrize("bare, moved", [
+        ("verify", "options.verify"),
+        ("deadline_s", "options.deadline_ms"),
+    ])
+    def test_bare_knobs_are_refused(self, bare, moved):
+        # A v1-style line that still carries the bare knob once had it
+        # honoured; dropping it silently would change its answer.
+        for options in (None, {"verify": True}):
+            wire = {"id": "x", "ir": IR, bare: False, "options": options}
+            with pytest.raises(ServiceError, match=moved):
+                AllocationRequest.from_wire(wire)
 
 
 class TestFingerprint:
@@ -314,8 +318,9 @@ class TestFingerprint:
 
     def test_default_options_match_the_legacy_verify_form(self):
         # Cache entries written before the options refactor must stay
-        # reachable: the legacy verify= call spells the same key.
+        # reachable: the legacy call (no options, verify on) spells the
+        # same key as the default options.
         machine = make_machine(8)
-        assert request_fingerprint(IR, machine, "full", verify=True) == \
+        assert request_fingerprint(IR, machine, "full") == \
             request_fingerprint(IR, machine, "full",
                                 options=AllocationOptions())

@@ -192,14 +192,12 @@ PINNED_SPILLSTRESS_STATS = {
     "chaitin": (296, 408, 204, 59008.0, 4),
     "briggs": (296, 408, 204, 59008.0, 4),
     "callcost": (296, 408, 204, 59008.0, 4),
-    "priority": (164, 376, 188, 59412.0, 3),
 }
 
 #: The same 5-tuple on jess at the 24-register model
-#: (``middle_pressure()``), for all seven allocators.
+#: (``middle_pressure()``), for every served allocator.
 PINNED_JESS_M24_STATS = {
     "chaitin": (458, 0, 0, 4527.0, 1),
-    "priority": (215, 0, 0, 4812.0, 1),
     "briggs": (458, 0, 0, 4527.0, 1),
     "optimistic": (458, 0, 0, 4527.0, 1),
     "callcost": (459, 6, 3, 3823.0, 2),

@@ -46,7 +46,7 @@ class TestParser:
 
     def test_allocator_choices_complete(self):
         assert set(ALLOCATOR_CHOICES) == {
-            "chaitin", "briggs", "optimistic", "callcost", "priority",
+            "chaitin", "briggs", "optimistic", "callcost",
             "only-coalescing", "full",
         }
 
@@ -254,6 +254,14 @@ class TestServiceCommands:
         payload = json.loads(text)
         assert payload["ok"] and payload["degraded"]
         assert payload["effective_allocator"] == "chaitin"
+
+    @pytest.mark.parametrize("deadline", ["-1", "inf", "nan"])
+    def test_submit_refuses_a_bad_deadline_before_sending(self, deadline,
+                                                         capsys):
+        code, _ = run_cli(["submit", "--bench", "db", "--deadline",
+                           deadline, "--port", "1"])
+        assert code == 1
+        assert "error: bad --deadline" in capsys.readouterr().err
 
     def test_stats_command(self, live_server):
         host, port = live_server

@@ -370,7 +370,7 @@ class TestNoNumpy:
         out = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True, check=True,
                              env=env)
-        assert out.stdout.split() == ["7", "False"]  # seven allocators
+        assert out.stdout.split() == ["6", "False"]  # six allocators
 
 
 def _src_path() -> str:

@@ -15,6 +15,8 @@ timing races to produce a failure.
 
 from __future__ import annotations
 
+import io
+import json
 import multiprocessing
 import os
 import signal
@@ -51,6 +53,7 @@ from repro.service.scheduler import (
     degrade_for,
     render_allocation,
 )
+from repro.service.server import serve_stdio
 from repro.target.presets import make_machine
 
 #: fast-failure knobs shared by the mechanics tests
@@ -572,6 +575,30 @@ class TestSchedulerWithPool:
             counters = scheduler.metrics.counters
             assert counters["worker_deadline_kills"] == 1
             assert counters["deadline_misses"] >= 1
+        finally:
+            scheduler.stop()
+
+    def test_infinite_deadline_is_refused_and_the_pool_keeps_serving(self):
+        # json.loads reads Infinity.  Admitted as a deadline, it made the
+        # pool's wait overflow mid-batch, and the next request was then
+        # answered from the aborted batch's leftovers.
+        want = self.serial_digest()
+        scheduler = Scheduler(cache=ResultCache(),
+                              options=AllocationOptions(jobs=2))
+        scheduler.start()
+        try:
+            bad = self.request(id="inf").to_wire()
+            bad["options"]["deadline_ms"] = float("inf")
+            lines = (json.dumps(bad) + "\n"
+                     + self.request(id="next").to_json() + "\n")
+            out = io.StringIO()
+            serve_stdio(scheduler, io.StringIO(lines), out)
+            refused, served = map(json.loads, out.getvalue().splitlines())
+            assert not refused["ok"], refused
+            assert refused["error"].startswith(
+                "bad options: deadline_ms must be finite"), refused
+            assert served["ok"] and not served["degraded"], served
+            assert served["result_digest"] == want
         finally:
             scheduler.stop()
 

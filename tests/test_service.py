@@ -1,12 +1,15 @@
 """The service layer: protocol, cache, metrics, scheduler."""
 
+import argparse
 import errno
 import json
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.cli import build_parser
 from repro.errors import ServiceError
 from repro.pipeline import allocate_module, prepare_module
 from repro.regalloc import AllocationOptions
@@ -17,7 +20,6 @@ from repro.service.protocol import (
     MAX_MACHINE_REGS,
     PROTOCOL_VERSION,
     SERVICE_ALLOCATORS,
-    SUPPORTED_PROTOCOLS,
     AllocationRequest,
     AllocationResponse,
     MachineSpec,
@@ -51,9 +53,16 @@ done:
 }
 """
 
+#: the committed figure tables of ``benchmarks/``
+RESULTS_DIR = Path(__file__).parents[1] / "benchmarks" / "results"
+
 #: Same function, different formatting/whitespace — must share a cache
 #: entry with IR after parse->print normalization.
 IR_REFORMATTED = IR.replace("  %acc = 0", "  %acc  =  0")
+
+
+#: options of a request whose deadline has passed on arrival
+PAST_DEADLINE = AllocationOptions(deadline_ms=0.0)
 
 
 def make_request(**overrides) -> AllocationRequest:
@@ -65,7 +74,7 @@ def make_request(**overrides) -> AllocationRequest:
 
 class TestProtocol:
     def test_request_wire_round_trip(self):
-        req = make_request(deadline_s=2.5)
+        req = make_request(options=AllocationOptions(deadline_ms=2500.0))
         again = AllocationRequest.from_wire(req.to_wire())
         assert again == req
 
@@ -129,12 +138,38 @@ class TestProtocol:
             AllocationRequest.from_wire(wire)
 
     def test_rejects_wrong_protocol_version(self):
-        with pytest.raises(ServiceError, match="protocol"):
-            AllocationRequest(id="x", ir=IR,
-                              protocol=PROTOCOL_VERSION + 1).validate()
+        for protocol in (1, PROTOCOL_VERSION + 1):
+            with pytest.raises(ServiceError,
+                               match=f"protocol version {protocol} "
+                                     f"unsupported"):
+                AllocationRequest(id="x", ir=IR,
+                                  protocol=protocol).validate()
 
     def test_allocator_tables_agree(self):
         assert set(SERVICE_ALLOCATORS) == set(ALLOCATOR_FACTORIES)
+
+    def test_served_surface_is_what_the_figures_use(self):
+        # The CLI, the wire and the degradation ladder serve one set of
+        # allocators, and each one but chaitin (Figure 9's denominator)
+        # is a column of a committed figure table.
+        served = set(SERVICE_ALLOCATORS)
+        assert set(ALLOCATOR_FACTORIES) == served
+        assert set(DEGRADATION_LADDER) | {"chaitin"} == served
+        parser = build_parser()
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        cli_choices = [set(action.choices)
+                       for command in commands.choices.values()
+                       for action in command._actions
+                       if "--allocator" in action.option_strings]
+        assert cli_choices and all(c == served for c in cli_choices)
+        headers = set()
+        for table in RESULTS_DIR.glob("*.txt"):
+            lines = table.read_text().splitlines()
+            for rule, header in zip(lines, lines[1:]):
+                if rule and set(rule) == {"="}:
+                    headers.update(header.split())
+        assert served - {"chaitin"} <= headers, served - headers
 
     def test_machine_descriptor_is_value_based(self):
         for view in (machine_descriptor, machine_content_digest):
@@ -174,7 +209,7 @@ JSON_VALUES = st.recursive(
 #: arbitrary JSON.
 VALID_FIELDS = {
     "type": st.sampled_from(["allocate", "allocate_delta"]),
-    "protocol": st.sampled_from(SUPPORTED_PROTOCOLS),
+    "protocol": st.just(PROTOCOL_VERSION),
     "id": st.text(max_size=8),
     "allocator": st.sampled_from(SERVICE_ALLOCATORS),
     "machine": st.fixed_dictionaries({}, optional={
@@ -187,11 +222,9 @@ VALID_FIELDS = {
         "rematerialize": st.booleans() | JSON_VALUES,
         "jobs": st.integers(1, 4) | JSON_VALUES,
         "deadline_ms": st.floats(0, 1e4) | JSON_VALUES,
-        "incremental": JSON_VALUES,
         # retired: any value is refused
+        "incremental": JSON_VALUES,
         "policy": st.just({}) | JSON_VALUES}),
-    "deadline_s": st.floats(0, 10) | st.none(),
-    "verify": st.booleans(),
     "base": st.text(max_size=8),
 }
 
@@ -221,20 +254,25 @@ class TestRequestParsing:
     @given(REQUEST_OBJECTS)
     @example({"ir": 123})
     @example({"bench": "db", "machine": {"regs": 10**9}})
-    @example({"ir": IR, "deadline_s": -1})
+    @example({"ir": IR, "deadline_s": 1.0})
+    @example({"ir": IR, "verify": False})
+    @example({"ir": IR, "protocol": 1})
     @example({"ir": IR, "protocol": True})
     @example({"ir": IR, "protocol": 1.0})
     @example({"ir": IR, "options": {"max_rounds": True}})
     @example({"ir": IR, "options": {"policy": {}}})
+    @example({"ir": IR, "options": {"deadline_ms": float("inf")}})
+    @example({"ir": IR, "options": {"deadline_ms": float("nan")}})
     def test_arbitrary_objects_are_rejected_or_well_typed(self, wire):
         try:
             request = AllocationRequest.from_wire(wire)
         except ServiceError:
             return
-        assert "policy" not in (wire.get("options") or {})
+        assert not {"policy", "incremental"} & set(wire.get("options") or {})
+        assert not {"verify", "deadline_s"} & set(wire)
         assert type(request.id) is str
         assert type(request.protocol) is int
-        assert request.protocol in SUPPORTED_PROTOCOLS
+        assert request.protocol == PROTOCOL_VERSION
         assert (request.ir is None) != (request.bench is None)
         assert request.ir is None or type(request.ir) is str
         assert request.bench is None or request.bench in BENCHMARK_NAMES
@@ -249,7 +287,8 @@ class TestRequestParsing:
         assert type(options.jobs) is int and options.jobs >= 1
         assert type(options.verify) is bool
         assert type(options.rematerialize) is bool
-        assert options.deadline_ms is None or options.deadline_ms >= 0
+        assert options.deadline_ms is None or \
+            0 <= options.deadline_ms < float("inf")
         assert request.base_digest is None or \
             type(request.base_digest) is str
         if request.base_digest is not None:
@@ -270,12 +309,12 @@ class TestFingerprint:
 
     def test_fingerprint_splits_on_every_input(self):
         machine = make_machine(8)
-        base = request_fingerprint(IR, machine, "full", verify=True)
+        base = request_fingerprint(IR, machine, "full")
         assert base != request_fingerprint(IR + " ", machine, "full")
         assert base != request_fingerprint(IR, make_machine(16), "full")
         assert base != request_fingerprint(IR, machine, "chaitin")
-        assert base != request_fingerprint(IR, machine, "full",
-                                           verify=False)
+        assert base != request_fingerprint(
+            IR, machine, "full", AllocationOptions(verify=False))
 
 
 class TestResultCache:
@@ -566,7 +605,7 @@ class TestScheduler:
     def test_past_deadline_degrades_not_errors(self):
         scheduler = Scheduler(cache=ResultCache())
         response = self.run_request(
-            scheduler, make_request(deadline_s=0.0))
+            scheduler, make_request(options=PAST_DEADLINE))
         assert response.ok
         assert response.degraded
         assert response.effective_allocator == "chaitin"
@@ -577,7 +616,7 @@ class TestScheduler:
 
     def test_degraded_response_not_cached(self):
         scheduler = Scheduler(cache=ResultCache())
-        self.run_request(scheduler, make_request(deadline_s=0.0))
+        self.run_request(scheduler, make_request(options=PAST_DEADLINE))
         assert len(scheduler.cache) == 0
         # a later request with time budget gets the real allocator
         fresh = self.run_request(scheduler, make_request(id="later"))
@@ -588,8 +627,8 @@ class TestScheduler:
         direct = execute_request(make_request(id="direct"))
         del parses[:]
         scheduler = Scheduler(cache=ResultCache())
-        degraded = self.run_request(scheduler,
-                                    make_request(id="a", deadline_s=0.0))
+        degraded = self.run_request(
+            scheduler, make_request(id="a", options=PAST_DEADLINE))
         assert degraded.degraded and len(scheduler.cache) == 0
         fresh = self.run_request(scheduler, make_request(id="b"))
         assert len(parses) == 2

@@ -17,6 +17,7 @@ import pytest
 
 from repro.ir.parser import parse_module
 from repro.pipeline import allocate_module, prepare_module
+from repro.regalloc import AllocationOptions
 from repro.service import (
     AllocationRequest,
     MachineSpec,
@@ -78,7 +79,8 @@ def mixed_schedule() -> list:
         ))
     requests.append(AllocationRequest(
         id="late", ir=sample_ir(999), allocator="full",
-        machine=MachineSpec(regs=8), deadline_s=0.0,
+        machine=MachineSpec(regs=8),
+        options=AllocationOptions(deadline_ms=0.0),
     ))
     return requests
 
